@@ -76,7 +76,6 @@ from .specfun import (
     mu_inverse,
     phi_K,
     rprime,
-    th,
     threshold_C,
 )
 from .verify import Certificate, REGISTRY, SweepSpec, run_all, run_sweep

@@ -126,10 +126,10 @@ def cmd_qc_bound(args) -> int:
     if args.ideal:
         bound = qcb.qc_ideal_bound(args.K)
         if args.json:
-            _emit_json({"K": args.K, "ideal": True, "bound": bound, "M_1": qcb.ideal_M1()})
+            _emit_json({"K": args.K, "ideal": True, "bound": bound, "M_1": qcb.M1})
         else:
             print(f"ideal quadrilateral image bound, K={args.K:.17g}")
-            print(f"M_1 = {qcb.ideal_M1():.17g}")
+            print(f"M_1 = {qcb.M1:.17g}")
             print(f"bound = {bound:.17g}")
         return 0
     if args.L is None:

@@ -8,13 +8,14 @@ branch point in L is th(1) = (e^2-1)/(e^2+1), kept in exact closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, NoRootError
-from .lambert import IDEAL_PRODUCT_BOUND, product_bound
+from .lambert import IDEAL_PRODUCT_BOUND
 from .optimize import bisect_root
-from .specfun import arth, distortion_A, lemma_f_c, rprime
+from .specfun import _arth_cx, _check_K, _f_c_pair, arth, distortion_A, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -22,6 +23,12 @@ TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
 #: r_1 = 2 sqrt(e)/(e + 1): where 2 arth r = 1 flips its max-branch
 R1 = 2.0 * math.sqrt(math.e) / (math.e + 1.0)
 R1_PRIME = (math.e - 1.0) / (math.e + 1.0)
+
+#: M_1 = f_1(r_1')/f_1(r_1), the K-threshold of the ideal-quadrilateral bound
+M1 = lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1)
+
+#: the root of K f_L(r) = f_L(r') is sought with r' above the smallest normal double
+_LOG_RP_MIN = math.log(sys.float_info.min)
 
 
 class QcRegime(Enum):
@@ -36,8 +43,7 @@ class QcBoundInput:
     L: float
 
     def __post_init__(self):
-        if self.K < 1.0:
-            raise DomainError(f"K must be >= 1, got {self.K}")
+        _check_K(self.K, "QcBoundInput")
         if not 0.0 < self.L <= 1.0:
             raise DomainError(f"L must lie in (0, 1], got {self.L}")
 
@@ -73,28 +79,42 @@ def M_L_of(L: float) -> float:
     return lemma_f_c(L, rprime(rl)) / lemma_f_c(L, rl)
 
 
-def solve_r_LK(K: float, L: float) -> float:
-    """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L.
+def _root_pair(K: float, L: float, r_lo: float) -> tuple[float, float]:
+    """(r, r') of the unique root r in (r_lo, 1) of K f_L(r) = f_L(r').
 
-    f_L is strictly decreasing, so g(r) = K f_L(r) - f_L(r') is strictly
-    decreasing on the bracket and plain bisection suffices.
+    The root is solved for in s = log r', so that r' keeps its digits where r
+    rounds to 1 (at L = 1 from K ~ 14 on, where r' ~ 2 e^{-K}). f_L is
+    strictly decreasing, so g(r) = K f_L(r) - f_L(r') is strictly decreasing
+    in r, hence increasing in s, and plain bisection suffices.
     """
-    rl = r_L_of(L)
+
+    def pair(s):
+        rp = math.exp(s)
+        return rprime(rp), rp
+
+    def g(s):
+        r, rp = pair(s)
+        return K * _f_c_pair(L, r, rp) - _f_c_pair(L, rp, r)
+
+    return pair(bisect_root(g, _LOG_RP_MIN, math.log(rprime(r_lo)), tol=1e-12))
+
+
+def solve_r_LK(K: float, L: float) -> float:
+    """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L."""
     ml = M_L_of(L)
     if K <= ml:
         raise NoRootError(f"K = {K} <= M_L = {ml}: use the r_L branch instead")
-
-    def g(r):
-        return K * lemma_f_c(L, r) - lemma_f_c(L, rprime(r))
-
-    # bisect_root verifies the sign change, and g is strictly decreasing,
-    # so the returned midpoint brackets the unique crossing to 1e-12
-    return bisect_root(g, rl + 1e-12, 1.0 - 1e-12, tol=1e-12)
+    return _root_pair(K, L, r_L_of(L))[0]
 
 
 def T_of(x: float, L: float, K: float) -> float:
     """T(x, L) = arth(L x) (arth(L sqrt(1-x^2)))^(1/K)."""
-    return arth(L * x) * arth(L * rprime(x)) ** (1.0 / K)
+    return _T(x, rprime(x), L, K)
+
+
+def _T(x: float, xp: float, L: float, K: float) -> float:
+    """T_of from x and x' = sqrt(1 - x^2); at L = 1, arth x is taken from x'."""
+    return _arth_cx(L, x, xp) * arth(L * xp) ** (1.0 / K)
 
 
 def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
@@ -113,39 +133,28 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     rl = r_L_of(L)
     ml = M_L_of(L)
     if K <= ml:
-        r_star = rl
+        r_star, rp_star = rl, rprime(rl)
         regime = QcRegime.LARGE_L_K_LE_M
         r_lk = None
     else:
-        r_lk = solve_r_LK(K, L)
-        r_star = r_lk
+        r_star, rp_star = _root_pair(K, L, rl)
+        r_lk = r_star
         regime = QcRegime.LARGE_L_K_GT_M
-    bound = ak2 * max(T_of(r_star, L, K), small_branch)
+    bound = ak2 * max(_T(r_star, rp_star, L, K), small_branch)
     return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
 
 
 def ideal_M1() -> float:
     """M_1 = f_1(r_1')/f_1(r_1), the K-threshold of the ideal-quadrilateral bound."""
-    return lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1)
+    return M1
 
 
 def qc_ideal_bound(K: float) -> float:
     """Bound on D1*D2 for the image of an ideal quadrilateral."""
-    if K < 1.0:
-        raise DomainError(f"K must be >= 1, got {K}")
-    m1 = ideal_M1()
-    if K > m1:
-        def g(r):
-            return K * lemma_f_c(1.0, r) - lemma_f_c(1.0, rprime(r))
-
-        r_star = bisect_root(g, R1 + 1e-12, 1.0 - 1e-12, tol=1e-12)
+    _check_K(K, "qc_ideal_bound")
+    if K > M1:
+        r_star, rp_star = _root_pair(K, 1.0, R1)
     else:
-        r_star = R1
-    t_val = arth(r_star) * arth(rprime(r_star)) ** (1.0 / K)
+        r_star, rp_star = R1, R1_PRIME
+    t_val = _T(r_star, rp_star, 1.0, K)
     return distortion_A(K) ** 2 * max(2.0 ** (1.0 + 1.0 / K) * t_val, IDEAL_PRODUCT_BOUND)
-
-
-# K = 1 must reduce to the unmapped sharp bounds; kept importable for tests
-def reduces_at_K1(L: float, tol: float = 1e-10) -> bool:
-    res = qc_product_bound(QcBoundInput(1.0, L))
-    return abs(res.bound - product_bound(L)) <= tol

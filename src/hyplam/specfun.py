@@ -2,8 +2,14 @@
 the Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
 
-mu is evaluated through the arithmetic-geometric mean; its inverse by
-bisection on the strictly decreasing mu. The classical identity
+mu is evaluated through the arithmetic-geometric mean. Its inverse is the
+closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
+q = e^{-2y}, from the theta-function representation of mu (Anderson,
+Vamanamurthy and Vuorinen, Conformal Invariants, Inequalities, and
+Quasiconformal Maps, 1997); below y = pi/2 the complementary nome
+e^{-pi^2/(2y)} is used through mu(r) mu(r') = pi^2/4, so that q <= e^{-pi}
+always. The complement r' is carried along as log r', which keeps phi_K and
+A(K) accurate where r rounds to 1. The classical identity
 phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
 """
 
@@ -27,10 +33,6 @@ def arth(x: float) -> float:
     if x == 1.0:
         return math.inf
     return math.atanh(x)
-
-
-def th(x: float) -> float:
-    return math.tanh(x)
 
 
 def rprime(r: float) -> float:
@@ -70,18 +72,38 @@ def _arth_over_r(r: float) -> float:
     return math.atanh(r) / r
 
 
+def _arth_cx(c: float, x: float, xp: float) -> float:
+    """arth(c x) for x in (0, 1), given x' = sqrt(1 - x^2).
+
+    At c = 1 beyond x = x' it is arth_complement(x'), which keeps the digits
+    that 1 - x loses as x -> 1 (x may even have rounded to 1).
+    """
+    if c == 1.0 and x > xp:
+        return arth_complement(xp)
+    return math.atanh(c * x)
+
+
+def _f_c_pair(c: float, x: float, xp: float) -> float:
+    """f_c(x) from x and x' = sqrt(1 - x^2), neither recomputed from the other.
+
+    1 - (c x')^2 is written (1 - c)(1 + c) + (c x)^2, which cannot cancel,
+    and is divided by x before arth(c x), so that a tiny x overflows to inf
+    instead of dividing by an underflowed x arth(c x).
+    """
+    if c == 1.0:
+        # reduces to x / arth x
+        if x < _ENDPOINT_EPS:
+            return 1.0
+        return x / _arth_cx(1.0, x, xp)
+    return ((1.0 - c) * (1.0 + c) / x + c * c * x) / math.atanh(c * x)
+
+
 def lemma_f_c(c: float, r: float) -> float:
     """f_c(r) = (1 - (c r')^2) / (r arth(c r)); strictly decreasing in r."""
     if not 0.0 < c <= 1.0:
         raise DomainError("lemma_f_c needs c in (0, 1]")
     _check_open01(r, "lemma_f_c")
-    if c == 1.0:
-        # reduces to r / arth r
-        if r < _ENDPOINT_EPS:
-            return 1.0
-        return r / math.atanh(r)
-    rp = rprime(r)
-    return (1.0 - (c * rp) ** 2) / (r * math.atanh(c * r))
+    return _f_c_pair(c, r, rprime(r))
 
 def lemma_F_c(c: float, r: float) -> float:
     """F_c(r) = arth(c r) arth(c r'); max (arth(c sqrt2/2))^2 at r = sqrt2/2."""
@@ -282,41 +304,74 @@ def grotzsch_mu(r: float) -> float:
     return (math.pi / 2.0) * agm(1.0, rprime(r)) / agm(1.0, r)
 
 
+_HALF_PI = math.pi / 2.0
+_PI2_4 = math.pi**2 / 4.0
+
+
+def _check_K(K: float, what: str):
+    if not 1.0 <= K < math.inf:
+        raise DomainError(f"{what} needs a finite K >= 1, got K = {K}")
+
+
+def _nome_moduli(t: float) -> tuple[float, float]:
+    """(m, c) with k = m e^{-t} and k' = (1 - c)^2, the moduli of the Jacobi
+    nome q = e^{-2t}, for t >= pi/2.
+
+    k = theta_2(q)^2/theta_3(q)^2 and k' = theta_4(q)^2/theta_3(q)^2. With
+    q^{1/4} theta_2 = 2 e^{-t/2} (1 + sum q^{n(n+1)}), k keeps its relative
+    accuracy until e^{-t} underflows; with theta_3 - theta_4 = 4 sum_{n odd}
+    q^{n^2}, so does 1 - k'. Since q <= e^{-pi}, the first omitted term of
+    each sum is below 1e-27 of the sum.
+    """
+    q = math.exp(-2.0 * t)
+    s2 = q**2 + q**6 + q**12  # sum of q^{n(n+1)}, n >= 1
+    odd = q + q**9 + q**25  # sum of q^{n^2}, odd n
+    theta3 = 1.0 + 2.0 * (odd + q**4 + q**16)
+    return 4.0 * ((1.0 + s2) / theta3) ** 2, 4.0 * odd / theta3
+
+
+def _mu_inverse_pair(y: float) -> tuple[float, float]:
+    """(r, log r') with grotzsch_mu(r) = y > 0 and r' = sqrt(1 - r^2).
+
+    r' is returned as its logarithm: it underflows (K above ~600 in A(K)) long
+    before A(K) = 2 log((1 + r)/r') overflows.
+    """
+    if y >= _HALF_PI:
+        m, c = _nome_moduli(y)
+        return m * math.exp(-y), 2.0 * math.log1p(-c)
+    # r' = mu^{-1}(pi^2/(4y)), whose nome is q' = e^{-pi^2/(2y)} <= e^{-pi}
+    t = _PI2_4 / y
+    m, c = _nome_moduli(t)
+    return (1.0 - c) ** 2, math.log(m) - t
+
+
 def mu_inverse(y: float) -> float:
-    """Inverse of grotzsch_mu by bisection to |mu(r) - y| < 1e-13."""
+    """Inverse of grotzsch_mu, in closed form from the Jacobi nome."""
     if not y > 0.0:
-        raise DomainError("mu_inverse needs y > 0")
-    lo, hi = 1e-300, 1.0 - 1e-16
-    if grotzsch_mu(lo) <= y:
-        return lo
-    if grotzsch_mu(hi) >= y:
-        return hi
-    for _ in range(2000):
-        mid = 0.5 * (lo + hi)
-        v = grotzsch_mu(mid)
-        if abs(v - y) < 1e-13 or (hi - lo) <= 1e-17 * max(mid, 1e-300):
-            return mid
-        if v > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        raise DomainError(f"mu_inverse needs y > 0, got y = {y}")
+    r = _mu_inverse_pair(y)[0]
+    if r == 0.0:
+        raise DomainError(f"mu_inverse(y = {y}) underflows to 0")
+    return r
 
 
 def phi_K(K: float, r: float) -> float:
     """Hersch-Pfluger distortion mu^{-1}(mu(r)/K), K >= 1."""
-    if K < 1.0:
-        raise DomainError("phi_K needs K >= 1")
+    _check_K(K, "phi_K")
     if not 0.0 < r < 1.0:
         raise DomainError("phi_K needs r in (0, 1)")
     return mu_inverse(grotzsch_mu(r) / K)
 
 
 def distortion_A(K: float) -> float:
-    """A(K) = 2 arth(phi_K(th 1/2)); A(1) = 1."""
-    if K < 1.0:
-        raise DomainError("distortion_A needs K >= 1")
-    return 2.0 * math.atanh(phi_K(K, math.tanh(0.5)))
+    """A(K) = 2 arth(phi_K(th 1/2)); A(1) = 1.
+
+    2 arth phi is taken as 2 log((1 + phi)/phi') from the pair (phi, log phi'),
+    so it stays accurate where phi rounds to 1.
+    """
+    _check_K(K, "distortion_A")
+    phi, log_phip = _mu_inverse_pair(grotzsch_mu(math.tanh(0.5)) / K)
+    return 2.0 * (math.log1p(phi) - log_phip)
 
 
 def distortion_bracket(K: float) -> tuple[float, float, float, float, float]:
@@ -327,7 +382,8 @@ def distortion_bracket(K: float) -> tuple[float, float, float, float, float]:
     return (
         K,
         u * (K - 1.0) + 1.0,
-        math.log(math.cosh(K * arch_e)),
+        # log cosh x = x - log 2 + log1p(e^{-2x}), which cannot overflow
+        K * arch_e - math.log(2.0) + math.log1p(math.exp(-2.0 * K * arch_e)),
         distortion_A(K),
         v * (K - 1.0) + K,
     )

@@ -561,6 +561,26 @@ def _t_hyperbolic_mean_bound(spec: SweepSpec, chk: _Checker) -> tuple[float, tup
     return worst, ()
 
 
+#: relative agreement of mu_inverse with the oracle, per unit of 1 + y: the
+#: oracle inherits mu's rounding, a few ulp of y, as a relative error of
+#: about y ulp in r
+_MU_INVERSE_REL = 8.0 * 2.0**-52
+
+
+def _mu_inverse_bisect(y: float) -> float:
+    """Oracle for mu^{-1}: bisection on the strictly decreasing mu, until the
+    midpoint equals an endpoint (adjacent doubles, or 0 and the smallest one)."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if grotzsch_mu(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _t_mu_identities(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 1000)
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
@@ -579,13 +599,21 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
         dev = abs(phi_K(2.0, float(r)) - 2.0 * math.sqrt(r) / (1.0 + r))
         chk.require(dev, 1e-10, (float(r),))
         worst = max(worst, dev)
+    # the closed-form inverse against the bisection oracle, on both sides of
+    # the switch to the complementary nome at y = pi/2
+    n_y = min(max(spec.grid_size // 10, 20), 100)
+    ys = np.concatenate([np.geomspace(0.05, 20.0, n_y), math.pi / 2.0 + np.array([-1e-9, 0.0, 1e-9])])
+    for y in map(float, ys):
+        oracle = _mu_inverse_bisect(y)
+        dev = abs(mu_inverse(y) - oracle) / oracle
+        chk.require(dev, _MU_INVERSE_REL * (1.0 + y), (y,))
     return worst, ()
 
 
 def _t_distortion_bracket(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     chk.require(abs(distortion_A(1.0) - 1.0), 1e-10, (1.0,))
     a_last = 0.0
-    for K in (1.0, 1.5, 2.0, 5.0):
+    for K in (1.0, 1.5, 2.0, 5.0, 14.0, 20.0, 50.0, 1000.0):
         k_, lin_lo, log_mid, a_k, lin_hi = distortion_bracket(K)
         # chain with a small slack for the all-equal K = 1 endpoint
         for lo, hi in ((k_, lin_lo), (lin_lo, log_mid), (log_mid, a_k), (a_k, lin_hi)):
@@ -596,7 +624,7 @@ def _t_distortion_bracket(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]
     v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / math.e**2)))
     chk.require_true(1.5412 < u < 1.5413, (u,))
     chk.require_true(1.3506 < v < 1.3507, (v,))
-    return a_last, (5.0,)
+    return a_last, (1000.0,)
 
 
 # ---------------------------------------------------------------------------

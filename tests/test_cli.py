@@ -85,6 +85,11 @@ class TestQcBound:
     def test_missing_L_and_ideal_exits_2(self, capsys):
         assert run(capsys, "qc-bound", "--K", "2")[0] == 2
 
+    def test_infinite_K_exits_2(self, capsys):
+        code, _, err = run(capsys, "qc-bound", "--K", "inf", "--L", "0.5")
+        assert code == 2
+        assert "K = inf" in err
+
 
 class TestSpecfun:
     def test_mu(self, capsys):
@@ -94,6 +99,11 @@ class TestSpecfun:
 
     def test_missing_argument_exits_2(self, capsys):
         assert run(capsys, "specfun", "--fn", "phi", "--r", "0.5")[0] == 2
+
+    def test_nan_K_exits_2(self, capsys):
+        code, _, err = run(capsys, "specfun", "--fn", "A", "--K", "nan")
+        assert code == 2
+        assert "K = nan" in err
 
 
 class TestSweep:

@@ -12,6 +12,7 @@ from hyplam import (
     R1,
     R1_PRIME,
     TH1,
+    distortion_A,
     ideal_M1,
     lemma_f_c,
     product_bound,
@@ -19,7 +20,7 @@ from hyplam import (
     qc_product_bound,
     solve_r_LK,
 )
-from hyplam.qcbounds import M_L_of, T_of, r_L_of
+from hyplam.qcbounds import M_L_of, T_of, _root_pair, r_L_of
 
 
 class TestConstants:
@@ -45,6 +46,11 @@ class TestInput:
     def test_validation(self):
         with pytest.raises(DomainError):
             QcBoundInput(0.5, 0.8)
+        for K in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="K = "):
+                QcBoundInput(K, 0.8)
+            with pytest.raises(DomainError, match="K = "):
+                qc_ideal_bound(K)
         with pytest.raises(DomainError):
             QcBoundInput(2.0, 0.0)
         with pytest.raises(DomainError):
@@ -118,6 +124,18 @@ class TestBoundValues:
         assert T_of(rl, L, 1.0) == pytest.approx(
             math.atanh(L * rl) * math.atanh(L * math.sqrt(1 - rl * rl)), abs=1e-14
         )
+
+    @pytest.mark.parametrize("K", [14.0, 14.5, 20.0, 40.0])
+    def test_large_K_root_in_complement(self, K):
+        # at L = 1 the root r' ~ 2 e^{-K} lies where r rounds to 1: the
+        # equation K r/arth r = r'/arth r' holds with arth r = log((1 + r)/r')
+        r, rp = _root_pair(K, 1.0, R1)
+        lhs = K * r / math.log((1.0 + r) / rp)
+        assert lhs == pytest.approx(rp / math.atanh(rp), rel=1e-10)
+        assert solve_r_LK(K, 1.0) == r
+        floor = distortion_A(K) ** 2
+        assert qc_ideal_bound(K) >= floor * IDEAL_PRODUCT_BOUND
+        assert qc_product_bound(QcBoundInput(K, 1.0)).bound >= floor * product_bound(1.0) ** (1.0 / K)
 
     def test_ideal_domain(self):
         with pytest.raises(DomainError):

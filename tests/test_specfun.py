@@ -26,6 +26,7 @@ from hyplam import (
     rprime,
     threshold_C,
 )
+from hyplam import specfun
 from hyplam.specfun import SQRT2_2, arth_complement
 
 unit_open = st.floats(1e-3, 1.0 - 1e-3)
@@ -179,6 +180,17 @@ class TestGrotzsch:
     def test_phi_increases_with_K(self):
         assert phi_K(3.0, 0.3) > phi_K(1.5, 0.3) > 0.3
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan, 0.5])
+    def test_phi_rejects_K(self, K):
+        with pytest.raises(DomainError, match="K = "):
+            phi_K(K, 0.5)
+
+    def test_inverse_underflow_is_an_error(self):
+        assert mu_inverse(700.0) > 0.0
+        for y in (800.0, math.inf):
+            with pytest.raises(DomainError, match="underflows"):
+                mu_inverse(y)
+
 
 class TestDistortion:
     def test_A1(self):
@@ -189,9 +201,41 @@ class TestDistortion:
         k_, lo, mid, a_k, hi = distortion_bracket(K)
         assert k_ <= lo + 1e-9 <= mid + 2e-9 <= a_k + 3e-9 <= hi + 4e-9
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan, 0.5])
+    def test_A_rejects_K(self, K):
+        with pytest.raises(DomainError, match="K = "):
+            distortion_A(K)
+
     def test_slope_constants(self):
         arch_e = math.acosh(math.e)
         u = arch_e * math.tanh(arch_e)
         v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / math.e**2)))
         assert 1.5412 < u < 1.5413
         assert 1.3506 < v < 1.3507
+
+
+class TestCallCounts:
+    """mu^{-1} is a closed form: A(K) evaluates mu once, at th 1/2, and mu_inverse
+    never. A bisection creeping back in would show up here as many calls."""
+
+    @pytest.fixture
+    def mu_calls(self, monkeypatch):
+        calls = []
+        original = specfun.grotzsch_mu
+
+        def counted(r):
+            calls.append(r)
+            return original(r)
+
+        monkeypatch.setattr(specfun, "grotzsch_mu", counted)
+        return calls
+
+    @pytest.mark.parametrize("K", [2.0, 7.0, 12.0])
+    def test_distortion_A_evaluates_mu_once(self, mu_calls, K):
+        specfun.distortion_A(K)
+        assert len(mu_calls) == 1
+
+    @pytest.mark.parametrize("y", [0.05, 1.0, 10.0])
+    def test_mu_inverse_never_evaluates_mu(self, mu_calls, y):
+        specfun.mu_inverse(y)
+        assert mu_calls == []

@@ -1,0 +1,89 @@
+"""Relative accuracy of the Hersch-Pfluger layer against mpmath at 50 digits.
+
+The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
+e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
+other of r, r' following from r^2 + r'^2 = 1. Each reference pair is checked
+against mu(r) = y computed from mpmath's complete elliptic integrals.
+"""
+
+import math
+
+import pytest
+
+from hyplam import distortion_A, mu_inverse, phi_K
+from hyplam.specfun import _mu_inverse_pair
+
+mp = pytest.importorskip("mpmath")
+
+EPS = 2.0**-52
+YS = [0.01, 0.1, math.pi / 2.0 - 1e-9, math.pi / 2.0 + 1e-9, 1.0, 10.0, 300.0]
+KS = [1.0, 2.0, 5.0, 14.0, 20.0, 50.0, 1e3]
+
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    with mp.workdps(50):
+        yield
+
+
+def ref_mu(r, rp):
+    """mu(r) = (pi/2) K(r')/K(r), given both r and r'."""
+    return mp.pi / 2 * mp.ellipk(rp * rp) / mp.ellipk(r * r)
+
+
+def ref_pair(y):
+    """(r, r') with mu(r) = y."""
+    y = mp.mpf(y)
+    if y >= mp.pi / 2:
+        r = mp.kfrom(q=mp.exp(-2 * y))
+        rp = mp.sqrt(1 - r * r)
+    else:
+        rp = mp.kfrom(q=mp.exp(-mp.pi**2 / (2 * y)))
+        r = mp.sqrt(1 - rp * rp)
+    # K(k) loses the digits of 1 - k^2 as k -> 1, and is singular at k = 1
+    if min(r, rp) > mp.mpf(10) ** -20:
+        assert abs(ref_mu(r, rp) / y - 1) < mp.mpf(10) ** -25
+    return r, rp
+
+
+def ref_A(K):
+    """2 arth phi_K(th 1/2) = 2 log((1 + phi)/phi')."""
+    th = mp.tanh(mp.mpf(1) / 2)
+    phi, phip = ref_pair(ref_mu(th, mp.sqrt(1 - th * th)) / K)
+    return 2 * mp.log((1 + phi) / phip)
+
+
+def rel(x, ref):
+    return float(abs((x - ref) / ref))
+
+
+@pytest.mark.parametrize("y", YS)
+def test_mu_inverse_and_complement(y):
+    # the rounding of the exponent pi^2/(2y) of the complementary nome is
+    # amplified by that exponent
+    allowance = 8.0 * EPS * (1.0 + math.pi**2 / (2.0 * y))
+    r_ref, rp_ref = ref_pair(y)
+    assert rel(mu_inverse(y), r_ref) <= allowance
+    r, log_rp = _mu_inverse_pair(y)
+    assert r == mu_inverse(y)
+    assert rel(mp.exp(log_rp), rp_ref) <= allowance
+
+
+def test_phi_K_near_one_is_correctly_rounded():
+    ref = ref_pair(ref_mu(mp.mpf(0.5), mp.sqrt(mp.mpf(0.75))) / mp.mpf(1e8))[0]
+    value = phi_K(1e8, 0.5)
+    assert value < 1.0 or value == float(ref)
+
+
+@pytest.mark.parametrize("K", KS)
+def test_distortion_A(K):
+    assert rel(distortion_A(K), ref_A(K)) <= 1e-13
+
+
+def test_distortion_A_inside_linear_bracket():
+    arch_e = mp.acosh(mp.e)
+    u = float(arch_e * mp.tanh(arch_e))
+    v = float(mp.log(2 * (1 + mp.sqrt(1 - mp.exp(-2)))))
+    for K in [1.0 + k / 4.0 for k in range(40)] + [float(x) for x in mp.linspace(11, 1000, 200)]:
+        a = distortion_A(K)
+        assert u * (K - 1.0) + 1.0 <= a <= v * (K - 1.0) + K, K
