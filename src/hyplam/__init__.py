@@ -50,7 +50,6 @@ from .qcbounds import (
     R1,
     R1_PRIME,
     TH1,
-    ideal_M1,
     qc_ideal_bound,
     qc_product_bound,
     solve_r_LK,
@@ -59,7 +58,6 @@ from .specfun import (
     ConvexityClass,
     ConvexityRegionPoint,
     GRange,
-    LemmaAux,
     agm,
     arth,
     big_C_of_p,
@@ -71,7 +69,6 @@ from .specfun import (
     holder_mean,
     lemma_F_c,
     lemma_G_c,
-    lemma_aux,
     lemma_f_c,
     mu_inverse,
     phi_K,

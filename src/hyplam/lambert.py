@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import arth, rprime
+from .specfun import arth, g_range
 
 SQRT2 = math.sqrt(2.0)
 
@@ -135,7 +135,8 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
 
 
 def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
-    """Range of d1 + d2 over theta, split into the four regimes of L.
+    """Range of d1 + d2 over theta: the range of G_c at c = L (specfun.g_range),
+    split into the four regimes of L, with its equality witness in theta.
 
     L exactly at sqrt(2/3) goes to case 1 and exactly at sqrt(2(sqrt2-1))
     to case 3, matching the half-open case intervals. Lower bounds in
@@ -143,42 +144,20 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     no equality witness.
     """
     _check_L(L)
-    if L == 1.0:
-        case = 4
-        lower = arth(2.0 * SQRT2 / 3.0)
-        upper = math.inf
-        witness = math.pi / 4.0
-    elif L <= SUM_CASE1_MAX:
-        case = 1
-        lower = arth(L)
-        upper = arth(2.0 * SQRT2 * L / (2.0 + L * L))
-        witness = math.pi / 4.0
-    else:
-        m = math.sqrt((2.0 - L * L) * (3.0 * L * L - 2.0))
-        r0 = math.sqrt((1.0 - m / (L * L)) / 2.0)
-        r0p = rprime(r0)
-        top = arth(L * (r0 + r0p) / (1.0 + L * L * r0 * r0p))
-        witness = math.acos(r0)
-        if L < SUM_CASE3_MIN:
-            case = 2
-            lower = arth(L)
-            upper = top
-        else:
-            case = 3
-            lower = arth(2.0 * SQRT2 * L / (2.0 + L * L))
-            upper = top
+    rng = g_range(L)
+    witness = math.pi / 4.0 if rng.r0 is None else math.acos(rng.r0)
     observed = None
     satisfied = True
     if theta is not None:
         q = lambert_from(L, theta)
         observed = q.d1 + q.d2
-        satisfied = lower - 1e-12 <= observed <= upper + 1e-12
+        satisfied = rng.lower - 1e-12 <= observed <= rng.upper + 1e-12
     return BoundReport(
         quantity="sum",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
-        case_label=f"case {case}",
-        lower=lower,
-        upper=upper,
+        case_label=f"case {rng.case}",
+        lower=rng.lower,
+        upper=rng.upper,
         observed=observed,
         equality_witness=witness,
         satisfied=satisfied,

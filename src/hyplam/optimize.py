@@ -7,6 +7,8 @@ with the formulas they are checking.
 
 import math
 
+import numpy as np
+
 from .errors import ConvergenceError, NoRootError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -37,19 +39,19 @@ def golden_max(f, a, b, tol=1e-12, max_iter=200):
     return x, -fx
 
 
+def _neighbours(xs, i):
+    return xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+
+
 def refine_grid_min(f, xs, fs, tol=1e-12):
-    """Golden refinement around the best point of a sampled grid."""
-    i = min(range(len(xs)), key=lambda k: fs[k])
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    if lo == hi:
-        return xs[i], fs[i]
-    return golden_min(f, lo, hi, tol=tol)
+    """Golden refinement of f between the neighbours of the first smallest
+    entry of fs, the samples of f on the grid xs; returns (x, f(x))."""
+    return golden_min(f, *_neighbours(xs, int(np.argmin(fs))), tol=tol)
 
 
 def refine_grid_max(f, xs, fs, tol=1e-12):
-    x, fx = refine_grid_min(lambda t: -f(t), xs, [-v for v in fs], tol=tol)
-    return x, -fx
+    """As refine_grid_min, around the first largest entry of fs."""
+    return golden_max(f, *_neighbours(xs, int(np.argmax(fs))), tol=tol)
 
 
 def bisect_root(f, a, b, tol=1e-12, max_iter=200):

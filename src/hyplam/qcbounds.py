@@ -144,11 +144,6 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
 
 
-def ideal_M1() -> float:
-    """M_1 = f_1(r_1')/f_1(r_1), the K-threshold of the ideal-quadrilateral bound."""
-    return M1
-
-
 def qc_ideal_bound(K: float) -> float:
     """Bound on D1*D2 for the image of an ideal quadrilateral."""
     _check_K(K, "qc_ideal_bound")

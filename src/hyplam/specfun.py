@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .optimize import golden_max
+from .optimize import refine_grid_max
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 _ENDPOINT_EPS = 1e-8
@@ -148,10 +148,10 @@ def g_range(c: float) -> GRange:
     mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
         return GRange(1, arth(c), mid_value, False, True)
-    radicand = (2.0 - c * c) * (3.0 * c * c - 2.0)
-    assert radicand >= 0.0, "radicand must be nonnegative for c^2 > 2/3"
-    m = math.sqrt(radicand)
-    r0 = math.sqrt((1.0 - m / (c * c)) / 2.0)
+    m = math.sqrt((2.0 - c * c) * (3.0 * c * c - 2.0))
+    # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
+    # so that it does not cancel as c -> 1
+    r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
     r0p = rprime(r0)
     top = arth(c * (r0 + r0p) / (1.0 + c * c * r0 * r0p))
     if c < _C_HIGH:
@@ -206,37 +206,6 @@ def aux_g_pq(p: float, q: float, r: float) -> float:
     return math.atanh(r) ** (q - 1.0) / (r ** (p - 1.0) * (1.0 - r * r))
 
 
-class LemmaAux(Enum):
-    H1 = "h1"
-    H = "h"
-    G_LE2 = "g_le2"
-    SLOPE_RATIO = "slope_ratio"
-    H_P = "h_p"
-    G_PQ = "g_pq"
-
-
-def lemma_aux(name, r: float, p: float | None = None, q: float | None = None) -> float:
-    """Dispatch to the named auxiliary lemma function."""
-    name = LemmaAux(name)
-    if name is LemmaAux.H1:
-        return aux_h1(r)
-    if name is LemmaAux.H:
-        return aux_h(r)
-    if name is LemmaAux.G_LE2:
-        if p is None:
-            raise DomainError("g_le2 needs parameter p")
-        return aux_g_le2(p, r)
-    if name is LemmaAux.SLOPE_RATIO:
-        return aux_slope_ratio(r)
-    if name is LemmaAux.H_P:
-        if p is None:
-            raise DomainError("h_p needs parameter p")
-        return aux_h_p(p, r)
-    if p is None or q is None:
-        raise DomainError("g_pq needs parameters p and q")
-    return aux_g_pq(p, q, r)
-
-
 def threshold_C() -> float:
     """1 - log(1+sqrt2)/sqrt2, the monotonicity threshold of aux_g_le2."""
     return 1.0 - math.log(math.sqrt(2.0) + 1.0) / math.sqrt(2.0)
@@ -255,11 +224,8 @@ def big_C_of_p(p: float) -> float:
     right = [1.0 - x for x in left]
     grid = sorted(set(left + right))
     vals = [aux_h_p(p, r) for r in grid]
-    i = max(range(len(grid)), key=lambda k: vals[k])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, sup = golden_max(lambda r: aux_h_p(p, r), lo, hi, tol=1e-12)
-    return max(sup, vals[i])
+    _, sup = refine_grid_max(lambda r: aux_h_p(p, r), grid, vals)
+    return max(sup, max(vals))
 
 
 class ConvexityClass(Enum):

@@ -5,9 +5,15 @@ the library has a registry entry here that re-checks it by dense sampling
 plus golden-section refinement, completely independently of the closed
 forms under test. Each sweep emits a Certificate.
 
-Randomized targets draw from a scrambled Halton sequence with a fixed seed
-(0x5EED, overridable through the HYPLAM_SEED environment variable), so
-certificates are reproducible.
+Randomized targets draw from a Halton sequence scrambled with random digit
+permutations (Owen 2017, "A randomized Halton algorithm in R",
+arXiv:1706.02808) under a fixed seed (0x5EED, overridable through the
+HYPLAM_SEED environment variable), so certificates are reproducible. The
+sampler is plain numpy and reproduces the samples of scipy.stats.qmc.Halton
+for the same seed bit for bit.
+
+Each sweep is declared once, by the @claim decorator that adds it to
+REGISTRY.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import lambert as lam
 from . import qcbounds as qcb
@@ -33,7 +39,7 @@ from .geometry import (
     rho_halfplane,
     rho_via_crossratio,
 )
-from .optimize import golden_max, golden_min
+from .optimize import golden_max, refine_grid_max, refine_grid_min
 from .specfun import (
     SQRT2_2,
     arth,
@@ -113,6 +119,38 @@ class Certificate:
         }
 
 
+@dataclass(frozen=True)
+class RegistryEntry:
+    """One claim of the paper and the sweep that re-checks it."""
+
+    name: str
+    claim: str
+    tolerance: float
+    sweep: Callable[[SweepSpec, _Checker], tuple[float, tuple]] = field(repr=False, compare=False)
+
+    @property
+    def target(self) -> str:
+        return self.name
+
+    @property
+    def params(self) -> dict:
+        """No claim takes parameters; callers may build a SweepSpec from these."""
+        return {}
+
+
+_ENTRIES: list[RegistryEntry] = []
+
+
+def claim(name: str, text: str, tolerance: float):
+    """Register the decorated sweep as the check of the claim `text`."""
+
+    def register(sweep):
+        _ENTRIES.append(RegistryEntry(name, text, tolerance, sweep))
+        return sweep
+
+    return register
+
+
 class _Checker:
     """Accumulates sub-checks as (slack, witness) pairs.
 
@@ -153,8 +191,42 @@ class _Checker:
 # sampling helpers
 
 
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
-    return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+    """First n points of the scrambled Halton sequence in [0, 1)^dim.
+
+    Digit j of the index in the base of dimension k goes through the j-th of
+    that base's random permutations (Owen 2017, arXiv:1706.02808), one for
+    each b^-j above 2^-54. The draws and the sum follow the order of
+    ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``,
+    whose samples this reproduces bit for bit, memory layout included.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((dim, n))
+    for row, base in zip(out, _primes(dim)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        weight = 1.0 / base
+        for perm in perms:
+            if q.any():
+                q, digit = np.divmod(q, base)
+                row += perm[digit] * weight
+            else:
+                # every remaining digit is 0: the same sum without the gather
+                row += perm[0] * weight
+            weight /= base
+    return out.T
 
 
 def _disk_points(n: int, seed: int, rmax: float = 0.98) -> np.ndarray:
@@ -174,6 +246,7 @@ def _np_holder(p: float, a, b):
 # geometry targets
 
 
+@claim("arc-orthogonality", "arc geodesics meet the unit circle at right angles", 1e-10)
 def _t_arc_orthogonality(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     pts = _disk_points(2 * spec.grid_size, default_seed())
     worst = 0.0
@@ -196,6 +269,7 @@ def _t_arc_orthogonality(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("crossratio-distance", "log cross-ratio with geodesic endpoints equals the disk metric", 1e-10)
 def _t_crossratio_distance(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     pts = _disk_points(2 * spec.grid_size, default_seed() + 1)
     worst = 0.0
@@ -210,6 +284,7 @@ def _t_crossratio_distance(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple
     return worst, ()
 
 
+@claim("crossratio-invariance", "the absolute ratio is Moebius invariant", 1e-9)
 def _t_crossratio_invariance(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = spec.grid_size
     u = _halton(n, 12, default_seed() + 2)
@@ -231,6 +306,7 @@ def _t_crossratio_invariance(spec: SweepSpec, chk: _Checker) -> tuple[float, tup
     return worst, ()
 
 
+@claim("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance", 1e-10)
 def _t_isometry(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n_pairs = min(spec.grid_size, 1000)
     n_maps = min(max(spec.grid_size // 10, 10), 100)
@@ -257,6 +333,7 @@ def _t_isometry(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("midpoint", "midpoint construction halves distances; chord cut is the midpoint of [0,b]", 1e-10)
 def _t_midpoint(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     pts = _disk_points(2 * spec.grid_size, default_seed() + 5)
     worst = 0.0
@@ -292,6 +369,7 @@ def _chord_geodesic_cut(alpha: float, b: complex) -> complex:
     return u * complex(math.cos(beta), math.sin(beta))
 
 
+@claim("chord-midpoint-circle", "the Euclidean chord midpoint lies on the hyperbolic circle through 0 around the cut point", 1e-9)
 def _t_chord_midpoint_circle(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     u = _halton(min(spec.grid_size, 500), 2, default_seed() + 7)
     worst = 0.0
@@ -307,6 +385,7 @@ def _t_chord_midpoint_circle(spec: SweepSpec, chk: _Checker) -> tuple[float, tup
     return worst, ()
 
 
+@claim("symmetric-geodesic-distance", "numerical geodesic distance matches closed forms for boundary-symmetric pairs", 1e-8)
 def _t_symmetric_geodesic_distance(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     worst = 0.0
     for alpha in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12):
@@ -351,6 +430,7 @@ def _find_sign_change(f, xs) -> bool:
     return bool(np.any(diffs > 1e-12) and np.any(diffs < -1e-12))
 
 
+@claim("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges", 1e-12)
 def _t_fc_decreasing(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     xs = _grid01(min(spec.grid_size, 10000))
     for c in (0.3, 0.8, 1.0):
@@ -366,6 +446,7 @@ def _t_fc_decreasing(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return float(lemma_f_c(1.0, 0.5)), (0.5,)
 
 
+@claim("fc-product-unimodal", "arth(cr) arth(cr') peaks exactly at r = sqrt2/2", 1e-10)
 def _t_fc_product_unimodal(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     observed = 0.0
@@ -386,6 +467,7 @@ def _t_fc_product_unimodal(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple
     return observed, (1.0,)
 
 
+@claim("gc-sum-range", "the range of arth(cr)+arth(cr') matches the four-regime closed form", 1e-8)
 def _t_gc_sum_range(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 20001)
     observed = 0.0
@@ -393,10 +475,7 @@ def _t_gc_sum_range(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
         rng = g_range(c)
         xs = _grid01(n, 1e-6, 1.0 - 1e-6)
         vals = np.array([lemma_G_c(c, r) for r in xs])
-        i = int(np.argmax(vals))
-        lo_b = xs[max(i - 1, 0)]
-        hi_b = xs[min(i + 1, n - 1)]
-        _, peak = golden_max(lambda r: lemma_G_c(c, r), lo_b, hi_b, tol=1e-13)
+        _, peak = refine_grid_max(lambda r: lemma_G_c(c, r), xs, vals, tol=1e-13)
         if math.isfinite(rng.upper):
             chk.require(abs(peak - rng.upper), 1e-8, (c, 1.0))
         if rng.case in (3, 4):
@@ -410,6 +489,7 @@ def _t_gc_sum_range(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return observed, (1.0,)
 
 
+@claim("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2", 1e-12)
 def _t_h1_h(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     xs = _grid01(n)
@@ -426,6 +506,7 @@ def _t_h1_h(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return peak, (SQRT2_2,)
 
 
+@claim("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between", 1e-12)
 def _t_gle2(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     xs = _grid01(n)
@@ -441,6 +522,7 @@ def _t_gle2(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return c_thr, (0.2,)
 
 
+@claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2", 1e-12)
 def _t_slope_ratio(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     xs = _grid01(min(spec.grid_size, 10000))
     vals = _check_monotone(chk, aux_slope_ratio, xs, increasing=False, allowance=1e-13, tag=0.0)
@@ -449,6 +531,7 @@ def _t_slope_ratio(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return float(vals[0]), (float(xs[0]),)
 
 
+@claim("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2", 1e-10)
 def _t_hp_range(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     xs = _grid01(n, 1e-4, 1.0 - 1e-4)
@@ -467,6 +550,7 @@ def _t_hp_range(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return c3, (-3.0,)
 
 
+@claim("gpq-monotonicity", "g_pq increasing iff q clears p (or C(p)); sign change below", 1e-12)
 def _t_gpq(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     xs = _grid01(n)
@@ -479,6 +563,7 @@ def _t_gpq(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return c3, (-3.0, c3)
 
 
+@claim("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p", 1e-9)
 def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 20001)
     target = arth(SQRT2_2)
@@ -488,15 +573,11 @@ def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]
         return holder_mean(p, arth(r), arth(rprime(r)))
 
     for p in (-1.0, -0.5, 0.0):
-        vals = np.array([f(p, r) for r in xs])
-        i = int(np.argmax(vals))
-        r_star, peak = golden_max(lambda r: f(p, r), xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], tol=1e-13)
+        r_star, peak = refine_grid_max(lambda r: f(p, r), xs, [f(p, r) for r in xs], tol=1e-13)
         chk.require(abs(peak - target), 1e-9, (p, r_star))
         chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
     for p in (threshold_C(), 1.0):
-        vals = np.array([f(p, r) for r in xs])
-        i = int(np.argmin(vals))
-        r_star, low = golden_min(lambda r: f(p, r), xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], tol=1e-13)
+        r_star, low = refine_grid_min(lambda r: f(p, r), xs, [f(p, r) for r in xs], tol=1e-13)
         chk.require(abs(low - target), 1e-9, (p, r_star))
         chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
     # intermediate p: the bound fails on both sides. Values above the
@@ -514,6 +595,7 @@ def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]
     return target, (float(below[0]) if below.size else 0.0, float(above[0]) if above.size else 0.0)
 
 
+@claim("arth-convexity-region", "arth is H_{p,q}-convex exactly on the two-piece region", 1e-12)
 def _t_convexity_region(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     u = _halton(n, 2, default_seed() + 8)
@@ -544,6 +626,7 @@ def _t_convexity_region(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("hyperbolic-mean-bound", "rho(0, .) respects power means of moduli for p >= -2", 1e-12)
 def _t_hyperbolic_mean_bound(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     u = _halton(n, 3, default_seed() + 9)
@@ -581,6 +664,7 @@ def _mu_inverse_bisect(y: float) -> float:
             hi = mid
 
 
+@claim("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms", 1e-10)
 def _t_mu_identities(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 1000)
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
@@ -610,6 +694,7 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("distortion-bracket", "A(K) sits inside its two-sided linear/log bracket", 1e-9)
 def _t_distortion_bracket(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     chk.require(abs(distortion_A(1.0) - 1.0), 1e-10, (1.0,))
     a_last = 0.0
@@ -631,6 +716,7 @@ def _t_distortion_bracket(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]
 # Lambert / ideal targets
 
 
+@claim("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L", 1e-12)
 def _t_product_sharpness(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = spec.grid_size
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
@@ -643,18 +729,15 @@ def _t_product_sharpness(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
         gmax = float(np.max(vals))
         chk.require(max(0.0, gmax - bound), 1e-12, (L,))
         chk.require(max(0.0, bound - gmax), 1e-4, (L,))
-        i = int(np.argmax(vals))
-        th_star, ref = golden_max(
-            lambda t: math.atanh(L * math.cos(t)) * math.atanh(L * math.sin(t)),
-            thetas[max(i - 1, 0)],
-            thetas[min(i + 1, n - 1)],
-            tol=1e-13,
+        th_star, ref = refine_grid_max(
+            lambda t: math.atanh(L * math.cos(t)) * math.atanh(L * math.sin(t)), thetas, vals, tol=1e-13
         )
         chk.require(abs(th_star - math.pi / 4.0), 1e-3, (L, th_star))
         observed, wit = ref, (L, th_star)
     return observed, wit
 
 
+@claim("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses", 1e-8)
 def _t_sum_cases(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 200001)
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
@@ -665,12 +748,8 @@ def _t_sum_cases(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
         with np.errstate(divide="ignore"):
             vals = np.arctanh(L * np.cos(thetas)) + np.arctanh(L * np.sin(thetas))
         if L < 1.0:
-            i = int(np.argmax(vals))
-            th_star, gmax = golden_max(
-                lambda t: math.atanh(L * math.cos(t)) + math.atanh(L * math.sin(t)),
-                thetas[max(i - 1, 0)],
-                thetas[min(i + 1, n - 1)],
-                tol=1e-13,
+            th_star, gmax = refine_grid_max(
+                lambda t: math.atanh(L * math.cos(t)) + math.atanh(L * math.sin(t)), thetas, vals, tol=1e-13
             )
             chk.require(abs(gmax - rep.upper), 1e-8, (L, th_star))
             if rep.case_label in ("case 2", "case 3"):
@@ -690,6 +769,7 @@ def _t_sum_cases(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return observed, wit
 
 
+@claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2", 1e-12)
 def _t_thsq_identity(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 100000)
     u = _halton(n, 2, default_seed() + 10)
@@ -712,6 +792,7 @@ def _vertex_angle(q: lam.LambertQuad) -> float:
     return math.acos(min(1.0, cosang))
 
 
+@claim("beardon-identity", "sh d1 sh d2 = cos phi; equals 1 when the far vertex is ideal", 1e-12)
 def _t_beardon(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     worst = 0.0
     for theta in (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0):
@@ -734,6 +815,7 @@ def _t_beardon(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("lambert-oracle-agreement", "numerical geodesic distance reproduces arth(L cos theta)", 1e-8)
 def _t_lambert_oracle(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n_cfg = min(60, max(8, spec.grid_size // 100))
     u = _halton(n_cfg, 2, default_seed() + 12)
@@ -756,28 +838,19 @@ def _t_lambert_oracle(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, wit
 
 
+@claim("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4", 1e-6)
 def _t_ideal_extrema(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 20001)
     alphas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, n)
     d1 = 2.0 * np.arctanh(np.cos(alphas))
     d2 = 2.0 * np.arctanh(np.sin(alphas))
-    prod = d1 * d2
-    i = int(np.argmax(prod))
-    a_star, pmax = golden_max(
-        lambda a: 4.0 * math.atanh(math.cos(a)) * math.atanh(math.sin(a)),
-        alphas[max(i - 1, 0)],
-        alphas[min(i + 1, n - 1)],
-        tol=1e-13,
+    a_star, pmax = refine_grid_max(
+        lambda a: 4.0 * math.atanh(math.cos(a)) * math.atanh(math.sin(a)), alphas, d1 * d2, tol=1e-13
     )
     chk.require(abs(pmax - lam.IDEAL_PRODUCT_BOUND), 1e-6, (a_star,))
     chk.require(abs(a_star - math.pi / 4.0), 1e-3, (a_star,))
-    total = d1 + d2
-    j = int(np.argmin(total))
-    a_min, smin = golden_min(
-        lambda a: 2.0 * math.atanh(math.cos(a)) + 2.0 * math.atanh(math.sin(a)),
-        alphas[max(j - 1, 0)],
-        alphas[min(j + 1, n - 1)],
-        tol=1e-13,
+    a_min, smin = refine_grid_min(
+        lambda a: 2.0 * math.atanh(math.cos(a)) + 2.0 * math.atanh(math.sin(a)), alphas, d1 + d2, tol=1e-13
     )
     chk.require(abs(smin - lam.IDEAL_SUM_BOUND), 1e-6, (a_min,))
     chk.require(abs(a_min - math.pi / 4.0), 1e-3, (a_min,))
@@ -789,6 +862,7 @@ def _t_ideal_extrema(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return pmax, (a_star,)
 
 
+@claim("ideal-subdivision", "ideal side distances agree with the geodesic-distance oracle", 1e-6)
 def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     worst = 0.0
     for alpha in (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0):
@@ -809,6 +883,7 @@ def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
 # quasiconformal targets
 
 
+@claim("qc-ml-exceeds-one", "the branch threshold M_L exceeds 1 throughout", 1e-12)
 def _t_qc_ml(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 1000)
     worst = math.inf
@@ -819,6 +894,7 @@ def _t_qc_ml(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("qc-branch-continuity", "the bound is continuous across K = M_L", 1e-8)
 def _t_qc_branch_continuity(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     worst = 0.0
     for L in (0.8, 0.9, 1.0):
@@ -836,6 +912,7 @@ def _t_qc_branch_continuity(spec: SweepSpec, chk: _Checker) -> tuple[float, tupl
     return worst, ()
 
 
+@claim("qc-k1-reduction", "K = 1 reduces to the unmapped sharp bounds", 1e-10)
 def _t_qc_k1_reduction(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 1000)
     worst = 0.0
@@ -849,6 +926,7 @@ def _t_qc_k1_reduction(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return max(worst, dev), ()
 
 
+@claim("qc-k-monotonicity", "the bounds are nondecreasing in K", 1e-12)
 def _t_qc_monotone(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     ks = np.linspace(1.0, 6.0, 41)
     worst = 0.0
@@ -863,6 +941,7 @@ def _t_qc_monotone(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     return worst, ()
 
 
+@claim("qc-domination", "the assembled bound dominates the pointwise distortion estimate", 1e-10)
 def _t_qc_domination(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
     n = min(spec.grid_size, 10000)
     u = _halton(n, 2, default_seed() + 13)
@@ -887,98 +966,20 @@ def _t_qc_domination(spec: SweepSpec, chk: _Checker) -> tuple[float, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# registry and runners
+# runners
 
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    name: str
-    claim: str
-    target: str
-    tolerance: float
-    params: dict = field(default_factory=dict)
-
-
-_TARGETS = {
-    "arc-orthogonality": _t_arc_orthogonality,
-    "crossratio-distance": _t_crossratio_distance,
-    "crossratio-invariance": _t_crossratio_invariance,
-    "isometry": _t_isometry,
-    "midpoint": _t_midpoint,
-    "chord-midpoint-circle": _t_chord_midpoint_circle,
-    "symmetric-geodesic-distance": _t_symmetric_geodesic_distance,
-    "fc-decreasing": _t_fc_decreasing,
-    "fc-product-unimodal": _t_fc_product_unimodal,
-    "gc-sum-range": _t_gc_sum_range,
-    "h1-h-shape": _t_h1_h,
-    "gle2-monotonicity": _t_gle2,
-    "slope-ratio-decreasing": _t_slope_ratio,
-    "hp-range": _t_hp_range,
-    "gpq-monotonicity": _t_gpq,
-    "arth-mean-extremum": _t_arth_mean_extremum,
-    "arth-convexity-region": _t_convexity_region,
-    "hyperbolic-mean-bound": _t_hyperbolic_mean_bound,
-    "mu-identities": _t_mu_identities,
-    "distortion-bracket": _t_distortion_bracket,
-    "product-sharpness": _t_product_sharpness,
-    "sum-cases": _t_sum_cases,
-    "thsq-identity": _t_thsq_identity,
-    "beardon-identity": _t_beardon,
-    "lambert-oracle-agreement": _t_lambert_oracle,
-    "ideal-extrema": _t_ideal_extrema,
-    "ideal-subdivision": _t_ideal_subdivision,
-    "qc-ml-exceeds-one": _t_qc_ml,
-    "qc-branch-continuity": _t_qc_branch_continuity,
-    "qc-k1-reduction": _t_qc_k1_reduction,
-    "qc-k-monotonicity": _t_qc_monotone,
-    "qc-domination": _t_qc_domination,
-}
-
-
-REGISTRY: tuple[RegistryEntry, ...] = (
-    RegistryEntry("arc-orthogonality", "arc geodesics meet the unit circle at right angles", "arc-orthogonality", 1e-10),
-    RegistryEntry("crossratio-distance", "log cross-ratio with geodesic endpoints equals the disk metric", "crossratio-distance", 1e-10),
-    RegistryEntry("crossratio-invariance", "the absolute ratio is Moebius invariant", "crossratio-invariance", 1e-9),
-    RegistryEntry("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance", "isometry", 1e-10),
-    RegistryEntry("midpoint", "midpoint construction halves distances; chord cut is the midpoint of [0,b]", "midpoint", 1e-10),
-    RegistryEntry("chord-midpoint-circle", "the Euclidean chord midpoint lies on the hyperbolic circle through 0 around the cut point", "chord-midpoint-circle", 1e-9),
-    RegistryEntry("symmetric-geodesic-distance", "numerical geodesic distance matches closed forms for boundary-symmetric pairs", "symmetric-geodesic-distance", 1e-8),
-    RegistryEntry("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges", "fc-decreasing", 1e-12),
-    RegistryEntry("fc-product-unimodal", "arth(cr) arth(cr') peaks exactly at r = sqrt2/2", "fc-product-unimodal", 1e-10),
-    RegistryEntry("gc-sum-range", "the range of arth(cr)+arth(cr') matches the four-regime closed form", "gc-sum-range", 1e-8),
-    RegistryEntry("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2", "h1-h-shape", 1e-12),
-    RegistryEntry("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between", "gle2-monotonicity", 1e-12),
-    RegistryEntry("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2", "slope-ratio-decreasing", 1e-12),
-    RegistryEntry("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2", "hp-range", 1e-10),
-    RegistryEntry("gpq-monotonicity", "g_pq increasing iff q clears p (or C(p)); sign change below", "gpq-monotonicity", 1e-12),
-    RegistryEntry("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p", "arth-mean-extremum", 1e-9),
-    RegistryEntry("arth-convexity-region", "arth is H_{p,q}-convex exactly on the two-piece region", "arth-convexity-region", 1e-12),
-    RegistryEntry("hyperbolic-mean-bound", "rho(0, .) respects power means of moduli for p >= -2", "hyperbolic-mean-bound", 1e-12),
-    RegistryEntry("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms", "mu-identities", 1e-10),
-    RegistryEntry("distortion-bracket", "A(K) sits inside its two-sided linear/log bracket", "distortion-bracket", 1e-9),
-    RegistryEntry("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L", "product-sharpness", 1e-12),
-    RegistryEntry("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses", "sum-cases", 1e-8),
-    RegistryEntry("thsq-identity", "th^2 d1 + th^2 d2 = L^2", "thsq-identity", 1e-12),
-    RegistryEntry("beardon-identity", "sh d1 sh d2 = cos phi; equals 1 when the far vertex is ideal", "beardon-identity", 1e-12),
-    RegistryEntry("lambert-oracle-agreement", "numerical geodesic distance reproduces arth(L cos theta)", "lambert-oracle-agreement", 1e-8),
-    RegistryEntry("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4", "ideal-extrema", 1e-6),
-    RegistryEntry("ideal-subdivision", "ideal side distances agree with the geodesic-distance oracle", "ideal-subdivision", 1e-6),
-    RegistryEntry("qc-ml-exceeds-one", "the branch threshold M_L exceeds 1 throughout", "qc-ml-exceeds-one", 1e-12),
-    RegistryEntry("qc-branch-continuity", "the bound is continuous across K = M_L", "qc-branch-continuity", 1e-8),
-    RegistryEntry("qc-k1-reduction", "K = 1 reduces to the unmapped sharp bounds", "qc-k1-reduction", 1e-10),
-    RegistryEntry("qc-k-monotonicity", "the bounds are nondecreasing in K", "qc-k-monotonicity", 1e-12),
-    RegistryEntry("qc-domination", "the assembled bound dominates the pointwise distortion estimate", "qc-domination", 1e-10),
-)
+#: every claim, in definition order
+REGISTRY: tuple[RegistryEntry, ...] = tuple(_ENTRIES)
 
 
 def run_sweep(spec: SweepSpec) -> Certificate:
     """Execute one sweep; deterministic given the spec and the seed."""
-    fn = _TARGETS.get(spec.target)
-    if fn is None:
+    entry = next((e for e in REGISTRY if e.name == spec.target), None)
+    if entry is None:
         raise ConfigurationError(f"unknown sweep target: {spec.target!r}")
     chk = _Checker(spec.tolerance)
     start = time.perf_counter()
-    observed, witness = fn(spec, chk)
+    observed, witness = entry.sweep(spec, chk)
     runtime_ms = int((time.perf_counter() - start) * 1000.0)
     return Certificate(
         spec=spec,
@@ -998,13 +999,4 @@ def run_all(profile: str = "fast") -> list[Certificate]:
     if profile not in _PROFILE_GRIDS:
         raise ConfigurationError(f"unknown profile: {profile!r}")
     grid = _PROFILE_GRIDS[profile]
-    certs = []
-    for entry in REGISTRY:
-        spec = SweepSpec(
-            target=entry.target,
-            grid_size=grid,
-            params=dict(entry.params),
-            tolerance=entry.tolerance,
-        )
-        certs.append(run_sweep(spec))
-    return certs
+    return [run_sweep(SweepSpec(e.name, grid, tolerance=e.tolerance)) for e in REGISTRY]

@@ -24,7 +24,6 @@ from hyplam import (
     geodesic_distance,
     geodesic_through,
     grotzsch_mu,
-    ideal_M1,
     ideal_quad,
     lambert_from,
     lemma_f_c,
@@ -37,6 +36,7 @@ from hyplam import (
     threshold_C,
 )
 from hyplam.optimize import golden_max, golden_min
+from hyplam.qcbounds import M1
 from hyplam.specfun import arth_complement, big_C_of_p, holder_mean, rprime
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -155,10 +155,9 @@ def test_branch_point_constants():
     assert R1 == pytest.approx(0.886819, abs=5e-7)
     assert R1_PRIME == pytest.approx(0.462117, abs=5e-7)
     assert math.atanh(R1_PRIME) == pytest.approx(0.5, abs=1e-12)
-    m1 = ideal_M1()
-    assert m1 == pytest.approx(1.46618, abs=5e-5)
-    assert m1 == pytest.approx(lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1), abs=1e-10)
-    print(f"PASS: branch-point constants r1 = {R1:.6f}, M1 = {m1:.5f}")
+    assert M1 == pytest.approx(1.46618, abs=5e-5)
+    assert M1 == pytest.approx(lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1), abs=1e-10)
+    print(f"PASS: branch-point constants r1 = {R1:.6f}, M1 = {M1:.5f}")
 
 
 def test_conformal_limit_recovers_sharp_bounds():

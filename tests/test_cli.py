@@ -40,6 +40,12 @@ class TestLambert:
         assert doc["product"]["satisfied"] and doc["sum"]["satisfied"]
         assert doc["d1"] == pytest.approx(math.atanh(0.8 * math.cos(0.5)))
 
+    def test_L_near_one_exits_0(self, capsys):
+        # the sum bound's witness r0 ~ 2 (1 - L) must not cancel to a domain error
+        code, out, _ = run(capsys, "lambert", "--L", "0.999999999", "--theta", "0.5")
+        assert code == 0
+        assert "(case 3)" in out
+
     def test_out_of_range_L_exits_2(self, capsys):
         code, _, err = run(capsys, "lambert", "--L", "1.5", "--theta", "0.3")
         assert code == 2

@@ -13,14 +13,13 @@ from hyplam import (
     R1_PRIME,
     TH1,
     distortion_A,
-    ideal_M1,
     lemma_f_c,
     product_bound,
     qc_ideal_bound,
     qc_product_bound,
     solve_r_LK,
 )
-from hyplam.qcbounds import M_L_of, T_of, _root_pair, r_L_of
+from hyplam.qcbounds import M1, M_L_of, T_of, _root_pair, r_L_of
 
 
 class TestConstants:
@@ -37,9 +36,8 @@ class TestConstants:
         assert math.atanh(R1_PRIME) == pytest.approx(0.5, abs=1e-13)
 
     def test_M1(self):
-        m1 = ideal_M1()
-        assert m1 == pytest.approx(1.46618, abs=5e-5)
-        assert m1 == pytest.approx(lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1), abs=1e-12)
+        assert M1 == pytest.approx(1.46618, abs=5e-5)
+        assert M1 == pytest.approx(lemma_f_c(1.0, R1_PRIME) / lemma_f_c(1.0, R1), abs=1e-12)
 
 
 class TestInput:

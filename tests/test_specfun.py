@@ -19,7 +19,6 @@ from hyplam import (
     holder_mean,
     lemma_F_c,
     lemma_G_c,
-    lemma_aux,
     lemma_f_c,
     mu_inverse,
     phi_K,
@@ -27,7 +26,7 @@ from hyplam import (
     threshold_C,
 )
 from hyplam import specfun
-from hyplam.specfun import SQRT2_2, arth_complement
+from hyplam.specfun import SQRT2_2, arth_complement, aux_h, aux_h1, aux_h_p, aux_slope_ratio
 
 unit_open = st.floats(1e-3, 1.0 - 1e-3)
 
@@ -102,23 +101,17 @@ class TestLemmaFunctions:
         assert rng.upper == math.inf
 
     def test_h_peak(self):
-        peak = lemma_aux("h", SQRT2_2)
+        peak = aux_h(SQRT2_2)
         assert peak == pytest.approx(math.sqrt(2.0) / math.log(math.sqrt(2.0) + 1.0), abs=1e-14)
-        assert lemma_aux("h", 0.2) < peak
+        assert aux_h(0.2) < peak
 
     def test_h1_increasing(self):
-        assert lemma_aux("h1", 0.2) < lemma_aux("h1", 0.6) < lemma_aux("h1", 0.9)
+        assert aux_h1(0.2) < aux_h1(0.6) < aux_h1(0.9)
 
     def test_slope_ratio_range(self):
-        vals = [lemma_aux("slope_ratio", float(r)) for r in np.linspace(0.001, 0.999, 500)]
+        vals = [aux_slope_ratio(float(r)) for r in np.linspace(0.001, 0.999, 500)]
         assert all(v < -2.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_aux_dispatch_needs_params(self):
-        with pytest.raises(DomainError):
-            lemma_aux("g_le2", 0.5)
-        with pytest.raises(DomainError):
-            lemma_aux("g_pq", 0.5, p=1.0)
 
     def test_threshold_value(self):
         assert threshold_C() == pytest.approx(0.3767749, abs=1e-6)
@@ -136,7 +129,7 @@ class TestBigC:
 
     def test_sup_dominates_grid(self):
         c3 = big_C_of_p(-3.0)
-        vals = [lemma_aux("h_p", float(r), p=-3.0) for r in np.linspace(1e-4, 1 - 1e-4, 3000)]
+        vals = [aux_h_p(-3.0, float(r)) for r in np.linspace(1e-4, 1 - 1e-4, 3000)]
         assert max(vals) <= c3 + 1e-10
 
 

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from hyplam import distortion_A, mu_inverse, phi_K
+from hyplam import distortion_A, g_range, mu_inverse, phi_K
 from hyplam.specfun import _mu_inverse_pair
 
 mp = pytest.importorskip("mpmath")
@@ -87,3 +87,12 @@ def test_distortion_A_inside_linear_bracket():
     for K in [1.0 + k / 4.0 for k in range(40)] + [float(x) for x in mp.linspace(11, 1000, 200)]:
         a = distortion_A(K)
         assert u * (K - 1.0) + 1.0 <= a <= v * (K - 1.0) + K, K
+
+
+@pytest.mark.parametrize("c", [0.82, 0.85, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+def test_g_range_r0(c):
+    # the defining form sqrt((1 - m/c^2)/2) cancels as c -> 1; here it is
+    # evaluated at 50 digits
+    C = mp.mpf(c)
+    m = mp.sqrt((2 - C * C) * (3 * C * C - 2))
+    assert rel(g_range(c).r0, mp.sqrt((1 - m / (C * C)) / 2)) <= 4.0 * EPS

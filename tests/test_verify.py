@@ -1,9 +1,16 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, run_sweep
-from hyplam.verify import _TARGETS, run_all
+import hyplam
+from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, run_sweep, verify
+from hyplam.verify import _halton, run_all
 
 
 class TestSpecValidation:
@@ -67,9 +74,18 @@ class TestCertificates:
 
 
 class TestRegistry:
-    def test_every_entry_has_a_target(self):
-        for entry in REGISTRY:
-            assert entry.target in _TARGETS, entry.name
+    def test_every_entry_has_a_target(self, monkeypatch):
+        # run_sweep resolves each entry's target to that entry's own sweep
+        assert len({e.sweep for e in REGISTRY}) == len(REGISTRY)
+        calls = []
+        stubs = tuple(
+            dataclasses.replace(e, sweep=lambda spec, chk, name=e.name: (calls.append(name), (0.0, ()))[1])
+            for e in REGISTRY
+        )
+        monkeypatch.setattr(verify, "REGISTRY", stubs)
+        for entry in stubs:
+            assert run_sweep(SweepSpec(entry.target, 10, tolerance=entry.tolerance)).passed
+        assert calls == [e.name for e in REGISTRY]
 
     def test_names_unique(self):
         names = [e.name for e in REGISTRY]
@@ -122,3 +138,19 @@ class TestRegistry:
             SweepSpec(target=entry.target, grid_size=200, params=dict(entry.params), tolerance=entry.tolerance)
         )
         assert cert.passed, (name, cert.margin, cert.witness)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dim", [2, 3, 12])
+    @pytest.mark.parametrize("n", [1, 64, 2000])
+    @pytest.mark.parametrize("seed", [0x5EED, 0x5EED + 2, 701])
+    def test_reproduces_scipy(self, dim, n, seed):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+        assert np.array_equal(_halton(n, dim, seed), expected)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, hyplam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
