@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 a checked bound was violated, 2 usage/domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -212,8 +211,8 @@ def _sweep_rows(args):
         thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
         rows = []
         for t in thetas:
-            v = math.atanh(args.L * math.cos(t)) * math.atanh(args.L * math.sin(t))
-            rows.append([t, v, bound, v - bound])
+            d1, d2 = lam.side_distances(args.L, float(t))
+            rows.append((t, d1 * d2, bound, d1 * d2 - bound))
         return header, rows
     if args.target == "sum":
         if args.L is None:
@@ -223,8 +222,8 @@ def _sweep_rows(args):
         thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
         rows = []
         for t in thetas:
-            v = math.atanh(args.L * math.cos(t)) + math.atanh(args.L * math.sin(t))
-            rows.append([t, v, rep.lower, rep.upper, v - rep.lower])
+            d1, d2 = lam.side_distances(args.L, float(t))
+            rows.append((t, d1 + d2, rep.lower, rep.upper, d1 + d2 - rep.lower))
         return header, rows
     if args.target == "ideal":
         header = ["alpha", "product", "product_bound", "sum", "sum_bound"]
@@ -232,7 +231,7 @@ def _sweep_rows(args):
         rows = []
         for a in alphas:
             d1, d2 = lam.ideal_quad(float(a))
-            rows.append([a, d1 * d2, lam.IDEAL_PRODUCT_BOUND, d1 + d2, lam.IDEAL_SUM_BOUND])
+            rows.append((a, d1 * d2, lam.IDEAL_PRODUCT_BOUND, d1 + d2, lam.IDEAL_SUM_BOUND))
         return header, rows
     if args.target == "mu":
         header = ["r", "mu", "mu_product"]
@@ -240,7 +239,7 @@ def _sweep_rows(args):
         rows = []
         for r in rs:
             m = grotzsch_mu(float(r))
-            rows.append([r, m, m * grotzsch_mu(rprime(float(r)))])
+            rows.append((r, m, m * grotzsch_mu(rprime(float(r)))))
         return header, rows
     raise HyplamError(f"unknown sweep target {args.target!r}")
 
@@ -249,11 +248,11 @@ def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise HyplamError("--grid must be at least 2")
     header, rows = _sweep_rows(args)
+    # the bytes csv.writer writes for these fields: no field needs quoting
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{float(x):.17g}" for x in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -10,6 +10,7 @@ stays independent of any closed-form distance it is used to check.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateInputError, DomainError
 from .optimize import golden_min
 
-_BOUNDARY_SNAP = 1e-9
+#: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
+_BOUNDARY_SNAP = 64 * 2.0**-52
 _COLLINEAR_TOL = 1e-12
 _PARAM_MARGIN = 1e-9
 
@@ -63,17 +65,13 @@ class Point:
         return Point(0.0, 0.0, PointKind.INFINITY)
 
 
-def _coerce(value) -> Point:
-    return Point.of(value)
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
 
 def chordal_distance(x, y) -> float:
     """Metric of the Riemann sphere pulled back to the plane."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.is_infinity and py.is_infinity:
         return 0.0
     if px.is_infinity:
@@ -91,43 +89,38 @@ def absolute_ratio(a, b, c, d) -> float:
     Always evaluated through the chordal metric so that points at infinity
     need no special casing.
     """
-    pts = [_coerce(p) for p in (a, b, c, d)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if chordal_distance(pts[i], pts[j]) == 0.0:
-                raise DegenerateInputError("absolute ratio needs four distinct points")
-    return (chordal_distance(pts[0], pts[2]) * chordal_distance(pts[1], pts[3])) / (
-        chordal_distance(pts[0], pts[1]) * chordal_distance(pts[2], pts[3])
-    )
+    pts = [Point.of(p) for p in (a, b, c, d)]
+    dists = [chordal_distance(p, q) for p, q in itertools.combinations(pts, 2)]
+    if 0.0 in dists:
+        raise DegenerateInputError("absolute ratio needs four distinct points")
+    ab, ac, _, _, bd, cd = dists
+    return (ac * bd) / (ab * cd)
 
 
 def rho_disk(x, y) -> float:
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the circle."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.is_infinity or py.is_infinity:
         raise DomainError("rho_disk is undefined at infinity")
     if px.kind is PointKind.BOUNDARY or py.kind is PointKind.BOUNDARY:
         if px == py:
             return 0.0
         return math.inf
-    return _rho_numpy(px.z, py.z)
+    if abs(px.z) > 1.0 or abs(py.z) > 1.0:
+        raise DomainError("rho_disk needs points in the closed unit disk")
+    return float(_rho(px.z, py.z))
 
 
-def _rho_numpy(z, w):
-    """tanh(rho/2) formula; works on complex scalars and numpy arrays."""
-    d = np.abs(z - w)
-    denom = np.sqrt(d * d + (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom > 0.0, d / np.where(denom > 0.0, denom, 1.0), 1.0)
-        out = 2.0 * np.arctanh(np.clip(t, 0.0, 1.0))
-    if np.isscalar(out) or out.ndim == 0:
-        return float(out)
-    return out
+def _rho(z, w):
+    """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points;
+    complex scalars or numpy arrays."""
+    az, aw = abs(z), abs(w)
+    return 2.0 * np.arcsinh(abs(z - w) / np.sqrt((1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw)))
 
 
 def rho_halfplane(x, y) -> float:
     """Hyperbolic distance in the upper half plane (cosh formula)."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.is_infinity or py.is_infinity or px.im <= 0.0 or py.im <= 0.0:
         raise DomainError("rho_halfplane needs points with positive imaginary part")
     arg = 1.0 + abs(px.z - py.z) ** 2 / (2.0 * px.im * py.im)
@@ -160,7 +153,7 @@ class Geodesic:
 
 def geodesic_through(x, y) -> Geodesic:
     """The hyperbolic line through two distinct points of the closed disk."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.is_infinity or py.is_infinity:
         raise DomainError("geodesics live in the closed unit disk")
     z1, z2 = px.z, py.z
@@ -222,7 +215,7 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
     taus = np.linspace(0.0, 1.0, n)
     p1 = geodesic_points(g1, taus)
     p2 = geodesic_points(g2, taus)
-    dm = _rho_numpy(p1[:, None], p2[None, :])
+    dm = _rho(p1[:, None], p2[None, :])
     i, j = np.unravel_index(np.argmin(dm), dm.shape)
     best = float(dm[i, j])
     if best < tol:
@@ -230,7 +223,7 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
     t1, t2 = float(taus[i]), float(taus[j])
 
     def d_of(a, b):
-        return float(_rho_numpy(complex(geodesic_points(g1, a)), complex(geodesic_points(g2, b))))
+        return float(_rho(complex(geodesic_points(g1, a)), complex(geodesic_points(g2, b))))
 
     prev = (t1, t2)
     for _ in range(200):
@@ -265,7 +258,7 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
 
 def rho_via_crossratio(x, y) -> float:
     """Distance as log of the absolute ratio with the geodesic endpoints."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.kind is not PointKind.INTERIOR or py.kind is not PointKind.INTERIOR:
         raise DomainError("rho_via_crossratio needs interior points")
     g = geodesic_through(px, py)
@@ -326,7 +319,7 @@ class MoebiusMap:
 
 
 def apply_moebius(m: MoebiusMap, z) -> Point:
-    p = _coerce(z)
+    p = Point.of(z)
     if p.is_infinity:
         if abs(m.c) == 0.0:
             return Point.infinity()
@@ -343,7 +336,7 @@ def apply_moebius(m: MoebiusMap, z) -> Point:
 
 def hyperbolic_midpoint(x, y) -> Point:
     """Point p on the segment from x to y with rho(x,p) = rho(p,y)."""
-    px, py = _coerce(x), _coerce(y)
+    px, py = Point.of(x), Point.of(y)
     if px.kind is not PointKind.INTERIOR or py.kind is not PointKind.INTERIOR:
         raise DomainError("hyperbolic midpoint needs interior points")
     if px.z == py.z:

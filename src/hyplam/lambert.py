@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import arth, g_range
+from .specfun import _arth_cx, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +74,13 @@ def _check_theta(theta: float):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
 
 
+def side_distances(L: float, theta: float) -> tuple[float, float]:
+    """(arth(L cos theta), arth(L sin theta)) for L in (0, 1] and theta in
+    [0, pi/2], each through specfun._arth_cx with the other as complement."""
+    c, s = math.cos(theta), math.sin(theta)
+    return _arth_cx(L, c, s), _arth_cx(L, s, c)
+
+
 def lambert_from(L: float, theta: float) -> LambertQuad:
     """Build the normalized Lambert quadrilateral for (L, theta).
 
@@ -82,9 +89,8 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     """
     _check_L(L)
     _check_theta(theta)
-    t = L / (1.0 + math.sqrt(1.0 - L * L))
-    d1 = arth(L * math.cos(theta))
-    d2 = arth(L * math.sin(theta))
+    t = L / (1.0 + rprime(L))
+    d1, d2 = side_distances(L, theta)
     phi = beardon_phi(d1, d2)
     v_a = Point.of(0.0)
     v_b = Point.of(math.tanh(d1 / 2.0))
@@ -93,19 +99,24 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     return LambertQuad(L=L, theta=theta, t=t, vertices=(v_a, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
 
 
+def _log_sh(d: float) -> float:
+    # log sh d = d + log((1 - e^{-2d})/2), finite for every d > 0
+    return d + math.log(-0.5 * math.expm1(-2.0 * d))
+
+
 def beardon_phi(d1: float, d2: float) -> float:
-    """Fourth angle from sh(d1) sh(d2) = cos(phi)."""
+    """Fourth angle from sh(d1) sh(d2) = cos(phi), in log space: at L = 1,
+    d1 reaches ~745, where sh d1 alone overflows."""
     if d1 < 0.0 or d2 < 0.0:
         raise DomainError("side distances must be nonnegative")
-    prod = math.sinh(d1) * math.sinh(d2)
-    # rounding slack scales with the conditioning of sh(arth(.)) near the
-    # boundary case sh(d1) sh(d2) = 1
-    slack = 1e-11 * (1.0 + math.cosh(d1) * math.cosh(d2))
-    if prod > 1.0 + slack:
+    log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
+    # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
+    # per unit is ~10 times the excess over 1 seen at and near L = 1
+    if log_prod > math.log1p(2.0**-48 * (2.0 + d1 + d2)):
         raise InconsistentQuadrilateralError(
-            f"sh(d1) sh(d2) = {prod} exceeds 1: not a Lambert quadrilateral"
+            f"sh(d1) sh(d2) = exp({log_prod}) exceeds 1: not a Lambert quadrilateral"
         )
-    return math.acos(min(prod, 1.0))
+    return math.acos(min(math.exp(log_prod), 1.0))
 
 
 def product_bound(L: float) -> float:
@@ -169,7 +180,8 @@ def ideal_quad(alpha: float) -> tuple[float, float]:
     ideal quadrilateral with vertex half-angle alpha."""
     if not 0.0 < alpha < math.pi / 2.0:
         raise DomainError(f"alpha must lie in (0, pi/2), got {alpha}")
-    return 2.0 * arth(math.cos(alpha)), 2.0 * arth(math.sin(alpha))
+    d1, d2 = side_distances(1.0, alpha)
+    return 2.0 * d1, 2.0 * d2
 
 
 def alpha_from_quadruple(a, b, c, d) -> float:

@@ -113,8 +113,8 @@ def T_of(x: float, L: float, K: float) -> float:
 
 
 def _T(x: float, xp: float, L: float, K: float) -> float:
-    """T_of from x and x' = sqrt(1 - x^2); at L = 1, arth x is taken from x'."""
-    return _arth_cx(L, x, xp) * arth(L * xp) ** (1.0 / K)
+    """T_of from x and x' = sqrt(1 - x^2), each arth through specfun._arth_cx."""
+    return _arth_cx(L, x, xp) * _arth_cx(L, xp, x) ** (1.0 / K)
 
 
 def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:

@@ -23,7 +23,6 @@ from .errors import DomainError
 from .optimize import refine_grid_max
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
-_ENDPOINT_EPS = 1e-8
 
 
 def arth(x: float) -> float:
@@ -40,10 +39,23 @@ def rprime(r: float) -> float:
     return math.sqrt(max(0.0, (1.0 - r) * (1.0 + r)))
 
 
+def _arth_cx(c: float, x: float, xp: float) -> float:
+    """arth(c x) for c in (0, 1] and x in [0, 1], given x' = sqrt(1 - x^2).
+
+    1 - c x is written (1 - c) + c x'^2/(1 + x), which cannot cancel, so x
+    may even have rounded to 1. Where it is below 1e-300 (c = 1, x' below
+    ~1e-150), arth x is log1p(x) - log x'.
+    """
+    den = (1.0 - c) + c * xp * xp / (1.0 + x)
+    if den < 1e-300:
+        return math.log1p(x) - math.log(xp)
+    return 0.5 * math.log1p(2.0 * c * x / den)
+
+
 def arth_complement(r: float) -> float:
-    """arth(sqrt(1 - r^2)) = log((1 + r')/r), stable for tiny r."""
+    """arth(sqrt(1 - r^2)), stable for tiny r."""
     _check_open01(r, "arth_complement")
-    return math.log((1.0 + rprime(r)) / r)
+    return _arth_cx(1.0, rprime(r), r)
 
 
 def holder_mean(p: float, r: float, s: float) -> float:
@@ -72,17 +84,6 @@ def _arth_over_r(r: float) -> float:
     return math.atanh(r) / r
 
 
-def _arth_cx(c: float, x: float, xp: float) -> float:
-    """arth(c x) for x in (0, 1), given x' = sqrt(1 - x^2).
-
-    At c = 1 beyond x = x' it is arth_complement(x'), which keeps the digits
-    that 1 - x loses as x -> 1 (x may even have rounded to 1).
-    """
-    if c == 1.0 and x > xp:
-        return arth_complement(xp)
-    return math.atanh(c * x)
-
-
 def _f_c_pair(c: float, x: float, xp: float) -> float:
     """f_c(x) from x and x' = sqrt(1 - x^2), neither recomputed from the other.
 
@@ -90,12 +91,7 @@ def _f_c_pair(c: float, x: float, xp: float) -> float:
     and is divided by x before arth(c x), so that a tiny x overflows to inf
     instead of dividing by an underflowed x arth(c x).
     """
-    if c == 1.0:
-        # reduces to x / arth x
-        if x < _ENDPOINT_EPS:
-            return 1.0
-        return x / _arth_cx(1.0, x, xp)
-    return ((1.0 - c) * (1.0 + c) / x + c * c * x) / math.atanh(c * x)
+    return ((1.0 - c) * (1.0 + c) / x + c * c * x) / _arth_cx(c, x, xp)
 
 
 def lemma_f_c(c: float, r: float) -> float:
@@ -110,7 +106,8 @@ def lemma_F_c(c: float, r: float) -> float:
     if not 0.0 < c <= 1.0:
         raise DomainError("lemma_F_c needs c in (0, 1]")
     _check_open01(r, "lemma_F_c")
-    return math.atanh(c * r) * math.atanh(c * rprime(r))
+    rp = rprime(r)
+    return _arth_cx(c, r, rp) * _arth_cx(c, rp, r)
 
 
 def lemma_G_c(c: float, r: float) -> float:
@@ -118,10 +115,12 @@ def lemma_G_c(c: float, r: float) -> float:
     if not 0.0 < c <= 1.0:
         raise DomainError("lemma_G_c needs c in (0, 1]")
     _check_open01(r, "lemma_G_c")
-    return arth(c * r) + arth(c * rprime(r))
+    rp = rprime(r)
+    return _arth_cx(c, r, rp) + _arth_cx(c, rp, r)
 
 
 _C_LOW = math.sqrt(2.0 / 3.0)
+_C_LOW_LO = -1.7276510382355637e-18  # sqrt(2/3) - _C_LOW
 _C_HIGH = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0))
 
 
@@ -148,12 +147,12 @@ def g_range(c: float) -> GRange:
     mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
         return GRange(1, arth(c), mid_value, False, True)
-    m = math.sqrt((2.0 - c * c) * (3.0 * c * c - 2.0))
+    # 3c^2 - 2 = 3 (c - sqrt(2/3)) (c + sqrt(2/3)), where c - _C_LOW is exact
+    m = math.sqrt((2.0 - c * c) * 3.0 * ((c - _C_LOW) - _C_LOW_LO) * (c + _C_LOW))
     # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
     # so that it does not cancel as c -> 1
     r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
-    r0p = rprime(r0)
-    top = arth(c * (r0 + r0p) / (1.0 + c * c * r0 * r0p))
+    top = lemma_G_c(c, r0)
     if c < _C_HIGH:
         return GRange(2, arth(c), top, False, True, r0=r0)
     return GRange(3, mid_value, top, True, True, r0=r0)
@@ -162,10 +161,7 @@ def g_range(c: float) -> GRange:
 def aux_h1(r: float) -> float:
     """r'/arth(r'); strictly increasing and concave, range (0, 1)."""
     _check_open01(r, "aux_h1")
-    rp = rprime(r)
-    if rp < _ENDPOINT_EPS:
-        return 0.0 if rp == 0.0 else rp / math.atanh(rp)
-    return rp / math.atanh(rp)
+    return _f_c_pair(1.0, rprime(r), r)
 
 
 def aux_h(r: float) -> float:
@@ -178,7 +174,7 @@ def aux_g_le2(p: float, r: float) -> float:
     """(r/r') (arth r / arth r')^(p-1)."""
     _check_open01(r, "aux_g_le2")
     rp = rprime(r)
-    return (r / rp) * (math.atanh(r) / math.atanh(rp)) ** (p - 1.0)
+    return (r / rp) * (math.atanh(r) / _arth_cx(1.0, rp, r)) ** (p - 1.0)
 
 
 def aux_slope_ratio(r: float) -> float:

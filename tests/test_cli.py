@@ -1,11 +1,12 @@
 import csv
+import io
 import json
 import math
 
 import pytest
 
 from hyplam import SweepSpec, run_sweep
-from hyplam.cli import main
+from hyplam.cli import _sweep_rows, build_parser, main
 
 PI4 = "0.7853981633974483"
 
@@ -46,6 +47,21 @@ class TestLambert:
         assert code == 0
         assert "(case 3)" in out
 
+    @pytest.mark.parametrize(
+        "L,theta",
+        [
+            ("1", "1e-7"),
+            ("1", "1e-300"),
+            ("1", "5e-324"),
+            ("0.999999999999", "1e-9"),
+            ("0.9999999999999999", "1.5707963267948963"),
+        ],
+    )
+    def test_edge_quadrilaterals_exit_0(self, capsys, L, theta):
+        # arth(L cos theta) near 1 and d1 up to ~745: no bound is violated
+        code, out, err = run(capsys, "lambert", "--L", L, "--theta", theta)
+        assert code == 0, out + err
+
     def test_out_of_range_L_exits_2(self, capsys):
         code, _, err = run(capsys, "lambert", "--L", "1.5", "--theta", "0.3")
         assert code == 2
@@ -64,6 +80,10 @@ class TestIdeal:
         code, out, _ = run(capsys, "ideal", "--quad", "1,0", "0,1", "-1,0", "0,-1", "--json")
         assert code == 0
         assert json.loads(out)["alpha"] == pytest.approx(math.pi / 4.0, abs=1e-12)
+
+    def test_tiny_alpha_exits_0(self, capsys):
+        code, out, err = run(capsys, "ideal", "--alpha", "1e-300")
+        assert code == 0, out + err
 
     def test_alpha_zero_exits_2(self, capsys):
         assert run(capsys, "ideal", "--alpha", "0")[0] == 2
@@ -147,6 +167,18 @@ class TestSweep:
             cell = next(fh).split(",")[1]
         assert float(cell) == pytest.approx(float(f"{float(cell):.17g}"), abs=0)
         assert len(cell.strip().replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+    @pytest.mark.parametrize("target", ["product", "sum", "ideal", "mu"])
+    def test_bytes_match_csv_module(self, capsys, tmp_path, target):
+        argv = ["sweep", "--target", target, "--grid", "50", "--out", str(tmp_path / "x.csv"), "--L", "1"]
+        assert run(capsys, *argv)[0] == 0
+        header, rows = _sweep_rows(build_parser().parse_args(argv))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(x):.17g}" for x in row])
+        assert (tmp_path / "x.csv").read_bytes() == expected.getvalue().encode()
 
     def test_tiny_grid_exits_2(self, capsys, tmp_path):
         assert run(capsys, "sweep", "--target", "mu", "--grid", "1", "--out", str(tmp_path / "x.csv"))[0] == 2

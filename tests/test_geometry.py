@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import pytest
@@ -19,10 +20,13 @@ from hyplam import (
     geodesic_points,
     geodesic_through,
     hyperbolic_midpoint,
+    lambert_from,
     rho_disk,
     rho_halfplane,
     rho_via_crossratio,
 )
+
+EPS = 2.0**-52
 
 
 def interior(re, im, scale=0.7):
@@ -35,7 +39,7 @@ def interior(re, im, scale=0.7):
 
 class TestPoints:
     def test_boundary_snap(self):
-        p = Point.of(cmath.exp(0.3j) * (1.0 + 5e-10))
+        p = Point.of(cmath.exp(0.3j) * (1.0 + 16 * 2.0**-52))
         assert p.kind is PointKind.BOUNDARY
         assert abs(p.z) == pytest.approx(1.0, abs=1e-15)
 
@@ -70,6 +74,30 @@ class TestRho:
 
     def test_boundary_is_infinite(self):
         assert rho_disk(0.0, 1.0) == math.inf
+
+    def test_near_circle_is_finite(self):
+        # 40.0393604893446 from mpmath at 50 digits; rho is conditioned like
+        # 1/(1 - |z|), so one ulp of an endpoint moves it by ~1e-7
+        r = 1.0 - 1e-9
+        assert rho_disk(r, r * cmath.exp(0.5j)) == pytest.approx(40.0393604893446, abs=1e-6)
+
+    def test_outside_disk_rejected(self):
+        with pytest.raises(DomainError):
+            rho_disk(0.0, 1.5)
+
+    def test_lambert_vertices_keep_distances_near_circle(self):
+        # L = 1, theta ~ 1.3e-8: v_b lies ~1.3e-8 inside the circle, and this
+        # automorphism moves it closer still; no distance may turn infinite
+        q = lambert_from(1.0, 1.3058635984144932e-08)
+        m = MoebiusMap.disk_automorphism(-0.7916330222247036 + 0.38906380610350455j, 3.776023526804267)
+        for p, w in itertools.combinations(q.vertices, 2):
+            before, after = rho_disk(p, w), rho_disk(m(p), m(w))
+            if math.isinf(before) or math.isinf(after):
+                assert before == after
+                continue
+            # rho is conditioned like 1/(1 - |z|) at each endpoint
+            zs = (p.z, w.z, m(p).z, m(w).z)
+            assert abs(before - after) <= 64 * EPS * (1.0 + sum(1.0 / (1.0 - abs(z)) for z in zs))
 
     def test_halfplane_formula(self):
         # cosh rho = 1 + |x-y|^2 / (2 x2 y2)

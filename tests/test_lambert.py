@@ -115,6 +115,15 @@ class TestSumBounds:
                 q = lambert_from(L, float(theta))
                 assert rep.lower - 1e-10 <= q.d1 + q.d2 <= rep.upper + 1e-10
 
+    def test_no_false_violation_near_the_edges(self):
+        # 1 - L from 1e-16 to 1e-4 and L = 1, theta from 1e-300 to 1e-2 off
+        # either end, where arth(L cos theta) or arth(L sin theta) nears arth 1
+        for L in [1.0, *(1.0 - np.logspace(-16, -4, 7))]:
+            for t in np.logspace(-300, -2, 12):
+                for theta in (float(t), min(math.pi / 2.0 - t, math.nextafter(math.pi / 2.0, 0.0))):
+                    assert product_report(L, theta).satisfied, (L, theta)
+                    assert sum_bounds(L, theta).satisfied, (L, theta)
+
     def test_observed_recorded(self):
         rep = sum_bounds(0.9, 0.5)
         q = lambert_from(0.9, 0.5)

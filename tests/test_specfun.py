@@ -26,7 +26,7 @@ from hyplam import (
     threshold_C,
 )
 from hyplam import specfun
-from hyplam.specfun import SQRT2_2, arth_complement, aux_h, aux_h1, aux_h_p, aux_slope_ratio
+from hyplam.specfun import SQRT2_2, arth_complement, aux_g_le2, aux_h, aux_h1, aux_h_p, aux_slope_ratio
 
 unit_open = st.floats(1e-3, 1.0 - 1e-3)
 
@@ -107,6 +107,10 @@ class TestLemmaFunctions:
 
     def test_h1_increasing(self):
         assert aux_h1(0.2) < aux_h1(0.6) < aux_h1(0.9)
+
+    def test_g_le2_at_tiny_r(self):
+        # r' rounds to 1 here; arth r' = log((1 + r')/r)
+        assert aux_g_le2(0.5, 1e-9) == pytest.approx(1e-9 * (1e-9 / math.log(2e9)) ** -0.5, rel=1e-15)
 
     def test_slope_ratio_range(self):
         vals = [aux_slope_ratio(float(r)) for r in np.linspace(0.001, 0.999, 500)]

@@ -1,23 +1,36 @@
-"""Relative accuracy of the Hersch-Pfluger layer against mpmath at 50 digits.
+"""Relative accuracy of the Hersch-Pfluger layer and of arth(c x) against
+mpmath at 50 digits.
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
 other of r, r' following from r^2 + r'^2 = 1. Each reference pair is checked
 against mu(r) = y computed from mpmath's complete elliptic integrals.
+
+The reference arth(c x) is log1p(2 c x/((1 - c) + c (1 - x)))/2 with 1 - x
+given in a form that keeps its digits (2 sin^2(theta/2) for x = cos theta),
+so that 50 digits suffice even where 1 - x is 1e-600.
 """
 
 import math
 
 import pytest
 
-from hyplam import distortion_A, g_range, mu_inverse, phi_K
-from hyplam.specfun import _mu_inverse_pair
+from hyplam import distortion_A, g_range, lemma_F_c, lemma_G_c, mu_inverse, phi_K
+from hyplam.lambert import side_distances
+from hyplam.qcbounds import T_of
+from hyplam.specfun import _arth_cx, _mu_inverse_pair
 
 mp = pytest.importorskip("mpmath")
 
 EPS = 2.0**-52
 YS = [0.01, 0.1, math.pi / 2.0 - 1e-9, math.pi / 2.0 + 1e-9, 1.0, 10.0, 300.0]
 KS = [1.0, 2.0, 5.0, 14.0, 20.0, 50.0, 1e3]
+#: c (or L) from far below to exactly 1, and theta from 0 to pi/2 at both
+#: edges; theta = 5e-324 is left out, its arth(c sin theta) being subnormal
+CS = [1e-3, 0.5, math.sqrt(2.0 / 3.0), 0.9, 1 - 1e-9, 1 - 1e-12, 1 - EPS, 1.0]
+THETAS = [1e-300, 1e-8, math.pi / 4.0, math.pi / 2.0 - 1e-8, math.nextafter(math.pi / 2.0, 0.0)]
+#: r for the lemma functions, which take r' = sqrt(1 - r^2) from r
+RS = [1e-300, 1e-8, math.sqrt(0.5), 1 - 1e-8, math.nextafter(1.0, 0.0)]
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +70,19 @@ def rel(x, ref):
     return float(abs((x - ref) / ref))
 
 
+def ref_arth_c(c, x, one_minus_x):
+    """arth(c x), given 1 - x to full relative precision."""
+    C = mp.mpf(c)
+    return mp.log1p(2 * C * x / ((1 - C) + C * one_minus_x)) / 2
+
+
+def ref_pair_r(c, r):
+    """(arth(c r), arth(c r')) with r' = sqrt(1 - r^2) and 1 - r' = r^2/(1 + r')."""
+    R = mp.mpf(r)
+    Rp = mp.sqrt(1 - R * R)
+    return ref_arth_c(c, R, 1 - R), ref_arth_c(c, Rp, R * R / (1 + Rp))
+
+
 @pytest.mark.parametrize("y", YS)
 def test_mu_inverse_and_complement(y):
     # the rounding of the exponent pi^2/(2y) of the complementary nome is
@@ -89,10 +115,54 @@ def test_distortion_A_inside_linear_bracket():
         assert u * (K - 1.0) + 1.0 <= a <= v * (K - 1.0) + K, K
 
 
-@pytest.mark.parametrize("c", [0.82, 0.85, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize(
+    "c",
+    [math.nextafter(math.sqrt(2.0 / 3.0), 1.0), math.sqrt(2.0 / 3.0) + 1e-12]
+    + [0.82, 0.85, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12],
+)
 def test_g_range_r0(c):
-    # the defining form sqrt((1 - m/c^2)/2) cancels as c -> 1; here it is
-    # evaluated at 50 digits
+    # the defining form sqrt((1 - m/c^2)/2) cancels as c -> 1, and 3c^2 - 2
+    # in m just above sqrt(2/3); here it is evaluated at 50 digits
     C = mp.mpf(c)
     m = mp.sqrt((2 - C * C) * (3 * C * C - 2))
     assert rel(g_range(c).r0, mp.sqrt((1 - m / (C * C)) / 2)) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("c", CS)
+@pytest.mark.parametrize("theta", THETAS)
+def test_side_distances(c, theta):
+    t = mp.mpf(theta)
+    d1 = ref_arth_c(c, mp.cos(t), 2 * mp.sin(t / 2) ** 2)
+    d2 = ref_arth_c(c, mp.sin(t), 2 * mp.sin(mp.pi / 4 - t / 2) ** 2)
+    cos, sin = math.cos(theta), math.sin(theta)
+    assert rel(_arth_cx(c, cos, sin), d1) <= 4.0 * EPS
+    assert rel(_arth_cx(c, sin, cos), d2) <= 4.0 * EPS
+    got1, got2 = side_distances(c, theta)
+    assert rel(got1, d1) <= 4.0 * EPS and rel(got2, d2) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("c", CS)
+@pytest.mark.parametrize("r", RS)
+def test_lemma_functions_and_T(c, r):
+    a, b = ref_pair_r(c, r)
+    assert rel(lemma_F_c(c, r), a * b) <= 4.0 * EPS
+    assert rel(lemma_G_c(c, r), a + b) <= 4.0 * EPS
+    for K in (1.0, 2.0, 7.0):
+        assert rel(T_of(r, c, K), a * b ** (1 / mp.mpf(K))) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("c", CS)
+def test_g_range_upper(c):
+    upper = g_range(c).upper
+    if c == 1.0:
+        assert upper == math.inf
+        return
+    with mp.workdps(80):  # 1 - m/c^2 is ~(1 - c)^2, 1e-31 at c = 1 - eps
+        C = mp.mpf(c)
+        if c <= math.sqrt(2.0 / 3.0):
+            # G_c peaks at r = sqrt2/2
+            ref = 2 * ref_pair_r(c, mp.sqrt(mp.mpf(0.5)))[0]
+        else:
+            m = mp.sqrt((2 - C * C) * (3 * C * C - 2))
+            ref = sum(ref_pair_r(c, mp.sqrt((1 - m / (C * C)) / 2)))
+        assert rel(upper, ref) <= 4.0 * EPS
