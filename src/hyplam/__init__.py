@@ -18,7 +18,6 @@ from .geometry import (
     Point,
     PointKind,
     absolute_ratio,
-    apply_moebius,
     chordal_distance,
     geodesic_distance,
     geodesic_points,

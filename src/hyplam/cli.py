@@ -38,8 +38,9 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _gap_line(label: str, gap: float) -> str:
-    flag = "  [equality]" if abs(gap) <= _EQ_TOL else ""
+def _gap_line(label: str, gap: float, bound: float) -> str:
+    """The gap to `bound`, flagged as equality within _EQ_TOL relative to it."""
+    flag = "  [equality]" if abs(gap) <= _EQ_TOL * abs(bound) else ""
     return f"{label}: {gap:.17g}{flag}"
 
 
@@ -75,14 +76,14 @@ def cmd_lambert(args) -> int:
         print(f"d2 = {q.d2:.17g}")
         print(f"phi = {q.phi:.17g}")
         print(f"d1*d2 = {prod.observed:.17g}  bound = {prod.upper:.17g}")
-        print(_gap_line("product gap", prod.upper - prod.observed))
+        print(_gap_line("product gap", prod.upper - prod.observed, prod.upper))
         print(
             f"d1+d2 = {total.observed:.17g}  range = [{total.lower:.17g}, "
             f"{total.upper:.17g}]  ({total.case_label})"
         )
-        print(_gap_line("sum gap to lower", total.observed - total.lower))
+        print(_gap_line("sum gap to lower", total.observed - total.lower, total.lower))
         if math.isfinite(total.upper):
-            print(_gap_line("sum gap to upper", total.upper - total.observed))
+            print(_gap_line("sum gap to upper", total.upper - total.observed, total.upper))
     return 0 if (prod.satisfied and total.satisfied) else 1
 
 
@@ -115,9 +116,9 @@ def cmd_ideal(args) -> int:
         print(f"d1 = {d1:.17g}")
         print(f"d2 = {d2:.17g}")
         print(f"d1*d2 = {product:.17g}  bound = {lam.IDEAL_PRODUCT_BOUND:.17g}")
-        print(_gap_line("product gap", lam.IDEAL_PRODUCT_BOUND - product))
+        print(_gap_line("product gap", lam.IDEAL_PRODUCT_BOUND - product, lam.IDEAL_PRODUCT_BOUND))
         print(f"d1+d2 = {total:.17g}  bound = {lam.IDEAL_SUM_BOUND:.17g}")
-        print(_gap_line("sum gap", total - lam.IDEAL_SUM_BOUND))
+        print(_gap_line("sum gap", total - lam.IDEAL_SUM_BOUND, lam.IDEAL_SUM_BOUND))
     return 0 if ok else 1
 
 

@@ -3,7 +3,7 @@
 Points live in the closed unit disk (or the upper half plane after a Cayley
 transform). Geodesics are diameters or arcs of circles orthogonal to the
 unit circle. A numerical geodesic-to-geodesic distance oracle is provided;
-it deliberately works by grid search plus golden-section refinement so it
+it deliberately works by a nested bracket search over sampled points so it
 stays independent of any closed-form distance it is used to check.
 """
 
@@ -17,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, DomainError
-from .optimize import golden_min
+from .errors import DegenerateInputError, DomainError
 
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
 _BOUNDARY_SNAP = 64 * 2.0**-52
@@ -204,56 +203,51 @@ def geodesic_points(g: Geodesic, taus):
     return g.center + g.radius * np.exp(1j * (w1 + delta * u))
 
 
+#: samples per bracket: each round shrinks an interior bracket 16-fold
+_BRACKET_SAMPLES = np.linspace(0.0, 1.0, 33)
+
+
+def _bracket_min(f, rows: int):
+    """Per row, the minimum over [0, 1] of a unimodal f.
+
+    f maps a (rows, k) array of parameters to their values. Each round
+    samples every bracket at k points and keeps the two neighbours of the
+    best sample, which still enclose the minimum of a unimodal function,
+    until every bracket is at most 1e-12 wide.
+    """
+    lo, hi = np.zeros((rows, 1)), np.ones((rows, 1))
+    last = len(_BRACKET_SAMPLES) - 1
+    while True:
+        width = hi - lo
+        vals = f(lo + width * _BRACKET_SAMPLES)
+        if np.all(width <= 1e-12):
+            return vals.min(axis=1)
+        i = np.argmin(vals, axis=1)[:, None]
+        lo, hi = (
+            lo + width * _BRACKET_SAMPLES[np.maximum(i - 1, 0)],
+            lo + width * _BRACKET_SAMPLES[np.minimum(i + 1, last)],
+        )
+
+
 def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
     """Infimum of rho over point pairs on two geodesics.
 
-    Coarse 256x256 grid over the arc parametrizations, then alternating
-    one-dimensional golden-section refinement. Returns 0.0 for
-    intersecting geodesics.
+    A nested bracket search over the parametrizations of geodesic_points:
+    the outer one over the points of g1, the inner one, for each of those,
+    over the points of g2. Both searches converge because hyperbolic
+    distance is convex along geodesics (Bridson and Haefliger, Metric Spaces
+    of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
+    a fixed point to the points of g2, and the distance from a point of g1 to
+    g2, are unimodal in the parameter. Returns 0.0 for intersecting
+    geodesics.
     """
-    n = 256
-    taus = np.linspace(0.0, 1.0, n)
-    p1 = geodesic_points(g1, taus)
-    p2 = geodesic_points(g2, taus)
-    dm = _rho(p1[:, None], p2[None, :])
-    i, j = np.unravel_index(np.argmin(dm), dm.shape)
-    best = float(dm[i, j])
-    if best < tol:
-        return 0.0
-    t1, t2 = float(taus[i]), float(taus[j])
 
-    def d_of(a, b):
-        return float(_rho(complex(geodesic_points(g1, a)), complex(geodesic_points(g2, b))))
+    def to_g2(t1):
+        p1 = geodesic_points(g1, t1[0])[:, None]
+        return _bracket_min(lambda t2: _rho(p1, geodesic_points(g2, t2)), len(p1))[None, :]
 
-    prev = (t1, t2)
-    for _ in range(200):
-        t1, _ = golden_min(lambda a: d_of(a, t2), 0.0, 1.0, tol=1e-13)
-        t2, val = golden_min(lambda b: d_of(t1, b), 0.0, 1.0, tol=1e-13)
-        # extrapolate along the last combined step; cures the slow zigzag
-        # of coordinate descent when the valley runs diagonally
-        dt1, dt2 = t1 - prev[0], t2 - prev[1]
-        if abs(dt1) > 1e-15 or abs(dt2) > 1e-15:
-
-            def along(s):
-                a = min(max(t1 + s * dt1, 0.0), 1.0)
-                b = min(max(t2 + s * dt2, 0.0), 1.0)
-                return d_of(a, b)
-
-            s_star, v_star = golden_min(along, 0.0, 64.0, tol=1e-12)
-            if v_star < val:
-                t1 = min(max(t1 + s_star * dt1, 0.0), 1.0)
-                t2 = min(max(t2 + s_star * dt2, 0.0), 1.0)
-                val = v_star
-        prev = (t1, t2)
-        if best - val < 0.1 * tol:
-            best = min(best, val)
-            break
-        best = val
-    else:
-        raise ConvergenceError("geodesic distance refinement hit iteration cap")
-    if best < tol:
-        return 0.0
-    return best
+    best = float(_bracket_min(to_g2, 1)[0])
+    return 0.0 if best < tol else best
 
 
 def rho_via_crossratio(x, y) -> float:
@@ -287,7 +281,15 @@ class MoebiusMap:
             raise DegenerateInputError("Moebius map has (near-)zero determinant")
 
     def __call__(self, z) -> Point:
-        return apply_moebius(self, z)
+        p = Point.of(z)
+        if p.is_infinity:
+            if abs(self.c) == 0.0:
+                return Point.infinity()
+            return Point.of(self.a / self.c)
+        denom = self.c * p.z + self.d
+        if abs(denom) < 1e-300:
+            return Point.infinity()
+        return Point.of((self.a * p.z + self.b) / denom)
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
@@ -316,18 +318,6 @@ class MoebiusMap:
             raise DomainError("disk automorphism needs |a| < 1")
         e = cmath.exp(1j * phase)
         return MoebiusMap(e, -e * a, -a.conjugate(), 1.0)
-
-
-def apply_moebius(m: MoebiusMap, z) -> Point:
-    p = Point.of(z)
-    if p.is_infinity:
-        if abs(m.c) == 0.0:
-            return Point.infinity()
-        return Point.of(m.a / m.c)
-    denom = m.c * p.z + m.d
-    if abs(denom) < 1e-300:
-        return Point.infinity()
-    return Point.of((m.a * p.z + m.b) / denom)
 
 
 # ---------------------------------------------------------------------------

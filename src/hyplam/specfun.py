@@ -129,8 +129,6 @@ class GRange:
     case: int
     lower: float
     upper: float
-    lower_closed: bool
-    upper_closed: bool
     r0: float | None = None
 
 
@@ -143,10 +141,10 @@ def g_range(c: float) -> GRange:
     if not 0.0 < c <= 1.0:
         raise DomainError("g_range needs c in (0, 1]")
     if c == 1.0:
-        return GRange(4, arth(2.0 * math.sqrt(2.0) / 3.0), math.inf, True, False)
+        return GRange(4, arth(2.0 * math.sqrt(2.0) / 3.0), math.inf)
     mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
-        return GRange(1, arth(c), mid_value, False, True)
+        return GRange(1, arth(c), mid_value)
     # 3c^2 - 2 = 3 (c - sqrt(2/3)) (c + sqrt(2/3)), where c - _C_LOW is exact
     m = math.sqrt((2.0 - c * c) * 3.0 * ((c - _C_LOW) - _C_LOW_LO) * (c + _C_LOW))
     # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
@@ -154,8 +152,8 @@ def g_range(c: float) -> GRange:
     r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
     top = lemma_G_c(c, r0)
     if c < _C_HIGH:
-        return GRange(2, arth(c), top, False, True, r0=r0)
-    return GRange(3, mid_value, top, True, True, r0=r0)
+        return GRange(2, arth(c), top, r0=r0)
+    return GRange(3, mid_value, top, r0=r0)
 
 
 def aux_h1(r: float) -> float:

@@ -26,6 +26,19 @@ class TestLambert:
         gap = float(line.split(":")[1].split()[0])
         assert abs(gap) <= 1e-12
 
+    def test_equality_flag_is_relative_to_the_bound(self, capsys):
+        def flagged(*argv):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return {line.split(":")[0] for line in out.splitlines() if "[equality]" in line}
+
+        # d1 + d2 = 1.357e-300 lies strictly inside [1e-300, 1.414e-300]
+        assert flagged("lambert", "--L", "1e-300", "--theta", "0.5").isdisjoint(
+            {"sum gap to lower", "sum gap to upper"}
+        )
+        assert flagged("lambert", "--L", "0.8", "--theta", PI4) == {"product gap", "sum gap to upper"}
+        assert flagged("ideal", "--alpha", PI4) == {"product gap", "sum gap"}
+
     def test_L1_sum_sits_on_lower_bound(self, capsys):
         code, out, _ = run(capsys, "lambert", "--L", "1", "--theta", PI4)
         assert code == 0

@@ -25,6 +25,7 @@ from hyplam import (
     rho_halfplane,
     rho_via_crossratio,
 )
+from hyplam.verify import DEFAULT_SEED, _halton
 
 EPS = 2.0**-52
 
@@ -151,13 +152,24 @@ class TestGeodesics:
         assert geodesic_distance(g1, g2) == 0.0
 
     def test_distance_symmetric_ideal_pair(self):
-        alpha = math.pi / 3.0
-        e = cmath.exp(1j * alpha)
-        g1 = geodesic_through(e, e.conjugate())
-        g2 = geodesic_through(-e.conjugate(), -e)
-        assert geodesic_distance(g1, g2) == pytest.approx(
-            2.0 * math.atanh(math.cos(alpha)), abs=1e-8
-        )
+        # the ten pairs of the symmetric-geodesic-distance sweep
+        for alpha in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12):
+            e = cmath.exp(1j * alpha)
+            g1 = geodesic_through(e, e.conjugate())
+            g2 = geodesic_through(-e.conjugate(), -e)
+            assert geodesic_distance(g1, g2) == pytest.approx(2.0 * math.atanh(math.cos(alpha)), abs=1e-12)
+            g1 = geodesic_through(e, -e.conjugate())
+            g2 = geodesic_through(-e, e.conjugate())
+            t = g1.center.imag - math.sqrt(g1.center.imag**2 - 1.0)
+            assert geodesic_distance(g1, g2) == pytest.approx(2.0 * math.log((1.0 + t) / (1.0 - t)), abs=1e-12)
+
+    def test_distance_matches_lambert_sides(self):
+        # the 60 configurations of the thorough lambert-oracle-agreement sweep
+        for ua, ub in _halton(60, 2, DEFAULT_SEED + 12):
+            q = lambert_from(0.2 + 0.79 * ua, 0.15 + (math.pi / 2.0 - 0.3) * ub)
+            g_ad = geodesic_through(q.vertices[3].z, -q.vertices[3].z)
+            g_bc = geodesic_through(q.vertices[1].z, q.vertices[2].z)
+            assert geodesic_distance(g_ad, g_bc) == pytest.approx(q.d1, abs=1e-12)
 
 
 class TestMoebius:

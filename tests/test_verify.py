@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import hyplam
-from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, run_sweep, verify
+from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, lambert, run_sweep, verify
+from hyplam.cli import main
 from hyplam.verify import _halton, run_all
 
 
@@ -35,7 +37,7 @@ class TestCertificates:
     def test_pass_iff_margin_clears_tolerance(self):
         spec = SweepSpec(target="thsq-identity", grid_size=100, tolerance=1e-12)
         cert = run_sweep(spec)
-        assert cert.passed == (cert.margin >= -spec.tolerance)
+        assert cert.passed == (cert.margin >= 0)
         assert cert.passed
 
     def test_deterministic_given_seed(self, monkeypatch):
@@ -78,10 +80,16 @@ class TestRegistry:
         # run_sweep resolves each entry's target to that entry's own sweep
         assert len({e.sweep for e in REGISTRY}) == len(REGISTRY)
         calls = []
-        stubs = tuple(
-            dataclasses.replace(e, sweep=lambda spec, chk, name=e.name: (calls.append(name), (0.0, ()))[1])
-            for e in REGISTRY
-        )
+
+        def stub(name):
+            def sweep(spec, chk):
+                calls.append(name)
+                chk.require(0.0, 0.0)
+                return 0.0, ()
+
+            return sweep
+
+        stubs = tuple(dataclasses.replace(e, sweep=stub(e.name)) for e in REGISTRY)
         monkeypatch.setattr(verify, "REGISTRY", stubs)
         for entry in stubs:
             assert run_sweep(SweepSpec(entry.target, 10, tolerance=entry.tolerance)).passed
@@ -138,6 +146,67 @@ class TestRegistry:
             SweepSpec(target=entry.target, grid_size=200, params=dict(entry.params), tolerance=entry.tolerance)
         )
         assert cert.passed, (name, cert.margin, cert.witness)
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _nan_product_bound(monkeypatch):
+    monkeypatch.setattr(lambert, "product_bound", lambda L: math.nan)
+
+
+def _nan_lemma_f_c_mid(monkeypatch):
+    original = verify.lemma_f_c
+    monkeypatch.setattr(verify, "lemma_f_c", lambda c, r: math.nan if 0.4 < r < 0.6 else original(c, r))
+
+
+def _nan_rho_disk(monkeypatch):
+    monkeypatch.setattr(verify, "rho_disk", lambda x, y: math.nan)
+
+
+def _no_sub_check(monkeypatch):
+    stubbed = tuple(
+        dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
+        for e in verify.REGISTRY
+    )
+    monkeypatch.setattr(verify, "REGISTRY", stubbed)
+
+
+class TestCertificatesCanFail:
+    @pytest.mark.parametrize(
+        "mutate,target",
+        [
+            (_nan_product_bound, "product-sharpness"),
+            (_nan_product_bound, "qc-k1-reduction"),
+            (_nan_lemma_f_c_mid, "fc-decreasing"),
+            (_nan_rho_disk, "crossratio-distance"),
+            (_nan_rho_disk, "midpoint"),
+            (_nan_rho_disk, "chord-midpoint-circle"),
+            (_nan_rho_disk, "hyperbolic-mean-bound"),
+            (_no_sub_check, "distortion-bracket"),
+        ],
+    )
+    def test_mutation_fails_and_verify_exits_1(self, monkeypatch, capsys, mutate, target):
+        mutate(monkeypatch)
+        monkeypatch.setattr(verify, "REGISTRY", tuple(e for e in verify.REGISTRY if e.name == target))
+        assert main(["verify", "--json"]) == 1
+        (cert,) = _strict_json(capsys.readouterr().out)["certificates"]
+        assert cert["spec"]["target"] == target
+        assert cert["passed"] is False
+
+    def test_yes_no_checks_leave_the_margin_open(self, monkeypatch, capsys):
+        # qc-ml-exceeds-one records only yes/no sub-checks: its margin is
+        # +inf, which the JSON report writes as null
+        entry = next(e for e in REGISTRY if e.name == "qc-ml-exceeds-one")
+        cert = run_sweep(SweepSpec(entry.target, 50))
+        assert cert.passed and cert.margin == math.inf
+        monkeypatch.setattr(verify, "REGISTRY", (entry,))
+        assert main(["verify", "--json"]) == 0
+        assert _strict_json(capsys.readouterr().out)["certificates"][0]["margin"] is None
 
 
 class TestHalton:
