@@ -38,9 +38,10 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _gap_line(label: str, gap: float, bound: float) -> str:
-    """The gap to `bound`, flagged as equality within _EQ_TOL relative to it."""
-    flag = "  [equality]" if abs(gap) <= _EQ_TOL * abs(bound) else ""
+def _gap_line(label: str, gap: float, rel_gap: float) -> str:
+    """The gap to a bound, flagged as equality when the gap relative to the
+    bound, `rel_gap`, is within _EQ_TOL."""
+    flag = "  [equality]" if abs(rel_gap) <= _EQ_TOL else ""
     return f"{label}: {gap:.17g}{flag}"
 
 
@@ -59,31 +60,34 @@ def _parse_point(text: str) -> complex:
 def cmd_lambert(args) -> int:
     prod = lam.product_report(args.L, args.theta)
     total = lam.sum_bounds(args.L, args.theta)
-    q = lam.lambert_from(args.L, args.theta)
+    d1, d2 = lam.side_distances(args.L, args.theta)
+    phi = lam.beardon_phi(d1, d2)
     if args.json:
         _emit_json(
             {
-                "d1": q.d1,
-                "d2": q.d2,
-                "phi": q.phi,
+                "d1": d1,
+                "d2": d2,
+                "phi": phi,
                 "product": prod.to_dict(),
                 "sum": total.to_dict(),
             }
         )
     else:
         print(f"Lambert quadrilateral  L={args.L:.17g}  theta={args.theta:.17g}")
-        print(f"d1 = {q.d1:.17g}")
-        print(f"d2 = {q.d2:.17g}")
-        print(f"phi = {q.phi:.17g}")
+        print(f"d1 = {d1:.17g}")
+        print(f"d2 = {d2:.17g}")
+        print(f"phi = {phi:.17g}")
         print(f"d1*d2 = {prod.observed:.17g}  bound = {prod.upper:.17g}")
-        print(_gap_line("product gap", prod.upper - prod.observed, prod.upper))
+        # the bound's square root: d1*d2 and the bound underflow below L ~ 1e-154
+        root = lam.arth(lam.SQRT2 / 2.0 * args.L)
+        print(_gap_line("product gap", prod.upper - prod.observed, 1.0 - (d1 / root) * (d2 / root)))
         print(
             f"d1+d2 = {total.observed:.17g}  range = [{total.lower:.17g}, "
             f"{total.upper:.17g}]  ({total.case_label})"
         )
-        print(_gap_line("sum gap to lower", total.observed - total.lower, total.lower))
+        print(_gap_line("sum gap to lower", total.observed - total.lower, total.observed / total.lower - 1.0))
         if math.isfinite(total.upper):
-            print(_gap_line("sum gap to upper", total.upper - total.observed, total.upper))
+            print(_gap_line("sum gap to upper", total.upper - total.observed, 1.0 - total.observed / total.upper))
     return 0 if (prod.satisfied and total.satisfied) else 1
 
 
@@ -116,9 +120,9 @@ def cmd_ideal(args) -> int:
         print(f"d1 = {d1:.17g}")
         print(f"d2 = {d2:.17g}")
         print(f"d1*d2 = {product:.17g}  bound = {lam.IDEAL_PRODUCT_BOUND:.17g}")
-        print(_gap_line("product gap", lam.IDEAL_PRODUCT_BOUND - product, lam.IDEAL_PRODUCT_BOUND))
+        print(_gap_line("product gap", lam.IDEAL_PRODUCT_BOUND - product, 1.0 - product / lam.IDEAL_PRODUCT_BOUND))
         print(f"d1+d2 = {total:.17g}  bound = {lam.IDEAL_SUM_BOUND:.17g}")
-        print(_gap_line("sum gap", total - lam.IDEAL_SUM_BOUND, lam.IDEAL_SUM_BOUND))
+        print(_gap_line("sum gap", total - lam.IDEAL_SUM_BOUND, total / lam.IDEAL_SUM_BOUND - 1.0))
     return 0 if ok else 1
 
 

@@ -126,13 +126,16 @@ def product_bound(L: float) -> float:
 
 
 def product_report(L: float, theta: float | None = None) -> BoundReport:
+    """The product bound at L, and d1*d2 at theta checked against it with a
+    slack of 1e-12 relative to the bound."""
     bound = product_bound(L)
     observed = None
     satisfied = True
     if theta is not None:
-        q = lambert_from(L, theta)
-        observed = q.d1 * q.d2
-        satisfied = observed <= bound + 1e-12
+        _check_theta(theta)
+        d1, d2 = side_distances(L, theta)
+        observed = d1 * d2
+        satisfied = observed <= bound + 1e-12 * bound
     return BoundReport(
         quantity="product",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
@@ -152,7 +155,8 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     L exactly at sqrt(2/3) goes to case 1 and exactly at sqrt(2(sqrt2-1))
     to case 3, matching the half-open case intervals. Lower bounds in
     cases 1 and 2 are open (approached as theta -> 0 or pi/2) and carry
-    no equality witness.
+    no equality witness. d1 + d2 at theta is checked against the range with
+    a slack of 1e-12 relative to each end.
     """
     _check_L(L)
     rng = g_range(L)
@@ -160,9 +164,10 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     observed = None
     satisfied = True
     if theta is not None:
-        q = lambert_from(L, theta)
-        observed = q.d1 + q.d2
-        satisfied = rng.lower - 1e-12 <= observed <= rng.upper + 1e-12
+        _check_theta(theta)
+        d1, d2 = side_distances(L, theta)
+        observed = d1 + d2
+        satisfied = rng.lower - 1e-12 * rng.lower <= observed <= rng.upper + 1e-12 * rng.upper
     return BoundReport(
         quantity="sum",
         params={"L": L} | ({} if theta is None else {"theta": theta}),

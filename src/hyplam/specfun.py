@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
 from .optimize import refine_grid_max
 
@@ -58,12 +60,13 @@ def arth_complement(r: float) -> float:
     return _arth_cx(1.0, rprime(r), r)
 
 
-def holder_mean(p: float, r: float, s: float) -> float:
-    """Power mean of order p; geometric mean at p = 0."""
-    if r <= 0.0 or s <= 0.0:
+def holder_mean(p: float, r: float | np.ndarray, s: float | np.ndarray):
+    """Power mean of order p, elementwise for arrays r and s; geometric mean
+    at p = 0. A NaN argument gives NaN."""
+    if (np.minimum(r, s) <= 0.0).any():
         raise DomainError("holder_mean needs positive arguments")
     if p == 0.0:
-        return math.sqrt(r * s)
+        return np.sqrt(r * s)
     return ((r**p + s**p) / 2.0) ** (1.0 / p)
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hyplam import SweepSpec, run_sweep
+from hyplam import SweepSpec, lambert, run_sweep
 from hyplam.cli import _sweep_rows, build_parser, main
 
 PI4 = "0.7853981633974483"
@@ -32,12 +32,21 @@ class TestLambert:
             assert code == 0
             return {line.split(":")[0] for line in out.splitlines() if "[equality]" in line}
 
-        # d1 + d2 = 1.357e-300 lies strictly inside [1e-300, 1.414e-300]
-        assert flagged("lambert", "--L", "1e-300", "--theta", "0.5").isdisjoint(
-            {"sum gap to lower", "sum gap to upper"}
-        )
+        # d1 + d2 = 1.357e-300 lies strictly inside [1e-300, 1.414e-300], and
+        # d1 d2 = 4.2e-601 lies 16% below the bound 5e-601, though both
+        # underflow to 0
+        assert flagged("lambert", "--L", "1e-300", "--theta", "0.5") == set()
+        assert "product gap" in flagged("lambert", "--L", "1e-300", "--theta", PI4)
         assert flagged("lambert", "--L", "0.8", "--theta", PI4) == {"product gap", "sum gap to upper"}
         assert flagged("ideal", "--alpha", PI4) == {"product gap", "sum gap"}
+
+    def test_small_L_violation_exits_1(self, capsys, monkeypatch):
+        # the product bound at L = 1e-6 is 5e-13: the report's slack is
+        # relative to it, so a bound 0.1% too low is a violation
+        assert run(capsys, "lambert", "--L", "1e-6", "--theta", PI4)[0] == 0
+        original = lambert.product_bound
+        monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * (1.0 - 1e-3))
+        assert run(capsys, "lambert", "--L", "1e-6", "--theta", PI4)[0] == 1
 
     def test_L1_sum_sits_on_lower_bound(self, capsys):
         code, out, _ = run(capsys, "lambert", "--L", "1", "--theta", PI4)

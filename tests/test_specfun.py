@@ -52,6 +52,16 @@ class TestBasics:
         assert holder_mean(-1.0, r, s) <= holder_mean(0.0, r, s) + 1e-14
         assert holder_mean(0.0, r, s) <= holder_mean(1.0, r, s) + 1e-14
 
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 1.5])
+    def test_holder_mean_on_arrays(self, p):
+        # elementwise equal to the scalar mean; NaN passes through, zero does not
+        r, s = np.array([0.1, 0.5, 0.9]), np.array([0.7, 0.2, 0.9])
+        expected = [holder_mean(p, float(a), float(b)) for a, b in zip(r, s)]
+        np.testing.assert_allclose(holder_mean(p, r, s), expected, rtol=1e-15)
+        assert math.isnan(holder_mean(p, math.nan, 0.5))
+        with pytest.raises(DomainError):
+            holder_mean(p, r, np.array([0.7, 0.0, 0.9]))
+
     def test_agm_between_inputs(self):
         v = agm(1.0, 0.25)
         assert 0.25 < v < 1.0

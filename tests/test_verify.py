@@ -209,6 +209,53 @@ class TestCertificatesCanFail:
         assert _strict_json(capsys.readouterr().out)["certificates"][0]["margin"] is None
 
 
+class TestChecker:
+    def test_observed_is_the_largest_finite_deviation(self):
+        chk = verify._Checker()
+        chk.require(-1.0, 1.0, (0.0,))
+        assert chk.observed() == (0.0, (0.0,))
+        chk.require(0.25, 1.0, (1.0,))
+        chk.require(0.5, 2.0, (2.0,))
+        chk.require(0.125, 1.0, (3.0,))
+        # the witness is the smallest slack's, 1 - 0.25, not the largest deviation's
+        assert chk.observed() == (0.5, (1.0,))
+
+    def test_yes_no_checks_are_never_observed(self):
+        chk = verify._Checker()
+        chk.require_true(True)
+        chk.require_true(False, (1.0,))
+        assert chk.observed() == (0.0, (1.0,))
+        chk.require(0.5, 1.0)
+        assert chk.observed() == (0.5, (1.0,)) and chk.margin == -math.inf
+
+    def test_located_extremum_stands(self):
+        chk = verify._Checker()
+        chk.require(1.0, 2.0)
+        chk.locate(0.75, (7.0,))
+        chk.require(10.0, 20.0, (8.0,))
+        assert chk.observed() == (0.75, (7.0,))
+
+    def test_empty_located_witness_falls_back_to_the_smallest_slack(self):
+        chk = verify._Checker()
+        chk.require(0.1, 1.0, (1.0,))
+        chk.require(0.1, 0.2, (2.0,))
+        chk.locate(3.0)
+        chk.require(0.1, 0.5, (3.0,))
+        assert chk.observed() == (3.0, (2.0,))
+
+    def test_nan_deviation_fails_and_is_not_observed(self, monkeypatch):
+        def sweep(spec, chk):
+            chk.require(0.5, 1.0, (1.0,))
+            chk.require(math.nan, 1.0, (2.0,))
+            chk.require(0.25, 1.0, (3.0,))
+
+        entry = dataclasses.replace(REGISTRY[0], sweep=sweep)
+        monkeypatch.setattr(verify, "REGISTRY", (entry,))
+        cert = run_sweep(SweepSpec(entry.name, 10))
+        assert not cert.passed and math.isnan(cert.margin)
+        assert (cert.observed_extremum, cert.witness) == (0.5, (2.0,))
+
+
 class TestHalton:
     @pytest.mark.parametrize("dim", [2, 3, 12])
     @pytest.mark.parametrize("n", [1, 64, 2000])
