@@ -5,6 +5,14 @@ transform). Geodesics are diameters or arcs of circles orthogonal to the
 unit circle. A numerical geodesic-to-geodesic distance oracle is provided;
 it deliberately works by a nested bracket search over sampled points so it
 stays independent of any closed-form distance it is used to check.
+
+One numeric core serves both scalar and array callers: the private kernels
+below (the boundary snap, the chordal distance, rho, Moebius application,
+the arc through two points and the midpoint) take complex scalars or complex
+ndarrays. `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API;
+`rho_disk`, `rho_halfplane`, `absolute_ratio`, `rho_via_crossratio`,
+`hyperbolic_midpoint` and `MoebiusMap.__call__` also take complex ndarrays
+of finite points and return ndarrays, row by row under the scalar rules.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from .errors import DegenerateInputError, DomainError
 _BOUNDARY_SNAP = 64 * 2.0**-52
 _COLLINEAR_TOL = 1e-12
 _PARAM_MARGIN = 1e-9
+#: the six pairs of four points, in the order ab, ac, ad, bc, bd, cd
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 class PointKind(Enum):
@@ -52,16 +62,128 @@ class Point:
         """Coerce a complex/float/Point; snaps near-unit moduli to the circle."""
         if isinstance(value, Point):
             return value
-        z = complex(value)
-        r = abs(z)
-        if abs(r - 1.0) <= _BOUNDARY_SNAP:
-            z /= r
-            return Point(z.real, z.imag, PointKind.BOUNDARY)
-        return Point(z.real, z.imag, PointKind.INTERIOR)
+        z, on = _snap(complex(value))
+        return Point(z.real, z.imag, PointKind.BOUNDARY if on else PointKind.INTERIOR)
 
     @staticmethod
     def infinity() -> "Point":
         return Point(0.0, 0.0, PointKind.INFINITY)
+
+
+# ---------------------------------------------------------------------------
+# Kernels: complex scalars or complex ndarrays of finite points
+
+
+def _is_rows(*values) -> bool:
+    """True if any argument is an ndarray: the call then works row by row."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return True
+    return False
+
+
+def _sqrt(x):
+    """math.sqrt on a scalar, np.sqrt on an array: a scalar stays a Python float."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _abs(z):
+    """|z| by hypot, on an array too, as Python's abs computes it: numpy's
+    complex abs rounds differently, and rho amplifies that near the circle."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _snap(z):
+    """z with every point within 64 ulp of the unit circle moved onto it, and
+    where that happened (a bool for a scalar, a mask for an array)."""
+    r = _abs(z)
+    on = abs(r - 1.0) <= _BOUNDARY_SNAP
+    if isinstance(on, np.ndarray):
+        return np.where(on, z / np.where(on, r, 1.0), z), on
+    return (z / r if on else z), on
+
+
+def _chordal_norm(z):
+    """sqrt(1 + |z|^2): the chordal distance of z and w is |z - w| / (n(z) n(w)),
+    and that of z and infinity 1 / n(z)."""
+    return _sqrt(1.0 + _abs(z) ** 2)
+
+
+def _chordal(z, w, nz, nw):
+    """Chordal distance of two points given with their _chordal_norm; None
+    stands for the point at infinity (scalars only)."""
+    if z is None:
+        return 0.0 if w is None else 1.0 / nw
+    if w is None:
+        return 1.0 / nz
+    return _abs(z - w) / (nz * nw)
+
+
+def _disk_factor(z, w):
+    """sqrt((1 - |z|^2)(1 - |w|^2)), written so as not to cancel near the circle."""
+    az, aw = _abs(z), _abs(w)
+    return _sqrt((1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw))
+
+
+def _rho(z, w):
+    """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points."""
+    return 2.0 * np.arcsinh(_abs(z - w) / _disk_factor(z, w))
+
+
+def _moebius(a, b, c, d, z):
+    """(a z + b) / (c z + d); the coefficients may be per-row arrays."""
+    return (a * z + b) / (c * z + d)
+
+
+def _arc(z1, z2):
+    """Center, radius and the two (unsnapped) circle endpoints of the
+    geodesic arc through two points not collinear with 0: the circle through
+    them orthogonal to the unit circle."""
+    cross = z1.real * z2.imag - z1.imag * z2.real
+    center = 1j * (z2 * (1.0 + _abs(z1) ** 2) - z1 * (1.0 + _abs(z2) ** 2)) / (2.0 * (-cross))
+    radius = (_abs(z1 - z2) * _abs(z1 * _abs(z2) ** 2 - z2)) / (2.0 * _abs(z2) * abs(cross))
+    conj = center.conjugate()
+    return center, radius, (1.0 + 1j * radius) / conj, (1.0 - 1j * radius) / conj
+
+
+def _midpoint(z, w):
+    """The (unsnapped) hyperbolic midpoint of interior points.
+
+    The automorphism z -> 0 sends w to u = (w - z) / (1 - conj(z) w); the
+    midpoint of [0, u] is u / (1 + sqrt(1 - |u|^2)), which halves 2 arth|u|;
+    the inverse map sends it back. 1 - |u|^2 is taken from the identity
+    (1 - |z|^2)(1 - |w|^2) / |1 - conj(z) w|^2, which does not cancel when u
+    is near the circle.
+    """
+    den = 1.0 - z.conjugate() * w
+    u = (w - z) / den
+    u_prime = _disk_factor(z, w) / _abs(den)
+    return _moebius(1.0, z, z.conjugate(), 1.0, u / (1.0 + u_prime))
+
+
+def _rows(value):
+    """A complex ndarray, snapped like Point.of, and where it snapped."""
+    return _snap(np.asarray(value, dtype=complex))
+
+
+def _interior_rows(what: str, *values) -> list:
+    """The values as snapped complex ndarrays; DomainError unless every row
+    is strictly inside the unit disk."""
+    out = []
+    for value in values:
+        z, on = _rows(value)
+        if (on | (abs(z) > 1.0)).any():
+            raise DomainError(f"{what} needs interior points")
+        out.append(z)
+    return out
+
+
+def _interior_points(what: str, *values) -> list["Point"]:
+    """As _interior_rows, for scalars: the values as interior Points."""
+    pts = [Point.of(v) for v in values]
+    if any(p.kind is not PointKind.INTERIOR or abs(p.z) > 1.0 for p in pts):
+        raise DomainError(f"{what} needs interior points")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -70,34 +192,40 @@ class Point:
 
 def chordal_distance(x, y) -> float:
     """Metric of the Riemann sphere pulled back to the plane."""
-    px, py = Point.of(x), Point.of(y)
-    if px.is_infinity and py.is_infinity:
-        return 0.0
-    if px.is_infinity:
-        return 1.0 / math.sqrt(1.0 + abs(py.z) ** 2)
-    if py.is_infinity:
-        return 1.0 / math.sqrt(1.0 + abs(px.z) ** 2)
-    return abs(px.z - py.z) / (
-        math.sqrt(1.0 + abs(px.z) ** 2) * math.sqrt(1.0 + abs(py.z) ** 2)
-    )
+    zs = [None if p.is_infinity else p.z for p in (Point.of(x), Point.of(y))]
+    return _chordal(*zs, *(None if z is None else _chordal_norm(z) for z in zs))
 
 
-def absolute_ratio(a, b, c, d) -> float:
+def absolute_ratio(a, b, c, d):
     """Moebius-invariant cross ratio built from chordal distances.
 
     Always evaluated through the chordal metric so that points at infinity
-    need no special casing.
+    need no special casing. On complex ndarrays of finite points, row by row.
     """
-    pts = [Point.of(p) for p in (a, b, c, d)]
-    dists = [chordal_distance(p, q) for p, q in itertools.combinations(pts, 2)]
-    if 0.0 in dists:
+    rows = _is_rows(a, b, c, d)
+    if rows:
+        zs = [_rows(p)[0] for p in (a, b, c, d)]
+    else:
+        zs = [None if p.is_infinity else p.z for p in map(Point.of, (a, b, c, d))]
+    norms = [None if z is None else _chordal_norm(z) for z in zs]
+    dists = [_chordal(zs[i], zs[j], norms[i], norms[j]) for i, j in _PAIRS]
+    coincident = any((q == 0.0).any() for q in dists) if rows else 0.0 in dists
+    if coincident:
         raise DegenerateInputError("absolute ratio needs four distinct points")
     ab, ac, _, _, bd, cd = dists
     return (ac * bd) / (ab * cd)
 
 
-def rho_disk(x, y) -> float:
-    """Hyperbolic distance in the unit disk; infinite if an endpoint is on the circle."""
+def rho_disk(x, y):
+    """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
+    circle (0 between equal points there). On ndarrays, row by row."""
+    if _is_rows(x, y):
+        (z, z_on), (w, w_on) = _rows(x), _rows(y)
+        on = z_on | w_on
+        if (~on & ((abs(z) > 1.0) | (abs(w) > 1.0))).any():
+            raise DomainError("rho_disk needs points in the closed unit disk")
+        inner = _rho(np.where(on, 0.0, z), np.where(on, 0.0, w))
+        return np.where(on, np.where(z_on & w_on & (z == w), 0.0, math.inf), inner)
     px, py = Point.of(x), Point.of(y)
     if px.is_infinity or py.is_infinity:
         raise DomainError("rho_disk is undefined at infinity")
@@ -110,20 +238,22 @@ def rho_disk(x, y) -> float:
     return float(_rho(px.z, py.z))
 
 
-def _rho(z, w):
-    """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points;
-    complex scalars or numpy arrays."""
-    az, aw = abs(z), abs(w)
-    return 2.0 * np.arcsinh(abs(z - w) / np.sqrt((1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw)))
-
-
-def rho_halfplane(x, y) -> float:
-    """Hyperbolic distance in the upper half plane (cosh formula)."""
-    px, py = Point.of(x), Point.of(y)
-    if px.is_infinity or py.is_infinity or px.im <= 0.0 or py.im <= 0.0:
-        raise DomainError("rho_halfplane needs points with positive imaginary part")
-    arg = 1.0 + abs(px.z - py.z) ** 2 / (2.0 * px.im * py.im)
-    return math.acosh(arg)
+def rho_halfplane(x, y):
+    """Hyperbolic distance in the upper half plane: sinh(rho/2) =
+    |x - y| / (2 sqrt(Im x Im y)), which neither cancels between near
+    points, as 1 + |x - y|^2 / (2 Im x Im y) in arcosh does, nor underflows
+    for tiny imaginary parts. On ndarrays, row by row."""
+    if _is_rows(x, y):
+        z, w = _rows(x)[0], _rows(y)[0]
+        if ((z.imag <= 0.0) | (w.imag <= 0.0)).any():
+            raise DomainError("rho_halfplane needs points with positive imaginary part")
+    else:
+        px, py = Point.of(x), Point.of(y)
+        if px.is_infinity or py.is_infinity or px.im <= 0.0 or py.im <= 0.0:
+            raise DomainError("rho_halfplane needs points with positive imaginary part")
+        z, w = px.z, py.z
+    rho = 2.0 * np.arcsinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
+    return rho if isinstance(rho, np.ndarray) else float(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +299,7 @@ def geodesic_through(x, y) -> Geodesic:
             direction=direction,
             endpoints=(Point.of(e), Point.of(-e)),
         )
-    # circle orthogonal to the unit circle through z1, z2
-    center = 1j * (z2 * (1.0 + abs(z1) ** 2) - z1 * (1.0 + abs(z2) ** 2)) / (2.0 * (-cross))
-    radius = (abs(z1 - z2) * abs(z1 * abs(z2) ** 2 - z2)) / (2.0 * abs(z2) * abs(cross))
-    e1 = (1.0 + 1j * radius) / center.conjugate()
-    e2 = (1.0 - 1j * radius) / center.conjugate()
+    center, radius, e1, e2 = _arc(z1, z2)
     return Geodesic(
         kind=GeodesicKind.ARC,
         center=center,
@@ -250,19 +376,35 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
     return 0.0 if best < tol else best
 
 
-def rho_via_crossratio(x, y) -> float:
-    """Distance as log of the absolute ratio with the geodesic endpoints."""
-    px, py = Point.of(x), Point.of(y)
-    if px.kind is not PointKind.INTERIOR or py.kind is not PointKind.INTERIOR:
-        raise DomainError("rho_via_crossratio needs interior points")
-    g = geodesic_through(px, py)
-    e1, e2 = g.endpoints
-    # label so that e_x, x, y, e_y occur in order along the geodesic
-    if abs(e1.z - px.z) <= abs(e1.z - py.z):
-        x_star, y_star = e1, e2
-    else:
-        x_star, y_star = e2, e1
-    return math.log(absolute_ratio(x_star, px, py, y_star))
+def _geodesic_ends(z1, z2):
+    """The snapped circle endpoints of the geodesics through rows of distinct
+    points, as geodesic_through finds them."""
+    arc = ~(abs(z1.real * z2.imag - z1.imag * z2.real) < _COLLINEAR_TOL)
+    e1, e2 = np.empty_like(z1), np.empty_like(z2)
+    _, _, a1, a2 = _arc(z1[arc], z2[arc])
+    e1[arc], e2[arc] = _snap(a1)[0], _snap(a2)[0]
+    for i in np.flatnonzero(~arc):  # diameters: rare, so one scalar call each
+        e1[i], e2[i] = (p.z for p in geodesic_through(z1[i], z2[i]).endpoints)
+    return e1, e2
+
+
+def rho_via_crossratio(x, y):
+    """Distance as log of the absolute ratio with the geodesic endpoints. On
+    ndarrays, row by row."""
+    if _is_rows(x, y):
+        z, w = _interior_rows("rho_via_crossratio", x, y)
+        z, w = np.broadcast_arrays(z, w)
+        if (z == w).any():
+            raise DegenerateInputError("coincident points define no geodesic")
+        e1, e2 = _geodesic_ends(z, w)
+        # label so that e_x, x, y, e_y occur in order along the geodesic
+        swap = ~(_abs(e1 - z) <= _abs(e1 - w))
+        return np.log(absolute_ratio(np.where(swap, e2, e1), z, w, np.where(swap, e1, e2)))
+    px, py = _interior_points("rho_via_crossratio", x, y)
+    e1, e2 = geodesic_through(px, py).endpoints
+    if not abs(e1.z - px.z) <= abs(e1.z - py.z):
+        e1, e2 = e2, e1
+    return math.log(absolute_ratio(e1, px, py, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +422,22 @@ class MoebiusMap:
         if abs(self.a * self.d - self.b * self.c) <= 1e-14:
             raise DegenerateInputError("Moebius map has (near-)zero determinant")
 
-    def __call__(self, z) -> Point:
+    def __call__(self, z):
+        """The image Point; on a complex ndarray, the snapped image of each
+        row, and DomainError if a row maps to infinity."""
+        if isinstance(z, np.ndarray):
+            z = _rows(z)[0]
+            if (abs(self.c * z + self.d) < 1e-300).any():
+                raise DomainError("a row maps to infinity, which has no finite coordinate")
+            return _snap(_moebius(self.a, self.b, self.c, self.d, z))[0]
         p = Point.of(z)
         if p.is_infinity:
             if abs(self.c) == 0.0:
                 return Point.infinity()
             return Point.of(self.a / self.c)
-        denom = self.c * p.z + self.d
-        if abs(denom) < 1e-300:
+        if abs(self.c * p.z + self.d) < 1e-300:
             return Point.infinity()
-        return Point.of((self.a * p.z + self.b) / denom)
+        return Point.of(_moebius(self.a, self.b, self.c, self.d, p.z))
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
@@ -324,17 +472,11 @@ class MoebiusMap:
 # Midpoints
 
 
-def hyperbolic_midpoint(x, y) -> Point:
-    """Point p on the segment from x to y with rho(x,p) = rho(p,y)."""
-    px, py = Point.of(x), Point.of(y)
-    if px.kind is not PointKind.INTERIOR or py.kind is not PointKind.INTERIOR:
-        raise DomainError("hyperbolic midpoint needs interior points")
-    if px.z == py.z:
-        return px
-    to_zero = MoebiusMap.disk_automorphism(px.z)
-    w = to_zero(py.z).z
-    # midpoint of [0, w]: halve the distance 2 arth|w|
-    aw = abs(w)
-    t = aw / (1.0 + math.sqrt(1.0 - aw * aw))
-    mid0 = t * w / aw
-    return to_zero.inverse()(mid0)
+def hyperbolic_midpoint(x, y):
+    """Point p on the segment from x to y with rho(x,p) = rho(p,y). On
+    ndarrays, the complex midpoint of each row."""
+    if _is_rows(x, y):
+        z, w = _interior_rows("hyperbolic midpoint", x, y)
+        return _snap(_midpoint(z, w))[0]
+    px, py = _interior_points("hyperbolic midpoint", x, y)
+    return Point.of(_midpoint(px.z, py.z))

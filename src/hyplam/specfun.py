@@ -60,11 +60,15 @@ def arth_complement(r: float) -> float:
     return _arth_cx(1.0, rprime(r), r)
 
 
-def holder_mean(p: float, r: float | np.ndarray, s: float | np.ndarray):
-    """Power mean of order p, elementwise for arrays r and s; geometric mean
-    at p = 0. A NaN argument gives NaN."""
+def holder_mean(p: float | np.ndarray, r: float | np.ndarray, s: float | np.ndarray):
+    """Power mean of order p, elementwise for arrays p, r and s; geometric
+    mean where p = 0. A NaN argument gives NaN."""
     if (np.minimum(r, s) <= 0.0).any():
         raise DomainError("holder_mean needs positive arguments")
+    if isinstance(p, np.ndarray):
+        geometric = p == 0.0
+        q = np.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
+        return np.where(geometric, np.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
     if p == 0.0:
         return np.sqrt(r * s)
     return ((r**p + s**p) / 2.0) ** (1.0 / p)

@@ -31,6 +31,9 @@ from . import qcbounds as qcb
 from .errors import ConfigurationError
 from .geometry import (
     MoebiusMap,
+    _arc,
+    _moebius,
+    _snap,
     absolute_ratio,
     geodesic_distance,
     geodesic_through,
@@ -190,6 +193,7 @@ class _Checker:
         self._largest = 0.0
         self._located: tuple[float, tuple] | None = None
         self._ran = False
+        self._count = 0  # sub-checks run
 
     def require(self, deviation: float, allowance: float, witness: tuple = ()):
         slack = allowance - deviation
@@ -198,6 +202,32 @@ class _Checker:
         if self._largest < deviation < math.inf:
             self._largest = deviation
         self._ran = True
+        self._count += 1
+
+    def require_all(self, deviations, allowances, witnesses):
+        """``require`` once per row, in row order, with the same outcome.
+
+        ``witnesses`` is a (rows, fields) array, one witness per row;
+        ``deviations`` and ``allowances`` broadcast to its rows. The first
+        smallest slack stands unless a slack is NaN, and then the last NaN
+        does.
+        """
+        witnesses = np.asarray(witnesses, dtype=float)
+        rows = len(witnesses)
+        if rows == 0:
+            return
+        deviations = np.broadcast_to(deviations, (rows,))
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN slack, as in require
+            slack = np.broadcast_to(allowances, (rows,)) - deviations
+        nan = np.flatnonzero(np.isnan(slack))
+        i = nan[-1] if nan.size else int(np.argmin(slack))
+        if nan.size or not self._ran or slack[i] < self.margin:
+            self.margin, self._witness = float(slack[i]), tuple(witnesses[i].tolist())
+        finite = deviations[deviations < math.inf]
+        if finite.size and finite.max() > self._largest:
+            self._largest = float(finite.max())
+        self._ran = True
+        self._count += rows
 
     def require_true(self, ok: bool, witness: tuple = ()):
         """A yes/no sub-check: a pass leaves the margin as it is, and neither
@@ -256,6 +286,21 @@ def _halton(n: int, dim: int, seed: int) -> np.ndarray:
     return out.T
 
 
+#: rows per array call in the sweeps that check pairs of points: bounds the
+#: temporaries, and so the peak memory, of the thorough profile
+_BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Slices of at most _BLOCK rows that cover range(n) in order."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _coords(*zs) -> np.ndarray:
+    """The (rows, 2 len(zs)) witness array re z, im z, ... of complex rows."""
+    return np.column_stack([part for z in zs for part in (z.real, z.imag)])
+
+
 def _disk_points(n: int, seed: int, rmax: float = 0.98) -> np.ndarray:
     u = _halton(n, 2, seed)
     radius = rmax * np.sqrt(u[:, 0])
@@ -270,52 +315,54 @@ def _disk_points(n: int, seed: int, rmax: float = 0.98) -> np.ndarray:
 @claim("arc-orthogonality", "arc geodesics meet the unit circle at right angles")
 def _t_arc_orthogonality(spec: SweepSpec, chk: _Checker):
     pts = _disk_points(2 * spec.grid_size, default_seed())
-    for z1, z2 in zip(pts[::2], pts[1::2]):
+    for rows in _blocks(spec.grid_size):
+        z1, z2 = pts[::2][rows], pts[1::2][rows]
         cross = z1.real * z2.imag - z1.imag * z2.real
         # near-collinear pairs give huge carrier circles where the
         # orthogonality residual is numerically meaningless
-        if abs(z1 - z2) < 1e-6 or abs(cross) < 1e-3:
-            continue
-        g = geodesic_through(z1, z2)
-        if g.radius == 0.0:
-            continue
-        scale = 1.0 + abs(g.center) ** 2
-        dev = abs(abs(g.center) ** 2 - g.radius**2 - 1.0) / scale
-        for e in g.endpoints:
-            dev = max(dev, abs(abs(e.z) - 1.0), abs(abs(e.z - g.center) - g.radius))
-        dev = max(dev, 0.0 if g.carrier_contains(complex(z1), tol=1e-9) else 1.0)
-        chk.require(dev, 1e-9, (z1.real, z1.imag, z2.real, z2.imag))
+        keep = (abs(z1 - z2) >= 1e-6) & (abs(cross) >= 1e-3)
+        z1, z2 = z1[keep], z2[keep]
+        center, radius, e1, e2 = _arc(z1, z2)
+        arc = radius != 0.0
+        z1, z2, center, radius, e1, e2 = z1[arc], z2[arc], center[arc], radius[arc], e1[arc], e2[arc]
+        dev = abs(abs(center) ** 2 - radius**2 - 1.0) / (1.0 + abs(center) ** 2)
+        for e in (_snap(e1)[0], _snap(e2)[0]):
+            dev = np.maximum(dev, np.maximum(abs(abs(e) - 1.0), abs(abs(e - center) - radius)))
+        # z1 lies on the carrier circle
+        dev = np.maximum(dev, np.where(abs(abs(z1 - center) - radius) <= 1e-9, 0.0, 1.0))
+        chk.require_all(dev, 1e-9, _coords(z1, z2))
 
 
 @claim("crossratio-distance", "log cross-ratio with geodesic endpoints equals the disk metric")
 def _t_crossratio_distance(spec: SweepSpec, chk: _Checker):
     pts = _disk_points(2 * spec.grid_size, default_seed() + 1)
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        if abs(z1 - z2) < 1e-9:
-            continue
+    for rows in _blocks(spec.grid_size):
+        z1, z2 = pts[::2][rows], pts[1::2][rows]
+        keep = abs(z1 - z2) >= 1e-9
+        z1, z2 = z1[keep], z2[keep]
         dev = abs(rho_via_crossratio(z1, z2) - rho_disk(z1, z2))
         cross = z1.real * z2.imag - z1.imag * z2.real
-        allowance = 1e-10 if abs(cross) >= 1e-3 else 1e-7
-        chk.require(dev, allowance, (z1.real, z1.imag, z2.real, z2.imag))
+        chk.require_all(dev, np.where(abs(cross) >= 1e-3, 1e-10, 1e-7), _coords(z1, z2))
 
 
 @claim("crossratio-invariance", "the absolute ratio is Moebius invariant")
 def _t_crossratio_invariance(spec: SweepSpec, chk: _Checker):
-    n = spec.grid_size
-    u = _halton(n, 12, default_seed() + 2)
-    for row in u:
-        quad = [complex(4 * a - 2, 4 * b - 2) for a, b in zip(row[0:8:2], row[1:8:2])]
-        if min(abs(p - q) for i, p in enumerate(quad) for q in quad[i + 1 :]) < 1e-3:
-            continue
-        coeffs = [complex(2 * a - 1, 2 * b - 1) for a, b in zip(row[8::2], row[9::2])]
-        a_m, b_m, c_m = 1.0 + coeffs[0], coeffs[1], 0.2 * coeffs[0].conjugate()
-        if abs(a_m - b_m * c_m) < 1e-3:
-            continue
-        m = MoebiusMap(a_m, b_m, c_m, 1.0)
-        before = absolute_ratio(*quad)
-        after = absolute_ratio(*(m(z) for z in quad))
-        dev = abs(after - before)
-        chk.require(dev, 1e-9 * max(1.0, before), tuple(z.real for z in quad))
+    u = _halton(spec.grid_size, 12, default_seed() + 2)
+    for rows in _blocks(spec.grid_size):
+        row = u[rows]
+        quad = (4 * row[:, 0:8:2] - 2) + 1j * (4 * row[:, 1:8:2] - 2)
+        gap = np.min([abs(quad[:, i] - quad[:, j]) for i in range(4) for j in range(i + 1, 4)], axis=0)
+        coeffs = (2 * row[:, 8::2] - 1) + 1j * (2 * row[:, 9::2] - 1)
+        a_m, b_m, c_m = 1.0 + coeffs[:, 0], coeffs[:, 1], 0.2 * coeffs[:, 0].conjugate()
+        keep = (gap >= 1e-3) & (abs(a_m - b_m * c_m) >= 1e-3)
+        quad, a_m, b_m, c_m = quad[keep], a_m[keep, None], b_m[keep, None], c_m[keep, None]
+        # one map per row, so the kernel that MoebiusMap calls, which takes
+        # per-row coefficients; |c_m| <= 0.2 sqrt 2 puts the pole -1/c_m
+        # outside the square [-2, 2]^2 of the quad
+        image = _moebius(a_m, b_m, c_m, 1.0, quad)
+        before = absolute_ratio(*quad.T)
+        after = absolute_ratio(*image.T)
+        chk.require_all(abs(after - before), 1e-9 * np.maximum(1.0, before), quad.real)
 
 
 @claim("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance")
@@ -332,13 +379,13 @@ def _t_isometry(spec: SweepSpec, chk: _Checker):
         for a, b, c in mu
     ]
     cay = MoebiusMap.cayley()
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        base = rho_disk(z1, z2)
-        for m in maps:
-            dev = abs(rho_disk(m(z1), m(z2)) - base)
-            chk.require(dev, 1e-10, (z1.real, z1.imag, z2.real, z2.imag))
-        dev = abs(rho_halfplane(cay(z1), cay(z2)) - base)
-        chk.require(dev, 1e-10, (z1.real, z1.imag))
+    # n_pairs <= 1000 rows per call, so no blocks are needed
+    z1, z2 = pts[::2], pts[1::2]
+    base = rho_disk(z1, z2)
+    witness = _coords(z1, z2)
+    for m in maps:
+        chk.require_all(abs(rho_disk(m(z1), m(z2)) - base), 1e-10, witness)
+    chk.require_all(abs(rho_halfplane(cay(z1), cay(z2)) - base), 1e-10, witness[:, :2])
 
 
 def _chord_samples(n: int, seed: int):
@@ -360,13 +407,14 @@ def _chord_samples(n: int, seed: int):
 @claim("midpoint", "midpoint construction halves distances; chord cut is the midpoint of [0,b]")
 def _t_midpoint(spec: SweepSpec, chk: _Checker):
     pts = _disk_points(2 * spec.grid_size, default_seed() + 5)
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        if abs(z1 - z2) < 1e-9:
-            continue
+    for rows in _blocks(spec.grid_size):
+        z1, z2 = pts[::2][rows], pts[1::2][rows]
+        keep = abs(z1 - z2) >= 1e-9
+        z1, z2 = z1[keep], z2[keep]
         p = hyperbolic_midpoint(z1, z2)
         half = 0.5 * rho_disk(z1, z2)
-        dev = max(abs(rho_disk(z1, p) - half), abs(rho_disk(p, z2) - half))
-        chk.require(dev, 1e-10, (z1.real, z1.imag, z2.real, z2.imag))
+        dev = np.maximum(abs(rho_disk(z1, p) - half), abs(rho_disk(p, z2) - half))
+        chk.require_all(dev, 1e-10, _coords(z1, z2))
     # chord construction: b on the chord [c, d], a = [0,b] cut with the
     # geodesic between c and d; then rho(0,b) = 2 rho(0,a)
     for alpha, s_chord, b, a in _chord_samples(min(spec.grid_size, 200), default_seed() + 6):
@@ -566,19 +614,22 @@ def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker):
     def f(p, r):
         return holder_mean(p, arth(r), arth(rprime(r)))
 
+    # arth r and arth r' on the grid, once for every p
+    a_r = np.fromiter(map(arth, xs), float, n)
+    a_rp = np.fromiter((arth(rprime(r)) for r in xs), float, n)
     for p in (-1.0, -0.5, 0.0):
-        r_star, peak = refine_grid_max(lambda r: f(p, r), xs, [f(p, r) for r in xs], tol=1e-13)
+        r_star, peak = refine_grid_max(lambda r: f(p, r), xs, holder_mean(p, a_r, a_rp), tol=1e-13)
         chk.require(abs(peak - target), 1e-9, (p, r_star))
         chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
     for p in (threshold_C(), 1.0):
-        r_star, low = refine_grid_min(lambda r: f(p, r), xs, [f(p, r) for r in xs], tol=1e-13)
+        r_star, low = refine_grid_min(lambda r: f(p, r), xs, holder_mean(p, a_r, a_rp), tol=1e-13)
         chk.require(abs(low - target), 1e-9, (p, r_star))
         chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
     # intermediate p: the bound fails on both sides. Values above the
     # target only appear where arth r' is huge, i.e. at extremely small r,
     # so sample log-spaced radii with the cancellation-free complement.
     p_mid = 0.2
-    vals = np.array([f(p_mid, r) for r in xs])
+    vals = holder_mean(p_mid, a_r, a_rp)
     below = xs[vals < target - 1e-6]
     tiny = np.logspace(-30.0, -2.0, 300)
     above = tiny[
@@ -621,15 +672,12 @@ def _t_convexity_region(spec: SweepSpec, chk: _Checker):
 def _t_hyperbolic_mean_bound(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 10000)
     u = _halton(n, 3, default_seed() + 9)
-    for ua, ub, uc in u:
-        p = -2.0 + 5.0 * uc
-        rx = 1e-3 + 0.996 * ua
-        ry = 1e-3 + 0.996 * ub
-        z_mod = holder_mean(p, rx, ry)
-        lhs = rho_disk(0.0, z_mod)
-        rhs = holder_mean(p, rho_disk(0.0, rx), rho_disk(0.0, ry))
-        dev = lhs - rhs
-        chk.require(dev, 1e-12, (p, rx, ry))
+    p = -2.0 + 5.0 * u[:, 2]
+    rx = 1e-3 + 0.996 * u[:, 0]
+    ry = 1e-3 + 0.996 * u[:, 1]
+    lhs = rho_disk(0.0, holder_mean(p, rx, ry))
+    rhs = holder_mean(p, rho_disk(0.0, rx), rho_disk(0.0, ry))
+    chk.require_all(lhs - rhs, 1e-12, np.column_stack([p, rx, ry]))
 
 
 #: relative agreement of mu_inverse with the oracle, per unit of 1 + y: the

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,14 @@ class TestRho:
     def test_halfplane_formula(self):
         # cosh rho = 1 + |x-y|^2 / (2 x2 y2)
         assert rho_halfplane(1j, 2j) == pytest.approx(math.acosh(1.25), abs=1e-14)
+
+    def test_halfplane_near_points_and_tiny_heights(self):
+        # 1e-10 apart at height 1, rho is 1e-10 to first order; the cosh
+        # form rounded 1 + 5e-21 to 1 and returned 0. At height 1e-200 the
+        # cosh form divided by an underflowed 2e-400: rho(1e-200 i, 2e-200 i)
+        # is log 2 at every height.
+        assert rho_halfplane(1j, 1e-10 + 1j) == pytest.approx(1e-10, rel=1e-12)
+        assert rho_halfplane(1e-200j, 2e-200j) == pytest.approx(math.log(2.0), rel=4 * EPS)
 
     def test_halfplane_needs_upper(self):
         with pytest.raises(DomainError):
@@ -243,3 +252,123 @@ class TestMidpoint:
             a = u * cmath.exp(1j * beta)
             assert rho_disk(0.0, b) == pytest.approx(2.0 * rho_disk(0.0, a), abs=1e-12)
             assert hyperbolic_midpoint(0.0, b).z == pytest.approx(a, abs=1e-12)
+
+
+def _disk_rows(n: int, seed: int):
+    """Two rows of n Halton points in the disk of radius 0.98, and the
+    condition number 1/(1 - max|z|) of rho at each pair."""
+    u = _halton(n, 4, seed)
+    z = 0.98 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    w = 0.98 * np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
+    return z, w, 1.0 / (1.0 - np.maximum(abs(z), abs(w)))
+
+
+#: a point 16 ulp outside the circle, which snaps onto it
+NEAR_CIRCLE = cmath.exp(0.3j) * (1.0 + 16 * EPS)
+
+
+class TestArrays:
+    """The array path of each function against its scalar calls, row by row.
+
+    rho_disk, rho_halfplane and absolute_ratio do the same float operations
+    on both paths, so they agree to 4 ulp. Paths through a complex product
+    or quotient do not: numpy rounds those differently from CPython, by an
+    ulp of the operands. So Moebius images agree to 4 ulp of max(1, |image|),
+    and rho_via_crossratio and hyperbolic_midpoint, whose results amplify
+    such an ulp by up to the condition number 1/(1 - |z|) near the circle,
+    to 4 ulp times that number.
+    """
+
+    def test_rho_disk(self):
+        z, w, _ = _disk_rows(2000, DEFAULT_SEED)
+        scalar = np.array([rho_disk(a, b) for a, b in zip(z, w)])
+        assert np.all(abs(rho_disk(z, w) - scalar) <= 4 * EPS * scalar)
+        # a scalar argument broadcasts over the rows
+        assert np.array_equal(rho_disk(0.0, w), [rho_disk(0.0, b) for b in w])
+
+    def test_rho_halfplane(self):
+        cay = MoebiusMap.cayley()
+        z, w, _ = _disk_rows(2000, DEFAULT_SEED + 1)
+        hz, hw = cay(z), cay(w)
+        scalar = np.array([rho_halfplane(a, b) for a, b in zip(hz, hw)])
+        assert np.all(abs(rho_halfplane(hz, hw) - scalar) <= 4 * EPS * scalar)
+
+    def test_absolute_ratio(self):
+        u = 4.0 * _halton(2000, 8, DEFAULT_SEED + 2) - 2.0
+        quad = [u[:, 2 * i] + 1j * u[:, 2 * i + 1] for i in range(4)]
+        scalar = np.array([absolute_ratio(*row) for row in zip(*quad)])
+        assert np.all(abs(absolute_ratio(*quad) - scalar) <= 4 * EPS * scalar)
+
+    def test_rho_via_crossratio(self):
+        z, w, kappa = _disk_rows(2000, DEFAULT_SEED + 3)
+        scalar = np.array([rho_via_crossratio(a, b) for a, b in zip(z, w)])
+        # d rho = d ratio / ratio: 4 ulp of the ratio e^rho, as a distance
+        assert np.all(abs(rho_via_crossratio(z, w) - scalar) <= 4 * EPS * kappa * (1.0 + scalar))
+
+    def test_rho_via_crossratio_through_the_origin(self):
+        # rows collinear with 0 take the diameter, as geodesic_through does
+        z = np.array([0.3 + 0.3j, -0.5, 0.2 - 0.1j])
+        w = np.array([-0.2 - 0.2j, 0.25, 0.4 + 0.3j])
+        scalar = [rho_via_crossratio(a, b) for a, b in zip(z, w)]
+        assert rho_via_crossratio(z, w) == pytest.approx(scalar, rel=4 * EPS)
+
+    def test_hyperbolic_midpoint(self):
+        z, w, kappa = _disk_rows(2000, DEFAULT_SEED + 4)
+        scalar = np.array([hyperbolic_midpoint(a, b).z for a, b in zip(z, w)])
+        assert np.all(abs(hyperbolic_midpoint(z, w) - scalar) <= 4 * EPS * kappa)
+        # equal points are their own midpoint
+        assert np.array_equal(hyperbolic_midpoint(z, z), z)
+
+    @pytest.mark.parametrize(
+        "m",
+        [MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7), MoebiusMap.cayley(), MoebiusMap(2, 1j, 0.3, 1)],
+        ids=["automorphism", "cayley", "general"],
+    )
+    def test_moebius_call(self, m):
+        z, _, _ = _disk_rows(2000, DEFAULT_SEED + 5)
+        scalar = np.array([m(a).z for a in z])
+        assert np.all(abs(m(z) - scalar) <= 4 * EPS * np.maximum(1.0, abs(scalar)))
+
+    def test_near_circle_rows_snap_as_scalars_do(self):
+        # without a RuntimeWarning, which tier-1 turns into an error: the
+        # circle rows must not reach _rho's division
+        x = np.array([NEAR_CIRCLE, NEAR_CIRCLE, 0.5, NEAR_CIRCLE, 0.1j])
+        y = np.array([NEAR_CIRCLE, 0.2, NEAR_CIRCLE, -NEAR_CIRCLE, 0.3])
+        rows = rho_disk(x, y)
+        assert rows[:4].tolist() == [0.0, math.inf, math.inf, math.inf]
+        assert rows.tolist() == [rho_disk(a, b) for a, b in zip(x, y)]
+        m = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+        image = m(np.array([NEAR_CIRCLE]))
+        assert abs(image[0]) == pytest.approx(1.0, abs=EPS) and m(NEAR_CIRCLE).kind is PointKind.BOUNDARY
+
+    @pytest.mark.parametrize(
+        "f", [rho_disk, rho_via_crossratio, hyperbolic_midpoint], ids=lambda f: f.__name__
+    )
+    def test_a_row_outside_the_disk_raises(self, f):
+        x = np.array([0.1, 0.2j, 1.5])
+        y = np.array([0.3, -0.4, 0.5j])
+        with pytest.raises(DomainError):
+            f(x, y)
+        with pytest.raises(DomainError):
+            f(1.5, 0.5j)
+
+    @pytest.mark.parametrize("f", [rho_via_crossratio, hyperbolic_midpoint], ids=lambda f: f.__name__)
+    def test_a_row_on_the_circle_raises(self, f):
+        with pytest.raises(DomainError):
+            f(np.array([0.1, NEAR_CIRCLE]), np.array([0.3, 0.5j]))
+
+    def test_halfplane_row_below_raises(self):
+        with pytest.raises(DomainError):
+            rho_halfplane(np.array([1j, 2j]), np.array([1j, -1j]))
+
+    def test_coincident_rows_raise(self):
+        with pytest.raises(DegenerateInputError):
+            absolute_ratio(np.array([0.1, 0.2]), np.array([0.5, 0.2]), 0.7j, -0.3)
+        with pytest.raises(DegenerateInputError):
+            rho_via_crossratio(np.array([0.1, 0.2]), np.array([0.5, 0.2]))
+
+    def test_a_row_at_the_pole_raises(self):
+        # [m(z).z for z in zs] raises there too: infinity has no coordinate
+        m = MoebiusMap(1, 0, 1, -0.5)
+        with pytest.raises(DomainError):
+            m(np.array([0.1, 0.5]))

@@ -168,6 +168,15 @@ def _nan_rho_disk(monkeypatch):
     monkeypatch.setattr(verify, "rho_disk", lambda x, y: math.nan)
 
 
+def _nan_absolute_ratio(monkeypatch):
+    monkeypatch.setattr(verify, "absolute_ratio", lambda a, b, c, d: math.nan)
+
+
+def _nan_arc(monkeypatch):
+    original = verify._arc
+    monkeypatch.setattr(verify, "_arc", lambda z1, z2: tuple(np.full_like(v, math.nan) for v in original(z1, z2)))
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -187,6 +196,9 @@ class TestCertificatesCanFail:
             (_nan_rho_disk, "midpoint"),
             (_nan_rho_disk, "chord-midpoint-circle"),
             (_nan_rho_disk, "hyperbolic-mean-bound"),
+            (_nan_rho_disk, "isometry"),
+            (_nan_absolute_ratio, "crossratio-invariance"),
+            (_nan_arc, "arc-orthogonality"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -254,6 +266,120 @@ class TestChecker:
         cert = run_sweep(SweepSpec(entry.name, 10))
         assert not cert.passed and math.isnan(cert.margin)
         assert (cert.observed_extremum, cert.witness) == (0.5, (2.0,))
+
+
+def _checker_state(chk):
+    # repr makes a NaN margin equal to itself
+    return repr(chk.margin), chk._witness, chk._ran, chk._count, chk.observed()
+
+
+def _row_by_row(chk, deviations, allowances, witnesses):
+    rows = len(witnesses)
+    for dev, allow, wit in zip(np.broadcast_to(deviations, (rows,)), np.broadcast_to(allowances, (rows,)), witnesses):
+        chk.require(float(dev), float(allow), tuple(wit.tolist()))
+
+
+def _prefixes():
+    """Checker states a block can meet: fresh, a small slack, a NaN, a pass."""
+
+    def fresh(chk):
+        pass
+
+    def small(chk):
+        chk.require(0.9, 1.0, (-1.0,))
+
+    def nan(chk):
+        chk.require(math.nan, 1.0, (-2.0,))
+
+    def passed(chk):
+        chk.require_true(True, (-3.0,))
+
+    return [fresh, small, nan, passed]
+
+
+class TestRequireAll:
+    """require_all leaves the state that require, row by row, leaves."""
+
+    def _same(self, prefix, deviations, allowances, witnesses):
+        by_rows, at_once = verify._Checker(), verify._Checker()
+        prefix(by_rows)
+        prefix(at_once)
+        _row_by_row(by_rows, deviations, allowances, witnesses)
+        at_once.require_all(deviations, allowances, witnesses)
+        assert _checker_state(at_once) == _checker_state(by_rows)
+
+    @pytest.mark.parametrize("prefix", _prefixes(), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rows(self, prefix, seed):
+        rng = np.random.default_rng(seed)
+        n = 500
+        self._same(prefix, rng.normal(size=n), rng.uniform(0.5, 3.0, n), rng.uniform(size=(n, 3)))
+
+    @pytest.mark.parametrize("prefix", _prefixes(), ids=lambda f: f.__name__)
+    def test_ties_keep_the_first_smallest_slack(self, prefix):
+        rng = np.random.default_rng(3)
+        deviations = rng.integers(0, 3, 300).astype(float)
+        self._same(prefix, deviations, 2.0, np.arange(300.0)[:, None])
+        chk = verify._Checker()
+        chk.require_all(np.array([0.5, 1.0, 1.0, 0.5]), 1.5, np.arange(4.0)[:, None])
+        assert chk.margin == 0.5 and chk.observed() == (1.0, (1.0,))
+
+    @pytest.mark.parametrize("prefix", _prefixes(), ids=lambda f: f.__name__)
+    def test_the_last_nan_wins(self, prefix):
+        rng = np.random.default_rng(4)
+        deviations = rng.normal(size=200)
+        deviations[[10, 70, 150]] = math.nan
+        self._same(prefix, deviations, 1.0, rng.uniform(size=(200, 2)))
+        chk = verify._Checker()
+        chk.require_all(np.array([math.nan, 0.1, math.nan, 0.2]), 1.0, np.arange(4.0)[:, None])
+        assert math.isnan(chk.margin) and chk.observed() == (0.2, (2.0,))
+
+    @pytest.mark.parametrize("prefix", _prefixes(), ids=lambda f: f.__name__)
+    def test_yes_no_infinities(self, prefix):
+        # require_true records -inf (a pass) or +inf (a failure) against 0
+        deviations = np.array([-math.inf, 0.25, math.inf, -math.inf, math.inf, 0.5])
+        self._same(prefix, deviations, 0.0, np.arange(6.0)[:, None])
+        self._same(prefix, np.full(3, -math.inf), 0.0, np.arange(3.0)[:, None])
+        # an infinite deviation against an infinite allowance is a NaN slack
+        self._same(prefix, np.array([0.1, math.inf]), np.array([1.0, math.inf]), np.arange(2.0)[:, None])
+
+    def test_scalar_deviation_and_allowance_broadcast(self):
+        for prefix in _prefixes():
+            self._same(prefix, np.linspace(-1.0, 1.0, 50), 0.75, np.linspace(0.0, 1.0, 50)[:, None])
+            self._same(prefix, math.nan, 0.75, np.arange(5.0)[:, None])
+            self._same(prefix, 0.25, np.linspace(0.0, 1.0, 7), np.arange(14.0).reshape(7, 2))
+
+    @pytest.mark.parametrize("prefix", _prefixes(), ids=lambda f: f.__name__)
+    def test_an_empty_block_changes_nothing(self, prefix):
+        chk, untouched = verify._Checker(), verify._Checker()
+        prefix(chk)
+        prefix(untouched)
+        chk.require_all(np.zeros(0), 1.0, np.zeros((0, 4)))
+        assert _checker_state(chk) == _checker_state(untouched)
+
+
+#: sub-checks per sweep on the fast and thorough profiles (grids 1000 and
+#: 100000, default seed), as the per-row loops ran them: the array sweeps
+#: must check every row, and skip the same ones
+SUB_CHECKS = {
+    "arc-orthogonality": (1000, 99_999),
+    "crossratio-distance": (1000, 100_000),
+    "crossratio-invariance": (1000, 100_000),
+    "isometry": (101_000, 101_000),
+    "midpoint": (1200, 100_200),
+    "chord-midpoint-circle": (500, 500),
+    "hyperbolic-mean-bound": (1000, 10_000),
+}
+
+
+@pytest.mark.parametrize("grid,profile", [(1000, 0), (100_000, 1)], ids=["fast", "thorough"])
+@pytest.mark.parametrize("name", SUB_CHECKS)
+def test_sub_check_counts(monkeypatch, name, grid, profile):
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    entry = next(e for e in REGISTRY if e.name == name)
+    chk = verify._Checker()
+    entry.sweep(SweepSpec(name, grid), chk)
+    assert chk._count == SUB_CHECKS[name][profile] and chk.margin >= 0.0
 
 
 class TestHalton:
