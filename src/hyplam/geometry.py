@@ -29,6 +29,8 @@ from .errors import DegenerateInputError, DomainError
 
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
 _BOUNDARY_SNAP = 64 * 2.0**-52
+#: the line through z1 and z2 counts as through 0 when the nearer point lies off
+#: the diameter through the farther one by less than this times their distance
 _COLLINEAR_TOL = 1e-12
 _PARAM_MARGIN = 1e-9
 #: the six pairs of four points, in the order ab, ac, ad, bc, bd, cd
@@ -135,13 +137,29 @@ def _moebius(a, b, c, d, z):
     return (a * z + b) / (c * z + d)
 
 
+def _through_origin(z1, z2):
+    """Whether the geodesic through distinct z1 and z2 is a diameter (a bool
+    for scalars, a mask for arrays).
+
+    |Im(conj(z1) z2)| / max(|z1|, |z2|) is how far the nearer point lies off
+    the diameter through the farther one; it is compared with their distance,
+    so the test does not depend on the scale: two points near 0 are judged by
+    the direction of the line through them, and a point next to 0 lies on a
+    diameter with any other.
+    """
+    cross = z1.real * z2.imag - z1.imag * z2.real
+    far = np.maximum(_abs(z1), _abs(z2)) if isinstance(cross, np.ndarray) else max(abs(z1), abs(z2))
+    return abs(cross) <= _COLLINEAR_TOL * far * _abs(z1 - z2)
+
+
 def _arc(z1, z2):
     """Center, radius and the two (unsnapped) circle endpoints of the
     geodesic arc through two points not collinear with 0: the circle through
     them orthogonal to the unit circle."""
     cross = z1.real * z2.imag - z1.imag * z2.real
     center = 1j * (z2 * (1.0 + _abs(z1) ** 2) - z1 * (1.0 + _abs(z2) ** 2)) / (2.0 * (-cross))
-    radius = (_abs(z1 - z2) * _abs(z1 * _abs(z2) ** 2 - z2)) / (2.0 * _abs(z2) * abs(cross))
+    # the ratios first: a product of |z2| and cross underflows for points near 0
+    radius = (_abs(z1 - z2) / abs(cross)) * (_abs(z1 * _abs(z2) ** 2 - z2) / (2.0 * _abs(z2)))
     conj = center.conjugate()
     return center, radius, (1.0 + 1j * radius) / conj, (1.0 - 1j * radius) / conj
 
@@ -288,9 +306,8 @@ def geodesic_through(x, y) -> Geodesic:
     z1, z2 = px.z, py.z
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")
-    cross = z1.real * z2.imag - z1.imag * z2.real
-    if abs(cross) < _COLLINEAR_TOL:
-        # through the origin: a Euclidean diameter
+    if _through_origin(z1, z2):
+        # a Euclidean diameter
         ref = z1 if abs(z1) >= abs(z2) else z2
         direction = math.atan2(ref.imag, ref.real) % math.pi
         e = cmath.exp(1j * direction)
@@ -379,7 +396,7 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
 def _geodesic_ends(z1, z2):
     """The snapped circle endpoints of the geodesics through rows of distinct
     points, as geodesic_through finds them."""
-    arc = ~(abs(z1.real * z2.imag - z1.imag * z2.real) < _COLLINEAR_TOL)
+    arc = ~_through_origin(z1, z2)
     e1, e2 = np.empty_like(z1), np.empty_like(z2)
     _, _, a1, a2 = _arc(z1[arc], z2[arc])
     e1[arc], e2[arc] = _snap(a1)[0], _snap(a2)[0]

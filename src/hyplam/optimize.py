@@ -55,21 +55,25 @@ def refine_grid_max(f, xs, fs, tol=1e-12):
 
 
 def bisect_root(f, a, b, tol=1e-12, max_iter=200):
-    """Root of a sign-changing f on [a, b] by plain bisection."""
+    """Root of a sign-changing f on [a, b] by plain bisection.
+
+    Only the signs of f are compared: a product of two values can underflow
+    to zero or overflow.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0.0:
+    if (fa < 0.0) == (fb < 0.0):
         raise NoRootError(f"no sign change on [{a}, {b}]")
     for _ in range(max_iter):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0 or (b - a) <= tol:
             return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
+        if (fm < 0.0) != (fa < 0.0):
+            b = m
         else:
             a, fa = m, fm
     if (b - a) <= tol:

@@ -120,6 +120,12 @@ class TestQcBound:
         assert code == 0
         assert json.loads(out)["bound"] == pytest.approx(3.1072776, abs=1e-6)
 
+    def test_ideal_past_the_smallest_double(self, capsys):
+        # the root's r' ~ 2 e^{-720} is below the smallest double
+        code, out, _ = run(capsys, "qc-bound", "--K", "720", "--ideal", "--json")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["bound"])
+
     def test_lambert_report_fields(self, capsys):
         code, out, _ = run(capsys, "qc-bound", "--K", "2", "--L", "0.9", "--json")
         assert code == 0

@@ -150,6 +150,43 @@ class TestGeodesics:
         with pytest.raises(DegenerateInputError):
             geodesic_through(0.2, 0.2)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("angle", [math.pi / 2.0, 1.0, 1e-3])
+    def test_small_points_off_a_diameter(self, radius, angle):
+        # the diameter test is relative to |z1||z2|: points near 0 that are
+        # not collinear with it take their arc. The cross ratio is 1 + O(rho),
+        # so its log carries a few ulp of absolute error, EPS/rho relative
+        z, w = radius, radius * cmath.exp(1j * angle)
+        assert geodesic_through(z, w).kind is GeodesicKind.ARC
+        ref = rho_disk(z, w)
+        allowance = 16.0 * EPS / ref
+        assert abs(rho_via_crossratio(z, w) / ref - 1.0) <= allowance
+        rows = rho_via_crossratio(np.array([z]), np.array([w]))
+        assert abs(rows[0] / ref - 1.0) <= allowance
+
+    def test_close_points_across_a_radius_take_their_arc(self):
+        # their angle at 0 is 3e-13, but the line through them misses 0 by 0.3
+        z, w = 0.3, 0.3 + 1e-13j
+        assert geodesic_through(z, w).kind is GeodesicKind.ARC
+        ref = rho_disk(z, w)
+        assert abs(rho_via_crossratio(z, w) / ref - 1.0) <= 16.0 * EPS / ref
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [
+            (0.3, -0.5),
+            (0.2 + 0.2j, 0.5 + 0.5j),
+            (1e-8j, -3e-8j),
+            (0.0, 0.4 + 0.1j),
+            (1e-9, 2e-9 + 1e-24j),
+            (0.7j, 7.8e-309),
+        ],
+    )
+    def test_collinear_with_origin_is_a_diameter(self, z, w):
+        assert geodesic_through(z, w).kind is GeodesicKind.DIAMETER
+        rows = rho_via_crossratio(np.array([z]), np.array([w]))
+        assert rows[0] == pytest.approx(rho_via_crossratio(z, w), rel=4 * EPS)
+
     def test_points_stay_in_disk(self):
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
         pts = geodesic_points(g, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from hyplam import qcbounds
 from hyplam import (
     DomainError,
     IDEAL_PRODUCT_BOUND,
@@ -19,7 +21,9 @@ from hyplam import (
     qc_product_bound,
     solve_r_LK,
 )
-from hyplam.qcbounds import M1, M_L_of, T_of, _root_pair, r_L_of
+from hyplam.optimize import bisect_root
+from hyplam.qcbounds import M1, M_L_of, T_of, _root_s, r_L_of
+from hyplam.specfun import _f_c_pair, rprime
 
 
 class TestConstants:
@@ -126,9 +130,10 @@ class TestBoundValues:
     @pytest.mark.parametrize("K", [14.0, 14.5, 20.0, 40.0])
     def test_large_K_root_in_complement(self, K):
         # at L = 1 the root r' ~ 2 e^{-K} lies where r rounds to 1: the
-        # equation K r/arth r = r'/arth r' holds with arth r = log((1 + r)/r')
-        r, rp = _root_pair(K, 1.0, R1)
-        lhs = K * r / math.log((1.0 + r) / rp)
+        # equation K r/arth r = r'/arth r' holds with arth r = log1p(r) - log r'
+        s = _root_s(K, 1.0, math.log(R1_PRIME))
+        r, rp = math.sqrt(-math.expm1(2.0 * s)), math.exp(s)
+        lhs = K * r / (math.log1p(r) - s)
         assert lhs == pytest.approx(rp / math.atanh(rp), rel=1e-10)
         assert solve_r_LK(K, 1.0) == r
         floor = distortion_A(K) ** 2
@@ -142,3 +147,108 @@ class TestBoundValues:
     def test_result_serializes(self):
         d = qc_product_bound(QcBoundInput(2.0, 0.9)).to_dict()
         assert set(d) == {"r_L", "M_L", "regime", "r_LK", "bound"}
+
+
+#: L over the large-L branch: next to the branch point th(1) (where M_L is
+#: ~2e8), inside it, and next to and at 1
+ROOT_LS = [TH1 + 1e-9, 0.8, 0.99, 1 - 1e-12, 1.0]
+
+
+def _root_cases():
+    """(K, L, s_hi, ideal) on the root branch, s_hi = log r_lo' the upper end
+    of the search: each L of ROOT_LS from r_L, and the ideal bound's L = 1
+    from r_1; K from 1e-9 above the threshold to 700, or to 4 times the
+    threshold where that is larger."""
+    cases = [(L, M_L_of(L), math.log(rprime(r_L_of(L))), False) for L in ROOT_LS]
+    cases.append((1.0, M1, math.log(R1_PRIME), True))
+    for L, m, s_hi, ideal in cases:
+        near = m * (1.0 + np.array([1e-9, 1e-6, 1e-3]))
+        for K in np.concatenate([near, np.geomspace(1.01 * m, max(700.0, 4.0 * m), 40)]):
+            yield float(K), L, s_hi, ideal
+
+
+def _bisected_s(K, L, s_hi):
+    """The root in s = log r' by optimize.bisect_root on [log DBL_MIN, s_hi]."""
+
+    def g(s):
+        rp = math.exp(s)
+        r = rprime(rp)
+        return K * _f_c_pair(L, r, rp) - _f_c_pair(L, rp, r)
+
+    return bisect_root(g, math.log(sys.float_info.min), s_hi, tol=1e-12)
+
+
+class TestRoot:
+    def test_agrees_with_bisection(self):
+        for K, L, s_hi, _ in _root_cases():
+            assert abs(_root_s(K, L, s_hi) - _bisected_s(K, L, s_hi)) <= 4e-12, (K, L)
+
+    def test_ideal_bound_needs_the_root_to_1e_7_only(self):
+        # T is stationary at the root: a coarser s leaves the bound as it is
+        for K, _, s_hi, ideal in _root_cases():
+            if ideal:
+                t = qcbounds._T_s(_root_s(K, 1.0, s_hi), 1.0, K)
+                full = distortion_A(K) ** 2 * max(2.0 ** (1.0 + 1.0 / K) * t, IDEAL_PRODUCT_BOUND)
+                assert qc_ideal_bound(K) == pytest.approx(full, rel=4 * 2.0**-52), K
+
+    @pytest.fixture
+    def f_c_calls(self, monkeypatch):
+        calls = []
+        original = qcbounds._f_c_pair
+
+        def counted(c, x, xp):
+            calls.append(c)
+            return original(c, x, xp)
+
+        monkeypatch.setattr(qcbounds, "_f_c_pair", counted)
+        return calls
+
+    def test_evaluation_count(self, f_c_calls):
+        # bisection to 1e-12 took 53 steps of two f_c evaluations each
+        most = 0
+        for K, L, _, ideal in _root_cases():
+            f_c_calls.clear()
+            if ideal:
+                qc_ideal_bound(K)
+            else:
+                assert qc_product_bound(QcBoundInput(K, L)).regime is QcRegime.LARGE_L_K_GT_M
+            assert len(f_c_calls) <= 40, (K, L, len(f_c_calls))
+            most = max(most, len(f_c_calls))
+        assert most > 0
+
+    def test_finite_and_nondecreasing_past_the_smallest_double(self):
+        # at L = 1 the root's r' ~ 2 e^{-K} is below the smallest double from
+        # K ~ 745 on
+        ks = np.geomspace(1.0, 1e4, 200)
+        ideal = [qc_ideal_bound(float(K)) for K in ks]
+        product = [qc_product_bound(QcBoundInput(float(K), 1.0)).bound for K in ks]
+        for vals in (ideal, product):
+            assert all(math.isfinite(v) for v in vals)
+            assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("L", [0.9, 1.0])
+    def test_root_for_any_finite_K(self, L):
+        # the start of the search stays finite where K^2 overflows
+        for K in (1e10, 1e155, 1e300, 1.7e308):
+            assert r_L_of(L) < solve_r_LK(K, L) <= 1.0
+
+    @pytest.mark.parametrize("K", [2.0, 14.0, 720.0, 1e3, 1e4])
+    def test_ideal_bound_against_mpmath(self, K):
+        mp = pytest.importorskip("mpmath")
+        from test_specfun_accuracy import ref_A
+
+        with mp.workdps(50):
+            k = mp.mpf(K)
+
+            def g(s):  # K r/arth r - r'/arth r', with arth r = log1p(r) - s
+                rp = mp.exp(s)
+                r = mp.sqrt(-mp.expm1(2 * s))
+                return k * r / (mp.log1p(r) - s) - rp / mp.atanh(rp)
+
+            r1p = (mp.e - 1) / (mp.e + 1)
+            s = mp.findroot(g, (mp.log(2) - k - 1, mp.log(r1p)), solver="illinois")
+            rp = mp.exp(s)
+            t = (mp.log1p(mp.sqrt(-mp.expm1(2 * s))) - s) * mp.atanh(rp) ** (1 / k)
+            ideal = (2 * mp.log(1 + mp.sqrt(2))) ** 2
+            ref = ref_A(k) ** 2 * max(2 ** (1 + 1 / k) * t, ideal)
+            assert float(abs(qc_ideal_bound(K) / ref - 1)) <= 1e-12
