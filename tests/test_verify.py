@@ -369,6 +369,9 @@ SUB_CHECKS = {
     "midpoint": (1200, 100_200),
     "chord-midpoint-circle": (500, 500),
     "hyperbolic-mean-bound": (1000, 10_000),
+    "symmetric-geodesic-distance": (10, 10),
+    "lambert-oracle-agreement": (14, 64),
+    "ideal-subdivision": (3, 3),
 }
 
 
