@@ -338,16 +338,16 @@ def _arc_angles(g: Geodesic) -> tuple[float, float]:
 
 def geodesic_points(g: Geodesic, taus):
     """Open-arc parametrization by tau in [0, 1], clamped off the boundary."""
-    u = _PARAM_MARGIN + (1.0 - 2.0 * _PARAM_MARGIN) * np.asarray(taus, dtype=float)
-    if g.kind is GeodesicKind.DIAMETER:
-        s = -1.0 + 2.0 * u
-        return s * cmath.exp(1j * g.direction)
-    w1, delta = _arc_angles(g)
-    return g.center + g.radius * np.exp(1j * (w1 + delta * u))
+    taus = np.asarray(taus, dtype=float)
+    return _parametrization([g])(taus.reshape(1, -1)).reshape(taus.shape)
 
 
-#: samples per bracket: each round shrinks an interior bracket 16-fold
-_BRACKET_SAMPLES = np.linspace(0.0, 1.0, 33)
+#: samples per bracket: each round shrinks an interior bracket 8-fold
+_BRACKET_SAMPLES = np.linspace(0.0, 1.0, 17)
+#: a search stops once its bracket is at most this wide
+_BRACKET_WIDTH = 1e-12
+#: geodesics closer than this count as intersecting: their distance is 0.0
+_INTERSECT_TOL = 1e-10
 
 
 def _bracket_min(f, rows: int):
@@ -355,25 +355,86 @@ def _bracket_min(f, rows: int):
 
     f maps a (rows, k) array of parameters to their values. Each round
     samples every bracket at k points and keeps the two neighbours of the
-    best sample, which still enclose the minimum of a unimodal function,
-    until every bracket is at most 1e-12 wide.
+    best sample, which still enclose the minimum of a unimodal function. A
+    bracket at most 1e-12 wide stays as it is, so its row samples the same
+    points until every bracket is that narrow: a row's minimum does not
+    depend on the other rows.
     """
-    lo, hi = np.zeros((rows, 1)), np.ones((rows, 1))
+    lo, hi = np.zeros(rows), np.ones(rows)
     last = len(_BRACKET_SAMPLES) - 1
     while True:
         width = hi - lo
-        vals = f(lo + width * _BRACKET_SAMPLES)
-        if np.all(width <= 1e-12):
+        vals = f(lo[:, None] + width[:, None] * _BRACKET_SAMPLES)
+        open_ = width > _BRACKET_WIDTH
+        if not open_.any():
             return vals.min(axis=1)
-        i = np.argmin(vals, axis=1)[:, None]
+        i = np.argmin(vals, axis=1)
         lo, hi = (
-            lo + width * _BRACKET_SAMPLES[np.maximum(i - 1, 0)],
-            lo + width * _BRACKET_SAMPLES[np.minimum(i + 1, last)],
+            np.where(open_, lo + width * _BRACKET_SAMPLES[np.maximum(i - 1, 0)], lo),
+            np.where(open_, lo + width * _BRACKET_SAMPLES[np.minimum(i + 1, last)], hi),
         )
 
 
-def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
-    """Infimum of rho over point pairs on two geodesics.
+def _parametrization(gs):
+    """The parametrization of geodesic_points for a (rows, k) array of
+    parameters, row j on gs[j]: diameters e^{i phi}(2u - 1) and arcs
+    c + r e^{i(w1 + delta u)}, where u clamps the parameter off the boundary
+    and w1, delta are the arc's start angle and signed sweep."""
+    arc = np.array([g.kind is GeodesicKind.ARC for g in gs], dtype=bool)
+    dia = ~arc
+    arcs = [g for g in gs if g.kind is GeodesicKind.ARC]
+    angles = [_arc_angles(g) for g in arcs]
+
+    def column(values, dtype):
+        return np.array(list(values), dtype=dtype).reshape(-1, 1)
+
+    e_phi = column((cmath.exp(1j * g.direction) for g in gs if g.kind is GeodesicKind.DIAMETER), complex)
+    center, radius = column((g.center for g in arcs), complex), column((g.radius for g in arcs), float)
+    w1, delta = column((w for w, _ in angles), float), column((d for _, d in angles), float)
+
+    def points(taus):
+        u = _PARAM_MARGIN + (1.0 - 2.0 * _PARAM_MARGIN) * taus
+        z = np.empty(u.shape, dtype=complex)
+        z[dia] = (-1.0 + 2.0 * u[dia]) * e_phi
+        z[arc] = center + radius * np.exp(1j * (w1 + delta * u[arc]))
+        return z
+
+    return points
+
+
+def _sq_abs(z):
+    """|z|^2 of a complex array, as re^2 + im^2."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _distance_rows(gs1, gs2) -> np.ndarray:
+    """geodesic_distance for each pair (gs1[j], gs2[j]), as one array search.
+
+    The outer search runs over the pairs, the inner one over the pairs times
+    the outer samples. Both minimise sinh^2(rho/2) = |z - w|^2 / ((1 -
+    |z|^2)(1 - |w|^2)), which is monotone in rho; rho = 2 arsh(sqrt(.)) is
+    taken once, of the minimum.
+    """
+    on_g1, on_g2 = _parametrization(gs1), _parametrization(gs2)
+
+    def to_g2(t1):
+        z = on_g1(t1).reshape(-1, 1)
+        z_factor = 1.0 / (1.0 - _sq_abs(z))
+
+        def sinh2_half_rho(t2):
+            # the rows of a pair are consecutive: lay them out in one row each
+            w = on_g2(t2.reshape(len(gs2), -1)).reshape(t2.shape)
+            return _sq_abs(z - w) * z_factor / (1.0 - _sq_abs(w))
+
+        return _bracket_min(sinh2_half_rho, len(z)).reshape(t1.shape)
+
+    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
+    return np.where(rho < _INTERSECT_TOL, 0.0, rho)
+
+
+def geodesic_distance(g1, g2):
+    """Infimum of rho over point pairs on two geodesics; on two equal-length
+    sequences of geodesics, an ndarray with the distance of each pair.
 
     A nested bracket search over the parametrizations of geodesic_points:
     the outer one over the points of g1, the inner one, for each of those,
@@ -382,15 +443,19 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic, tol: float = 1e-10) -> float:
     of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
     a fixed point to the points of g2, and the distance from a point of g1 to
     g2, are unimodal in the parameter. Returns 0.0 for intersecting
-    geodesics.
+    geodesics. A pair's distance is the same, bit for bit, alone or in a
+    sequence.
     """
-
-    def to_g2(t1):
-        p1 = geodesic_points(g1, t1[0])[:, None]
-        return _bracket_min(lambda t2: _rho(p1, geodesic_points(g2, t2)), len(p1))[None, :]
-
-    best = float(_bracket_min(to_g2, 1)[0])
-    return 0.0 if best < tol else best
+    if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
+        return float(_distance_rows([g1], [g2])[0])
+    if isinstance(g1, Geodesic) or isinstance(g2, Geodesic):
+        raise DomainError("geodesic_distance takes two geodesics or two sequences of them")
+    gs1, gs2 = list(g1), list(g2)
+    if len(gs1) != len(gs2):
+        raise DomainError(f"geodesic_distance needs sequences of equal length, not {len(gs1)} and {len(gs2)}")
+    if not gs1:
+        return np.zeros(0)
+    return _distance_rows(gs1, gs2)
 
 
 def _geodesic_ends(z1, z2):

@@ -23,6 +23,10 @@ SUM_CASE1_MAX = math.sqrt(2.0 / 3.0)
 #: lower limit of the third sum-bound regime, sqrt(2(sqrt2 - 1))
 SUM_CASE3_MIN = math.sqrt(2.0 * (SQRT2 - 1.0))
 
+#: product_report checks an L below this at L scaled up by a power of 2: the
+#: bound (L sqrt2/2)^2 is subnormal from L ~ 2^-511 on
+_L_BOUND_SUBNORMAL = 2.0**-500
+
 #: sharp product bound for ideal quadrilaterals, (2 log(1+sqrt2))^2
 IDEAL_PRODUCT_BOUND = (2.0 * math.log(SQRT2 + 1.0)) ** 2
 #: sharp sum lower bound for ideal quadrilaterals, 4 log(1+sqrt2)
@@ -127,7 +131,13 @@ def product_bound(L: float) -> float:
 
 def product_report(L: float, theta: float | None = None) -> BoundReport:
     """The product bound at L, and d1*d2 at theta checked against it with a
-    slack of 1e-12 relative to the bound."""
+    slack of 1e-12 relative to the bound.
+
+    Below L = 2^-500 the bound, L^2/2 to the last bit, is subnormal or 0, and
+    so is d1*d2. There the check is made at L scaled by a power of 2 into
+    [2^-500, 2^-499): d1 and d2 are linear in L to the last bit and the bound
+    quadratic, so the verdict is the one at L, with no bit lost.
+    """
     bound = product_bound(L)
     observed = None
     satisfied = True
@@ -135,7 +145,13 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
         _check_theta(theta)
         d1, d2 = side_distances(L, theta)
         observed = d1 * d2
-        satisfied = observed <= bound + 1e-12 * bound
+        if L < _L_BOUND_SUBNORMAL:
+            L_check = math.ldexp(math.frexp(L)[0], -499)
+            d1, d2 = side_distances(L_check, theta)
+            bound_check = product_bound(L_check)
+        else:
+            bound_check = bound
+        satisfied = d1 * d2 <= bound_check + 1e-12 * bound_check
     return BoundReport(
         quantity="product",
         params={"L": L} | ({} if theta is None else {"theta": theta}),

@@ -9,12 +9,13 @@ K f_L(r) = f_L(r'), which is solved for in s = log r' (`_root_s`). At L = 1
 the root has r' ~ 2 e^{-K}, below the smallest double from K ~ 745 on, so the
 equation is evaluated wholly in s (arth r = log1p(r) - s, f_1(r') = 1 where
 r' is tiny), and the bounds stay finite until their values overflow, near
-K = 1e102 at L = 1. The search starts from the asymptotics of the root (s ~ log 2 - K
-at L = 1, r'^2 ~ (1 - L^2) arth L/(K L) below), steps outward with doubling
-steps until the sign changes, and finishes with ITP (Oliveira and Takahashi,
-ACM TOMS 47(1), 2020), a bracketed method that converges superlinearly on
-smooth functions and never needs more steps than bisection: 3 to 12
-evaluations of the equation where bisection from a fixed bracket took 53.
+K = 4e102 at L = 1; from there they raise DomainError. The search starts
+from the asymptotics of the root (s ~ log 2 - K at L = 1, r'^2 ~ (1 - L^2)
+arth L/(K L) below), steps outward with doubling steps until the sign
+changes, and finishes with ITP (Oliveira and Takahashi, ACM TOMS 47(1),
+2020), a bracketed method that converges superlinearly on smooth functions
+and never needs more steps than bisection: 3 to 12 evaluations of the
+equation where bisection from a fixed bracket took 53.
 """
 
 from __future__ import annotations
@@ -252,10 +253,21 @@ def _T(x: float, xp: float, L: float, K: float) -> float:
     return _arth_cx(L, x, xp) * _arth_cx(L, xp, x) ** (1.0 / K)
 
 
+def _times_A2(K: float, value: float) -> float:
+    """A(K)^2 value, or DomainError naming K where that is not a finite double:
+    from K ~ 4e102 at L = 1 and for the ideal bound, which grow like K^3, and
+    from K ~ 5e153 for every L."""
+    a = distortion_A(K)
+    bound = a * a * value
+    if not math.isfinite(bound):
+        raise DomainError(f"the bound overflows a double at K = {K}")
+    return bound
+
+
 def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
-    """Bound on D1*D2 for the image of a Lambert quadrilateral."""
+    """Bound on D1*D2 for the image of a Lambert quadrilateral; DomainError
+    where the bound is not a finite double."""
     K, L = inp.K, inp.L
-    ak2 = distortion_A(K) ** 2
     small_branch = arth(math.sqrt(2.0) / 2.0 * L) ** (2.0 / K)
     if L <= TH1:
         return QcBoundResult(
@@ -263,7 +275,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
             M_L=math.nan,
             regime=QcRegime.SMALL_L,
             r_LK=None,
-            bound=ak2 * small_branch,
+            bound=_times_A2(K, small_branch),
         )
     rl = r_L_of(L)
     ml = M_L_of(L)
@@ -276,15 +288,16 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
         r_lk = _r_of(s)
         regime = QcRegime.LARGE_L_K_GT_M
         t_val = _T_s(s, L, K)
-    bound = ak2 * max(t_val, small_branch)
+    bound = _times_A2(K, max(t_val, small_branch))
     return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
 
 
 def qc_ideal_bound(K: float) -> float:
-    """Bound on D1*D2 for the image of an ideal quadrilateral."""
+    """Bound on D1*D2 for the image of an ideal quadrilateral; DomainError
+    where the bound is not a finite double."""
     _check_K(K, "qc_ideal_bound")
     if K > M1:
         t_val = _T_s(_root_s(K, 1.0, _LOG_R1_PRIME, _S_TOL_T_ONLY), 1.0, K)
     else:
         t_val = _T(R1, R1_PRIME, 1.0, K)
-    return distortion_A(K) ** 2 * max(2.0 ** (1.0 + 1.0 / K) * t_val, IDEAL_PRODUCT_BOUND)
+    return _times_A2(K, max(2.0 ** (1.0 + 1.0 / K) * t_val, IDEAL_PRODUCT_BOUND))

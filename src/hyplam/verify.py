@@ -442,16 +442,17 @@ def _symmetric_geodesics(alpha: float):
 
 @claim("symmetric-geodesic-distance", "numerical geodesic distance matches closed forms for boundary-symmetric pairs")
 def _t_symmetric_geodesic_distance(spec: SweepSpec, chk: _Checker):
-    for alpha in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12):
-        (g3, g4), (g1, g2) = _symmetric_geodesics(alpha)
+    alphas = (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12)
+    pairs = [pair for alpha in alphas for pair in _symmetric_geodesics(alpha)]
+    dist = geodesic_distance(*zip(*pairs))
+    for alpha, (g1, _), (d_real, d_imag) in zip(alphas, pairs[1::2], dist.reshape(-1, 2)):
         # pair symmetric about the real axis: distance 2 arth(cos alpha)
-        chk.require(abs(geodesic_distance(g3, g4) - 2.0 * arth(math.cos(alpha))), 1e-8, (alpha, 1.0))
+        chk.require(abs(d_real - 2.0 * arth(math.cos(alpha))), 1e-8, (alpha, 1.0))
         # pair symmetric about the imaginary axis: distance 2 log((1+t)/(1-t))
         # with i t the cut of the first geodesic with the imaginary axis
         im_c = g1.center.imag
         t = im_c - math.sqrt(im_c * im_c - 1.0)
-        dev = abs(geodesic_distance(g1, g2) - 2.0 * math.log((1.0 + t) / (1.0 - t)))
-        chk.require(dev, 1e-8, (alpha, 2.0))
+        chk.require(abs(d_imag - 2.0 * math.log((1.0 + t) / (1.0 - t))), 1e-8, (alpha, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -841,17 +842,22 @@ def _t_beardon(spec: SweepSpec, chk: _Checker):
 def _t_lambert_oracle(spec: SweepSpec, chk: _Checker):
     n_cfg = min(60, max(8, spec.grid_size // 100))
     u = _halton(n_cfg, 2, default_seed() + 12)
+    pairs, expected = [], []  # in sub-check order: two geodesics; their distance and witness
     for idx, (ua, ub) in enumerate(u):
         L = 0.2 + 0.79 * ua
         theta = 0.15 + (math.pi / 2.0 - 0.3) * ub
         q = lam.lambert_from(L, theta)
         g_ad = geodesic_through(q.vertices[3].z, -q.vertices[3].z)  # the imaginary axis
         g_bc = geodesic_through(q.vertices[1].z, q.vertices[2].z)
-        chk.require(abs(geodesic_distance(g_ad, g_bc) - q.d1), 1e-8, (L, theta))
+        pairs.append((g_ad, g_bc))
+        expected.append((q.d1, (L, theta)))
         if idx < 4:
             g_ab = geodesic_through(q.vertices[1].z, -q.vertices[1].z)  # the real axis
             g_dc = geodesic_through(q.vertices[3].z, q.vertices[2].z)
-            chk.require(abs(geodesic_distance(g_ab, g_dc) - q.d2), 1e-8, (L, theta))
+            pairs.append((g_ab, g_dc))
+            expected.append((q.d2, (L, theta)))
+    for d, (side, witness) in zip(geodesic_distance(*zip(*pairs)), expected):
+        chk.require(abs(d - side), 1e-8, witness)
 
 
 @claim("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4")
@@ -880,11 +886,12 @@ def _t_ideal_extrema(spec: SweepSpec, chk: _Checker):
 
 @claim("ideal-subdivision", "ideal side distances agree with the geodesic-distance oracle")
 def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker):
-    for alpha in (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0):
+    alphas = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0)
+    pairs = [pair for alpha in alphas for pair in _symmetric_geodesics(alpha)]
+    dist = geodesic_distance(*zip(*pairs))
+    for alpha, (d_real, d_imag) in zip(alphas, dist.reshape(-1, 2)):
         d1, d2 = lam.ideal_quad(alpha)
-        (g3, g4), (g1, g2) = _symmetric_geodesics(alpha)
-        dev = max(abs(geodesic_distance(g3, g4) - d1), abs(geodesic_distance(g1, g2) - d2))
-        chk.require(dev, 1e-6, (alpha,))
+        chk.require(max(abs(d_real - d1), abs(d_imag - d2)), 1e-6, (alpha,))
 
 
 # ---------------------------------------------------------------------------

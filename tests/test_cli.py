@@ -48,6 +48,16 @@ class TestLambert:
         monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * (1.0 - 1e-3))
         assert run(capsys, "lambert", "--L", "1e-6", "--theta", PI4)[0] == 1
 
+    def test_tiny_L_violation_exits_1(self, capsys, monkeypatch):
+        # at L = 1e-300, d1 d2 and the bound both underflow to 0: the verdict
+        # is taken at L scaled into the normal range, where a halved bound shows
+        original = lambert.product_bound
+        monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * 0.5)
+        assert run(capsys, "lambert", "--L", "1e-300", "--theta", PI4)[0] == 1
+
+    def test_tiny_L_on_the_bound_exits_0(self, capsys):
+        assert run(capsys, "lambert", "--L", "1e-300", "--theta", PI4)[0] == 0
+
     def test_L1_sum_sits_on_lower_bound(self, capsys):
         code, out, _ = run(capsys, "lambert", "--L", "1", "--theta", PI4)
         assert code == 0

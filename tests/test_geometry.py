@@ -1,6 +1,8 @@
+import ast
 import cmath
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hyplam import (
     rho_halfplane,
     rho_via_crossratio,
 )
+from hyplam import geometry
 from hyplam.verify import DEFAULT_SEED, _halton
 
 EPS = 2.0**-52
@@ -37,6 +40,33 @@ def interior(re, im, scale=0.7):
     if abs(z) >= 0.98:
         z *= 0.98 / abs(z)
     return z
+
+
+ALPHAS = (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12)
+
+
+def symmetric_pairs():
+    """The ten pairs of the symmetric-geodesic-distance sweep: for each
+    alpha, the pair symmetric about the real axis, then the pair symmetric
+    about the imaginary axis."""
+    pairs = []
+    for alpha in ALPHAS:
+        e = cmath.exp(1j * alpha)
+        pairs.append((geodesic_through(e, e.conjugate()), geodesic_through(-e.conjugate(), -e)))
+        pairs.append((geodesic_through(e, -e.conjugate()), geodesic_through(-e, e.conjugate())))
+    return pairs
+
+
+def thorough_quads():
+    """The 60 Lambert quadrilaterals of the thorough lambert-oracle-agreement sweep."""
+    u = _halton(60, 2, DEFAULT_SEED + 12)
+    return [lambert_from(0.2 + 0.79 * ua, 0.15 + (math.pi / 2.0 - 0.3) * ub) for ua, ub in u]
+
+
+def lambert_d1_pair(q):
+    """The two geodesics of a Lambert quadrilateral at distance d1: the
+    imaginary axis and the line through v_b and v_c."""
+    return geodesic_through(q.vertices[3].z, -q.vertices[3].z), geodesic_through(q.vertices[1].z, q.vertices[2].z)
 
 
 class TestPoints:
@@ -199,23 +229,52 @@ class TestGeodesics:
 
     def test_distance_symmetric_ideal_pair(self):
         # the ten pairs of the symmetric-geodesic-distance sweep
-        for alpha in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12):
-            e = cmath.exp(1j * alpha)
-            g1 = geodesic_through(e, e.conjugate())
-            g2 = geodesic_through(-e.conjugate(), -e)
+        pairs = symmetric_pairs()
+        for alpha, (g1, g2), (g3, g4) in zip(ALPHAS, pairs[0::2], pairs[1::2]):
             assert geodesic_distance(g1, g2) == pytest.approx(2.0 * math.atanh(math.cos(alpha)), abs=1e-12)
-            g1 = geodesic_through(e, -e.conjugate())
-            g2 = geodesic_through(-e, e.conjugate())
-            t = g1.center.imag - math.sqrt(g1.center.imag**2 - 1.0)
-            assert geodesic_distance(g1, g2) == pytest.approx(2.0 * math.log((1.0 + t) / (1.0 - t)), abs=1e-12)
+            t = g3.center.imag - math.sqrt(g3.center.imag**2 - 1.0)
+            assert geodesic_distance(g3, g4) == pytest.approx(2.0 * math.log((1.0 + t) / (1.0 - t)), abs=1e-12)
 
     def test_distance_matches_lambert_sides(self):
-        # the 60 configurations of the thorough lambert-oracle-agreement sweep
-        for ua, ub in _halton(60, 2, DEFAULT_SEED + 12):
-            q = lambert_from(0.2 + 0.79 * ua, 0.15 + (math.pi / 2.0 - 0.3) * ub)
-            g_ad = geodesic_through(q.vertices[3].z, -q.vertices[3].z)
-            g_bc = geodesic_through(q.vertices[1].z, q.vertices[2].z)
-            assert geodesic_distance(g_ad, g_bc) == pytest.approx(q.d1, abs=1e-12)
+        # the 60 configurations of the thorough lambert-oracle-agreement
+        # sweep, in one call
+        quads = thorough_quads()
+        g_ad, g_bc = zip(*map(lambert_d1_pair, quads))
+        assert geodesic_distance(g_ad, g_bc) == pytest.approx([q.d1 for q in quads], abs=1e-12)
+
+    def test_sequences_equal_scalar_calls_bit_for_bit(self):
+        quads = thorough_quads()
+        diameter, arc = geodesic_through(-0.3 - 0.4j, 0.6 + 0.8j), geodesic_through(0.2 + 0.5j, 0.6 + 0.1j)
+        crossing = (geodesic_through(-0.5, 0.5), geodesic_through(-0.5j, 0.5j))
+        # first geodesics diameters (the Lambert pairs) and arcs (the symmetric
+        # pairs), then every mix of kinds
+        pairs = [*map(lambert_d1_pair, quads), *symmetric_pairs(), crossing]
+        pairs += [(diameter, arc), (arc, diameter), (arc, geodesic_through(-0.2 - 0.5j, -0.6 - 0.1j))]
+        batch = geodesic_distance(*zip(*pairs))
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(pairs),)
+        assert batch.tolist() == [geodesic_distance(g1, g2) for g1, g2 in pairs]
+        assert batch[pairs.index(crossing)] == 0.0
+
+    def test_empty_sequences(self):
+        dist = geodesic_distance([], ())
+        assert isinstance(dist, np.ndarray) and dist.shape == (0,)
+
+    def test_sequences_of_unequal_length(self):
+        g = geodesic_through(-0.5, 0.5)
+        with pytest.raises(DomainError):
+            geodesic_distance([g, g], [g])
+        with pytest.raises(DomainError):
+            geodesic_distance(g, [g])
+
+    def test_oracle_shares_no_code_with_the_closed_forms(self):
+        # geodesic_distance checks lambert's, specfun's and qcbounds' closed
+        # forms, so geometry imports nothing from the package but its errors
+        tree = ast.parse(Path(geometry.__file__).read_text())
+        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+        assert imported == {"errors"}
+        absolute = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        absolute |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level}
+        assert not any(m.startswith("hyplam") for m in absolute)
 
 
 class TestMoebius:

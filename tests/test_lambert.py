@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyplam import lambert
 from hyplam import (
     DomainError,
     IDEAL_PRODUCT_BOUND,
@@ -76,6 +77,17 @@ class TestProductBound:
         assert rep.observed < rep.upper
         d = rep.to_dict()
         assert d["quantity"] == "product" and d["upper"] == rep.upper
+
+    def test_tiny_L_verdict_is_that_at_a_scaled_L(self, monkeypatch):
+        # below L = 2^-500 the bound and d1 d2 underflow; the verdict is taken
+        # at L scaled by a power of 2, so it holds down to the smallest double
+        # and a bound 1e-9 too low is a violation there
+        Ls = [2.0**-499, 2.0**-500, math.nextafter(2.0**-500, 0.0), 1e-300, 1e-310, 5e-324]
+        thetas = [1e-300, 0.3, math.pi / 4.0, 1.5]
+        assert all(product_report(L, theta).satisfied for L in Ls for theta in thetas)
+        original = lambert.product_bound
+        monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * (1.0 - 1e-9))
+        assert not any(product_report(L, math.pi / 4.0).satisfied for L in Ls)
 
 
 class TestSumBounds:

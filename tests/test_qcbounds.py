@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -143,6 +144,22 @@ class TestBoundValues:
     def test_ideal_domain(self):
         with pytest.raises(DomainError):
             qc_ideal_bound(0.9)
+
+    @pytest.mark.parametrize("K", [1e102, 1e154, 1e160])
+    @pytest.mark.parametrize("which", ["L=0.5", "L=1", "ideal"])
+    def test_huge_K_is_finite_or_a_typed_error(self, K, which):
+        # A(K)^2 overflows from K ~ 5e153, the L = 1 and ideal bounds from
+        # K ~ 4e102; a float ** raised OverflowError there, a * gave inf
+        bound = {
+            "L=0.5": lambda: qc_product_bound(QcBoundInput(K, 0.5)).bound,
+            "L=1": lambda: qc_product_bound(QcBoundInput(K, 1.0)).bound,
+            "ideal": lambda: qc_ideal_bound(K),
+        }[which]
+        if K < 1e150:
+            assert 0.0 < bound() < math.inf
+        else:
+            with pytest.raises(DomainError, match=re.escape(f"K = {K}")):
+                bound()
 
     def test_result_serializes(self):
         d = qc_product_bound(QcBoundInput(2.0, 0.9)).to_dict()

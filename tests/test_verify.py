@@ -177,6 +177,16 @@ def _nan_arc(monkeypatch):
     monkeypatch.setattr(verify, "_arc", lambda z1, z2: tuple(np.full_like(v, math.nan) for v in original(z1, z2)))
 
 
+def _shift_d1(monkeypatch):
+    original = lambert.lambert_from
+
+    def shifted(L, theta):
+        q = original(L, theta)
+        return dataclasses.replace(q, d1=q.d1 + 1e-7)
+
+    monkeypatch.setattr(lambert, "lambert_from", shifted)
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -199,6 +209,7 @@ class TestCertificatesCanFail:
             (_nan_rho_disk, "isometry"),
             (_nan_absolute_ratio, "crossratio-invariance"),
             (_nan_arc, "arc-orthogonality"),
+            (_shift_d1, "lambert-oracle-agreement"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
