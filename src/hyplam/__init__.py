@@ -4,7 +4,6 @@ brute-force verification registry."""
 
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     DegenerateInputError,
     DomainError,
     HyplamError,
@@ -55,7 +54,6 @@ from .qcbounds import (
 )
 from .specfun import (
     ConvexityClass,
-    ConvexityRegionPoint,
     GRange,
     agm,
     arth,

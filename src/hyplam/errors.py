@@ -21,9 +21,5 @@ class NoRootError(HyplamError, ValueError):
     """The defining equation has no root in the admissible bracket."""
 
 
-class ConvergenceError(HyplamError, RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-
 class ConfigurationError(HyplamError, ValueError):
     """Unknown sweep target or malformed sweep specification."""

@@ -348,6 +348,8 @@ _BRACKET_SAMPLES = np.linspace(0.0, 1.0, 17)
 _BRACKET_WIDTH = 1e-12
 #: geodesics closer than this count as intersecting: their distance is 0.0
 _INTERSECT_TOL = 1e-10
+#: ends this close are one ideal point: each was snapped from within _BOUNDARY_SNAP
+_SHARED_END_TOL = 2.0 * _BOUNDARY_SNAP
 
 
 def _bracket_min(f, rows: int):
@@ -429,7 +431,9 @@ def _distance_rows(gs1, gs2) -> np.ndarray:
         return _bracket_min(sinh2_half_rho, len(z)).reshape(t1.shape)
 
     rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
-    return np.where(rho < _INTERSECT_TOL, 0.0, rho)
+    ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
+    shared = (abs(ends1[:, :, None] - ends2[:, None, :]) <= _SHARED_END_TOL).any(axis=(1, 2))
+    return np.where((rho < _INTERSECT_TOL) | shared, 0.0, rho)
 
 
 def geodesic_distance(g1, g2):
@@ -443,8 +447,8 @@ def geodesic_distance(g1, g2):
     of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
     a fixed point to the points of g2, and the distance from a point of g1 to
     g2, are unimodal in the parameter. Returns 0.0 for intersecting
-    geodesics. A pair's distance is the same, bit for bit, alone or in a
-    sequence.
+    geodesics or geodesics that share an ideal endpoint. A pair's distance is
+    the same, bit for bit, alone or in a sequence.
     """
     if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
         return float(_distance_rows([g1], [g2])[0])

@@ -9,19 +9,17 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, NoRootError
+from .errors import NoRootError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
-def golden_min(f, a, b, tol=1e-12, max_iter=200):
-    """Minimize a unimodal f on [a, b]; returns (x, f(x))."""
+def golden_min(f, a, b, tol=1e-12):
+    """Minimize a unimodal f on [a, b] to b - a <= tol (or a few doubles); returns (x, f(x))."""
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= tol:
-            break
+    while abs(b - a) > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -34,8 +32,8 @@ def golden_min(f, a, b, tol=1e-12, max_iter=200):
     return x, f(x)
 
 
-def golden_max(f, a, b, tol=1e-12, max_iter=200):
-    x, fx = golden_min(lambda t: -f(t), a, b, tol=tol, max_iter=max_iter)
+def golden_max(f, a, b, tol=1e-12):
+    x, fx = golden_min(lambda t: -f(t), a, b, tol=tol)
     return x, -fx
 
 
@@ -54,11 +52,10 @@ def refine_grid_max(f, xs, fs, tol=1e-12):
     return golden_max(f, *_neighbours(xs, int(np.argmax(fs))), tol=tol)
 
 
-def bisect_root(f, a, b, tol=1e-12, max_iter=200):
-    """Root of a sign-changing f on [a, b] by plain bisection.
-
-    Only the signs of f are compared: a product of two values can underflow
-    to zero or overflow.
+def bisect_root(f, a, b, tol=1e-12):
+    """Root of a sign-changing f on [a, b] by plain bisection, until b - a <= tol
+    or the midpoint equals an end, so tol may be 0. Only the signs of f are
+    compared: a product of two values can underflow to zero or overflow.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -67,15 +64,14 @@ def bisect_root(f, a, b, tol=1e-12, max_iter=200):
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise NoRootError(f"no sign change on [{a}, {b}]")
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
+    m = 0.5 * (a + b)
+    while b - a > tol and a < m < b:
         fm = f(m)
-        if fm == 0.0 or (b - a) <= tol:
+        if fm == 0.0:
             return m
         if (fm < 0.0) != (fa < 0.0):
             b = m
         else:
             a, fa = m, fm
-    if (b - a) <= tol:
-        return 0.5 * (a + b)
-    raise ConvergenceError("bisection did not reach tolerance")
+        m = 0.5 * (a + b)
+    return m

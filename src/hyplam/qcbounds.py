@@ -12,10 +12,8 @@ r' is tiny), and the bounds stay finite until their values overflow, near
 K = 4e102 at L = 1; from there they raise DomainError. The search starts
 from the asymptotics of the root (s ~ log 2 - K at L = 1, r'^2 ~ (1 - L^2)
 arth L/(K L) below), steps outward with doubling steps until the sign
-changes, and finishes with ITP (Oliveira and Takahashi, ACM TOMS 47(1),
-2020), a bracketed method that converges superlinearly on smooth functions
-and never needs more steps than bisection: 3 to 12 evaluations of the
-equation where bisection from a fixed bracket took 53.
+changes, and finishes with ITP (`specfun._itp`), never slower than
+bisection: 3 to 12 evaluations of the equation where bisection took 53.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from functools import partial
 
 from .errors import DomainError, NoRootError
 from .lambert import IDEAL_PRODUCT_BOUND
-from .specfun import _arth_cx, _check_K, _f_c_pair, arth, distortion_A, lemma_f_c, rprime
+from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, arth, distortion_A, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -128,56 +126,6 @@ def _T_s(s: float, L: float, K: float) -> float:
         return _T(r, rp, L, K)
     # arth r = log1p(r) - s and arth(r')^(1/K) = e^{s/K} to the last bit
     return (math.log1p(r) - s) * math.exp(s / K)
-
-
-def _itp(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
-    """Root of an increasing g in [a, b], ga < 0 < gb, to a bracket of width tol.
-
-    ITP (Oliveira and Takahashi 2020) with kappa2 = 2 and n0 = 1: the regula
-    falsi point, moved towards the midpoint by kappa1 w^2, then projected into
-    the interval around the midpoint that keeps the step count within one of
-    bisection's. kappa1 = 0.1 is fixed in units of s, not scaled by the
-    bracket as in the paper (0.2/(b - a)): the QC root's g is smooth on the
-    scale of 1 in s, and its brackets start as small as the error of the
-    starting point, so regula falsi is already good to well below kappa1 w^2.
-    The move is at least tol/4, so that a root next to an end is bracketed at
-    once. Stops early where a and b are adjacent doubles.
-    """
-    n_max = max(math.ceil(math.log2((b - a) / tol)), 0) + 1
-    least = 0.25 * tol
-    reach = 0.5 * tol * 2.0**n_max  # eps 2^(n_max - j) at step j
-    for _ in range(n_max):
-        w = b - a
-        mid = a + 0.5 * w
-        if w <= tol or not a < mid < b:
-            break
-        xf = a - ga * w / (gb - ga)  # NaN where ga = -inf
-        move = 0.1 * w * w
-        if move < least:
-            move = least
-        radius = reach - 0.5 * w
-        reach *= 0.5
-        d = mid - xf
-        if d >= 0.0:
-            x = xf + move if move <= d else mid
-            if x < mid - radius:
-                x = mid - radius
-        elif d < 0.0:
-            x = xf - move if move <= -d else mid
-            if x > mid + radius:
-                x = mid + radius
-        else:
-            x = mid
-        if not a < x < b:
-            x = mid
-        gx = g(x)
-        if gx > 0.0:
-            b, gb = x, gx
-        elif gx < 0.0:
-            a, ga = x, gx
-        else:
-            return x
-    return a + 0.5 * (b - a)
 
 
 def _root_s(K: float, L: float, s_hi: float, tol: float = _S_TOL) -> float:

@@ -11,6 +11,9 @@ e^{-pi^2/(2y)} is used through mu(r) mu(r') = pi^2/4, so that q <= e^{-pi}
 always. The complement r' is carried along as log r', which keeps phi_K and
 A(K) accurate where r rounds to 1. The classical identity
 phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
+
+C(p) = sup h_p is h_p at the root of h_p' found by `_itp`, the closed forms' one
+root solver; nothing here imports `optimize`, which serves the oracles only.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .optimize import refine_grid_max
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 
@@ -195,10 +198,9 @@ def aux_slope_ratio(r: float) -> float:
 
 
 def aux_h_p(p: float, r: float) -> float:
-    """1 + p r'^2 arth(r)/r - (1+r^2) arth(r)/r."""
+    """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_h_p")
-    a = _arth_over_r(r)
-    return 1.0 + p * (1.0 - r * r) * a - (1.0 + r * r) * a
+    return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * _arth_over_r(r)
 
 
 def aux_g_pq(p: float, q: float, r: float) -> float:
@@ -212,21 +214,82 @@ def threshold_C() -> float:
     return 1.0 - math.log(math.sqrt(2.0) + 1.0) / math.sqrt(2.0)
 
 
-def big_C_of_p(p: float) -> float:
-    """sup over (0,1) of aux_h_p, defined for p < -2 where it is attained.
+def _itp(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
+    """Root of an increasing g in [a, b], ga < 0 < gb, by ITP (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020), to a bracket of width tol or of adjacent
+    doubles. kappa2 = 2, n0 = 1 and kappa1 = 0.1, not 0.2/(b - a), as the
+    brackets here are at most ~1 wide: the regula falsi point, moved towards
+    the midpoint by kappa1 w^2 (at least tol/4, so that a root next to an end
+    is bracketed at once), then projected into the interval around the
+    midpoint that keeps the step count within one of bisection's."""
+    n_max = max(math.ceil(math.log2((b - a) / tol)), 0) + 1
+    least = 0.25 * tol
+    reach = 0.5 * tol * 2.0**n_max  # eps 2^(n_max - j) at step j
+    for _ in range(n_max):
+        w = b - a
+        mid = a + 0.5 * w
+        if w <= tol or not a < mid < b:
+            break
+        xf = a - ga * w / (gb - ga)  # NaN where ga = -inf
+        move = 0.1 * w * w
+        if move < least:
+            move = least
+        radius = reach - 0.5 * w
+        reach *= 0.5
+        d = mid - xf
+        if d >= 0.0:
+            x = xf + move if move <= d else mid
+            if x < mid - radius:
+                x = mid - radius
+        elif d < 0.0:
+            x = xf - move if move <= -d else mid
+            if x > mid + radius:
+                x = mid + radius
+        else:
+            x = mid
+        if not a < x < b:
+            x = mid
+        gx = g(x)
+        if gx > 0.0:
+            b, gb = x, gx
+        elif gx < 0.0:
+            a, ga = x, gx
+        else:
+            return x
+    return a + 0.5 * (b - a)
 
-    Log-spaced grid (dense near both endpoints) followed by golden-section
-    refinement; aux_h_p is unimodal there.
+
+def _aux_h_p_fall(p: float, r: float) -> float:
+    """-d/dr aux_h_p(p, r) = 2 (p + 1) r a - ((p + 1) r'^2 - 2) a' with a = arth(r)/r.
+    a' = (1/r'^2 - a)/r cancels as r -> 0, where its series 2r/3 + 4r^3/5 is used."""
+    a = _arth_over_r(r)
+    if r < 1e-4:
+        da = r * (2.0 / 3.0 + 0.8 * r * r)
+    else:
+        da = (1.0 / ((1.0 - r) * (1.0 + r)) - a) / r
+    return 2.0 * (p + 1.0) * r * a - ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * da
+
+
+def big_C_of_p(p: float) -> float:
+    """C(p) = sup over (0, 1) of aux_h_p for p < -2: h_p at the root r* of h_p',
+    bracketed in [1e-12, 1) as h_p' ~ -(4/3)(p + 2) r > 0 near 0 and -> -inf at 1.
+
+    r* is solved for to 2^-53, the spacing of the doubles in [1/2, 1). h_p is
+    stationary at r*, so at the double nearest r* it is within |h_p''| 2^-109
+    of C(p), and |h_p''| ~ 1/(1 - r*)^2 as p -> -inf: 4e-33 relative at p = -3,
+    4e-12 at -1e10, 1e-3 at -1e14. From p ~ -2.5e14 on, r* rounds to 1 (h_p' > 0
+    at the last double below 1): DomainError, as for p = -inf and NaN; never NaN.
     """
-    if p >= -2.0:
+    if not p < -2.0:
         raise DomainError("big_C_of_p needs p < -2 (the sup is not attained otherwise)")
-    n = 2048
-    left = [10.0 ** (-12.0 + 11.7 * k / (n - 1)) for k in range(n)]
-    right = [1.0 - x for x in left]
-    grid = sorted(set(left + right))
-    vals = [aux_h_p(p, r) for r in grid]
-    _, sup = refine_grid_max(lambda r: aux_h_p(p, r), grid, vals)
-    return max(sup, max(vals))
+    a, b = 1e-12, math.nextafter(1.0, 0.0)
+    g = partial(_aux_h_p_fall, p)
+    ga, gb = g(a), g(b)
+    if not ga < 0.0 < gb:
+        raise DomainError(f"big_C_of_p({p}): the maximum of h_p lies within an ulp of r = 1")
+    r = _itp(g, a, b, ga, gb, 2.0**-53)
+    # _itp returns either end of its last bracket: take the double nearest r*
+    return max(aux_h_p(p, x) for x in (math.nextafter(r, 0.0), r, min(math.nextafter(r, 1.0), b)))
 
 
 class ConvexityClass(Enum):
@@ -235,20 +298,11 @@ class ConvexityClass(Enum):
     NOT_CONVEX = "not_convex"
 
 
-@dataclass(frozen=True)
-class ConvexityRegionPoint:
-    p: float
-    q: float
-    classification: ConvexityClass
-
-
-def classify_convexity(p: float, q: float) -> ConvexityRegionPoint:
+def classify_convexity(p: float, q: float) -> ConvexityClass:
     """Region where arth is strictly H_{p,q}-convex on (0, 1)."""
     if p >= -2.0:
-        cls = ConvexityClass.CONVEX_D1 if q >= p else ConvexityClass.NOT_CONVEX
-    else:
-        cls = ConvexityClass.CONVEX_D2 if q >= big_C_of_p(p) else ConvexityClass.NOT_CONVEX
-    return ConvexityRegionPoint(p, q, cls)
+        return ConvexityClass.CONVEX_D1 if q >= p else ConvexityClass.NOT_CONVEX
+    return ConvexityClass.CONVEX_D2 if q >= big_C_of_p(p) else ConvexityClass.NOT_CONVEX
 
 
 # ---------------------------------------------------------------------------

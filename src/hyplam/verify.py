@@ -588,8 +588,11 @@ def _t_hp_range(spec: SweepSpec, chk: _Checker):
     chk.require_true(-3.0 < c3 < -1.0, (-3.0,))
     chk.require(abs(big_C_of_p(-2.0 - 1e-6) + 2.0), 1e-3, (-2.0 - 1e-6,))
     chk.require_true(big_C_of_p(-10.0) < c3, (-10.0,))
-    grid_sup = float(np.max([aux_h_p(-3.0, r) for r in xs]))
-    chk.require(grid_sup - c3, 1e-10, (-3.0,))
+    vals = [aux_h_p(-3.0, r) for r in xs]
+    chk.require(max(vals) - c3, 1e-10, (-3.0,))
+    # the root of h_p' against the grid-and-golden oracle, both ways
+    r_star, oracle = refine_grid_max(lambda r: aux_h_p(-3.0, r), xs, vals)
+    chk.require(abs(oracle - c3), 1e-12 * abs(c3), (-3.0, r_star))
     chk.locate(c3, (-3.0,))
 
 
@@ -655,8 +658,7 @@ def _t_convexity_region(spec: SweepSpec, chk: _Checker):
         rhs = holder_mean(q, ax, ay)
         dev = float(np.max(lhs - rhs))
         chk.require(dev, 1e-12, (p, q))
-        cls = classify_convexity(p, q).classification
-        chk.require_true(cls in (ConvexityClass.CONVEX_D1, ConvexityClass.CONVEX_D2), (p, q))
+        chk.require_true(classify_convexity(p, q) is not ConvexityClass.NOT_CONVEX, (p, q))
     # outside the region a violation pair must exist
     grid = np.concatenate([np.logspace(-4, -0.31, 40), np.linspace(0.5, 0.999, 40)])
     for p, q in ((1.0, 0.0), (2.0, 1.0)):
@@ -664,9 +666,7 @@ def _t_convexity_region(spec: SweepSpec, chk: _Checker):
         lhs = np.arctanh(holder_mean(p, gx, gy))
         rhs = holder_mean(q, np.arctanh(gx), np.arctanh(gy))
         chk.require_true(bool(np.any(lhs > rhs + 1e-12)), (p, q))
-        chk.require_true(
-            classify_convexity(p, q).classification is ConvexityClass.NOT_CONVEX, (p, q)
-        )
+        chk.require_true(classify_convexity(p, q) is ConvexityClass.NOT_CONVEX, (p, q))
 
 
 @claim("hyperbolic-mean-bound", "rho(0, .) respects power means of moduli for p >= -2")

@@ -227,6 +227,16 @@ class TestGeodesics:
         g2 = geodesic_through(-0.5j, 0.5j)
         assert geodesic_distance(g1, g2) == 0.0
 
+    def test_distance_zero_for_a_shared_ideal_endpoint(self):
+        # the search alone returned 1.39e-8 and 3.79e-8 here; the ends are not
+        # bit-equal (the second geodesic ends at 1 - 1.1e-16i)
+        pairs = [
+            (geodesic_through(1, -1), geodesic_through(1, 1j)),
+            (geodesic_through(cmath.exp(0.3j), cmath.exp(2j)), geodesic_through(cmath.exp(0.3j), cmath.exp(-2j))),
+        ]
+        assert [geodesic_distance(g1, g2) for g1, g2 in pairs] == [0.0, 0.0]
+        assert geodesic_distance(*zip(*pairs)).tolist() == [0.0, 0.0]
+
     def test_distance_symmetric_ideal_pair(self):
         # the ten pairs of the symmetric-geodesic-distance sweep
         pairs = symmetric_pairs()

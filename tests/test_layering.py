@@ -1,0 +1,58 @@
+"""The import layering of the package: the closed forms share no code with
+the oracles that check them.
+
+`optimize` and `verify` hold the registry's oracles (grid-and-golden search,
+bisection). The closed-form modules import neither, and they have one root
+solver, `specfun._itp`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hyplam
+from hyplam import qcbounds, specfun
+
+SRC = Path(hyplam.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that `module` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level and parts[0] != "hyplam":
+                continue
+            if node.level:
+                parts.insert(0, "hyplam")
+            # "from . import x" and "from hyplam import x" name modules
+            found |= {parts[1]} if len(parts) > 1 and parts[1] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("hyplam.")}
+    return found
+
+
+@pytest.mark.parametrize("module", ["specfun", "geometry", "lambert", "qcbounds"])
+def test_closed_forms_import_no_oracle(module):
+    assert not _package_imports(module) & {"optimize", "verify"}
+
+
+def test_optimize_imports_only_errors():
+    assert _package_imports("optimize") == {"errors"}
+
+
+def test_one_itp():
+    defined = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_itp"
+    ]
+    assert defined == ["specfun"]
+    assert qcbounds._itp is specfun._itp

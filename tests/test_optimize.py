@@ -1,8 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hyplam import NoRootError
-from hyplam.optimize import bisect_root
+from hyplam.optimize import bisect_root, golden_max, golden_min
 
 
 class TestBisectRoot:
@@ -18,3 +21,17 @@ class TestBisectRoot:
     def test_no_sign_change(self):
         with pytest.raises(NoRootError):
             bisect_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+    def test_zero_tolerance_stops_at_adjacent_doubles(self):
+        s = math.sqrt(0.5)
+        below = s if Fraction(s) ** 2 < Fraction(1, 2) else math.nextafter(s, 0.0)
+        root = bisect_root(lambda x: x * x - 0.5, 0.0, 1.0, tol=0.0)
+        assert root in (below, math.nextafter(below, 1.0))
+
+
+class TestGolden:
+    @pytest.mark.parametrize("search,sign", [(golden_min, 1.0), (golden_max, -1.0)])
+    def test_zero_tolerance_stops_when_the_bracket_cannot_split(self, search, sign):
+        # the objective is flat to rounding within ~1e-8 of 0.3
+        x, fx = search(lambda t: sign * (t - 0.3) ** 2, 0.0, 1.0, tol=0.0)
+        assert x == pytest.approx(0.3, abs=1e-7) and abs(fx) < 1e-14

@@ -136,6 +136,16 @@ class TestBigC:
         with pytest.raises(DomainError):
             big_C_of_p(-2.0)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf, -1.7e308, -1e15])
+    def test_maximum_within_an_ulp_of_one_is_a_domain_error(self, p):
+        # from p ~ -2.5e14 on, r* rounds to 1: no value, and never NaN
+        with pytest.raises(DomainError):
+            big_C_of_p(p)
+
+    @pytest.mark.parametrize("p", [math.nextafter(-2.0, -math.inf), -1e12, -2e14])
+    def test_finite_up_to_the_edge(self, p):
+        assert -40.0 < big_C_of_p(p) <= -2.0
+
     def test_values(self):
         c3 = big_C_of_p(-3.0)
         assert -3.0 < c3 < -1.0
@@ -150,11 +160,13 @@ class TestBigC:
 class TestConvexityRegion:
     @pytest.mark.parametrize("pq", [(-2.0, -2.0), (0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (-3.0, 0.0)])
     def test_inside(self, pq):
-        assert classify_convexity(*pq).classification is not ConvexityClass.NOT_CONVEX
+        # the paper's first region is p >= -2, q >= p; its second p < -2, q >= C(p)
+        region = ConvexityClass.CONVEX_D1 if pq[0] >= -2.0 else ConvexityClass.CONVEX_D2
+        assert classify_convexity(*pq) is region
 
     @pytest.mark.parametrize("pq", [(1.0, 0.0), (2.0, 1.0), (-3.0, -2.9)])
     def test_outside(self, pq):
-        assert classify_convexity(*pq).classification is ConvexityClass.NOT_CONVEX
+        assert classify_convexity(*pq) is ConvexityClass.NOT_CONVEX
 
 
 class TestGrotzsch:

@@ -1,5 +1,5 @@
-"""Relative accuracy of the Hersch-Pfluger layer and of arth(c x) against
-mpmath at 50 digits.
+"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x) and of C(p)
+against mpmath at 50 digits (C(p) at 60).
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -15,7 +15,7 @@ import math
 
 import pytest
 
-from hyplam import distortion_A, g_range, lemma_F_c, lemma_G_c, mu_inverse, phi_K
+from hyplam import big_C_of_p, distortion_A, g_range, lemma_F_c, lemma_G_c, mu_inverse, phi_K
 from hyplam.lambert import side_distances
 from hyplam.qcbounds import T_of
 from hyplam.specfun import _arth_cx, _mu_inverse_pair
@@ -166,3 +166,36 @@ def test_g_range_upper(c):
             m = mp.sqrt((2 - C * C) * (3 * C * C - 2))
             ref = sum(ref_pair_r(c, mp.sqrt((1 - m / (C * C)) / 2)))
         assert rel(upper, ref) <= 4.0 * EPS
+
+
+def ref_big_C(p):
+    """max of h_p at 60 digits, searched in r = 1 - e^{-u}, so that a maximum
+    near r = 1 (1 - r* ~ 4e-12 at p = -1e10) is resolved: a grid in log u,
+    then golden-section search between the neighbours of its best point."""
+    with mp.workdps(60):
+        P = mp.mpf(p)
+
+        def h(t):
+            u = mp.exp(t)
+            x = mp.exp(-u)  # 1 - r
+            r = -mp.expm1(-u)
+            arth_r = (u + mp.log(2 - x)) / 2
+            return 1 + ((P + 1) * x * (2 - x) - 2) * arth_r / r
+
+        ts = [mp.mpf(k) / 10 for k in range(-250, 51)]  # u from 1.4e-11 to 148
+        vals = [h(t) for t in ts]
+        i = max(range(len(ts)), key=vals.__getitem__)
+        a, b = ts[i - 1], ts[i + 1]
+        invphi = (mp.sqrt(5) - 1) / 2
+        for _ in range(150):
+            c, d = b - (b - a) * invphi, a + (b - a) * invphi
+            if h(c) > h(d):
+                b = d
+            else:
+                a = c
+        return h((a + b) / 2)
+
+
+@pytest.mark.parametrize("p", [-2.0 - 1e-9, -2.001, -2.5, -3.0, -5.0, -10.0, -100.0, -1e4, -1e6, -1e10])
+def test_big_C_of_p(p):
+    assert rel(big_C_of_p(p), ref_big_C(p)) <= 1e-11

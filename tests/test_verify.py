@@ -187,6 +187,11 @@ def _shift_d1(monkeypatch):
     monkeypatch.setattr(lambert, "lambert_from", shifted)
 
 
+def _shift_big_C(monkeypatch):
+    original = verify.big_C_of_p
+    monkeypatch.setattr(verify, "big_C_of_p", lambda p: original(p) + 1e-6)
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -210,6 +215,7 @@ class TestCertificatesCanFail:
             (_nan_absolute_ratio, "crossratio-invariance"),
             (_nan_arc, "arc-orthogonality"),
             (_shift_d1, "lambert-oracle-agreement"),
+            (_shift_big_C, "hp-range"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -383,6 +389,7 @@ SUB_CHECKS = {
     "symmetric-geodesic-distance": (10, 10),
     "lambert-oracle-agreement": (14, 64),
     "ideal-subdivision": (3, 3),
+    "hp-range": (11, 11),
 }
 
 
