@@ -390,6 +390,27 @@ SUB_CHECKS = {
     "lambert-oracle-agreement": (14, 64),
     "ideal-subdivision": (3, 3),
     "hp-range": (11, 11),
+    "fc-decreasing": (6, 6),
+    "fc-product-unimodal": (12, 12),
+    "gc-sum-range": (17, 17),
+    "h1-h-shape": (7, 7),
+    "gle2-monotonicity": (7, 7),
+    "slope-ratio-decreasing": (3, 3),
+    "gpq-monotonicity": (9, 9),
+    "arth-mean-extremum": (11, 11),
+    "arth-convexity-region": (18, 18),
+    "mu-identities": (1214, 1214),
+    "distortion-bracket": (35, 35),
+    "product-sharpness": (30, 30),
+    "sum-cases": (13, 13),
+    "thsq-identity": (1, 1),
+    "beardon-identity": (1106, 2106),
+    "ideal-extrema": (6, 6),
+    "qc-ml-exceeds-one": (1000, 1000),
+    "qc-branch-continuity": (6, 6),
+    "qc-k1-reduction": (1001, 1001),
+    "qc-k-monotonicity": (6, 6),
+    "qc-domination": (3000, 30_000),
 }
 
 
