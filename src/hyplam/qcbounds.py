@@ -24,7 +24,7 @@ from enum import Enum
 from functools import partial
 
 from .errors import DomainError, NoRootError
-from .lambert import IDEAL_PRODUCT_BOUND
+from .lambert import IDEAL_PRODUCT_BOUND, _check_L
 from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, arth, distortion_A, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
@@ -63,8 +63,7 @@ class QcBoundInput:
 
     def __post_init__(self):
         _check_K(self.K, "QcBoundInput")
-        if not 0.0 < self.L <= 1.0:
-            raise DomainError(f"L must lie in (0, 1], got {self.L}")
+        _check_L(self.L)
 
 
 @dataclass(frozen=True)

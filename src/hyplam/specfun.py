@@ -86,6 +86,11 @@ def _check_open01(r: float, what: str):
         raise DomainError(f"{what} needs r in (0, 1), got {r}")
 
 
+def _check_c(c: float, what: str):
+    if not 0.0 < c <= 1.0:
+        raise DomainError(f"{what} needs c in (0, 1], got {c}")
+
+
 def _arth_over_r(r: float) -> float:
     # arth(r)/r, series near 0 to dodge 0/0
     if r < 1e-4:
@@ -106,15 +111,13 @@ def _f_c_pair(c: float, x: float, xp: float) -> float:
 
 def lemma_f_c(c: float, r: float) -> float:
     """f_c(r) = (1 - (c r')^2) / (r arth(c r)); strictly decreasing in r."""
-    if not 0.0 < c <= 1.0:
-        raise DomainError("lemma_f_c needs c in (0, 1]")
+    _check_c(c, "lemma_f_c")
     _check_open01(r, "lemma_f_c")
     return _f_c_pair(c, r, rprime(r))
 
 def lemma_F_c(c: float, r: float) -> float:
     """F_c(r) = arth(c r) arth(c r'); max (arth(c sqrt2/2))^2 at r = sqrt2/2."""
-    if not 0.0 < c <= 1.0:
-        raise DomainError("lemma_F_c needs c in (0, 1]")
+    _check_c(c, "lemma_F_c")
     _check_open01(r, "lemma_F_c")
     rp = rprime(r)
     return _arth_cx(c, r, rp) * _arth_cx(c, rp, r)
@@ -122,8 +125,7 @@ def lemma_F_c(c: float, r: float) -> float:
 
 def lemma_G_c(c: float, r: float) -> float:
     """G_c(r) = arth(c r) + arth(c r')."""
-    if not 0.0 < c <= 1.0:
-        raise DomainError("lemma_G_c needs c in (0, 1]")
+    _check_c(c, "lemma_G_c")
     _check_open01(r, "lemma_G_c")
     rp = rprime(r)
     return _arth_cx(c, r, rp) + _arth_cx(c, rp, r)
@@ -148,8 +150,7 @@ def g_range(c: float) -> GRange:
     Boundary values of c route to cases (1) and (3) respectively, matching
     the half-open case intervals.
     """
-    if not 0.0 < c <= 1.0:
-        raise DomainError("g_range needs c in (0, 1]")
+    _check_c(c, "g_range")
     if c == 1.0:
         return GRange(4, arth(2.0 * math.sqrt(2.0) / 3.0), math.inf)
     mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
@@ -186,15 +187,26 @@ def aux_g_le2(p: float, r: float) -> float:
 
 
 def aux_slope_ratio(r: float) -> float:
-    """(r'^4 arth r - r(1+r^2)) / (r'^2 ((1+r^2) arth r - r)); decreasing, < -2."""
+    """(r'^4 arth r - r(1+r^2)) / (r'^2 ((1+r^2) arth r - r)); decreasing, < -2.
+
+    With t = r^2, r'^2 = (1 - r)(1 + r) and A = (arth r - r)/r^3, it is
+    (A r'^4 + t - 3) / (r'^2 (1 + A (1 + t))), where no term cancels. Below
+    r = 0.6, where arth r - r would cancel, A = 1/3 + t B with the series
+    B = 1/5 + t/7 + t^2/9 + ..., and the ratio is written -2 + t (3B - 5/3 -
+    t/3 - t B (2 + t)) / (the same denominator), so it stays below -2 as it
+    tends to -2 - 4t/5.
+    """
     _check_open01(r, "aux_slope_ratio")
-    if r < 1e-4:
-        return -2.0
-    rp2 = 1.0 - r * r
-    at = math.atanh(r)
-    num = rp2 * rp2 * at - r * (1.0 + r * r)
-    den = rp2 * ((1.0 + r * r) * at - r)
-    return num / den
+    t = r * r
+    rp2 = (1.0 - r) * (1.0 + r)
+    if r >= 0.6:
+        a = (math.atanh(r) - r) / (r * t)
+        return (a * rp2 * rp2 + (t - 3.0)) / (rp2 * (1.0 + a * (1.0 + t)))
+    b, term, k = 0.0, 1.0, 5
+    while b + term / k != b:
+        b, term, k = b + term / k, term * t, k + 2
+    a = 1.0 / 3.0 + t * b
+    return -2.0 + t * (3.0 * b - 5.0 / 3.0 - t / 3.0 - t * b * (2.0 + t)) / (rp2 * (1.0 + a * (1.0 + t)))
 
 
 def aux_h_p(p: float, r: float) -> float:
@@ -320,8 +332,7 @@ def agm(a: float, b: float) -> float:
 
 def grotzsch_mu(r: float) -> float:
     """Conformal modulus of the plane Groetzsch ring; decreasing on (0,1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"grotzsch_mu needs r in (0, 1), got {r}")
+    _check_open01(r, "grotzsch_mu")
     return (math.pi / 2.0) * agm(1.0, rprime(r)) / agm(1.0, r)
 
 
@@ -379,8 +390,7 @@ def mu_inverse(y: float) -> float:
 def phi_K(K: float, r: float) -> float:
     """Hersch-Pfluger distortion mu^{-1}(mu(r)/K), K >= 1."""
     _check_K(K, "phi_K")
-    if not 0.0 < r < 1.0:
-        raise DomainError("phi_K needs r in (0, 1)")
+    _check_open01(r, "phi_K")
     return mu_inverse(grotzsch_mu(r) / K)
 
 

@@ -192,42 +192,39 @@ class _Checker:
         self._witness: tuple = ()  # of the smallest-slack sub-check
         self._largest = 0.0
         self._located: tuple[float, tuple] | None = None
-        self._ran = False
         self._count = 0  # sub-checks run
 
     def require(self, deviation: float, allowance: float, witness: tuple = ()):
         slack = allowance - deviation
-        if not self._ran or slack < self.margin or math.isnan(slack):
+        if not self._count or slack < self.margin or math.isnan(slack):
             self.margin, self._witness = slack, witness
         if self._largest < deviation < math.inf:
             self._largest = deviation
-        self._ran = True
         self._count += 1
 
     def require_all(self, deviations, allowances, witnesses):
         """``require`` once per row, in row order, with the same outcome.
 
         ``witnesses`` is a (rows, fields) array, one witness per row;
-        ``deviations`` and ``allowances`` broadcast to its rows. The first
-        smallest slack stands unless a slack is NaN, and then the last NaN
-        does.
+        ``deviations`` and ``allowances`` broadcast to its rows. Only the row
+        that would stand goes through ``require``: the first smallest slack,
+        or the last NaN if a slack is NaN.
         """
         witnesses = np.asarray(witnesses, dtype=float)
         rows = len(witnesses)
         if rows == 0:
             return
         deviations = np.broadcast_to(deviations, (rows,))
+        allowances = np.broadcast_to(allowances, (rows,))
         with np.errstate(invalid="ignore"):  # inf - inf is a NaN slack, as in require
-            slack = np.broadcast_to(allowances, (rows,)) - deviations
+            slack = allowances - deviations
         nan = np.flatnonzero(np.isnan(slack))
         i = nan[-1] if nan.size else int(np.argmin(slack))
-        if nan.size or not self._ran or slack[i] < self.margin:
-            self.margin, self._witness = float(slack[i]), tuple(witnesses[i].tolist())
+        self.require(float(deviations[i]), float(allowances[i]), tuple(witnesses[i].tolist()))
+        self._count += rows - 1
         finite = deviations[deviations < math.inf]
-        if finite.size and finite.max() > self._largest:
-            self._largest = float(finite.max())
-        self._ran = True
-        self._count += rows
+        if finite.size:
+            self._largest = max(self._largest, float(finite.max()))
 
     def require_true(self, ok: bool, witness: tuple = ()):
         """A yes/no sub-check: a pass leaves the margin as it is, and neither
@@ -301,9 +298,10 @@ def _coords(*zs) -> np.ndarray:
     return np.column_stack([part for z in zs for part in (z.real, z.imag)])
 
 
-def _disk_points(n: int, seed: int, rmax: float = 0.98) -> np.ndarray:
+def _disk_points(n: int, seed: int) -> np.ndarray:
+    """n points spread uniformly over the disk |z| <= 0.98."""
     u = _halton(n, 2, seed)
-    radius = rmax * np.sqrt(u[:, 0])
+    radius = 0.98 * np.sqrt(u[:, 0])
     angle = 2.0 * math.pi * u[:, 1]
     return radius * np.exp(1j * angle)
 
@@ -389,19 +387,18 @@ def _t_isometry(spec: SweepSpec, chk: _Checker):
 
 
 def _chord_samples(n: int, seed: int):
-    """(alpha, s, b, a) for each of n Halton points: b = cos alpha + i s sin
+    """Arrays (alpha, s, b, a) over n Halton points: b = cos alpha + i s sin
     alpha on the chord between e^{+-i alpha}, and a the cut of the ray [0, b]
     with the geodesic between e^{+-i alpha}."""
-    for ua, ub in _halton(n, 2, seed):
-        alpha = 0.05 + 1.45 * ua
-        s_chord = -0.95 + 1.9 * ub
-        b = complex(math.cos(alpha), s_chord * math.sin(alpha))
-        w = 1.0 / math.cos(alpha)  # carrier center (real), radius sqrt(w^2 - 1)
-        beta = math.atan2(b.imag, b.real)
-        # |u e^{i beta} - w| = r with w^2 - r^2 = 1
-        disc = w * w * math.cos(beta) ** 2 - 1.0
-        u = w * math.cos(beta) - math.sqrt(disc)
-        yield alpha, s_chord, b, u * complex(math.cos(beta), math.sin(beta))
+    u = _halton(n, 2, seed)
+    alpha = 0.05 + 1.45 * u[:, 0]
+    s_chord = -0.95 + 1.9 * u[:, 1]
+    b = np.cos(alpha) + 1j * (s_chord * np.sin(alpha))
+    w = 1.0 / np.cos(alpha)  # carrier center (real), radius sqrt(w^2 - 1)
+    beta = np.arctan2(b.imag, b.real)
+    # |t e^{i beta} - w| = r with w^2 - r^2 = 1
+    t = w * np.cos(beta) - np.sqrt(w * w * np.cos(beta) ** 2 - 1.0)
+    return alpha, s_chord, b, t * (np.cos(beta) + 1j * np.sin(beta))
 
 
 @claim("midpoint", "midpoint construction halves distances; chord cut is the midpoint of [0,b]")
@@ -417,16 +414,15 @@ def _t_midpoint(spec: SweepSpec, chk: _Checker):
         chk.require_all(dev, 1e-10, _coords(z1, z2))
     # chord construction: b on the chord [c, d], a = [0,b] cut with the
     # geodesic between c and d; then rho(0,b) = 2 rho(0,a)
-    for alpha, s_chord, b, a in _chord_samples(min(spec.grid_size, 200), default_seed() + 6):
-        chk.require(abs(rho_disk(0.0, b) - 2.0 * rho_disk(0.0, a)), 1e-10, (alpha, s_chord))
+    alpha, s_chord, b, a = _chord_samples(min(spec.grid_size, 200), default_seed() + 6)
+    chk.require_all(abs(rho_disk(0.0, b) - 2.0 * rho_disk(0.0, a)), 1e-10, np.column_stack([alpha, s_chord]))
 
 
 @claim("chord-midpoint-circle", "the Euclidean chord midpoint lies on the hyperbolic circle through 0 around the cut point")
 def _t_chord_midpoint_circle(spec: SweepSpec, chk: _Checker):
-    for alpha, s_chord, _, a in _chord_samples(min(spec.grid_size, 500), default_seed() + 7):
-        s = complex(math.cos(alpha), 0.0)  # Euclidean midpoint of the chord
-        dev = abs(rho_disk(s, a) - rho_disk(0.0, a))
-        chk.require(dev, 1e-9, (alpha, s_chord))
+    alpha, s_chord, _, a = _chord_samples(min(spec.grid_size, 500), default_seed() + 7)
+    s = np.cos(alpha)  # Euclidean midpoint of the chord
+    chk.require_all(abs(rho_disk(s, a) - rho_disk(0.0, a)), 1e-9, np.column_stack([alpha, s_chord]))
 
 
 def _symmetric_geodesics(alpha: float):
@@ -471,6 +467,12 @@ def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
     return vals
 
 
+def _check_concave(chk, f, tag: float):
+    """Discrete second differences of f on a 1000-point grid stay nonpositive."""
+    vals = np.array([f(r) for r in _grid01(1000)])
+    chk.require(float(np.max(vals[2:] - 2.0 * vals[1:-1] + vals[:-2])), 1e-12, (tag,))
+
+
 def _find_sign_change(f, xs) -> bool:
     vals = np.array([f(x) for x in xs])
     diffs = np.diff(vals)
@@ -482,11 +484,7 @@ def _t_fc_decreasing(spec: SweepSpec, chk: _Checker):
     xs = _grid01(min(spec.grid_size, 10000))
     for c in (0.3, 0.8, 1.0):
         _check_monotone(chk, lambda r: lemma_f_c(c, r), xs, increasing=False, allowance=1e-13, tag=c)
-    # concavity of f_1: discrete second differences stay nonpositive
-    xs2 = _grid01(1000)
-    f1 = np.array([lemma_f_c(1.0, r) for r in xs2])
-    dev = float(np.max(f1[2:] - 2.0 * f1[1:-1] + f1[:-2]))
-    chk.require(dev, 1e-12, (1.0,))
+    _check_concave(chk, lambda r: lemma_f_c(1.0, r), 1.0)
     # range checks at c = 1: limit 1 at 0, decay toward 0 at 1
     chk.require(abs(lemma_f_c(1.0, 1e-9) - 1.0), 1e-6, (1.0, 0.0))
     chk.require(lemma_f_c(1.0, 1.0 - 1e-9), 0.1, (1.0, 1.0))
@@ -541,10 +539,8 @@ def _t_h1_h(spec: SweepSpec, chk: _Checker):
     _check_monotone(chk, aux_h, _grid01(n, SQRT2_2, 1.0 - 1e-3), False, 1e-13, 2.0)
     peak = aux_h(SQRT2_2)
     chk.require(abs(peak - math.sqrt(2.0) / math.log(math.sqrt(2.0) + 1.0)), 1e-12, (2.0,))
-    for name, f in ((1.0, aux_h1), (2.0, aux_h)):
-        vals = np.array([f(r) for r in _grid01(1000)])
-        dev = float(np.max(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]))
-        chk.require(dev, 1e-12, (name,))
+    _check_concave(chk, aux_h1, 1.0)
+    _check_concave(chk, aux_h, 2.0)
     chk.require_true(all(aux_h(r) > 1.0 for r in xs), (2.0,))
     chk.locate(peak, (SQRT2_2,))
 
@@ -749,19 +745,24 @@ def _t_distortion_bracket(spec: SweepSpec, chk: _Checker):
 # Lambert / ideal targets
 
 
+def _sides(L, theta):
+    """The oracle of a Lambert quadrilateral's side distances, (arth(L cos
+    theta), arth(L sin theta)), on floats or arrays; plain numpy, so that it
+    shares no code with lambert.side_distances."""
+    return np.arctanh(L * np.cos(theta)), np.arctanh(L * np.sin(theta))
+
+
 @claim("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L")
 def _t_product_sharpness(spec: SweepSpec, chk: _Checker):
     n = spec.grid_size
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
     for L in [round(0.1 * k, 1) for k in range(1, 11)]:
-        vals = np.arctanh(L * np.cos(thetas)) * np.arctanh(L * np.sin(thetas))
+        vals = math.prod(_sides(L, thetas))
         bound = lam.product_bound(L)
         gmax = float(np.max(vals))
         chk.require(gmax - bound, 1e-12, (L,))
         chk.require(bound - gmax, 1e-4, (L,))
-        th_star, ref = refine_grid_max(
-            lambda t: math.atanh(L * math.cos(t)) * math.atanh(L * math.sin(t)), thetas, vals, tol=1e-13
-        )
+        th_star, ref = refine_grid_max(lambda t: math.prod(_sides(L, t)), thetas, vals, tol=1e-13)
         chk.require(abs(th_star - math.pi / 4.0), 1e-3, (L, th_star))
     chk.locate(ref, (L, th_star))
 
@@ -773,11 +774,9 @@ def _t_sum_cases(spec: SweepSpec, chk: _Checker):
     for L in (0.5, 0.85, 0.95, 1.0):
         rep = lam.sum_bounds(L)
         with np.errstate(divide="ignore"):
-            vals = np.arctanh(L * np.cos(thetas)) + np.arctanh(L * np.sin(thetas))
+            vals = sum(_sides(L, thetas))
         if L < 1.0:
-            th_star, gmax = refine_grid_max(
-                lambda t: math.atanh(L * math.cos(t)) + math.atanh(L * math.sin(t)), thetas, vals, tol=1e-13
-            )
+            th_star, gmax = refine_grid_max(lambda t: sum(_sides(L, t)), thetas, vals, tol=1e-13)
             chk.require(abs(gmax - rep.upper), 1e-8, (L, th_star))
             if rep.case_label in ("case 2", "case 3"):
                 w1 = rep.equality_witness
@@ -785,14 +784,13 @@ def _t_sum_cases(spec: SweepSpec, chk: _Checker):
                 chk.require(min(abs(th_star - w1), abs(th_star - w2)), 1e-4, (L, th_star))
             chk.locate(gmax, (L, th_star))
         if rep.case_label in ("case 3", "case 4"):
-            at_pi4 = math.atanh(L * SQRT2_2) * 2.0
+            at_pi4 = sum(_sides(L, math.pi / 4.0))
             chk.require(abs(at_pi4 - rep.lower), 1e-8, (L, math.pi / 4.0))
             chk.require_true(bool(np.min(vals) >= rep.lower - 1e-10), (L,))
         else:
             # open infimum arth(L), approached as theta -> 0 or pi/2
             chk.require_true(bool(np.min(vals) > rep.lower), (L,))
-            edge = math.atanh(L * math.cos(1e-7)) + math.atanh(L * math.sin(1e-7))
-            chk.require(abs(edge - rep.lower), 1e-3, (L,))
+            chk.require(abs(sum(_sides(L, 1e-7)) - rep.lower), 1e-3, (L,))
 
 
 @claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2")
@@ -803,9 +801,7 @@ def _t_thsq_identity(spec: SweepSpec, chk: _Checker):
     theta = 1e-6 + (math.pi / 2.0 - 2e-6) * u[:, 1]
     # straight into the array: a list of 10^5 pairs would raise the peak RSS by 16 MB
     d1, d2 = np.fromiter(map(lam.side_distances, map(float, L), map(float, theta)), np.dtype((float, 2)), n).T
-    dev = np.abs(np.tanh(d1) ** 2 + np.tanh(d2) ** 2 - L * L)
-    i = int(np.argmax(dev))  # the first NaN, if any
-    chk.require(float(dev[i]), 1e-12, (float(L[i]), float(theta[i])))
+    chk.require_all(np.abs(np.tanh(d1) ** 2 + np.tanh(d2) ** 2 - L * L), 1e-12, np.column_stack([L, theta]))
 
 
 def _vertex_angle(q: lam.LambertQuad) -> float:
@@ -864,16 +860,14 @@ def _t_lambert_oracle(spec: SweepSpec, chk: _Checker):
 def _t_ideal_extrema(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 20001)
     alphas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, n)
-    d1 = 2.0 * np.arctanh(np.cos(alphas))
-    d2 = 2.0 * np.arctanh(np.sin(alphas))
-    a_star, pmax = refine_grid_max(
-        lambda a: 4.0 * math.atanh(math.cos(a)) * math.atanh(math.sin(a)), alphas, d1 * d2, tol=1e-13
-    )
+
+    def sides(a):  # of the ideal quadrilateral at alpha: the Lambert sides at L = 1, doubled
+        return [2.0 * d for d in _sides(1.0, a)]
+
+    a_star, pmax = refine_grid_max(lambda a: math.prod(sides(a)), alphas, math.prod(sides(alphas)), tol=1e-13)
     chk.require(abs(pmax - lam.IDEAL_PRODUCT_BOUND), 1e-6, (a_star,))
     chk.require(abs(a_star - math.pi / 4.0), 1e-3, (a_star,))
-    a_min, smin = refine_grid_min(
-        lambda a: 2.0 * math.atanh(math.cos(a)) + 2.0 * math.atanh(math.sin(a)), alphas, d1 + d2, tol=1e-13
-    )
+    a_min, smin = refine_grid_min(lambda a: sum(sides(a)), alphas, sum(sides(alphas)), tol=1e-13)
     chk.require(abs(smin - lam.IDEAL_SUM_BOUND), 1e-6, (a_min,))
     chk.require(abs(a_min - math.pi / 4.0), 1e-3, (a_min,))
     chk.require(abs(lam.alpha_from_quadruple(1, 1j, -1, -1j) - math.pi / 4.0), 1e-12, ())
@@ -951,21 +945,15 @@ def _t_qc_monotone(spec: SweepSpec, chk: _Checker):
 def _t_qc_domination(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 10000)
     u = _halton(n, 2, default_seed() + 13)
+    # L quantised to 65 levels, so that the (expensive) bound is shared across thetas
+    L = np.minimum(0.05 + 0.95 * np.round(64.0 * u[:, 0]) / 64.0, 1.0)
+    theta = 1e-3 + (math.pi / 2.0 - 2e-3) * u[:, 1]
+    levels, level_of = np.unique(L, return_inverse=True)
+    d1, d2 = _sides(L, theta)
     for K in (1.5, 2.0, 5.0):
-        ak2 = distortion_A(K) ** 2
-        bounds: dict[float, float] = {}
-        for ua, ub in u:
-            # quantize L so the (expensive) bound is shared across thetas
-            L = 0.05 + 0.95 * round(64.0 * ua) / 64.0
-            L = min(L, 1.0)
-            theta = 1e-3 + (math.pi / 2.0 - 2e-3) * ub
-            d1 = math.atanh(L * math.cos(theta))
-            d2 = math.atanh(L * math.sin(theta))
-            lhs = ak2 * max(d1, d1 ** (1.0 / K)) * max(d2, d2 ** (1.0 / K))
-            if L not in bounds:
-                bounds[L] = qcb.qc_product_bound(qcb.QcBoundInput(K, L)).bound
-            dev = lhs - bounds[L]
-            chk.require(dev, 1e-10, (K, L, theta))
+        bound = np.array([qcb.qc_product_bound(qcb.QcBoundInput(K, x)).bound for x in levels.tolist()])
+        lhs = distortion_A(K) ** 2 * np.maximum(d1, d1 ** (1.0 / K)) * np.maximum(d2, d2 ** (1.0 / K))
+        chk.require_all(lhs - bound[level_of], 1e-10, np.column_stack([np.full(n, K), L, theta]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x) and of C(p)
-against mpmath at 50 digits (C(p) at 60).
+"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x), of C(p) and
+of the slope ratio against mpmath at 50 digits (C(p) and the slope ratio at
+60).
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -18,7 +19,7 @@ import pytest
 from hyplam import big_C_of_p, distortion_A, g_range, lemma_F_c, lemma_G_c, mu_inverse, phi_K
 from hyplam.lambert import side_distances
 from hyplam.qcbounds import T_of
-from hyplam.specfun import _arth_cx, _mu_inverse_pair
+from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_slope_ratio
 
 mp = pytest.importorskip("mpmath")
 
@@ -199,3 +200,26 @@ def ref_big_C(p):
 @pytest.mark.parametrize("p", [-2.0 - 1e-9, -2.001, -2.5, -3.0, -5.0, -10.0, -100.0, -1e4, -1e6, -1e10])
 def test_big_C_of_p(p):
     assert rel(big_C_of_p(p), ref_big_C(p)) <= 1e-11
+
+
+def ref_slope_ratio(r):
+    """(r'^4 arth r - r (1 + r^2)) / (r'^2 ((1 + r^2) arth r - r)) at 60
+    digits: the terms cancel to ~r^3, so 60 digits leave 36 at r = 1e-8."""
+    with mp.workdps(60):
+        R = mp.mpf(r)
+        at, rp2 = mp.atanh(R), (1 - R) * (1 + R)
+        return (rp2 * rp2 * at - R * (1 + R * R)) / (rp2 * ((1 + R * R) * at - R))
+
+
+@pytest.mark.parametrize(
+    "r",
+    [1e-8, 1.7e-8, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5, math.nextafter(0.6, 0.0), 0.6, 0.63, 0.7, 0.9]
+    + [0.999, 1 - 1e-6, 1 - 1e-8],
+)
+def test_aux_slope_ratio(r):
+    # the rounding of arth r is amplified by arth r/(arth r - r) where
+    # A = (arth r - r)/r^3 is taken from arth r, from r = 0.6 on
+    value = aux_slope_ratio(r)
+    assert rel(value, ref_slope_ratio(r)) <= 4.0 * EPS
+    if r >= 1e-7:
+        assert value < -2.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hyplam
-from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, lambert, run_sweep, verify
+from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, lambert, qcbounds, run_sweep, verify
 from hyplam.cli import main
 from hyplam.verify import _halton, run_all
 
@@ -192,6 +192,40 @@ def _shift_big_C(monkeypatch):
     monkeypatch.setattr(verify, "big_C_of_p", lambda p: original(p) + 1e-6)
 
 
+def _lower_qc_product_bound(monkeypatch):
+    original = qcbounds.qc_product_bound
+
+    def lowered(inp):
+        res = original(inp)
+        return dataclasses.replace(res, bound=res.bound * (1.0 - 1e-6))
+
+    monkeypatch.setattr(qcbounds, "qc_product_bound", lowered)
+
+
+def _raise_sum_upper(monkeypatch):
+    original = lambert.sum_bounds
+
+    def raised(L, theta=None):
+        rep = original(L, theta)
+        return dataclasses.replace(rep, upper=rep.upper * (1.0 + 1e-7))
+
+    monkeypatch.setattr(lambert, "sum_bounds", raised)
+
+
+def _raise_ideal_product_bound(monkeypatch):
+    monkeypatch.setattr(lambert, "IDEAL_PRODUCT_BOUND", lambert.IDEAL_PRODUCT_BOUND * (1.0 + 1e-6))
+
+
+def _stretch_side_d1(monkeypatch):
+    original = lambert.side_distances
+
+    def stretched(L, theta):
+        d1, d2 = original(L, theta)
+        return d1 * (1.0 + 1e-9), d2
+
+    monkeypatch.setattr(lambert, "side_distances", stretched)
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -216,6 +250,10 @@ class TestCertificatesCanFail:
             (_nan_arc, "arc-orthogonality"),
             (_shift_d1, "lambert-oracle-agreement"),
             (_shift_big_C, "hp-range"),
+            (_lower_qc_product_bound, "qc-domination"),
+            (_raise_sum_upper, "sum-cases"),
+            (_raise_ideal_product_bound, "ideal-extrema"),
+            (_stretch_side_d1, "thsq-identity"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -287,7 +325,7 @@ class TestChecker:
 
 def _checker_state(chk):
     # repr makes a NaN margin equal to itself
-    return repr(chk.margin), chk._witness, chk._ran, chk._count, chk.observed()
+    return repr(chk.margin), chk._witness, chk._count, chk.observed()
 
 
 def _row_by_row(chk, deviations, allowances, witnesses):
@@ -377,7 +415,8 @@ class TestRequireAll:
 
 #: sub-checks per sweep on the fast and thorough profiles (grids 1000 and
 #: 100000, default seed), as the per-row loops ran them: the array sweeps
-#: must check every row, and skip the same ones
+#: must check every row, and skip the same ones. thsq-identity counts each
+#: of its samples, where it once recorded only the worst one.
 SUB_CHECKS = {
     "arc-orthogonality": (1000, 99_999),
     "crossratio-distance": (1000, 100_000),
@@ -403,7 +442,7 @@ SUB_CHECKS = {
     "distortion-bracket": (35, 35),
     "product-sharpness": (30, 30),
     "sum-cases": (13, 13),
-    "thsq-identity": (1, 1),
+    "thsq-identity": (1000, 100_000),
     "beardon-identity": (1106, 2106),
     "ideal-extrema": (6, 6),
     "qc-ml-exceeds-one": (1000, 1000),
