@@ -207,46 +207,38 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_rows(args):
+    """The header and the rows (lists of Python floats) of a sweep: one array
+    call per target, row by row under the scalar rules."""
     n = args.grid
-    if args.target == "product":
+    if args.target in ("product", "sum"):
         if args.L is None:
-            raise HyplamError("--target product requires --L")
-        bound = lam.product_bound(args.L)
-        header = ["theta", "value", "bound", "margin"]
+            raise HyplamError(f"--target {args.target} requires --L")
         thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
-        rows = []
-        for t in thetas:
-            d1, d2 = lam.side_distances(args.L, float(t))
-            rows.append((t, d1 * d2, bound, d1 * d2 - bound))
-        return header, rows
-    if args.target == "sum":
-        if args.L is None:
-            raise HyplamError("--target sum requires --L")
+        if args.target == "product":
+            bound = lam.product_bound(args.L)
+            d1, d2 = lam.side_distances(args.L, thetas)
+            value = d1 * d2
+            return ["theta", "value", "bound", "margin"], _table(thetas, value, bound, value - bound)
         rep = lam.sum_bounds(args.L)
+        d1, d2 = lam.side_distances(args.L, thetas)
+        value = d1 + d2
         header = ["theta", "value", "lower", "upper", "margin"]
-        thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
-        rows = []
-        for t in thetas:
-            d1, d2 = lam.side_distances(args.L, float(t))
-            rows.append((t, d1 + d2, rep.lower, rep.upper, d1 + d2 - rep.lower))
-        return header, rows
+        return header, _table(thetas, value, rep.lower, rep.upper, value - rep.lower)
     if args.target == "ideal":
-        header = ["alpha", "product", "product_bound", "sum", "sum_bound"]
         alphas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, n)
-        rows = []
-        for a in alphas:
-            d1, d2 = lam.ideal_quad(float(a))
-            rows.append((a, d1 * d2, lam.IDEAL_PRODUCT_BOUND, d1 + d2, lam.IDEAL_SUM_BOUND))
-        return header, rows
+        d1, d2 = lam.ideal_quad(alphas)
+        header = ["alpha", "product", "product_bound", "sum", "sum_bound"]
+        return header, _table(alphas, d1 * d2, lam.IDEAL_PRODUCT_BOUND, d1 + d2, lam.IDEAL_SUM_BOUND)
     if args.target == "mu":
-        header = ["r", "mu", "mu_product"]
         rs = np.linspace(1e-3, 1.0 - 1e-3, n)
-        rows = []
-        for r in rs:
-            m = grotzsch_mu(float(r))
-            rows.append((r, m, m * grotzsch_mu(rprime(float(r)))))
-        return header, rows
+        m = grotzsch_mu(rs)
+        return ["r", "mu", "mu_product"], _table(rs, m, m * grotzsch_mu(rprime(rs)))
     raise HyplamError(f"unknown sweep target {args.target!r}")
+
+
+def _table(first, *columns) -> list:
+    """Rows of Python floats from an ndarray column and columns or constants."""
+    return np.column_stack(np.broadcast_arrays(first, *columns)).tolist()
 
 
 def cmd_sweep(args) -> int:
@@ -257,7 +249,7 @@ def cmd_sweep(args) -> int:
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+        fh.writelines(line % tuple(row) for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -27,6 +27,10 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 
+#: numpy's array type, bound once, as in specfun: each scalar call tests for it
+#: several times, and isinstance(x, np.ndarray) costs ~5 times isinstance(x, _ndarray)
+_ndarray = np.ndarray
+
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
 _BOUNDARY_SNAP = 64 * 2.0**-52
 #: the line through z1 and z2 counts as through 0 when the nearer point lies off
@@ -79,20 +83,20 @@ class Point:
 def _is_rows(*values) -> bool:
     """True if any argument is an ndarray: the call then works row by row."""
     for v in values:
-        if isinstance(v, np.ndarray):
+        if isinstance(v, _ndarray):
             return True
     return False
 
 
 def _sqrt(x):
     """math.sqrt on a scalar, np.sqrt on an array: a scalar stays a Python float."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, _ndarray) else math.sqrt(x)
 
 
 def _abs(z):
     """|z| by hypot, on an array too, as Python's abs computes it: numpy's
     complex abs rounds differently, and rho amplifies that near the circle."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+    return np.hypot(z.real, z.imag) if isinstance(z, _ndarray) else abs(z)
 
 
 def _snap(z):
@@ -100,7 +104,7 @@ def _snap(z):
     where that happened (a bool for a scalar, a mask for an array)."""
     r = _abs(z)
     on = abs(r - 1.0) <= _BOUNDARY_SNAP
-    if isinstance(on, np.ndarray):
+    if isinstance(on, _ndarray):
         return np.where(on, z / np.where(on, r, 1.0), z), on
     return (z / r if on else z), on
 
@@ -148,7 +152,7 @@ def _through_origin(z1, z2):
     diameter with any other.
     """
     cross = z1.real * z2.imag - z1.imag * z2.real
-    far = np.maximum(_abs(z1), _abs(z2)) if isinstance(cross, np.ndarray) else max(abs(z1), abs(z2))
+    far = np.maximum(_abs(z1), _abs(z2)) if isinstance(cross, _ndarray) else max(abs(z1), abs(z2))
     return abs(cross) <= _COLLINEAR_TOL * far * _abs(z1 - z2)
 
 
@@ -271,7 +275,7 @@ def rho_halfplane(x, y):
             raise DomainError("rho_halfplane needs points with positive imaginary part")
         z, w = px.z, py.z
     rho = 2.0 * np.arcsinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
-    return rho if isinstance(rho, np.ndarray) else float(rho)
+    return rho if isinstance(rho, _ndarray) else float(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +515,7 @@ class MoebiusMap:
     def __call__(self, z):
         """The image Point; on a complex ndarray, the snapped image of each
         row, and DomainError if a row maps to infinity."""
-        if isinstance(z, np.ndarray):
+        if isinstance(z, _ndarray):
             z = _rows(z)[0]
             if (abs(self.c * z + self.d) < 1e-300).any():
                 raise DomainError("a row maps to infinity, which has no finite coordinate")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import _arth_cx, arth, g_range, rprime
+from .specfun import _all, _arth_cx, _first_bad, _ns, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,11 +78,13 @@ def _check_theta(theta: float):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
 
 
-def side_distances(L: float, theta: float) -> tuple[float, float]:
+def side_distances(L, theta):
     """(arth(L cos theta), arth(L sin theta)) for L in (0, 1] and theta in
-    [0, pi/2], each through specfun._arth_cx with the other as complement."""
-    c, s = math.cos(theta), math.sin(theta)
-    return _arth_cx(L, c, s), _arth_cx(L, s, c)
+    [0, pi/2], each through specfun._arth_cx with the other as complement;
+    a pair of ndarrays, row by row, if L or theta is one."""
+    ns = _ns(L, theta)
+    c, s = ns.cos(theta), ns.sin(theta)
+    return _arth_cx(L, c, s, ns), _arth_cx(L, s, c, ns)
 
 
 def lambert_from(L: float, theta: float) -> LambertQuad:
@@ -196,11 +198,13 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     )
 
 
-def ideal_quad(alpha: float) -> tuple[float, float]:
+def ideal_quad(alpha):
     """Opposite-side distances (2 arth cos a, 2 arth sin a) of the normalized
-    ideal quadrilateral with vertex half-angle alpha."""
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"alpha must lie in (0, pi/2), got {alpha}")
+    ideal quadrilateral with vertex half-angle alpha; row by row for an
+    ndarray alpha, where any row outside (0, pi/2) raises DomainError."""
+    ok = (0.0 < alpha) & (alpha < math.pi / 2.0)
+    if ok is not True and not _all(ok):
+        raise DomainError(f"alpha must lie in (0, pi/2), got {_first_bad(alpha, ok)}")
     d1, d2 = side_distances(1.0, alpha)
     return 2.0 * d1, 2.0 * d2
 

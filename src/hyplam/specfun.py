@@ -1,6 +1,17 @@
-"""Scalar special functions: arth, Hoelder means, the lemma-function family,
-the Groetzsch ring modulus mu, the distortion function phi_K, and the
+"""Special functions: arth, Hoelder means, the lemma-function family, the
+Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
+
+One numeric core serves scalar and array callers. `rprime`, `agm`,
+`grotzsch_mu`, `lemma_f_c`, `lemma_F_c`, `lemma_G_c`, `aux_h1`, `aux_h` and
+the private arth(c x) kernel `_arth_cx` also take ndarrays and then work row
+by row under the scalar rules: each formula is written once, over a namespace
+that is the `math` module for a scalar and `numpy` for an ndarray, and a row
+outside the domain raises the scalar's DomainError. A scalar call never goes
+through numpy and returns a Python float. An array row agrees with its scalar
+call to within the rounding of numpy's log1p and log against libm's (a few
+ulp; tests/test_array_core.py); AGM rows equal their scalar calls bit for
+bit. `holder_mean` is elementwise too. The other functions take scalars only.
 
 mu is evaluated through the arithmetic-geometric mean. Its inverse is the
 closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
@@ -29,6 +40,17 @@ from .errors import DomainError
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 
+#: numpy's array type, bound once: a scalar call tests for it on every call,
+#: and isinstance(x, np.ndarray) costs ~5 times isinstance(x, _ndarray)
+_ndarray = np.ndarray
+
+
+def _ns(x, y=None):
+    """The namespace the kernels take their functions from: numpy if x or y
+    is an ndarray, else math. The private kernels take it as an argument,
+    math by default, so that scalar callers pay for no test."""
+    return np if isinstance(x, _ndarray) or isinstance(y, _ndarray) else math
+
 
 def arth(x: float) -> float:
     """Inverse hyperbolic tangent on [0, 1]; arth(1) is +inf."""
@@ -39,22 +61,54 @@ def arth(x: float) -> float:
     return math.atanh(x)
 
 
-def rprime(r: float) -> float:
-    """sqrt(1 - r^2) for r in [0, 1]."""
-    return math.sqrt(max(0.0, (1.0 - r) * (1.0 + r)))
+def _all(ok) -> bool:
+    """A domain test's verdict: ok itself for a scalar, and for a row-wise test
+    (an ndarray) whether it holds on every row. The checks below skip the
+    call where ok is the bool True, as a Python float in the domain gives."""
+    return ok.all() if isinstance(ok, _ndarray) else ok
 
 
-def _arth_cx(c: float, x: float, xp: float) -> float:
+def _first_bad(value, ok):
+    """value, or for a row-wise test ok its first row where ok fails."""
+    return np.broadcast_to(value, ok.shape)[~ok][0] if isinstance(ok, _ndarray) else value
+
+
+def rprime(r):
+    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN."""
+    rp2 = (1.0 - r) * (1.0 + r)
+    if isinstance(rp2, _ndarray):
+        return np.sqrt(np.fmax(0.0, rp2))
+    return math.sqrt(max(0.0, rp2))
+
+
+def _arth_cx(c, x, xp, ns=math):
     """arth(c x) for c in (0, 1] and x in [0, 1], given x' = sqrt(1 - x^2).
 
     1 - c x is written (1 - c) + c x'^2/(1 + x), which cannot cancel, so x
     may even have rounded to 1. Where it is below 1e-300 (c = 1, x' below
-    ~1e-150), arth x is log1p(x) - log x'.
+    ~1e-150), arth x is log1p(x) - log x', and arth 1 = inf where x' = 0.
+    With ns = numpy the arguments are ndarrays (or floats among them), and
+    each row takes the form its scalar call takes, and only that one.
     """
     den = (1.0 - c) + c * xp * xp / (1.0 + x)
-    if den < 1e-300:
-        return math.log1p(x) - math.log(xp)
-    return 0.5 * math.log1p(2.0 * c * x / den)
+    if ns is np:
+        near = den < 1e-300
+        if near.any():
+            c, x, xp = np.broadcast_arrays(c, x, xp, den)[:3]
+            far = ~near
+            out = np.empty(den.shape)
+            out[far] = _arth_cx(c[far], x[far], xp[far], np)
+            with np.errstate(divide="ignore"):  # log 0 = -inf
+                out[near] = _arth_near_one(np, x[near], xp[near])
+            return out
+    elif den < 1e-300:
+        return _arth_near_one(math, x, xp) if xp else math.inf  # math.log(0) raises
+    return 0.5 * ns.log1p(2.0 * c * x / den)
+
+
+def _arth_near_one(ns, x, xp):
+    """arth x = log1p(x) - log x', by the functions of ns: math or numpy."""
+    return ns.log1p(x) - ns.log(xp)
 
 
 def arth_complement(r: float) -> float:
@@ -81,14 +135,16 @@ def holder_mean(p: float | np.ndarray, r: float | np.ndarray, s: float | np.ndar
 # Lemma-function family
 
 
-def _check_open01(r: float, what: str):
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"{what} needs r in (0, 1), got {r}")
+def _check_open01(r, what: str):
+    ok = (0.0 < r) & (r < 1.0)
+    if ok is not True and not _all(ok):
+        raise DomainError(f"{what} needs r in (0, 1), got {_first_bad(r, ok)}")
 
 
-def _check_c(c: float, what: str):
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"{what} needs c in (0, 1], got {c}")
+def _check_c(c, what: str):
+    ok = (0.0 < c) & (c <= 1.0)
+    if ok is not True and not _all(ok):
+        raise DomainError(f"{what} needs c in (0, 1], got {_first_bad(c, ok)}")
 
 
 def _arth_over_r(r: float) -> float:
@@ -99,36 +155,43 @@ def _arth_over_r(r: float) -> float:
     return math.atanh(r) / r
 
 
-def _f_c_pair(c: float, x: float, xp: float) -> float:
+def _f_c_pair(c, x, xp, ns=math):
     """f_c(x) from x and x' = sqrt(1 - x^2), neither recomputed from the other.
 
     1 - (c x')^2 is written (1 - c)(1 + c) + (c x)^2, which cannot cancel,
     and is divided by x before arth(c x), so that a tiny x overflows to inf
-    instead of dividing by an underflowed x arth(c x).
+    instead of dividing by an underflowed x arth(c x). Where c x itself
+    underflows, arth(c x) is 0 and f_c, above 1/(c x), is inf too. An
+    ndarray row gives its inf as quietly as its scalar call.
     """
-    return ((1.0 - c) * (1.0 + c) / x + c * c * x) / _arth_cx(c, x, xp)
+    num = (1.0 - c) * (1.0 + c) / x + c * c * x
+    den = _arth_cx(c, x, xp, ns)
+    if ns is np:
+        with np.errstate(over="ignore", divide="ignore"):
+            return num / den
+    return num / den if den else math.inf
 
 
-def lemma_f_c(c: float, r: float) -> float:
+def lemma_f_c(c, r):
     """f_c(r) = (1 - (c r')^2) / (r arth(c r)); strictly decreasing in r."""
     _check_c(c, "lemma_f_c")
     _check_open01(r, "lemma_f_c")
-    return _f_c_pair(c, r, rprime(r))
+    return _f_c_pair(c, r, rprime(r), _ns(c, r))
 
-def lemma_F_c(c: float, r: float) -> float:
+def lemma_F_c(c, r):
     """F_c(r) = arth(c r) arth(c r'); max (arth(c sqrt2/2))^2 at r = sqrt2/2."""
     _check_c(c, "lemma_F_c")
     _check_open01(r, "lemma_F_c")
-    rp = rprime(r)
-    return _arth_cx(c, r, rp) * _arth_cx(c, rp, r)
+    ns, rp = _ns(c, r), rprime(r)
+    return _arth_cx(c, r, rp, ns) * _arth_cx(c, rp, r, ns)
 
 
-def lemma_G_c(c: float, r: float) -> float:
+def lemma_G_c(c, r):
     """G_c(r) = arth(c r) + arth(c r')."""
     _check_c(c, "lemma_G_c")
     _check_open01(r, "lemma_G_c")
-    rp = rprime(r)
-    return _arth_cx(c, r, rp) + _arth_cx(c, rp, r)
+    ns, rp = _ns(c, r), rprime(r)
+    return _arth_cx(c, r, rp, ns) + _arth_cx(c, rp, r, ns)
 
 
 _C_LOW = math.sqrt(2.0 / 3.0)
@@ -167,13 +230,13 @@ def g_range(c: float) -> GRange:
     return GRange(3, mid_value, top, r0=r0)
 
 
-def aux_h1(r: float) -> float:
+def aux_h1(r):
     """r'/arth(r'); strictly increasing and concave, range (0, 1)."""
     _check_open01(r, "aux_h1")
-    return _f_c_pair(1.0, rprime(r), r)
+    return _f_c_pair(1.0, rprime(r), r, _ns(r))
 
 
-def aux_h(r: float) -> float:
+def aux_h(r):
     """r/arth r + r'/arth r'; peaks at r = sqrt2/2 with value sqrt2/log(1+sqrt2)."""
     _check_open01(r, "aux_h")
     return lemma_f_c(1.0, r) + aux_h1(r)
@@ -216,9 +279,9 @@ def aux_h_p(p: float, r: float) -> float:
 
 
 def aux_g_pq(p: float, q: float, r: float) -> float:
-    """arth(r)^(q-1) / (r^(p-1) r'^2)."""
+    """arth(r)^(q-1) / (r^(p-1) r'^2); r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_g_pq")
-    return math.atanh(r) ** (q - 1.0) / (r ** (p - 1.0) * (1.0 - r * r))
+    return math.atanh(r) ** (q - 1.0) / (r ** (p - 1.0) * ((1.0 - r) * (1.0 + r)))
 
 
 def threshold_C() -> float:
@@ -321,19 +384,32 @@ def classify_convexity(p: float, q: float) -> ConvexityClass:
 # Groetzsch modulus and distortion
 
 
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean; quadratic convergence, 64-iteration cap."""
+def agm(a, b):
+    """Arithmetic-geometric mean of a, b > 0; 64-step cap.
+
+    It stops once |a - b| <= 2^-52 a, which an ulp of a always passes: a pair
+    that settles an ulp apart would otherwise cycle to the cap. On ndarrays a
+    row that has settled keeps its a and b while the others step on, so that
+    it equals its scalar call bit for bit (sqrt, like + and *, is correctly
+    rounded in numpy as in math).
+    """
+    rows = isinstance(a, _ndarray) or isinstance(b, _ndarray)
+    sqrt = np.sqrt if rows else math.sqrt
     for _ in range(64):
-        if abs(a - b) <= 1e-16 * a:
+        moving = abs(a - b) > 2.0**-52 * a
+        if not (moving.any() if rows else moving):
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a_next, b_next = 0.5 * (a + b), sqrt(a * b)
+        if rows:
+            a_next, b_next = np.where(moving, a_next, a), np.where(moving, b_next, b)
+        a, b = a_next, b_next
     return 0.5 * (a + b)
 
 
-def grotzsch_mu(r: float) -> float:
+def grotzsch_mu(r):
     """Conformal modulus of the plane Groetzsch ring; decreasing on (0,1)."""
     _check_open01(r, "grotzsch_mu")
-    return (math.pi / 2.0) * agm(1.0, rprime(r)) / agm(1.0, r)
+    return _HALF_PI * agm(1.0, rprime(r)) / agm(1.0, r)
 
 
 _HALF_PI = math.pi / 2.0

@@ -459,8 +459,14 @@ def _grid01(n: int, lo: float = 1e-3, hi: float = 1.0 - 1e-3) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _each(f):
+    """The grid form of a kernel that takes scalars only: f at each point, in order."""
+    return lambda xs: np.array([f(x) for x in xs])
+
+
 def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
-    vals = np.array([f(x) for x in xs])
+    """f, which takes the whole grid xs, is monotone on it up to allowance."""
+    vals = f(xs)
     diffs = np.diff(vals)
     worst = float(np.min(diffs if increasing else -diffs))
     chk.require(-worst, allowance, (tag, float(xs[int(np.argmin(diffs))])))
@@ -468,8 +474,9 @@ def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
 
 
 def _check_concave(chk, f, tag: float):
-    """Discrete second differences of f on a 1000-point grid stay nonpositive."""
-    vals = np.array([f(r) for r in _grid01(1000)])
+    """Discrete second differences of f, which takes the whole grid, on a
+    1000-point grid stay nonpositive."""
+    vals = f(_grid01(1000))
     chk.require(float(np.max(vals[2:] - 2.0 * vals[1:-1] + vals[:-2])), 1e-12, (tag,))
 
 
@@ -516,7 +523,7 @@ def _t_gc_sum_range(spec: SweepSpec, chk: _Checker):
     for c in (0.5, lam.SUM_CASE1_MAX, 0.85, lam.SUM_CASE3_MIN, 0.95, 1.0):
         rng = g_range(c)
         xs = _grid01(n, 1e-6, 1.0 - 1e-6)
-        vals = np.array([lemma_G_c(c, r) for r in xs])
+        vals = lemma_G_c(c, xs)
         _, peak = refine_grid_max(lambda r: lemma_G_c(c, r), xs, vals, tol=1e-13)
         if math.isfinite(rng.upper):
             chk.require(abs(peak - rng.upper), 1e-8, (c, 1.0))
@@ -541,7 +548,7 @@ def _t_h1_h(spec: SweepSpec, chk: _Checker):
     chk.require(abs(peak - math.sqrt(2.0) / math.log(math.sqrt(2.0) + 1.0)), 1e-12, (2.0,))
     _check_concave(chk, aux_h1, 1.0)
     _check_concave(chk, aux_h, 2.0)
-    chk.require_true(all(aux_h(r) > 1.0 for r in xs), (2.0,))
+    chk.require_true(bool(np.all(aux_h(xs) > 1.0)), (2.0,))
     chk.locate(peak, (SQRT2_2,))
 
 
@@ -551,9 +558,9 @@ def _t_gle2(spec: SweepSpec, chk: _Checker):
     xs = _grid01(n)
     c_thr = threshold_C()
     for p in (-1.0, 0.0):
-        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, False, 1e-13, p)
+        _check_monotone(chk, _each(lambda r: aux_g_le2(p, r)), xs, False, 1e-13, p)
     for p in (c_thr, 1.0):
-        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, True, 1e-13, p)
+        _check_monotone(chk, _each(lambda r: aux_g_le2(p, r)), xs, True, 1e-13, p)
     chk.require_true(_find_sign_change(lambda r: aux_g_le2(0.2, r), xs), (0.2,))
     chk.require(abs(c_thr - 0.376775), 1e-6, (c_thr,))
     # the threshold equals the peak of 1 - 1/h
@@ -564,7 +571,7 @@ def _t_gle2(spec: SweepSpec, chk: _Checker):
 @claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2")
 def _t_slope_ratio(spec: SweepSpec, chk: _Checker):
     xs = _grid01(min(spec.grid_size, 10000))
-    vals = _check_monotone(chk, aux_slope_ratio, xs, increasing=False, allowance=1e-13, tag=0.0)
+    vals = _check_monotone(chk, _each(aux_slope_ratio), xs, increasing=False, allowance=1e-13, tag=0.0)
     chk.require_true(bool(np.all(vals < -2.0)), (0.0,))
     chk.require(abs(aux_slope_ratio(1e-5) + 2.0), 1e-6, (0.0,))
     chk.locate(float(vals[0]), (float(xs[0]),))
@@ -577,7 +584,7 @@ def _t_hp_range(spec: SweepSpec, chk: _Checker):
     # p >= -2: strictly decreasing, everything below p (at p = -2 the gap
     # near 0 is quartic in r, so give float-noise headroom)
     for p in (-2.0, -1.0, 0.0):
-        vals = _check_monotone(chk, lambda r: aux_h_p(p, r), xs, False, 1e-12, p)
+        vals = _check_monotone(chk, _each(lambda r: aux_h_p(p, r)), xs, False, 1e-12, p)
         chk.require(float(np.max(vals)) - p, 1e-12, (p,))
     # p < -2: attained supremum in (p, -1), limits -2 and -inf
     c3 = big_C_of_p(-3.0)
@@ -597,9 +604,9 @@ def _t_gpq(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 10000)
     xs = _grid01(n)
     for p, q in ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)):
-        _check_monotone(chk, lambda r: aux_g_pq(p, q, r), xs, True, 1e-12, p)
+        _check_monotone(chk, _each(lambda r: aux_g_pq(p, q, r)), xs, True, 1e-12, p)
     c3 = big_C_of_p(-3.0)
-    _check_monotone(chk, lambda r: aux_g_pq(-3.0, c3, r), xs, True, 1e-12, -3.0)
+    _check_monotone(chk, _each(lambda r: aux_g_pq(-3.0, c3, r)), xs, True, 1e-12, -3.0)
     for p, q in ((1.0, 0.0), (2.0, 1.0), (-3.0, c3 - 0.05)):
         chk.require_true(_find_sign_change(lambda r: aux_g_pq(p, q, r), xs), (p, q))
     chk.locate(c3, (-3.0, c3))
@@ -702,9 +709,8 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 1000)
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
     xs = _grid01(n, 1e-3, 1.0 - 1e-3)
-    for r in xs:
-        dev = abs(grotzsch_mu(r) * grotzsch_mu(rprime(r)) - math.pi**2 / 4.0)
-        chk.require(dev, 1e-10, (float(r),))
+    dev = np.abs(grotzsch_mu(xs) * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
+    chk.require_all(dev, 1e-10, xs[:, None])
     chk.require_true(grotzsch_mu(0.1) > grotzsch_mu(0.9), ())
     for r in (0.05, 0.4, 0.9):
         chk.require(abs(mu_inverse(grotzsch_mu(r)) - r), 1e-12, (r,))
@@ -799,8 +805,7 @@ def _t_thsq_identity(spec: SweepSpec, chk: _Checker):
     u = _halton(n, 2, default_seed() + 10)
     L = 1e-3 + (1.0 - 1e-3) * u[:, 0]
     theta = 1e-6 + (math.pi / 2.0 - 2e-6) * u[:, 1]
-    # straight into the array: a list of 10^5 pairs would raise the peak RSS by 16 MB
-    d1, d2 = np.fromiter(map(lam.side_distances, map(float, L), map(float, theta)), np.dtype((float, 2)), n).T
+    d1, d2 = lam.side_distances(L, theta)
     chk.require_all(np.abs(np.tanh(d1) ** 2 + np.tanh(d2) ** 2 - L * L), 1e-12, np.column_stack([L, theta]))
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hyplam import SweepSpec, lambert, run_sweep
+from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep
 from hyplam.cli import _sweep_rows, build_parser, main
 
 PI4 = "0.7853981633974483"
@@ -220,6 +220,45 @@ class TestSweep:
 
     def test_tiny_grid_exits_2(self, capsys, tmp_path):
         assert run(capsys, "sweep", "--target", "mu", "--grid", "1", "--out", str(tmp_path / "x.csv"))[0] == 2
+
+    @pytest.mark.parametrize("L", [2.0**-60, 0.5, lambert.SUM_CASE1_MAX, 1.0])
+    @pytest.mark.parametrize("target", ["product", "sum", "ideal", "mu"])
+    def test_rows_match_scalar_calls(self, capsys, tmp_path, target, L):
+        # the sweep is one array call per target; each row is within 4 units
+        # of 2^-52 of the scalar calls (numpy's log1p rounds apart from libm's)
+        out_file = tmp_path / "x.csv"
+        argv = ["sweep", "--target", target, "--grid", "200", "--out", str(out_file), "--L", repr(L)]
+        assert run(capsys, *argv)[0] == 0
+        with open(out_file, newline="") as fh:
+            rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+        assert len(rows) == 200
+        for got, want in zip(rows, map(scalar_row, [target] * 200, [L] * 200, (row[0] for row in rows))):
+            scale = max(abs(x) for x in want if math.isfinite(x))
+            assert all(g == w or abs(g - w) <= 4.0 * 2.0**-52 * scale for g, w in zip(got, want)), (got, want)
+
+    @pytest.mark.parametrize("L", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize("target", ["product", "sum"])
+    def test_bad_L_exits_2(self, capsys, tmp_path, target, L):
+        argv = ["sweep", "--target", target, "--grid", "10", "--out", str(tmp_path / "x.csv"), "--L", L]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "L must lie in (0, 1]" in err
+
+
+def scalar_row(target: str, L: float, x: float) -> tuple:
+    """One sweep row from scalar calls at the row's theta, alpha or r."""
+    if target == "product":
+        d1, d2 = lambert.side_distances(L, x)
+        bound = lambert.product_bound(L)
+        return x, d1 * d2, bound, d1 * d2 - bound
+    if target == "sum":
+        d1, d2 = lambert.side_distances(L, x)
+        rep = lambert.sum_bounds(L)
+        return x, d1 + d2, rep.lower, rep.upper, d1 + d2 - rep.lower
+    if target == "ideal":
+        d1, d2 = lambert.ideal_quad(x)
+        return x, d1 * d2, lambert.IDEAL_PRODUCT_BOUND, d1 + d2, lambert.IDEAL_SUM_BOUND
+    mu = grotzsch_mu(x)
+    return x, mu, mu * grotzsch_mu(rprime(x))
 
 
 class TestVerify:

@@ -3,7 +3,8 @@ the oracles that check them.
 
 `optimize` and `verify` hold the registry's oracles (grid-and-golden search,
 bisection). The closed-form modules import neither, and they have one root
-solver, `specfun._itp`.
+solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel
+and one AGM, and the CLI evaluates no formula of its own.
 """
 
 import ast
@@ -47,12 +48,28 @@ def test_optimize_imports_only_errors():
     assert _package_imports("optimize") == {"errors"}
 
 
-def test_one_itp():
-    defined = [
+def _defined_in(name: str) -> list[str]:
+    """The package modules that define a function `name`."""
+    return [
         path.stem
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name == "_itp"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     ]
-    assert defined == ["specfun"]
+
+
+def test_one_itp():
+    assert _defined_in("_itp") == ["specfun"]
     assert qcbounds._itp is specfun._itp
+
+
+@pytest.mark.parametrize("name", ["_arth_cx", "agm"])
+def test_one_kernel(name):
+    # scalars and ndarrays share one arth(c x) and one AGM
+    assert _defined_in(name) == ["specfun"]
+
+
+def test_cli_evaluates_no_formula():
+    # the sweeps call the library's kernels: no arth, log or AGM step of their own
+    used = {node.attr for node in ast.walk(_tree("cli")) if isinstance(node, ast.Attribute)}
+    assert not used & {"arctanh", "atanh", "log", "log1p", "sqrt", "cos", "sin", "agm", "_arth_cx"}

@@ -80,6 +80,11 @@ class TestLemmaFunctions:
         vals = [lemma_f_c(0.4, float(r)) for r in rs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_fc_is_inf_where_c_r_underflows(self):
+        # arth(c r) underflows to 0, and f_c > 1/(c r) overflows anyway
+        assert lemma_f_c(1e-300, 1e-300) == math.inf
+        assert lemma_f_c(1e-300, np.array([1e-300, 0.5]))[0] == math.inf
+
     def test_Fc_peak_location_and_value(self):
         for c in (0.5, 1.0):
             peak = lemma_F_c(c, SQRT2_2)
@@ -258,3 +263,15 @@ class TestCallCounts:
     def test_mu_inverse_never_evaluates_mu(self, mu_calls, y):
         specfun.mu_inverse(y)
         assert mu_calls == []
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-12])
+    def test_agm_settles_in_a_few_steps(self, monkeypatch, r):
+        # one sqrt per AGM step; a stop rule below an ulp let pairs that settle
+        # an ulp apart cycle to the 64-step cap
+        steps = []
+        sqrt = math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda x: steps.append(x) or sqrt(x))
+        value = agm(1.0, r)
+        assert len(steps) <= 8
+        monkeypatch.undo()
+        assert value == agm(1.0, np.array([r]))[0]

@@ -14,12 +14,13 @@ so that 50 digits suffice even where 1 - x is 1e-600.
 
 import math
 
+import numpy as np
 import pytest
 
-from hyplam import big_C_of_p, distortion_A, g_range, lemma_F_c, lemma_G_c, mu_inverse, phi_K
-from hyplam.lambert import side_distances
+from hyplam import big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
+from hyplam.lambert import ideal_quad, side_distances
 from hyplam.qcbounds import T_of
-from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_slope_ratio
+from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_pq, aux_slope_ratio
 
 mp = pytest.importorskip("mpmath")
 
@@ -150,6 +151,44 @@ def test_lemma_functions_and_T(c, r):
     assert rel(lemma_G_c(c, r), a + b) <= 4.0 * EPS
     for K in (1.0, 2.0, 7.0):
         assert rel(T_of(r, c, K), a * b ** (1 / mp.mpf(K))) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("c", CS)
+def test_side_distance_rows(c):
+    # the ndarray path, whose log1p is numpy's, against the same references
+    d1, d2 = side_distances(c, np.array(THETAS))
+    e1, e2 = ideal_quad(np.array(THETAS)) if c == 1.0 else (2 * d1, 2 * d2)
+    for theta, got1, got2, ideal1, ideal2 in zip(THETAS, d1, d2, e1, e2):
+        t = mp.mpf(theta)
+        ref1 = ref_arth_c(c, mp.cos(t), 2 * mp.sin(t / 2) ** 2)
+        ref2 = ref_arth_c(c, mp.sin(t), 2 * mp.sin(mp.pi / 4 - t / 2) ** 2)
+        assert rel(got1, ref1) <= 4.0 * EPS and rel(got2, ref2) <= 4.0 * EPS
+        assert rel(ideal1, 2 * ref1) <= 4.0 * EPS and rel(ideal2, 2 * ref2) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("c", CS)
+def test_lemma_rows(c):
+    F, G = lemma_F_c(c, np.array(RS)), lemma_G_c(c, np.array(RS))
+    for r, got_F, got_G in zip(RS, F, G):
+        a, b = ref_pair_r(c, r)
+        assert rel(got_F, a * b) <= 4.0 * EPS and rel(got_G, a + b) <= 4.0 * EPS
+
+
+def test_grotzsch_mu_rows():
+    rs = [1e-300, 1e-8, 1e-3, 0.3, math.sqrt(0.5), 0.9, 1 - 1e-8, math.nextafter(1.0, 0.0)]
+    for r, got in zip(rs, grotzsch_mu(np.array(rs))):
+        with mp.workdps(650):  # 1 - r^2 keeps the digits of r = 1e-300
+            R = mp.mpf(r)
+            ref = ref_mu(R, mp.sqrt(1 - R * R))
+        assert rel(got, ref) <= 8.0 * EPS
+
+
+@pytest.mark.parametrize("r", [0.5, 0.999, 1 - 1e-6, 1 - 1e-8])
+@pytest.mark.parametrize("p,q", [(-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)])
+def test_aux_g_pq(p, q, r):
+    # r'^2 = 1 - r*r cancels as r -> 1: 5.5e-10 relative at 1 - 1e-8
+    R = mp.mpf(r)
+    assert rel(aux_g_pq(p, q, r), mp.atanh(R) ** (q - 1) / (R ** (p - 1) * (1 - R * R))) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("c", CS)

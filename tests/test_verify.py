@@ -161,7 +161,8 @@ def _nan_product_bound(monkeypatch):
 
 def _nan_lemma_f_c_mid(monkeypatch):
     original = verify.lemma_f_c
-    monkeypatch.setattr(verify, "lemma_f_c", lambda c, r: math.nan if 0.4 < r < 0.6 else original(c, r))
+    # NaN at every r in (0.4, 0.6), whether r is a scalar or the sweep's grid
+    monkeypatch.setattr(verify, "lemma_f_c", lambda c, r: np.where((0.4 < r) & (r < 0.6), math.nan, original(c, r)))
 
 
 def _nan_rho_disk(monkeypatch):
