@@ -93,6 +93,11 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, _ndarray) else math.sqrt(x)
 
 
+def _asinh(x):
+    """math.asinh on a scalar, np.arcsinh on an array: a scalar stays a Python float."""
+    return np.arcsinh(x) if isinstance(x, _ndarray) else math.asinh(x)
+
+
 def _abs(z):
     """|z| by hypot, on an array too, as Python's abs computes it: numpy's
     complex abs rounds differently, and rho amplifies that near the circle."""
@@ -133,7 +138,7 @@ def _disk_factor(z, w):
 
 def _rho(z, w):
     """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points."""
-    return 2.0 * np.arcsinh(_abs(z - w) / _disk_factor(z, w))
+    return 2.0 * _asinh(_abs(z - w) / _disk_factor(z, w))
 
 
 def _moebius(a, b, c, d, z):
@@ -257,7 +262,7 @@ def rho_disk(x, y):
         return math.inf
     if abs(px.z) > 1.0 or abs(py.z) > 1.0:
         raise DomainError("rho_disk needs points in the closed unit disk")
-    return float(_rho(px.z, py.z))
+    return _rho(px.z, py.z)
 
 
 def rho_halfplane(x, y):
@@ -274,8 +279,7 @@ def rho_halfplane(x, y):
         if px.is_infinity or py.is_infinity or px.im <= 0.0 or py.im <= 0.0:
             raise DomainError("rho_halfplane needs points with positive imaginary part")
         z, w = px.z, py.z
-    rho = 2.0 * np.arcsinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
-    return rho if isinstance(rho, _ndarray) else float(rho)
+    return 2.0 * _asinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
 
 
 # ---------------------------------------------------------------------------

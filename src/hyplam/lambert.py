@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import _all, _arth_cx, _first_bad, _ns, arth, g_range, rprime
+from .specfun import _arth_cx, _ns, _require, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,9 +202,7 @@ def ideal_quad(alpha):
     """Opposite-side distances (2 arth cos a, 2 arth sin a) of the normalized
     ideal quadrilateral with vertex half-angle alpha; row by row for an
     ndarray alpha, where any row outside (0, pi/2) raises DomainError."""
-    ok = (0.0 < alpha) & (alpha < math.pi / 2.0)
-    if ok is not True and not _all(ok):
-        raise DomainError(f"alpha must lie in (0, pi/2), got {_first_bad(alpha, ok)}")
+    _require((0.0 < alpha) & (alpha < math.pi / 2.0), alpha, "ideal_quad", "alpha in (0, pi/2)")
     d1, d2 = side_distances(1.0, alpha)
     return 2.0 * d1, 2.0 * d2
 

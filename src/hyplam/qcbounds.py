@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import DomainError, NoRootError
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L
-from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, arth, distortion_A, lemma_f_c, rprime
+from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, _require, arth, distortion_A, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -84,14 +84,13 @@ class QcBoundResult:
         }
 
 
-def r_L_of(L: float) -> float:
+def r_L_of(L):
     """r_L = th(1)/L, where arth(L r) = 1."""
-    if not TH1 < L <= 1.0:
-        raise DomainError("r_L is defined for L > th(1)")
+    _require((TH1 < L) & (L <= 1.0), L, "r_L_of", "L in (th(1), 1]")
     return TH1 / L
 
 
-def M_L_of(L: float) -> float:
+def M_L_of(L):
     """M_L = f_L(r_L') / f_L(r_L) > 1."""
     rl = r_L_of(L)
     return lemma_f_c(L, rprime(rl)) / lemma_f_c(L, rl)

@@ -2,16 +2,17 @@
 Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
 
-One numeric core serves scalar and array callers. `rprime`, `agm`,
-`grotzsch_mu`, `lemma_f_c`, `lemma_F_c`, `lemma_G_c`, `aux_h1`, `aux_h` and
-the private arth(c x) kernel `_arth_cx` also take ndarrays and then work row
+One numeric core serves scalar and array callers. `arth`, `arth_complement`,
+`rprime`, `agm`, `grotzsch_mu`, the lemma functions, the `aux_*` functions
+and the private arth(c x) kernel `_arth_cx` also take ndarrays and work row
 by row under the scalar rules: each formula is written once, over a namespace
-that is the `math` module for a scalar and `numpy` for an ndarray, and a row
-outside the domain raises the scalar's DomainError. A scalar call never goes
-through numpy and returns a Python float. An array row agrees with its scalar
-call to within the rounding of numpy's log1p and log against libm's (a few
-ulp; tests/test_array_core.py); AGM rows equal their scalar calls bit for
-bit. `holder_mean` is elementwise too. The other functions take scalars only.
+that is `math` for a scalar and `numpy` for an ndarray, and a bad row raises
+the scalar's DomainError. A scalar call never goes through numpy and returns
+a Python float. A row agrees with its scalar call to within the rounding of
+numpy's log1p, log, arctanh and power against libm's (a few ulp;
+tests/test_array_core.py); AGM and series rows equal theirs bit for bit.
+`holder_mean` is elementwise too. `g_range`, `big_C_of_p`, `mu_inverse`,
+`phi_K` and `distortion_A` take scalars only.
 
 mu is evaluated through the arithmetic-geometric mean. Its inverse is the
 closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
@@ -52,25 +53,28 @@ def _ns(x, y=None):
     return np if isinstance(x, _ndarray) or isinstance(y, _ndarray) else math
 
 
-def arth(x: float) -> float:
+def _require(ok, value, what: str, needs: str):
+    """DomainError "<what> needs <needs>, got <value>" unless the domain test ok
+    holds: a bool for a scalar (True, which a Python float in the domain gives,
+    returns at once), or a mask for rows, where the first bad row is named."""
+    if ok is True:
+        return
+    if isinstance(ok, _ndarray):
+        if ok.all():
+            return
+        value = np.broadcast_to(value, ok.shape)[~ok][0]
+    elif ok:
+        return
+    raise DomainError(f"{what} needs {needs}, got {value}")
+
+
+def arth(x):
     """Inverse hyperbolic tangent on [0, 1]; arth(1) is +inf."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"arth needs x in [0, 1], got {x}")
-    if x == 1.0:
-        return math.inf
-    return math.atanh(x)
-
-
-def _all(ok) -> bool:
-    """A domain test's verdict: ok itself for a scalar, and for a row-wise test
-    (an ndarray) whether it holds on every row. The checks below skip the
-    call where ok is the bool True, as a Python float in the domain gives."""
-    return ok.all() if isinstance(ok, _ndarray) else ok
-
-
-def _first_bad(value, ok):
-    """value, or for a row-wise test ok its first row where ok fails."""
-    return np.broadcast_to(value, ok.shape)[~ok][0] if isinstance(ok, _ndarray) else value
+    _require((0.0 <= x) & (x <= 1.0), x, "arth", "x in [0, 1]")
+    if isinstance(x, _ndarray):
+        with np.errstate(divide="ignore"):  # arctanh 1 = inf
+            return np.arctanh(x)
+    return math.atanh(x) if x != 1.0 else math.inf
 
 
 def rprime(r):
@@ -111,23 +115,24 @@ def _arth_near_one(ns, x, xp):
     return ns.log1p(x) - ns.log(xp)
 
 
-def arth_complement(r: float) -> float:
+def arth_complement(r):
     """arth(sqrt(1 - r^2)), stable for tiny r."""
     _check_open01(r, "arth_complement")
-    return _arth_cx(1.0, rprime(r), r)
+    return _arth_cx(1.0, rprime(r), r, _ns(r))
 
 
-def holder_mean(p: float | np.ndarray, r: float | np.ndarray, s: float | np.ndarray):
+def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
     mean where p = 0. A NaN argument gives NaN."""
-    if (np.minimum(r, s) <= 0.0).any():
+    rows = isinstance(r, _ndarray) or isinstance(s, _ndarray)
+    if (np.minimum(r, s) <= 0.0).any() if rows else (r <= 0.0 or s <= 0.0):
         raise DomainError("holder_mean needs positive arguments")
-    if isinstance(p, np.ndarray):
+    if isinstance(p, _ndarray):
         geometric = p == 0.0
         q = np.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
         return np.where(geometric, np.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
     if p == 0.0:
-        return np.sqrt(r * s)
+        return np.sqrt(r * s) if rows else math.sqrt(r * s)
     return ((r**p + s**p) / 2.0) ** (1.0 / p)
 
 
@@ -136,23 +141,11 @@ def holder_mean(p: float | np.ndarray, r: float | np.ndarray, s: float | np.ndar
 
 
 def _check_open01(r, what: str):
-    ok = (0.0 < r) & (r < 1.0)
-    if ok is not True and not _all(ok):
-        raise DomainError(f"{what} needs r in (0, 1), got {_first_bad(r, ok)}")
+    _require((0.0 < r) & (r < 1.0), r, what, "r in (0, 1)")
 
 
 def _check_c(c, what: str):
-    ok = (0.0 < c) & (c <= 1.0)
-    if ok is not True and not _all(ok):
-        raise DomainError(f"{what} needs c in (0, 1], got {_first_bad(c, ok)}")
-
-
-def _arth_over_r(r: float) -> float:
-    # arth(r)/r, series near 0 to dodge 0/0
-    if r < 1e-4:
-        r2 = r * r
-        return 1.0 + r2 / 3.0 + r2 * r2 / 5.0
-    return math.atanh(r) / r
+    _require((0.0 < c) & (c <= 1.0), c, what, "c in (0, 1]")
 
 
 def _f_c_pair(c, x, xp, ns=math):
@@ -242,14 +235,14 @@ def aux_h(r):
     return lemma_f_c(1.0, r) + aux_h1(r)
 
 
-def aux_g_le2(p: float, r: float) -> float:
+def aux_g_le2(p, r):
     """(r/r') (arth r / arth r')^(p-1)."""
     _check_open01(r, "aux_g_le2")
-    rp = rprime(r)
-    return (r / rp) * (math.atanh(r) / _arth_cx(1.0, rp, r)) ** (p - 1.0)
+    ns, rp = _ns(r), rprime(r)
+    return (r / rp) * (ns.atanh(r) / _arth_cx(1.0, rp, r, ns)) ** (p - 1.0)
 
 
-def aux_slope_ratio(r: float) -> float:
+def aux_slope_ratio(r):
     """(r'^4 arth r - r(1+r^2)) / (r'^2 ((1+r^2) arth r - r)); decreasing, < -2.
 
     With t = r^2, r'^2 = (1 - r)(1 + r) and A = (arth r - r)/r^3, it is
@@ -257,31 +250,48 @@ def aux_slope_ratio(r: float) -> float:
     r = 0.6, where arth r - r would cancel, A = 1/3 + t B with the series
     B = 1/5 + t/7 + t^2/9 + ..., and the ratio is written -2 + t (3B - 5/3 -
     t/3 - t B (2 + t)) / (the same denominator), so it stays below -2 as it
-    tends to -2 - 4t/5.
+    tends to -2 - 4t/5. An ndarray is split at r = 0.6 into the two forms.
     """
     _check_open01(r, "aux_slope_ratio")
-    t = r * r
-    rp2 = (1.0 - r) * (1.0 + r)
-    if r >= 0.6:
-        a = (math.atanh(r) - r) / (r * t)
-        return (a * rp2 * rp2 + (t - 3.0)) / (rp2 * (1.0 + a * (1.0 + t)))
-    b, term, k = 0.0, 1.0, 5
-    while b + term / k != b:
+    if isinstance(r, _ndarray):
+        out, far = np.empty(r.shape), r >= 0.6
+        out[far] = _slope_ratio_far(r[far], np)
+        out[~far] = _slope_ratio_series(r[~far])
+        return out
+    return _slope_ratio_far(r) if r >= 0.6 else _slope_ratio_series(r)
+
+
+def _slope_ratio_far(r, ns=math):
+    t, rp2 = r * r, (1.0 - r) * (1.0 + r)
+    a = (ns.atanh(r) - r) / (r * t)
+    return (a * rp2 * rp2 + (t - 3.0)) / (rp2 * (1.0 + a * (1.0 + t)))
+
+
+def _slope_ratio_series(r):
+    """The ratio through the series B, summed until it stops moving: on rows,
+    until no row moves. A row that has stopped stays put, as its next terms
+    are smaller still, so it equals its scalar call bit for bit."""
+    t, rp2 = r * r, (1.0 - r) * (1.0 + r)
+    moves = np.any if isinstance(r, _ndarray) else bool
+    b, term, k = 0.0 * t, 1.0, 5
+    while moves(b + term / k != b):
         b, term, k = b + term / k, term * t, k + 2
     a = 1.0 / 3.0 + t * b
     return -2.0 + t * (3.0 * b - 5.0 / 3.0 - t / 3.0 - t * b * (2.0 + t)) / (rp2 * (1.0 + a * (1.0 + t)))
 
 
-def aux_h_p(p: float, r: float) -> float:
+def aux_h_p(p, r):
     """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_h_p")
-    return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * _arth_over_r(r)
+    return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * (_ns(r).atanh(r) / r)
 
 
-def aux_g_pq(p: float, q: float, r: float) -> float:
-    """arth(r)^(q-1) / (r^(p-1) r'^2); r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
+def aux_g_pq(p, q, r):
+    """arth(r)^(q-1) / (r^(p-1) r'^2), taken as (arth r / r)^(q-1) r^(q-p) / r'^2:
+    r^(p-1) alone overflows for tiny r where the value is finite, and
+    r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_g_pq")
-    return math.atanh(r) ** (q - 1.0) / (r ** (p - 1.0) * ((1.0 - r) * (1.0 + r)))
+    return (_ns(r).atanh(r) / r) ** (q - 1.0) * r ** (q - p) / ((1.0 - r) * (1.0 + r))
 
 
 def threshold_C() -> float:
@@ -337,7 +347,7 @@ def _itp(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
 def _aux_h_p_fall(p: float, r: float) -> float:
     """-d/dr aux_h_p(p, r) = 2 (p + 1) r a - ((p + 1) r'^2 - 2) a' with a = arth(r)/r.
     a' = (1/r'^2 - a)/r cancels as r -> 0, where its series 2r/3 + 4r^3/5 is used."""
-    a = _arth_over_r(r)
+    a = math.atanh(r) / r
     if r < 1e-4:
         da = r * (2.0 / 3.0 + 0.8 * r * r)
     else:

@@ -459,11 +459,6 @@ def _grid01(n: int, lo: float = 1e-3, hi: float = 1.0 - 1e-3) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _each(f):
-    """The grid form of a kernel that takes scalars only: f at each point, in order."""
-    return lambda xs: np.array([f(x) for x in xs])
-
-
 def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
     """f, which takes the whole grid xs, is monotone on it up to allowance."""
     vals = f(xs)
@@ -481,8 +476,8 @@ def _check_concave(chk, f, tag: float):
 
 
 def _find_sign_change(f, xs) -> bool:
-    vals = np.array([f(x) for x in xs])
-    diffs = np.diff(vals)
+    """f, which takes the whole grid xs, both rises and falls on it."""
+    diffs = np.diff(f(xs))
     return bool(np.any(diffs > 1e-12) and np.any(diffs < -1e-12))
 
 
@@ -558,9 +553,9 @@ def _t_gle2(spec: SweepSpec, chk: _Checker):
     xs = _grid01(n)
     c_thr = threshold_C()
     for p in (-1.0, 0.0):
-        _check_monotone(chk, _each(lambda r: aux_g_le2(p, r)), xs, False, 1e-13, p)
+        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, False, 1e-13, p)
     for p in (c_thr, 1.0):
-        _check_monotone(chk, _each(lambda r: aux_g_le2(p, r)), xs, True, 1e-13, p)
+        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, True, 1e-13, p)
     chk.require_true(_find_sign_change(lambda r: aux_g_le2(0.2, r), xs), (0.2,))
     chk.require(abs(c_thr - 0.376775), 1e-6, (c_thr,))
     # the threshold equals the peak of 1 - 1/h
@@ -571,7 +566,7 @@ def _t_gle2(spec: SweepSpec, chk: _Checker):
 @claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2")
 def _t_slope_ratio(spec: SweepSpec, chk: _Checker):
     xs = _grid01(min(spec.grid_size, 10000))
-    vals = _check_monotone(chk, _each(aux_slope_ratio), xs, increasing=False, allowance=1e-13, tag=0.0)
+    vals = _check_monotone(chk, aux_slope_ratio, xs, increasing=False, allowance=1e-13, tag=0.0)
     chk.require_true(bool(np.all(vals < -2.0)), (0.0,))
     chk.require(abs(aux_slope_ratio(1e-5) + 2.0), 1e-6, (0.0,))
     chk.locate(float(vals[0]), (float(xs[0]),))
@@ -584,15 +579,15 @@ def _t_hp_range(spec: SweepSpec, chk: _Checker):
     # p >= -2: strictly decreasing, everything below p (at p = -2 the gap
     # near 0 is quartic in r, so give float-noise headroom)
     for p in (-2.0, -1.0, 0.0):
-        vals = _check_monotone(chk, _each(lambda r: aux_h_p(p, r)), xs, False, 1e-12, p)
+        vals = _check_monotone(chk, lambda r: aux_h_p(p, r), xs, False, 1e-12, p)
         chk.require(float(np.max(vals)) - p, 1e-12, (p,))
     # p < -2: attained supremum in (p, -1), limits -2 and -inf
     c3 = big_C_of_p(-3.0)
     chk.require_true(-3.0 < c3 < -1.0, (-3.0,))
     chk.require(abs(big_C_of_p(-2.0 - 1e-6) + 2.0), 1e-3, (-2.0 - 1e-6,))
     chk.require_true(big_C_of_p(-10.0) < c3, (-10.0,))
-    vals = [aux_h_p(-3.0, r) for r in xs]
-    chk.require(max(vals) - c3, 1e-10, (-3.0,))
+    vals = aux_h_p(-3.0, xs)
+    chk.require(float(np.max(vals)) - c3, 1e-10, (-3.0,))
     # the root of h_p' against the grid-and-golden oracle, both ways
     r_star, oracle = refine_grid_max(lambda r: aux_h_p(-3.0, r), xs, vals)
     chk.require(abs(oracle - c3), 1e-12 * abs(c3), (-3.0, r_star))
@@ -604,9 +599,9 @@ def _t_gpq(spec: SweepSpec, chk: _Checker):
     n = min(spec.grid_size, 10000)
     xs = _grid01(n)
     for p, q in ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)):
-        _check_monotone(chk, _each(lambda r: aux_g_pq(p, q, r)), xs, True, 1e-12, p)
+        _check_monotone(chk, lambda r: aux_g_pq(p, q, r), xs, True, 1e-12, p)
     c3 = big_C_of_p(-3.0)
-    _check_monotone(chk, _each(lambda r: aux_g_pq(-3.0, c3, r)), xs, True, 1e-12, -3.0)
+    _check_monotone(chk, lambda r: aux_g_pq(-3.0, c3, r), xs, True, 1e-12, -3.0)
     for p, q in ((1.0, 0.0), (2.0, 1.0), (-3.0, c3 - 0.05)):
         chk.require_true(_find_sign_change(lambda r: aux_g_pq(p, q, r), xs), (p, q))
     chk.locate(c3, (-3.0, c3))
@@ -614,16 +609,14 @@ def _t_gpq(spec: SweepSpec, chk: _Checker):
 
 @claim("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p")
 def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 20001)
     target = arth(SQRT2_2)
-    xs = _grid01(n, 1e-6, 1.0 - 1e-6)
+    xs = _grid01(min(spec.grid_size, 20001), 1e-6, 1.0 - 1e-6)
 
     def f(p, r):
         return holder_mean(p, arth(r), arth(rprime(r)))
 
     # arth r and arth r' on the grid, once for every p
-    a_r = np.fromiter(map(arth, xs), float, n)
-    a_rp = np.fromiter((arth(rprime(r)) for r in xs), float, n)
+    a_r, a_rp = arth(xs), arth(rprime(xs))
     for p in (-1.0, -0.5, 0.0):
         r_star, peak = refine_grid_max(lambda r: f(p, r), xs, holder_mean(p, a_r, a_rp), tol=1e-13)
         chk.require(abs(peak - target), 1e-9, (p, r_star))
@@ -639,10 +632,7 @@ def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker):
     vals = holder_mean(p_mid, a_r, a_rp)
     below = xs[vals < target - 1e-6]
     tiny = np.logspace(-30.0, -2.0, 300)
-    above = tiny[
-        np.array([holder_mean(p_mid, arth(float(r)), arth_complement(float(r))) for r in tiny])
-        > target + 1e-6
-    ]
+    above = tiny[holder_mean(p_mid, arth(tiny), arth_complement(tiny)) > target + 1e-6]
     chk.require_true(below.size > 0 and above.size > 0, (p_mid,))
     chk.locate(target, (float(below[0]) if below.size else 0.0, float(above[0]) if above.size else 0.0))
 
@@ -690,18 +680,18 @@ def _t_hyperbolic_mean_bound(spec: SweepSpec, chk: _Checker):
 _MU_INVERSE_REL = 8.0 * 2.0**-52
 
 
-def _mu_inverse_bisect(y: float) -> float:
-    """Oracle for mu^{-1}: bisection on the strictly decreasing mu, until the
-    midpoint equals an endpoint (adjacent doubles, or 0 and the smallest one)."""
-    lo, hi = 0.0, 1.0
+def _mu_inverse_bisect(ys: np.ndarray) -> np.ndarray:
+    """Oracle for mu^{-1}: bisection on the strictly decreasing mu, row by row,
+    until each midpoint is an end (adjacent doubles, or 0 and the smallest one).
+    A settled midpoint (maybe 1) stays whatever mu says, so mu is taken at 0.5."""
+    lo, hi = np.zeros_like(ys), np.ones_like(ys)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        settled = (mid == lo) | (mid == hi)
+        if settled.all():
             return mid
-        if grotzsch_mu(mid) > y:
-            lo = mid
-        else:
-            hi = mid
+        above = grotzsch_mu(np.where(settled, 0.5, mid)) > ys
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
 
 
 @claim("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms")
@@ -723,8 +713,7 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker):
     # the switch to the complementary nome at y = pi/2
     n_y = min(max(spec.grid_size // 10, 20), 100)
     ys = np.concatenate([np.geomspace(0.05, 20.0, n_y), math.pi / 2.0 + np.array([-1e-9, 0.0, 1e-9])])
-    for y in map(float, ys):
-        oracle = _mu_inverse_bisect(y)
+    for y, oracle in zip(ys.tolist(), _mu_inverse_bisect(ys).tolist()):
         dev = abs(mu_inverse(y) - oracle) / oracle
         chk.require(dev, _MU_INVERSE_REL * (1.0 + y), (y,))
 
@@ -899,13 +888,10 @@ def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker):
 
 @claim("qc-ml-exceeds-one", "the branch threshold M_L exceeds 1 throughout")
 def _t_qc_ml(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 1000)
-    lowest = math.inf
-    for L in np.linspace(qcb.TH1 + 1e-6, 1.0, n):
-        ml = qcb.M_L_of(float(L))
-        chk.require_true(ml > 1.0, (float(L), ml))
-        lowest = min(lowest, ml)
-    chk.locate(lowest)
+    L = np.linspace(qcb.TH1 + 1e-6, 1.0, min(spec.grid_size, 1000))
+    ml = qcb.M_L_of(L)
+    chk.require_all(np.where(ml > 1.0, -math.inf, math.inf), 0.0, np.column_stack([L, ml]))
+    chk.locate(float(np.min(ml)))
 
 
 @claim("qc-branch-continuity", "the bound is continuous across K = M_L")

@@ -1,12 +1,17 @@
-"""The array-first core of arth(c x) and the AGM: an ndarray call works row by
-row under the scalar rules, and a scalar call stays on the math path.
+"""The array-first core of specfun and of the QC threshold: an ndarray call
+works row by row under the scalar rules, and a scalar call stays on the math
+path.
 
 An array row agrees with its scalar call to within ROW_EPS units of 2^-52,
-relative: numpy's log1p and log round differently from libm's on a few
-percent of arguments, by an ulp, and each kernel takes one or two of them.
-The AGM takes only +, * and sqrt, which are correctly rounded in both, so
-`agm`, `grotzsch_mu` and `rprime` rows equal their scalar calls bit for bit.
-Accuracy against mpmath is tested in test_specfun_accuracy.py.
+relative: numpy's log1p, log and arctanh round differently from libm's on a
+few percent of arguments, by one or two ulp, and each kernel takes one or two
+of them. Where a kernel amplifies that rounding, the allowance carries the
+factor: the exponent of a power of arth, and arth r/(arth r - r) in the slope
+ratio's form from r = 0.6 on. The AGM and the slope ratio's series take only
++, *, / and sqrt, which are correctly rounded in both, so `agm`,
+`grotzsch_mu`, `rprime` and the slope ratio below r = 0.6 equal their scalar
+calls bit for bit. Accuracy against mpmath is tested in
+test_specfun_accuracy.py.
 """
 
 import math
@@ -14,9 +19,10 @@ import math
 import numpy as np
 import pytest
 
-from hyplam import lambert, specfun
+from hyplam import lambert, qcbounds, specfun
 from hyplam.errors import DomainError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
+from hyplam.qcbounds import TH1
 from hyplam.verify import _halton
 
 EPS = 2.0**-52
@@ -48,6 +54,15 @@ def assert_rows_agree(rows, scalars, eps=ROW_EPS):
     same = rows == scalars  # also where both are inf
     gap = np.abs(np.subtract(rows, scalars, where=~same, out=np.zeros_like(rows)))
     assert np.all(gap <= eps * EPS * np.abs(scalars)), float(np.max(gap / np.abs(scalars)) / EPS)
+
+
+#: r on both sides of 0.6, where aux_slope_ratio switches form, and deep in
+#: its series (down to where t = r^2 underflows), and below 1e-4 for aux_h_p
+_R_SPLIT = np.concatenate(
+    [RS, np.linspace(0.55, 0.65, 501), [math.nextafter(0.6, 0.0), 0.6], np.geomspace(1e-300, 1e-4, 200)]
+)
+#: L on (TH1, 1], where r_L and M_L are defined
+LS = np.concatenate([TH1 + (1.0 - TH1) * (1.0 - _u[:, 0]), [math.nextafter(TH1, 1.0), TH1 + 1e-6, 1 - 1e-12, 1.0]])
 
 
 def test_grids_reach_the_near_one_branch():
@@ -102,6 +117,56 @@ def test_aux_h_rows(name):
     assert_rows_agree(f(RS), scalar_rows(f, RS))
 
 
+@pytest.mark.parametrize("name", ["arth", "arth_complement"])
+def test_arth_rows(name):
+    f = getattr(specfun, name)
+    assert_rows_agree(f(RS), scalar_rows(f, RS))
+    # arth 0 = 0 and arth 1 = inf, quietly on rows as on scalars
+    assert np.array_equal(specfun.arth(np.array([0.0, 1.0])), [0.0, math.inf])
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, 0.2, specfun.threshold_C(), 1.0, 3.0])
+def test_aux_g_le2_rows(p):
+    # (r/r') (arth r/arth r')^(p - 1): arth r' underflows the power for
+    # r -> 0 where p < 0, so those rows start at 1e-8
+    rs = RS[RS >= 1e-8] if p < 0.0 else RS
+    f = lambda r: specfun.aux_g_le2(p, r)
+    assert_rows_agree(f(rs), scalar_rows(f, rs), ROW_EPS * max(1.0, abs(p - 1.0)))
+
+
+@pytest.mark.parametrize("p,q", [(-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0), (-3.0, -1.9), (2.0, 1.0)])
+def test_aux_g_pq_rows(p, q):
+    # r^(q - p) underflows with the value for tiny r where q > p
+    rs = RS[RS >= 1e-80] if q > p else RS
+    f = lambda r: specfun.aux_g_pq(p, q, r)
+    assert_rows_agree(f(rs), scalar_rows(f, rs), ROW_EPS * max(1.0, abs(q - 1.0)))
+
+
+@pytest.mark.parametrize("p", [-3.0, -2.0, -1.0, 5.0])
+def test_aux_h_p_rows(p):
+    # h_p tends to p as r -> 0; at p = 0 it cancels there, on both paths alike
+    f = lambda r: specfun.aux_h_p(p, r)
+    assert_rows_agree(f(_R_SPLIT), scalar_rows(f, _R_SPLIT))
+
+
+def test_aux_slope_ratio_rows():
+    rows, scalars = specfun.aux_slope_ratio(_R_SPLIT), scalar_rows(specfun.aux_slope_ratio, _R_SPLIT)
+    series = _R_SPLIT < 0.6
+    assert np.array_equal(rows[series], scalars[series])
+    far = _R_SPLIT[~series]
+    arth = np.arctanh(far)
+    assert_rows_agree(rows[~series], scalars[~series], ROW_EPS * arth / (arth - far))
+    # a row array of one side only, and a 0-length one
+    assert np.array_equal(specfun.aux_slope_ratio(_R_SPLIT[series]), scalars[series])
+    assert specfun.aux_slope_ratio(np.array([], dtype=float)).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["r_L_of", "M_L_of"])
+def test_qc_threshold_rows(name):
+    f = getattr(qcbounds, name)
+    assert_rows_agree(f(LS), scalar_rows(f, LS))
+
+
 @pytest.mark.parametrize("name", ["rprime", "grotzsch_mu"])
 def test_agm_kernels_equal_their_scalar_calls(name):
     f = getattr(specfun, name)
@@ -130,6 +195,18 @@ def test_agm_rows_equal_their_scalar_calls():
         lambda: lambert.side_distances(0.7, 0.3)[0],
         lambda: lambert.side_distances(0.7, 0.3)[1],
         lambda: lambert.ideal_quad(0.3)[0],
+        lambda: specfun.arth(0.3),
+        lambda: specfun.arth(1.0),
+        lambda: specfun.arth_complement(0.3),
+        lambda: specfun.aux_g_le2(0.2, 0.3),
+        lambda: specfun.aux_slope_ratio(0.3),
+        lambda: specfun.aux_slope_ratio(0.7),
+        lambda: specfun.aux_h_p(-3.0, 0.3),
+        lambda: specfun.aux_g_pq(-3.0, 0.0, 0.3),
+        lambda: specfun.holder_mean(0.0, 0.3, 0.5),
+        lambda: specfun.holder_mean(-1.0, 0.3, 0.5),
+        lambda: qcbounds.r_L_of(0.9),
+        lambda: qcbounds.M_L_of(0.9),
     ],
 )
 def test_scalar_calls_return_python_floats(call):
@@ -145,12 +222,24 @@ def test_scalar_calls_return_python_floats(call):
         (lambda bad: specfun.lemma_f_c(0.5, np.array([0.3, bad])), lambda bad: specfun.lemma_f_c(0.5, bad)),
         (lambda bad: specfun.aux_h(np.array([0.3, bad])), specfun.aux_h),
         (lambda bad: lambert.ideal_quad(np.array([0.3, bad])), lambert.ideal_quad),
+        (lambda bad: specfun.arth(np.array([0.3, bad])), specfun.arth),
+        (lambda bad: specfun.arth_complement(np.array([bad, 0.3])), specfun.arth_complement),
+        (lambda bad: specfun.aux_g_le2(0.2, np.array([0.3, bad])), lambda bad: specfun.aux_g_le2(0.2, bad)),
+        (lambda bad: specfun.aux_slope_ratio(np.array([0.7, bad, 0.3])), specfun.aux_slope_ratio),
+        (lambda bad: specfun.aux_h_p(-3.0, np.array([0.3, bad])), lambda bad: specfun.aux_h_p(-3.0, bad)),
+        (lambda bad: specfun.aux_g_pq(-3.0, 0.0, np.array([bad])), lambda bad: specfun.aux_g_pq(-3.0, 0.0, bad)),
+        (lambda bad: qcbounds.r_L_of(np.array([0.9, bad])), qcbounds.r_L_of),
+        (lambda bad: qcbounds.M_L_of(np.array([0.9, bad])), qcbounds.M_L_of),
     ],
 )
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf])
 def test_a_bad_row_raises_the_scalar_error(call, scalar, bad):
     if scalar is lambert.ideal_quad and bad == 1.0:
         bad = HALF_PI
+    if scalar is specfun.arth and bad in (0.0, 1.0):
+        bad = 1.5  # arth is defined on [0, 1]
+    if scalar in (qcbounds.r_L_of, qcbounds.M_L_of) and bad == 1.0:
+        bad = TH1  # r_L is defined on (th 1, 1]
     with pytest.raises(DomainError) as from_scalar:
         scalar(bad)
     with pytest.raises(DomainError) as from_rows:

@@ -390,7 +390,19 @@ class TestArrays:
         scalar = np.array([rho_disk(a, b) for a, b in zip(z, w)])
         assert np.all(abs(rho_disk(z, w) - scalar) <= 4 * EPS * scalar)
         # a scalar argument broadcasts over the rows
-        assert np.array_equal(rho_disk(0.0, w), [rho_disk(0.0, b) for b in w])
+        scalar = np.array([rho_disk(0.0, b) for b in w])
+        assert np.all(abs(rho_disk(0.0, w) - scalar) <= 4 * EPS * scalar)
+
+    def test_rho_disk_scalar_against_mpmath(self):
+        # the scalar path takes libm's asinh: within 2 ulp times the condition
+        # number 1/(1 - max|z|) of rho, against 50 digits (1.0 seen)
+        mp = pytest.importorskip("mpmath")
+        z, w, kappa = _disk_rows(300, DEFAULT_SEED + 4)
+        with mp.workdps(50):
+            for a, b, k in zip(z.tolist(), w.tolist(), kappa.tolist()):
+                za, zb = mp.mpc(a), mp.mpc(b)
+                ref = 2 * mp.asinh(abs(za - zb) / mp.sqrt((1 - abs(za) ** 2) * (1 - abs(zb) ** 2)))
+                assert abs(rho_disk(a, b) - ref) <= 2 * EPS * k * ref
 
     def test_rho_halfplane(self):
         cay = MoebiusMap.cayley()

@@ -183,10 +183,11 @@ def test_grotzsch_mu_rows():
         assert rel(got, ref) <= 8.0 * EPS
 
 
-@pytest.mark.parametrize("r", [0.5, 0.999, 1 - 1e-6, 1 - 1e-8])
-@pytest.mark.parametrize("p,q", [(-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)])
+@pytest.mark.parametrize("r", [1e-80, 0.5, 0.999, 1 - 1e-6, 1 - 1e-8])
+@pytest.mark.parametrize("p,q", [(-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0), (-3.0, -3.0)])
 def test_aux_g_pq(p, q, r):
-    # r'^2 = 1 - r*r cancels as r -> 1: 5.5e-10 relative at 1 - 1e-8
+    # r'^2 = 1 - r*r cancels as r -> 1: 5.5e-10 relative at 1 - 1e-8; and
+    # r^(p-1) overflows at r = 1e-80 for p = -3, where the value is finite
     R = mp.mpf(r)
     assert rel(aux_g_pq(p, q, r), mp.atanh(R) ** (q - 1) / (R ** (p - 1) * (1 - R * R))) <= 4.0 * EPS
 
