@@ -238,8 +238,8 @@ def aux_h(r):
 def aux_g_le2(p, r):
     """(r/r') (arth r / arth r')^(p-1)."""
     _check_open01(r, "aux_g_le2")
-    ns, rp = _ns(r), rprime(r)
-    return (r / rp) * (ns.atanh(r) / _arth_cx(1.0, rp, r, ns)) ** (p - 1.0)
+    rp = rprime(r)
+    return (r / rp) * (arth(r) / _arth_cx(1.0, rp, r, _ns(r))) ** (p - 1.0)
 
 
 def aux_slope_ratio(r):
@@ -255,15 +255,15 @@ def aux_slope_ratio(r):
     _check_open01(r, "aux_slope_ratio")
     if isinstance(r, _ndarray):
         out, far = np.empty(r.shape), r >= 0.6
-        out[far] = _slope_ratio_far(r[far], np)
+        out[far] = _slope_ratio_far(r[far])
         out[~far] = _slope_ratio_series(r[~far])
         return out
     return _slope_ratio_far(r) if r >= 0.6 else _slope_ratio_series(r)
 
 
-def _slope_ratio_far(r, ns=math):
+def _slope_ratio_far(r):
     t, rp2 = r * r, (1.0 - r) * (1.0 + r)
-    a = (ns.atanh(r) - r) / (r * t)
+    a = (arth(r) - r) / (r * t)
     return (a * rp2 * rp2 + (t - 3.0)) / (rp2 * (1.0 + a * (1.0 + t)))
 
 
@@ -283,7 +283,7 @@ def _slope_ratio_series(r):
 def aux_h_p(p, r):
     """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_h_p")
-    return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * (_ns(r).atanh(r) / r)
+    return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * (arth(r) / r)
 
 
 def aux_g_pq(p, q, r):
@@ -291,7 +291,7 @@ def aux_g_pq(p, q, r):
     r^(p-1) alone overflows for tiny r where the value is finite, and
     r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
     _check_open01(r, "aux_g_pq")
-    return (_ns(r).atanh(r) / r) ** (q - 1.0) * r ** (q - p) / ((1.0 - r) * (1.0 + r))
+    return (arth(r) / r) ** (q - 1.0) * r ** (q - p) / ((1.0 - r) * (1.0 + r))
 
 
 def threshold_C() -> float:

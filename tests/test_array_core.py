@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from hyplam import lambert, qcbounds, specfun
+from hyplam import geometry, lambert, qcbounds, specfun
 from hyplam.errors import DomainError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
@@ -177,6 +177,32 @@ def test_agm_rows_equal_their_scalar_calls():
     b = np.concatenate([RS, np.geomspace(1e-12, 1.0 - 1e-6, 2000)])
     assert np.array_equal(specfun.agm(1.0, b), np.array([specfun.agm(1.0, float(x)) for x in b]))
     assert np.array_equal(specfun.agm(b, 1.0), np.array([specfun.agm(float(x), 1.0) for x in b]))
+
+
+#: the Array API aliases numpy added in 2.0; pyproject allows numpy 1.24, which lacks them
+_NUMPY2_ALIASES = ["acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "pow", "concat", "permute_dims"]
+
+
+def test_array_kernels_run_without_the_numpy2_aliases(monkeypatch):
+    for name in _NUMPY2_ALIASES:
+        monkeypatch.delattr(np, name, raising=False)
+    r, z = RS[RS < 1.0], 0.5 * np.exp(1j * THETAS)
+    calls = [
+        *(lambda f=f: f(r) for f in (specfun.arth, specfun.arth_complement, specfun.grotzsch_mu, specfun.aux_h)),
+        *(lambda f=f: f(0.5, r) for f in (specfun.lemma_f_c, specfun.lemma_F_c, specfun.lemma_G_c)),
+        lambda: specfun.aux_slope_ratio(r),
+        lambda: specfun.aux_g_le2(0.2, r),
+        lambda: specfun.aux_h_p(-3.0, r),
+        lambda: specfun.aux_g_pq(-3.0, 0.0, r),
+        lambda: specfun.holder_mean(0.0, r, 0.5),
+        lambda: qcbounds.M_L_of(LS),
+        lambda: lambert.side_distances(CS, THETAS),
+        lambda: lambert.ideal_quad(THETAS),
+        lambda: geometry.rho_disk(z, 0.3),
+        lambda: geometry.rho_halfplane(1j + z, 2j),
+    ]
+    for call in calls:
+        assert isinstance(call(), (np.ndarray, tuple))
 
 
 @pytest.mark.parametrize(
