@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import _arth_cx, _ns, _require, arth, g_range, rprime
+from .specfun import _arth_cx, _first_bad, _ndarray, _ns, _require, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,16 +58,7 @@ class BoundReport:
     satisfied: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "params": dict(self.params),
-            "case_label": self.case_label,
-            "lower": self.lower,
-            "upper": self.upper,
-            "observed": self.observed,
-            "equality_witness": self.equality_witness,
-            "satisfied": self.satisfied,
-        }
+        return vars(self) | {"params": dict(self.params)}
 
 
 def _check_L(L: float):
@@ -105,24 +98,29 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     return LambertQuad(L=L, theta=theta, t=t, vertices=(v_a, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
 
 
-def _log_sh(d: float) -> float:
+def _log_sh(d, ns=math):
     # log sh d = d + log((1 - e^{-2d})/2), finite for every d > 0
-    return d + math.log(-0.5 * math.expm1(-2.0 * d))
+    return d + ns.log(-0.5 * ns.expm1(-2.0 * d))
 
 
-def beardon_phi(d1: float, d2: float) -> float:
+def beardon_phi(d1, d2):
     """Fourth angle from sh(d1) sh(d2) = cos(phi), in log space: at L = 1,
-    d1 reaches ~745, where sh d1 alone overflows."""
-    if d1 < 0.0 or d2 < 0.0:
+    d1 reaches ~745, where sh d1 alone overflows. Row by row for ndarrays,
+    where the first bad row raises the scalar's error."""
+    if _first_bad((0.0 <= d1) & (0.0 <= d2), d1) is not None:
         raise DomainError("side distances must be nonnegative")
-    log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
+    if isinstance(d1, _ndarray) or isinstance(d2, _ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # log sh 0 = -inf, and inf - inf
+            log_prod = np.where(np.minimum(d1, d2) == 0.0, -np.inf, _log_sh(d1, np) + _log_sh(d2, np))
+        ns, acos, least = np, np.arccos, np.minimum
+    else:
+        log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
+        ns, acos, least = math, math.acos, min
     # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
     # per unit is ~10 times the excess over 1 seen at and near L = 1
-    if log_prod > math.log1p(2.0**-48 * (2.0 + d1 + d2)):
-        raise InconsistentQuadrilateralError(
-            f"sh(d1) sh(d2) = exp({log_prod}) exceeds 1: not a Lambert quadrilateral"
-        )
-    return math.acos(min(math.exp(log_prod), 1.0))
+    if (bad := _first_bad(log_prod <= ns.log1p(2.0**-48 * (2.0 + d1 + d2)), log_prod)) is not None:
+        raise InconsistentQuadrilateralError(f"sh(d1) sh(d2) = exp({bad}) exceeds 1: not a Lambert quadrilateral")
+    return acos(least(ns.exp(log_prod), 1.0))
 
 
 def product_bound(L: float) -> float:

@@ -75,13 +75,7 @@ class QcBoundResult:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "r_L": self.r_L,
-            "M_L": self.M_L,
-            "regime": self.regime.value,
-            "r_LK": self.r_LK,
-            "bound": self.bound,
-        }
+        return vars(self) | {"regime": self.regime.value}
 
 
 def r_L_of(L):

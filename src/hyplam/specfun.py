@@ -3,16 +3,17 @@ Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
 
 One numeric core serves scalar and array callers. `arth`, `arth_complement`,
-`rprime`, `agm`, `grotzsch_mu`, the lemma functions, the `aux_*` functions
-and the private arth(c x) kernel `_arth_cx` also take ndarrays and work row
-by row under the scalar rules: each formula is written once, over a namespace
+`rprime`, `agm`, `grotzsch_mu`, the lemma functions, the `aux_*` functions,
+`mu_inverse`, `phi_K`, `distortion_A`, `distortion_bracket` and the private
+kernels `_arth_cx` and `_mu_inverse_pair` also take ndarrays and work row by
+row under the scalar rules: each formula is written once, over a namespace
 that is `math` for a scalar and `numpy` for an ndarray, and a bad row raises
 the scalar's DomainError. A scalar call never goes through numpy and returns
 a Python float. A row agrees with its scalar call to within the rounding of
-numpy's log1p, log, arctanh and power against libm's (a few ulp;
+numpy's log1p, log, exp, arctanh and power against libm's (a few ulp;
 tests/test_array_core.py); AGM and series rows equal theirs bit for bit.
-`holder_mean` is elementwise too. `g_range`, `big_C_of_p`, `mu_inverse`,
-`phi_K` and `distortion_A` take scalars only.
+`holder_mean` is elementwise too. `g_range` and `big_C_of_p` take scalars
+only.
 
 mu is evaluated through the arithmetic-geometric mean. Its inverse is the
 closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
@@ -53,19 +54,30 @@ def _ns(x, y=None):
     return np if isinstance(x, _ndarray) or isinstance(y, _ndarray) else math
 
 
-def _require(ok, value, what: str, needs: str):
-    """DomainError "<what> needs <needs>, got <value>" unless the domain test ok
-    holds: a bool for a scalar (True, which a Python float in the domain gives,
-    returns at once), or a mask for rows, where the first bad row is named."""
-    if ok is True:
-        return
+def _first_bad(ok, value):
+    """None where the domain test ok holds: a bool for a scalar, or a mask for
+    rows. Else value, or for rows the value of the first bad row."""
     if isinstance(ok, _ndarray):
-        if ok.all():
-            return
-        value = np.broadcast_to(value, ok.shape)[~ok][0]
-    elif ok:
-        return
-    raise DomainError(f"{what} needs {needs}, got {value}")
+        return None if ok.all() else np.broadcast_to(value, ok.shape)[~ok][0]
+    return None if ok else value
+
+
+def _require(ok, value, what: str, needs: str):
+    """DomainError "<what> needs <needs>, got <value>" unless ok holds (see _first_bad)."""
+    if ok is not True and (bad := _first_bad(ok, value)) is not None:
+        raise DomainError(f"{what} needs {needs}, got {bad}")
+
+
+def _split_at(x, split, far, near, *args):
+    """far(x, *args) where x >= split and near(x, *args) below: row by row on
+    an ndarray x, each side in one call. A result may be a pair of rows."""
+    if not isinstance(x, _ndarray):
+        return far(x, *args) if x >= split else near(x, *args)
+    is_far = x >= split
+    hi, lo = far(x[is_far], *args), near(x[~is_far], *args)
+    out = np.empty(np.shape(hi)[:-1] + x.shape)
+    out[..., is_far], out[..., ~is_far] = hi, lo
+    return out
 
 
 def arth(x):
@@ -236,10 +248,11 @@ def aux_h(r):
 
 
 def aux_g_le2(p, r):
-    """(r/r') (arth r / arth r')^(p-1)."""
+    """(r/r') (arth r / arth r')^(p-1), taken as r^p/r' ((arth r / r) / arth r')^(p-1), as
+    in aux_g_pq: r inside the power overflows it for tiny r at p < 0, where the value is finite."""
     _check_open01(r, "aux_g_le2")
     rp = rprime(r)
-    return (r / rp) * (arth(r) / _arth_cx(1.0, rp, r, _ns(r))) ** (p - 1.0)
+    return r**p / rp * ((arth(r) / r) / _arth_cx(1.0, rp, r, _ns(r))) ** (p - 1.0)
 
 
 def aux_slope_ratio(r):
@@ -253,12 +266,7 @@ def aux_slope_ratio(r):
     tends to -2 - 4t/5. An ndarray is split at r = 0.6 into the two forms.
     """
     _check_open01(r, "aux_slope_ratio")
-    if isinstance(r, _ndarray):
-        out, far = np.empty(r.shape), r >= 0.6
-        out[far] = _slope_ratio_far(r[far])
-        out[~far] = _slope_ratio_series(r[~far])
-        return out
-    return _slope_ratio_far(r) if r >= 0.6 else _slope_ratio_series(r)
+    return _split_at(r, 0.6, _slope_ratio_far, _slope_ratio_series)
 
 
 def _slope_ratio_far(r):
@@ -281,9 +289,26 @@ def _slope_ratio_series(r):
 
 
 def aux_h_p(p, r):
-    """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
+    """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1.
+    It tends to p as r -> 0, where 1 and the rest cancel for p near 0, so below r = 0.5
+    (rows split there) it is p + t sum_{k>=1} t^{k-1} ((p-1)/(2k+1) - (p+1)/(2k-1)), t = r^2."""
     _check_open01(r, "aux_h_p")
+    return _split_at(r, 0.5, _h_p_far, _h_p_series, p)
+
+
+def _h_p_far(r, p):
     return 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * (arth(r) / r)
+
+
+def _h_p_series(r, p):
+    """Term k is -t^{k-1} (4k + 2p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
+    stops moving the sum. Terms change sign, so a row that has stopped takes no more of them."""
+    t = r * r
+    moves = np.any if isinstance(t, _ndarray) else bool
+    s, tk, k = 0.0 * t, 1.0, 1
+    while moves(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
+        s, tk, k = s - moving * tk * (4.0 * k + 2.0 * p) / (4.0 * k * k - 1.0), tk * t, k + 1
+    return p + t * s
 
 
 def aux_g_pq(p, q, r):
@@ -426,12 +451,12 @@ _HALF_PI = math.pi / 2.0
 _PI2_4 = math.pi**2 / 4.0
 
 
-def _check_K(K: float, what: str):
-    if not 1.0 <= K < math.inf:
-        raise DomainError(f"{what} needs a finite K >= 1, got K = {K}")
+def _check_K(K, what: str):
+    if (bad := _first_bad((1.0 <= K) & (K < math.inf), K)) is not None:
+        raise DomainError(f"{what} needs a finite K >= 1, got K = {bad}")
 
 
-def _nome_moduli(t: float) -> tuple[float, float]:
+def _nome_moduli(t, ns=math):
     """(m, c) with k = m e^{-t} and k' = (1 - c)^2, the moduli of the Jacobi
     nome q = e^{-2t}, for t >= pi/2.
 
@@ -441,66 +466,71 @@ def _nome_moduli(t: float) -> tuple[float, float]:
     q^{n^2}, so does 1 - k'. Since q <= e^{-pi}, the first omitted term of
     each sum is below 1e-27 of the sum.
     """
-    q = math.exp(-2.0 * t)
+    q = ns.exp(-2.0 * t)
     s2 = q**2 + q**6 + q**12  # sum of q^{n(n+1)}, n >= 1
     odd = q + q**9 + q**25  # sum of q^{n^2}, odd n
     theta3 = 1.0 + 2.0 * (odd + q**4 + q**16)
     return 4.0 * ((1.0 + s2) / theta3) ** 2, 4.0 * odd / theta3
 
 
-def _mu_inverse_pair(y: float) -> tuple[float, float]:
-    """(r, log r') with grotzsch_mu(r) = y > 0 and r' = sqrt(1 - r^2).
+def _mu_inverse_pair(y, ns=math):
+    """(r, log r') with grotzsch_mu(r) = y > 0 and r' = sqrt(1 - r^2); rows of
+    an ndarray y each from the nome of their scalar call. r' is returned as its
+    log: it underflows (K above ~600 in A(K)) long before A(K) = 2 log((1 + r)/r')."""
+    return _split_at(y, _HALF_PI, _pair_by_nome, _pair_by_conome, ns)
 
-    r' is returned as its logarithm: it underflows (K above ~600 in A(K)) long
-    before A(K) = 2 log((1 + r)/r') overflows.
-    """
-    if y >= _HALF_PI:
-        m, c = _nome_moduli(y)
-        return m * math.exp(-y), 2.0 * math.log1p(-c)
+
+def _pair_by_nome(y, ns):
+    m, c = _nome_moduli(y, ns)
+    return m * ns.exp(-y), 2.0 * ns.log1p(-c)
+
+
+def _pair_by_conome(y, ns):
     # r' = mu^{-1}(pi^2/(4y)), whose nome is q' = e^{-pi^2/(2y)} <= e^{-pi}
     t = _PI2_4 / y
-    m, c = _nome_moduli(t)
-    return (1.0 - c) ** 2, math.log(m) - t
+    m, c = _nome_moduli(t, ns)
+    return (1.0 - c) ** 2, ns.log(m) - t
 
 
-def mu_inverse(y: float) -> float:
+def mu_inverse(y):
     """Inverse of grotzsch_mu, in closed form from the Jacobi nome."""
-    if not y > 0.0:
-        raise DomainError(f"mu_inverse needs y > 0, got y = {y}")
-    r = _mu_inverse_pair(y)[0]
-    if r == 0.0:
-        raise DomainError(f"mu_inverse(y = {y}) underflows to 0")
+    if (bad := _first_bad(y > 0.0, y)) is not None:
+        raise DomainError(f"mu_inverse needs y > 0, got y = {bad}")
+    r = _mu_inverse_pair(y, _ns(y))[0]
+    if (bad := _first_bad(r > 0.0, y)) is not None:
+        raise DomainError(f"mu_inverse(y = {bad}) underflows to 0")
     return r
 
 
-def phi_K(K: float, r: float) -> float:
+def phi_K(K, r):
     """Hersch-Pfluger distortion mu^{-1}(mu(r)/K), K >= 1."""
     _check_K(K, "phi_K")
     _check_open01(r, "phi_K")
     return mu_inverse(grotzsch_mu(r) / K)
 
 
-def distortion_A(K: float) -> float:
+def distortion_A(K):
     """A(K) = 2 arth(phi_K(th 1/2)); A(1) = 1.
 
     2 arth phi is taken as 2 log((1 + phi)/phi') from the pair (phi, log phi'),
     so it stays accurate where phi rounds to 1.
     """
     _check_K(K, "distortion_A")
-    phi, log_phip = _mu_inverse_pair(grotzsch_mu(math.tanh(0.5)) / K)
-    return 2.0 * (math.log1p(phi) - log_phip)
+    phi, log_phip = _mu_inverse_pair(grotzsch_mu(math.tanh(0.5)) / K, ns := _ns(K))
+    return 2.0 * (ns.log1p(phi) - log_phip)
 
 
-def distortion_bracket(K: float) -> tuple[float, float, float, float, float]:
+def distortion_bracket(K):
     """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain."""
     arch_e = math.acosh(math.e)
     u = arch_e * math.tanh(arch_e)
     v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / (math.e * math.e))))
+    ns = _ns(K)
     return (
         K,
         u * (K - 1.0) + 1.0,
         # log cosh x = x - log 2 + log1p(e^{-2x}), which cannot overflow
-        K * arch_e - math.log(2.0) + math.log1p(math.exp(-2.0 * K * arch_e)),
+        K * arch_e - math.log(2.0) + ns.log1p(ns.exp(-2.0 * K * arch_e)),
         distortion_A(K),
         v * (K - 1.0) + K,
     )

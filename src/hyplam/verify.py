@@ -100,12 +100,7 @@ class SweepSpec:
             raise ConfigurationError("tolerance must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "grid_size": self.grid_size,
-            "params": dict(self.params),
-            "tolerance": self.tolerance,
-        }
+        return vars(self) | {"params": dict(self.params)}
 
 
 @dataclass(frozen=True)
@@ -702,38 +697,34 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker):
     dev = np.abs(grotzsch_mu(xs) * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
     chk.require_all(dev, 1e-10, xs[:, None])
     chk.require_true(grotzsch_mu(0.1) > grotzsch_mu(0.9), ())
-    for r in (0.05, 0.4, 0.9):
-        chk.require(abs(mu_inverse(grotzsch_mu(r)) - r), 1e-12, (r,))
-        chk.require(abs(phi_K(1.0, r) - r), 1e-12, (r,))
-        chk.require_true(phi_K(2.0, r) > r, (r,))
-    for r in np.linspace(0.01, 0.99, min(max(spec.grid_size // 10, 20), 100)):
-        dev = abs(phi_K(2.0, float(r)) - 2.0 * math.sqrt(r) / (1.0 + r))
-        chk.require(dev, 1e-10, (float(r),))
+    rs = np.array([0.05, 0.4, 0.9])
+    chk.require_all(np.abs(mu_inverse(grotzsch_mu(rs)) - rs), 1e-12, rs[:, None])
+    chk.require_all(np.abs(phi_K(1.0, rs) - rs), 1e-12, rs[:, None])
+    chk.require_all(np.where(phi_K(2.0, rs) > rs, -math.inf, math.inf), 0.0, rs[:, None])
+    n_sub = min(max(spec.grid_size // 10, 20), 100)
+    rs = np.linspace(0.01, 0.99, n_sub)
+    chk.require_all(np.abs(phi_K(2.0, rs) - 2.0 * np.sqrt(rs) / (1.0 + rs)), 1e-10, rs[:, None])
     # the closed-form inverse against the bisection oracle, on both sides of
     # the switch to the complementary nome at y = pi/2
-    n_y = min(max(spec.grid_size // 10, 20), 100)
-    ys = np.concatenate([np.geomspace(0.05, 20.0, n_y), math.pi / 2.0 + np.array([-1e-9, 0.0, 1e-9])])
-    for y, oracle in zip(ys.tolist(), _mu_inverse_bisect(ys).tolist()):
-        dev = abs(mu_inverse(y) - oracle) / oracle
-        chk.require(dev, _MU_INVERSE_REL * (1.0 + y), (y,))
+    ys = np.concatenate([np.geomspace(0.05, 20.0, n_sub), math.pi / 2.0 + np.array([-1e-9, 0.0, 1e-9])])
+    oracle = _mu_inverse_bisect(ys)
+    chk.require_all(np.abs(mu_inverse(ys) - oracle) / oracle, _MU_INVERSE_REL * (1.0 + ys), ys[:, None])
 
 
 @claim("distortion-bracket", "A(K) sits inside its two-sided linear/log bracket")
 def _t_distortion_bracket(spec: SweepSpec, chk: _Checker):
     chk.require(abs(distortion_A(1.0) - 1.0), 1e-10, (1.0,))
-    a_last = 0.0
-    for K in (1.0, 1.5, 2.0, 5.0, 14.0, 20.0, 50.0, 1000.0):
-        k_, lin_lo, log_mid, a_k, lin_hi = distortion_bracket(K)
-        # chain with a small slack for the all-equal K = 1 endpoint
-        for lo, hi in ((k_, lin_lo), (lin_lo, log_mid), (log_mid, a_k), (a_k, lin_hi)):
-            chk.require(lo - hi, 1e-9, (K,))
-        a_last = a_k
+    Ks = np.array([1.0, 1.5, 2.0, 5.0, 14.0, 20.0, 50.0, 1000.0])
+    chain = distortion_bracket(Ks)
+    # chain with a small slack for the all-equal K = 1 endpoint
+    for lo, hi in zip(chain, chain[1:]):
+        chk.require_all(lo - hi, 1e-9, Ks[:, None])
     arch_e = math.acosh(math.e)
     u = arch_e * math.tanh(arch_e)
     v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / math.e**2)))
     chk.require_true(1.5412 < u < 1.5413, (u,))
     chk.require_true(1.3506 < v < 1.3507, (v,))
-    chk.locate(a_last, (1000.0,))
+    chk.locate(float(chain[3][-1]), (1000.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -811,21 +802,20 @@ def _vertex_angle(q: lam.LambertQuad) -> float:
 
 @claim("beardon-identity", "sh d1 sh d2 = cos phi; equals 1 when the far vertex is ideal")
 def _t_beardon(spec: SweepSpec, chk: _Checker):
-    for theta in (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0):
-        q = lam.lambert_from(1.0, theta)
-        dev = abs(math.sinh(q.d1) * math.sinh(q.d2) - 1.0)
-        chk.require(dev, 1e-12, (1.0, theta))
-        chk.require(abs(q.phi), 1e-6, (1.0, theta))
+    theta = np.array([math.pi / 6.0, math.pi / 4.0, math.pi / 3.0])
+    d1, d2 = lam.side_distances(1.0, theta)
+    at_one = np.column_stack([np.ones(3), theta])
+    chk.require_all(np.abs(np.sinh(d1) * np.sinh(d2) - 1.0), 1e-12, at_one)
+    chk.require_all(np.abs(lam.beardon_phi(d1, d2)), 1e-6, at_one)
     u = _halton(min(spec.grid_size, 2000), 2, default_seed() + 11)
-    for idx, (ua, ub) in enumerate(u):
-        L = 0.05 + 0.94 * ua
-        theta = 0.05 + (math.pi / 2.0 - 0.1) * ub
+    L, theta = 0.05 + 0.94 * u[:, 0], 0.05 + (math.pi / 2.0 - 0.1) * u[:, 1]
+    d1, d2 = lam.side_distances(L, theta)
+    dev = np.abs(np.sinh(d1) * np.sinh(d2) - np.cos(lam.beardon_phi(d1, d2)))
+    chk.require_all(dev, 1e-12, np.column_stack([L, theta]))
+    for L, theta in zip(L[:100].tolist(), theta[:100].tolist()):
+        # independent route: measure the angle of the quadrilateral geometrically
         q = lam.lambert_from(L, theta)
-        dev = abs(math.sinh(q.d1) * math.sinh(q.d2) - math.cos(q.phi))
-        chk.require(dev, 1e-12, (L, theta))
-        if idx < 100:
-            # independent route: measure the angle geometrically
-            chk.require(abs(_vertex_angle(q) - q.phi), 1e-8, (L, theta))
+        chk.require(abs(_vertex_angle(q) - q.phi), 1e-8, (L, theta))
 
 
 @claim("lambert-oracle-agreement", "numerical geodesic distance reproduces arth(L cos theta)")

@@ -1,16 +1,17 @@
-"""The array-first core of specfun and of the QC threshold: an ndarray call
-works row by row under the scalar rules, and a scalar call stays on the math
-path.
+"""The array-first core of specfun, of the Hersch-Pfluger layer, of Beardon's
+angle and of the QC threshold: an ndarray call works row by row under the
+scalar rules, and a scalar call stays on the math path.
 
 An array row agrees with its scalar call to within ROW_EPS units of 2^-52,
-relative: numpy's log1p, log and arctanh round differently from libm's on a
-few percent of arguments, by one or two ulp, and each kernel takes one or two
-of them. Where a kernel amplifies that rounding, the allowance carries the
-factor: the exponent of a power of arth, and arth r/(arth r - r) in the slope
-ratio's form from r = 0.6 on. The AGM and the slope ratio's series take only
+relative: numpy's log1p, log, exp and arctanh round differently from libm's
+on a few percent of arguments, by one or two ulp, and each kernel takes one
+or two of them. Where a kernel amplifies that rounding, the allowance carries
+the factor: the exponent of a power of arth, arth r/(arth r - r) in the slope
+ratio's form from r = 0.6 on, and |h_p - 1|/|h_p| in h_p's closed form from
+r = 0.5 on. The AGM and the series of the slope ratio and of h_p take only
 +, *, / and sqrt, which are correctly rounded in both, so `agm`,
-`grotzsch_mu`, `rprime` and the slope ratio below r = 0.6 equal their scalar
-calls bit for bit. Accuracy against mpmath is tested in
+`grotzsch_mu`, `rprime`, the slope ratio below r = 0.6 and h_p below 0.5
+equal their scalar calls bit for bit. Accuracy against mpmath is tested in
 test_specfun_accuracy.py.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from hyplam import geometry, lambert, qcbounds, specfun
-from hyplam.errors import DomainError
+from hyplam.errors import DomainError, InconsistentQuadrilateralError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
 from hyplam.verify import _halton
@@ -127,11 +128,9 @@ def test_arth_rows(name):
 
 @pytest.mark.parametrize("p", [-1.0, 0.0, 0.2, specfun.threshold_C(), 1.0, 3.0])
 def test_aux_g_le2_rows(p):
-    # (r/r') (arth r/arth r')^(p - 1): arth r' underflows the power for
-    # r -> 0 where p < 0, so those rows start at 1e-8
-    rs = RS[RS >= 1e-8] if p < 0.0 else RS
+    # down to r = 1e-300, where the value is ~5e305 at p = -1
     f = lambda r: specfun.aux_g_le2(p, r)
-    assert_rows_agree(f(rs), scalar_rows(f, rs), ROW_EPS * max(1.0, abs(p - 1.0)))
+    assert_rows_agree(f(RS), scalar_rows(f, RS), ROW_EPS * max(1.0, abs(p - 1.0)))
 
 
 @pytest.mark.parametrize("p,q", [(-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0), (-3.0, -1.9), (2.0, 1.0)])
@@ -142,11 +141,17 @@ def test_aux_g_pq_rows(p, q):
     assert_rows_agree(f(rs), scalar_rows(f, rs), ROW_EPS * max(1.0, abs(q - 1.0)))
 
 
-@pytest.mark.parametrize("p", [-3.0, -2.0, -1.0, 5.0])
+@pytest.mark.parametrize("p", [-3.0, -2.0, -1.0, 0.0, 5.0])
 def test_aux_h_p_rows(p):
-    # h_p tends to p as r -> 0; at p = 0 it cancels there, on both paths alike
+    # the series below r = 0.5 takes only +, * and /, and a row that has
+    # stopped takes no more terms: those rows equal their scalar calls
     f = lambda r: specfun.aux_h_p(p, r)
-    assert_rows_agree(f(_R_SPLIT), scalar_rows(f, _R_SPLIT))
+    rows, scalars = f(_R_SPLIT), scalar_rows(f, _R_SPLIT)
+    series = _R_SPLIT < 0.5
+    assert np.array_equal(rows[series], scalars[series])
+    # above it, the rounding of arth r in h_p - 1 is amplified by |h_p - 1|/|h_p|
+    far = scalars[~series]
+    assert_rows_agree(rows[~series], far, ROW_EPS * np.maximum(1.0, np.abs(far - 1.0) / np.abs(far)))
 
 
 def test_aux_slope_ratio_rows():
@@ -179,6 +184,52 @@ def test_agm_rows_equal_their_scalar_calls():
     assert np.array_equal(specfun.agm(b, 1.0), np.array([specfun.agm(float(x), 1.0) for x in b]))
 
 
+#: y on both sides of pi/2, where mu^{-1} switches to the complementary nome,
+#: and up to where it underflows (~745)
+YS = np.concatenate(
+    [np.geomspace(1e-3, 700.0, 400), HALF_PI + np.array([-1e-9, 0.0, 1e-9]), [math.nextafter(HALF_PI, 0.0)]]
+)
+#: K from 1 to 1e3
+KS = np.concatenate([[1.0, math.nextafter(1.0, 2.0), 1.5, 2.0], np.geomspace(1.0, 1e3, 200)])
+
+
+def test_mu_inverse_rows():
+    assert_rows_agree(specfun.mu_inverse(YS), scalar_rows(specfun.mu_inverse, YS))
+    # a row array of one side of pi/2 only, and a 0-length one
+    assert_rows_agree(specfun.mu_inverse(YS[YS < HALF_PI]), scalar_rows(specfun.mu_inverse, YS[YS < HALF_PI]))
+    assert specfun.mu_inverse(np.array([], dtype=float)).shape == (0,)
+    r, log_rp = specfun._mu_inverse_pair(YS, np)
+    assert_rows_agree(log_rp, scalar_rows(lambda y: specfun._mu_inverse_pair(y)[1], YS))
+
+
+def test_phi_K_rows():
+    K, r = np.meshgrid(KS[::10], RS[::7])
+    assert_rows_agree(specfun.phi_K(K.ravel(), r.ravel()), scalar_rows(specfun.phi_K, K.ravel(), r.ravel()))
+    # one K for a grid of r, as the registry calls it
+    assert_rows_agree(specfun.phi_K(2.0, RS), scalar_rows(lambda r: specfun.phi_K(2.0, r), RS))
+
+
+def test_distortion_A_and_bracket_rows():
+    assert_rows_agree(specfun.distortion_A(KS), scalar_rows(specfun.distortion_A, KS))
+    assert specfun.distortion_A(np.array([1.0]))[0] == specfun.distortion_A(1.0)
+    for i, column in enumerate(specfun.distortion_bracket(KS)):
+        assert_rows_agree(column, scalar_rows(lambda K: specfun.distortion_bracket(K)[i], KS))
+
+
+def test_beardon_phi_rows():
+    d1, d2 = lambert.side_distances(CS, THETAS)
+    assert_rows_agree(lambert.beardon_phi(d1, d2), scalar_rows(lambert.beardon_phi, d1, d2))
+    # a zero side: phi = pi/2, also where the other side is arth 1 = inf
+    d1, d2 = np.array([0.0, 0.5, 0.0, math.inf]), np.array([0.7, 0.0, 0.0, 0.0])
+    assert np.array_equal(lambert.beardon_phi(d1, d2), np.full(4, HALF_PI))
+    assert scalar_rows(lambert.beardon_phi, d1, d2).tolist() == [HALF_PI] * 4
+    # L = 1: the far vertex is ideal and phi = 0, up to the slack
+    d1, d2 = lambert.side_distances(1.0, THETAS[THETAS > 1e-8])
+    phi, scalars = lambert.beardon_phi(d1, d2), scalar_rows(lambert.beardon_phi, d1, d2)
+    # acos is ill-conditioned at 1: compare the angles, not their ratio
+    assert np.all(phi <= 1e-6) and np.all(np.abs(phi - scalars) <= 1e-7)
+
+
 #: the Array API aliases numpy added in 2.0; pyproject allows numpy 1.24, which lacks them
 _NUMPY2_ALIASES = ["acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "pow", "concat", "permute_dims"]
 
@@ -198,6 +249,11 @@ def test_array_kernels_run_without_the_numpy2_aliases(monkeypatch):
         lambda: qcbounds.M_L_of(LS),
         lambda: lambert.side_distances(CS, THETAS),
         lambda: lambert.ideal_quad(THETAS),
+        lambda: lambert.beardon_phi(*lambert.side_distances(CS, THETAS)),
+        lambda: specfun.mu_inverse(YS),
+        lambda: specfun.phi_K(KS, 0.5),
+        lambda: specfun.distortion_A(KS),
+        lambda: specfun.distortion_bracket(KS),
         lambda: geometry.rho_disk(z, 0.3),
         lambda: geometry.rho_halfplane(1j + z, 2j),
     ]
@@ -233,10 +289,39 @@ def test_array_kernels_run_without_the_numpy2_aliases(monkeypatch):
         lambda: specfun.holder_mean(-1.0, 0.3, 0.5),
         lambda: qcbounds.r_L_of(0.9),
         lambda: qcbounds.M_L_of(0.9),
+        lambda: specfun.aux_h_p(0.0, 0.7),
+        lambda: specfun.aux_g_le2(-1.0, 1e-300),
+        lambda: specfun.mu_inverse(0.5),
+        lambda: specfun.mu_inverse(5.0),
+        lambda: specfun.phi_K(2.0, 0.3),
+        lambda: specfun.distortion_A(1.0),
+        lambda: specfun.distortion_A(14.0),
+        *(lambda i=i: specfun.distortion_bracket(3.0)[i] for i in range(1, 5)),
+        lambda: lambert.beardon_phi(0.5, 0.4),
+        lambda: lambert.beardon_phi(0.0, 0.4),
     ],
 )
 def test_scalar_calls_return_python_floats(call):
     assert type(call()) is float
+
+
+def _no_numpy(*args, **kwargs):
+    raise AssertionError("a scalar call went through numpy")
+
+
+def test_scalar_calls_stay_off_numpy(monkeypatch):
+    for name in ("exp", "log", "log1p", "expm1", "arccos", "arctanh", "minimum", "where", "errstate", "empty"):
+        monkeypatch.setattr(np, name, _no_numpy)
+    for call in (
+        lambda: specfun.mu_inverse(0.5),
+        lambda: specfun.mu_inverse(5.0),
+        lambda: specfun.phi_K(2.0, 0.3),
+        lambda: specfun.distortion_bracket(3.0),
+        lambda: specfun.aux_h_p(0.0, 0.3),
+        lambda: lambert.beardon_phi(0.5, 0.4),
+        lambda: lambert.beardon_phi(0.0, 0.4),
+    ):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -256,6 +341,7 @@ def test_scalar_calls_return_python_floats(call):
         (lambda bad: specfun.aux_g_pq(-3.0, 0.0, np.array([bad])), lambda bad: specfun.aux_g_pq(-3.0, 0.0, bad)),
         (lambda bad: qcbounds.r_L_of(np.array([0.9, bad])), qcbounds.r_L_of),
         (lambda bad: qcbounds.M_L_of(np.array([0.9, bad])), qcbounds.M_L_of),
+        (lambda bad: specfun.phi_K(2.0, np.array([0.5, bad])), lambda bad: specfun.phi_K(2.0, bad)),
     ],
 )
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf])
@@ -276,3 +362,34 @@ def test_a_bad_row_raises_the_scalar_error(call, scalar, bad):
 def test_a_bad_c_row_raises_the_scalar_error():
     with pytest.raises(DomainError, match=r"needs c in \(0, 1\], got 1.5"):
         specfun.lemma_G_c(np.array([0.5, 1.5]), 0.3)
+
+
+@pytest.mark.parametrize("f", [specfun.distortion_A, specfun.distortion_bracket, lambda K: specfun.phi_K(K, 0.5)])
+@pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.inf, math.nan])
+def test_a_bad_K_row_raises_the_scalar_error(f, bad):
+    with pytest.raises(DomainError, match=f"got K = {bad}$") as from_scalar:
+        f(bad)
+    with pytest.raises(DomainError) as from_rows:
+        f(np.array([1.0, 2.0, bad, 3.0, 0.25]))
+    assert str(from_rows.value) == str(from_scalar.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 800.0, math.inf])
+def test_a_bad_y_row_raises_the_scalar_error(bad):
+    # mu^{-1}(y) underflows to 0 from y ~ 745 on
+    with pytest.raises(DomainError, match="y > 0" if not bad > 0.0 else "underflows") as from_scalar:
+        specfun.mu_inverse(bad)
+    with pytest.raises(DomainError) as from_rows:
+        specfun.mu_inverse(np.array([1.0, 700.0, bad, 900.0]))
+    assert str(from_rows.value) == str(from_scalar.value)
+
+
+def test_an_inconsistent_row_raises_the_scalar_error():
+    # sh 2 sh 2 = 13.2 > 1: no Lambert quadrilateral has these sides
+    with pytest.raises(InconsistentQuadrilateralError) as from_scalar:
+        lambert.beardon_phi(2.0, 2.0)
+    with pytest.raises(InconsistentQuadrilateralError) as from_rows:
+        lambert.beardon_phi(np.array([0.5, 2.0, 3.0, 745.0]), np.array([0.4, 2.0, 3.0, 745.0]))
+    assert str(from_rows.value) == str(from_scalar.value)
+    with pytest.raises(DomainError, match="nonnegative"):
+        lambert.beardon_phi(np.array([0.5, -0.1]), 0.4)

@@ -1,6 +1,6 @@
-"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x), of C(p) and
-of the slope ratio against mpmath at 50 digits (C(p) and the slope ratio at
-60).
+"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x), of C(p), of
+the slope ratio, of g_{p<=2} and of h_p against mpmath at 50 digits (C(p) and
+the slope ratio at 60).
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -20,7 +20,7 @@ import pytest
 from hyplam import big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
 from hyplam.lambert import ideal_quad, side_distances
 from hyplam.qcbounds import T_of
-from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_pq, aux_slope_ratio
+from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio
 
 mp = pytest.importorskip("mpmath")
 
@@ -190,6 +190,30 @@ def test_aux_g_pq(p, q, r):
     # r^(p-1) overflows at r = 1e-80 for p = -3, where the value is finite
     R = mp.mpf(r)
     assert rel(aux_g_pq(p, q, r), mp.atanh(R) ** (q - 1) / (R ** (p - 1) * (1 - R * R))) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-160, 1e-8, 0.3, 0.9, 1 - 1e-8])
+@pytest.mark.parametrize("p", [-1.0, -0.5, 1.5])
+def test_aux_g_le2(p, r):
+    # (r/r') (arth r/arth r')^(p-1): r inside the power overflowed it at
+    # r = 1e-160 and 1e-300 for p = -1, where the value is 1.4e165 and 4.8e305.
+    # r^(3/2) underflows with the value at r = 1e-300 for p = 1.5
+    if p > 1.0 and r < 1e-200:
+        return
+    a, b = ref_pair_r(1.0, r)
+    R = mp.mpf(r)
+    ref = R / mp.sqrt(1 - R * R) * (a / b) ** (p - 1)
+    assert rel(aux_g_le2(p, r), ref) <= 4.0 * EPS * abs(p - 1.0)
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.3, 0.4, math.nextafter(0.5, 0.0), 0.5])
+@pytest.mark.parametrize("p", [0.0, -1.0, -3.0])
+def test_aux_h_p(p, r):
+    # h_p -> p as r -> 0, where 1 + ((p + 1) r'^2 - 2) arth(r)/r cancels for
+    # p = 0 (2.3 relative at r = 1e-8); r = 0.5 is where it is taken again
+    R = mp.mpf(r)
+    ref = 1 + ((p + 1) * (1 - R * R) - 2) * mp.atanh(R) / R
+    assert rel(aux_h_p(p, r), ref) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("c", CS)
