@@ -69,12 +69,13 @@ def _require(ok, value, what: str, needs: str):
 
 
 def _split_at(x, split, far, near, *args):
-    """far(x, *args) where x >= split and near(x, *args) below: row by row on
-    an ndarray x, each side in one call. A result may be a pair of rows."""
+    """far(x, *args) where x >= split and near(x, *args) below: on an ndarray x, each side
+    in one call, with its rows of any ndarray arg of x's shape. A result may be a pair of rows."""
     if not isinstance(x, _ndarray):
         return far(x, *args) if x >= split else near(x, *args)
     is_far = x >= split
-    hi, lo = far(x[is_far], *args), near(x[~is_far], *args)
+    side = lambda f, rows: f(x[rows], *(a[rows] if isinstance(a, _ndarray) else a for a in args))
+    hi, lo = side(far, is_far), side(near, ~is_far)
     out = np.empty(np.shape(hi)[:-1] + x.shape)
     out[..., is_far], out[..., ~is_far] = hi, lo
     return out
@@ -293,6 +294,7 @@ def aux_h_p(p, r):
     It tends to p as r -> 0, where 1 and the rest cancel for p near 0, so below r = 0.5
     (rows split there) it is p + t sum_{k>=1} t^{k-1} ((p-1)/(2k+1) - (p+1)/(2k-1)), t = r^2."""
     _check_open01(r, "aux_h_p")
+    r, p = np.broadcast_arrays(r, p) if isinstance(p, _ndarray) else (r, p)  # a row of p per row of r
     return _split_at(r, 0.5, _h_p_far, _h_p_series, p)
 
 
@@ -303,8 +305,7 @@ def _h_p_far(r, p):
 def _h_p_series(r, p):
     """Term k is -t^{k-1} (4k + 2p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
     stops moving the sum. Terms change sign, so a row that has stopped takes no more of them."""
-    t = r * r
-    moves = np.any if isinstance(t, _ndarray) else bool
+    t, moves = r * r, np.any if isinstance(r, _ndarray) else bool
     s, tk, k = 0.0 * t, 1.0, 1
     while moves(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
         s, tk, k = s - moving * tk * (4.0 * k + 2.0 * p) / (4.0 * k * k - 1.0), tk * t, k + 1
@@ -522,10 +523,9 @@ def distortion_A(K):
 
 def distortion_bracket(K):
     """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain."""
-    arch_e = math.acosh(math.e)
+    arch_e, ns = math.acosh(math.e), _ns(K)
     u = arch_e * math.tanh(arch_e)
     v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / (math.e * math.e))))
-    ns = _ns(K)
     return (
         K,
         u * (K - 1.0) + 1.0,

@@ -7,7 +7,7 @@ relative: numpy's log1p, log, exp and arctanh round differently from libm's
 on a few percent of arguments, by one or two ulp, and each kernel takes one
 or two of them. Where a kernel amplifies that rounding, the allowance carries
 the factor: the exponent of a power of arth, arth r/(arth r - r) in the slope
-ratio's form from r = 0.6 on, and |h_p - 1|/|h_p| in h_p's closed form from
+ratio's form from r = 0.6 on, and |h_0 - 1|/|h_0| in h_0's closed form from
 r = 0.5 on. The AGM and the series of the slope ratio and of h_p take only
 +, *, / and sqrt, which are correctly rounded in both, so `agm`,
 `grotzsch_mu`, `rprime`, the slope ratio below r = 0.6 and h_p below 0.5
@@ -25,6 +25,7 @@ from hyplam.errors import DomainError, InconsistentQuadrilateralError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
 from hyplam.verify import _halton
+from test_layering import NUMPY2_ONLY
 
 EPS = 2.0**-52
 #: the largest row-to-scalar gap seen on the grids below is 1.9 units
@@ -141,17 +142,36 @@ def test_aux_g_pq_rows(p, q):
     assert_rows_agree(f(rs), scalar_rows(f, rs), ROW_EPS * max(1.0, abs(q - 1.0)))
 
 
-@pytest.mark.parametrize("p", [-3.0, -2.0, -1.0, 0.0, 5.0])
-def test_aux_h_p_rows(p):
-    # the series below r = 0.5 takes only +, * and /, and a row that has
-    # stopped takes no more terms: those rows equal their scalar calls
+def _h_p_rows(p):
+    """aux_h_p(p, .) on _R_SPLIT as rows, by scalar calls, and the rows of its series.
+    The series below r = 0.5 takes only +, * and /, and a row that has stopped
+    takes no more terms: those rows equal their scalar calls."""
     f = lambda r: specfun.aux_h_p(p, r)
-    rows, scalars = f(_R_SPLIT), scalar_rows(f, _R_SPLIT)
-    series = _R_SPLIT < 0.5
+    rows, scalars, series = f(_R_SPLIT), scalar_rows(f, _R_SPLIT), _R_SPLIT < 0.5
     assert np.array_equal(rows[series], scalars[series])
-    # above it, the rounding of arth r in h_p - 1 is amplified by |h_p - 1|/|h_p|
-    far = scalars[~series]
-    assert_rows_agree(rows[~series], far, ROW_EPS * np.maximum(1.0, np.abs(far - 1.0) / np.abs(far)))
+    return rows[~series], scalars[~series]
+
+
+@pytest.mark.parametrize("p", [-3.0, -2.0, -1.0, 5.0])
+def test_aux_h_p_rows(p):
+    assert_rows_agree(*_h_p_rows(p))
+
+
+def test_aux_h_p_rows_at_p0():
+    # h_0 - 1 = -(1 + r^2) arth(r)/r, 3.7 |h_0| at r = 0.5 and less beyond, where the
+    # closed form takes over: it amplifies the rounding of arth r that much
+    rows, scalars = _h_p_rows(0.0)
+    assert_rows_agree(rows, scalars, ROW_EPS * np.abs(scalars - 1.0) / np.abs(scalars))
+
+
+def test_aux_h_p_rows_of_p():
+    # p may be rows too, broadcast against r, each (p, r) row as its scalar call;
+    # r stays clear of 0.88, where h_5 changes sign
+    ps, rs = np.array([[-3.0], [0.0], [5.0]]), np.array([1e-3, 0.3, math.nextafter(0.5, 0.0), 0.5, 0.7, 0.95])
+    scalars = scalar_rows(specfun.aux_h_p, *(a.ravel() for a in np.broadcast_arrays(ps, rs))).reshape(3, -1)
+    amplified = np.maximum(1.0, np.abs(scalars - 1.0) / np.abs(scalars))
+    assert_rows_agree(specfun.aux_h_p(ps, rs), scalars, ROW_EPS * amplified)
+    assert np.array_equal(specfun.aux_h_p(ps[:, 0], 0.3), scalars[:, 1])
 
 
 def test_aux_slope_ratio_rows():
@@ -230,12 +250,8 @@ def test_beardon_phi_rows():
     assert np.all(phi <= 1e-6) and np.all(np.abs(phi - scalars) <= 1e-7)
 
 
-#: the Array API aliases numpy added in 2.0; pyproject allows numpy 1.24, which lacks them
-_NUMPY2_ALIASES = ["acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "pow", "concat", "permute_dims"]
-
-
 def test_array_kernels_run_without_the_numpy2_aliases(monkeypatch):
-    for name in _NUMPY2_ALIASES:
+    for name in NUMPY2_ONLY:
         monkeypatch.delattr(np, name, raising=False)
     r, z = RS[RS < 1.0], 0.5 * np.exp(1j * THETAS)
     calls = [
