@@ -19,7 +19,6 @@ from .geometry import (
     absolute_ratio,
     chordal_distance,
     geodesic_distance,
-    geodesic_points,
     geodesic_through,
     hyperbolic_midpoint,
     rho_disk,

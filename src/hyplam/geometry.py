@@ -6,13 +6,17 @@ unit circle. A numerical geodesic-to-geodesic distance oracle is provided;
 it deliberately works by a nested bracket search over sampled points so it
 stays independent of any closed-form distance it is used to check.
 
-One numeric core serves both scalar and array callers: the private kernels
-below (the boundary snap, the chordal distance, rho, Moebius application,
-the arc through two points and the midpoint) take complex scalars or complex
-ndarrays. `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API;
-`rho_disk`, `rho_halfplane`, `absolute_ratio`, `rho_via_crossratio`,
-`hyperbolic_midpoint` and `MoebiusMap.__call__` also take complex ndarrays
-of finite points and return ndarrays, row by row under the scalar rules.
+Each function has one body over scalars and rows. An argument may be a
+complex number, a `Point` or a complex ndarray of finite points: `_points`
+turns each into its coordinate, snapped onto the circle within 64 ulp, and
+whether it lies there, and builds no `Point` for a number. `_where` selects
+row by row on a mask and by a conditional on a bool. So `rho_disk`,
+`rho_halfplane`, `absolute_ratio`, `chordal_distance`, `rho_via_crossratio`,
+`hyperbolic_midpoint` and `MoebiusMap.__call__` take complex ndarrays as
+well as scalars and return ndarrays, each row under the scalar rules.
+`Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
+midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
+scalar points.
 """
 
 from __future__ import annotations
@@ -80,12 +84,15 @@ class Point:
 # Kernels: complex scalars or complex ndarrays of finite points
 
 
-def _is_rows(*values) -> bool:
-    """True if any argument is an ndarray: the call then works row by row."""
-    for v in values:
-        if isinstance(v, _ndarray):
-            return True
-    return False
+def _where(cond, a, b):
+    """np.where(cond, a, b) on a mask; a if cond else b on a bool. The caller
+    has computed both branches already, so each must be safe on every input."""
+    return np.where(cond, a, b) if isinstance(cond, _ndarray) else (a if cond else b)
+
+
+def _any(cond):
+    """Whether a bool holds, or any row of a mask."""
+    return cond.any() if isinstance(cond, _ndarray) else cond
 
 
 def _sqrt(x):
@@ -96,6 +103,11 @@ def _sqrt(x):
 def _asinh(x):
     """math.asinh on a scalar, np.arcsinh on an array: a scalar stays a Python float."""
     return np.arcsinh(x) if isinstance(x, _ndarray) else math.asinh(x)
+
+
+def _log(x):
+    """math.log on a scalar, np.log on an array: a scalar stays a Python float."""
+    return np.log(x) if isinstance(x, _ndarray) else math.log(x)
 
 
 def _abs(z):
@@ -109,9 +121,39 @@ def _snap(z):
     where that happened (a bool for a scalar, a mask for an array)."""
     r = _abs(z)
     on = abs(r - 1.0) <= _BOUNDARY_SNAP
-    if isinstance(on, _ndarray):
-        return np.where(on, z / np.where(on, r, 1.0), z), on
-    return (z / r if on else z), on
+    return _where(on, z / _where(on, r, 1.0), z), on
+
+
+def _points(*values) -> list:
+    """Each value as a pair (z, on): its coordinate, snapped as by _snap, and
+    whether it lies on the circle. A complex and a bool for a number or a
+    Point (already snapped), a complex ndarray and a mask for an ndarray,
+    and (None, False) for the point at infinity."""
+    out = []
+    for v in values:
+        if isinstance(v, Point):
+            out.append((None, False) if v.is_infinity else (complex(v.re, v.im), v.kind is PointKind.BOUNDARY))
+        elif isinstance(v, _ndarray):
+            out.append(_snap(np.asarray(v, dtype=complex)))
+        else:
+            out.append(_snap(complex(v)))
+    return out
+
+
+def _interior(what: str, *values) -> list:
+    """The values' snapped coordinates; DomainError unless each point, or
+    every row, lies strictly inside the unit disk."""
+    zs = []
+    for z, on in _points(*values):
+        if z is None or _any(on | (abs(z) > 1.0)):
+            raise DomainError(f"{what} needs interior points")
+        zs.append(z)
+    return zs
+
+
+def _snapped(z):
+    """z snapped as by _snap: complex rows for an ndarray, a Point for a scalar."""
+    return _snap(z)[0] if isinstance(z, _ndarray) else Point.of(z)
 
 
 def _chordal_norm(z):
@@ -122,7 +164,7 @@ def _chordal_norm(z):
 
 def _chordal(z, w, nz, nw):
     """Chordal distance of two points given with their _chordal_norm; None
-    stands for the point at infinity (scalars only)."""
+    stands for the point at infinity."""
     if z is None:
         return 0.0 if w is None else 1.0 / nw
     if w is None:
@@ -157,8 +199,8 @@ def _through_origin(z1, z2):
     diameter with any other.
     """
     cross = z1.real * z2.imag - z1.imag * z2.real
-    far = np.maximum(_abs(z1), _abs(z2)) if isinstance(cross, _ndarray) else max(abs(z1), abs(z2))
-    return abs(cross) <= _COLLINEAR_TOL * far * _abs(z1 - z2)
+    a1, a2 = _abs(z1), _abs(z2)
+    return abs(cross) <= _COLLINEAR_TOL * _where(a1 >= a2, a1, a2) * _abs(z1 - z2)
 
 
 def _arc(z1, z2):
@@ -188,39 +230,26 @@ def _midpoint(z, w):
     return _moebius(1.0, z, z.conjugate(), 1.0, u / (1.0 + u_prime))
 
 
-def _rows(value):
-    """A complex ndarray, snapped like Point.of, and where it snapped."""
-    return _snap(np.asarray(value, dtype=complex))
-
-
-def _interior_rows(what: str, *values) -> list:
-    """The values as snapped complex ndarrays; DomainError unless every row
-    is strictly inside the unit disk."""
-    out = []
-    for value in values:
-        z, on = _rows(value)
-        if (on | (abs(z) > 1.0)).any():
-            raise DomainError(f"{what} needs interior points")
-        out.append(z)
-    return out
-
-
-def _interior_points(what: str, *values) -> list["Point"]:
-    """As _interior_rows, for scalars: the values as interior Points."""
-    pts = [Point.of(v) for v in values]
-    if any(p.kind is not PointKind.INTERIOR or abs(p.z) > 1.0 for p in pts):
-        raise DomainError(f"{what} needs interior points")
-    return pts
+def _ratio(a, b, c, d):
+    """The absolute ratio of four snapped coordinates (None at infinity)."""
+    zs = (a, b, c, d)
+    norms = [None if z is None else _chordal_norm(z) for z in zs]
+    dists = [_chordal(zs[i], zs[j], norms[i], norms[j]) for i, j in _PAIRS]
+    if any(_any(q == 0.0) for q in dists):
+        raise DegenerateInputError("absolute ratio needs four distinct points")
+    ab, ac, _, _, bd, cd = dists
+    return (ac * bd) / (ab * cd)
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 
 
-def chordal_distance(x, y) -> float:
-    """Metric of the Riemann sphere pulled back to the plane."""
-    zs = [None if p.is_infinity else p.z for p in (Point.of(x), Point.of(y))]
-    return _chordal(*zs, *(None if z is None else _chordal_norm(z) for z in zs))
+def chordal_distance(x, y):
+    """Metric of the Riemann sphere pulled back to the plane. On ndarrays of
+    finite points, row by row."""
+    (z, _), (w, _) = _points(x, y)
+    return _chordal(z, w, *(None if v is None else _chordal_norm(v) for v in (z, w)))
 
 
 def absolute_ratio(a, b, c, d):
@@ -229,40 +258,22 @@ def absolute_ratio(a, b, c, d):
     Always evaluated through the chordal metric so that points at infinity
     need no special casing. On complex ndarrays of finite points, row by row.
     """
-    rows = _is_rows(a, b, c, d)
-    if rows:
-        zs = [_rows(p)[0] for p in (a, b, c, d)]
-    else:
-        zs = [None if p.is_infinity else p.z for p in map(Point.of, (a, b, c, d))]
-    norms = [None if z is None else _chordal_norm(z) for z in zs]
-    dists = [_chordal(zs[i], zs[j], norms[i], norms[j]) for i, j in _PAIRS]
-    coincident = any((q == 0.0).any() for q in dists) if rows else 0.0 in dists
-    if coincident:
-        raise DegenerateInputError("absolute ratio needs four distinct points")
-    ab, ac, _, _, bd, cd = dists
-    return (ac * bd) / (ab * cd)
+    return _ratio(*(z for z, _ in _points(a, b, c, d)))
 
 
 def rho_disk(x, y):
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
     circle (0 between equal points there). On ndarrays, row by row."""
-    if _is_rows(x, y):
-        (z, z_on), (w, w_on) = _rows(x), _rows(y)
-        on = z_on | w_on
-        if (~on & ((abs(z) > 1.0) | (abs(w) > 1.0))).any():
-            raise DomainError("rho_disk needs points in the closed unit disk")
-        inner = _rho(np.where(on, 0.0, z), np.where(on, 0.0, w))
-        return np.where(on, np.where(z_on & w_on & (z == w), 0.0, math.inf), inner)
-    px, py = Point.of(x), Point.of(y)
-    if px.is_infinity or py.is_infinity:
+    (z, z_on), (w, w_on) = _points(x, y)
+    if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
-    if px.kind is PointKind.BOUNDARY or py.kind is PointKind.BOUNDARY:
-        if px == py:
-            return 0.0
-        return math.inf
-    if abs(px.z) > 1.0 or abs(py.z) > 1.0:
+    on = z_on | w_on
+    # a circle point reaches _rho as 0, not at its zero disk factor: that
+    # result is not selected
+    z_in, w_in = _where(on, 0.0, z), _where(on, 0.0, w)
+    if _any((abs(z_in) > 1.0) | (abs(w_in) > 1.0)):
         raise DomainError("rho_disk needs points in the closed unit disk")
-    return _rho(px.z, py.z)
+    return _where(on, _where(z_on & w_on & (z == w), 0.0, math.inf), _rho(z_in, w_in))
 
 
 def rho_halfplane(x, y):
@@ -270,15 +281,9 @@ def rho_halfplane(x, y):
     |x - y| / (2 sqrt(Im x Im y)), which neither cancels between near
     points, as 1 + |x - y|^2 / (2 Im x Im y) in arcosh does, nor underflows
     for tiny imaginary parts. On ndarrays, row by row."""
-    if _is_rows(x, y):
-        z, w = _rows(x)[0], _rows(y)[0]
-        if ((z.imag <= 0.0) | (w.imag <= 0.0)).any():
-            raise DomainError("rho_halfplane needs points with positive imaginary part")
-    else:
-        px, py = Point.of(x), Point.of(y)
-        if px.is_infinity or py.is_infinity or px.im <= 0.0 or py.im <= 0.0:
-            raise DomainError("rho_halfplane needs points with positive imaginary part")
-        z, w = px.z, py.z
+    (z, _), (w, _) = _points(x, y)
+    if z is None or w is None or _any((z.imag <= 0.0) | (w.imag <= 0.0)):
+        raise DomainError("rho_halfplane needs points with positive imaginary part")
     return 2.0 * _asinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
 
 
@@ -299,19 +304,12 @@ class Geodesic:
     center: complex = 0j  # arc only
     radius: float = 0.0  # arc only
 
-    def carrier_contains(self, z: complex, tol: float = 1e-10) -> bool:
-        if self.kind is GeodesicKind.DIAMETER:
-            u = cmath.exp(1j * self.direction)
-            return abs((z * u.conjugate()).imag) <= tol
-        return abs(abs(z - self.center) - self.radius) <= tol
-
 
 def geodesic_through(x, y) -> Geodesic:
     """The hyperbolic line through two distinct points of the closed disk."""
-    px, py = Point.of(x), Point.of(y)
-    if px.is_infinity or py.is_infinity:
+    (z1, _), (z2, _) = _points(x, y)
+    if z1 is None or z2 is None:
         raise DomainError("geodesics live in the closed unit disk")
-    z1, z2 = px.z, py.z
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")
     if _through_origin(z1, z2):
@@ -344,20 +342,15 @@ def _arc_angles(g: Geodesic) -> tuple[float, float]:
     return w1, delta
 
 
-def geodesic_points(g: Geodesic, taus):
-    """Open-arc parametrization by tau in [0, 1], clamped off the boundary."""
-    taus = np.asarray(taus, dtype=float)
-    return _parametrization([g])(taus.reshape(1, -1)).reshape(taus.shape)
-
-
 #: samples per bracket: each round shrinks an interior bracket 8-fold
 _BRACKET_SAMPLES = np.linspace(0.0, 1.0, 17)
 #: a search stops once its bracket is at most this wide
 _BRACKET_WIDTH = 1e-12
 #: geodesics closer than this count as intersecting: their distance is 0.0
 _INTERSECT_TOL = 1e-10
-#: ends this close are one ideal point: each was snapped from within _BOUNDARY_SNAP
-_SHARED_END_TOL = 2.0 * _BOUNDARY_SNAP
+#: ends this close are one ideal point: _arc and the snap round an end by an ulp
+#: or so (1.1e-16 seen); ends 2e-14 apart are distinct, at distance 2.0e-7
+_SHARED_END_TOL = 4 * 2.0**-52
 
 
 def _bracket_min(f, rows: int):
@@ -386,10 +379,11 @@ def _bracket_min(f, rows: int):
 
 
 def _parametrization(gs):
-    """The parametrization of geodesic_points for a (rows, k) array of
-    parameters, row j on gs[j]: diameters e^{i phi}(2u - 1) and arcs
-    c + r e^{i(w1 + delta u)}, where u clamps the parameter off the boundary
-    and w1, delta are the arc's start angle and signed sweep."""
+    """The open-arc parametrization of the geodesics gs by tau in [0, 1], on
+    a (rows, k) array of parameters, row j on gs[j]: diameters
+    e^{i phi}(2u - 1) and arcs c + r e^{i(w1 + delta u)}, where u clamps the
+    parameter off the boundary and w1, delta are the arc's start angle and
+    signed sweep."""
     arc = np.array([g.kind is GeodesicKind.ARC for g in gs], dtype=bool)
     dia = ~arc
     arcs = [g for g in gs if g.kind is GeodesicKind.ARC]
@@ -448,15 +442,16 @@ def geodesic_distance(g1, g2):
     """Infimum of rho over point pairs on two geodesics; on two equal-length
     sequences of geodesics, an ndarray with the distance of each pair.
 
-    A nested bracket search over the parametrizations of geodesic_points:
+    A nested bracket search over the geodesics' parametrizations:
     the outer one over the points of g1, the inner one, for each of those,
     over the points of g2. Both searches converge because hyperbolic
     distance is convex along geodesics (Bridson and Haefliger, Metric Spaces
     of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
     a fixed point to the points of g2, and the distance from a point of g1 to
     g2, are unimodal in the parameter. Returns 0.0 for intersecting
-    geodesics or geodesics that share an ideal endpoint. A pair's distance is
-    the same, bit for bit, alone or in a sequence.
+    geodesics and for geodesics that share an ideal endpoint, that is, whose
+    ends lie within 4 ulp. A pair's distance is the same, bit for bit, alone
+    or in a sequence.
     """
     if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
         return float(_distance_rows([g1], [g2])[0])
@@ -471,8 +466,13 @@ def geodesic_distance(g1, g2):
 
 
 def _geodesic_ends(z1, z2):
-    """The snapped circle endpoints of the geodesics through rows of distinct
-    points, as geodesic_through finds them."""
+    """The snapped circle endpoints of the geodesic through distinct z1 and
+    z2, as geodesic_through finds them. On rows, the arcs take one call of
+    _arc, which would divide by a diameter's zero cross, and each diameter,
+    which is rare, a scalar call."""
+    if not (isinstance(z1, _ndarray) or isinstance(z2, _ndarray)):
+        return [p.z for p in geodesic_through(z1, z2).endpoints]
+    z1, z2 = np.broadcast_arrays(z1, z2)
     arc = ~_through_origin(z1, z2)
     e1, e2 = np.empty_like(z1), np.empty_like(z2)
     _, _, a1, a2 = _arc(z1[arc], z2[arc])
@@ -485,20 +485,13 @@ def _geodesic_ends(z1, z2):
 def rho_via_crossratio(x, y):
     """Distance as log of the absolute ratio with the geodesic endpoints. On
     ndarrays, row by row."""
-    if _is_rows(x, y):
-        z, w = _interior_rows("rho_via_crossratio", x, y)
-        z, w = np.broadcast_arrays(z, w)
-        if (z == w).any():
-            raise DegenerateInputError("coincident points define no geodesic")
-        e1, e2 = _geodesic_ends(z, w)
-        # label so that e_x, x, y, e_y occur in order along the geodesic
-        swap = ~(_abs(e1 - z) <= _abs(e1 - w))
-        return np.log(absolute_ratio(np.where(swap, e2, e1), z, w, np.where(swap, e1, e2)))
-    px, py = _interior_points("rho_via_crossratio", x, y)
-    e1, e2 = geodesic_through(px, py).endpoints
-    if not abs(e1.z - px.z) <= abs(e1.z - py.z):
-        e1, e2 = e2, e1
-    return math.log(absolute_ratio(e1, px, py, e2))
+    z, w = _interior("rho_via_crossratio", x, y)
+    if _any(z == w):
+        raise DegenerateInputError("coincident points define no geodesic")
+    e1, e2 = _geodesic_ends(z, w)
+    # label so that e_x, x, y, e_y occur in order along the geodesic
+    swap = _abs(e1 - z) > _abs(e1 - w)
+    return _log(_ratio(_where(swap, e2, e1), z, w, _where(swap, e1, e2)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +512,14 @@ class MoebiusMap:
     def __call__(self, z):
         """The image Point; on a complex ndarray, the snapped image of each
         row, and DomainError if a row maps to infinity."""
-        if isinstance(z, _ndarray):
-            z = _rows(z)[0]
-            if (abs(self.c * z + self.d) < 1e-300).any():
+        z, _ = _points(z)[0]
+        if z is None:
+            return Point.infinity() if abs(self.c) == 0.0 else Point.of(self.a / self.c)
+        if _any(abs(self.c * z + self.d) < 1e-300):
+            if isinstance(z, _ndarray):
                 raise DomainError("a row maps to infinity, which has no finite coordinate")
-            return _snap(_moebius(self.a, self.b, self.c, self.d, z))[0]
-        p = Point.of(z)
-        if p.is_infinity:
-            if abs(self.c) == 0.0:
-                return Point.infinity()
-            return Point.of(self.a / self.c)
-        if abs(self.c * p.z + self.d) < 1e-300:
             return Point.infinity()
-        return Point.of(_moebius(self.a, self.b, self.c, self.d, p.z))
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    @staticmethod
-    def identity() -> "MoebiusMap":
-        return MoebiusMap(1, 0, 0, 1)
+        return _snapped(_moebius(self.a, self.b, self.c, self.d, z))
 
     @staticmethod
     def cayley() -> "MoebiusMap":
@@ -569,8 +542,4 @@ class MoebiusMap:
 def hyperbolic_midpoint(x, y):
     """Point p on the segment from x to y with rho(x,p) = rho(p,y). On
     ndarrays, the complex midpoint of each row."""
-    if _is_rows(x, y):
-        z, w = _interior_rows("hyperbolic midpoint", x, y)
-        return _snap(_midpoint(z, w))[0]
-    px, py = _interior_points("hyperbolic midpoint", x, y)
-    return Point.of(_midpoint(px.z, py.z))
+    return _snapped(_midpoint(*_interior("hyperbolic midpoint", x, y)))

@@ -117,8 +117,10 @@ def beardon_phi(d1, d2):
         log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
         ns, acos, least = math, math.acos, min
     # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
-    # per unit is ~10 times the excess over 1 seen at and near L = 1
-    if (bad := _first_bad(log_prod <= ns.log1p(2.0**-48 * (2.0 + d1 + d2)), log_prod)) is not None:
+    # per unit is ~10 times the excess over 1 seen at and near L = 1. The slack
+    # is infinite where a side is, so an infinite product is refused apart
+    ok = (log_prod < math.inf) & (log_prod <= ns.log1p(2.0**-48 * (2.0 + d1 + d2)))
+    if (bad := _first_bad(ok, log_prod)) is not None:
         raise InconsistentQuadrilateralError(f"sh(d1) sh(d2) = exp({bad}) exceeds 1: not a Lambert quadrilateral")
     return acos(least(ns.exp(log_prod), 1.0))
 

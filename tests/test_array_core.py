@@ -326,9 +326,22 @@ def _no_numpy(*args, **kwargs):
 
 
 def test_scalar_calls_stay_off_numpy(monkeypatch):
-    for name in ("exp", "log", "log1p", "expm1", "arccos", "arctanh", "minimum", "where", "errstate", "empty"):
+    p, q = geometry.Point.of(0.3 + 0.1j), geometry.Point.of(-0.2 + 0.5j)
+    m = geometry.MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+    ideal = (1.0, 1j, -1.0, -1j)
+    numpy_names = ("exp", "log", "log1p", "expm1", "arccos", "arctanh", "minimum", "where", "errstate", "empty")
+    for name in (*numpy_names, "hypot", "sqrt", "arcsinh", "asarray", "broadcast_arrays"):
         monkeypatch.setattr(np, name, _no_numpy)
     for call in (
+        lambda: geometry.rho_disk(p, q),
+        lambda: geometry.rho_disk(0.3 + 0.1j, -0.2 + 0.5j),
+        lambda: geometry.rho_halfplane(1j, 0.5 + 2j),
+        lambda: geometry.absolute_ratio(*ideal),
+        lambda: geometry.rho_via_crossratio(p, -0.2 + 0.5j),
+        lambda: geometry.hyperbolic_midpoint(p, q),
+        lambda: m(p),
+        lambda: geometry.geodesic_through(p, q),
+        lambda: lambert.alpha_from_quadruple(*ideal),
         lambda: specfun.mu_inverse(0.5),
         lambda: specfun.mu_inverse(5.0),
         lambda: specfun.phi_K(2.0, 0.3),
@@ -401,11 +414,13 @@ def test_a_bad_y_row_raises_the_scalar_error(bad):
 
 
 def test_an_inconsistent_row_raises_the_scalar_error():
-    # sh 2 sh 2 = 13.2 > 1: no Lambert quadrilateral has these sides
-    with pytest.raises(InconsistentQuadrilateralError) as from_scalar:
-        lambert.beardon_phi(2.0, 2.0)
-    with pytest.raises(InconsistentQuadrilateralError) as from_rows:
-        lambert.beardon_phi(np.array([0.5, 2.0, 3.0, 745.0]), np.array([0.4, 2.0, 3.0, 745.0]))
-    assert str(from_rows.value) == str(from_scalar.value)
+    # sh 2 sh 2 = 13.2 > 1, and an infinite side beside a nonzero one: no
+    # Lambert quadrilateral has these sides
+    for d1, d2 in [(2.0, 2.0), (math.inf, 0.5), (math.inf, math.inf)]:
+        with pytest.raises(InconsistentQuadrilateralError) as from_scalar:
+            lambert.beardon_phi(d1, d2)
+        with pytest.raises(InconsistentQuadrilateralError) as from_rows:
+            lambert.beardon_phi(np.array([0.5, d1, 3.0, 745.0]), np.array([0.4, d2, 3.0, 745.0]))
+        assert str(from_rows.value) == str(from_scalar.value)
     with pytest.raises(DomainError, match="nonnegative"):
         lambert.beardon_phi(np.array([0.5, -0.1]), 0.4)

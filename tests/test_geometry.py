@@ -14,13 +14,13 @@ from hyplam import (
     DomainError,
     Geodesic,
     GeodesicKind,
+    HyplamError,
     MoebiusMap,
     Point,
     PointKind,
     absolute_ratio,
     chordal_distance,
     geodesic_distance,
-    geodesic_points,
     geodesic_through,
     hyperbolic_midpoint,
     lambert_from,
@@ -32,6 +32,8 @@ from hyplam import geometry
 from hyplam.verify import DEFAULT_SEED, _halton
 
 EPS = 2.0**-52
+#: a point 16 ulp outside the circle, which snaps onto it
+NEAR_CIRCLE = cmath.exp(0.3j) * (1.0 + 16 * EPS)
 
 
 def interior(re, im, scale=0.7):
@@ -81,6 +83,38 @@ class TestPoints:
     def test_infinity_has_no_coordinate(self):
         with pytest.raises(DomainError):
             Point.infinity().z
+
+
+def _outcome(f, args) -> str:
+    """repr of f(*args), or of the error it raises: a float's repr round-trips,
+    so equal outcomes are equal bit for bit."""
+    try:
+        return repr(f(*args))
+    except HyplamError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize(
+    "f, arity",
+    [
+        (chordal_distance, 2),
+        (absolute_ratio, 4),
+        (rho_disk, 2),
+        (rho_halfplane, 2),
+        (geodesic_through, 2),
+        (rho_via_crossratio, 2),
+        (hyperbolic_midpoint, 2),
+        (MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7), 1),
+    ],
+    ids=lambda f: getattr(f, "__name__", "moebius_call") if callable(f) else str(f),
+)
+def test_a_point_and_its_value_agree_bit_for_bit(f, arity):
+    # every argument boxed into a Point, only the first, or none
+    values = (0.3 + 0.1j, -0.2 + 0.5j, NEAR_CIRCLE, 0.6j)
+    for args in itertools.permutations(values, arity):
+        raw = _outcome(f, args)
+        assert _outcome(f, [Point.of(a) for a in args]) == raw
+        assert _outcome(f, [Point.of(args[0]), *args[1:]]) == raw
 
 
 class TestChordal:
@@ -174,7 +208,8 @@ class TestGeodesics:
     def test_carrier_contains_inputs(self):
         z1, z2 = 0.3 + 0.1j, -0.2 + 0.5j
         g = geodesic_through(z1, z2)
-        assert g.carrier_contains(z1) and g.carrier_contains(z2)
+        for z in (z1, z2):
+            assert abs(abs(z - g.center) - g.radius) <= 1e-10
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -219,8 +254,8 @@ class TestGeodesics:
 
     def test_points_stay_in_disk(self):
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
-        pts = geodesic_points(g, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert all(abs(p) < 1.0 for p in pts)
+        pts = geometry._parametrization([g])(np.array([[0.0, 0.25, 0.5, 0.75, 1.0]]))
+        assert np.all(abs(pts) < 1.0)
 
     def test_distance_zero_for_crossing(self):
         g1 = geodesic_through(-0.5, 0.5)
@@ -236,6 +271,17 @@ class TestGeodesics:
         ]
         assert [geodesic_distance(g1, g2) for g1, g2 in pairs] == [0.0, 0.0]
         assert geodesic_distance(*zip(*pairs)).tolist() == [0.0, 0.0]
+
+    def test_distance_of_ends_2e_14_apart(self):
+        # z -> (z - 1)/(z + 1) sends the first geodesic to the negative real
+        # axis, and the ends e^{i theta} of the second to i tan(theta/2).
+        # Between the axis and a geodesic with ends i y1 and i y2 the distance
+        # is arcosh((y2 + y1)/(y2 - y1)), here with y2 = 1: 2 arth sqrt(y1).
+        # Ends within 2.8e-14 once counted as one ideal point, giving 0.0
+        g1, g2 = geodesic_through(1, -1), geodesic_through(cmath.exp(2e-14j), 1j)
+        ref = 2.0 * math.atanh(math.sqrt(math.tan(1e-14)))
+        assert geodesic_distance(g1, g2) == pytest.approx(ref, rel=0.02)
+        assert geodesic_distance([g1, g1], [g2, g2]) == pytest.approx([ref, ref], rel=0.02)
 
     def test_distance_symmetric_ideal_pair(self):
         # the ten pairs of the symmetric-geodesic-distance sweep
@@ -291,12 +337,6 @@ class TestMoebius:
     def test_determinant_guard(self):
         with pytest.raises(DegenerateInputError):
             MoebiusMap(1, 2, 2, 4)
-
-    def test_compose_with_inverse_is_identity(self):
-        m = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
-        mi = m.compose(m.inverse())
-        z = 0.1 + 0.4j
-        assert mi(z).z == pytest.approx(z, abs=1e-14)
 
     def test_cayley_sends_disk_to_halfplane(self):
         cay = MoebiusMap.cayley()
@@ -367,10 +407,6 @@ def _disk_rows(n: int, seed: int):
     z = 0.98 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     w = 0.98 * np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
     return z, w, 1.0 / (1.0 - np.maximum(abs(z), abs(w)))
-
-
-#: a point 16 ulp outside the circle, which snaps onto it
-NEAR_CIRCLE = cmath.exp(0.3j) * (1.0 + 16 * EPS)
 
 
 class TestArrays:

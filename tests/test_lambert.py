@@ -55,8 +55,10 @@ class TestConstruction:
             lambert_from(L, theta)
 
     def test_beardon_phi_rejects_impossible_sides(self):
-        with pytest.raises(InconsistentQuadrilateralError):
-            beardon_phi(2.0, 2.0)
+        # an infinite side makes sh d1 sh d2 infinite, unless the other is 0
+        for d1, d2 in [(2.0, 2.0), (math.inf, 0.5), (math.inf, math.inf)]:
+            with pytest.raises(InconsistentQuadrilateralError):
+                beardon_phi(d1, d2)
 
     def test_phi_zero_at_L1(self):
         assert lambert_from(1.0, math.pi / 4.0).phi == pytest.approx(0.0, abs=1e-6)
