@@ -79,7 +79,7 @@ def cmd_lambert(args) -> int:
         print(f"phi = {phi:.17g}")
         print(f"d1*d2 = {prod.observed:.17g}  bound = {prod.upper:.17g}")
         # the bound's square root: d1*d2 and the bound underflow below L ~ 1e-154
-        root = lam.arth(lam.SQRT2 / 2.0 * args.L)
+        root = lam.product_root(args.L)
         print(_gap_line("product gap", prod.upper - prod.observed, 1.0 - (d1 / root) * (d2 / root)))
         print(
             f"d1+d2 = {total.observed:.17g}  range = [{total.lower:.17g}, "
@@ -153,40 +153,31 @@ def cmd_qc_bound(args) -> int:
     return 0
 
 
-_SPECFUN_NEEDS = {
-    "mu": "r",
-    "mu-inverse": "r",
-    "phi": "rK",
-    "A": "K",
-    "bracket": "K",
-    "C": "p",
-    "threshold-C": "",
+def _bracket(K: float) -> dict:
+    k_, lo, mid, a_k, hi = distortion_bracket(K)
+    return {"K": k_, "linear_lower": lo, "log_cosh": mid, "A": a_k, "linear_upper": hi, "value": a_k}
+
+
+#: per --fn: the options it needs, in the order they are checked, and its
+#: output fields from their values
+_SPECFUN = {
+    "mu": (("r",), lambda r: {"r": r, "value": grotzsch_mu(r)}),
+    "mu-inverse": (("r",), lambda y: {"y": y, "value": mu_inverse(y)}),
+    "phi": (("r", "K"), lambda r, K: {"K": K, "r": r, "value": phi_K(K, r)}),
+    "A": (("K",), lambda K: {"K": K, "value": distortion_A(K)}),
+    "bracket": (("K",), _bracket),
+    "C": (("p",), lambda p: {"p": p, "value": big_C_of_p(p)}),
+    "threshold-C": ((), lambda: {"value": threshold_C()}),
 }
 
 
 def cmd_specfun(args) -> int:
-    need = _SPECFUN_NEEDS[args.fn]
-    if "r" in need and args.r is None:
-        raise HyplamError(f"--fn {args.fn} requires --r")
-    if "K" in need and args.K is None:
-        raise HyplamError(f"--fn {args.fn} requires --K")
-    if "p" in need and args.p is None:
-        raise HyplamError(f"--fn {args.fn} requires --p")
-    if args.fn == "mu":
-        out = {"r": args.r, "value": grotzsch_mu(args.r)}
-    elif args.fn == "mu-inverse":
-        out = {"y": args.r, "value": mu_inverse(args.r)}
-    elif args.fn == "phi":
-        out = {"K": args.K, "r": args.r, "value": phi_K(args.K, args.r)}
-    elif args.fn == "A":
-        out = {"K": args.K, "value": distortion_A(args.K)}
-    elif args.fn == "bracket":
-        k_, lo, mid, a_k, hi = distortion_bracket(args.K)
-        out = {"K": k_, "linear_lower": lo, "log_cosh": mid, "A": a_k, "linear_upper": hi, "value": a_k}
-    elif args.fn == "C":
-        out = {"p": args.p, "value": big_C_of_p(args.p)}
-    else:
-        out = {"value": threshold_C()}
+    needs, fields = _SPECFUN[args.fn]
+    values = [getattr(args, name) for name in needs]
+    for name, value in zip(needs, values):
+        if value is None:
+            raise HyplamError(f"--fn {args.fn} requires --{name}")
+    out = fields(*values)
     if args.json:
         _emit_json({"fn": args.fn} | out)
     else:
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qc_bound)
 
     p = sub.add_parser("specfun", help="evaluate the special functions")
-    p.add_argument("--fn", choices=sorted(_SPECFUN_NEEDS), required=True)
+    p.add_argument("--fn", choices=sorted(_SPECFUN), required=True)
     p.add_argument("--r", type=float, help="argument in (0, 1) (or y for mu-inverse)")
     p.add_argument("--K", type=float)
     p.add_argument("--p", type=float)

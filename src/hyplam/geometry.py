@@ -307,8 +307,9 @@ class Geodesic:
 
 def geodesic_through(x, y) -> Geodesic:
     """The hyperbolic line through two distinct points of the closed disk."""
-    (z1, _), (z2, _) = _points(x, y)
-    if z1 is None or z2 is None:
+    (z1, on1), (z2, on2) = _points(x, y)
+    # a snapped circle point may lie an ulp outside, as in rho_disk
+    if z1 is None or z2 is None or (abs(z1) > 1.0 and not on1) or (abs(z2) > 1.0 and not on2):
         raise DomainError("geodesics live in the closed unit disk")
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")

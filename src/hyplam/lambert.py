@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, absolute_ratio
-from .specfun import _arth_cx, _first_bad, _ndarray, _ns, _require, arth, g_range, rprime
+from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _ndarray, _ns, _require, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
-#: upper limit of the first sum-bound regime, sqrt(2/3)
-SUM_CASE1_MAX = math.sqrt(2.0 / 3.0)
-#: lower limit of the third sum-bound regime, sqrt(2(sqrt2 - 1))
-SUM_CASE3_MIN = math.sqrt(2.0 * (SQRT2 - 1.0))
+#: upper limit of the first sum-bound regime, sqrt(2/3), where specfun.g_range switches
+SUM_CASE1_MAX = _C_LOW
+#: lower limit of the third sum-bound regime, sqrt(2(sqrt2 - 1)), where specfun.g_range switches
+SUM_CASE3_MIN = _C_HIGH
 
 #: product_report checks an L below this at L scaled up by a power of 2: the
 #: bound (L sqrt2/2)^2 is subnormal from L ~ 2^-511 on
@@ -125,10 +125,15 @@ def beardon_phi(d1, d2):
     return acos(least(ns.exp(log_prod), 1.0))
 
 
+def product_root(L: float) -> float:
+    """arth(L sqrt2/2), the square root of the product bound."""
+    _check_L(L)
+    return arth(SQRT2 / 2.0 * L)
+
+
 def product_bound(L: float) -> float:
     """Sharp bound (arth(L sqrt2/2))^2 for d1*d2; equality at theta = pi/4."""
-    _check_L(L)
-    return arth(SQRT2 / 2.0 * L) ** 2
+    return product_root(L) ** 2
 
 
 def product_report(L: float, theta: float | None = None) -> BoundReport:

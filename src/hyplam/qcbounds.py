@@ -24,8 +24,8 @@ from enum import Enum
 from functools import partial
 
 from .errors import DomainError, NoRootError
-from .lambert import IDEAL_PRODUCT_BOUND, _check_L
-from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, _require, arth, distortion_A, lemma_f_c, rprime
+from .lambert import IDEAL_PRODUCT_BOUND, _check_L, product_root
+from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, _require, distortion_A, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -208,7 +208,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     """Bound on D1*D2 for the image of a Lambert quadrilateral; DomainError
     where the bound is not a finite double."""
     K, L = inp.K, inp.L
-    small_branch = arth(math.sqrt(2.0) / 2.0 * L) ** (2.0 / K)
+    small_branch = product_root(L) ** (2.0 / K)
     if L <= TH1:
         return QcBoundResult(
             r_L=math.nan,

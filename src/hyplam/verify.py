@@ -13,7 +13,7 @@ sampler is plain numpy and reproduces the samples of scipy.stats.qmc.Halton
 for the same seed bit for bit.
 
 Each sweep is declared once, by the @claim decorator that adds it to
-REGISTRY.
+REGISTRY with its claim and the cap on its sample count.
 """
 
 from __future__ import annotations
@@ -82,10 +82,9 @@ def default_seed() -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep to run: the claim's name and the grid size.
-
-    No sweep reads ``params`` or ``tolerance``; they stay for callers that
-    build a spec from a RegistryEntry.
+    """One sweep to run: the claim's name and the grid size, which the
+    claim's @claim may cap. No sweep reads ``params`` or ``tolerance``; they
+    stay for callers that build a spec from a RegistryEntry.
     """
 
     target: str
@@ -130,7 +129,8 @@ def _finite_or_none(x: float) -> float | None:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One claim of the paper and the sweep that re-checks it.
+    """One claim of the paper and its sweep, ``sweep(n, chk)``, which draws
+    n = ``samples(grid_size)`` samples and records its sub-checks in chk.
 
     ``target``, ``params`` and ``tolerance`` are what a caller passes to
     SweepSpec; no sweep reads the last two.
@@ -138,7 +138,12 @@ class RegistryEntry:
 
     name: str
     claim: str
-    sweep: Callable[[SweepSpec, _Checker], None] = field(repr=False, compare=False)
+    sweep: Callable[[int, _Checker], None] = field(repr=False, compare=False)
+    cap: int | None = None
+
+    def samples(self, grid_size: int) -> int:
+        """The sample count the sweep draws for a grid size: at most the cap."""
+        return grid_size if self.cap is None else min(grid_size, self.cap)
 
     @property
     def target(self) -> str:
@@ -156,11 +161,11 @@ class RegistryEntry:
 _ENTRIES: list[RegistryEntry] = []
 
 
-def claim(name: str, text: str):
-    """Register the decorated sweep as the check of the claim `text`."""
+def claim(name: str, text: str, cap: int | None = None):
+    """Register the decorated sweep as the check of the claim `text`, with at most `cap` samples."""
 
     def register(sweep):
-        _ENTRIES.append(RegistryEntry(name, text, sweep))
+        _ENTRIES.append(RegistryEntry(name, text, sweep, cap))
         return sweep
 
     return register
@@ -301,19 +306,27 @@ def _disk_points(n: int, seed: int) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
+def _point_pairs(n: int, seed: int, gap: float):
+    """n pairs of _disk_points, in blocks of at most _BLOCK pairs: arrays
+    (z1, z2), in draw order, with the pairs less than gap apart dropped."""
+    pts = _disk_points(2 * n, seed)
+    for rows in _blocks(n):
+        z1, z2 = pts[::2][rows], pts[1::2][rows]
+        keep = abs(z1 - z2) >= gap
+        yield z1[keep], z2[keep]
+
+
 # ---------------------------------------------------------------------------
 # geometry targets
 
 
 @claim("arc-orthogonality", "arc geodesics meet the unit circle at right angles")
-def _t_arc_orthogonality(spec: SweepSpec, chk: _Checker):
-    pts = _disk_points(2 * spec.grid_size, default_seed())
-    for rows in _blocks(spec.grid_size):
-        z1, z2 = pts[::2][rows], pts[1::2][rows]
+def _t_arc_orthogonality(n: int, chk: _Checker):
+    for z1, z2 in _point_pairs(n, default_seed(), 1e-6):
         cross = z1.real * z2.imag - z1.imag * z2.real
         # near-collinear pairs give huge carrier circles where the
         # orthogonality residual is numerically meaningless
-        keep = (abs(z1 - z2) >= 1e-6) & (abs(cross) >= 1e-3)
+        keep = abs(cross) >= 1e-3
         z1, z2 = z1[keep], z2[keep]
         center, radius, e1, e2 = _arc(z1, z2)
         arc = radius != 0.0
@@ -327,21 +340,17 @@ def _t_arc_orthogonality(spec: SweepSpec, chk: _Checker):
 
 
 @claim("crossratio-distance", "log cross-ratio with geodesic endpoints equals the disk metric")
-def _t_crossratio_distance(spec: SweepSpec, chk: _Checker):
-    pts = _disk_points(2 * spec.grid_size, default_seed() + 1)
-    for rows in _blocks(spec.grid_size):
-        z1, z2 = pts[::2][rows], pts[1::2][rows]
-        keep = abs(z1 - z2) >= 1e-9
-        z1, z2 = z1[keep], z2[keep]
+def _t_crossratio_distance(n: int, chk: _Checker):
+    for z1, z2 in _point_pairs(n, default_seed() + 1, 1e-9):
         dev = abs(rho_via_crossratio(z1, z2) - rho_disk(z1, z2))
         cross = z1.real * z2.imag - z1.imag * z2.real
         chk.require_all(dev, np.where(abs(cross) >= 1e-3, 1e-10, 1e-7), _coords(z1, z2))
 
 
 @claim("crossratio-invariance", "the absolute ratio is Moebius invariant")
-def _t_crossratio_invariance(spec: SweepSpec, chk: _Checker):
-    u = _halton(spec.grid_size, 12, default_seed() + 2)
-    for rows in _blocks(spec.grid_size):
+def _t_crossratio_invariance(n: int, chk: _Checker):
+    u = _halton(n, 12, default_seed() + 2)
+    for rows in _blocks(n):
         row = u[rows]
         quad = (4 * row[:, 0:8:2] - 2) + 1j * (4 * row[:, 1:8:2] - 2)
         gap = np.min([abs(quad[:, i] - quad[:, j]) for i in range(4) for j in range(i + 1, 4)], axis=0)
@@ -358,11 +367,10 @@ def _t_crossratio_invariance(spec: SweepSpec, chk: _Checker):
         chk.require_all(abs(after - before), 1e-9 * np.maximum(1.0, before), quad.real)
 
 
-@claim("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance")
-def _t_isometry(spec: SweepSpec, chk: _Checker):
-    n_pairs = min(spec.grid_size, 1000)
-    n_maps = min(max(spec.grid_size // 10, 10), 100)
-    pts = _disk_points(2 * n_pairs, default_seed() + 3)
+@claim("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance", cap=1000)
+def _t_isometry(n: int, chk: _Checker):
+    n_maps = min(max(n // 10, 10), 100)
+    pts = _disk_points(2 * n, default_seed() + 3)
     mu = _halton(n_maps, 3, default_seed() + 4)
     maps = [
         MoebiusMap.disk_automorphism(
@@ -372,7 +380,7 @@ def _t_isometry(spec: SweepSpec, chk: _Checker):
         for a, b, c in mu
     ]
     cay = MoebiusMap.cayley()
-    # n_pairs <= 1000 rows per call, so no blocks are needed
+    # n <= 1000 rows per call, so no blocks are needed
     z1, z2 = pts[::2], pts[1::2]
     base = rho_disk(z1, z2)
     witness = _coords(z1, z2)
@@ -397,25 +405,21 @@ def _chord_samples(n: int, seed: int):
 
 
 @claim("midpoint", "midpoint construction halves distances; chord cut is the midpoint of [0,b]")
-def _t_midpoint(spec: SweepSpec, chk: _Checker):
-    pts = _disk_points(2 * spec.grid_size, default_seed() + 5)
-    for rows in _blocks(spec.grid_size):
-        z1, z2 = pts[::2][rows], pts[1::2][rows]
-        keep = abs(z1 - z2) >= 1e-9
-        z1, z2 = z1[keep], z2[keep]
+def _t_midpoint(n: int, chk: _Checker):
+    for z1, z2 in _point_pairs(n, default_seed() + 5, 1e-9):
         p = hyperbolic_midpoint(z1, z2)
         half = 0.5 * rho_disk(z1, z2)
         dev = np.maximum(abs(rho_disk(z1, p) - half), abs(rho_disk(p, z2) - half))
         chk.require_all(dev, 1e-10, _coords(z1, z2))
     # chord construction: b on the chord [c, d], a = [0,b] cut with the
     # geodesic between c and d; then rho(0,b) = 2 rho(0,a)
-    alpha, s_chord, b, a = _chord_samples(min(spec.grid_size, 200), default_seed() + 6)
+    alpha, s_chord, b, a = _chord_samples(min(n, 200), default_seed() + 6)
     chk.require_all(abs(rho_disk(0.0, b) - 2.0 * rho_disk(0.0, a)), 1e-10, np.column_stack([alpha, s_chord]))
 
 
-@claim("chord-midpoint-circle", "the Euclidean chord midpoint lies on the hyperbolic circle through 0 around the cut point")
-def _t_chord_midpoint_circle(spec: SweepSpec, chk: _Checker):
-    alpha, s_chord, _, a = _chord_samples(min(spec.grid_size, 500), default_seed() + 7)
+@claim("chord-midpoint-circle", "the Euclidean chord midpoint lies on the hyperbolic circle through 0 around the cut point", cap=500)
+def _t_chord_midpoint_circle(n: int, chk: _Checker):
+    alpha, s_chord, _, a = _chord_samples(n, default_seed() + 7)
     s = np.cos(alpha)  # Euclidean midpoint of the chord
     chk.require_all(abs(rho_disk(s, a) - rho_disk(0.0, a)), 1e-9, np.column_stack([alpha, s_chord]))
 
@@ -432,7 +436,7 @@ def _symmetric_geodesics(alpha: float):
 
 
 @claim("symmetric-geodesic-distance", "numerical geodesic distance matches closed forms for boundary-symmetric pairs")
-def _t_symmetric_geodesic_distance(spec: SweepSpec, chk: _Checker):
+def _t_symmetric_geodesic_distance(n: int, chk: _Checker):
     alphas = (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12)
     pairs = [pair for alpha in alphas for pair in _symmetric_geodesics(alpha)]
     dist = geodesic_distance(*zip(*pairs))
@@ -476,9 +480,9 @@ def _find_sign_change(f, xs) -> bool:
     return bool(np.any(diffs > 1e-12) and np.any(diffs < -1e-12))
 
 
-@claim("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges")
-def _t_fc_decreasing(spec: SweepSpec, chk: _Checker):
-    xs = _grid01(min(spec.grid_size, 10000))
+@claim("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges", cap=10_000)
+def _t_fc_decreasing(n: int, chk: _Checker):
+    xs = _grid01(n)
     for c in (0.3, 0.8, 1.0):
         _check_monotone(chk, lambda r: lemma_f_c(c, r), xs, increasing=False, allowance=1e-13, tag=c)
     _check_concave(chk, lambda r: lemma_f_c(1.0, r), 1.0)
@@ -488,16 +492,11 @@ def _t_fc_decreasing(spec: SweepSpec, chk: _Checker):
     chk.locate(float(lemma_f_c(1.0, 0.5)), (0.5,))
 
 
-@claim("fc-product-unimodal", "arth(cr) arth(cr') peaks exactly at r = sqrt2/2")
-def _t_fc_product_unimodal(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("fc-product-unimodal", "arth(cr) arth(cr') peaks exactly at r = sqrt2/2", cap=10_000)
+def _t_fc_product_unimodal(n: int, chk: _Checker):
     for c in (0.8, 1.0):
-        _check_monotone(
-            chk, lambda r: lemma_F_c(c, r), _grid01(n, 1e-3, SQRT2_2), True, 1e-13, c
-        )
-        _check_monotone(
-            chk, lambda r: lemma_F_c(c, r), _grid01(n, SQRT2_2, 1.0 - 1e-3), False, 1e-13, c
-        )
+        _check_monotone(chk, lambda r: lemma_F_c(c, r), _grid01(n, 1e-3, SQRT2_2), True, 1e-13, c)
+        _check_monotone(chk, lambda r: lemma_F_c(c, r), _grid01(n, SQRT2_2, 1.0 - 1e-3), False, 1e-13, c)
         _, peak = golden_max(lambda r: lemma_F_c(c, r), 0.5, 0.9, tol=1e-13)
         closed = arth(SQRT2_2 * c) ** 2
         chk.require(abs(peak - closed), 1e-10, (c,))
@@ -507,9 +506,8 @@ def _t_fc_product_unimodal(spec: SweepSpec, chk: _Checker):
     chk.locate(peak, (1.0,))
 
 
-@claim("gc-sum-range", "the range of arth(cr)+arth(cr') matches the four-regime closed form")
-def _t_gc_sum_range(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 20001)
+@claim("gc-sum-range", "the range of arth(cr)+arth(cr') matches the four-regime closed form", cap=20_001)
+def _t_gc_sum_range(n: int, chk: _Checker):
     for c in (0.5, lam.SUM_CASE1_MAX, 0.85, lam.SUM_CASE3_MIN, 0.95, 1.0):
         rng = g_range(c)
         xs = _grid01(n, 1e-6, 1.0 - 1e-6)
@@ -527,9 +525,8 @@ def _t_gc_sum_range(spec: SweepSpec, chk: _Checker):
     chk.locate(peak, (1.0,))
 
 
-@claim("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2")
-def _t_h1_h(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2", cap=10_000)
+def _t_h1_h(n: int, chk: _Checker):
     xs = _grid01(n)
     _check_monotone(chk, aux_h1, xs, increasing=True, allowance=1e-13, tag=1.0)
     _check_monotone(chk, aux_h, _grid01(n, 1e-3, SQRT2_2), True, 1e-13, 2.0)
@@ -542,9 +539,8 @@ def _t_h1_h(spec: SweepSpec, chk: _Checker):
     chk.locate(peak, (SQRT2_2,))
 
 
-@claim("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between")
-def _t_gle2(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between", cap=10_000)
+def _t_gle2(n: int, chk: _Checker):
     xs = _grid01(n)
     c_thr = threshold_C()
     for p in (-1.0, 0.0):
@@ -558,18 +554,17 @@ def _t_gle2(spec: SweepSpec, chk: _Checker):
     chk.locate(c_thr, (0.2,))
 
 
-@claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2")
-def _t_slope_ratio(spec: SweepSpec, chk: _Checker):
-    xs = _grid01(min(spec.grid_size, 10000))
+@claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2", cap=10_000)
+def _t_slope_ratio(n: int, chk: _Checker):
+    xs = _grid01(n)
     vals = _check_monotone(chk, aux_slope_ratio, xs, increasing=False, allowance=1e-13, tag=0.0)
     chk.require_true(bool(np.all(vals < -2.0)), (0.0,))
     chk.require(abs(aux_slope_ratio(1e-5) + 2.0), 1e-6, (0.0,))
     chk.locate(float(vals[0]), (float(xs[0]),))
 
 
-@claim("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2")
-def _t_hp_range(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2", cap=10_000)
+def _t_hp_range(n: int, chk: _Checker):
     xs = _grid01(n, 1e-4, 1.0 - 1e-4)
     # p >= -2: strictly decreasing, everything below p (at p = -2 the gap
     # near 0 is quartic in r, so give float-noise headroom)
@@ -589,9 +584,8 @@ def _t_hp_range(spec: SweepSpec, chk: _Checker):
     chk.locate(c3, (-3.0,))
 
 
-@claim("gpq-monotonicity", "g_pq increasing iff q clears p (or C(p)); sign change below")
-def _t_gpq(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("gpq-monotonicity", "g_pq increasing iff q clears p (or C(p)); sign change below", cap=10_000)
+def _t_gpq(n: int, chk: _Checker):
     xs = _grid01(n)
     for p, q in ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)):
         _check_monotone(chk, lambda r: aux_g_pq(p, q, r), xs, True, 1e-12, p)
@@ -602,10 +596,10 @@ def _t_gpq(spec: SweepSpec, chk: _Checker):
     chk.locate(c3, (-3.0, c3))
 
 
-@claim("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p")
-def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker):
+@claim("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p", cap=20_001)
+def _t_arth_mean_extremum(n: int, chk: _Checker):
     target = arth(SQRT2_2)
-    xs = _grid01(min(spec.grid_size, 20001), 1e-6, 1.0 - 1e-6)
+    xs = _grid01(n, 1e-6, 1.0 - 1e-6)
 
     def f(p, r):
         return holder_mean(p, arth(r), arth(rprime(r)))
@@ -632,9 +626,8 @@ def _t_arth_mean_extremum(spec: SweepSpec, chk: _Checker):
     chk.locate(target, (float(below[0]) if below.size else 0.0, float(above[0]) if above.size else 0.0))
 
 
-@claim("arth-convexity-region", "arth is H_{p,q}-convex exactly on the two-piece region")
-def _t_convexity_region(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("arth-convexity-region", "arth is H_{p,q}-convex exactly on the two-piece region", cap=10_000)
+def _t_convexity_region(n: int, chk: _Checker):
     u = _halton(n, 2, default_seed() + 8)
     x = 1e-3 + (1.0 - 2e-3) * u[:, 0]
     y = 1e-3 + (1.0 - 2e-3) * u[:, 1]
@@ -657,9 +650,8 @@ def _t_convexity_region(spec: SweepSpec, chk: _Checker):
         chk.require_true(classify_convexity(p, q) is ConvexityClass.NOT_CONVEX, (p, q))
 
 
-@claim("hyperbolic-mean-bound", "rho(0, .) respects power means of moduli for p >= -2")
-def _t_hyperbolic_mean_bound(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("hyperbolic-mean-bound", "rho(0, .) respects power means of moduli for p >= -2", cap=10_000)
+def _t_hyperbolic_mean_bound(n: int, chk: _Checker):
     u = _halton(n, 3, default_seed() + 9)
     p = -2.0 + 5.0 * u[:, 2]
     rx = 1e-3 + 0.996 * u[:, 0]
@@ -689,9 +681,8 @@ def _mu_inverse_bisect(ys: np.ndarray) -> np.ndarray:
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
 
 
-@claim("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms")
-def _t_mu_identities(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 1000)
+@claim("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms", cap=1000)
+def _t_mu_identities(n: int, chk: _Checker):
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
     xs = _grid01(n, 1e-3, 1.0 - 1e-3)
     dev = np.abs(grotzsch_mu(xs) * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
@@ -701,7 +692,7 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker):
     chk.require_all(np.abs(mu_inverse(grotzsch_mu(rs)) - rs), 1e-12, rs[:, None])
     chk.require_all(np.abs(phi_K(1.0, rs) - rs), 1e-12, rs[:, None])
     chk.require_all(np.where(phi_K(2.0, rs) > rs, -math.inf, math.inf), 0.0, rs[:, None])
-    n_sub = min(max(spec.grid_size // 10, 20), 100)
+    n_sub = min(max(n // 10, 20), 100)
     rs = np.linspace(0.01, 0.99, n_sub)
     chk.require_all(np.abs(phi_K(2.0, rs) - 2.0 * np.sqrt(rs) / (1.0 + rs)), 1e-10, rs[:, None])
     # the closed-form inverse against the bisection oracle, on both sides of
@@ -712,7 +703,7 @@ def _t_mu_identities(spec: SweepSpec, chk: _Checker):
 
 
 @claim("distortion-bracket", "A(K) sits inside its two-sided linear/log bracket")
-def _t_distortion_bracket(spec: SweepSpec, chk: _Checker):
+def _t_distortion_bracket(n: int, chk: _Checker):
     chk.require(abs(distortion_A(1.0) - 1.0), 1e-10, (1.0,))
     Ks = np.array([1.0, 1.5, 2.0, 5.0, 14.0, 20.0, 50.0, 1000.0])
     chain = distortion_bracket(Ks)
@@ -739,8 +730,7 @@ def _sides(L, theta):
 
 
 @claim("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L")
-def _t_product_sharpness(spec: SweepSpec, chk: _Checker):
-    n = spec.grid_size
+def _t_product_sharpness(n: int, chk: _Checker):
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
     for L in [round(0.1 * k, 1) for k in range(1, 11)]:
         vals = math.prod(_sides(L, thetas))
@@ -753,9 +743,8 @@ def _t_product_sharpness(spec: SweepSpec, chk: _Checker):
     chk.locate(ref, (L, th_star))
 
 
-@claim("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses")
-def _t_sum_cases(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 200001)
+@claim("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses", cap=200_001)
+def _t_sum_cases(n: int, chk: _Checker):
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
     for L in (0.5, 0.85, 0.95, 1.0):
         rep = lam.sum_bounds(L)
@@ -779,9 +768,8 @@ def _t_sum_cases(spec: SweepSpec, chk: _Checker):
             chk.require(abs(sum(_sides(L, 1e-7)) - rep.lower), 1e-3, (L,))
 
 
-@claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2")
-def _t_thsq_identity(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 100000)
+@claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2", cap=100_000)
+def _t_thsq_identity(n: int, chk: _Checker):
     u = _halton(n, 2, default_seed() + 10)
     L = 1e-3 + (1.0 - 1e-3) * u[:, 0]
     theta = 1e-6 + (math.pi / 2.0 - 2e-6) * u[:, 1]
@@ -800,14 +788,14 @@ def _vertex_angle(q: lam.LambertQuad) -> float:
     return math.acos(min(1.0, cosang))
 
 
-@claim("beardon-identity", "sh d1 sh d2 = cos phi; equals 1 when the far vertex is ideal")
-def _t_beardon(spec: SweepSpec, chk: _Checker):
+@claim("beardon-identity", "sh d1 sh d2 = cos phi; equals 1 when the far vertex is ideal", cap=2000)
+def _t_beardon(n: int, chk: _Checker):
     theta = np.array([math.pi / 6.0, math.pi / 4.0, math.pi / 3.0])
     d1, d2 = lam.side_distances(1.0, theta)
     at_one = np.column_stack([np.ones(3), theta])
     chk.require_all(np.abs(np.sinh(d1) * np.sinh(d2) - 1.0), 1e-12, at_one)
     chk.require_all(np.abs(lam.beardon_phi(d1, d2)), 1e-6, at_one)
-    u = _halton(min(spec.grid_size, 2000), 2, default_seed() + 11)
+    u = _halton(n, 2, default_seed() + 11)
     L, theta = 0.05 + 0.94 * u[:, 0], 0.05 + (math.pi / 2.0 - 0.1) * u[:, 1]
     d1, d2 = lam.side_distances(L, theta)
     dev = np.abs(np.sinh(d1) * np.sinh(d2) - np.cos(lam.beardon_phi(d1, d2)))
@@ -819,8 +807,8 @@ def _t_beardon(spec: SweepSpec, chk: _Checker):
 
 
 @claim("lambert-oracle-agreement", "numerical geodesic distance reproduces arth(L cos theta)")
-def _t_lambert_oracle(spec: SweepSpec, chk: _Checker):
-    n_cfg = min(60, max(8, spec.grid_size // 100))
+def _t_lambert_oracle(n: int, chk: _Checker):
+    n_cfg = min(60, max(8, n // 100))
     u = _halton(n_cfg, 2, default_seed() + 12)
     pairs, expected = [], []  # in sub-check order: two geodesics; their distance and witness
     for idx, (ua, ub) in enumerate(u):
@@ -840,9 +828,8 @@ def _t_lambert_oracle(spec: SweepSpec, chk: _Checker):
         chk.require(abs(d - side), 1e-8, witness)
 
 
-@claim("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4")
-def _t_ideal_extrema(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 20001)
+@claim("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4", cap=20_001)
+def _t_ideal_extrema(n: int, chk: _Checker):
     alphas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, n)
 
     def sides(a):  # of the ideal quadrilateral at alpha: the Lambert sides at L = 1, doubled
@@ -863,7 +850,7 @@ def _t_ideal_extrema(spec: SweepSpec, chk: _Checker):
 
 
 @claim("ideal-subdivision", "ideal side distances agree with the geodesic-distance oracle")
-def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker):
+def _t_ideal_subdivision(n: int, chk: _Checker):
     alphas = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0)
     pairs = [pair for alpha in alphas for pair in _symmetric_geodesics(alpha)]
     dist = geodesic_distance(*zip(*pairs))
@@ -876,16 +863,16 @@ def _t_ideal_subdivision(spec: SweepSpec, chk: _Checker):
 # quasiconformal targets
 
 
-@claim("qc-ml-exceeds-one", "the branch threshold M_L exceeds 1 throughout")
-def _t_qc_ml(spec: SweepSpec, chk: _Checker):
-    L = np.linspace(qcb.TH1 + 1e-6, 1.0, min(spec.grid_size, 1000))
+@claim("qc-ml-exceeds-one", "the branch threshold M_L exceeds 1 throughout", cap=1000)
+def _t_qc_ml(n: int, chk: _Checker):
+    L = np.linspace(qcb.TH1 + 1e-6, 1.0, n)
     ml = qcb.M_L_of(L)
     chk.require_all(np.where(ml > 1.0, -math.inf, math.inf), 0.0, np.column_stack([L, ml]))
     chk.locate(float(np.min(ml)))
 
 
 @claim("qc-branch-continuity", "the bound is continuous across K = M_L")
-def _t_qc_branch_continuity(spec: SweepSpec, chk: _Checker):
+def _t_qc_branch_continuity(n: int, chk: _Checker):
     for L in (0.8, 0.9, 1.0):
         ml = qcb.M_L_of(L)
         k_hi = ml * (1.0 + 1e-6)
@@ -899,9 +886,8 @@ def _t_qc_branch_continuity(spec: SweepSpec, chk: _Checker):
         chk.require(abs((b_p1 - b_m1) - (b_m1 - b_m3)), 1e-6, (L, ml))
 
 
-@claim("qc-k1-reduction", "K = 1 reduces to the unmapped sharp bounds")
-def _t_qc_k1_reduction(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 1000)
+@claim("qc-k1-reduction", "K = 1 reduces to the unmapped sharp bounds", cap=1000)
+def _t_qc_k1_reduction(n: int, chk: _Checker):
     for L in np.linspace(0.01, 1.0, max(n, 100)):
         res = qcb.qc_product_bound(qcb.QcBoundInput(1.0, float(L)))
         dev = abs(res.bound - lam.product_bound(float(L)))
@@ -911,7 +897,7 @@ def _t_qc_k1_reduction(spec: SweepSpec, chk: _Checker):
 
 
 @claim("qc-k-monotonicity", "the bounds are nondecreasing in K")
-def _t_qc_monotone(spec: SweepSpec, chk: _Checker):
+def _t_qc_monotone(n: int, chk: _Checker):
     ks = np.linspace(1.0, 6.0, 41)
     for L in (0.3, 0.7615, 0.8, 0.95, 1.0):
         vals = [qcb.qc_product_bound(qcb.QcBoundInput(float(K), L)).bound for K in ks]
@@ -922,9 +908,8 @@ def _t_qc_monotone(spec: SweepSpec, chk: _Checker):
     chk.require(dev, 1e-12, (0.0,))
 
 
-@claim("qc-domination", "the assembled bound dominates the pointwise distortion estimate")
-def _t_qc_domination(spec: SweepSpec, chk: _Checker):
-    n = min(spec.grid_size, 10000)
+@claim("qc-domination", "the assembled bound dominates the pointwise distortion estimate", cap=10_000)
+def _t_qc_domination(n: int, chk: _Checker):
     u = _halton(n, 2, default_seed() + 13)
     # L quantised to 65 levels, so that the (expensive) bound is shared across thetas
     L = np.minimum(0.05 + 0.95 * np.round(64.0 * u[:, 0]) / 64.0, 1.0)
@@ -951,7 +936,7 @@ def run_sweep(spec: SweepSpec) -> Certificate:
         raise ConfigurationError(f"unknown sweep target: {spec.target!r}")
     chk = _Checker()
     start = time.perf_counter()
-    entry.sweep(spec, chk)
+    entry.sweep(entry.samples(spec.grid_size), chk)
     runtime_ms = int((time.perf_counter() - start) * 1000.0)
     observed, witness = chk.observed()
     return Certificate(

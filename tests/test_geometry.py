@@ -215,6 +215,22 @@ class TestGeodesics:
         with pytest.raises(DegenerateInputError):
             geodesic_through(0.2, 0.2)
 
+    @pytest.mark.parametrize("z, w", [(2.0, 3j), (0.5, 2.0)])
+    def test_points_outside_the_disk_rejected(self, z, w):
+        # an arc and the real diameter came back; rho_disk raises for both pairs
+        for x, y in ((z, w), (w, z)):
+            with pytest.raises(DomainError):
+                geodesic_through(x, y)
+
+    def test_snapped_circle_points_pass(self):
+        # snapped onto the circle, this point lies an ulp outside it
+        z = -0.8038681028334619 + 0.594807593467773j
+        assert abs(Point.of(z).z) > 1.0
+        for x in (z, Point.of(z), NEAR_CIRCLE):
+            end = Point.of(x).z
+            # the point is an end of its geodesic
+            assert min(abs(e.z - end) for e in geodesic_through(x, 0.3).endpoints) <= 4 * EPS
+
     @pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("angle", [math.pi / 2.0, 1.0, 1e-3])
     def test_small_points_off_a_diameter(self, radius, angle):

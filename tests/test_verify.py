@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -40,9 +41,10 @@ class TestCertificates:
         assert cert.passed == (cert.margin >= 0)
         assert cert.passed
 
-    def test_deterministic_given_seed(self, monkeypatch):
+    @pytest.mark.parametrize("name", [e.name for e in REGISTRY])
+    def test_deterministic_given_seed(self, monkeypatch, name):
         monkeypatch.delenv("HYPLAM_SEED", raising=False)
-        spec = SweepSpec(target="beardon-identity", grid_size=50, tolerance=1e-12)
+        spec = SweepSpec(target=name, grid_size=50, tolerance=1e-12)
         a, b = run_sweep(spec), run_sweep(spec)
         # bitwise identical apart from wall-clock runtime
         assert (a.spec, a.passed, a.observed_extremum, a.witness, a.margin) == (
@@ -82,7 +84,7 @@ class TestRegistry:
         calls = []
 
         def stub(name):
-            def sweep(spec, chk):
+            def sweep(n, chk):
                 calls.append(name)
                 chk.require(0.0, 0.0)
                 return 0.0, ()
@@ -94,6 +96,20 @@ class TestRegistry:
         for entry in stubs:
             assert run_sweep(SweepSpec(entry.target, 10, tolerance=entry.tolerance)).passed
         assert calls == [e.name for e in REGISTRY]
+
+    def test_no_sweep_reads_the_grid_size(self):
+        # a sweep is handed its sample count, capped by its @claim: it takes
+        # no SweepSpec and reads no grid size
+        sweeps = [
+            node
+            for node in ast.walk(ast.parse(Path(verify.__file__).read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "claim" for d in node.decorator_list)
+        ]
+        assert len(sweeps) == len(REGISTRY)
+        for sweep in sweeps:
+            names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(sweep)}
+            assert not names & {"grid_size", "SweepSpec"}, sweep.name
 
     def test_names_unique(self):
         names = [e.name for e in REGISTRY]
@@ -229,7 +245,7 @@ def _stretch_side_d1(monkeypatch):
 
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
-        dataclasses.replace(e, sweep=lambda spec, chk: (0.0, ())) if e.name == "distortion-bracket" else e
+        dataclasses.replace(e, sweep=lambda n, chk: (0.0, ())) if e.name == "distortion-bracket" else e
         for e in verify.REGISTRY
     )
     monkeypatch.setattr(verify, "REGISTRY", stubbed)
@@ -312,7 +328,7 @@ class TestChecker:
         assert chk.observed() == (3.0, (2.0,))
 
     def test_nan_deviation_fails_and_is_not_observed(self, monkeypatch):
-        def sweep(spec, chk):
+        def sweep(n, chk):
             chk.require(0.5, 1.0, (1.0,))
             chk.require(math.nan, 1.0, (2.0,))
             chk.require(0.25, 1.0, (3.0,))
@@ -460,7 +476,7 @@ def test_sub_check_counts(monkeypatch, name, grid, profile):
     monkeypatch.delenv("HYPLAM_SEED", raising=False)
     entry = next(e for e in REGISTRY if e.name == name)
     chk = verify._Checker()
-    entry.sweep(SweepSpec(name, grid), chk)
+    entry.sweep(entry.samples(grid), chk)
     assert chk._count == SUB_CHECKS[name][profile] and chk.margin >= 0.0
 
 
