@@ -333,14 +333,14 @@ def geodesic_through(x, y) -> Geodesic:
 
 
 def _arc_angles(g: Geodesic) -> tuple[float, float]:
-    """Start angle and signed sweep of the in-disk arc around its center."""
+    """Angle of the in-disk arc's midpoint around its center, and its signed sweep."""
     w1 = cmath.phase(g.endpoints[0].z - g.center)
     w2 = cmath.phase(g.endpoints[1].z - g.center)
     delta = math.atan2(math.sin(w2 - w1), math.cos(w2 - w1))
     mid = g.center + g.radius * cmath.exp(1j * (w1 + 0.5 * delta))
     if abs(mid) > 1.0:
         delta -= math.copysign(2.0 * math.pi, delta)
-    return w1, delta
+    return w1 + 0.5 * delta, delta
 
 
 #: samples per bracket: each round shrinks an interior bracket 8-fold
@@ -381,10 +381,14 @@ def _bracket_min(f, rows: int):
 
 def _parametrization(gs):
     """The open-arc parametrization of the geodesics gs by tau in [0, 1], on
-    a (rows, k) array of parameters, row j on gs[j]: diameters
-    e^{i phi}(2u - 1) and arcs c + r e^{i(w1 + delta u)}, where u clamps the
-    parameter off the boundary and w1, delta are the arc's start angle and
-    signed sweep."""
+    a (rows, k) array of parameters, row j on gs[j]. With u = tau clamped
+    off the boundary and v = 2u - 1, diameters are e^{i phi} v and arcs
+    c + r e^{i w_mid} (1 - s^2 + 2is)/(1 + s^2), s = tan(delta/4) v, where
+    w_mid is the angle of the arc's midpoint around its center c and delta
+    its signed sweep: the half-angle tangent form of c + r e^{i(w_mid +
+    2 atan s)}, which needs no complex exponential. Its angle moves
+    monotonically with tau, from w_mid - delta/2 to w_mid + delta/2, so a
+    function unimodal along the arc stays unimodal in tau."""
     arc = np.array([g.kind is GeodesicKind.ARC for g in gs], dtype=bool)
     dia = ~arc
     arcs = [g for g in gs if g.kind is GeodesicKind.ARC]
@@ -394,14 +398,17 @@ def _parametrization(gs):
         return np.array(list(values), dtype=dtype).reshape(-1, 1)
 
     e_phi = column((cmath.exp(1j * g.direction) for g in gs if g.kind is GeodesicKind.DIAMETER), complex)
-    center, radius = column((g.center for g in arcs), complex), column((g.radius for g in arcs), float)
-    w1, delta = column((w for w, _ in angles), float), column((d for _, d in angles), float)
+    center = column((g.center for g in arcs), complex)
+    half = column((g.radius * cmath.exp(1j * w_mid) for g, (w_mid, _) in zip(arcs, angles)), complex)
+    tan_q = column((math.tan(0.25 * d) for _, d in angles), float)
 
     def points(taus):
-        u = _PARAM_MARGIN + (1.0 - 2.0 * _PARAM_MARGIN) * taus
-        z = np.empty(u.shape, dtype=complex)
-        z[dia] = (-1.0 + 2.0 * u[dia]) * e_phi
-        z[arc] = center + radius * np.exp(1j * (w1 + delta * u[arc]))
+        v = -1.0 + 2.0 * (_PARAM_MARGIN + (1.0 - 2.0 * _PARAM_MARGIN) * taus)
+        z = np.empty(v.shape, dtype=complex)
+        z[dia] = v[dia] * e_phi
+        s = tan_q * v[arc]
+        s2 = s * s
+        z[arc] = center + half * ((1.0 - s2) + 2j * s) / (1.0 + s2)
         return z
 
     return points
@@ -449,7 +456,10 @@ def geodesic_distance(g1, g2):
     distance is convex along geodesics (Bridson and Haefliger, Metric Spaces
     of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
     a fixed point to the points of g2, and the distance from a point of g1 to
-    g2, are unimodal in the parameter. Returns 0.0 for intersecting
+    g2, are unimodal along each geodesic. An arc is parametrized by the
+    tangent of its half angle (see _parametrization), which is monotone, and
+    a monotone change of parameter keeps a function unimodal; each search
+    needs no more than that. Returns 0.0 for intersecting
     geodesics and for geodesics that share an ideal endpoint, that is, whose
     ends lie within 4 ulp. A pair's distance is the same, bit for bit, alone
     or in a sequence.

@@ -74,10 +74,19 @@ DEFAULT_SEED = 0x5EED
 
 
 def default_seed() -> int:
+    """HYPLAM_SEED as an integer literal (24301, 0x5EED), or DEFAULT_SEED
+    when it is unset; ConfigurationError unless it is a non-negative integer,
+    the seeds numpy's generator takes."""
     raw = os.environ.get("HYPLAM_SEED")
     if raw is None:
         return DEFAULT_SEED
-    return int(raw, 0)
+    try:
+        seed = int(raw, 0)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise ConfigurationError(f"HYPLAM_SEED must be a non-negative integer, not {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,15 @@ def _halton(n: int, dim: int, seed: int) -> np.ndarray:
     each b^-j above 2^-54. The draws and the sum follow the order of
     ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``,
     whose samples this reproduces bit for bit, memory layout included.
+
+    A sample is the left-to-right sum, from 0.0, of the terms
+    perm_j[digit_j] * w_j, with w_j = b^-(j+1) by repeated division. With
+    ndig the digits that cover the indices 0..n-1 and k = ceil(ndig / 2), an
+    index is q = hi * b^k + lo. The sum of the first k terms depends on lo
+    alone, so it is tabled once for every lo < b^k; each of the next terms
+    depends on hi alone, and is added to the table's rows as a column. Every
+    sample goes through the same additions of the same operands, in the same
+    order, as digit by digit, so the bits are the same.
     """
     rng = np.random.default_rng(seed)
     out = np.zeros((dim, n))
@@ -270,16 +288,29 @@ def _halton(n: int, dim: int, seed: int) -> np.ndarray:
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
             rng.shuffle(perm)
-        q = np.arange(n)
+        # terms[j, d] = perm_j[d] * w_j, the product the sum adds for digit d
+        terms = np.empty(perms.shape)
         weight = 1.0 / base
-        for perm in perms:
-            if q.any():
-                q, digit = np.divmod(q, base)
-                row += perm[digit] * weight
-            else:
-                # every remaining digit is 0: the same sum without the gather
-                row += perm[0] * weight
+        for term, perm in zip(terms, perms):
+            term[:] = perm * weight
             weight /= base
+        ndig = 0
+        while base**ndig < n:
+            ndig += 1
+        k = (ndig + 1) // 2
+        low = np.zeros(1)  # the sums of the first j terms, at every lo < b^j
+        for term in terms[:k]:
+            low = (low[None, :] + term[:, None]).ravel()
+        hi = np.arange(-(-n // len(low)))
+        table = np.empty((len(hi), len(low)))
+        table[:] = low
+        for term in terms[k:ndig]:
+            hi, digit = np.divmod(hi, base)
+            table += term[digit][:, None]
+        # every remaining digit is 0
+        for term in terms[ndig:]:
+            table += term[0]
+        row[:] = table.ravel()[:n]
     return out.T
 
 

@@ -298,6 +298,14 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL")
 
+    @pytest.mark.parametrize("raw", ["abc", ""])
+    def test_malformed_seed_exits_2(self, capsys, monkeypatch, raw):
+        # exit 1 means a bound failed; a bad setting is a usage error
+        monkeypatch.setenv("HYPLAM_SEED", raw)
+        code, out, err = run(capsys, "verify", "--profile", "fast")
+        assert code == 2 and out == ""
+        assert "HYPLAM_SEED" in err and repr(raw) in err
+
     def test_unknown_profile_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--profile", "exhaustive"])

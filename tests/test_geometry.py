@@ -71,6 +71,30 @@ def lambert_d1_pair(q):
     return geodesic_through(q.vertices[3].z, -q.vertices[3].z), geodesic_through(q.vertices[1].z, q.vertices[2].z)
 
 
+def oracle_table(mp):
+    """Pairs of geodesics with their distance to 40 digits: for 1 - L from
+    0.8 down to 1e-6 and 25 theta in [0.01, pi/2 - 0.01], the Lambert pairs
+    at d1 = arth(L cos theta) and d2 = arth(L sin theta); then the pairs
+    symmetric about the real axis at 60 alpha in the same range, at
+    2 arth(cos alpha). 460 pairs."""
+    pairs, ref = [], []
+    with mp.workdps(40):
+        for one_minus_l in (0.8, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            L = 1.0 - one_minus_l
+            for theta in np.linspace(0.01, math.pi / 2.0 - 0.01, 25).tolist():
+                q = lambert_from(L, theta)
+                pairs.append(lambert_d1_pair(q))
+                ref.append(float(mp.atanh(mp.mpf(L) * mp.cos(theta))))
+                _, b, c, d = (v.z for v in q.vertices)
+                pairs.append((geodesic_through(b, -b), geodesic_through(d, c)))
+                ref.append(float(mp.atanh(mp.mpf(L) * mp.sin(theta))))
+        for alpha in np.linspace(0.01, math.pi / 2.0 - 0.01, 60).tolist():
+            e = cmath.exp(1j * alpha)
+            pairs.append((geodesic_through(e, e.conjugate()), geodesic_through(-e.conjugate(), -e)))
+            ref.append(float(2 * mp.atanh(mp.cos(alpha))))
+    return pairs, np.array(ref)
+
+
 class TestPoints:
     def test_boundary_snap(self):
         p = Point.of(cmath.exp(0.3j) * (1.0 + 16 * 2.0**-52))
@@ -272,6 +296,52 @@ class TestGeodesics:
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
         pts = geometry._parametrization([g])(np.array([[0.0, 0.25, 0.5, 0.75, 1.0]]))
         assert np.all(abs(pts) < 1.0)
+
+    def test_sample_points_on_the_carrier(self):
+        # tau = 0, 1/2 and 1 on arcs from near diameters (radius 1e4) to near
+        # the circle (ends 1e-4 apart), and on diameters: strictly inside the
+        # disk, and on the carrier circle within 4 ulp of |c| (>= r, the size
+        # of the sum c + r e^{iw}), or on the carrier line within 4 ulp
+        mp = pytest.importorskip("mpmath")
+        ends = [(0.0, math.pi - 2e-4), (0.3, 2.0), (1.0, 1.0 + 1e-4), (-2.5, 2.0), (0.2, 0.2 + math.pi), (1.0, 4.0)]
+        gs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ends]
+        assert {g.kind for g in gs} == {GeodesicKind.ARC, GeodesicKind.DIAMETER}
+        pts = geometry._parametrization(gs)(np.tile([0.0, 0.5, 1.0], (len(gs), 1)))
+        assert np.all(abs(pts) < 1.0)
+        with mp.workdps(50):
+            for g, row in zip(gs, pts.tolist()):
+                for z in row:
+                    if g.kind is GeodesicKind.ARC:
+                        off = abs(abs(mp.mpc(z) - mp.mpc(g.center)) - g.radius)
+                        scale = abs(g.center)
+                    else:  # distance from the line through 0 at angle phi
+                        off = abs(mp.im(mp.mpc(z) * mp.expj(-g.direction)))
+                        scale = 1.0
+                    assert off <= 4 * EPS * scale
+
+    def test_distance_accuracy_table(self):
+        # against arth(L cos theta), arth(L sin theta) and 2 arth(cos alpha).
+        # The bound is the worst error on this table of the parametrization
+        # c + r e^{i(w1 + delta u)} that the half-angle form replaced. It falls
+        # on pair 2 (L = 0.2, theta = 0.01, d2 = 2e-3): an arc of radius 500
+        # near 0, whose center and radius each carry ~5e-14 of rounding
+        pairs, ref = oracle_table(pytest.importorskip("mpmath"))
+        err = abs(geodesic_distance(*zip(*pairs)) - ref)
+        assert err.max() <= 2.1340177888684586e-13
+        assert np.median(err) <= 6e-16
+
+    def test_interleaved_kinds_equal_scalar_calls_bit_for_bit(self):
+        # diameters and arcs alternate row by row on both sides, so every
+        # parametrization call mixes both kinds
+        diameters = [geodesic_through(0.0, cmath.exp(1j * a)) for a in (0.1, 1.3, 2.2)]
+        arcs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ((0.5, 1.5), (2.0, 4.0), (4.5, 4.5 + 1e-3))]
+        pairs = [pair for d, a in zip(diameters, arcs) for pair in ((d, a), (a, d))]
+        pairs += [(a, b) for a, b in zip(arcs, arcs[1:])] + [(diameters[0], diameters[1])]
+        assert [g.kind for g, _ in pairs[:6]] == [GeodesicKind.DIAMETER, GeodesicKind.ARC] * 3
+        batch = geodesic_distance(*zip(*pairs))
+        assert batch.tolist() == [geodesic_distance(g1, g2) for g1, g2 in pairs]
+        assert batch[::-1].tolist() == geodesic_distance(*zip(*pairs[::-1])).tolist()
+        assert batch[-1] == 0.0 and np.all(batch[:-1] > 0.0)
 
     def test_distance_zero_for_crossing(self):
         g1 = geodesic_through(-0.5, 0.5)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -54,6 +55,18 @@ class TestCertificates:
             b.witness,
             b.margin,
         )
+
+    @pytest.mark.parametrize("raw,seed", [("24301", 24301), ("0x5EED", 0x5EED), ("0", 0)])
+    def test_seed_env_literals(self, monkeypatch, raw, seed):
+        monkeypatch.setenv("HYPLAM_SEED", raw)
+        assert verify.default_seed() == seed
+
+    @pytest.mark.parametrize("raw", ["abc", "", "-1", "1.5"])
+    def test_malformed_seed_env(self, monkeypatch, raw):
+        # numpy's generator takes no negative seed either
+        monkeypatch.setenv("HYPLAM_SEED", raw)
+        with pytest.raises(ConfigurationError, match=f"HYPLAM_SEED .*{raw!r}"):
+            verify.default_seed()
 
     def test_seed_env_override_changes_samples(self, monkeypatch):
         spec = SweepSpec(target="thsq-identity", grid_size=64, tolerance=1e-12)
@@ -480,14 +493,26 @@ def test_sub_check_counts(monkeypatch, name, grid, profile):
     assert chk._count == SUB_CHECKS[name][profile] and chk.margin >= 0.0
 
 
+#: (n, dim) for the sampler: small sizes; where the digit count in base 3
+#: grows (3^7 + 1 needs 8 digits), and so the split of an index into its low
+#: and high digits moves; just past a power of 2; the thorough profile's
+#: largest draws
+_HALTON_SIZES = [
+    *itertools.product([1, 64, 2000], [2, 3, 12]),
+    *itertools.product([3**7, 3**7 + 1, 2**17 + 1], [2, 3]),
+    (200_000, 2),
+    (100_000, 12),
+]
+
+
 class TestHalton:
-    @pytest.mark.parametrize("dim", [2, 3, 12])
-    @pytest.mark.parametrize("n", [1, 64, 2000])
+    @pytest.mark.parametrize("n,dim", _HALTON_SIZES)
     @pytest.mark.parametrize("seed", [0x5EED, 0x5EED + 2, 701])
     def test_reproduces_scipy(self, dim, n, seed):
         qmc = pytest.importorskip("scipy.stats").qmc
         expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
-        assert np.array_equal(_halton(n, dim, seed), expected)
+        u = _halton(n, dim, seed)
+        assert np.array_equal(u, expected) and u.strides == expected.strides
 
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, hyplam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
