@@ -2,9 +2,13 @@
 
 Points live in the closed unit disk (or the upper half plane after a Cayley
 transform). Geodesics are diameters or arcs of circles orthogonal to the
-unit circle. A numerical geodesic-to-geodesic distance oracle is provided;
-it deliberately works by a nested bracket search over sampled points so it
-stays independent of any closed-form distance it is used to check.
+unit circle; `geodesic_through` returns their ends on the circle. A
+numerical geodesic-to-geodesic distance oracle is provided; it deliberately
+works by a nested bracket search over sampled points so it stays
+independent of any closed-form distance it is used to check. It samples
+each geodesic as the image of a diameter under a disk automorphism, built
+from the geodesic's two ends alone (`_ends_form`), and runs its inner search
+in real arithmetic.
 
 Each function has one body over scalars and rows. An argument may be a
 complex number, a `Point` or a complex ndarray of finite points: `_points`
@@ -206,13 +210,17 @@ def _through_origin(z1, z2):
 def _arc(z1, z2):
     """Center, radius and the two (unsnapped) circle endpoints of the
     geodesic arc through two points not collinear with 0: the circle through
-    them orthogonal to the unit circle."""
+    them orthogonal to the unit circle. The ends (1 +- i r)/conj(c) inherit
+    the center's cancellation, which puts them off the circle (2e-13 for
+    ends 1e-4 apart), so each is divided by its modulus, as _snap divides a
+    point within 64 ulp of the circle."""
     cross = z1.real * z2.imag - z1.imag * z2.real
     center = 1j * (z2 * (1.0 + _abs(z1) ** 2) - z1 * (1.0 + _abs(z2) ** 2)) / (2.0 * (-cross))
     # the ratios first: a product of |z2| and cross underflows for points near 0
     radius = (_abs(z1 - z2) / abs(cross)) * (_abs(z1 * _abs(z2) ** 2 - z2) / (2.0 * _abs(z2)))
     conj = center.conjugate()
-    return center, radius, (1.0 + 1j * radius) / conj, (1.0 - 1j * radius) / conj
+    e1, e2 = (1.0 + 1j * radius) / conj, (1.0 - 1j * radius) / conj
+    return center, radius, e1 / _abs(e1), e2 / _abs(e2)
 
 
 def _midpoint(z, w):
@@ -318,33 +326,34 @@ def geodesic_through(x, y) -> Geodesic:
         ref = z1 if abs(z1) >= abs(z2) else z2
         direction = math.atan2(ref.imag, ref.real) % math.pi
         e = cmath.exp(1j * direction)
-        return Geodesic(
-            kind=GeodesicKind.DIAMETER,
-            direction=direction,
-            endpoints=(Point.of(e), Point.of(-e)),
-        )
+        ends = _circle_inputs_as_ends((e, -e), z1, on1, z2, on2)
+        return Geodesic(kind=GeodesicKind.DIAMETER, direction=direction, endpoints=ends)
     center, radius, e1, e2 = _arc(z1, z2)
-    return Geodesic(
-        kind=GeodesicKind.ARC,
-        center=center,
-        radius=radius,
-        endpoints=(Point.of(e1), Point.of(e2)),
-    )
+    ends = _circle_inputs_as_ends((e1, e2), z1, on1, z2, on2)
+    return Geodesic(kind=GeodesicKind.ARC, center=center, radius=radius, endpoints=ends)
 
 
-def _arc_angles(g: Geodesic) -> tuple[float, float]:
-    """Angle of the in-disk arc's midpoint around its center, and its signed sweep."""
-    w1 = cmath.phase(g.endpoints[0].z - g.center)
-    w2 = cmath.phase(g.endpoints[1].z - g.center)
-    delta = math.atan2(math.sin(w2 - w1), math.cos(w2 - w1))
-    mid = g.center + g.radius * cmath.exp(1j * (w1 + 0.5 * delta))
-    if abs(mid) > 1.0:
-        delta -= math.copysign(2.0 * math.pi, delta)
-    return w1 + 0.5 * delta, delta
+def _circle_inputs_as_ends(ends, z1, on1, z2, on2) -> tuple[Point, Point]:
+    """The computed ends as Points, with each input on the circle in place of
+    the end it is: the nearer one, or for two such inputs the nearer to z1
+    and the other, so both are ends even where the computed ends are too
+    rough to tell which is which."""
+    e1, e2 = ends
+    if on1 or on2:
+        z, w = (z1, z2) if on1 else (z2, z1)
+        first = abs(e1 - z) <= abs(e2 - z)
+        if on1 and on2:
+            e1, e2 = (z, w) if first else (w, z)
+        else:
+            e1, e2 = (z, e2) if first else (e1, z)
+    return Point.of(e1), Point.of(e2)
 
 
 #: samples per bracket: each round shrinks an interior bracket 8-fold
 _BRACKET_SAMPLES = np.linspace(0.0, 1.0, 17)
+#: the samples next to each sample, or the end sample itself, bounding the next bracket
+_BRACKET_BELOW = np.append(_BRACKET_SAMPLES[:1], _BRACKET_SAMPLES[:-1])
+_BRACKET_ABOVE = np.append(_BRACKET_SAMPLES[1:], _BRACKET_SAMPLES[-1:])
 #: a search stops once its bracket is at most this wide
 _BRACKET_WIDTH = 1e-12
 #: geodesics closer than this count as intersecting: their distance is 0.0
@@ -357,66 +366,80 @@ _SHARED_END_TOL = 4 * 2.0**-52
 def _bracket_min(f, rows: int):
     """Per row, the minimum over [0, 1] of a unimodal f.
 
-    f maps a (rows, k) array of parameters to their values. Each round
-    samples every bracket at k points and keeps the two neighbours of the
-    best sample, which still enclose the minimum of a unimodal function. A
-    bracket at most 1e-12 wide stays as it is, so its row samples the same
-    points until every bracket is that narrow: a row's minimum does not
-    depend on the other rows.
+    f maps a (k, rows) array of parameters, column j for row j, to their
+    values. Each round samples every bracket at k points and keeps the two
+    neighbours of the best sample, which still enclose the minimum of a
+    unimodal function. A bracket at most 1e-12 wide stays as it is, so its
+    row samples the same points until every bracket is that narrow: a row's
+    minimum does not depend on the other rows. The samples run down the
+    columns so that per-row constants broadcast along the contiguous axis.
     """
     lo, hi = np.zeros(rows), np.ones(rows)
-    last = len(_BRACKET_SAMPLES) - 1
     while True:
         width = hi - lo
-        vals = f(lo[:, None] + width[:, None] * _BRACKET_SAMPLES)
+        vals = f(lo + width * _BRACKET_SAMPLES[:, None])
         open_ = width > _BRACKET_WIDTH
         if not open_.any():
-            return vals.min(axis=1)
-        i = np.argmin(vals, axis=1)
+            return vals.min(axis=0)
+        i = np.argmin(vals, axis=0)
         lo, hi = (
-            np.where(open_, lo + width * _BRACKET_SAMPLES[np.maximum(i - 1, 0)], lo),
-            np.where(open_, lo + width * _BRACKET_SAMPLES[np.minimum(i + 1, last)], hi),
+            np.where(open_, lo + width * _BRACKET_BELOW[i], lo),
+            np.where(open_, lo + width * _BRACKET_ABOVE[i], hi),
         )
 
 
-def _parametrization(gs):
-    """The open-arc parametrization of the geodesics gs by tau in [0, 1], on
-    a (rows, k) array of parameters, row j on gs[j]. With u = tau clamped
-    off the boundary and v = 2u - 1, diameters are e^{i phi} v and arcs
-    c + r e^{i w_mid} (1 - s^2 + 2is)/(1 + s^2), s = tan(delta/4) v, where
-    w_mid is the angle of the arc's midpoint around its center c and delta
-    its signed sweep: the half-angle tangent form of c + r e^{i(w_mid +
-    2 atan s)}, which needs no complex exponential. Its angle moves
-    monotonically with tau, from w_mid - delta/2 to w_mid + delta/2, so a
-    function unimodal along the arc stays unimodal in tau."""
-    arc = np.array([g.kind is GeodesicKind.ARC for g in gs], dtype=bool)
-    dia = ~arc
-    arcs = [g for g in gs if g.kind is GeodesicKind.ARC]
-    angles = [_arc_angles(g) for g in arcs]
+def _ends_form(gs):
+    """Each geodesic of gs as the image of a diameter under a disk
+    automorphism (Beardon, The Geometry of Discrete Groups, 1983, section 7),
+    built from its two ends alone: arrays (m, x0, sigma, c), entry j for gs[j].
 
-    def column(values, dtype):
-        return np.array(list(values), dtype=dtype).reshape(-1, 1)
+    With e1 and e2 the ends divided by their modulus, delta = arg(e2 conj(e1))
+    in (-pi, pi], sigma = sign delta, m = e1 e^{i delta/2} the middle of the
+    shorter circle arc between the ends and x0 = tan(pi/4 - |delta|/4), the
+    geodesic is
 
-    e_phi = column((cmath.exp(1j * g.direction) for g in gs if g.kind is GeodesicKind.DIAMETER), complex)
-    center = column((g.center for g in arcs), complex)
-    half = column((g.radius * cmath.exp(1j * w_mid) for g, (w_mid, _) in zip(arcs, angles)), complex)
-    tan_q = column((math.tan(0.25 * d) for _, d in angles), float)
+        w(v) = m (x0 + i sigma v)/(1 + i sigma x0 v)
+             = m (x0 (1 + v^2) + i sigma c v)/(1 + x0^2 v^2),  v in (-1, 1),
 
-    def points(taus):
-        v = -1.0 + 2.0 * (_PARAM_MARGIN + (1.0 - 2.0 * _PARAM_MARGIN) * taus)
-        z = np.empty(v.shape, dtype=complex)
-        z[dia] = v[dia] * e_phi
-        s = tan_q * v[arc]
-        s2 = s * s
-        z[arc] = center + half * ((1.0 - s2) + 2j * s) / (1.0 + s2)
-        return z
-
-    return points
+    from e1 at v = -1 to e2 at v = 1, with c = 1 - x0^2; a diameter is
+    x0 = 0, with no case of its own. No angle is taken: cos(delta/2) and
+    |sin(delta/2)| are the half-chords a = |e1 + e2|/2 and b = |e2 - e1|/2,
+    whose sum and difference cancel only exactly, so x0 = a/(1 + b) and
+    c = 2b/(1 + b) keep their digits where the ends are nearly antipodal or
+    nearly equal, and 1 - |w|^2 = c (1 - v^2)/(1 + x0^2 v^2) does not cancel
+    near the circle. m is (e1 + e2)/(2a), or -i sigma (e2 - e1)/(2b) where
+    b > a. The constants are taken one geodesic at a time, so a row does not
+    depend on the others."""
+    form = []
+    for g in gs:
+        e1, e2 = (p.z / abs(p.z) for p in g.endpoints)
+        a, b = 0.5 * abs(e1 + e2), 0.5 * abs(e2 - e1)
+        sigma = math.copysign(1.0, e1.real * e2.imag - e1.imag * e2.real)
+        m = (e1 + e2) / (2.0 * a) if a >= b else -1j * sigma * (e2 - e1) / (2.0 * b)
+        form.append((m, a / (1.0 + b), sigma, 2.0 * b / (1.0 + b)))
+    m, x0, sigma, c = (np.array(col) for col in zip(*form))
+    return m, x0, sigma, c
 
 
-def _sq_abs(z):
-    """|z|^2 of a complex array, as re^2 + im^2."""
-    return z.real * z.real + z.imag * z.imag
+def _clamped(taus):
+    """u = tau clamped off the ends of [0, 1], as a new array."""
+    u = taus * (1.0 - 2.0 * _PARAM_MARGIN)
+    u += _PARAM_MARGIN
+    return u
+
+
+def _on_geodesics(form, taus):
+    """The points w(v) of the geodesics of form (see _ends_form) at a
+    (k, rows) array of parameters tau in [0, 1], column j on geodesic j:
+    their real and imaginary parts and 1 - |w|^2. v = 2u - 1, so that
+    1 - v^2 = 4u(1 - u)."""
+    m, x0, sigma, c = form
+    u = _clamped(taus)
+    v = 2.0 * u - 1.0
+    v2 = v * v
+    den = 1.0 / (1.0 + x0 * x0 * v2)
+    a, b = x0 * (1.0 + v2) * den, sigma * c * v * den
+    return m.real * a - m.imag * b, m.real * b + m.imag * a, c * (4.0 * u * (1.0 - u)) * den
 
 
 def _distance_rows(gs1, gs2) -> np.ndarray:
@@ -425,20 +448,44 @@ def _distance_rows(gs1, gs2) -> np.ndarray:
     The outer search runs over the pairs, the inner one over the pairs times
     the outer samples. Both minimise sinh^2(rho/2) = |z - w|^2 / ((1 -
     |z|^2)(1 - |w|^2)), which is monotone in rho; rho = 2 arsh(sqrt(.)) is
-    taken once, of the minimum.
+    taken once, of the minimum. With w(v) on the second geodesic as in
+    _ends_form and z fixed, z - w = -(P v + Q)/(1 + i sigma x0 v) for
+    P = i sigma (m - x0 z) and Q = m x0 - z, so
+
+        sinh^2(rho/2) = |P v + Q|^2 / ((1 - |z|^2) c (1 - v^2))
+                      = |A u + B|^2 / (4 (1 - |z|^2) c u (1 - u)),
+
+    with v = 2u - 1, A = 2P and B = Q - P. A and B are taken once per outer
+    sample, and the inner search minimises |A u + B|^2 / (u (1 - u)) in real
+    arithmetic, with no complex division; the factor 1/(4 (1 - |z|^2) c),
+    the same along an inner row, is applied to the row's minimum.
     """
-    on_g1, on_g2 = _parametrization(gs1), _parametrization(gs2)
+    form1 = _ends_form(gs1)
+    m, x0, sigma, c = _ends_form(gs2)
+    mr, mi = m.real, m.imag
 
     def to_g2(t1):
-        z = on_g1(t1).reshape(-1, 1)
-        z_factor = 1.0 / (1.0 - _sq_abs(z))
+        zr, zi, z_factor = _on_geodesics(form1, t1)
+        # one inner row per outer sample: A and B in real and imaginary parts
+        pr, pi = (sigma * (x0 * zi - mi)).ravel(), (sigma * (mr - x0 * zr)).ravel()
+        br, bi = (mr * x0 - zr).ravel() - pr, (mi * x0 - zi).ravel() - pi
+        ar, ai = 2.0 * pr, 2.0 * pi
 
-        def sinh2_half_rho(t2):
-            # the rows of a pair are consecutive: lay them out in one row each
-            w = on_g2(t2.reshape(len(gs2), -1)).reshape(t2.shape)
-            return _sq_abs(z - w) * z_factor / (1.0 - _sq_abs(w))
+        def scaled_sinh2_half_rho(t2):
+            # in place where it can: these are the search's largest arrays
+            u = _clamped(t2)
+            re, im, u_u = ar * u, ai * u, 1.0 - u
+            re += br
+            re *= re
+            im += bi
+            im *= im
+            re += im
+            u_u *= u
+            re /= u_u
+            return re
 
-        return _bracket_min(sinh2_half_rho, len(z)).reshape(t1.shape)
+        least = _bracket_min(scaled_sinh2_half_rho, t1.size).reshape(t1.shape)
+        return least / (4.0 * z_factor * c)
 
     rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
     ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
@@ -456,13 +503,13 @@ def geodesic_distance(g1, g2):
     distance is convex along geodesics (Bridson and Haefliger, Metric Spaces
     of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
     a fixed point to the points of g2, and the distance from a point of g1 to
-    g2, are unimodal along each geodesic. An arc is parametrized by the
-    tangent of its half angle (see _parametrization), which is monotone, and
-    a monotone change of parameter keeps a function unimodal; each search
-    needs no more than that. Returns 0.0 for intersecting
-    geodesics and for geodesics that share an ideal endpoint, that is, whose
-    ends lie within 4 ulp. A pair's distance is the same, bit for bit, alone
-    or in a sequence.
+    g2, are unimodal along each geodesic. Each geodesic is parametrized
+    from its two ends as the image of the segment (-1, 1) under a Moebius
+    map (see _ends_form), which is monotone along it, and a monotone change
+    of parameter keeps a function unimodal; each search needs no more than
+    that. Returns 0.0 for intersecting geodesics and for geodesics that share
+    an ideal endpoint, that is, whose ends lie within 4 ulp. A pair's
+    distance is the same, bit for bit, alone or in a sequence.
     """
     if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
         return float(_distance_rows([g1], [g2])[0])
@@ -477,17 +524,18 @@ def geodesic_distance(g1, g2):
 
 
 def _geodesic_ends(z1, z2):
-    """The snapped circle endpoints of the geodesic through distinct z1 and
-    z2, as geodesic_through finds them. On rows, the arcs take one call of
-    _arc, which would divide by a diameter's zero cross, and each diameter,
-    which is rare, a scalar call."""
+    """The circle endpoints of the geodesic through distinct z1 and z2, as
+    geodesic_through finds them (to the ulp its Points' snap may move an
+    arc's end by). On rows, the arcs take one call of _arc, which would
+    divide by a diameter's zero cross, and each diameter, which is rare, a
+    scalar call."""
     if not (isinstance(z1, _ndarray) or isinstance(z2, _ndarray)):
         return [p.z for p in geodesic_through(z1, z2).endpoints]
     z1, z2 = np.broadcast_arrays(z1, z2)
     arc = ~_through_origin(z1, z2)
     e1, e2 = np.empty_like(z1), np.empty_like(z2)
     _, _, a1, a2 = _arc(z1[arc], z2[arc])
-    e1[arc], e2[arc] = _snap(a1)[0], _snap(a2)[0]
+    e1[arc], e2[arc] = a1, a2
     for i in np.flatnonzero(~arc):  # diameters: rare, so one scalar call each
         e1[i], e2[i] = (p.z for p in geodesic_through(z1[i], z2[i]).endpoints)
     return e1, e2

@@ -25,8 +25,9 @@ always. The complement r' is carried along as log r', which keeps phi_K and
 A(K) accurate where r rounds to 1. The classical identity
 phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
 
-C(p) = sup h_p is h_p at the root of h_p' found by `_itp`, the closed forms' one
-root solver; nothing here imports `optimize`, which serves the oracles only.
+C(p) = sup h_p is h_p at the root of h_p', found by `_itp`, the closed forms' one
+root solver, in u = -log(1 - r), so that it stays accurate however near 1 the
+root lies; nothing here imports `optimize`, which serves the oracles only.
 """
 
 from __future__ import annotations
@@ -370,37 +371,53 @@ def _itp(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
     return a + 0.5 * (b - a)
 
 
-def _aux_h_p_fall(p: float, r: float) -> float:
-    """-d/dr aux_h_p(p, r) = 2 (p + 1) r a - ((p + 1) r'^2 - 2) a' with a = arth(r)/r.
-    a' = (1/r'^2 - a)/r cancels as r -> 0, where its series 2r/3 + 4r^3/5 is used."""
-    a = math.atanh(r) / r
-    if r < 1e-4:
-        da = r * (2.0 / 3.0 + 0.8 * r * r)
-    else:
-        da = (1.0 / ((1.0 - r) * (1.0 + r)) - a) / r
-    return 2.0 * (p + 1.0) * r * a - ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * da
+def _h_p_parts(u: float) -> tuple[float, float, float]:
+    """r, r'^2 and a = arth(r)/r at 1 - r = e^{-u}: r = -expm1(-u),
+    r'^2 = e^{-u}(2 - e^{-u}) and arth r = (u + log1p(r))/2, each to a few ulp
+    however near 1 r lies, where r itself, rounded, keeps none of 1 - r."""
+    t, r = math.exp(-u), -math.expm1(-u)
+    return r, t * (2.0 - t), 0.5 * (u + math.log1p(r)) / r
+
+
+def _aux_h_p_fall(p: float, u: float) -> float:
+    """r'^2 (-d/dr aux_h_p(p, r)) at 1 - r = e^{-u}, which has the sign of
+    -h_p' and increases with u: 2 (p + 1) r a r'^2 - ((p + 1) r'^2 - 2) r'^2 a'
+    with a = arth(r)/r and r'^2 a' = (1 - a r'^2)/r. That cancels as r -> 0,
+    where a' = 2r/3 + 4r^3/5 is used. Taken times r'^2, it neither overflows
+    nor loses 1/r'^2 as r -> 1, and stays 2/r > 0 where e^{-u} underflows."""
+    r, rp2, a = _h_p_parts(u)
+    da = rp2 * r * (2.0 / 3.0 + 0.8 * r * r) if r < 1e-4 else (1.0 - a * rp2) / r
+    return ((p + 1.0) * rp2) * (2.0 * r * a) - ((p + 1.0) * rp2 - 2.0) * da
+
+
+def _h_p_at(p: float, u: float) -> float:
+    """aux_h_p(p, r) = 1 + ((p + 1) r'^2 - 2) arth(r)/r at 1 - r = e^{-u}."""
+    _, rp2, a = _h_p_parts(u)
+    return 1.0 + ((p + 1.0) * rp2 - 2.0) * a
 
 
 def big_C_of_p(p: float) -> float:
-    """C(p) = sup over (0, 1) of aux_h_p for p < -2: h_p at the root r* of h_p',
-    bracketed in [1e-12, 1) as h_p' ~ -(4/3)(p + 2) r > 0 near 0 and -> -inf at 1.
+    """C(p) = sup over (0, 1) of aux_h_p for p < -2: h_p at the root r* of h_p'.
 
-    r* is solved for to 2^-53, the spacing of the doubles in [1/2, 1). h_p is
-    stationary at r*, so at the double nearest r* it is within |h_p''| 2^-109
-    of C(p), and |h_p''| ~ 1/(1 - r*)^2 as p -> -inf: 4e-33 relative at p = -3,
-    4e-12 at -1e10, 1e-3 at -1e14. From p ~ -2.5e14 on, r* rounds to 1 (h_p' > 0
-    at the last double below 1): DomainError, as for p = -inf and NaN; never NaN.
+    r* is solved for in u = -log(1 - r), as qcbounds solves for r in
+    s = log r', with h_p written through 1 - r = e^{-u} (see _h_p_parts): as
+    p -> -inf, 1 - r* ~ 1/(|p| log|p|) leaves the doubles near 1 (r* rounds
+    to 1 from p ~ -2.5e14 on), while u* ~ log|p| + log log|p| stays below 720
+    for every finite p. The root is bracketed in [u(1e-12), 750]: near 0,
+    h_p' ~ -(4/3)(p + 2) r > 0, and _aux_h_p_fall is 2/r > 0 where e^{-u}
+    underflows. It is found to 2^-53 or adjacent doubles, and h_p is
+    stationary there, so the largest h_p at the result and its neighbouring
+    doubles is within rounding of C(p): a few ulp for every finite p < -2.
+    C(p) ~ -log|p| - log log|p| - log 2 as p -> -inf. DomainError for
+    p >= -2, p = -inf and NaN; never NaN.
     """
-    if not p < -2.0:
-        raise DomainError("big_C_of_p needs p < -2 (the sup is not attained otherwise)")
-    a, b = 1e-12, math.nextafter(1.0, 0.0)
+    if not -math.inf < p < -2.0:
+        raise DomainError("big_C_of_p needs a finite p < -2 (the sup is not attained otherwise)")
+    a, b = -math.log1p(-1e-12), 750.0
     g = partial(_aux_h_p_fall, p)
-    ga, gb = g(a), g(b)
-    if not ga < 0.0 < gb:
-        raise DomainError(f"big_C_of_p({p}): the maximum of h_p lies within an ulp of r = 1")
-    r = _itp(g, a, b, ga, gb, 2.0**-53)
-    # _itp returns either end of its last bracket: take the double nearest r*
-    return max(aux_h_p(p, x) for x in (math.nextafter(r, 0.0), r, min(math.nextafter(r, 1.0), b)))
+    u = _itp(g, a, b, g(a), g(b), 2.0**-53)
+    # _itp returns either end of its last bracket: take the double nearest u*
+    return max(_h_p_at(p, x) for x in (math.nextafter(u, 0.0), u, math.nextafter(u, math.inf)))
 
 
 class ConvexityClass(Enum):

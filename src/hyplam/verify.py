@@ -33,7 +33,6 @@ from .geometry import (
     MoebiusMap,
     _arc,
     _moebius,
-    _snap,
     absolute_ratio,
     geodesic_distance,
     geodesic_through,
@@ -363,7 +362,7 @@ def _t_arc_orthogonality(n: int, chk: _Checker):
         arc = radius != 0.0
         z1, z2, center, radius, e1, e2 = z1[arc], z2[arc], center[arc], radius[arc], e1[arc], e2[arc]
         dev = abs(abs(center) ** 2 - radius**2 - 1.0) / (1.0 + abs(center) ** 2)
-        for e in (_snap(e1)[0], _snap(e2)[0]):
+        for e in (e1, e2):
             dev = np.maximum(dev, np.maximum(abs(abs(e) - 1.0), abs(abs(e - center) - radius)))
         # z1 lies on the carrier circle
         dev = np.maximum(dev, np.where(abs(abs(z1 - center) - radius) <= 1e-9, 0.0, 1.0))

@@ -2,6 +2,7 @@ import ast
 import cmath
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,43 +293,80 @@ class TestGeodesics:
         rows = rho_via_crossratio(np.array([z]), np.array([w]))
         assert rows[0] == pytest.approx(rho_via_crossratio(z, w), rel=4 * EPS)
 
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_short_arcs_end_on_the_circle(self, gap):
+        # the ends of _arc inherit its center's cancellation: at gap 1e-4 they
+        # lay 2.0e-13 inside the circle, typed INTERIOR, at rho 29.88 from 0.5.
+        # An input on the circle is an end itself
+        z1, z2 = cmath.exp(1j), cmath.exp(1j * (1.0 + gap))
+        g = geodesic_through(z1, z2)
+        assert {e.z for e in g.endpoints} == {Point.of(z1).z, Point.of(z2).z}
+        assert Point.of(z1).z in {e.z for e in geodesic_through(z1, 0.999 * z2).endpoints}
+        for x, y in ((z1, z2), (z1, 0.999 * z2), (0.999 * z1, 0.999 * z2)):
+            for e in geodesic_through(x, y).endpoints:
+                assert e.kind is PointKind.BOUNDARY and rho_disk(e, 0.5) == math.inf
+
     def test_points_stay_in_disk(self):
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
-        pts = geometry._parametrization([g])(np.array([[0.0, 0.25, 0.5, 0.75, 1.0]]))
-        assert np.all(abs(pts) < 1.0)
+        re, im, one_minus_sq = geometry._on_geodesics(geometry._ends_form([g]), np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
+        assert np.all(re * re + im * im < 1.0) and np.all(one_minus_sq > 0.0)
 
     def test_sample_points_on_the_carrier(self):
         # tau = 0, 1/2 and 1 on arcs from near diameters (radius 1e4) to near
-        # the circle (ends 1e-4 apart), and on diameters: strictly inside the
-        # disk, and on the carrier circle within 4 ulp of |c| (>= r, the size
-        # of the sum c + r e^{iw}), or on the carrier line within 4 ulp
+        # the circle (ends 1e-4 apart), and on diameters: inside the disk, and
+        # within 4 ulp of the carrier through the geodesic's ends, divided by
+        # their modulus, at 50 digits: the circle of center (e1 + e2)/(1 +
+        # Re(e1 conj e2)) and radius tan(delta/2), or the line through
+        # antipodal ends
         mp = pytest.importorskip("mpmath")
         ends = [(0.0, math.pi - 2e-4), (0.3, 2.0), (1.0, 1.0 + 1e-4), (-2.5, 2.0), (0.2, 0.2 + math.pi), (1.0, 4.0)]
         gs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ends]
+        gs.append(geodesic_through(-0.3 - 0.4j, 0.6 + 0.8j))
         assert {g.kind for g in gs} == {GeodesicKind.ARC, GeodesicKind.DIAMETER}
-        pts = geometry._parametrization(gs)(np.tile([0.0, 0.5, 1.0], (len(gs), 1)))
-        assert np.all(abs(pts) < 1.0)
+        re, im, one_minus_sq = geometry._on_geodesics(geometry._ends_form(gs), np.tile([[0.0], [0.5], [1.0]], (1, len(gs))))
+        assert np.all(one_minus_sq > 0.0)
         with mp.workdps(50):
-            for g, row in zip(gs, pts.tolist()):
-                for z in row:
-                    if g.kind is GeodesicKind.ARC:
-                        off = abs(abs(mp.mpc(z) - mp.mpc(g.center)) - g.radius)
-                        scale = abs(g.center)
-                    else:  # distance from the line through 0 at angle phi
-                        off = abs(mp.im(mp.mpc(z) * mp.expj(-g.direction)))
-                        scale = 1.0
-                    assert off <= 4 * EPS * scale
+            for g, re_row, im_row in zip(gs, re.T.tolist(), im.T.tolist()):
+                e1, e2 = (mp.mpc(p.z) / abs(mp.mpc(p.z)) for p in g.endpoints)
+                for z in map(mp.mpc, re_row, im_row):
+                    if e1 + e2 == 0:
+                        off = abs(mp.im(z * mp.conj(e1)))
+                    else:
+                        center = (e1 + e2) / (1 + mp.re(e1 * mp.conj(e2)))
+                        off = abs(abs(z - center) - mp.sqrt(abs(center) ** 2 - 1))
+                    assert off <= 4 * EPS
 
     def test_distance_accuracy_table(self):
         # against arth(L cos theta), arth(L sin theta) and 2 arth(cos alpha).
-        # The bound is the worst error on this table of the parametrization
-        # c + r e^{i(w1 + delta u)} that the half-angle form replaced. It falls
-        # on pair 2 (L = 0.2, theta = 0.01, d2 = 2e-3): an arc of radius 500
-        # near 0, whose center and radius each carry ~5e-14 of rounding
+        # The bound is this oracle's worst error on the table; the center and
+        # radius form it replaced was off by 2.13e-13 on pair 2 (L = 0.2,
+        # theta = 0.01, d2 = 2e-3, an arc of radius 500 near 0), which it now
+        # finds within a few ulp relative
         pairs, ref = oracle_table(pytest.importorskip("mpmath"))
-        err = abs(geodesic_distance(*zip(*pairs)) - ref)
-        assert err.max() <= 2.1340177888684586e-13
-        assert np.median(err) <= 6e-16
+        dist = geodesic_distance(*zip(*pairs))
+        err = abs(dist - ref)
+        assert err.max() <= 5.329070518200751e-15
+        assert np.median(err) <= 1.2e-16
+        assert abs(dist[1] / ref[1] - 1.0) <= 4 * EPS
+
+    def test_ends_1e_12_apart_raise_no_warning(self):
+        # x0 -> 1 and c = 1 - x0^2 -> 1e-12 there (the center and radius form
+        # took the square root of a negative number). Each distance agrees
+        # with the cross ratio of the ends, tanh^2(d/2) = |(c - a)(d - b)/((c
+        # - b)(d - a))|: to 1e-9 from a far geodesic, and to 1e-3 between two
+        # within 4e-12 of each other, where the 1e-16 rounding of a sample
+        # point is 1e-4 of the scale
+        mp = pytest.importorskip("mpmath")
+        close = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * (a + 1e-12))) for a in (1.0, 1.0 + 2e-12, -2.0)]
+        others = [geodesic_through(-0.5, 0.5), close[0], geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = geodesic_distance(close, others)
+        with mp.workdps(50):
+            for d, g1, g2, rel in zip(batch.tolist(), close, others, (1e-9, 1e-3, 1e-9)):
+                (a, b), (c, e) = ([mp.mpc(p.z) / abs(mp.mpc(p.z)) for p in g.endpoints] for g in (g1, g2))
+                x = abs((c - a) * (e - b) / ((c - b) * (e - a)))
+                assert d == pytest.approx(float(2 * mp.atanh(mp.sqrt(min(x, 1 / x)))), rel=rel)
 
     def test_interleaved_kinds_equal_scalar_calls_bit_for_bit(self):
         # diameters and arcs alternate row by row on both sides, so every

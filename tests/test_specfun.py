@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,11 +142,17 @@ class TestBigC:
         with pytest.raises(DomainError):
             big_C_of_p(-2.0)
 
-    @pytest.mark.parametrize("p", [math.nan, -math.inf, -1.7e308, -1e15])
-    def test_maximum_within_an_ulp_of_one_is_a_domain_error(self, p):
-        # from p ~ -2.5e14 on, r* rounds to 1: no value, and never NaN
+    @pytest.mark.parametrize("p", [math.nan, -math.inf])
+    def test_non_finite_p_is_a_domain_error(self, p):
         with pytest.raises(DomainError):
             big_C_of_p(p)
+
+    @pytest.mark.parametrize("p", [-1e15, -1e50, -1.7e308, -sys.float_info.max])
+    def test_finite_for_every_finite_p(self, p):
+        # r* rounds to 1 from p ~ -2.5e14 on; C(p) follows its asymptote
+        # -log|p| - log log|p| - log 2, which it meets to ~1.15 log log|p| / log|p|
+        big_l = math.log(-p)
+        assert abs(big_C_of_p(p) + big_l + math.log(big_l) + math.log(2.0)) <= 2.0 * math.log(big_l) / big_l
 
     @pytest.mark.parametrize("p", [math.nextafter(-2.0, -math.inf), -1e12, -2e14])
     def test_finite_up_to_the_edge(self, p):
