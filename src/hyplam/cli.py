@@ -16,7 +16,6 @@ import numpy as np
 
 from . import lambert as lam
 from . import qcbounds as qcb
-from . import verify as ver
 from .errors import HyplamError
 from .specfun import (
     big_C_of_p,
@@ -187,6 +186,9 @@ def cmd_specfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: the registry is 17-29 ms of import that no other subcommand uses
+    from . import verify as ver
+
     certs = ver.run_all(args.profile)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "certificates": [c.to_dict() for c in certs]}, indent=2))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep
+from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
 from hyplam.cli import _sweep_rows, build_parser, main
 
 PI4 = "0.7853981633974483"
@@ -263,21 +263,17 @@ def scalar_row(target: str, L: float, x: float) -> tuple:
 
 class TestVerify:
     def test_reports_pass_lines(self, capsys, monkeypatch):
-        import hyplam.cli as climod
-
         cert = run_sweep(SweepSpec(target="distortion-bracket", grid_size=10, tolerance=1e-9))
-        entry = next(e for e in climod.ver.REGISTRY if e.target == "distortion-bracket")
-        monkeypatch.setattr(climod.ver, "run_all", lambda profile: [cert])
-        monkeypatch.setattr(climod.ver, "REGISTRY", [entry])
+        entry = next(e for e in verify.REGISTRY if e.target == "distortion-bracket")
+        monkeypatch.setattr(verify, "run_all", lambda profile: [cert])
+        monkeypatch.setattr(verify, "REGISTRY", [entry])
         code, out, _ = run(capsys, "verify", "--profile", "fast")
         assert code == 0
         assert out.startswith("PASS")
 
     def test_json_certificates(self, capsys, monkeypatch):
-        import hyplam.cli as climod
-
         cert = run_sweep(SweepSpec(target="distortion-bracket", grid_size=10, tolerance=1e-9))
-        monkeypatch.setattr(climod.ver, "run_all", lambda profile: [cert])
+        monkeypatch.setattr(verify, "run_all", lambda profile: [cert])
         code, out, _ = run(capsys, "verify", "--json")
         assert code == 0
         doc = json.loads(out)
@@ -287,13 +283,11 @@ class TestVerify:
     def test_failing_certificate_exits_1(self, capsys, monkeypatch):
         import dataclasses
 
-        import hyplam.cli as climod
-
         cert = run_sweep(SweepSpec(target="distortion-bracket", grid_size=10, tolerance=1e-9))
         bad = dataclasses.replace(cert, passed=False, margin=-1.0)
-        entry = climod.ver.REGISTRY[0]
-        monkeypatch.setattr(climod.ver, "run_all", lambda profile: [bad])
-        monkeypatch.setattr(climod.ver, "REGISTRY", [entry])
+        entry = verify.REGISTRY[0]
+        monkeypatch.setattr(verify, "run_all", lambda profile: [bad])
+        monkeypatch.setattr(verify, "REGISTRY", [entry])
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert out.startswith("FAIL")

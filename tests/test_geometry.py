@@ -158,6 +158,23 @@ class TestChordal:
     def test_symmetric_quadruple_ratio_is_two(self):
         assert absolute_ratio(1, 1j, -1, -1j) == pytest.approx(2.0, abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_absolute_ratio_at_extreme_magnitudes(self, scale):
+        # (|a - c| / |a - b|) (|b - d| / |c - d|) = 2 * 1.5: neither a product
+        # of two distances nor the chordal norms under- or overflow
+        quad = [k * scale for k in (1, 2, 3, 5)]
+        assert absolute_ratio(*quad) == pytest.approx(3.0, rel=4 * EPS)
+        rows = absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad))
+        assert np.all(abs(rows - 3.0) <= 4 * EPS * 3.0)
+
+    def test_chordal_path_at_1e200(self):
+        assert chordal_distance(1e200, 2e200) == pytest.approx(5e-201, rel=4 * EPS)
+        assert chordal_distance(1e200, Point.infinity()) == pytest.approx(1e-200, rel=4 * EPS)
+        assert chordal_distance(Point.infinity(), -1e200j) == pytest.approx(1e-200, rel=4 * EPS)
+        assert absolute_ratio(Point.infinity(), 1e200, 0, 1) == pytest.approx(1e200, rel=4 * EPS)
+        rows = chordal_distance(np.array([1e200, 1e300j, 0.5]), np.array([2e200, 2e300j, -0.5]))
+        assert np.all(abs(rows - [5e-201, 5e-301, 0.8]) <= 4 * EPS * np.array([5e-201, 5e-301, 0.8]))
+
 
 class TestRho:
     def test_from_origin(self):
@@ -462,6 +479,50 @@ class TestMoebius:
         with pytest.raises(DegenerateInputError):
             MoebiusMap(1, 2, 2, 4)
 
+    @pytest.mark.parametrize(
+        "coeffs,degenerate",
+        [
+            ((1, 0, 0, 1), False),
+            ((2, 1j, 0.3, 1), False),
+            ((1j, 1j, -1, 1), False),
+            ((0.5, -0.3 + 0.1j, 0.2j, 1), False),
+            ((1, 2, 2, 4), True),
+            ((1, 1, 1, 1 + EPS), True),
+        ],
+        ids=["identity", "general", "cayley", "automorphism-like", "rank-one", "det-one-ulp"],
+    )
+    def test_determinant_guard_is_scale_free(self, coeffs, degenerate):
+        def refused(scale):
+            try:
+                MoebiusMap(*(scale * c for c in coeffs))
+            except DegenerateInputError:
+                return True
+            return False
+
+        assert all(refused(10.0**k) == degenerate for k in range(-100, 101))
+
+    def test_disk_automorphism_near_the_circle_is_refused_as_before(self):
+        # before the guard was relative, it refused |ad - bc| <= 1e-14; here
+        # |ad| = 1, and |a| = 1 - k ulp/2 crosses that threshold near k = 45
+        outcomes = set()
+        for angle, phase in itertools.product(np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False), (0.0, 0.3)):
+            for k in range(121):
+                a = (1.0 - k * EPS / 2.0) * cmath.exp(1j * angle)
+                if abs(a) >= 1.0:
+                    with pytest.raises(DomainError):
+                        MoebiusMap.disk_automorphism(a, phase)
+                    continue
+                e = cmath.exp(1j * phase)
+                before = abs(e * 1.0 - (-e * a) * (-a.conjugate())) <= 1e-14
+                try:
+                    MoebiusMap.disk_automorphism(a, phase)
+                    now = False
+                except DegenerateInputError:
+                    now = True
+                assert now == before, (angle, phase, k)
+                outcomes.add(now)
+        assert outcomes == {True, False}
+
     def test_cayley_sends_disk_to_halfplane(self):
         cay = MoebiusMap.cayley()
         assert cay(0.0).z == pytest.approx(1j)
@@ -522,6 +583,57 @@ class TestMidpoint:
             a = u * cmath.exp(1j * beta)
             assert rho_disk(0.0, b) == pytest.approx(2.0 * rho_disk(0.0, a), abs=1e-12)
             assert hyperbolic_midpoint(0.0, b).z == pytest.approx(a, abs=1e-12)
+
+
+class TestSquaredModulus:
+    """Moduli only squared or compared with 1 are taken as x*x + y*y, not by hypot."""
+
+    @staticmethod
+    def _hypot_window(z):
+        """The snap by the 64-ulp window on r = hypot(x, y) alone."""
+        r = np.hypot(z.real, z.imag)
+        on = abs(r - 1.0) <= 64 * EPS
+        return np.where(on, z / np.where(on, r, 1.0), z), on
+
+    def test_snap_is_the_hypot_window_bit_for_bit(self):
+        # radii 1 +- k 2^-52, k = 0..160: across the window at k = 64, and
+        # across the wider window on x*x + y*y, past which hypot is not taken
+        k = np.arange(161)
+        radii = np.concatenate([1.0 - k * EPS, 1.0 + k * EPS])
+        angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        z = radii[:, None] * np.cos(angles) + 1j * (radii[:, None] * np.sin(angles))
+        expected, expected_on = self._hypot_window(z)
+        for rows in (z.ravel(), *z):  # all at once, then one radius per call
+            snapped, on = geometry._snap(rows)
+            ref, ref_on = self._hypot_window(rows)
+            assert snapped.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+            assert on.tolist() == ref_on.tolist()
+        # a scalar divides as CPython does, which may differ from numpy by an ulp
+        for v in z.ravel().tolist():
+            on = abs(abs(v) - 1.0) <= 64 * EPS
+            assert geometry._snap(v) == (v / abs(v) if on else v, on)
+        # each side of the circle: on within 63 ulp, off from 66 ulp out
+        for side in expected_on.reshape(2, 161, 64):
+            assert side[:64].all() and not side[66:].any()
+
+    def test_one_minus_squared_modulus_near_the_circle(self):
+        # _disk_factor(|z|^2, |z|^2) = 1 - |z|^2 within eps / (1 - |z|), against
+        # 300-bit mpmath on the float coordinates (0.31 seen; by hypot 0.28)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(DEFAULT_SEED)
+        worst = []
+        with mp.workprec(300):
+            for k in range(1, 15):
+                r = 1.0 - 10.0**-k
+                angles = rng.uniform(0.0, 2.0 * math.pi, 500)
+                z = r * np.cos(angles) + 1j * (r * np.sin(angles))
+                sq = geometry._sq_abs(z)
+                rows = geometry._disk_factor(sq, sq)
+                assert rows.tolist() == [geometry._disk_factor(*[geometry._sq_abs(complex(v))] * 2) for v in z]
+                for v, f in zip(z.tolist(), rows.tolist()):
+                    sq = mp.mpf(v.real) ** 2 + mp.mpf(v.imag) ** 2
+                    worst.append(float(abs(f - (1 - sq)) / (1 - sq) * (1 - mp.sqrt(sq)) / EPS))
+        assert max(worst) <= 1.0
 
 
 def _disk_rows(n: int, seed: int):

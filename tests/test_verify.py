@@ -519,3 +519,42 @@ class TestHalton:
         env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def test_cli_report_loads_no_registry():
+    # the registry is imported by `hyplam verify` and on first use of its names
+    code = (
+        "import sys\n"
+        "from hyplam.cli import main\n"
+        "main(['lambert', '--L', '0.5', '--theta', '0.3', '--json'])\n"
+        "print('hyplam.verify' in sys.modules)\n"
+        "import hyplam\n"
+        "from hyplam import run_all\n"
+        "print('hyplam.verify' in sys.modules, run_all is hyplam.verify.run_all)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-2:] == ["False", "True True"]
+    assert {"Certificate", "REGISTRY", "SweepSpec", "run_all", "run_sweep"} <= set(hyplam.__all__)
+    with pytest.raises(AttributeError):
+        hyplam.no_such_name
+
+
+def test_thorough_profile_takes_few_hypot_moduli(monkeypatch):
+    # hypot (geometry._abs) is taken for Euclidean distances and _arc; every
+    # modulus that is only squared or compared with 1 is x*x + y*y. The
+    # thorough profile took 9.74 M elements of _abs when every modulus was
+    # taken by hypot, and 3.64 M since.
+    from hyplam import geometry
+
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    elements = []
+    hypot_abs = geometry._abs
+
+    def counted(z):
+        elements.append(np.size(z))
+        return hypot_abs(z)
+
+    monkeypatch.setattr(geometry, "_abs", counted)
+    assert all(c.passed for c in run_all("thorough"))
+    assert sum(elements) <= 4_000_000
