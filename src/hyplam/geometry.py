@@ -626,23 +626,35 @@ class MoebiusMap:
 
     def __post_init__(self):
         """DegenerateInputError for a determinant that is 0 relative to the
-        size of its terms, so a map and its multiples by any factor are
-        accepted or refused alike."""
+        size of its terms, or not a number, so a map and its multiples by
+        any factor are accepted or refused alike. The map computes with its coefficients
+        scaled by a power of two to a largest modulus in [1, 2): the images
+        are the same, and c z + d underflows to 0 at no scale of the map."""
         ad, bc = self.a * self.d, self.b * self.c
-        if abs(ad - bc) <= _DET_TOL * (abs(ad) + abs(bc)):
-            raise DegenerateInputError("Moebius map has (near-)zero determinant")
+        if not abs(ad - bc) > _DET_TOL * (abs(ad) + abs(bc)):
+            raise DegenerateInputError("Moebius map has a (near-)zero or undefined determinant")
+        big = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        unit = 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1])
+        object.__setattr__(self, "_unit", (self.a * unit, self.b * unit, self.c * unit, self.d * unit))
 
     def __call__(self, z):
-        """The image Point; on a complex ndarray, the snapped image of each
-        row, and DomainError if a row maps to infinity."""
+        """The image Point: the point at infinity where c z + d is 0 or the
+        image overflows. On a complex ndarray, the snapped image of each row,
+        and DomainError if a row's image is not finite."""
         z, _ = _points(z)[0]
+        a, b, c, d = self._unit
         if z is None:
-            return Point.infinity() if abs(self.c) == 0.0 else Point.of(self.a / self.c)
-        if _any(abs(self.c * z + self.d) < 1e-300):
-            if isinstance(z, _ndarray):
-                raise DomainError("a row maps to infinity, which has no finite coordinate")
-            return Point.infinity()
-        return _snapped(_moebius(self.a, self.b, self.c, self.d, z))
+            w = a / c if c else math.inf
+        elif isinstance(z, _ndarray):
+            if not (c * z + d == 0).any():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = _moebius(a, b, c, d, z)
+                if np.isfinite(w).all():
+                    return _snap(w)[0]
+            raise DomainError("a row maps to infinity, which has no finite coordinate")
+        else:
+            w = _moebius(a, b, c, d, z) if c * z + d else math.inf
+        return Point.infinity() if cmath.isinf(w) else Point.of(w)
 
     @staticmethod
     def cayley() -> "MoebiusMap":

@@ -2,11 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
-from hyplam.cli import _sweep_rows, build_parser, main
+from hyplam import cli
+from hyplam.cli import _CSV_BLOCK, _csv_bytes, _sweep_rows, build_parser, main
 
 PI4 = "0.7853981633974483"
 
@@ -242,6 +248,152 @@ class TestSweep:
         argv = ["sweep", "--target", target, "--grid", "10", "--out", str(tmp_path / "x.csv"), "--L", L]
         code, _, err = run(capsys, *argv)
         assert code == 2 and "L must lie in (0, 1]" in err
+
+    @pytest.mark.parametrize("L", [2.0**-60, lambert.SUM_CASE1_MAX, 1.0])
+    @pytest.mark.parametrize("target", ["product", "sum", "ideal", "mu"])
+    def test_bytes_match_percent_format(self, capsys, tmp_path, target, L):
+        argv = ["sweep", "--target", target, "--grid", "300", "--out", str(tmp_path / "x.csv"), "--L", repr(L)]
+        assert run(capsys, *argv)[0] == 0
+        header, table = _sweep_rows(build_parser().parse_args(argv))
+        assert (tmp_path / "x.csv").read_bytes() == (",".join(header) + "\r\n").encode() + percent_csv(table)
+
+    def test_rows_past_whole_blocks(self, capsys, tmp_path):
+        n = _CSV_BLOCK * 3 + 7
+        argv = ["sweep", "--target", "sum", "--grid", str(n), "--out", str(tmp_path / "x.csv"), "--L", "0.5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith(f"wrote {n} rows")
+        _, table = _sweep_rows(build_parser().parse_args(argv))
+        assert (tmp_path / "x.csv").read_bytes().split(b"\r\n", 1)[1] == percent_csv(table)
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, out):
+        # exit 1 means a violated bound; the path is checked before the sweep runs
+        monkeypatch.setattr(cli, "_sweep_rows", lambda args: pytest.fail("swept"))
+        code, _, err = run(capsys, "sweep", "--target", "mu", "--grid", "10", "--out", str(tmp_path / out))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_failed_sweep_keeps_the_old_file(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old")
+        code, _, _ = run(capsys, "sweep", "--target", "sum", "--grid", "10", "--L", "1.5", "--out", str(out))
+        assert code == 2 and out.read_bytes() == b"old"
+        assert run(capsys, "sweep", "--target", "sum", "--grid", "10", "--L", "0.5", "--out", str(out))[0] == 0
+        assert out.read_bytes().startswith(b"theta,value,lower,upper,margin\r\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_may_be_a_pipe(self):
+        argv = ["sweep", "--target", "mu", "--grid", "3", "--out", "/dev/stdout"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "hyplam.cli", *argv], env=env, capture_output=True, check=True)
+        assert done.stdout.startswith(b"r,mu,mu_product\r\n0.001,8.29") and done.stdout.endswith(b"rows to /dev/stdout\n")
+
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_memory(args):
+            raise MemoryError("Unable to allocate 711. TiB")
+
+        monkeypatch.setattr(cli, "_sweep_rows", no_memory)
+        code, _, err = run(capsys, "sweep", "--target", "mu", "--grid", "10", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err == "error: Unable to allocate 711. TiB\n"
+
+
+def percent_csv(table) -> bytes:
+    """The reference CSV body: one "%.17g" per cell."""
+    return "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in np.asarray(table).tolist()).encode()
+
+
+def _powers_and_carries() -> np.ndarray:
+    """10**e and 9.99999999999999995e<e> (which rounds to 17 nines or carries)
+    for e from -324 to 308 where they are nonzero doubles, each with its 20
+    neighbours on either side."""
+    centres = [float(f"{m}e{e}") for e in range(-324, 309) for m in ("1", "9.99999999999999995")]
+    centres = np.array([c for c in centres if 0.0 < c < math.inf])
+    out = [centres]
+    for toward in (0.0, math.inf):
+        x = centres
+        for _ in range(20):
+            x = np.nextafter(x, toward)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def _ties() -> np.ndarray:
+    """Doubles x = m 2**-(k+1), m odd, with x 10**k a half-integer in
+    [1e16, 1e17): a tie at the 17th digit, for every k that has one."""
+    rng = np.random.default_rng(7)
+    out = []
+    for k in range(25):
+        lo, hi = 2 * 10**16 // 5**k + 1, min(2 * 10**17 // 5**k, 2**53)
+        if lo < hi:
+            out.append((rng.integers(lo, hi, 4000) | 1) * 2.0 ** -(k + 1))
+    return np.concatenate(out)
+
+
+class TestCsvBytes:
+    """_csv_bytes against "%.17g" cell by cell."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5])
+    def test_random_bit_patterns(self, cols):
+        rng = np.random.default_rng(cols)
+        table = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+        table = table[: len(table) // cols * cols].reshape(-1, cols)
+        assert _csv_bytes(table) == percent_csv(table)
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(11)
+        x = 10.0 ** rng.uniform(-320, 308.25, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        assert _csv_bytes(x.reshape(-1, 4)) == percent_csv(x.reshape(-1, 4))
+
+    def test_sweep_scale_values(self):
+        # the digits near 1, where most sweep cells lie, and 1e-8 to 1e18
+        rng = np.random.default_rng(12)
+        x = np.exp(rng.uniform(math.log(1e-8), math.log(1e18), 100_000)) * rng.choice([-1.0, 1.0], 100_000)
+        assert _csv_bytes(x.reshape(-1, 5)) == percent_csv(x.reshape(-1, 5))
+
+    def test_ties_round_to_even(self):
+        x = _ties()
+        assert len(x) > 80_000
+        assert _csv_bytes(x.reshape(-1, 2)) == percent_csv(x.reshape(-1, 2))
+
+    def test_powers_of_ten_and_carries(self):
+        x = _powers_and_carries()
+        x = np.concatenate([x, -x])
+        assert _csv_bytes(x.reshape(-1, 2)) == percent_csv(x.reshape(-1, 2))
+
+    def test_special_values(self):
+        x = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.225073858507201e-308]
+        x += [2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4, 0.1, 1.0, 123.0, 1e16, 1e17]
+        table = np.array(x).reshape(-1, 2)
+        assert _csv_bytes(table) == percent_csv(table)
+        assert _csv_bytes(np.array([[-0.0, math.nan, -math.inf]])) == b"-0,nan,-inf\r\n"
+
+    @pytest.mark.parametrize("rows", [1, 7, _CSV_BLOCK + 1])
+    def test_row_counts(self, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 20, (rows, 3))
+        assert _csv_bytes(table) == percent_csv(table)
+
+
+class TestParser:
+    CALLS = [
+        ["lambert", "--L", "0.5", "--theta", "0.3", "--json"],
+        ["lambert", "--L", "0.5", "--theta", "0.3"],
+        ["ideal", "--quad", "1,0", "0,1", "-1,0", "0,-1"],
+        ["specfun", "--fn", "mu", "--r", "0.5"],
+        ["lambert", "--L", "0.9", "--theta", "1.1", "--json"],
+        ["ideal", "--alpha", "0.5", "--json"],
+        ["specfun", "--fn", "A", "--K", "2"],
+        ["lambert", "--L", "0.9", "--theta", "1.1"],
+    ]
+
+    def test_one_parser_gives_what_fresh_parsers_give(self, capsys, tmp_path, monkeypatch):
+        sweep = ["sweep", "--target", "product", "--L", "0.5", "--grid", "20", "--out", str(tmp_path / "x.csv")]
+        calls = self.CALLS + [sweep] + self.CALLS[::-1]
+        shared = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert {code for code, _, _ in shared} == {0}
+        assert shared[0][1] != shared[1][1]  # --json does not stick
 
 
 def scalar_row(target: str, L: float, x: float) -> tuple:

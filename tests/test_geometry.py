@@ -479,6 +479,11 @@ class TestMoebius:
         with pytest.raises(DegenerateInputError):
             MoebiusMap(1, 2, 2, 4)
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 0, 0, 1), (1, 0, 0, math.inf), (1, 1j, math.nan, 1)])
+    def test_non_finite_coefficients_are_refused(self, coeffs):
+        with pytest.raises(DegenerateInputError):
+            MoebiusMap(*coeffs)
+
     @pytest.mark.parametrize(
         "coeffs,degenerate",
         [
@@ -532,6 +537,20 @@ class TestMoebius:
     def test_pole_goes_to_infinity(self):
         m = MoebiusMap(1, 0, 1, -0.5)
         assert m(0.5).is_infinity
+
+    def test_pole_is_decided_at_every_scale(self):
+        # z -> 1/z: 0 is the pole, 1e-301 and 1e-299 have finite images and
+        # 1e-320 overflows, whatever the factor the map is written with
+        for k in range(-100, 101):
+            m = MoebiusMap(0, 10.0**k, 10.0**k, 0)
+            assert m(0.0).is_infinity and m(1e-320).is_infinity
+            for z in (1e-301, 1e-299):
+                assert m(z).kind is PointKind.INTERIOR
+                assert m(z).re == pytest.approx(1.0 / z, rel=4 * EPS, abs=0.0), (k, z)
+            assert m(np.array([0.5, 1e-301]))[1].real == pytest.approx(1e301, rel=4 * EPS, abs=0.0)
+            for pole in (0.0, 1e-320):
+                with pytest.raises(DomainError):
+                    m(np.array([0.5, pole]))
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 2 * math.pi))
     @settings(max_examples=60, deadline=None)
