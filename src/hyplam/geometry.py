@@ -12,15 +12,23 @@ in real arithmetic.
 
 Each function has one body over scalars and rows. An argument may be a
 complex number, a `Point` or a complex ndarray of finite points: `_points`
-turns each into its coordinate, snapped onto the circle within 64 ulp, and
-whether it lies there, and builds no `Point` for a number. `_where` selects
-row by row on a mask and by a conditional on a bool. So `rho_disk`,
-`rho_halfplane`, `absolute_ratio`, `chordal_distance`, `rho_via_crossratio`,
-`hyperbolic_midpoint` and `MoebiusMap.__call__` take complex ndarrays as
-well as scalars and return ndarrays, each row under the scalar rules.
+tests each argument's exact type once and turns it into its coordinate and
+whether it lies on the circle, and builds no `Point` for a number. A number
+or a row is snapped onto the circle within 64 ulp (`_snap`, whose scalar
+tail is one abs and a comparison); a `Point`'s stored coordinate was
+snapped when it was made and is used as it is, never snapped again, since
+a second snap moves some points by an ulp. A coordinate or a row that is
+not finite raises DomainError: the point at infinity is `Point.infinity()`.
+`_where` selects row by row on a mask and by a conditional on a bool. So
+`rho_disk`, `rho_halfplane`, `absolute_ratio`, `chordal_distance`,
+`rho_via_crossratio`, `hyperbolic_midpoint` and `MoebiusMap.__call__` take
+complex ndarrays as well as scalars and return ndarrays, each row under the
+scalar rules.
 `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
 midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
-scalar points.
+scalar points. A `Point` is an immutable tuple (re, im, kind), made by
+`tuple.__new__` with no per-field setattr, and its kind is tested by
+identity against the module's constants.
 
 A modulus is taken by libm hypot (`_abs`, ~30 ns an element) only where a
 Euclidean distance |z - w| needs it, in `_arc`, and in `_through_origin`'s
@@ -38,6 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,8 +64,6 @@ _COLLINEAR_TOL = 1e-12
 _PARAM_MARGIN = 1e-9
 #: the six pairs of four points, in the order ab, ac, ad, bc, bd, cd
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-#: the pairs ab, ac, bd, cd, whose distances the absolute ratio takes
-_RATIO_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3))
 #: a map with |ad - bc| at most this times |ad| + |bc| counts as degenerate
 _DET_TOL = 5e-15
 
@@ -67,33 +74,75 @@ class PointKind(Enum):
     INFINITY = "infinity"
 
 
-@dataclass(frozen=True)
-class Point:
-    re: float
-    im: float
-    kind: PointKind
+#: the kinds, tested by identity
+_INTERIOR, _BOUNDARY, _AT_INFINITY = PointKind.INTERIOR, PointKind.BOUNDARY, PointKind.INFINITY
+_new_tuple = tuple.__new__
+
+
+class Point(tuple):
+    """A point of the extended plane: the immutable triple (re, im, kind).
+
+    kind is BOUNDARY on the unit circle, INTERIOR at any other finite point
+    and INFINITY at the point at infinity, stored as (0, 0). A Point equals
+    only a Point with the same re, im and kind, never a bare tuple or a
+    complex, and hashes as that triple. Its coordinates are finite:
+    Point.infinity() is the one way to the point at infinity.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re: float, im: float, kind: PointKind) -> "Point":
+        if kind is not _AT_INFINITY and not (math.isfinite(re) and math.isfinite(im)):
+            raise DomainError(f"a point needs finite coordinates, got ({re}, {im}); use Point.infinity()")
+        return _new_tuple(cls, (re, im, kind))
+
+    re = property(itemgetter(0))
+    im = property(itemgetter(1))
+    kind = property(itemgetter(2))
+
+    def __eq__(self, other):
+        return type(other) is Point and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"Point(re={self[0]!r}, im={self[1]!r}, kind={self[2]!r})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def z(self) -> complex:
-        if self.kind is PointKind.INFINITY:
+        re, im, kind = self
+        if kind is _AT_INFINITY:
             raise DomainError("point at infinity has no finite coordinate")
-        return complex(self.re, self.im)
+        return complex(re, im)
 
     @property
     def is_infinity(self) -> bool:
-        return self.kind is PointKind.INFINITY
+        return self[2] is _AT_INFINITY
 
     @staticmethod
     def of(value) -> "Point":
-        """Coerce a complex/float/Point; snaps near-unit moduli to the circle."""
-        if isinstance(value, Point):
+        """Coerce a complex/float/Point; snaps near-unit moduli to the circle
+        and refuses a non-finite coordinate with DomainError."""
+        t = type(value)
+        if t is Point:
             return value
-        z, on = _snap(complex(value))
-        return Point(z.real, z.imag, PointKind.BOUNDARY if on else PointKind.INTERIOR)
+        return _point(value if t is complex else complex(value))
 
     @staticmethod
     def infinity() -> "Point":
-        return Point(0.0, 0.0, PointKind.INFINITY)
+        return _new_tuple(Point, (0.0, 0.0, _AT_INFINITY))
+
+
+def _point(z: complex) -> Point:
+    """The Point of a complex number, snapped as by _snap."""
+    z, on = _snap(z)
+    return _new_tuple(Point, (z.real, z.imag, _BOUNDARY if on else _INTERIOR))
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +204,49 @@ def _snap(z):
     |r - 1| <= B, then |z| = 1 + d with |d| <= B + ulp, so |z|^2 - 1 = 2d + d^2
     and |s - 1| <= 2B + B^2 + O(eps) < 4B. A row outside the wider window on
     s is thus outside the window on r, and snaps to nothing either way: the
-    result is bit for bit what the window on r alone gives. A scalar goes
-    straight to hypot, one C call, which costs less than the test on s.
+    result is bit for bit what the window on r alone gives. A scalar (a
+    complex) goes straight to abs, which is hypot, one C call that costs
+    less than the test on s.
+
+    DomainError for a coordinate that is not finite, or a row with one: the
+    point at infinity is Point.infinity(), not a number.
     """
-    if isinstance(z, _ndarray):
+    if type(z) is complex:
+        r = abs(z)  # inf or nan for a coordinate that is not finite
+        if r < math.inf:
+            on = abs(r - 1.0) <= _BOUNDARY_SNAP
+            return (z / r if on else z), on
+    elif np.isfinite(z).all():
         near = abs(_sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
-    r = _abs(z)
-    on = abs(r - 1.0) <= _BOUNDARY_SNAP
-    return _where(on, z / _where(on, r, 1.0), z), on
+        r = np.hypot(z.real, z.imag)
+        on = abs(r - 1.0) <= _BOUNDARY_SNAP
+        return np.where(on, z / np.where(on, r, 1.0), z), on
+    raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 
 def _points(*values) -> list:
     """Each value as a pair (z, on): its coordinate, snapped as by _snap, and
     whether it lies on the circle. A complex and a bool for a number or a
-    Point (already snapped), a complex ndarray and a mask for an ndarray,
-    and (None, False) for the point at infinity."""
+    Point, a complex ndarray and a mask for an ndarray, and (None, False)
+    for the point at infinity; DomainError for a coordinate or a row that is
+    not finite. Each value's exact type is tested once. A Point's stored
+    coordinate is used as it is: it was snapped when the Point was made, and
+    _snap is not idempotent (a second snap moves some points within 64 ulp
+    of the circle by an ulp)."""
     out = []
     for v in values:
-        if isinstance(v, Point):
-            out.append((None, False) if v.is_infinity else (complex(v.re, v.im), v.kind is PointKind.BOUNDARY))
-        elif isinstance(v, _ndarray):
-            out.append(_snap(np.asarray(v, dtype=complex)))
-        else:
+        t = type(v)
+        if t is Point:
+            re, im, kind = v
+            out.append((None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY))
+        elif t is complex:
+            out.append(_snap(v))
+        elif t is float or t is int or not isinstance(v, _ndarray):
             out.append(_snap(complex(v)))
+        else:
+            out.append(_snap(np.asarray(v, dtype=complex)))
     return out
 
 
@@ -197,7 +264,7 @@ def _interior(what: str, *values) -> list:
 
 def _snapped(z):
     """z snapped as by _snap: complex rows for an ndarray, a Point for a scalar."""
-    return _snap(z)[0] if isinstance(z, _ndarray) else Point.of(z)
+    return _snap(z)[0] if isinstance(z, _ndarray) else _point(z)
 
 
 def _chordal_norm(z):
@@ -295,14 +362,14 @@ def _ratio(a, b, c, d):
     distances and are distinct when their coordinates differ; with a point
     at infinity, the distances are chordal, and a zero one means equal
     points."""
-    zs = (a, b, c, d)
-    if any(z is None for z in zs):
+    if a is None or b is None or c is None or d is None:
+        zs = (a, b, c, d)
         norms = [None if z is None else _chordal_norm(z) for z in zs]
         ab, ac, ad, bc, bd, cd = (_chordal(zs[i], zs[j], norms[i], norms[j]) for i, j in _PAIRS)
         equal = 0.0 in (ab, ac, ad, bc, bd, cd)
     else:
-        equal = any(_any(zs[i] == zs[j]) for i, j in _PAIRS)
-        ab, ac, bd, cd = (_abs(zs[i] - zs[j]) for i, j in _RATIO_PAIRS)
+        equal = _any((a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d))
+        ab, ac, bd, cd = _abs(a - b), _abs(a - c), _abs(b - d), _abs(c - d)
     if equal:
         raise DegenerateInputError("absolute ratio needs four distinct points")
     return (ac / ab) * (bd / cd)
@@ -406,7 +473,7 @@ def _circle_inputs_as_ends(ends, z1, on1, z2, on2) -> tuple[Point, Point]:
             e1, e2 = (z, w) if first else (w, z)
         else:
             e1, e2 = (z, e2) if first else (e1, z)
-    return Point.of(e1), Point.of(e2)
+    return _point(e1), _point(e2)
 
 
 #: samples per bracket: each round shrinks an interior bracket 8-fold
@@ -643,18 +710,20 @@ class MoebiusMap:
         and DomainError if a row's image is not finite."""
         z, _ = _points(z)[0]
         a, b, c, d = self._unit
-        if z is None:
-            w = a / c if c else math.inf
-        elif isinstance(z, _ndarray):
+        if isinstance(z, _ndarray):
             if not (c * z + d == 0).any():
                 with np.errstate(over="ignore", invalid="ignore"):
                     w = _moebius(a, b, c, d, z)
                 if np.isfinite(w).all():
                     return _snap(w)[0]
             raise DomainError("a row maps to infinity, which has no finite coordinate")
-        else:
-            w = _moebius(a, b, c, d, z) if c * z + d else math.inf
-        return Point.infinity() if cmath.isinf(w) else Point.of(w)
+        try:
+            # c z + d is taken once, in _moebius: Python's division refuses
+            # exactly a zero divisor, so the pole is decided on c z + d == 0
+            w = complex(a / c) if z is None else _moebius(a, b, c, d, z)
+        except ZeroDivisionError:
+            return Point.infinity()
+        return Point.infinity() if cmath.isinf(w) else _point(w)
 
     @staticmethod
     def cayley() -> "MoebiusMap":

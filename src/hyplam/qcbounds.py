@@ -218,13 +218,15 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
             bound=_times_A2(K, small_branch),
         )
     rl = r_L_of(L)
-    ml = M_L_of(L)
+    rlp = rprime(rl)
+    # M_L_of(L) by lemma_f_c's arithmetic, without the checks that r_L_of's make redundant
+    ml = _f_c_pair(L, rlp, rprime(rlp)) / _f_c_pair(L, rl, rlp)
     if K <= ml:
         regime = QcRegime.LARGE_L_K_LE_M
         r_lk = None
-        t_val = _T(rl, rprime(rl), L, K)
+        t_val = _T(rl, rlp, L, K)
     else:
-        s = _root_s(K, L, math.log(rprime(rl)))
+        s = _root_s(K, L, math.log(rlp))
         r_lk = _r_of(s)
         regime = QcRegime.LARGE_L_K_GT_M
         t_val = _T_s(s, L, K)

@@ -329,10 +329,29 @@ def test_scalar_calls_stay_off_numpy(monkeypatch):
     p, q = geometry.Point.of(0.3 + 0.1j), geometry.Point.of(-0.2 + 0.5j)
     m = geometry.MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
     ideal = (1.0, 1j, -1.0, -1j)
+    # qc_product_bound on each of its branches
+    qc_inputs = [qcbounds.QcBoundInput(2.0, 0.5), qcbounds.QcBoundInput(1.0, 0.9), qcbounds.QcBoundInput(5.0, 0.9)]
+    regimes = [qcbounds.qc_product_bound(inp).regime for inp in qc_inputs]
+    assert set(regimes) == set(qcbounds.QcRegime)
     numpy_names = ("exp", "log", "log1p", "expm1", "arccos", "arctanh", "minimum", "where", "errstate", "empty")
-    for name in (*numpy_names, "hypot", "sqrt", "arcsinh", "asarray", "broadcast_arrays"):
+    for name in (*numpy_names, "hypot", "sqrt", "arcsinh", "asarray", "broadcast_arrays", "isfinite"):
         monkeypatch.setattr(np, name, _no_numpy)
+    # one whole bounds-stream request: the Lambert quadrilateral and its
+    # reports, its vertices and an ideal quadruple mapped by an automorphism,
+    # rho before and after, and the distortion and QC bounds
+    quad = lambert.lambert_from(0.6, 0.5)
+    images = [m(v) for v in quad.vertices]
     for call in (
+        lambda: lambert.lambert_from(0.6, 0.5),
+        lambda: lambert.product_report(0.6, 0.5),
+        lambda: lambert.sum_bounds(0.6, 0.5),
+        lambda: geometry.MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7),
+        lambda: [geometry.rho_disk(quad.vertices[i], quad.vertices[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 3))],
+        lambda: [geometry.rho_disk(images[i], images[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 3))],
+        lambda: lambert.alpha_from_quadruple(*[m(z) for z in ideal]),
+        lambda: specfun.distortion_A(3.0),
+        lambda: qcbounds.qc_ideal_bound(3.0),
+        *(lambda inp=inp: qcbounds.qc_product_bound(inp) for inp in qc_inputs),
         lambda: geometry.rho_disk(p, q),
         lambda: geometry.rho_disk(0.3 + 0.1j, -0.2 + 0.5j),
         lambda: geometry.rho_halfplane(1j, 0.5 + 2j),

@@ -1,7 +1,9 @@
 import ast
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -108,6 +110,124 @@ class TestPoints:
     def test_infinity_has_no_coordinate(self):
         with pytest.raises(DomainError):
             Point.infinity().z
+
+    def test_a_point_is_immutable_and_hashable(self):
+        p = Point.of(0.3 + 0.1j)
+        for name in ("re", "im", "kind", "z", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0.5)
+        assert (p.re, p.im, p.kind) == (0.3, 0.1, PointKind.INTERIOR)
+        assert hash(p) == hash(Point.of(0.3 + 0.1j))
+        assert {p: "p"}[Point.of(0.3 + 0.1j)] == "p"
+        assert len({Point.infinity(), Point.infinity(), p}) == 2
+        assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+    def test_a_point_equals_only_a_point_with_the_same_triple(self):
+        p = Point.of(0.3 + 0.1j)
+        assert p == Point.of(0.3 + 0.1j) and not p != Point.of(0.3 + 0.1j)
+        others = [
+            Point(0.3, 0.1, PointKind.BOUNDARY),
+            Point.of(0.3 + 0.2j),
+            Point.infinity(),
+            (0.3, 0.1, PointKind.INTERIOR),
+            [0.3, 0.1, PointKind.INTERIOR],
+            0.3 + 0.1j,
+        ]
+        for other in others:
+            assert p != other and other != p
+            assert not (p == other or other == p)
+        assert Point.infinity() == Point.infinity()
+
+    def test_repr(self):
+        assert repr(Point.of(0.5)) == "Point(re=0.5, im=0.0, kind=<PointKind.INTERIOR: 'interior'>)"
+        assert repr(Point.infinity()) == "Point(re=0.0, im=0.0, kind=<PointKind.INFINITY: 'infinity'>)"
+
+    def test_a_stored_coordinate_is_never_snapped_again(self):
+        # _snap is not idempotent: some points within 64 ulp of the circle
+        # move by an ulp when snapped a second time (4% of these). A Point
+        # keeps the coordinate of the first snap, and every call reads its bits
+        rng = np.random.default_rng(DEFAULT_SEED)
+        angles = rng.uniform(0.2, 2.0 * math.pi - 0.2, 4000)
+        radii = 1.0 + rng.integers(-63, 64, angles.size) * EPS
+        moved = []
+        for r, t in zip(radii.tolist(), angles.tolist()):
+            p = Point.of(complex(r * math.cos(t), r * math.sin(t)))
+            again = Point.of(p.z)
+            assert p.kind is again.kind is PointKind.BOUNDARY
+            if again != p:
+                moved.append((p, again))
+        assert len(moved) > 0.02 * angles.size
+        cayley = MoebiusMap.cayley()
+
+        def image(z):  # (i z + i) / (-z + 1), as the map's coefficients (i, i, -1, 1) take it
+            return (1j * z + 1j) / (-1.0 * z + 1.0)
+
+        differ = 0
+        for p, again in moved:
+            # on the stored bits, p and its coordinate snapped again are two
+            # distinct circle points; snapped again, they would be one
+            assert rho_disk(p, again) == math.inf and rho_disk(p, p) == 0.0
+            assert cayley(p) == Point.of(image(p.z))
+            differ += image(p.z) != image(again.z)
+        assert differ > 0.5 * len(moved)
+
+
+class TestNonFinite:
+    """A coordinate that is not finite is refused, on a scalar and on a row:
+    the point at infinity is Point.infinity()."""
+
+    BAD = [
+        math.nan,
+        math.inf,
+        complex(math.inf, 0.0),
+        complex(0.0, -math.inf),
+        complex(math.nan, 0.5),
+        complex(math.inf, math.nan),
+    ]
+
+    @staticmethod
+    def _calls(bad):
+        """The calls on bad: the first two take scalars only."""
+        return [
+            lambda: Point.of(bad),
+            lambda: geodesic_through(bad, 0.5),
+            lambda: rho_disk(bad, 0.5),
+            lambda: rho_disk(0.5, bad),
+            lambda: rho_halfplane(bad, 1j),
+            lambda: absolute_ratio(bad, 1, 2, 3),
+            lambda: absolute_ratio(1, 2, 3, bad),
+            lambda: chordal_distance(bad, 1.0),
+            lambda: hyperbolic_midpoint(bad, 0.5),
+            lambda: rho_via_crossratio(0.5, bad),
+            lambda: MoebiusMap.cayley()(bad),
+            lambda: MoebiusMap.disk_automorphism(0.3, 0.7)(bad),
+        ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_scalars_are_refused(self, bad):
+        for call in self._calls(bad):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_rows_are_refused(self, bad):
+        for call in self._calls(np.array([0.1 + 0.2j, bad, -0.3j]))[2:]:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_a_point_is_made_with_finite_coordinates(self):
+        with pytest.raises(DomainError):
+            Point(math.nan, 0.0, PointKind.INTERIOR)
+        with pytest.raises(DomainError):
+            Point(1.0, math.inf, PointKind.BOUNDARY)
+
+    def test_infinity_is_the_point_at_infinity(self):
+        # the image of infinity under z -> i(1 + z)/(1 - z) is a/c = -i
+        assert MoebiusMap.cayley()(Point.infinity()) == Point.of(-1j)
+        # real coefficients give a real a/c
+        assert MoebiusMap(2, 0, 1, 1)(Point.infinity()) == Point.of(2.0)
+        assert MoebiusMap(1, 0, 0, 1)(Point.infinity()) == Point.infinity()
+        assert chordal_distance(Point.infinity(), 0.0) == 1.0
 
 
 def _outcome(f, args) -> str:

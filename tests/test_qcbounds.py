@@ -22,6 +22,7 @@ from hyplam import (
     qc_product_bound,
     solve_r_LK,
 )
+from hyplam.lambert import product_root
 from hyplam.optimize import bisect_root
 from hyplam.qcbounds import M1, M_L_of, T_of, _root_s, r_L_of
 from hyplam.specfun import _f_c_pair, rprime
@@ -84,6 +85,29 @@ class TestBranches:
     def test_M_L_exceeds_one(self):
         for L in np.linspace(TH1 + 1e-4, 1.0, 50):
             assert M_L_of(float(L)) > 1.0
+
+    def test_large_L_takes_r_L_and_M_L_bit_for_bit(self):
+        # qc_product_bound takes r_L once and M_L by lemma_f_c's arithmetic
+        # without its checks: the same bits as r_L_of and two lemma_f_c
+        # calls, so the same branch and the same bound, up to L = 1 and down
+        # to one ulp above th(1), and at K one ulp either side of M_L
+        Ls = [math.nextafter(TH1, 2.0), *np.linspace(TH1, 1.0, 65)[1:-1].tolist(), math.nextafter(1.0, 0.0), 1.0]
+        for L in Ls:
+            rl = r_L_of(L)
+            ml = lemma_f_c(L, rprime(rl)) / lemma_f_c(L, rl)
+            assert M_L_of(L) == ml
+            for K in (1.0, math.nextafter(ml, 0.0), ml, math.nextafter(ml, 2.0 * ml), 2.0, 40.0):
+                res = qc_product_bound(QcBoundInput(K, L))
+                assert (res.r_L, res.M_L) == (rl, ml)
+                if K <= ml:
+                    assert res.regime is QcRegime.LARGE_L_K_LE_M and res.r_LK is None
+                    t_val = T_of(rl, L, K)
+                else:
+                    s = _root_s(K, L, math.log(rprime(rl)))
+                    assert res.regime is QcRegime.LARGE_L_K_GT_M and res.r_LK == qcbounds._r_of(s)
+                    t_val = qcbounds._T_s(s, L, K)
+                a = distortion_A(K)
+                assert res.bound == a * a * max(t_val, product_root(L) ** (2.0 / K))
 
     def test_solve_r_LK_residual(self):
         L, K = 0.9, 4.0
