@@ -12,7 +12,6 @@ from .errors import (
 )
 from .geometry import (
     Geodesic,
-    GeodesicKind,
     MoebiusMap,
     Point,
     PointKind,

@@ -451,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", nargs=4, metavar="re,im", help="four boundary vertices in positive order")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ideal)
-    # let point arguments with a negative real part ("-1,0") through
-    p._negative_number_matcher = re.compile(r"^-\d")
 
     p = sub.add_parser("qc-bound", help="bound under a K-quasiconformal self-map of the disk")
     p.add_argument("--K", type=float, required=True, help="maximal dilatation, >= 1")
@@ -481,6 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float)
     p.set_defaults(func=cmd_sweep)
 
+    # let values that start with a minus sign through as values, not options:
+    # "-1e3" and "-3." for --p, which argparse's own pattern refuses, and
+    # points with a negative real part ("-1,0") for --quad
+    negative = re.compile(r"^-\.?\d")
+    for p in sub.choices.values():
+        p._negative_number_matcher = negative
     return parser
 
 

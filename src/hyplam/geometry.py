@@ -1,14 +1,14 @@
 """Hyperbolic geometry of the unit disk: metrics, geodesics, Moebius maps.
 
 Points live in the closed unit disk (or the upper half plane after a Cayley
-transform). Geodesics are diameters or arcs of circles orthogonal to the
-unit circle; `geodesic_through` returns their ends on the circle. A
-numerical geodesic-to-geodesic distance oracle is provided; it deliberately
-works by a nested bracket search over sampled points so it stays
-independent of any closed-form distance it is used to check. It samples
-each geodesic as the image of a diameter under a disk automorphism, built
-from the geodesic's two ends alone (`_ends_form`), and runs its inner search
-in real arithmetic.
+transform). A geodesic is held as its two ends on the unit circle, and
+nothing else: `_geodesic_ends` finds them, one body over scalars and rows
+in real arithmetic, and `geodesic_through` puts an input on the circle in
+place of its end. A numerical geodesic-to-geodesic distance oracle
+deliberately works by a nested bracket search over sampled points, so it
+stays independent of any closed-form distance it checks. It samples each
+geodesic as the image of a diameter under a disk automorphism built from
+the two ends (`_ends_form`), and runs its inner search in real arithmetic.
 
 Each function has one body over scalars and rows. An argument may be a
 complex number, a `Point` or a complex ndarray of finite points: `_points`
@@ -30,13 +30,13 @@ scalar points. A `Point` is an immutable tuple (re, im, kind), made by
 `tuple.__new__` with no per-field setattr, and its kind is tested by
 identity against the module's constants.
 
-A modulus is taken by libm hypot (`_abs`, ~30 ns an element) only where a
-Euclidean distance |z - w| needs it, in `_arc`, and in `_through_origin`'s
-scale-free test, which must neither over- nor underflow. Everywhere else a
-modulus is only squared or compared with 1, and `_sq_abs` (a multiply-add)
-takes |z|^2: the snap window on rows, 1 - |z|^2 in the disk factor, the
-closed-disk tests of rows. The absolute ratio of four finite points takes
-Euclidean distances, whose chordal norms cancel.
+A modulus is taken by libm hypot (`_abs`, ~30 ns an element) only for a
+Euclidean distance |z - w| or a unit vector, in `_arc` and `_geodesic_ends`,
+whose scale-free diameter test must neither over- nor underflow. Everywhere
+else a modulus is only squared or compared with 1, and `_sq_abs` (a
+multiply-add) takes |z|^2: the snap window on rows, 1 - |z|^2 in the disk
+factor, the closed-disk tests of rows. The absolute ratio of four finite
+points takes Euclidean distances, whose chordal norms cancel.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ def _abs(z):
     """|z| by hypot, on an array too, as Python's abs computes it: numpy's
     complex abs rounds differently, and rho amplifies that near the circle.
     It costs ~15 times a multiply-add, so it is taken only for a Euclidean
-    distance |z - w|, in _arc and in _through_origin; a modulus that is only
-    squared or compared with 1 is _sq_abs."""
+    distance |z - w| or a unit vector, in _arc and in _geodesic_ends; a
+    modulus that is only squared or compared with 1 is _sq_abs."""
     return np.hypot(z.real, z.imag) if isinstance(z, _ndarray) else abs(z)
 
 
@@ -307,35 +307,55 @@ def _moebius(a, b, c, d, z):
     return (a * z + b) / (c * z + d)
 
 
-def _through_origin(z1, z2):
-    """Whether the geodesic through distinct z1 and z2 is a diameter (a bool
-    for scalars, a mask for arrays).
-
-    |Im(conj(z1) z2)| / max(|z1|, |z2|) is how far the nearer point lies off
-    the diameter through the farther one; it is compared with their distance,
-    so the test does not depend on the scale: two points near 0 are judged by
-    the direction of the line through them, and a point next to 0 lies on a
-    diameter with any other.
-    """
-    cross = z1.real * z2.imag - z1.imag * z2.real
-    a1, a2 = _abs(z1), _abs(z2)
-    return abs(cross) <= _COLLINEAR_TOL * _where(a1 >= a2, a1, a2) * _abs(z1 - z2)
+def _unit(z, r):
+    """z / r for r = |z|, the real and the imaginary part each divided by r:
+    numpy divides a complex row by a real one as a complex quotient, which
+    rounds otherwise than Python's division of a complex number by a float."""
+    return z.real / r + 1j * (z.imag / r)
 
 
 def _arc(z1, z2):
-    """Center, radius and the two (unsnapped) circle endpoints of the
-    geodesic arc through two points not collinear with 0: the circle through
-    them orthogonal to the unit circle. The ends (1 +- i r)/conj(c) inherit
-    the center's cancellation, which puts them off the circle (2e-13 for
-    ends 1e-4 apart), so each is divided by its modulus, as _snap divides a
-    point within 64 ulp of the circle."""
-    cross = z1.real * z2.imag - z1.imag * z2.real
-    center = 1j * (z2 * (1.0 + _abs(z1) ** 2) - z1 * (1.0 + _abs(z2) ** 2)) / (2.0 * (-cross))
+    """Center, radius and the two circle ends of the geodesic arc through two
+    points not collinear with 0: the circle through them orthogonal to the
+    unit circle, in real arithmetic, so a row gives what a scalar call does.
+    The ends (1 +- i r)/conj(c) are the directions of (1 +- i r) c; they
+    inherit the center's cancellation, which puts them off the circle (2e-13
+    for ends 1e-4 apart), so each is taken as its unit vector."""
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    r1, r2 = _abs(z1), _abs(z2)
+    s1, s2 = 1.0 + r1 * r1, 1.0 + r2 * r2
+    cross = x1 * y2 - y1 * x2
+    cx, cy = (s1 * y2 - s2 * y1) / (2.0 * cross), (s2 * x1 - s1 * x2) / (2.0 * cross)
     # the ratios first: a product of |z2| and cross underflows for points near 0
-    radius = (_abs(z1 - z2) / abs(cross)) * (_abs(z1 * _abs(z2) ** 2 - z2) / (2.0 * _abs(z2)))
-    conj = center.conjugate()
-    e1, e2 = (1.0 + 1j * radius) / conj, (1.0 - 1j * radius) / conj
-    return center, radius, e1 / _abs(e1), e2 / _abs(e2)
+    radius = (_abs(z1 - z2) / abs(cross)) * (_abs(z1 * (r2 * r2) - z2) / (2.0 * r2))
+    e1 = (cx - radius * cy) + 1j * (cy + radius * cx)
+    e2 = (cx + radius * cy) + 1j * (cy - radius * cx)
+    return cx + 1j * cy, radius, _unit(e1, _abs(e1)), _unit(e2, _abs(e2))
+
+
+def _geodesic_ends(z1, z2):
+    """The two ends on the unit circle of the geodesic through distinct
+    points z1 and z2 of the closed disk: complex numbers, or complex rows.
+    One body in real arithmetic, so each row's ends are its scalar call's,
+    bit for bit.
+
+    The geodesic is a diameter when the nearer point lies off the diameter
+    through the farther one, by |Im(conj(z1) z2)| / max(|z1|, |z2|), at most
+    1e-12 times their distance: the test does not depend on the scale, so two
+    points near 0 are judged by the direction of the line through them, and
+    a point next to 0 lies on a diameter with any other. A diameter's ends
+    are +-u, u the farther point's unit vector with its angle in [0, pi); an
+    arc's are _arc's, which a diameter's row reaches as a stand-in pair, so
+    that its zero cross is not divided by."""
+    r1, r2 = _abs(z1), _abs(z2)
+    first = r1 >= r2
+    far, r = _where(first, z1, z2), _where(first, r1, r2)
+    cross = z1.real * z2.imag - z1.imag * z2.real
+    diameter = abs(cross) <= _COLLINEAR_TOL * r * _abs(z1 - z2)
+    # far / -r where far's angle is in [-pi, 0)
+    u = _unit(far, _where((far.imag < 0.0) | ((far.imag == 0.0) & (far.real < 0.0)), -r, r))
+    _, _, e1, e2 = _arc(_where(diameter, 0.5, z1), _where(diameter, 0.5j, z2))
+    return _where(diameter, u, e1), _where(diameter, -u, e2)
 
 
 def _midpoint(z, w):
@@ -426,46 +446,29 @@ def rho_halfplane(x, y):
 # Geodesics
 
 
-class GeodesicKind(Enum):
-    DIAMETER = "diameter"
-    ARC = "arc"
-
-
 @dataclass(frozen=True)
 class Geodesic:
-    kind: GeodesicKind
+    """A hyperbolic line of the disk, held as its two ends on the unit
+    circle: Points typed BOUNDARY, as geodesic_through makes them."""
+
     endpoints: tuple[Point, Point]
-    direction: float = 0.0  # diameter only, angle in [0, pi)
-    center: complex = 0j  # arc only
-    radius: float = 0.0  # arc only
 
 
 def geodesic_through(x, y) -> Geodesic:
-    """The hyperbolic line through two distinct points of the closed disk."""
+    """The hyperbolic line through two distinct points of the closed disk.
+
+    An input on the circle is an end itself, at its stored coordinate, which
+    is not snapped again: the nearer computed end is replaced by it, or for
+    two such inputs, the nearer to the first input by it and the other by
+    the second, so both are ends even where the computed ends are too rough
+    to tell which is which."""
     (z1, on1), (z2, on2) = _points(x, y)
     # a snapped circle point may lie an ulp outside, as in rho_disk
     if z1 is None or z2 is None or (abs(z1) > 1.0 and not on1) or (abs(z2) > 1.0 and not on2):
         raise DomainError("geodesics live in the closed unit disk")
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")
-    if _through_origin(z1, z2):
-        # a Euclidean diameter
-        ref = z1 if abs(z1) >= abs(z2) else z2
-        direction = math.atan2(ref.imag, ref.real) % math.pi
-        e = cmath.exp(1j * direction)
-        ends = _circle_inputs_as_ends((e, -e), z1, on1, z2, on2)
-        return Geodesic(kind=GeodesicKind.DIAMETER, direction=direction, endpoints=ends)
-    center, radius, e1, e2 = _arc(z1, z2)
-    ends = _circle_inputs_as_ends((e1, e2), z1, on1, z2, on2)
-    return Geodesic(kind=GeodesicKind.ARC, center=center, radius=radius, endpoints=ends)
-
-
-def _circle_inputs_as_ends(ends, z1, on1, z2, on2) -> tuple[Point, Point]:
-    """The computed ends as Points, with each input on the circle in place of
-    the end it is: the nearer one, or for two such inputs the nearer to z1
-    and the other, so both are ends even where the computed ends are too
-    rough to tell which is which."""
-    e1, e2 = ends
+    e1, e2 = _geodesic_ends(z1, z2)
     if on1 or on2:
         z, w = (z1, z2) if on1 else (z2, z1)
         first = abs(e1 - z) <= abs(e2 - z)
@@ -473,7 +476,8 @@ def _circle_inputs_as_ends(ends, z1, on1, z2, on2) -> tuple[Point, Point]:
             e1, e2 = (z, w) if first else (w, z)
         else:
             e1, e2 = (z, e2) if first else (e1, z)
-    return _point(e1), _point(e2)
+    ends = _new_tuple(Point, (e1.real, e1.imag, _BOUNDARY)), _new_tuple(Point, (e2.real, e2.imag, _BOUNDARY))
+    return Geodesic(ends)
 
 
 #: samples per bracket: each round shrinks an interior bracket 8-fold
@@ -485,8 +489,8 @@ _BRACKET_ABOVE = np.append(_BRACKET_SAMPLES[1:], _BRACKET_SAMPLES[-1:])
 _BRACKET_WIDTH = 1e-12
 #: geodesics closer than this count as intersecting: their distance is 0.0
 _INTERSECT_TOL = 1e-10
-#: ends this close are one ideal point: _arc and the snap round an end by an ulp
-#: or so (1.1e-16 seen); ends 2e-14 apart are distinct, at distance 2.0e-7
+#: ends this close are one ideal point: _arc rounds an end by an ulp or so
+#: (1.1e-16 seen); ends 2e-14 apart are distinct, at distance 2.0e-7
 _SHARED_END_TOL = 4 * 2.0**-52
 
 
@@ -648,24 +652,6 @@ def geodesic_distance(g1, g2):
     if not gs1:
         return np.zeros(0)
     return _distance_rows(gs1, gs2)
-
-
-def _geodesic_ends(z1, z2):
-    """The circle endpoints of the geodesic through distinct z1 and z2, as
-    geodesic_through finds them (to the ulp its Points' snap may move an
-    arc's end by). On rows, the arcs take one call of _arc, which would
-    divide by a diameter's zero cross, and each diameter, which is rare, a
-    scalar call."""
-    if not (isinstance(z1, _ndarray) or isinstance(z2, _ndarray)):
-        return [p.z for p in geodesic_through(z1, z2).endpoints]
-    z1, z2 = np.broadcast_arrays(z1, z2)
-    arc = ~_through_origin(z1, z2)
-    e1, e2 = np.empty_like(z1), np.empty_like(z2)
-    _, _, a1, a2 = _arc(z1[arc], z2[arc])
-    e1[arc], e2[arc] = a1, a2
-    for i in np.flatnonzero(~arc):  # diameters: rare, so one scalar call each
-        e1[i], e2[i] = (p.z for p in geodesic_through(z1[i], z2[i]).endpoints)
-    return e1, e2
 
 
 def rho_via_crossratio(x, y):

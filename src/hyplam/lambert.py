@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentQuadrilateralError
-from .geometry import Point, absolute_ratio
+from .geometry import Point, _points, _ratio
 from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _ndarray, _ns, _require, arth, g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
@@ -214,8 +214,13 @@ def ideal_quad(alpha):
 
 def alpha_from_quadruple(a, b, c, d) -> float:
     """Half-angle arccos(sqrt(1/|a,b,c,d|)) of an ideal quadrilateral given
-    its boundary vertices in positive order."""
-    ratio = absolute_ratio(a, b, c, d)
+    its boundary vertices in positive order; DomainError for a vertex off
+    the unit circle. The vertices are read and snapped once, for the test
+    and for the ratio."""
+    (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _points(a, b, c, d)
+    if not (on_a and on_b and on_c and on_d):
+        raise DomainError("an ideal quadrilateral needs its four vertices on the unit circle")
+    ratio = _ratio(za, zb, zc, zd)
     if ratio < 1.0:
         raise DomainError(
             f"absolute ratio {ratio} < 1: points are not in the assumed positive order"

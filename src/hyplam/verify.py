@@ -479,13 +479,14 @@ def _t_symmetric_geodesic_distance(n: int, chk: _Checker):
     alphas = (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12)
     pairs = [pair for alpha in alphas for pair in _symmetric_geodesics(alpha)]
     dist = geodesic_distance(*zip(*pairs))
-    for alpha, (g1, _), (d_real, d_imag) in zip(alphas, pairs[1::2], dist.reshape(-1, 2)):
+    for alpha, (d_real, d_imag) in zip(alphas, dist.reshape(-1, 2)):
         # pair symmetric about the real axis: distance 2 arth(cos alpha)
         chk.require(abs(d_real - 2.0 * arth(math.cos(alpha))), 1e-8, (alpha, 1.0))
         # pair symmetric about the imaginary axis: distance 2 log((1+t)/(1-t))
-        # with i t the cut of the first geodesic with the imaginary axis
-        im_c = g1.center.imag
-        t = im_c - math.sqrt(im_c * im_c - 1.0)
+        # with i t the cut of the first geodesic with the imaginary axis: its
+        # carrier has center i/sin(alpha) and radius cot(alpha), so that
+        # t = (1 - cos(alpha))/sin(alpha) = tan(alpha/2)
+        t = math.tan(alpha / 2.0)
         chk.require(abs(d_imag - 2.0 * math.log((1.0 + t) / (1.0 - t))), 1e-8, (alpha, 2.0))
 
 
@@ -817,12 +818,15 @@ def _t_thsq_identity(n: int, chk: _Checker):
 
 
 def _vertex_angle(q: lam.LambertQuad) -> float:
-    """Angle at the fourth vertex from the carrier tangents of its two sides."""
+    """Angle at the fourth vertex from the carrier tangents i (z - c) of its
+    two sides, c the center (e1 + e2)/(1 + Re(e1 conj(e2))) of the circle
+    orthogonal to the unit circle through a side's ends e1 and e2."""
     z = q.vertices[2].z
-    g_bc = geodesic_through(q.vertices[1].z, z)
-    g_dc = geodesic_through(q.vertices[3].z, z)
-    u1 = 1j * (z - g_bc.center)
-    u2 = 1j * (z - g_dc.center)
+    tangents = []
+    for v in (q.vertices[1], q.vertices[3]):
+        e1, e2 = (p.z for p in geodesic_through(v.z, z).endpoints)
+        tangents.append(1j * (z - (e1 + e2) / (1.0 + (e1 * e2.conjugate()).real)))
+    u1, u2 = tangents
     cosang = abs((u1 * u2.conjugate()).real) / (abs(u1) * abs(u2))
     return math.acos(min(1.0, cosang))
 

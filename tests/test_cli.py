@@ -129,6 +129,13 @@ class TestIdeal:
     def test_missing_both_exits_2(self, capsys):
         assert run(capsys, "ideal")[0] == 2
 
+    @pytest.mark.parametrize("quad", [("2,0", "0,2", "-2,0", "0,-2"), ("0,0", "0,1", "-1,0", "0,-1")])
+    def test_vertices_off_the_circle_exit_2(self, capsys, quad):
+        # both reported alpha = pi/4 and exited 0
+        code, out, err = run(capsys, "ideal", "--quad", *quad)
+        assert code == 2 and out == ""
+        assert "unit circle" in err
+
 
 class TestQcBound:
     def test_ideal_K1(self, capsys):
@@ -174,6 +181,13 @@ class TestSpecfun:
         code, _, err = run(capsys, "specfun", "--fn", "A", "--K", "nan")
         assert code == 2
         assert "K = nan" in err
+
+    @pytest.mark.parametrize("value, attached", [("-1e3", "--p=-1000"), ("-3.", "--p=-3"), ("-.5", "--p=-0.5")])
+    def test_negative_values_need_no_equals_sign(self, capsys, value, attached):
+        # argparse took "-1e3" and "-3." for options: "expected one argument"
+        assert run(capsys, "specfun", "--fn", "C", "--p", value) == run(capsys, "specfun", "--fn", "C", attached)
+        code, out, err = run(capsys, "lambert", "--L", value, "--theta", "0.5")
+        assert (code, out) == (2, "") and "expected one argument" not in err
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ from hyplam import (
     IDEAL_PRODUCT_BOUND,
     IDEAL_SUM_BOUND,
     InconsistentQuadrilateralError,
+    Point,
     SUM_CASE1_MAX,
     SUM_CASE3_MIN,
     alpha_from_quadruple,
@@ -188,6 +189,22 @@ class TestIdeal:
     def test_bad_order_rejected(self):
         with pytest.raises(DomainError):
             alpha_from_quadruple(1, -1, 1j, -1j)
+
+    @pytest.mark.parametrize(
+        "vertex", [0.0, 0.5j, 2.0, -(1.0 - 1e-12), Point.infinity()], ids=["0", "interior", "outside", "near", "infinity"]
+    )
+    def test_a_vertex_off_the_circle_is_rejected(self, vertex):
+        # a vertex at 0 gave alpha = pi/4
+        for i in range(4):
+            quad = [1, 1j, -1, -1j]
+            quad[i] = vertex
+            with pytest.raises(DomainError):
+                alpha_from_quadruple(*quad)
+
+    def test_a_quadruple_off_the_circle_is_rejected(self):
+        # its absolute ratio is that of (1, i, -1, -i): it gave alpha = pi/4
+        with pytest.raises(DomainError):
+            alpha_from_quadruple(2, 2j, -2, -2j)
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
