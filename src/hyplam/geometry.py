@@ -206,7 +206,9 @@ def _snap(z):
     s is thus outside the window on r, and snaps to nothing either way: the
     result is bit for bit what the window on r alone gives. A scalar (a
     complex) goes straight to abs, which is hypot, one C call that costs
-    less than the test on s.
+    less than the test on s. A row is divided by r part by part (_unit), as
+    a scalar is, so it snaps to its scalar call's bits, up to the sign of a
+    zero imaginary part.
 
     DomainError for a coordinate that is not finite, or a row with one: the
     point at infinity is Point.infinity(), not a number.
@@ -222,7 +224,7 @@ def _snap(z):
             return z, near
         r = np.hypot(z.real, z.imag)
         on = abs(r - 1.0) <= _BOUNDARY_SNAP
-        return np.where(on, z / np.where(on, r, 1.0), z), on
+        return np.where(on, _unit(z, np.where(on, r, 1.0)), z), on
     raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 

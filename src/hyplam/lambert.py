@@ -29,6 +29,9 @@ SUM_CASE3_MIN = _C_HIGH
 #: bound (L sqrt2/2)^2 is subnormal from L ~ 2^-511 on
 _L_BOUND_SUBNORMAL = 2.0**-500
 
+#: the right-angle vertex v_a of every normalized Lambert quadrilateral
+_ORIGIN = Point.of(0.0)
+
 #: sharp product bound for ideal quadrilaterals, (2 log(1+sqrt2))^2
 IDEAL_PRODUCT_BOUND = (2.0 * math.log(SQRT2 + 1.0)) ** 2
 #: sharp sum lower bound for ideal quadrilaterals, 4 log(1+sqrt2)
@@ -91,11 +94,10 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     t = L / (1.0 + rprime(L))
     d1, d2 = side_distances(L, theta)
     phi = beardon_phi(d1, d2)
-    v_a = Point.of(0.0)
     v_b = Point.of(math.tanh(d1 / 2.0))
     v_c = Point.of(t * complex(math.cos(theta), math.sin(theta)))
     v_d = Point.of(1j * math.tanh(d2 / 2.0))
-    return LambertQuad(L=L, theta=theta, t=t, vertices=(v_a, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
+    return LambertQuad(L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
 
 
 def _log_sh(d, ns=math):

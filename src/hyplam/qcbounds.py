@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import DomainError, NoRootError
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L, product_root
-from .specfun import _arth_cx, _check_K, _f_c_pair, _itp, _require, distortion_A, lemma_f_c, rprime
+from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _require, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -46,8 +46,10 @@ _S_TOL = 1e-12
 #: d^2 log T/ds^2 ~ 1/K^2 there: a bound that needs only T at the root has it
 #: to ~1e-15 from s to this width
 _S_TOL_T_ONLY = 1e-7
-_LOG2 = math.log(2.0)
 _LOG_R1_PRIME = math.log(R1_PRIME)
+#: arth r_1 and arth r_1', the two factors of T(r_1, 1) in the ideal bound for K <= M_1
+_ARTH_R1 = _arth_cx(1.0, R1, R1_PRIME)
+_ARTH_R1_PRIME = _arth_cx(1.0, R1_PRIME, R1)
 
 
 class QcRegime(Enum):
@@ -194,10 +196,10 @@ def _T(x: float, xp: float, L: float, K: float) -> float:
 
 
 def _times_A2(K: float, value: float) -> float:
-    """A(K)^2 value, or DomainError naming K where that is not a finite double:
-    from K ~ 4e102 at L = 1 and for the ideal bound, which grow like K^3, and
-    from K ~ 5e153 for every L."""
-    a = distortion_A(K)
+    """A(K)^2 value for a K already checked, or DomainError naming K where that
+    is not a finite double: from K ~ 4e102 at L = 1 and for the ideal bound,
+    which grow like K^3, and from K ~ 5e153 for every L."""
+    a = _distortion_A(K)
     bound = a * a * value
     if not math.isfinite(bound):
         raise DomainError(f"the bound overflows a double at K = {K}")
@@ -241,5 +243,5 @@ def qc_ideal_bound(K: float) -> float:
     if K > M1:
         t_val = _T_s(_root_s(K, 1.0, _LOG_R1_PRIME, _S_TOL_T_ONLY), 1.0, K)
     else:
-        t_val = _T(R1, R1_PRIME, 1.0, K)
+        t_val = _ARTH_R1 * _ARTH_R1_PRIME ** (1.0 / K)
     return _times_A2(K, max(2.0 ** (1.0 + 1.0 / K) * t_val, IDEAL_PRODUCT_BOUND))

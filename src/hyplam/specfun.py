@@ -22,7 +22,11 @@ Vamanamurthy and Vuorinen, Conformal Invariants, Inequalities, and
 Quasiconformal Maps, 1997); below y = pi/2 the complementary nome
 e^{-pi^2/(2y)} is used through mu(r) mu(r') = pi^2/4, so that q <= e^{-pi}
 always. The complement r' is carried along as log r', which keeps phi_K and
-A(K) accurate where r rounds to 1. The classical identity
+A(K) accurate where r rounds to 1. A(K) = 2 arth phi_K(th 1/2) takes
+mu(th 1/2) from a module constant, computed once at import, so a call of
+A(K) evaluates mu^{-1} once and mu never; the other values that do not
+depend on the argument (in `distortion_bracket` and `g_range(1)`) are
+module constants too. The classical identity
 phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
 
 C(p) = sup h_p is h_p at the root of h_p', found by `_itp`, the closed forms' one
@@ -204,6 +208,8 @@ def lemma_G_c(c, r):
 _C_LOW = math.sqrt(2.0 / 3.0)
 _C_LOW_LO = -1.7276510382355637e-18  # sqrt(2/3) - _C_LOW
 _C_HIGH = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0))
+#: inf G_1 = arth(2 sqrt2/3), the lower end of g_range(1)
+_G1_LOWER = arth(2.0 * math.sqrt(2.0) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,7 @@ def g_range(c: float) -> GRange:
     """
     _check_c(c, "g_range")
     if c == 1.0:
-        return GRange(4, arth(2.0 * math.sqrt(2.0) / 3.0), math.inf)
+        return GRange(4, _G1_LOWER, math.inf)
     mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
         return GRange(1, arth(c), mid_value)
@@ -467,6 +473,8 @@ def grotzsch_mu(r):
 
 _HALF_PI = math.pi / 2.0
 _PI2_4 = math.pi**2 / 4.0
+#: mu(th 1/2), the one value of mu that A(K) needs
+_MU_TH_HALF = grotzsch_mu(math.tanh(0.5))
 
 
 def _check_K(K, what: str):
@@ -531,23 +539,37 @@ def distortion_A(K):
     """A(K) = 2 arth(phi_K(th 1/2)); A(1) = 1.
 
     2 arth phi is taken as 2 log((1 + phi)/phi') from the pair (phi, log phi'),
-    so it stays accurate where phi rounds to 1.
+    so it stays accurate where phi rounds to 1. mu(th 1/2) is the module
+    constant _MU_TH_HALF, so a call evaluates no mu, only mu^{-1}.
     """
     _check_K(K, "distortion_A")
-    phi, log_phip = _mu_inverse_pair(grotzsch_mu(math.tanh(0.5)) / K, ns := _ns(K))
+    return _distortion_A(K, _ns(K))
+
+
+def _distortion_A(K, ns=math):
+    """distortion_A for a K already checked, by the functions of ns."""
+    phi, log_phip = _mu_inverse_pair(_MU_TH_HALF / K, ns)
     return 2.0 * (ns.log1p(phi) - log_phip)
 
 
+#: the constants of distortion_bracket: arccosh e, u = arccosh(e) th(arccosh e),
+#: v = log(2 (1 + sqrt(1 - 1/e^2))) and log 2
+_ARCH_E = math.acosh(math.e)
+_BRACKET_U = _ARCH_E * math.tanh(_ARCH_E)
+_BRACKET_V = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / (math.e * math.e))))
+_LOG2 = math.log(2.0)
+
+
 def distortion_bracket(K):
-    """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain."""
-    arch_e, ns = math.acosh(math.e), _ns(K)
-    u = arch_e * math.tanh(arch_e)
-    v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / (math.e * math.e))))
+    """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain.
+    K is checked first, as a K far below 1 overflows e^{-2 K arccosh e}."""
+    _check_K(K, "distortion_bracket")
+    ns = _ns(K)
     return (
         K,
-        u * (K - 1.0) + 1.0,
+        _BRACKET_U * (K - 1.0) + 1.0,
         # log cosh x = x - log 2 + log1p(e^{-2x}), which cannot overflow
-        K * arch_e - math.log(2.0) + ns.log1p(ns.exp(-2.0 * K * arch_e)),
-        distortion_A(K),
-        v * (K - 1.0) + K,
+        K * _ARCH_E - _LOG2 + ns.log1p(ns.exp(-2.0 * K * _ARCH_E)),
+        _distortion_A(K, ns),
+        _BRACKET_V * (K - 1.0) + K,
     )

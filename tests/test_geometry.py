@@ -812,10 +812,8 @@ class TestSquaredModulus:
 
     @staticmethod
     def _hypot_window(z):
-        """The snap by the 64-ulp window on r = hypot(x, y) alone."""
-        r = np.hypot(z.real, z.imag)
-        on = abs(r - 1.0) <= 64 * EPS
-        return np.where(on, z / np.where(on, r, 1.0), z), on
+        """Where the 64-ulp window on r = hypot(x, y) alone snaps."""
+        return abs(np.hypot(z.real, z.imag) - 1.0) <= 64 * EPS
 
     def test_snap_is_the_hypot_window_bit_for_bit(self):
         # radii 1 +- k 2^-52, k = 0..160: across the window at k = 64, and
@@ -824,19 +822,32 @@ class TestSquaredModulus:
         radii = np.concatenate([1.0 - k * EPS, 1.0 + k * EPS])
         angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         z = radii[:, None] * np.cos(angles) + 1j * (radii[:, None] * np.sin(angles))
-        expected, expected_on = self._hypot_window(z)
-        for rows in (z.ravel(), *z):  # all at once, then one radius per call
+        # a scalar divides as CPython does, each part by r
+        scalar = [geometry._snap(v) for v in z.ravel().tolist()]
+        for v, (w, on) in zip(z.ravel().tolist(), scalar):
+            assert on == (abs(abs(v) - 1.0) <= 64 * EPS) and w == (v / abs(v) if on else v)
+        scalar_bits = np.array([w for w, _ in scalar]).view(np.uint64).reshape(z.shape + (2,))
+        # a row snaps to its scalar call's bits, all rows at once or one radius per call
+        for rows, bits in ((z.ravel(), scalar_bits.reshape(-1, 2)), *zip(z, scalar_bits)):
             snapped, on = geometry._snap(rows)
-            ref, ref_on = self._hypot_window(rows)
-            assert snapped.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
-            assert on.tolist() == ref_on.tolist()
-        # a scalar divides as CPython does, which may differ from numpy by an ulp
-        for v in z.ravel().tolist():
-            on = abs(abs(v) - 1.0) <= 64 * EPS
-            assert geometry._snap(v) == (v / abs(v) if on else v, on)
+            assert snapped.view(np.uint64).reshape(-1, 2).tolist() == bits.tolist()
+            assert on.tolist() == self._hypot_window(rows).tolist()
         # each side of the circle: on within 63 ulp, off from 66 ulp out
-        for side in expected_on.reshape(2, 161, 64):
+        for side in self._hypot_window(z).reshape(2, 161, 64):
             assert side[:64].all() and not side[66:].any()
+
+    def test_rows_near_the_circle_snap_to_their_scalar_bits(self):
+        # random points within ~100 ulp of the circle, where numpy's complex
+        # quotient (a multiply by 1/r) rounded a quarter of them otherwise
+        rng = np.random.default_rng(3)
+        n = 20_000
+        radii = 1.0 + rng.integers(-100, 101, n) * EPS
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        z = radii * np.cos(angles) + 1j * (radii * np.sin(angles))
+        rows, on = geometry._snap(z)
+        scalar = [geometry._snap(v) for v in z.tolist()]
+        assert on.tolist() == [o for _, o in scalar]
+        assert rows.view(np.uint64).tolist() == np.array([w for w, _ in scalar]).view(np.uint64).tolist()
 
     def test_one_minus_squared_modulus_near_the_circle(self):
         # _disk_factor(|z|^2, |z|^2) = 1 - |z|^2 within eps / (1 - |z|), against

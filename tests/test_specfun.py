@@ -246,8 +246,9 @@ class TestDistortion:
 
 
 class TestCallCounts:
-    """mu^{-1} is a closed form: A(K) evaluates mu once, at th 1/2, and mu_inverse
-    never. A bisection creeping back in would show up here as many calls."""
+    """mu^{-1} is a closed form: A(K) evaluates mu once per process, at th 1/2
+    on import, and no call of A(K) or mu_inverse evaluates it. A bisection
+    creeping back in would show up here as many calls."""
 
     @pytest.fixture
     def mu_calls(self, monkeypatch):
@@ -264,7 +265,11 @@ class TestCallCounts:
     @pytest.mark.parametrize("K", [2.0, 7.0, 12.0])
     def test_distortion_A_evaluates_mu_once(self, mu_calls, K):
         specfun.distortion_A(K)
-        assert len(mu_calls) == 1
+        specfun.distortion_A(np.array([K, K + 1.0]))
+        assert mu_calls == []
+
+    def test_mu_th_half_is_the_call_it_replaces(self):
+        assert specfun._MU_TH_HALF.hex() == grotzsch_mu(math.tanh(0.5)).hex()
 
     @pytest.mark.parametrize("y", [0.05, 1.0, 10.0])
     def test_mu_inverse_never_evaluates_mu(self, mu_calls, y):
