@@ -209,13 +209,14 @@ def _sweep_rows(args):
         if args.L is None:
             raise HyplamError(f"--target {args.target} requires --L")
         thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
+        # product_bound and sum_bounds check L, and the thetas lie in (0, pi/2)
         if args.target == "product":
             bound = lam.product_bound(args.L)
-            d1, d2 = lam.side_distances(args.L, thetas)
+            d1, d2 = lam._side_distances(args.L, thetas, np)
             value = d1 * d2
             return ["theta", "value", "bound", "margin"], _table(thetas, value, bound, value - bound)
         rep = lam.sum_bounds(args.L)
-        d1, d2 = lam.side_distances(args.L, thetas)
+        d1, d2 = lam._side_distances(args.L, thetas, np)
         value = d1 + d2
         header = ["theta", "value", "lower", "upper", "margin"]
         return header, _table(thetas, value, rep.lower, rep.upper, value - rep.lower)

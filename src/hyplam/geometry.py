@@ -10,33 +10,35 @@ stays independent of any closed-form distance it checks. It samples each
 geodesic as the image of a diameter under a disk automorphism built from
 the two ends (`_ends_form`), and runs its inner search in real arithmetic.
 
-Each function has one body over scalars and rows. An argument may be a
-complex number, a `Point` or a complex ndarray of finite points: `_points`
-tests each argument's exact type once and turns it into its coordinate and
-whether it lies on the circle, and builds no `Point` for a number. A number
-or a row is snapped onto the circle within 64 ulp (`_snap`, whose scalar
-tail is one abs and a comparison); a `Point`'s stored coordinate was
-snapped when it was made and is used as it is, never snapped again, since
-a second snap moves some points by an ulp. A coordinate or a row that is
-not finite raises DomainError: the point at infinity is `Point.infinity()`.
-`_where` selects row by row on a mask and by a conditional on a bool. So
-`rho_disk`, `rho_halfplane`, `absolute_ratio`, `chordal_distance`,
-`rho_via_crossratio`, `hyperbolic_midpoint` and `MoebiusMap.__call__` take
-complex ndarrays as well as scalars and return ndarrays, each row under the
-scalar rules.
+Each function has one body over scalars and rows, and picks its namespace
+once per call. `_pair` tests an argument's exact type once (a complex
+number, a `Point` or a complex ndarray of finite points) and turns it into
+its coordinate and whether it lies on the circle; `_points` reads each
+argument so, inlined, and returns with them one of two tables: `_ROWS` if an
+argument is an ndarray, else `_SCALAR`. Every kernel takes the table and calls its
+functions: math's and builtin abs on scalars, which stay Python floats,
+numpy's on rows, each row under the scalar rules. A Moebius image calls
+`_pair` on its one argument. A scalar `rho_disk` of two Points takes ~1.7 us
+and a Moebius image ~1.1 us (BENCH_validate_once.json). Callers that hold
+checked values (lambert's builders) call `_point` and the kernels.
+A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
+`Point`'s coordinate was snapped when it was made and is used as it is,
+since a second snap moves some points by an ulp. A coordinate or a row that
+is not finite raises DomainError: the point at infinity is `Point.infinity()`.
 `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
 midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
 scalar points. A `Point` is an immutable tuple (re, im, kind), made by
 `tuple.__new__` with no per-field setattr, and its kind is tested by
 identity against the module's constants.
 
-A modulus is taken by libm hypot (`_abs`, ~30 ns an element) only for a
-Euclidean distance |z - w| or a unit vector, in `_arc` and `_geodesic_ends`,
-whose scale-free diameter test must neither over- nor underflow. Everywhere
-else a modulus is only squared or compared with 1, and `_sq_abs` (a
-multiply-add) takes |z|^2: the snap window on rows, 1 - |z|^2 in the disk
-factor, the closed-disk tests of rows. The absolute ratio of four finite
-points takes Euclidean distances, whose chordal norms cancel.
+A modulus is taken by hypot (the table's `abs`, ~30 ns an element on rows)
+only for a Euclidean distance |z - w| or a unit vector, in `_arc` and
+`_geodesic_ends`, whose scale-free diameter test must neither over- nor
+underflow. Everywhere else a modulus is only squared or compared with 1,
+and `sq_abs` (a multiply-add) takes |z|^2: the snap window on rows,
+1 - |z|^2 in the disk factor, the closed-disk tests of rows. The absolute
+ratio of four finite points takes Euclidean distances, whose chordal norms
+cancel.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,50 +152,25 @@ def _point(z: complex) -> Point:
 # Kernels: complex scalars or complex ndarrays of finite points
 
 
-def _where(cond, a, b):
-    """np.where(cond, a, b) on a mask; a if cond else b on a bool. The caller
-    has computed both branches already, so each must be safe on every input."""
-    return np.where(cond, a, b) if isinstance(cond, _ndarray) else (a if cond else b)
+def _sq_abs_rows(z):
+    with np.errstate(over="ignore"):
+        return z.real * z.real + z.imag * z.imag
 
 
-def _any(cond):
-    """Whether a bool holds, or any row of a mask."""
-    return cond.any() if isinstance(cond, _ndarray) else cond
-
-
-def _sqrt(x):
-    """math.sqrt on a scalar, np.sqrt on an array: a scalar stays a Python float."""
-    return np.sqrt(x) if isinstance(x, _ndarray) else math.sqrt(x)
-
-
-def _asinh(x):
-    """math.asinh on a scalar, np.arcsinh on an array: a scalar stays a Python float."""
-    return np.arcsinh(x) if isinstance(x, _ndarray) else math.asinh(x)
-
-
-def _log(x):
-    """math.log on a scalar, np.log on an array: a scalar stays a Python float."""
-    return np.log(x) if isinstance(x, _ndarray) else math.log(x)
-
-
-def _abs(z):
-    """|z| by hypot, on an array too, as Python's abs computes it: numpy's
-    complex abs rounds differently, and rho amplifies that near the circle.
-    It costs ~15 times a multiply-add, so it is taken only for a Euclidean
-    distance |z - w| or a unit vector, in _arc and in _geodesic_ends; a
-    modulus that is only squared or compared with 1 is _sq_abs."""
-    return np.hypot(z.real, z.imag) if isinstance(z, _ndarray) else abs(z)
-
-
-def _sq_abs(z):
-    """|z|^2 as x*x + y*y: the same IEEE operations on a scalar and a row,
-    within 1.5 ulp of the true square. Past |z| ~ 1e154 it is inf, on a row
-    too with no warning, as on a scalar."""
-    x, y = z.real, z.imag
-    if isinstance(z, _ndarray):
-        with np.errstate(over="ignore"):
-            return x * x + y * y
-    return x * x + y * y
+#: the functions the kernels take, on complex numbers (each result a Python
+#: float) and on complex rows. abs is |z| by hypot, as Python's abs takes it
+#: (numpy's complex abs rounds otherwise, and rho amplifies that near the
+#: circle); sq_abs is x*x + y*y, within 1.5 ulp of |z|^2 and inf past
+#: |z| ~ 1e154 with no warning; the scalar where has both branches computed
+#: already, so each must be safe on every input
+_SCALAR = SimpleNamespace(
+    sqrt=math.sqrt, arcsinh=math.asinh, log=math.log, hypot=math.hypot, abs=abs, any=bool,
+    where=lambda cond, a, b: a if cond else b, sq_abs=lambda z: z.real * z.real + z.imag * z.imag,
+)
+_ROWS = SimpleNamespace(
+    sqrt=np.sqrt, arcsinh=np.arcsinh, log=np.log, hypot=np.hypot, abs=lambda z: np.hypot(z.real, z.imag), any=np.any,
+    where=np.where, sq_abs=_sq_abs_rows,
+)
 
 
 def _snap(z):
@@ -219,7 +197,7 @@ def _snap(z):
             on = abs(r - 1.0) <= _BOUNDARY_SNAP
             return (z / r if on else z), on
     elif np.isfinite(z).all():
-        near = abs(_sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
+        near = abs(_sq_abs_rows(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
         r = np.hypot(z.real, z.imag)
@@ -228,56 +206,58 @@ def _snap(z):
     raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 
+def _pair(v):
+    """(z, on) for one value, its exact type tested once: its coordinate,
+    snapped as by _snap, and whether it lies on the circle; a mask for an
+    ndarray, (None, False) at infinity, DomainError for a coordinate or a row
+    that is not finite. A Point's coordinate is used as it is: _snap is not
+    idempotent (a second snap moves some points near the circle by an ulp)."""
+    t = type(v)
+    if t is Point:
+        re, im, kind = v
+        return (None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY)
+    if t is complex or t is float or t is int or not isinstance(v, _ndarray):
+        return _snap(v if t is complex else complex(v))
+    return _snap(np.asarray(v, dtype=complex))
+
+
 def _points(*values) -> list:
-    """Each value as a pair (z, on): its coordinate, snapped as by _snap, and
-    whether it lies on the circle. A complex and a bool for a number or a
-    Point, a complex ndarray and a mask for an ndarray, and (None, False)
-    for the point at infinity; DomainError for a coordinate or a row that is
-    not finite. Each value's exact type is tested once. A Point's stored
-    coordinate is used as it is: it was snapped when the Point was made, and
-    _snap is not idempotent (a second snap moves some points within 64 ulp
-    of the circle by an ulp)."""
-    out = []
+    """[ns, (z, on), ...]: _ROWS if any value is an ndarray, else _SCALAR, then
+    each value's _pair, inlined: a call per value left alpha_from_quadruple
+    slower than before the tables (BENCH_validate_once.json)."""
+    out = [_SCALAR]
     for v in values:
         t = type(v)
         if t is Point:
             re, im, kind = v
             out.append((None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY))
-        elif t is complex:
-            out.append(_snap(v))
-        elif t is float or t is int or not isinstance(v, _ndarray):
-            out.append(_snap(complex(v)))
+        elif t is complex or t is float or t is int or not isinstance(v, _ndarray):
+            out.append(_snap(v if t is complex else complex(v)))
         else:
+            out[0] = _ROWS
             out.append(_snap(np.asarray(v, dtype=complex)))
     return out
 
 
 def _interior(what: str, *values) -> list:
-    """The values' snapped coordinates; DomainError unless each point, or
-    every row, lies strictly inside the unit disk. A point off the circle
-    lies more than 64 ulp from it, so |z|^2 > 1 tells |z| > 1."""
-    zs = []
-    for z, on in _points(*values):
-        if z is None or _any(on | (_sq_abs(z) > 1.0)):
-            raise DomainError(f"{what} needs interior points")
-        zs.append(z)
-    return zs
+    """[ns, z, ...]: the namespace and the values' snapped coordinates;
+    DomainError unless each point, or every row, lies strictly inside the
+    unit disk. A point off the circle lies more than 64 ulp from it, so
+    |z|^2 > 1 tells |z| > 1."""
+    ns, *pairs = _points(*values)
+    if any(z is None or ns.any(on | (ns.sq_abs(z) > 1.0)) for z, on in pairs):
+        raise DomainError(f"{what} needs interior points")
+    return [ns, *(z for z, _ in pairs)]
 
 
-def _snapped(z):
-    """z snapped as by _snap: complex rows for an ndarray, a Point for a scalar."""
-    return _snap(z)[0] if isinstance(z, _ndarray) else _point(z)
-
-
-def _chordal_norm(z):
+def _chordal_norm(z, ns):
     """hypot(1, |z|) = sqrt(1 + |z|^2), finite for every finite z: the
     chordal distance of z and w is |z - w| / n(z) / n(w), and that of z and
     infinity 1 / n(z)."""
-    r = _abs(z)
-    return np.hypot(1.0, r) if isinstance(r, _ndarray) else math.hypot(1.0, r)
+    return ns.hypot(1.0, ns.abs(z))
 
 
-def _chordal(z, w, nz, nw):
+def _chordal(z, w, nz, nw, ns):
     """Chordal distance of two points given with their _chordal_norm; None
     stands for the point at infinity. It divides by each norm in turn, so
     points near 1e200 neither overflow a product of norms nor the result."""
@@ -285,23 +265,23 @@ def _chordal(z, w, nz, nw):
         return 0.0 if w is None else 1.0 / nw
     if w is None:
         return 1.0 / nz
-    return _abs(z - w) / nz / nw
+    return ns.abs(z - w) / nz / nw
 
 
-def _disk_factor(sz, sw):
+def _disk_factor(sz, sw, ns):
     """sqrt((1 - |z|^2)(1 - |w|^2)) for interior points z and w, from their
-    squared moduli sz = _sq_abs(z) and sw. 1 - fl(|z|^2) is exact near the
-    circle, so its relative error is the absolute error of fl(|z|^2), at
-    most 1.5 ulp of 1, over 1 - |z|^2: about eps / (1 - |z|) at worst. Against 300-bit mpmath at |z| = 1 - 10^-k, k = 1..14, the
-    worst seen was 0.31 eps / (1 - |z|), and 0.28 for (1 - |z|)(1 + |z|)
-    with |z| by hypot."""
-    return _sqrt((1.0 - sz) * (1.0 - sw))
+    squared moduli sz = ns.sq_abs(z) and sw. 1 - fl(|z|^2) is exact near the
+    circle, so its relative error is that of fl(|z|^2), at most 1.5 ulp of 1,
+    over 1 - |z|^2: about eps / (1 - |z|) at worst. Against 300-bit mpmath at
+    |z| = 1 - 10^-k, k = 1..14, 0.31 eps / (1 - |z|) was seen (0.28 for
+    (1 - |z|)(1 + |z|) with |z| by hypot)."""
+    return ns.sqrt((1.0 - sz) * (1.0 - sw))
 
 
-def _rho(z, w, sz, sw):
+def _rho(z, w, sz, sw, ns):
     """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points,
     given with their squared moduli."""
-    return 2.0 * _asinh(_abs(z - w) / _disk_factor(sz, sw))
+    return 2.0 * ns.arcsinh(ns.abs(z - w) / _disk_factor(sz, sw, ns))
 
 
 def _moebius(a, b, c, d, z):
@@ -316,26 +296,27 @@ def _unit(z, r):
     return z.real / r + 1j * (z.imag / r)
 
 
-def _arc(z1, z2):
+def _arc(z1, z2, ns=_ROWS):
     """Center, radius and the two circle ends of the geodesic arc through two
     points not collinear with 0: the circle through them orthogonal to the
     unit circle, in real arithmetic, so a row gives what a scalar call does.
     The ends (1 +- i r)/conj(c) are the directions of (1 +- i r) c; they
     inherit the center's cancellation, which puts them off the circle (2e-13
-    for ends 1e-4 apart), so each is taken as its unit vector."""
+    for ends 1e-4 apart), so each is taken as its unit vector. verify's
+    oracle calls it on rows."""
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-    r1, r2 = _abs(z1), _abs(z2)
+    r1, r2 = ns.abs(z1), ns.abs(z2)
     s1, s2 = 1.0 + r1 * r1, 1.0 + r2 * r2
     cross = x1 * y2 - y1 * x2
     cx, cy = (s1 * y2 - s2 * y1) / (2.0 * cross), (s2 * x1 - s1 * x2) / (2.0 * cross)
     # the ratios first: a product of |z2| and cross underflows for points near 0
-    radius = (_abs(z1 - z2) / abs(cross)) * (_abs(z1 * (r2 * r2) - z2) / (2.0 * r2))
+    radius = (ns.abs(z1 - z2) / abs(cross)) * (ns.abs(z1 * (r2 * r2) - z2) / (2.0 * r2))
     e1 = (cx - radius * cy) + 1j * (cy + radius * cx)
     e2 = (cx + radius * cy) + 1j * (cy - radius * cx)
-    return cx + 1j * cy, radius, _unit(e1, _abs(e1)), _unit(e2, _abs(e2))
+    return cx + 1j * cy, radius, _unit(e1, ns.abs(e1)), _unit(e2, ns.abs(e2))
 
 
-def _geodesic_ends(z1, z2):
+def _geodesic_ends(z1, z2, ns):
     """The two ends on the unit circle of the geodesic through distinct
     points z1 and z2 of the closed disk: complex numbers, or complex rows.
     One body in real arithmetic, so each row's ends are its scalar call's,
@@ -349,18 +330,18 @@ def _geodesic_ends(z1, z2):
     are +-u, u the farther point's unit vector with its angle in [0, pi); an
     arc's are _arc's, which a diameter's row reaches as a stand-in pair, so
     that its zero cross is not divided by."""
-    r1, r2 = _abs(z1), _abs(z2)
+    r1, r2 = ns.abs(z1), ns.abs(z2)
     first = r1 >= r2
-    far, r = _where(first, z1, z2), _where(first, r1, r2)
+    far, r = ns.where(first, z1, z2), ns.where(first, r1, r2)
     cross = z1.real * z2.imag - z1.imag * z2.real
-    diameter = abs(cross) <= _COLLINEAR_TOL * r * _abs(z1 - z2)
+    diameter = abs(cross) <= _COLLINEAR_TOL * r * ns.abs(z1 - z2)
     # far / -r where far's angle is in [-pi, 0)
-    u = _unit(far, _where((far.imag < 0.0) | ((far.imag == 0.0) & (far.real < 0.0)), -r, r))
-    _, _, e1, e2 = _arc(_where(diameter, 0.5, z1), _where(diameter, 0.5j, z2))
-    return _where(diameter, u, e1), _where(diameter, -u, e2)
+    u = _unit(far, ns.where((far.imag < 0.0) | ((far.imag == 0.0) & (far.real < 0.0)), -r, r))
+    _, _, e1, e2 = _arc(ns.where(diameter, 0.5, z1), ns.where(diameter, 0.5j, z2), ns)
+    return ns.where(diameter, u, e1), ns.where(diameter, -u, e2)
 
 
-def _midpoint(z, w):
+def _midpoint(z, w, ns):
     """The (unsnapped) hyperbolic midpoint of interior points.
 
     The automorphism z -> 0 sends w to u = (w - z) / (1 - conj(z) w); the
@@ -371,11 +352,11 @@ def _midpoint(z, w):
     """
     den = 1.0 - z.conjugate() * w
     u = (w - z) / den
-    u_prime = _disk_factor(_sq_abs(z), _sq_abs(w)) / _sqrt(_sq_abs(den))
+    u_prime = _disk_factor(ns.sq_abs(z), ns.sq_abs(w), ns) / ns.sqrt(ns.sq_abs(den))
     return _moebius(1.0, z, z.conjugate(), 1.0, u / (1.0 + u_prime))
 
 
-def _ratio(a, b, c, d):
+def _ratio(a, b, c, d, ns):
     """The absolute ratio (|a - c| / |a - b|) (|b - d| / |c - d|) of four
     snapped coordinates (None at infinity), the ratios first: a product of
     two distances under- or overflows for points near 1e-170 or 1e170.
@@ -386,12 +367,12 @@ def _ratio(a, b, c, d):
     points."""
     if a is None or b is None or c is None or d is None:
         zs = (a, b, c, d)
-        norms = [None if z is None else _chordal_norm(z) for z in zs]
-        ab, ac, ad, bc, bd, cd = (_chordal(zs[i], zs[j], norms[i], norms[j]) for i, j in _PAIRS)
+        norms = [None if z is None else _chordal_norm(z, ns) for z in zs]
+        ab, ac, ad, bc, bd, cd = (_chordal(zs[i], zs[j], norms[i], norms[j], ns) for i, j in _PAIRS)
         equal = 0.0 in (ab, ac, ad, bc, bd, cd)
     else:
-        equal = _any((a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d))
-        ab, ac, bd, cd = _abs(a - b), _abs(a - c), _abs(b - d), _abs(c - d)
+        equal = ns.any((a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d))
+        ab, ac, bd, cd = ns.abs(a - b), ns.abs(a - c), ns.abs(b - d), ns.abs(c - d)
     if equal:
         raise DegenerateInputError("absolute ratio needs four distinct points")
     return (ac / ab) * (bd / cd)
@@ -404,8 +385,8 @@ def _ratio(a, b, c, d):
 def chordal_distance(x, y):
     """Metric of the Riemann sphere pulled back to the plane. On ndarrays of
     finite points, row by row."""
-    (z, _), (w, _) = _points(x, y)
-    return _chordal(z, w, *(None if v is None else _chordal_norm(v) for v in (z, w)))
+    ns, (z, _), (w, _) = _points(x, y)
+    return _chordal(z, w, *(None if v is None else _chordal_norm(v, ns) for v in (z, w)), ns)
 
 
 def absolute_ratio(a, b, c, d):
@@ -414,23 +395,25 @@ def absolute_ratio(a, b, c, d):
     own; between finite points the chordal norms cancel, and it takes
     Euclidean distances. On complex ndarrays of finite points, row by row.
     """
-    return _ratio(*(z for z, _ in _points(a, b, c, d)))
+    ns, (za, _), (zb, _), (zc, _), (zd, _) = _points(a, b, c, d)
+    return _ratio(za, zb, zc, zd, ns)
 
 
 def rho_disk(x, y):
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
     circle (0 between equal points there). On ndarrays, row by row."""
-    (z, z_on), (w, w_on) = _points(x, y)
+    ns, (z, z_on), (w, w_on) = _points(x, y)
     if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
     on = z_on | w_on
-    # a circle point reaches _rho as 0, not at its zero disk factor: that
-    # result is not selected
-    z_in, w_in = _where(on, 0.0, z), _where(on, 0.0, w)
-    sz, sw = _sq_abs(z_in), _sq_abs(w_in)
-    if _any((sz > 1.0) | (sw > 1.0)):
+    circle = ns.any(on)
+    # a circle point reaches _rho as 0, not at its zero disk factor: that result is not selected
+    z_in, w_in = (ns.where(on, 0.0, z), ns.where(on, 0.0, w)) if circle else (z, w)
+    sz, sw = ns.sq_abs(z_in), ns.sq_abs(w_in)
+    if ns.any((sz > 1.0) | (sw > 1.0)):
         raise DomainError("rho_disk needs points in the closed unit disk")
-    return _where(on, _where(z_on & w_on & (z == w), 0.0, math.inf), _rho(z_in, w_in, sz, sw))
+    rho = _rho(z_in, w_in, sz, sw, ns)
+    return ns.where(on, ns.where(z_on & w_on & (z == w), 0.0, math.inf), rho) if circle else rho
 
 
 def rho_halfplane(x, y):
@@ -438,10 +421,10 @@ def rho_halfplane(x, y):
     |x - y| / (2 sqrt(Im x Im y)), which neither cancels between near
     points, as 1 + |x - y|^2 / (2 Im x Im y) in arcosh does, nor underflows
     for tiny imaginary parts. On ndarrays, row by row."""
-    (z, _), (w, _) = _points(x, y)
-    if z is None or w is None or _any((z.imag <= 0.0) | (w.imag <= 0.0)):
+    ns, (z, _), (w, _) = _points(x, y)
+    if z is None or w is None or ns.any((z.imag <= 0.0) | (w.imag <= 0.0)):
         raise DomainError("rho_halfplane needs points with positive imaginary part")
-    return 2.0 * _asinh(_abs(z - w) / (2.0 * _sqrt(z.imag) * _sqrt(w.imag)))
+    return 2.0 * ns.arcsinh(ns.abs(z - w) / (2.0 * ns.sqrt(z.imag) * ns.sqrt(w.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +447,13 @@ def geodesic_through(x, y) -> Geodesic:
     two such inputs, the nearer to the first input by it and the other by
     the second, so both are ends even where the computed ends are too rough
     to tell which is which."""
-    (z1, on1), (z2, on2) = _points(x, y)
+    ns, (z1, on1), (z2, on2) = _points(x, y)
     # a snapped circle point may lie an ulp outside, as in rho_disk
     if z1 is None or z2 is None or (abs(z1) > 1.0 and not on1) or (abs(z2) > 1.0 and not on2):
         raise DomainError("geodesics live in the closed unit disk")
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")
-    e1, e2 = _geodesic_ends(z1, z2)
+    e1, e2 = _geodesic_ends(z1, z2, ns)
     if on1 or on2:
         z, w = (z1, z2) if on1 else (z2, z1)
         first = abs(e1 - z) <= abs(e2 - z)
@@ -659,13 +642,13 @@ def geodesic_distance(g1, g2):
 def rho_via_crossratio(x, y):
     """Distance as log of the absolute ratio with the geodesic endpoints. On
     ndarrays, row by row."""
-    z, w = _interior("rho_via_crossratio", x, y)
-    if _any(z == w):
+    ns, z, w = _interior("rho_via_crossratio", x, y)
+    if ns.any(z == w):
         raise DegenerateInputError("coincident points define no geodesic")
-    e1, e2 = _geodesic_ends(z, w)
+    e1, e2 = _geodesic_ends(z, w, ns)
     # label so that e_x, x, y, e_y occur in order along the geodesic
-    swap = _sq_abs(e1 - z) > _sq_abs(e1 - w)
-    return _log(_ratio(_where(swap, e2, e1), z, w, _where(swap, e1, e2)))
+    swap = ns.sq_abs(e1 - z) > ns.sq_abs(e1 - w)
+    return ns.log(_ratio(ns.where(swap, e2, e1), z, w, ns.where(swap, e1, e2), ns))
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +679,9 @@ class MoebiusMap:
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
-        z, _ = _points(z)[0]
+        z, _ = _pair(z)
         a, b, c, d = self._unit
-        if isinstance(z, _ndarray):
+        if type(z) is _ndarray:
             if not (c * z + d == 0).any():
                 with np.errstate(over="ignore", invalid="ignore"):
                     w = _moebius(a, b, c, d, z)
@@ -720,9 +703,13 @@ class MoebiusMap:
 
     @staticmethod
     def disk_automorphism(a: complex, phase: float = 0.0) -> "MoebiusMap":
-        """z -> e^{i phase} (z - a)/(1 - conj(a) z) for |a| < 1."""
-        if abs(a) >= 1.0:
-            raise DomainError("disk automorphism needs |a| < 1")
+        """z -> e^{i phase} (z - a)/(1 - conj(a) z) for |a| < 1 and a finite
+        phase; DomainError naming the center or the phase otherwise, a center
+        that is not finite included."""
+        if not abs(a) < 1.0:
+            raise DomainError(f"disk automorphism needs a center a with |a| < 1, got a = {a}")
+        if not math.isfinite(phase):
+            raise DomainError(f"disk automorphism needs a finite phase, got phase = {phase}")
         e = cmath.exp(1j * phase)
         return MoebiusMap(e, -e * a, -a.conjugate(), 1.0)
 
@@ -734,4 +721,6 @@ class MoebiusMap:
 def hyperbolic_midpoint(x, y):
     """Point p on the segment from x to y with rho(x,p) = rho(p,y). On
     ndarrays, the complex midpoint of each row."""
-    return _snapped(_midpoint(*_interior("hyperbolic midpoint", x, y)))
+    ns, z, w = _interior("hyperbolic midpoint", x, y)
+    m = _midpoint(z, w, ns)
+    return _snap(m)[0] if ns is _ROWS else _point(m)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentQuadrilateralError
-from .geometry import Point, _points, _ratio
-from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _ndarray, _ns, _require, arth, g_range, rprime
+from .geometry import Point, _point, _points, _ratio
+from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ndarray, _ns, _record, _require
 
 SQRT2 = math.sqrt(2.0)
 
@@ -77,8 +77,15 @@ def _check_theta(theta: float):
 def side_distances(L, theta):
     """(arth(L cos theta), arth(L sin theta)) for L in (0, 1] and theta in
     [0, pi/2], each through specfun._arth_cx with the other as complement;
-    a pair of ndarrays, row by row, if L or theta is one."""
-    ns = _ns(L, theta)
+    a pair of ndarrays, row by row, if L or theta is one. DomainError naming
+    L or theta outside its interval, on rows the first bad row's value."""
+    _require((0.0 < L) & (L <= 1.0), L, "side_distances", "L in (0, 1]")
+    _require((0.0 <= theta) & (theta <= math.pi / 2.0), theta, "side_distances", "theta in [0, pi/2]")
+    return _side_distances(L, theta, _ns(L, theta))
+
+
+def _side_distances(L, theta, ns=math):
+    """side_distances for L and theta already checked, by the functions of ns."""
     c, s = ns.cos(theta), ns.sin(theta)
     return _arth_cx(L, c, s, ns), _arth_cx(L, s, c, ns)
 
@@ -91,13 +98,13 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     """
     _check_L(L)
     _check_theta(theta)
-    t = L / (1.0 + rprime(L))
-    d1, d2 = side_distances(L, theta)
+    t = L / (1.0 + math.sqrt((1.0 - L) * (1.0 + L)))
+    d1, d2 = _side_distances(L, theta)
     phi = beardon_phi(d1, d2)
-    v_b = Point.of(math.tanh(d1 / 2.0))
-    v_c = Point.of(t * complex(math.cos(theta), math.sin(theta)))
-    v_d = Point.of(1j * math.tanh(d2 / 2.0))
-    return LambertQuad(L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
+    v_b = _point(complex(math.tanh(d1 / 2.0)))
+    v_c = _point(t * complex(math.cos(theta), math.sin(theta)))
+    v_d = _point(1j * math.tanh(d2 / 2.0))
+    return _record(LambertQuad, L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
 
 
 def _log_sh(d, ns=math):
@@ -130,12 +137,18 @@ def beardon_phi(d1, d2):
 def product_root(L: float) -> float:
     """arth(L sqrt2/2), the square root of the product bound."""
     _check_L(L)
-    return arth(SQRT2 / 2.0 * L)
+    return _product_root(L)
+
+
+def _product_root(L: float) -> float:
+    """product_root for an L already checked: L sqrt2/2 < 1, so arth is math.atanh."""
+    return math.atanh(SQRT2 / 2.0 * L)
 
 
 def product_bound(L: float) -> float:
     """Sharp bound (arth(L sqrt2/2))^2 for d1*d2; equality at theta = pi/4."""
-    return product_root(L) ** 2
+    _check_L(L)
+    return _product_root(L) ** 2
 
 
 def product_report(L: float, theta: float | None = None) -> BoundReport:
@@ -147,21 +160,22 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
     [2^-500, 2^-499): d1 and d2 are linear in L to the last bit and the bound
     quadratic, so the verdict is the one at L, with no bit lost.
     """
-    bound = product_bound(L)
+    bound = product_bound(L)  # checks L
     observed = None
     satisfied = True
     if theta is not None:
         _check_theta(theta)
-        d1, d2 = side_distances(L, theta)
+        d1, d2 = _side_distances(L, theta)
         observed = d1 * d2
         if L < _L_BOUND_SUBNORMAL:
             L_check = math.ldexp(math.frexp(L)[0], -499)
-            d1, d2 = side_distances(L_check, theta)
+            d1, d2 = _side_distances(L_check, theta)
             bound_check = product_bound(L_check)
         else:
             bound_check = bound
         satisfied = d1 * d2 <= bound_check + 1e-12 * bound_check
-    return BoundReport(
+    return _record(
+        BoundReport,
         quantity="product",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
         case_label="product",
@@ -184,16 +198,17 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     a slack of 1e-12 relative to each end.
     """
     _check_L(L)
-    rng = g_range(L)
+    rng = _g_range(L)
     witness = math.pi / 4.0 if rng.r0 is None else math.acos(rng.r0)
     observed = None
     satisfied = True
     if theta is not None:
         _check_theta(theta)
-        d1, d2 = side_distances(L, theta)
+        d1, d2 = _side_distances(L, theta)
         observed = d1 + d2
         satisfied = rng.lower - 1e-12 * rng.lower <= observed <= rng.upper + 1e-12 * rng.upper
-    return BoundReport(
+    return _record(
+        BoundReport,
         quantity="sum",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
         case_label=f"case {rng.case}",
@@ -210,7 +225,7 @@ def ideal_quad(alpha):
     ideal quadrilateral with vertex half-angle alpha; row by row for an
     ndarray alpha, where any row outside (0, pi/2) raises DomainError."""
     _require((0.0 < alpha) & (alpha < math.pi / 2.0), alpha, "ideal_quad", "alpha in (0, pi/2)")
-    d1, d2 = side_distances(1.0, alpha)
+    d1, d2 = _side_distances(1.0, alpha, _ns(alpha))
     return 2.0 * d1, 2.0 * d2
 
 
@@ -219,10 +234,10 @@ def alpha_from_quadruple(a, b, c, d) -> float:
     its boundary vertices in positive order; DomainError for a vertex off
     the unit circle. The vertices are read and snapped once, for the test
     and for the ratio."""
-    (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _points(a, b, c, d)
+    ns, (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _points(a, b, c, d)
     if not (on_a and on_b and on_c and on_d):
         raise DomainError("an ideal quadrilateral needs its four vertices on the unit circle")
-    ratio = _ratio(za, zb, zc, zd)
+    ratio = _ratio(za, zb, zc, zd, ns)
     if ratio < 1.0:
         raise DomainError(
             f"absolute ratio {ratio} < 1: points are not in the assumed positive order"

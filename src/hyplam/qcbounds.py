@@ -24,8 +24,8 @@ from enum import Enum
 from functools import partial
 
 from .errors import DomainError, NoRootError
-from .lambert import IDEAL_PRODUCT_BOUND, _check_L, product_root
-from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _require, lemma_f_c, rprime
+from .lambert import IDEAL_PRODUCT_BOUND, _check_L, _product_root
+from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _record, _require, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -178,7 +178,10 @@ def _root_s(K: float, L: float, s_hi: float, tol: float = _S_TOL) -> float:
 
 
 def solve_r_LK(K: float, L: float) -> float:
-    """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L."""
+    """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L;
+    DomainError naming K or L outside its domain."""
+    _check_K(K, "solve_r_LK")
+    _check_L(L)
     ml = M_L_of(L)
     if K <= ml:
         raise NoRootError(f"K = {K} <= M_L = {ml}: use the r_L branch instead")
@@ -186,7 +189,11 @@ def solve_r_LK(K: float, L: float) -> float:
 
 
 def T_of(x: float, L: float, K: float) -> float:
-    """T(x, L) = arth(L x) (arth(L sqrt(1-x^2)))^(1/K)."""
+    """T(x, L) = arth(L x) (arth(L sqrt(1-x^2)))^(1/K); DomainError naming x,
+    L or K outside its domain."""
+    _require((0.0 <= x) & (x <= 1.0), x, "T_of", "x in [0, 1]")
+    _check_L(L)
+    _check_K(K, "T_of")
     return _T(x, rprime(x), L, K)
 
 
@@ -208,21 +215,17 @@ def _times_A2(K: float, value: float) -> float:
 
 def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     """Bound on D1*D2 for the image of a Lambert quadrilateral; DomainError
-    where the bound is not a finite double."""
+    where the bound is not a finite double. inp's K and L were checked when
+    it was made, and are not checked again."""
     K, L = inp.K, inp.L
-    small_branch = product_root(L) ** (2.0 / K)
+    small_branch = _product_root(L) ** (2.0 / K)
     if L <= TH1:
-        return QcBoundResult(
-            r_L=math.nan,
-            M_L=math.nan,
-            regime=QcRegime.SMALL_L,
-            r_LK=None,
-            bound=_times_A2(K, small_branch),
-        )
-    rl = r_L_of(L)
-    rlp = rprime(rl)
-    # M_L_of(L) by lemma_f_c's arithmetic, without the checks that r_L_of's make redundant
-    ml = _f_c_pair(L, rlp, rprime(rlp)) / _f_c_pair(L, rl, rlp)
+        bound = _times_A2(K, small_branch)
+        return _record(QcBoundResult, r_L=math.nan, M_L=math.nan, regime=QcRegime.SMALL_L, r_LK=None, bound=bound)
+    # r_L_of(L), its complement and M_L_of(L), for TH1 < L <= 1, where r_L is in [TH1, 1)
+    rl = TH1 / L
+    rlp = math.sqrt((1.0 - rl) * (1.0 + rl))
+    ml = _f_c_pair(L, rlp, math.sqrt((1.0 - rlp) * (1.0 + rlp))) / _f_c_pair(L, rl, rlp)
     if K <= ml:
         regime = QcRegime.LARGE_L_K_LE_M
         r_lk = None
@@ -233,7 +236,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
         regime = QcRegime.LARGE_L_K_GT_M
         t_val = _T_s(s, L, K)
     bound = _times_A2(K, max(t_val, small_branch))
-    return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
+    return _record(QcBoundResult, r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
 
 
 def qc_ideal_bound(K: float) -> float:

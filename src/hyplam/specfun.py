@@ -67,6 +67,18 @@ def _first_bad(ok, value):
     return None if ok else value
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, given in
+    the order the class declares them, made in one step: object.__new__ and
+    one update of its __dict__, where the generated __init__ sets each field
+    by its own object.__setattr__. For a builder's result record, which runs
+    no __post_init__; it compares, hashes, prints and is replaced as one
+    made by the class."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _require(ok, value, what: str, needs: str):
     """DomainError "<what> needs <needs>, got <value>" unless ok holds (see _first_bad)."""
     if ok is not True and (bad := _first_bad(ok, value)) is not None:
@@ -227,20 +239,28 @@ def g_range(c: float) -> GRange:
     the half-open case intervals.
     """
     _check_c(c, "g_range")
+    return _g_range(c)
+
+
+def _g_range(c: float) -> GRange:
+    """g_range for a c already checked. arth is math.atanh here: c < 1, and
+    2 sqrt2 c/(2 + c^2) <= 2 sqrt2/3 < 1."""
     if c == 1.0:
-        return GRange(4, _G1_LOWER, math.inf)
-    mid_value = arth(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
+        return _record(GRange, case=4, lower=_G1_LOWER, upper=math.inf, r0=None)
+    mid_value = math.atanh(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
-        return GRange(1, arth(c), mid_value)
+        return _record(GRange, case=1, lower=math.atanh(c), upper=mid_value, r0=None)
     # 3c^2 - 2 = 3 (c - sqrt(2/3)) (c + sqrt(2/3)), where c - _C_LOW is exact
     m = math.sqrt((2.0 - c * c) * 3.0 * ((c - _C_LOW) - _C_LOW_LO) * (c + _C_LOW))
     # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
     # so that it does not cancel as c -> 1
     r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
-    top = lemma_G_c(c, r0)
+    # lemma_G_c(c, r0), r0 in (0, 1)
+    r0p = math.sqrt((1.0 - r0) * (1.0 + r0))
+    top = _arth_cx(c, r0, r0p) + _arth_cx(c, r0p, r0)
     if c < _C_HIGH:
-        return GRange(2, arth(c), top, r0=r0)
-    return GRange(3, mid_value, top, r0=r0)
+        return _record(GRange, case=2, lower=math.atanh(c), upper=top, r0=r0)
+    return _record(GRange, case=3, lower=mid_value, upper=top, r0=r0)
 
 
 def aux_h1(r):
@@ -444,7 +464,8 @@ def classify_convexity(p: float, q: float) -> ConvexityClass:
 
 
 def agm(a, b):
-    """Arithmetic-geometric mean of a, b > 0; 64-step cap.
+    """Arithmetic-geometric mean of a, b > 0, and DomainError naming a or b
+    otherwise (on rows, the first bad row's value); 64-step cap.
 
     It stops once |a - b| <= 2^-52 a, which an ulp of a always passes: a pair
     that settles an ulp apart would otherwise cycle to the cap. On ndarrays a
@@ -452,6 +473,13 @@ def agm(a, b):
     it equals its scalar call bit for bit (sqrt, like + and *, is correctly
     rounded in numpy as in math).
     """
+    _require(0.0 < a, a, "agm", "a > 0")
+    _require(0.0 < b, b, "agm", "b > 0")
+    return _agm(a, b)
+
+
+def _agm(a, b):
+    """agm for a and b already checked, or known positive."""
     rows = isinstance(a, _ndarray) or isinstance(b, _ndarray)
     sqrt = np.sqrt if rows else math.sqrt
     for _ in range(64):
@@ -468,7 +496,7 @@ def agm(a, b):
 def grotzsch_mu(r):
     """Conformal modulus of the plane Groetzsch ring; decreasing on (0,1)."""
     _check_open01(r, "grotzsch_mu")
-    return _HALF_PI * agm(1.0, rprime(r)) / agm(1.0, r)
+    return _HALF_PI * _agm(1.0, rprime(r)) / _agm(1.0, r)
 
 
 _HALF_PI = math.pi / 2.0
@@ -478,7 +506,8 @@ _MU_TH_HALF = grotzsch_mu(math.tanh(0.5))
 
 
 def _check_K(K, what: str):
-    if (bad := _first_bad((1.0 <= K) & (K < math.inf), K)) is not None:
+    ok = (1.0 <= K) & (K < math.inf)
+    if ok is not True and (bad := _first_bad(ok, K)) is not None:
         raise DomainError(f"{what} needs a finite K >= 1, got K = {bad}")
 
 

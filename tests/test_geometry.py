@@ -492,8 +492,8 @@ class TestGeodesics:
         z2 = 0.95 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
         z2[::3] = z1[::3] * rng.uniform(-1.0, 1.0, 200)
         z1[1::6] = 0.0
-        e1, e2 = geometry._geodesic_ends(z1, z2)
-        scalar = np.array([geometry._geodesic_ends(a, b) for a, b in zip(z1.tolist(), z2.tolist())])
+        e1, e2 = geometry._geodesic_ends(z1, z2, geometry._ROWS)
+        scalar = np.array([geometry._geodesic_ends(a, b, geometry._SCALAR) for a, b in zip(z1.tolist(), z2.tolist())])
         assert np.array_equal(np.column_stack([e1, e2]).view(np.uint64), scalar.view(np.uint64))
         diameters = e2 == -e1
         assert diameters[::3].mean() > 0.9 and diameters[1::6].all() and not diameters[2::3].any()
@@ -860,9 +860,11 @@ class TestSquaredModulus:
                 r = 1.0 - 10.0**-k
                 angles = rng.uniform(0.0, 2.0 * math.pi, 500)
                 z = r * np.cos(angles) + 1j * (r * np.sin(angles))
-                sq = geometry._sq_abs(z)
-                rows = geometry._disk_factor(sq, sq)
-                assert rows.tolist() == [geometry._disk_factor(*[geometry._sq_abs(complex(v))] * 2) for v in z]
+                rows_ns, scalar_ns = geometry._ROWS, geometry._SCALAR
+                sq = rows_ns.sq_abs(z)
+                rows = geometry._disk_factor(sq, sq, rows_ns)
+                scalars = [geometry._disk_factor(*[scalar_ns.sq_abs(complex(v))] * 2, scalar_ns) for v in z]
+                assert rows.tolist() == scalars
                 for v, f in zip(z.tolist(), rows.tolist()):
                     sq = mp.mpf(v.real) ** 2 + mp.mpf(v.imag) ** 2
                     worst.append(float(abs(f - (1 - sq)) / (1 - sq) * (1 - mp.sqrt(sq)) / EPS))

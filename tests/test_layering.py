@@ -63,7 +63,7 @@ def test_one_itp():
     assert qcbounds._itp is specfun._itp
 
 
-@pytest.mark.parametrize("name", ["_arth_cx", "agm"])
+@pytest.mark.parametrize("name", ["_arth_cx", "agm", "_agm"])
 def test_one_kernel(name):
     # scalars and ndarrays share one arth(c x) and one AGM
     assert _defined_in(name) == ["specfun"]

@@ -541,20 +541,20 @@ def test_cli_report_loads_no_registry():
 
 
 def test_thorough_profile_takes_few_hypot_moduli(monkeypatch):
-    # hypot (geometry._abs) is taken for Euclidean distances and _arc; every
-    # modulus that is only squared or compared with 1 is x*x + y*y. The
-    # thorough profile took 9.74 M elements of _abs when every modulus was
-    # taken by hypot, and 3.64 M since.
+    # hypot (the rows namespace's abs, geometry._ROWS.abs) is taken for
+    # Euclidean distances and _arc; every modulus that is only squared or
+    # compared with 1 is x*x + y*y. The thorough profile took 9.74 M elements
+    # of hypot when every modulus was taken by it, and 3.64 M since.
     from hyplam import geometry
 
     monkeypatch.delenv("HYPLAM_SEED", raising=False)
     elements = []
-    hypot_abs = geometry._abs
+    hypot_abs = geometry._ROWS.abs
 
     def counted(z):
         elements.append(np.size(z))
         return hypot_abs(z)
 
-    monkeypatch.setattr(geometry, "_abs", counted)
+    monkeypatch.setattr(geometry._ROWS, "abs", counted)
     assert all(c.passed for c in run_all("thorough"))
     assert sum(elements) <= 4_000_000
