@@ -11,15 +11,14 @@ geodesic as the image of a diameter under a disk automorphism built from
 the two ends (`_ends_form`), and runs its inner search in real arithmetic.
 
 Each function has one body over scalars and rows, and picks its namespace
-once per call. `_pair` tests an argument's exact type once (a complex
-number, a `Point` or a complex ndarray of finite points) and turns it into
-its coordinate and whether it lies on the circle; `_points` reads each
-argument so, inlined, and returns with them one of two tables: `_ROWS` if an
-argument is an ndarray, else `_SCALAR`. Every kernel takes the table and calls its
-functions: math's and builtin abs on scalars, which stay Python floats,
-numpy's on rows, each row under the scalar rules. A Moebius image calls
-`_pair` on its one argument. A scalar `rho_disk` of two Points takes ~1.7 us
-and a Moebius image ~1.1 us (BENCH_validate_once.json). Callers that hold
+once per call. `_points` tests each argument's exact type once (a complex
+number, a `Point` or a complex ndarray of finite points), turns it into its
+coordinate and whether it lies on the circle, and returns with them one of
+two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
+`_SCALAR`. Every kernel takes the table and calls its functions: math's and
+builtin abs on scalars, which stay Python floats, numpy's on rows, each row
+under the scalar rules. A scalar `rho_disk` of two Points takes ~1.8 us and a
+Moebius image ~1.4 us (BENCH_validate_once.json). Callers that hold
 checked values (lambert's builders) call `_point` and the kernels.
 A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
 `Point`'s coordinate was snapped when it was made and is used as it is,
@@ -206,25 +205,13 @@ def _snap(z):
     raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 
-def _pair(v):
-    """(z, on) for one value, its exact type tested once: its coordinate,
-    snapped as by _snap, and whether it lies on the circle; a mask for an
-    ndarray, (None, False) at infinity, DomainError for a coordinate or a row
-    that is not finite. A Point's coordinate is used as it is: _snap is not
-    idempotent (a second snap moves some points near the circle by an ulp)."""
-    t = type(v)
-    if t is Point:
-        re, im, kind = v
-        return (None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY)
-    if t is complex or t is float or t is int or not isinstance(v, _ndarray):
-        return _snap(v if t is complex else complex(v))
-    return _snap(np.asarray(v, dtype=complex))
-
-
 def _points(*values) -> list:
     """[ns, (z, on), ...]: _ROWS if any value is an ndarray, else _SCALAR, then
-    each value's _pair, inlined: a call per value left alpha_from_quadruple
-    slower than before the tables (BENCH_validate_once.json)."""
+    each value as a pair: its coordinate, snapped as by _snap, and whether it
+    lies on the circle; a mask for an ndarray, (None, False) at infinity,
+    DomainError for a coordinate or a row that is not finite. A Point's
+    coordinate is used as it is: _snap is not idempotent (a second snap moves
+    some points near the circle by an ulp)."""
     out = [_SCALAR]
     for v in values:
         t = type(v)
@@ -679,7 +666,7 @@ class MoebiusMap:
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
-        z, _ = _pair(z)
+        _, (z, _) = _points(z)
         a, b, c, d = self._unit
         if type(z) is _ndarray:
             if not (c * z + d == 0).any():

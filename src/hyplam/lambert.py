@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentQuadrilateralError
 from .geometry import Point, _point, _points, _ratio
-from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ndarray, _ns, _record, _require
+from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ndarray, _ns, _require, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,13 +98,13 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     """
     _check_L(L)
     _check_theta(theta)
-    t = L / (1.0 + math.sqrt((1.0 - L) * (1.0 + L)))
+    t = L / (1.0 + rprime(L))
     d1, d2 = _side_distances(L, theta)
     phi = beardon_phi(d1, d2)
     v_b = _point(complex(math.tanh(d1 / 2.0)))
     v_c = _point(t * complex(math.cos(theta), math.sin(theta)))
     v_d = _point(1j * math.tanh(d2 / 2.0))
-    return _record(LambertQuad, L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
+    return LambertQuad(L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
 
 
 def _log_sh(d, ns=math):
@@ -174,8 +174,7 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
         else:
             bound_check = bound
         satisfied = d1 * d2 <= bound_check + 1e-12 * bound_check
-    return _record(
-        BoundReport,
+    return BoundReport(
         quantity="product",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
         case_label="product",
@@ -207,8 +206,7 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
         d1, d2 = _side_distances(L, theta)
         observed = d1 + d2
         satisfied = rng.lower - 1e-12 * rng.lower <= observed <= rng.upper + 1e-12 * rng.upper
-    return _record(
-        BoundReport,
+    return BoundReport(
         quantity="sum",
         params={"L": L} | ({} if theta is None else {"theta": theta}),
         case_label=f"case {rng.case}",

@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import DomainError, NoRootError
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L, _product_root
-from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _record, _require, lemma_f_c, rprime
+from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _require, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -83,6 +83,11 @@ class QcBoundResult:
 def r_L_of(L):
     """r_L = th(1)/L, where arth(L r) = 1."""
     _require((TH1 < L) & (L <= 1.0), L, "r_L_of", "L in (th(1), 1]")
+    return _r_L(L)
+
+
+def _r_L(L):
+    """r_L_of for an L already checked."""
     return TH1 / L
 
 
@@ -220,12 +225,17 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     K, L = inp.K, inp.L
     small_branch = _product_root(L) ** (2.0 / K)
     if L <= TH1:
-        bound = _times_A2(K, small_branch)
-        return _record(QcBoundResult, r_L=math.nan, M_L=math.nan, regime=QcRegime.SMALL_L, r_LK=None, bound=bound)
-    # r_L_of(L), its complement and M_L_of(L), for TH1 < L <= 1, where r_L is in [TH1, 1)
-    rl = TH1 / L
-    rlp = math.sqrt((1.0 - rl) * (1.0 + rl))
-    ml = _f_c_pair(L, rlp, math.sqrt((1.0 - rlp) * (1.0 + rlp))) / _f_c_pair(L, rl, rlp)
+        return QcBoundResult(
+            r_L=math.nan,
+            M_L=math.nan,
+            regime=QcRegime.SMALL_L,
+            r_LK=None,
+            bound=_times_A2(K, small_branch),
+        )
+    rl = _r_L(L)
+    rlp = rprime(rl)
+    # M_L_of(L) by lemma_f_c's arithmetic: inp's check of L makes its checks redundant
+    ml = _f_c_pair(L, rlp, rprime(rlp)) / _f_c_pair(L, rl, rlp)
     if K <= ml:
         regime = QcRegime.LARGE_L_K_LE_M
         r_lk = None
@@ -236,7 +246,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
         regime = QcRegime.LARGE_L_K_GT_M
         t_val = _T_s(s, L, K)
     bound = _times_A2(K, max(t_val, small_branch))
-    return _record(QcBoundResult, r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
+    return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
 
 
 def qc_ideal_bound(K: float) -> float:

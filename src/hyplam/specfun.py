@@ -67,18 +67,6 @@ def _first_bad(ok, value):
     return None if ok else value
 
 
-def _record(cls, **fields):
-    """An instance of the frozen dataclass cls with these fields, given in
-    the order the class declares them, made in one step: object.__new__ and
-    one update of its __dict__, where the generated __init__ sets each field
-    by its own object.__setattr__. For a builder's result record, which runs
-    no __post_init__; it compares, hashes, prints and is replaced as one
-    made by the class."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 def _require(ok, value, what: str, needs: str):
     """DomainError "<what> needs <needs>, got <value>" unless ok holds (see _first_bad)."""
     if ok is not True and (bad := _first_bad(ok, value)) is not None:
@@ -213,7 +201,12 @@ def lemma_G_c(c, r):
     """G_c(r) = arth(c r) + arth(c r')."""
     _check_c(c, "lemma_G_c")
     _check_open01(r, "lemma_G_c")
-    ns, rp = _ns(c, r), rprime(r)
+    return _G_c(c, r, _ns(c, r))
+
+
+def _G_c(c, r, ns=math):
+    """lemma_G_c for c and r already checked, by the functions of ns."""
+    rp = rprime(r)
     return _arth_cx(c, r, rp, ns) + _arth_cx(c, rp, r, ns)
 
 
@@ -246,21 +239,19 @@ def _g_range(c: float) -> GRange:
     """g_range for a c already checked. arth is math.atanh here: c < 1, and
     2 sqrt2 c/(2 + c^2) <= 2 sqrt2/3 < 1."""
     if c == 1.0:
-        return _record(GRange, case=4, lower=_G1_LOWER, upper=math.inf, r0=None)
+        return GRange(4, _G1_LOWER, math.inf)
     mid_value = math.atanh(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
-        return _record(GRange, case=1, lower=math.atanh(c), upper=mid_value, r0=None)
+        return GRange(1, math.atanh(c), mid_value)
     # 3c^2 - 2 = 3 (c - sqrt(2/3)) (c + sqrt(2/3)), where c - _C_LOW is exact
     m = math.sqrt((2.0 - c * c) * 3.0 * ((c - _C_LOW) - _C_LOW_LO) * (c + _C_LOW))
     # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
     # so that it does not cancel as c -> 1
     r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
-    # lemma_G_c(c, r0), r0 in (0, 1)
-    r0p = math.sqrt((1.0 - r0) * (1.0 + r0))
-    top = _arth_cx(c, r0, r0p) + _arth_cx(c, r0p, r0)
+    top = _G_c(c, r0)  # r0 in (0, 1)
     if c < _C_HIGH:
-        return _record(GRange, case=2, lower=math.atanh(c), upper=top, r0=r0)
-    return _record(GRange, case=3, lower=mid_value, upper=top, r0=r0)
+        return GRange(2, math.atanh(c), top, r0=r0)
+    return GRange(3, mid_value, top, r0=r0)
 
 
 def aux_h1(r):

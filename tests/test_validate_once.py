@@ -5,13 +5,10 @@
 - The bound builders check their arguments once and then call the private
   kernels: with the public checkers they used to call made to raise, every
   builder still returns what it returned before.
-- A builder's result record is made in one step (`specfun._record`) and is
-  the record the class's generated `__init__` makes from the same fields.
 - The public functions whose checks the builders skip refuse arguments
   outside their domain with a DomainError that names the bad argument.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -83,20 +80,18 @@ class TestNamespacePick:
         for a, b in zip(rows, again):
             assert a.tobytes() == b.tobytes()
 
-    def test_points_reads_each_value_as_pair_does(self):
-        # _points inlines _pair: the two must read every kind of argument alike
-        values = [
-            Point.of(0.3 + 0.1j), Point.of(1j), Point.infinity(), 0.3 - 0.2j, 1.0 + 1e-15j, 0.5, 1, -1,
-            np.float64(0.25), np.complex128(0.1j), np.array([0.1, 1.0]), np.array([0.2j, -1.0 + 0j]),
-        ]
-        for v in values:
-            (ns, got), want = geometry._points(v), geometry._pair(v)
-            assert ns is (geometry._ROWS if isinstance(v, np.ndarray) else geometry._SCALAR)
-            assert type(got[0]) is type(want[0]) and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        for bad in (complex(math.nan, 0.0), math.inf, np.array([0.1, math.nan])):
-            for read in (geometry._points, geometry._pair):
-                with pytest.raises(DomainError):
-                    read(bad)
+    def test_a_0d_array_is_a_row(self):
+        # an ndarray argument, 0-d included, is read by the rows table, and its
+        # result is the one-row call's row, as a numpy scalar
+        z, w = np.array(0.1 + 0.05j), np.array(0.2j)
+        m = MoebiusMap.disk_automorphism(0.3)
+        for call, kind in (
+            (geometry.rho_disk, np.float64),
+            (geometry.hyperbolic_midpoint, np.complex128),
+            (lambda z, w: m(z), np.complex128),
+        ):
+            got, row = call(z, w), call(z[None], w[None])
+            assert type(got) is kind and got.tobytes() == row[0].tobytes()
 
     def test_a_row_among_scalars_picks_the_rows_table(self):
         ns, (z, _), (w, _) = geometry._points(np.array([0.1, 0.2]), 0.5j)
@@ -108,8 +103,8 @@ class TestBuildersValidateOnce:
     #: the public functions that check or dispatch again, which the builders no longer call
     REFUSED = {
         lambert: ("side_distances", "product_root"),
-        specfun: ("arth", "rprime", "g_range", "lemma_G_c", "agm"),
-        qcbounds: ("r_L_of", "M_L_of", "product_root", "rprime", "lemma_f_c"),
+        specfun: ("arth", "g_range", "lemma_G_c", "agm"),
+        qcbounds: ("r_L_of", "M_L_of", "product_root", "lemma_f_c"),
         geometry.Point: ("of",),
     }
 
@@ -153,51 +148,6 @@ class TestBuildersValidateOnce:
         _poison(monkeypatch, lambert, "side_distances")
         for a, table in zip(args, expected):
             assert cli._sweep_rows(a)[1].tobytes() == table.tobytes()
-
-
-def _records():
-    """(record, class) for every record a builder returns, in each branch."""
-    out = [(lambert.lambert_from(L, theta), lambert.LambertQuad) for L, theta in SUM_CASES]
-    out += [(lambert.product_report(0.6, theta), lambert.BoundReport) for theta in (None, 0.5)]
-    out += [(lambert.sum_bounds(L, theta), lambert.BoundReport) for L, theta in SUM_CASES]
-    out += [(lambert.sum_bounds(0.9), lambert.BoundReport)]
-    out += [(specfun.g_range(c), specfun.GRange) for c in (0.5, 0.85, 0.95, 1.0)]
-    out += [(qcbounds.qc_product_bound(qcbounds.QcBoundInput(*inp)), qcbounds.QcBoundResult) for inp in QC_INPUTS]
-    return out
-
-
-RECORDS = _records()
-
-
-@pytest.mark.parametrize("record,cls", RECORDS, ids=[f"{cls.__name__}-{i}" for i, (_, cls) in enumerate(RECORDS)])
-class TestRecordsInOneStep:
-    def test_equals_the_generated_init(self, record, cls):
-        assert type(record) is cls
-        names = [f.name for f in dataclasses.fields(cls)]
-        made = cls(**{n: getattr(record, n) for n in names})
-        assert record == made and made == record
-        assert repr(record) == repr(made)
-        # every field, in the order the class declares them, as to_dict and vars show them
-        assert list(vars(record)) == names == list(vars(made))
-        if not any(isinstance(getattr(record, n), dict) for n in names):
-            assert hash(record) == hash(made)
-
-    def test_frozen_and_replaceable(self, record, cls):
-        first = dataclasses.fields(cls)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, first, getattr(record, first))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            record.extra = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(record, first)
-        copy = dataclasses.replace(record)
-        assert copy == record and copy is not record
-        assert dataclasses.replace(record, **{first: getattr(record, first)}) == record
-
-    def test_to_dict_unchanged(self, record, cls):
-        if hasattr(record, "to_dict"):
-            names = [f.name for f in dataclasses.fields(cls)]
-            assert record.to_dict() == cls(**{n: getattr(record, n) for n in names}).to_dict()
 
 
 class TestSideDistancesDomain:
