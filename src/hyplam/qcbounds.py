@@ -1,19 +1,29 @@
 """Upper bounds for products of opposite-side distances under K-quasiconformal
-self-maps of the disk.
+self-maps of the disk; no quasiconformal map is ever constructed.
 
-Only the bounds are computed; no quasiconformal map is ever constructed. The
-branch point in L is th(1) = (e^2-1)/(e^2+1), kept in exact closed form.
+Each bound is A(K)^2 max(T, B): T = T(r, L) at the branch's r (times
+2^{1+1/K} for the ideal bound, L = 1) and B the unmapped sharp bound,
+arth(L/sqrt2)^{2/K} or (2 log(1 + sqrt2))^2. This is how the code reads the
+paper's max, and it computes only a side that can win it:
 
-Above the threshold M_L the bound sits at the root r_{L,K} of
-K f_L(r) = f_L(r'), which is solved for in s = log r' (`_root_s`). At L = 1
-the root has r' ~ 2 e^{-K}, below the smallest double from K ~ 745 on, so the
-equation is evaluated wholly in s (arth r = log1p(r) - s, f_1(r') = 1 where
-r' is tiny), and the bounds stay finite until their values overflow, near
-K = 4e102 at L = 1; from there they raise DomainError. The search starts
-from the asymptotics of the root (s ~ log 2 - K at L = 1, r'^2 ~ (1 - L^2)
-arth L/(K L) below), steps outward with doubling steps until the sign
-changes, and finishes with ITP (`specfun._itp`), never slower than
-bisection: 3 to 12 evaluations of the equation where bisection took 53.
+- K <= M_L, L > th(1): T = T(r_L, L) never wins. arth(L r_L) = 1 and
+  L r_L' = sqrt(L^2 - th^2 1), so T <= B is the K-free inequality
+  arth(sqrt(L^2 - th^2 1)) <= arth(L/sqrt2)^2 on (th(1), 1], whose smallest
+  relative margin is 0.63%, at L = 1. The bound is A(K)^2 B.
+- The ideal bound: 2^{1+1/K} T is the sup over x in [r_1, 1) of
+  2 arth x (2 arth x')^{1/K}, at r_1 for K <= M_1 and at the root above.
+  There 2 arth x' <= 2 arth r_1' = 1, so each term, and so the sup, is
+  nondecreasing in K. At K = IDEAL_K_CUT = 2.32 the sup is 3.1070388 < B =
+  3.1072776 (7.7e-5 relative), so up to the cut the bound is A(K)^2 B, with
+  no root solved; T first wins at K* = 2.3204520...
+- K > M_L, and K > IDEAL_K_CUT for the ideal bound: each side wins somewhere.
+  The registry claim `qc-branch-decided` checks both inequalities.
+
+Above M_L the bound sits at the root r_{L,K} of K f_L(r) = f_L(r'), solved
+for in s = log r' by `_root_s`. At L = 1 the root has r' ~ 2 e^{-K}, below
+the smallest double from K ~ 745 on, so the equation is evaluated wholly in
+s (`_g`), and the bounds stay finite until their values overflow, near
+K = 4e102 at L = 1; from there they raise DomainError.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from functools import partial
 
 from .errors import DomainError, NoRootError
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L, _product_root
-from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _require, lemma_f_c, rprime
+from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _ns, _require, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -47,9 +57,8 @@ _S_TOL = 1e-12
 #: to ~1e-15 from s to this width
 _S_TOL_T_ONLY = 1e-7
 _LOG_R1_PRIME = math.log(R1_PRIME)
-#: arth r_1 and arth r_1', the two factors of T(r_1, 1) in the ideal bound for K <= M_1
-_ARTH_R1 = _arth_cx(1.0, R1, R1_PRIME)
-_ARTH_R1_PRIME = _arth_cx(1.0, R1_PRIME, R1)
+#: up to this K the ideal bound's T term cannot win its max (module docstring)
+IDEAL_K_CUT = 2.32
 
 
 class QcRegime(Enum):
@@ -94,7 +103,12 @@ def _r_L(L):
 def M_L_of(L):
     """M_L = f_L(r_L') / f_L(r_L) > 1."""
     rl = r_L_of(L)
-    return lemma_f_c(L, rprime(rl)) / lemma_f_c(L, rl)
+    return _M_L(L, rl, rprime(rl), _ns(L))
+
+
+def _M_L(L, rl, rlp, ns=math):
+    """M_L_of from r_L and r_L' for an L already checked, by lemma_f_c's arithmetic."""
+    return _f_c_pair(L, rlp, rprime(rlp), ns) / _f_c_pair(L, rl, rlp, ns)
 
 
 def _r_of(s: float) -> float:
@@ -143,9 +157,10 @@ def _root_s(K: float, L: float, s_hi: float, tol: float = _S_TOL) -> float:
       step of 1/4.
 
     From there it steps away from the sign of g, doubling the step, until g
-    changes sign, and then solves to tol in s by ITP; only signs are
-    compared. Neither end of the bracket depends on the range of doubles: s
-    may lie far below log(DBL_MIN).
+    changes sign, and then solves to tol in s by ITP (`specfun._itp`), in 3 to
+    12 evaluations of g where bisection took 53; only signs are compared.
+    Neither end of the bracket depends on the range of doubles: s may lie far
+    below log(DBL_MIN).
     """
     x = 4.0 * math.exp(-2.0 * K)
     kx = K * x  # 0 where x underflows, while K^2 may overflow
@@ -187,10 +202,12 @@ def solve_r_LK(K: float, L: float) -> float:
     DomainError naming K or L outside its domain."""
     _check_K(K, "solve_r_LK")
     _check_L(L)
-    ml = M_L_of(L)
+    rl = r_L_of(L)
+    rlp = rprime(rl)
+    ml = _M_L(L, rl, rlp)
     if K <= ml:
         raise NoRootError(f"K = {K} <= M_L = {ml}: use the r_L branch instead")
-    return _r_of(_root_s(K, L, math.log(rprime(r_L_of(L)))))
+    return _r_of(_root_s(K, L, math.log(rlp)))
 
 
 def T_of(x: float, L: float, K: float) -> float:
@@ -225,36 +242,22 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     K, L = inp.K, inp.L
     small_branch = _product_root(L) ** (2.0 / K)
     if L <= TH1:
-        return QcBoundResult(
-            r_L=math.nan,
-            M_L=math.nan,
-            regime=QcRegime.SMALL_L,
-            r_LK=None,
-            bound=_times_A2(K, small_branch),
-        )
+        return QcBoundResult(math.nan, math.nan, QcRegime.SMALL_L, None, _times_A2(K, small_branch))
     rl = _r_L(L)
     rlp = rprime(rl)
-    # M_L_of(L) by lemma_f_c's arithmetic: inp's check of L makes its checks redundant
-    ml = _f_c_pair(L, rlp, rprime(rlp)) / _f_c_pair(L, rl, rlp)
-    if K <= ml:
-        regime = QcRegime.LARGE_L_K_LE_M
-        r_lk = None
-        t_val = _T(rl, rlp, L, K)
-    else:
-        s = _root_s(K, L, math.log(rlp))
-        r_lk = _r_of(s)
-        regime = QcRegime.LARGE_L_K_GT_M
-        t_val = _T_s(s, L, K)
-    bound = _times_A2(K, max(t_val, small_branch))
-    return QcBoundResult(r_L=rl, M_L=ml, regime=regime, r_LK=r_lk, bound=bound)
+    ml = _M_L(L, rl, rlp)
+    if K <= ml:  # T(r_L, L) cannot win the max (module docstring)
+        return QcBoundResult(rl, ml, QcRegime.LARGE_L_K_LE_M, None, _times_A2(K, small_branch))
+    s = _root_s(K, L, math.log(rlp))
+    bound = _times_A2(K, max(_T_s(s, L, K), small_branch))
+    return QcBoundResult(rl, ml, QcRegime.LARGE_L_K_GT_M, _r_of(s), bound)
 
 
 def qc_ideal_bound(K: float) -> float:
     """Bound on D1*D2 for the image of an ideal quadrilateral; DomainError
     where the bound is not a finite double."""
     _check_K(K, "qc_ideal_bound")
-    if K > M1:
-        t_val = _T_s(_root_s(K, 1.0, _LOG_R1_PRIME, _S_TOL_T_ONLY), 1.0, K)
-    else:
-        t_val = _ARTH_R1 * _ARTH_R1_PRIME ** (1.0 / K)
+    if K <= IDEAL_K_CUT:  # 2^{1+1/K} T cannot win the max (module docstring)
+        return _times_A2(K, IDEAL_PRODUCT_BOUND)
+    t_val = _T_s(_root_s(K, 1.0, _LOG_R1_PRIME, _S_TOL_T_ONLY), 1.0, K)
     return _times_A2(K, max(2.0 ** (1.0 + 1.0 / K) * t_val, IDEAL_PRODUCT_BOUND))

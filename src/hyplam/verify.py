@@ -965,6 +965,33 @@ def _t_qc_domination(n: int, chk: _Checker):
         chk.require_all(lhs - bound[level_of], 1e-10, np.column_stack([np.full(n, K), L, theta]))
 
 
+@claim("qc-branch-decided", "the T terms the QC bounds skip lie below the unmapped bounds that win their max")
+def _t_qc_branch_decided(n: int, chk: _Checker):
+    # K <= M_L: T(r_L, L) <= arth(L/sqrt2)^(2/K) is, for every K,
+    # arth(sqrt(L^2 - th^2 1)) <= arth(L/sqrt2)^2; the slack is its relative headroom
+    th1 = np.tanh(1.0)
+    L = np.linspace(th1, 1.0, n + 1)[1:]
+    headroom = 1.0 - np.arctanh(np.sqrt(L * L - th1 * th1)) / np.arctanh(L / np.sqrt(2.0)) ** 2
+    chk.require_all(-headroom, 0.0, L[:, None])
+    # the ideal bound: 2^(1+1/K) T is the sup of 2 arth x (2 arth x')^(1/K) over
+    # [r_1, 1), nondecreasing in K, so below the cut it suffices at the cut
+    ideal = (2.0 * np.arcsinh(1.0)) ** 2
+    xs = np.linspace(np.sqrt(1.0 - np.tanh(0.5) ** 2), 1.0, n, endpoint=False)
+
+    def sup(K):
+        f = lambda x: 2.0 * np.arctanh(x) * (2.0 * np.arctanh(np.sqrt(1.0 - x * x))) ** (1.0 / K)
+        x, value = refine_grid_max(f, xs, f(xs), tol=1e-13)
+        return float(x), float(value)
+
+    K = qcb.IDEAL_K_CUT
+    x_star, top = sup(K)
+    chk.require(top / ideal - 1.0, 0.0, (K, x_star))
+    # above the cut, where the bound computes T, the sup is its T term
+    x3, t3 = sup(3.0)
+    chk.require_true(abs(qcb.qc_ideal_bound(3.0) / distortion_A(3.0) ** 2 / t3 - 1.0) < 1e-12, (3.0, x3))
+    chk.locate(top, (K, x_star))
+
+
 # ---------------------------------------------------------------------------
 # runners
 

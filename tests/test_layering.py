@@ -4,7 +4,8 @@ the oracles that check them.
 `optimize` and `verify` hold the registry's oracles (grid-and-golden search,
 bisection). The closed-form modules import neither, and they have one root
 solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel
-and one AGM, and the CLI evaluates no formula of its own.
+and one AGM, and the CLI evaluates no formula of its own. Every private
+module-level name is used somewhere in the package.
 """
 
 import ast
@@ -97,3 +98,37 @@ def test_no_numpy2_only_aliases(path):
         if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY and _numpy_namespace(node.value)
     ]
     assert not used
+
+
+def _registered(node: ast.AST) -> bool:
+    """A sweep that @claim adds to the registry, which nothing calls by name."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "claim" for d in node.decorator_list)
+
+
+def test_every_private_name_is_used():
+    # a private def, class or assignment at module level is read somewhere in
+    # the package other than inside its own definition
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {}  # name -> [(module, line)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [] if _registered(node) else [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    m != module or not node.lineno <= line <= node.end_lineno for m, line in reads.get(name, [])
+                ):
+                    unused.append(f"{module}.{name}")
+    assert not unused

@@ -237,9 +237,9 @@ class TestRoot:
         calls = []
         original = qcbounds._f_c_pair
 
-        def counted(c, x, xp):
+        def counted(c, x, xp, *ns):
             calls.append(c)
-            return original(c, x, xp)
+            return original(c, x, xp, *ns)
 
         monkeypatch.setattr(qcbounds, "_f_c_pair", counted)
         return calls

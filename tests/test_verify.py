@@ -163,6 +163,7 @@ class TestRegistry:
             "qc-k1-reduction",
             "qc-k-monotonicity",
             "qc-domination",
+            "qc-branch-decided",
         }
         assert required <= {e.name for e in REGISTRY}
 
@@ -246,6 +247,11 @@ def _raise_ideal_product_bound(monkeypatch):
     monkeypatch.setattr(lambert, "IDEAL_PRODUCT_BOUND", lambert.IDEAL_PRODUCT_BOUND * (1.0 + 1e-6))
 
 
+def _raise_ideal_cut(monkeypatch):
+    # above K* = 2.3204520..., where the T term wins the ideal bound's max
+    monkeypatch.setattr(qcbounds, "IDEAL_K_CUT", 2.33)
+
+
 def _stretch_side_d1(monkeypatch):
     original = lambert.side_distances
 
@@ -284,6 +290,7 @@ class TestCertificatesCanFail:
             (_raise_sum_upper, "sum-cases"),
             (_raise_ideal_product_bound, "ideal-extrema"),
             (_stretch_side_d1, "thsq-identity"),
+            (_raise_ideal_cut, "qc-branch-decided"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -294,6 +301,14 @@ class TestCertificatesCanFail:
         (cert,) = _strict_json(capsys.readouterr().out)["certificates"]
         assert cert["spec"]["target"] == target
         assert cert["passed"] is False
+
+    def test_an_ideal_cut_above_K_star_fails_with_a_witness_past_K_star(self, monkeypatch):
+        cert = run_sweep(SweepSpec("qc-branch-decided", 1000))
+        assert cert.passed and 0.0 < cert.margin < 1e-4  # the headroom at the cut
+        _raise_ideal_cut(monkeypatch)
+        cert = run_sweep(SweepSpec("qc-branch-decided", 1000))
+        assert not cert.passed and cert.margin < 0.0
+        assert 2.3204520 < cert.witness[0] <= 2.33
 
     def test_yes_no_checks_leave_the_margin_open(self, monkeypatch, capsys):
         # qc-ml-exceeds-one records only yes/no sub-checks: its margin is
@@ -480,6 +495,7 @@ SUB_CHECKS = {
     "qc-k1-reduction": (1001, 1001),
     "qc-k-monotonicity": (6, 6),
     "qc-domination": (3000, 30_000),
+    "qc-branch-decided": (1002, 100_002),
 }
 
 
