@@ -59,10 +59,10 @@ def _parse_point(text: str) -> complex:
 
 
 def cmd_lambert(args) -> int:
-    prod = lam.product_report(args.L, args.theta)
+    prod = lam.product_report(args.L, args.theta)  # raises first on a bad L or theta
     total = lam.sum_bounds(args.L, args.theta)
-    d1, d2 = lam.side_distances(args.L, args.theta)
-    phi = lam.beardon_phi(d1, d2)
+    quad = lam.lambert_from(args.L, args.theta)
+    d1, d2, phi = quad.d1, quad.d2, quad.phi
     if args.json:
         _emit_json(
             {

@@ -26,9 +26,11 @@ since a second snap moves some points by an ulp. A coordinate or a row that
 is not finite raises DomainError: the point at infinity is `Point.infinity()`.
 `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
 midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
-scalar points. A `Point` is an immutable tuple (re, im, kind), made by
-`tuple.__new__` with no per-field setattr, and its kind is tested by
-identity against the module's constants.
+scalar points. A `Point` is an immutable tuple (re, im, kind), and a
+`MoebiusMap` its four coefficients and then the scaled ones it computes
+with, records on `errors._Record` made by `tuple.__new__` with no per-field
+setattr; a Point's kind is tested by identity against the module's
+constants.
 
 A modulus is taken by hypot (the table's `abs`, ~30 ns an element on rows)
 only for a Euclidean distance |z - w| or a unit vector, in `_arc` and
@@ -47,12 +49,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, _new_tuple, _Record
 
 #: numpy's array type, bound once, as in specfun: each scalar call tests for it
 #: several times, and isinstance(x, np.ndarray) costs ~5 times isinstance(x, _ndarray)
@@ -78,10 +79,9 @@ class PointKind(Enum):
 
 #: the kinds, tested by identity
 _INTERIOR, _BOUNDARY, _AT_INFINITY = PointKind.INTERIOR, PointKind.BOUNDARY, PointKind.INFINITY
-_new_tuple = tuple.__new__
 
 
-class Point(tuple):
+class Point(_Record):
     """A point of the extended plane: the immutable triple (re, im, kind).
 
     kind is BOUNDARY on the unit circle, INTERIOR at any other finite point
@@ -97,24 +97,6 @@ class Point(tuple):
         if kind is not _AT_INFINITY and not (math.isfinite(re) and math.isfinite(im)):
             raise DomainError(f"a point needs finite coordinates, got ({re}, {im}); use Point.infinity()")
         return _new_tuple(cls, (re, im, kind))
-
-    re = property(itemgetter(0))
-    im = property(itemgetter(1))
-    kind = property(itemgetter(2))
-
-    def __eq__(self, other):
-        return type(other) is Point and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self) -> str:
-        return f"Point(re={self[0]!r}, im={self[1]!r}, kind={self[2]!r})"
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     @property
     def z(self) -> complex:
@@ -642,32 +624,27 @@ def rho_via_crossratio(x, y):
 # Moebius maps
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+class MoebiusMap(_Record):
+    """z -> (a z + b)/(c z + d), stored as (a, b, c, d) and then the same
+    coefficients scaled by a power of two to a largest modulus in [1, 2),
+    with which the map computes: the images are the same, and c z + d
+    underflows to 0 at no scale of the map."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         """DegenerateInputError for a determinant that is 0 relative to the
         size of its terms, or not a number, so a map and its multiples by
-        any factor are accepted or refused alike. The map computes with its coefficients
-        scaled by a power of two to a largest modulus in [1, 2): the images
-        are the same, and c z + d underflows to 0 at no scale of the map."""
-        ad, bc = self.a * self.d, self.b * self.c
-        if not abs(ad - bc) > _DET_TOL * (abs(ad) + abs(bc)):
-            raise DegenerateInputError("Moebius map has a (near-)zero or undefined determinant")
-        big = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        unit = 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1])
-        object.__setattr__(self, "_unit", (self.a * unit, self.b * unit, self.c * unit, self.d * unit))
+        any factor are accepted or refused alike."""
+        big = max(abs(a), abs(b), abs(c), abs(d))
+        return _moebius_map(cls, a, b, c, d, 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1]))
 
     def __call__(self, z):
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
         _, (z, _) = _points(z)
-        a, b, c, d = self._unit
+        a, b, c, d = self[4:]
         if type(z) is _ndarray:
             if not (c * z + d == 0).any():
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -698,7 +675,17 @@ class MoebiusMap:
         if not math.isfinite(phase):
             raise DomainError(f"disk automorphism needs a finite phase, got phase = {phase}")
         e = cmath.exp(1j * phase)
-        return MoebiusMap(e, -e * a, -a.conjugate(), 1.0)
+        # its largest coefficient modulus is d = 1 or |e|, within an ulp of 1
+        return _moebius_map(MoebiusMap, e, -e * a, -a.conjugate(), 1.0, 1.0)
+
+
+def _moebius_map(cls, a, b, c, d, unit: float) -> MoebiusMap:
+    """The map of MoebiusMap(a, b, c, d), scaled by unit, which is the power
+    of two that MoebiusMap takes for these coefficients."""
+    ad, bc = a * d, b * c
+    if not abs(ad - bc) > _DET_TOL * (abs(ad) + abs(bc)):
+        raise DegenerateInputError("Moebius map has a (near-)zero or undefined determinant")
+    return _new_tuple(cls, (a, b, c, d, a * unit, b * unit, c * unit, d * unit))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ L = th rho(v_a, v_c) = 2t/(1+t^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InconsistentQuadrilateralError
+from .errors import DomainError, InconsistentQuadrilateralError, _new_tuple, _Record
 from .geometry import Point, _point, _points, _ratio
-from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ndarray, _ns, _require, rprime
+from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ns, _require, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,30 +37,31 @@ IDEAL_PRODUCT_BOUND = (2.0 * math.log(SQRT2 + 1.0)) ** 2
 IDEAL_SUM_BOUND = 4.0 * math.log(SQRT2 + 1.0)
 
 
-@dataclass(frozen=True)
-class LambertQuad:
-    L: float
-    theta: float
-    t: float
-    vertices: tuple[Point, Point, Point, Point]
-    d1: float
-    d2: float
-    phi: float
+class LambertQuad(_Record):
+    __slots__ = ()
+
+    def __new__(cls, L: float, theta: float, t: float, vertices: tuple[Point, Point, Point, Point], d1: float,
+                d2: float, phi: float) -> "LambertQuad":
+        return _new_tuple(cls, (L, theta, t, vertices, d1, d2, phi))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    quantity: str  # "product" | "sum"
-    params: dict = field(default_factory=dict)
-    case_label: str = ""
-    lower: float = -math.inf
-    upper: float = math.inf
-    observed: float | None = None
-    equality_witness: float | None = None
-    satisfied: bool = True
+class BoundReport(_Record):
+    """The range of d1*d2 ("product") or d1 + d2 ("sum") at L, and the value
+    at theta checked against it where theta is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, quantity: str, L: float, theta: float | None = None, case_label: str = "",
+                lower: float = -math.inf, upper: float = math.inf, observed: float | None = None,
+                equality_witness: float | None = None, satisfied: bool = True) -> "BoundReport":
+        return _new_tuple(cls, (quantity, L, theta, case_label, lower, upper, observed, equality_witness, satisfied))
+
+    @property
+    def params(self) -> dict:
+        return {"L": self[1]} if self[2] is None else {"L": self[1], "theta": self[2]}
 
     def to_dict(self) -> dict:
-        return vars(self) | {"params": dict(self.params)}
+        return {"quantity": self[0], "params": self.params} | dict(zip(self._fields[3:], self[3:]))
 
 
 def _check_L(L: float):
@@ -100,11 +100,11 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     _check_theta(theta)
     t = L / (1.0 + rprime(L))
     d1, d2 = _side_distances(L, theta)
-    phi = beardon_phi(d1, d2)
+    phi = _beardon_phi(d1, d2)
     v_b = _point(complex(math.tanh(d1 / 2.0)))
     v_c = _point(t * complex(math.cos(theta), math.sin(theta)))
     v_d = _point(1j * math.tanh(d2 / 2.0))
-    return LambertQuad(L=L, theta=theta, t=t, vertices=(_ORIGIN, v_b, v_c, v_d), d1=d1, d2=d2, phi=phi)
+    return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, v_b, v_c, v_d), d1, d2, phi))
 
 
 def _log_sh(d, ns=math):
@@ -118,13 +118,18 @@ def beardon_phi(d1, d2):
     where the first bad row raises the scalar's error."""
     if _first_bad((0.0 <= d1) & (0.0 <= d2), d1) is not None:
         raise DomainError("side distances must be nonnegative")
-    if isinstance(d1, _ndarray) or isinstance(d2, _ndarray):
+    return _beardon_phi(d1, d2, _ns(d1, d2))
+
+
+def _beardon_phi(d1, d2, ns=math):
+    """beardon_phi for nonnegative sides, by the functions of ns."""
+    if ns is math:
+        log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
+        acos, least = math.acos, min
+    else:
         with np.errstate(divide="ignore", invalid="ignore"):  # log sh 0 = -inf, and inf - inf
             log_prod = np.where(np.minimum(d1, d2) == 0.0, -np.inf, _log_sh(d1, np) + _log_sh(d2, np))
-        ns, acos, least = np, np.arccos, np.minimum
-    else:
-        log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
-        ns, acos, least = math, math.acos, min
+        acos, least = np.arccos, np.minimum
     # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
     # per unit is ~10 times the excess over 1 seen at and near L = 1. The slack
     # is infinite where a side is, so an infinite product is refused apart
@@ -174,16 +179,7 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
         else:
             bound_check = bound
         satisfied = d1 * d2 <= bound_check + 1e-12 * bound_check
-    return BoundReport(
-        quantity="product",
-        params={"L": L} | ({} if theta is None else {"theta": theta}),
-        case_label="product",
-        lower=0.0,
-        upper=bound,
-        observed=observed,
-        equality_witness=math.pi / 4.0,
-        satisfied=satisfied,
-    )
+    return _new_tuple(BoundReport, ("product", L, theta, "product", 0.0, bound, observed, math.pi / 4.0, satisfied))
 
 
 def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
@@ -197,25 +193,16 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     a slack of 1e-12 relative to each end.
     """
     _check_L(L)
-    rng = _g_range(L)
-    witness = math.pi / 4.0 if rng.r0 is None else math.acos(rng.r0)
+    case, lower, upper, r0 = _g_range(L)
+    witness = math.pi / 4.0 if r0 is None else math.acos(r0)
     observed = None
     satisfied = True
     if theta is not None:
         _check_theta(theta)
         d1, d2 = _side_distances(L, theta)
         observed = d1 + d2
-        satisfied = rng.lower - 1e-12 * rng.lower <= observed <= rng.upper + 1e-12 * rng.upper
-    return BoundReport(
-        quantity="sum",
-        params={"L": L} | ({} if theta is None else {"theta": theta}),
-        case_label=f"case {rng.case}",
-        lower=rng.lower,
-        upper=rng.upper,
-        observed=observed,
-        equality_witness=witness,
-        satisfied=satisfied,
-    )
+        satisfied = lower - 1e-12 * lower <= observed <= upper + 1e-12 * upper
+    return _new_tuple(BoundReport, ("sum", L, theta, f"case {case}", lower, upper, observed, witness, satisfied))
 
 
 def ideal_quad(alpha):

@@ -29,11 +29,10 @@ K = 4e102 at L = 1; from there they raise DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .errors import DomainError, NoRootError
+from .errors import DomainError, NoRootError, _new_tuple, _Record
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L, _product_root
 from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _ns, _require, lemma_f_c, rprime
 
@@ -67,26 +66,23 @@ class QcRegime(Enum):
     LARGE_L_K_GT_M = "large_L_K_gt_M"
 
 
-@dataclass(frozen=True)
-class QcBoundInput:
-    K: float
-    L: float
+class QcBoundInput(_Record):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_K(self.K, "QcBoundInput")
-        _check_L(self.L)
+    def __new__(cls, K: float, L: float) -> "QcBoundInput":
+        _check_K(K, "QcBoundInput")
+        _check_L(L)
+        return _new_tuple(cls, (K, L))
 
 
-@dataclass(frozen=True)
-class QcBoundResult:
-    r_L: float
-    M_L: float
-    regime: QcRegime
-    r_LK: float | None
-    bound: float
+class QcBoundResult(_Record):
+    __slots__ = ()
+
+    def __new__(cls, r_L: float, M_L: float, regime: QcRegime, r_LK: float | None, bound: float) -> "QcBoundResult":
+        return _new_tuple(cls, (r_L, M_L, regime, r_LK, bound))
 
     def to_dict(self) -> dict:
-        return vars(self) | {"regime": self.regime.value}
+        return dict(zip(self._fields, self)) | {"regime": self[2].value}
 
 
 def r_L_of(L):
@@ -239,18 +235,18 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     """Bound on D1*D2 for the image of a Lambert quadrilateral; DomainError
     where the bound is not a finite double. inp's K and L were checked when
     it was made, and are not checked again."""
-    K, L = inp.K, inp.L
+    K, L = inp
     small_branch = _product_root(L) ** (2.0 / K)
     if L <= TH1:
-        return QcBoundResult(math.nan, math.nan, QcRegime.SMALL_L, None, _times_A2(K, small_branch))
+        return _new_tuple(QcBoundResult, (math.nan, math.nan, QcRegime.SMALL_L, None, _times_A2(K, small_branch)))
     rl = _r_L(L)
     rlp = rprime(rl)
     ml = _M_L(L, rl, rlp)
     if K <= ml:  # T(r_L, L) cannot win the max (module docstring)
-        return QcBoundResult(rl, ml, QcRegime.LARGE_L_K_LE_M, None, _times_A2(K, small_branch))
+        return _new_tuple(QcBoundResult, (rl, ml, QcRegime.LARGE_L_K_LE_M, None, _times_A2(K, small_branch)))
     s = _root_s(K, L, math.log(rlp))
     bound = _times_A2(K, max(_T_s(s, L, K), small_branch))
-    return QcBoundResult(rl, ml, QcRegime.LARGE_L_K_GT_M, _r_of(s), bound)
+    return _new_tuple(QcBoundResult, (rl, ml, QcRegime.LARGE_L_K_GT_M, _r_of(s), bound))
 
 
 def qc_ideal_bound(K: float) -> float:

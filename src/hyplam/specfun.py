@@ -37,13 +37,12 @@ root lies; nothing here imports `optimize`, which serves the oracles only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _new_tuple, _Record
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 
@@ -217,12 +216,11 @@ _C_HIGH = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0))
 _G1_LOWER = arth(2.0 * math.sqrt(2.0) / 3.0)
 
 
-@dataclass(frozen=True)
-class GRange:
-    case: int
-    lower: float
-    upper: float
-    r0: float | None = None
+class GRange(_Record):
+    __slots__ = ()
+
+    def __new__(cls, case: int, lower: float, upper: float, r0: float | None = None) -> "GRange":
+        return _new_tuple(cls, (case, lower, upper, r0))
 
 
 def g_range(c: float) -> GRange:
@@ -239,10 +237,10 @@ def _g_range(c: float) -> GRange:
     """g_range for a c already checked. arth is math.atanh here: c < 1, and
     2 sqrt2 c/(2 + c^2) <= 2 sqrt2/3 < 1."""
     if c == 1.0:
-        return GRange(4, _G1_LOWER, math.inf)
+        return _new_tuple(GRange, (4, _G1_LOWER, math.inf, None))
     mid_value = math.atanh(2.0 * math.sqrt(2.0) * c / (2.0 + c * c))
     if c <= _C_LOW:
-        return GRange(1, math.atanh(c), mid_value)
+        return _new_tuple(GRange, (1, math.atanh(c), mid_value, None))
     # 3c^2 - 2 = 3 (c - sqrt(2/3)) (c + sqrt(2/3)), where c - _C_LOW is exact
     m = math.sqrt((2.0 - c * c) * 3.0 * ((c - _C_LOW) - _C_LOW_LO) * (c + _C_LOW))
     # r0 = sqrt((1 - m/c^2)/2), rewritten through c^4 - m^2 = 4 (1 - c^2)^2
@@ -250,8 +248,8 @@ def _g_range(c: float) -> GRange:
     r0 = math.sqrt(2.0) * (1.0 - c) * (1.0 + c) / (c * math.sqrt(c * c + m))
     top = _G_c(c, r0)  # r0 in (0, 1)
     if c < _C_HIGH:
-        return GRange(2, math.atanh(c), top, r0=r0)
-    return GRange(3, mid_value, top, r0=r0)
+        return _new_tuple(GRange, (2, math.atanh(c), top, r0))
+    return _new_tuple(GRange, (3, mid_value, top, r0))
 
 
 def aux_h1(r):

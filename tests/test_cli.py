@@ -470,3 +470,17 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--profile", "exhaustive"])
         assert exc.value.code == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_reports_match_the_pinned_bytes(capsys):
+    # tests/data/cli_reports.txt holds, for each argument vector of
+    # cli_argv.txt, "$ hyplam <argv>", the report on stdout and "[exit N]";
+    # CI regenerates it through the installed entry point and diffs it
+    out = []
+    for argv in (DATA / "cli_argv.txt").read_text().splitlines():
+        code = main(argv.split())
+        out += [f"$ hyplam {argv}\n", capsys.readouterr().out, f"[exit {code}]\n"]
+    assert "".join(out) == (DATA / "cli_reports.txt").read_text()

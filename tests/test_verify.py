@@ -213,7 +213,7 @@ def _shift_d1(monkeypatch):
 
     def shifted(L, theta):
         q = original(L, theta)
-        return dataclasses.replace(q, d1=q.d1 + 1e-7)
+        return q._replace(d1=q.d1 + 1e-7)
 
     monkeypatch.setattr(lambert, "lambert_from", shifted)
 
@@ -228,7 +228,7 @@ def _lower_qc_product_bound(monkeypatch):
 
     def lowered(inp):
         res = original(inp)
-        return dataclasses.replace(res, bound=res.bound * (1.0 - 1e-6))
+        return res._replace(bound=res.bound * (1.0 - 1e-6))
 
     monkeypatch.setattr(qcbounds, "qc_product_bound", lowered)
 
@@ -238,7 +238,7 @@ def _raise_sum_upper(monkeypatch):
 
     def raised(L, theta=None):
         rep = original(L, theta)
-        return dataclasses.replace(rep, upper=rep.upper * (1.0 + 1e-7))
+        return rep._replace(upper=rep.upper * (1.0 + 1e-7))
 
     monkeypatch.setattr(lambert, "sum_bounds", raised)
 
