@@ -34,13 +34,13 @@ class ConfigurationError(HyplamError, ValueError):
 
 
 class _Record(tuple):
-    """An immutable record (`Point`, `MoebiusMap`, `LambertQuad`, `BoundReport`,
-    `GRange`, `QcBoundInput`, `QcBoundResult`): a tuple whose first items are
-    its fields, the parameters of its class's `__new__`, the public
-    constructor, which runs the record's checks. A builder holding checked
-    values makes one in one step, `_new_tuple(cls, values)`. A record equals
-    only a record of its own class, never a bare tuple, and hashes as its
-    items; repr, copy, pickle and `_replace` read the fields alone, so items
+    """An immutable record (`Point`, `MoebiusMap`, `Geodesic`, `LambertQuad`,
+    `BoundReport`, `GRange`, `QcBoundInput`, `QcBoundResult`): a tuple whose
+    first items are its fields, the parameters of its class's `__new__`, the
+    public constructor, which runs the record's checks. A builder holding
+    checked values makes one in one step, `_new_tuple(cls, values)`. A record
+    equals only a record of its own class, never a bare tuple, and hashes as
+    its items; repr, copy, pickle and `_replace` read the fields alone, so items
     derived from them may follow. Each subclass declares `__slots__ = ()`."""
 
     __slots__ = ()

@@ -17,20 +17,25 @@ coordinate and whether it lies on the circle, and returns with them one of
 two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
 `_SCALAR`. Every kernel takes the table and calls its functions: math's and
 builtin abs on scalars, which stay Python floats, numpy's on rows, each row
-under the scalar rules. A scalar `rho_disk` of two Points takes ~1.8 us and a
-Moebius image ~1.4 us (BENCH_validate_once.json). Callers that hold
-checked values (lambert's builders) call `_point` and the kernels.
+under the scalar rules. `rho_disk`, a Moebius image and lambert's
+`alpha_from_quadruple` select by argument type first: Points whose kinds
+show them finite (and, for rho_disk, off the circle), or complex numbers,
+which `_snap` reads, go straight to the kernel, with no `_points` and no
+circle mask; every other argument takes the general path, to the same bits.
+A scalar `rho_disk` of two Points takes ~1.0 us and a Moebius image of a
+Point ~1.3 us (BENCH_scalar_entries.json). Callers that hold checked values
+(lambert's builders) call `_point` and the kernels.
 A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
 `Point`'s coordinate was snapped when it was made and is used as it is,
 since a second snap moves some points by an ulp. A coordinate or a row that
 is not finite raises DomainError: the point at infinity is `Point.infinity()`.
 `Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
 midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
-scalar points. A `Point` is an immutable tuple (re, im, kind), and a
-`MoebiusMap` its four coefficients and then the scaled ones it computes
-with, records on `errors._Record` made by `tuple.__new__` with no per-field
-setattr; a Point's kind is tested by identity against the module's
-constants.
+scalar points. A `Point` is an immutable tuple (re, im, kind), a
+`Geodesic` the pair of its ends, and a `MoebiusMap` its four coefficients
+and then the scaled ones it computes with, records on `errors._Record` made
+by `tuple.__new__` with no per-field setattr; a Point's kind is tested by
+identity against the module's constants.
 
 A modulus is taken by hypot (the table's `abs`, ~30 ns an element on rows)
 only for a Euclidean distance |z - w| or a unit vector, in `_arc` and
@@ -47,7 +52,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
@@ -253,6 +257,14 @@ def _rho(z, w, sz, sw, ns):
     return 2.0 * ns.arcsinh(ns.abs(z - w) / _disk_factor(sz, sw, ns))
 
 
+def _rho_scalar(z, w, sz, sw):
+    """rho_disk of two scalar points off the circle, given with their squared
+    moduli: DomainError for a point outside the disk, else _rho."""
+    if sz > 1.0 or sw > 1.0:
+        raise DomainError("rho_disk needs points in the closed unit disk")
+    return _rho(z, w, sz, sw, _SCALAR)
+
+
 def _moebius(a, b, c, d, z):
     """(a z + b) / (c z + d); the coefficients may be per-row arrays."""
     return (a * z + b) / (c * z + d)
@@ -371,7 +383,17 @@ def absolute_ratio(a, b, c, d):
 def rho_disk(x, y):
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
     circle (0 between equal points there). On ndarrays, row by row."""
-    ns, (z, z_on), (w, w_on) = _points(x, y)
+    if type(x) is Point and type(y) is Point and x[2] is _INTERIOR and y[2] is _INTERIOR:
+        # the kinds show two finite points off the circle: no snap and no circle mask
+        xr, xi, _ = x
+        yr, yi, _ = y
+        return _rho_scalar(complex(xr, xi), complex(yr, yi), xr * xr + xi * xi, yr * yr + yi * yi)
+    if type(x) is complex and type(y) is complex:
+        ns, (z, z_on), (w, w_on) = _SCALAR, _snap(x), _snap(y)
+        if not (z_on or w_on):
+            return _rho_scalar(z, w, _SCALAR.sq_abs(z), _SCALAR.sq_abs(w))
+    else:
+        ns, (z, z_on), (w, w_on) = _points(x, y)
     if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
     on = z_on | w_on
@@ -400,12 +422,14 @@ def rho_halfplane(x, y):
 # Geodesics
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(_Record):
     """A hyperbolic line of the disk, held as its two ends on the unit
     circle: Points typed BOUNDARY, as geodesic_through makes them."""
 
-    endpoints: tuple[Point, Point]
+    __slots__ = ()
+
+    def __new__(cls, endpoints: tuple[Point, Point]) -> "Geodesic":
+        return _new_tuple(cls, (endpoints,))
 
 
 def geodesic_through(x, y) -> Geodesic:
@@ -431,7 +455,7 @@ def geodesic_through(x, y) -> Geodesic:
         else:
             e1, e2 = (z, e2) if first else (e1, z)
     ends = _new_tuple(Point, (e1.real, e1.imag, _BOUNDARY)), _new_tuple(Point, (e2.real, e2.imag, _BOUNDARY))
-    return Geodesic(ends)
+    return _new_tuple(Geodesic, (ends,))
 
 
 #: samples per bracket: each round shrinks an interior bracket 8-fold
@@ -634,8 +658,9 @@ class MoebiusMap(_Record):
 
     def __new__(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         """DegenerateInputError for a determinant that is 0 relative to the
-        size of its terms, or not a number, so a map and its multiples by
-        any factor are accepted or refused alike."""
+        size of its terms, or not a number, taken of the scaled
+        coefficients, so a map and its multiples by any factor are accepted
+        or refused alike."""
         big = max(abs(a), abs(b), abs(c), abs(d))
         return _moebius_map(cls, a, b, c, d, 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1]))
 
@@ -643,15 +668,22 @@ class MoebiusMap(_Record):
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
-        _, (z, _) = _points(z)
         a, b, c, d = self[4:]
-        if type(z) is _ndarray:
-            if not (c * z + d == 0).any():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w = _moebius(a, b, c, d, z)
-                if np.isfinite(w).all():
-                    return _snap(w)[0]
-            raise DomainError("a row maps to infinity, which has no finite coordinate")
+        t = type(z)
+        if t is Point and z[2] is not _AT_INFINITY:
+            re, im, _ = z
+            z = complex(re, im)
+        elif t is complex:
+            z = _snap(z)[0]
+        else:
+            _, (z, _) = _points(z)
+            if type(z) is _ndarray:
+                if not (c * z + d == 0).any():
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        w = _moebius(a, b, c, d, z)
+                    if np.isfinite(w).all():
+                        return _snap(w)[0]
+                raise DomainError("a row maps to infinity, which has no finite coordinate")
         try:
             # c z + d is taken once, in _moebius: Python's division refuses
             # exactly a zero divisor, so the pole is decided on c z + d == 0
@@ -682,10 +714,13 @@ class MoebiusMap(_Record):
 def _moebius_map(cls, a, b, c, d, unit: float) -> MoebiusMap:
     """The map of MoebiusMap(a, b, c, d), scaled by unit, which is the power
     of two that MoebiusMap takes for these coefficients."""
-    ad, bc = a * d, b * c
+    sa, sb, sc, sd = a * unit, b * unit, c * unit, d * unit
+    # tested on the scaled coefficients: their largest modulus is in [1, 2), so
+    # the products do not over- or underflow for the scale of the map alone
+    ad, bc = sa * sd, sb * sc
     if not abs(ad - bc) > _DET_TOL * (abs(ad) + abs(bc)):
         raise DegenerateInputError("Moebius map has a (near-)zero or undefined determinant")
-    return _new_tuple(cls, (a, b, c, d, a * unit, b * unit, c * unit, d * unit))
+    return _new_tuple(cls, (a, b, c, d, sa, sb, sc, sd))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ e^{-pi^2/(2y)} is used through mu(r) mu(r') = pi^2/4, so that q <= e^{-pi}
 always. The complement r' is carried along as log r', which keeps phi_K and
 A(K) accurate where r rounds to 1. A(K) = 2 arth phi_K(th 1/2) takes
 mu(th 1/2) from a module constant, computed once at import, so a call of
-A(K) evaluates mu^{-1} once and mu never; the other values that do not
+A(K) evaluates mu^{-1} once and mu never; `_distortion_A` keeps its last
+float K and A(K), so consecutive calls at one K (a bound request's
+distortion_A, qc_product_bound and qc_ideal_bound) evaluate mu^{-1} once
+between them, and rows never read or write it. The other values that do not
 depend on the argument (in `distortion_bracket` and `g_range(1)`) are
 module constants too. The classical identity
 phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
@@ -564,10 +567,28 @@ def distortion_A(K):
     return _distortion_A(K, _ns(K))
 
 
+#: the last float K of _distortion_A and its A(K): a bound request asks for A
+#: at one K in distortion_A, qc_product_bound and qc_ideal_bound
+_last_A = (None, None)
+
+
 def _distortion_A(K, ns=math):
-    """distortion_A for a K already checked, by the functions of ns."""
+    """distortion_A for a K already checked, by the functions of ns.
+
+    A call at a Python float K returns the last such call's A(K) where K
+    equals its own. Other scalars (a numpy float may give a numpy float) and
+    rows never read or write it."""
+    global _last_A
+    keep = type(K) is float
+    if keep:
+        last_K, a = _last_A
+        if K == last_K:
+            return a
     phi, log_phip = _mu_inverse_pair(_MU_TH_HALF / K, ns)
-    return 2.0 * (ns.log1p(phi) - log_phip)
+    a = 2.0 * (ns.log1p(phi) - log_phip)
+    if keep:
+        _last_A = (K, a)
+    return a
 
 
 #: the constants of distortion_bracket: arccosh e, u = arccosh(e) th(arccosh e),

@@ -708,6 +708,18 @@ class TestMoebius:
             return False
 
         assert all(refused(10.0**k) == degenerate for k in range(-100, 101))
+        # factors whose products of coefficients over- or underflow
+        assert all(refused(scale) == degenerate for scale in (2.0**600, 2.0**-600, 1e200, 1e-200))
+
+    def test_the_determinant_is_tested_at_the_scale_the_map_computes_with(self):
+        inverse, identity = MoebiusMap(0, 2.0**600, 2.0**600, 0), MoebiusMap(1e-200, 0, 0, 1e-200)
+        for z in (0.5, 0.3 - 0.2j, -0.7j, 1e-300, 1e300):
+            assert inverse(z) == MoebiusMap(0, 1, 1, 0)(z)
+            assert inverse(z).z == pytest.approx(1.0 / z, rel=4 * EPS, abs=0.0)
+            assert identity(z).z == pytest.approx(z, rel=4 * EPS, abs=0.0)
+        assert inverse(0.0).is_infinity and identity(Point.infinity()).is_infinity
+        with pytest.raises(DegenerateInputError):
+            MoebiusMap(2.0**600, 2.0**601, 2.0**601, 2.0**602)
 
     def test_disk_automorphism_near_the_circle_is_refused_as_before(self):
         # before the guard was relative, it refused |ad - bc| <= 1e-14; here

@@ -92,6 +92,16 @@ class TestProductBound:
         monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * (1.0 - 1e-9))
         assert not any(product_report(L, math.pi / 4.0).satisfied for L in Ls)
 
+    def test_a_lowered_bound_is_caught_after_a_call_at_the_same_L_theta(self, monkeypatch):
+        # the side distances of the last (L, theta) are kept, the bound is not
+        L, theta = 0.6, math.pi / 4.0
+        assert lambert_from(L, theta).phi > 0.0 and product_report(L, theta).satisfied
+        assert lambert._last_sides[:2] == (L, theta)
+        original = lambert.product_bound
+        monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * (1.0 - 1e-9))
+        report = product_report(L, theta)
+        assert not report.satisfied and report.upper == original(L) * (1.0 - 1e-9)
+
 
 class TestSumBounds:
     @pytest.mark.parametrize(

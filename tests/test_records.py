@@ -5,9 +5,11 @@ hashes consistently with that, survives copy and pickle, refuses assignment,
 and makes a changed copy by `_replace` through its checked constructor.
 """
 
+import ast
 import copy
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from hyplam.geometry import MoebiusMap, Point, PointKind
 RECORDS = [
     (Point(0.3, 0.1, PointKind.INTERIOR), ("re", "im", "kind"), "im", 0.2),
     (MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7), ("a", "b", "c", "d"), "d", 2.0),
+    (geometry.geodesic_through(0.3, 0.5j), ("endpoints",), "endpoints", (Point.of(1.0), Point.of(-1.0))),
     (lambert.lambert_from(0.6, 0.5), ("L", "theta", "t", "vertices", "d1", "d2", "phi"), "d1", 1.0),
     (
         lambert.sum_bounds(0.85, 0.7),
@@ -60,6 +63,14 @@ def test_the_record_contract(record, fields, name, value):
     assert [getattr(changed, f) for f in fields if f != name] == [v for f, v in zip(fields, values) if f != name]
     with pytest.raises(TypeError):
         record._replace(nonexistent=1.0)
+
+
+def test_the_closed_form_modules_import_no_dataclasses():
+    for module in (geometry, lambert, qcbounds, specfun):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in imported, module.__name__
 
 
 def test_the_constructors_keep_their_checks():
