@@ -17,14 +17,12 @@ coordinate and whether it lies on the circle, and returns with them one of
 two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
 `_SCALAR`. Every kernel takes the table and calls its functions: math's and
 builtin abs on scalars, which stay Python floats, numpy's on rows, each row
-under the scalar rules. `rho_disk`, a Moebius image and lambert's
-`alpha_from_quadruple` select by argument type first: Points whose kinds
-show them finite (and, for rho_disk, off the circle), or complex numbers,
-which `_snap` reads, go straight to the kernel, with no `_points` and no
-circle mask; every other argument takes the general path, to the same bits.
-A scalar `rho_disk` of two Points takes ~1.0 us and a Moebius image of a
-Point ~1.3 us (BENCH_scalar_entries.json). Callers that hold checked values
-(lambert's builders) call `_point` and the kernels.
+under the scalar rules. `rho_disk` of two INTERIOR Points, whose kinds
+show them finite and off the circle, goes straight to `_rho` with no
+`_points` and no circle mask; every other argument takes the general path,
+to the same bits. A scalar `rho_disk` of two such Points takes ~0.9 us and
+a Moebius image of a Point ~1.5 us (BENCH_scalar_entries.json). Callers
+that hold checked values (lambert's builders) call `_point` and the kernels.
 A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
 `Point`'s coordinate was snapped when it was made and is used as it is,
 since a second snap moves some points by an ulp. A coordinate or a row that
@@ -257,14 +255,6 @@ def _rho(z, w, sz, sw, ns):
     return 2.0 * ns.arcsinh(ns.abs(z - w) / _disk_factor(sz, sw, ns))
 
 
-def _rho_scalar(z, w, sz, sw):
-    """rho_disk of two scalar points off the circle, given with their squared
-    moduli: DomainError for a point outside the disk, else _rho."""
-    if sz > 1.0 or sw > 1.0:
-        raise DomainError("rho_disk needs points in the closed unit disk")
-    return _rho(z, w, sz, sw, _SCALAR)
-
-
 def _moebius(a, b, c, d, z):
     """(a z + b) / (c z + d); the coefficients may be per-row arrays."""
     return (a * z + b) / (c * z + d)
@@ -384,16 +374,15 @@ def rho_disk(x, y):
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
     circle (0 between equal points there). On ndarrays, row by row."""
     if type(x) is Point and type(y) is Point and x[2] is _INTERIOR and y[2] is _INTERIOR:
-        # the kinds show two finite points off the circle: no snap and no circle mask
+        # the kinds show two finite points off the circle: no _points and no
+        # circle mask; |z|^2 is x*x + y*y, as _SCALAR.sq_abs takes it
         xr, xi, _ = x
         yr, yi, _ = y
-        return _rho_scalar(complex(xr, xi), complex(yr, yi), xr * xr + xi * xi, yr * yr + yi * yi)
-    if type(x) is complex and type(y) is complex:
-        ns, (z, z_on), (w, w_on) = _SCALAR, _snap(x), _snap(y)
-        if not (z_on or w_on):
-            return _rho_scalar(z, w, _SCALAR.sq_abs(z), _SCALAR.sq_abs(w))
-    else:
-        ns, (z, z_on), (w, w_on) = _points(x, y)
+        sz, sw = xr * xr + xi * xi, yr * yr + yi * yi
+        if sz > 1.0 or sw > 1.0:
+            raise DomainError("rho_disk needs points in the closed unit disk")
+        return _rho(complex(xr, xi), complex(yr, yi), sz, sw, _SCALAR)
+    ns, (z, z_on), (w, w_on) = _points(x, y)
     if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
     on = z_on | w_on
@@ -668,22 +657,15 @@ class MoebiusMap(_Record):
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
+        _, (z, _) = _points(z)
         a, b, c, d = self[4:]
-        t = type(z)
-        if t is Point and z[2] is not _AT_INFINITY:
-            re, im, _ = z
-            z = complex(re, im)
-        elif t is complex:
-            z = _snap(z)[0]
-        else:
-            _, (z, _) = _points(z)
-            if type(z) is _ndarray:
-                if not (c * z + d == 0).any():
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        w = _moebius(a, b, c, d, z)
-                    if np.isfinite(w).all():
-                        return _snap(w)[0]
-                raise DomainError("a row maps to infinity, which has no finite coordinate")
+        if type(z) is _ndarray:
+            if not (c * z + d == 0).any():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = _moebius(a, b, c, d, z)
+                if np.isfinite(w).all():
+                    return _snap(w)[0]
+            raise DomainError("a row maps to infinity, which has no finite coordinate")
         try:
             # c z + d is taken once, in _moebius: Python's division refuses
             # exactly a zero divisor, so the pole is decided on c z + d == 0

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InconsistentQuadrilateralError, _new_tuple, _Record
-from .geometry import _BOUNDARY, _SCALAR, Point, _point, _points, _ratio, _snap
+from .geometry import Point, _point, _points, _ratio
 from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ns, _require, rprime
 
 SQRT2 = math.sqrt(2.0)
@@ -93,12 +93,14 @@ _last_sides = (None, None, None)
 def _side_distances(L, theta, ns=math):
     """side_distances for L and theta already checked, by the functions of ns.
 
-    A scalar call returns the last scalar call's pair where L and theta equal
-    its own: by math's functions the pair is two Python floats, a function of
-    the values of L and theta alone. theta = 0 is not kept, as -0.0 == 0.0
-    while d2 keeps theta's sign. Rows never read or write it."""
+    A call at Python floats L and theta returns the last such call's pair
+    where L and theta equal its own: by math's functions the pair is two
+    Python floats, a function of the values of L and theta alone. theta = 0
+    is not kept, as -0.0 == 0.0 while d2 keeps theta's sign. Other scalars
+    (a 0-d array, which the key would hold by reference, or an int) and rows
+    never read or write it."""
     global _last_sides
-    keep = ns is math and theta != 0.0
+    keep = type(L) is float and type(theta) is float and theta != 0.0
     if keep:
         last_L, last_theta, sides = _last_sides
         if L == last_L and theta == last_theta:
@@ -238,18 +240,9 @@ def alpha_from_quadruple(a, b, c, d) -> float:
     """Half-angle arccos(sqrt(1/|a,b,c,d|)) of an ideal quadrilateral given
     its boundary vertices in positive order; DomainError for a vertex off
     the unit circle. The vertices are read and snapped once, for the test
-    and for the ratio: four Points by their kinds, four complex numbers by
-    geometry._snap, and other arguments by geometry._points."""
-    if type(a) is Point and type(b) is Point and type(c) is Point and type(d) is Point:
-        ns, on = _SCALAR, a[2] is _BOUNDARY and b[2] is _BOUNDARY and c[2] is _BOUNDARY and d[2] is _BOUNDARY
-        za, zb, zc, zd = complex(a[0], a[1]), complex(b[0], b[1]), complex(c[0], c[1]), complex(d[0], d[1])
-    else:
-        if type(a) is complex and type(b) is complex and type(c) is complex and type(d) is complex:
-            ns, (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _SCALAR, _snap(a), _snap(b), _snap(c), _snap(d)
-        else:
-            ns, (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _points(a, b, c, d)
-        on = on_a and on_b and on_c and on_d
-    if not on:
+    and for the ratio."""
+    ns, (za, on_a), (zb, on_b), (zc, on_c), (zd, on_d) = _points(a, b, c, d)
+    if not (on_a and on_b and on_c and on_d):
         raise DomainError("an ideal quadrilateral needs its four vertices on the unit circle")
     ratio = _ratio(za, zb, zc, zd, ns)
     if ratio < 1.0:
