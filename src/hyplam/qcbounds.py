@@ -70,7 +70,7 @@ class QcBoundInput(_Record):
     __slots__ = ()
 
     def __new__(cls, K: float, L: float) -> "QcBoundInput":
-        _check_K(K, "QcBoundInput")
+        K = _check_K(K, "QcBoundInput")
         _check_L(L)
         return _new_tuple(cls, (K, L))
 
@@ -196,7 +196,7 @@ def _root_s(K: float, L: float, s_hi: float, tol: float = _S_TOL) -> float:
 def solve_r_LK(K: float, L: float) -> float:
     """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L;
     DomainError naming K or L outside its domain."""
-    _check_K(K, "solve_r_LK")
+    K = _check_K(K, "solve_r_LK")
     _check_L(L)
     rl = r_L_of(L)
     rlp = rprime(rl)
@@ -211,7 +211,7 @@ def T_of(x: float, L: float, K: float) -> float:
     L or K outside its domain."""
     _require((0.0 <= x) & (x <= 1.0), x, "T_of", "x in [0, 1]")
     _check_L(L)
-    _check_K(K, "T_of")
+    K = _check_K(K, "T_of")
     return _T(x, rprime(x), L, K)
 
 
@@ -252,7 +252,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
 def qc_ideal_bound(K: float) -> float:
     """Bound on D1*D2 for the image of an ideal quadrilateral; DomainError
     where the bound is not a finite double."""
-    _check_K(K, "qc_ideal_bound")
+    K = _check_K(K, "qc_ideal_bound")
     if K <= IDEAL_K_CUT:  # 2^{1+1/K} T cannot win the max (module docstring)
         return _times_A2(K, IDEAL_PRODUCT_BOUND)
     t_val = _T_s(_root_s(K, 1.0, _LOG_R1_PRIME, _S_TOL_T_ONLY), 1.0, K)

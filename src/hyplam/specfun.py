@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -498,9 +499,15 @@ _MU_TH_HALF = grotzsch_mu(math.tanh(0.5))
 
 
 def _check_K(K, what: str):
+    """K, or float(K) for a real scalar K that is not a Python float (an int,
+    a numpy float), so that every scalar call returns a float and reaches the
+    A(K) memo; DomainError unless K, or each row of it, is finite and >= 1."""
+    if type(K) is not float and isinstance(K, Real):
+        K = float(K)
     ok = (1.0 <= K) & (K < math.inf)
     if ok is not True and (bad := _first_bad(ok, K)) is not None:
         raise DomainError(f"{what} needs a finite K >= 1, got K = {bad}")
+    return K
 
 
 def _nome_moduli(t, ns=math):
@@ -551,7 +558,7 @@ def mu_inverse(y):
 
 def phi_K(K, r):
     """Hersch-Pfluger distortion mu^{-1}(mu(r)/K), K >= 1."""
-    _check_K(K, "phi_K")
+    K = _check_K(K, "phi_K")
     _check_open01(r, "phi_K")
     return mu_inverse(grotzsch_mu(r) / K)
 
@@ -563,7 +570,7 @@ def distortion_A(K):
     so it stays accurate where phi rounds to 1. mu(th 1/2) is the module
     constant _MU_TH_HALF, so a call evaluates no mu, only mu^{-1}.
     """
-    _check_K(K, "distortion_A")
+    K = _check_K(K, "distortion_A")
     return _distortion_A(K, _ns(K))
 
 
@@ -575,9 +582,9 @@ _last_A = (None, None)
 def _distortion_A(K, ns=math):
     """distortion_A for a K already checked, by the functions of ns.
 
-    A call at a Python float K returns the last such call's A(K) where K
-    equals its own. Other scalars (a numpy float may give a numpy float) and
-    rows never read or write it."""
+    A call at a Python float K, which every scalar K is once _check_K has
+    passed it, returns the last such call's A(K) where K equals its own.
+    Rows never read or write it."""
     global _last_A
     keep = type(K) is float
     if keep:
@@ -602,7 +609,7 @@ _LOG2 = math.log(2.0)
 def distortion_bracket(K):
     """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain.
     K is checked first, as a K far below 1 overflows e^{-2 K arccosh e}."""
-    _check_K(K, "distortion_bracket")
+    K = _check_K(K, "distortion_bracket")
     ns = _ns(K)
     return (
         K,

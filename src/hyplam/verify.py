@@ -264,26 +264,40 @@ def _primes(count: int) -> list[int]:
 
 
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
-    """First n points of the scrambled Halton sequence in [0, 1)^dim.
+    """First n points of the scrambled Halton sequence in [0, 1)^dim: the
+    one block of ``_halton_blocks(n, dim, seed, n)``.
+
+    This reproduces the samples of
+    ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)`` bit
+    for bit, memory layout included.
+    """
+    return next(_halton_blocks(n, dim, seed, n))
+
+
+def _halton_blocks(n: int, dim: int, seed: int, size: int):
+    """The first n points of the scrambled Halton sequence in [0, 1)^dim, as
+    consecutive (rows, dim) blocks of ``size`` rows (the last may be
+    shorter), each with the bits of those rows of ``_halton(n, dim, seed)``.
 
     Digit j of the index in the base of dimension k goes through the j-th of
     that base's random permutations (Owen 2017, arXiv:1706.02808), one for
     each b^-j above 2^-54. The draws and the sum follow the order of
-    ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``,
-    whose samples this reproduces bit for bit, memory layout included.
+    ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``.
 
     A sample is the left-to-right sum, from 0.0, of the terms
     perm_j[digit_j] * w_j, with w_j = b^-(j+1) by repeated division. With
     ndig the digits that cover the indices 0..n-1 and k = ceil(ndig / 2), an
     index is q = hi * b^k + lo. The sum of the first k terms depends on lo
-    alone, so it is tabled once for every lo < b^k; each of the next terms
-    depends on hi alone, and is added to the table's rows as a column. Every
-    sample goes through the same additions of the same operands, in the same
-    order, as digit by digit, so the bits are the same.
+    alone, so it is tabled once for every lo < b^k. Each of the next ndig - k
+    terms depends on hi alone, and is added as a column to the rows of that
+    table that a block spans; each term after those is that of digit 0, a
+    constant added to the block's samples. Every sample goes through the
+    same additions of the same operands, in the same order, as digit by
+    digit, so the bits are the same, whatever the block.
     """
     rng = np.random.default_rng(seed)
-    out = np.zeros((dim, n))
-    for row, base in zip(out, _primes(dim)):
+    dims = []  # per dimension: b, the table of lo, the terms of hi, the constant terms
+    for base in _primes(dim):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
             rng.shuffle(perm)
@@ -300,27 +314,30 @@ def _halton(n: int, dim: int, seed: int) -> np.ndarray:
         low = np.zeros(1)  # the sums of the first j terms, at every lo < b^j
         for term in terms[:k]:
             low = (low[None, :] + term[:, None]).ravel()
-        hi = np.arange(-(-n // len(low)))
-        table = np.empty((len(hi), len(low)))
-        table[:] = low
-        for term in terms[k:ndig]:
-            hi, digit = np.divmod(hi, base)
-            table += term[digit][:, None]
-        # every remaining digit is 0
-        for term in terms[ndig:]:
-            table += term[0]
-        row[:] = table.ravel()[:n]
-    return out.T
+        # every digit after the first ndig is 0
+        dims.append((base, low, terms[k:ndig], terms[ndig:, 0].tolist()))
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        out = np.empty((dim, stop - start))
+        for row, (base, low, hi_terms, tail) in zip(out, dims):
+            width = len(low)
+            first = start // width
+            hi = np.arange(first, (stop - 1) // width + 1)
+            table = np.empty((len(hi), width))
+            table[:] = low
+            for term in hi_terms:
+                hi, digit = np.divmod(hi, base)
+                table += term[digit][:, None]
+            row[:] = table.ravel()[start - first * width : stop - first * width]
+            for term in tail:
+                row += term
+        yield out.T
 
 
-#: rows per array call in the sweeps that check pairs of points: bounds the
-#: temporaries, and so the peak memory, of the thorough profile
+#: rows per block in the sweeps that draw pairs of points or Halton samples
+#: block by block: bounds their samples and temporaries, and so the peak
+#: memory of the thorough profile, whatever n
 _BLOCK = 8192
-
-
-def _blocks(n: int):
-    """Slices of at most _BLOCK rows that cover range(n) in order."""
-    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
 
 
 def _coords(*zs) -> np.ndarray:
@@ -328,23 +345,25 @@ def _coords(*zs) -> np.ndarray:
     return np.column_stack([part for z in zs for part in (z.real, z.imag)])
 
 
-def _disk_points(n: int, seed: int) -> np.ndarray:
-    """n points spread uniformly over the disk |z| <= 0.98."""
-    u = _halton(n, 2, seed)
+def _disk_points(u: np.ndarray) -> np.ndarray:
+    """One point of the disk |z| <= 0.98 per row of the 2-dimensional Halton
+    samples u, spread uniformly over the disk: radius 0.98 sqrt(u0), angle
+    2 pi u1."""
     radius = 0.98 * np.sqrt(u[:, 0])
     angle = 2.0 * math.pi * u[:, 1]
     # the bits of radius * exp(1j * angle), with no complex exp or product
-    z = np.empty(n, dtype=complex)
+    z = np.empty(len(u), dtype=complex)
     z.real, z.imag = radius * np.cos(angle), radius * np.sin(angle)
     return z
 
 
 def _point_pairs(n: int, seed: int, gap: float):
-    """n pairs of _disk_points, in blocks of at most _BLOCK pairs: arrays
-    (z1, z2), in draw order, with the pairs less than gap apart dropped."""
-    pts = _disk_points(2 * n, seed)
-    for rows in _blocks(n):
-        z1, z2 = pts[::2][rows], pts[1::2][rows]
+    """n pairs of consecutive _disk_points of the seed's 2n Halton samples,
+    drawn and mapped _BLOCK pairs at a time: arrays (z1, z2), in draw order,
+    with the pairs less than gap apart dropped."""
+    for u in _halton_blocks(2 * n, 2, seed, 2 * _BLOCK):
+        z = _disk_points(u)
+        z1, z2 = z[::2], z[1::2]
         keep = abs(z1 - z2) >= gap
         yield z1[keep], z2[keep]
 
@@ -382,9 +401,7 @@ def _t_crossratio_distance(n: int, chk: _Checker):
 
 @claim("crossratio-invariance", "the absolute ratio is Moebius invariant")
 def _t_crossratio_invariance(n: int, chk: _Checker):
-    u = _halton(n, 12, default_seed() + 2)
-    for rows in _blocks(n):
-        row = u[rows]
+    for row in _halton_blocks(n, 12, default_seed() + 2, _BLOCK):
         quad = (4 * row[:, 0:8:2] - 2) + 1j * (4 * row[:, 1:8:2] - 2)
         gap = np.min([abs(quad[:, i] - quad[:, j]) for i in range(4) for j in range(i + 1, 4)], axis=0)
         coeffs = (2 * row[:, 8::2] - 1) + 1j * (2 * row[:, 9::2] - 1)
@@ -403,7 +420,7 @@ def _t_crossratio_invariance(n: int, chk: _Checker):
 @claim("isometry", "disk automorphisms and the Cayley map preserve hyperbolic distance", cap=1000)
 def _t_isometry(n: int, chk: _Checker):
     n_maps = min(max(n // 10, 10), 100)
-    pts = _disk_points(2 * n, default_seed() + 3)
+    pts = _disk_points(_halton(2 * n, 2, default_seed() + 3))
     mu = _halton(n_maps, 3, default_seed() + 4)
     maps = [
         MoebiusMap.disk_automorphism(
@@ -766,30 +783,42 @@ def _sides(L, theta):
     """The oracle of a Lambert quadrilateral's side distances, (arth(L cos
     theta), arth(L sin theta)), on floats or arrays; plain numpy, so that it
     shares no code with lambert.side_distances."""
-    return np.arctanh(L * np.cos(theta)), np.arctanh(L * np.sin(theta))
+    return _sides_cs(L, np.cos(theta), np.sin(theta))
+
+
+def _sides_cs(L, cos, sin):
+    """_sides from cos theta and sin theta, for a grid of theta swept at many L."""
+    return np.arctanh(L * cos), np.arctanh(L * sin)
 
 
 @claim("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L")
 def _t_product_sharpness(n: int, chk: _Checker):
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
+    cos, sin = np.cos(thetas), np.sin(thetas)
     for L in [round(0.1 * k, 1) for k in range(1, 11)]:
-        vals = math.prod(_sides(L, thetas))
+        vals, d2 = _sides_cs(L, cos, sin)
+        vals *= d2  # d1 d2, in place
         bound = lam.product_bound(L)
         gmax = float(np.max(vals))
         chk.require(gmax - bound, 1e-12, (L,))
         chk.require(bound - gmax, 1e-4, (L,))
         th_star, ref = refine_grid_max(lambda t: math.prod(_sides(L, t)), thetas, vals, tol=1e-13)
         chk.require(abs(th_star - math.pi / 4.0), 1e-3, (L, th_star))
+        # freed before the next L's sides are made, so that the sweep holds
+        # at most six arrays of n at once
+        del vals, d2
     chk.locate(ref, (L, th_star))
 
 
 @claim("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses", cap=200_001)
 def _t_sum_cases(n: int, chk: _Checker):
     thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
+    cos, sin = np.cos(thetas), np.sin(thetas)
     for L in (0.5, 0.85, 0.95, 1.0):
         rep = lam.sum_bounds(L)
         with np.errstate(divide="ignore"):
-            vals = sum(_sides(L, thetas))
+            vals, d2 = _sides_cs(L, cos, sin)
+        vals += d2  # d1 + d2, in place
         if L < 1.0:
             th_star, gmax = refine_grid_max(lambda t: sum(_sides(L, t)), thetas, vals, tol=1e-13)
             chk.require(abs(gmax - rep.upper), 1e-8, (L, th_star))
@@ -806,15 +835,16 @@ def _t_sum_cases(n: int, chk: _Checker):
             # open infimum arth(L), approached as theta -> 0 or pi/2
             chk.require_true(bool(np.min(vals) > rep.lower), (L,))
             chk.require(abs(sum(_sides(L, 1e-7)) - rep.lower), 1e-3, (L,))
+        del vals, d2  # as in product-sharpness
 
 
 @claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2", cap=100_000)
 def _t_thsq_identity(n: int, chk: _Checker):
-    u = _halton(n, 2, default_seed() + 10)
-    L = 1e-3 + (1.0 - 1e-3) * u[:, 0]
-    theta = 1e-6 + (math.pi / 2.0 - 2e-6) * u[:, 1]
-    d1, d2 = lam.side_distances(L, theta)
-    chk.require_all(np.abs(np.tanh(d1) ** 2 + np.tanh(d2) ** 2 - L * L), 1e-12, np.column_stack([L, theta]))
+    for u in _halton_blocks(n, 2, default_seed() + 10, _BLOCK):
+        L = 1e-3 + (1.0 - 1e-3) * u[:, 0]
+        theta = 1e-6 + (math.pi / 2.0 - 2e-6) * u[:, 1]
+        d1, d2 = lam.side_distances(L, theta)
+        chk.require_all(np.abs(np.tanh(d1) ** 2 + np.tanh(d2) ** 2 - L * L), 1e-12, np.column_stack([L, theta]))
 
 
 def _vertex_angle(q: lam.LambertQuad) -> float:

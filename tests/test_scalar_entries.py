@@ -180,6 +180,16 @@ class TestMemos:
         assert type(again) is type(fresh) and repr(again) == repr(fresh)
         assert type(specfun.distortion_A(K)) is float
 
+    @pytest.mark.parametrize("K", [3.0, 3, np.float64(3.0)], ids=["float", "int", "numpy"])
+    def test_a_real_scalar_K_gives_floats_and_reaches_the_memo(self, K):
+        specfun._last_A = (None, None)
+        a = specfun.distortion_A(K)
+        assert type(a) is float and repr(a) == repr(_fresh_A(3.0))
+        specfun.distortion_A(K)
+        assert type(specfun._last_A[0]) is float and specfun._last_A == (3.0, a)
+        assert type(qcbounds.qc_ideal_bound(K)) is float
+        assert type(qcbounds.qc_product_bound(qcbounds.QcBoundInput(K, 0.9)).bound) is float
+
     def test_rows_bypass_the_memos(self):
         specfun.distortion_A(2.0)
         lambert.side_distances(0.6, 0.5)

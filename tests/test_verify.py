@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,18 @@ class TestHalton:
         u = _halton(n, dim, seed)
         assert np.array_equal(u, expected) and u.strides == expected.strides
 
+    @pytest.mark.parametrize("dim", [1, 2, 12])
+    @pytest.mark.parametrize(
+        "n,size",
+        # n not a multiple of size; size above n; n just past 2^13, 3^7 and
+        # 37^2, the powers where a base gains a digit
+        [(1000, 97), (50, 64), (2**13 + 1, 1024), (3**7 + 1, 500), (37**2 + 1, 128)],
+    )
+    def test_blocks_concatenate_to_the_whole(self, n, dim, size):
+        blocks = list(verify._halton_blocks(n, dim, 701, size))
+        assert [b.shape for b in blocks] == [(min(size, n - i), dim) for i in range(0, n, size)]
+        assert np.concatenate(blocks).tobytes() == _halton(n, dim, 701).tobytes()
+
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, hyplam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
@@ -554,6 +567,42 @@ def test_cli_report_loads_no_registry():
     assert {"Certificate", "REGISTRY", "SweepSpec", "run_all", "run_sweep"} <= set(hyplam.__all__)
     with pytest.raises(AttributeError):
         hyplam.no_such_name
+
+
+def test_the_certificates_do_not_depend_on_the_block_size(monkeypatch):
+    # at 97 rows a block, the fast profile's streamed sweeps and isometry's
+    # maps run many blocks each
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+
+    def certificates():
+        return json.dumps([dict(c.to_dict(), runtime_ms=None) for c in run_all("fast")])
+
+    one_block = certificates()
+    monkeypatch.setattr(verify, "_BLOCK", 97)
+    assert certificates() == one_block
+
+
+#: the sweeps that draw, map and check their samples one block at a time
+STREAMED = ("arc-orthogonality", "crossratio-distance", "midpoint", "crossratio-invariance", "thsq-identity")
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_a_streamed_sweeps_peak_memory_does_not_grow_with_n(monkeypatch, name):
+    # one block's samples and temporaries, whatever n; n samples of 2 to 12
+    # dimensions held at once would take 6-13 MB at n = 10^5
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    sweep = next(e for e in REGISTRY if e.name == name).sweep
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (50_000, 200_000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sweep(n, verify._Checker())
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 6e6 and max(peaks) <= 1.1 * min(peaks), peaks
 
 
 def test_thorough_profile_takes_few_hypot_moduli(monkeypatch):
