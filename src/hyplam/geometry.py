@@ -17,12 +17,14 @@ coordinate and whether it lies on the circle, and returns with them one of
 two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
 `_SCALAR`. Every kernel takes the table and calls its functions: math's and
 builtin abs on scalars, which stay Python floats, numpy's on rows, each row
-under the scalar rules. `rho_disk` of two INTERIOR Points, whose kinds
-show them finite and off the circle, goes straight to `_rho` with no
-`_points` and no circle mask; every other argument takes the general path,
-to the same bits. A scalar `rho_disk` of two such Points takes ~0.9 us and
-a Moebius image of a Point ~1.5 us (BENCH_scalar_entries.json). Callers
-that hold checked values (lambert's builders) call `_point` and the kernels.
+under the scalar rules. Only rows load numpy: `_ROWS` takes its functions
+on first lookup, and the oracle, which holds rows always, imports it where
+it runs. `rho_disk` of two INTERIOR Points, whose kinds show them finite
+and off the circle, goes straight to `_rho` with no `_points` and no circle
+mask; every other argument takes the general path, to the same bits. A
+scalar `rho_disk` of two such Points takes ~0.9 us and a Moebius image of a
+Point ~1.5 us (BENCH_scalar_entries.json). Callers that hold checked values
+(lambert's builders) call `_point` and the kernels.
 A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
 `Point`'s coordinate was snapped when it was made and is used as it is,
 since a second snap moves some points by an ulp. A coordinate or a row that
@@ -50,16 +52,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from enum import Enum
 from types import SimpleNamespace
 
-import numpy as np
-
 from .errors import DegenerateInputError, DomainError, _new_tuple, _Record
-
-#: numpy's array type, bound once, as in specfun: each scalar call tests for it
-#: several times, and isinstance(x, np.ndarray) costs ~5 times isinstance(x, _ndarray)
-_ndarray = np.ndarray
 
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
 _BOUNDARY_SNAP = 64 * 2.0**-52
@@ -135,9 +132,20 @@ def _point(z: complex) -> Point:
 # Kernels: complex scalars or complex ndarrays of finite points
 
 
-def _sq_abs_rows(z):
-    with np.errstate(over="ignore"):
-        return z.real * z.real + z.imag * z.imag
+class _RowsTable(SimpleNamespace):
+    """numpy's functions, taken on the first lookup, which only a row call makes."""
+
+    def __getattr__(self, name: str):  # only for a name the table does not hold
+        if self.__dict__:
+            raise AttributeError(name)
+        import numpy as np
+
+        self.__dict__.update(
+            sqrt=np.sqrt, arcsinh=np.arcsinh, log=np.log, hypot=np.hypot, abs=lambda z: np.hypot(z.real, z.imag),
+            any=np.any, where=np.where, sq_abs=np.errstate(over="ignore")(lambda z: z.real * z.real + z.imag * z.imag),
+            isfinite=np.isfinite, errstate=np.errstate,
+        )
+        return getattr(self, name)
 
 
 #: the functions the kernels take, on complex numbers (each result a Python
@@ -145,15 +153,12 @@ def _sq_abs_rows(z):
 #: (numpy's complex abs rounds otherwise, and rho amplifies that near the
 #: circle); sq_abs is x*x + y*y, within 1.5 ulp of |z|^2 and inf past
 #: |z| ~ 1e154 with no warning; the scalar where has both branches computed
-#: already, so each must be safe on every input
+#: already, so each must be safe on every input. Rows alone take isfinite and errstate
 _SCALAR = SimpleNamespace(
     sqrt=math.sqrt, arcsinh=math.asinh, log=math.log, hypot=math.hypot, abs=abs, any=bool,
     where=lambda cond, a, b: a if cond else b, sq_abs=lambda z: z.real * z.real + z.imag * z.imag,
 )
-_ROWS = SimpleNamespace(
-    sqrt=np.sqrt, arcsinh=np.arcsinh, log=np.log, hypot=np.hypot, abs=lambda z: np.hypot(z.real, z.imag), any=np.any,
-    where=np.where, sq_abs=_sq_abs_rows,
-)
+_ROWS = _RowsTable()
 
 
 def _snap(z):
@@ -179,13 +184,13 @@ def _snap(z):
         if r < math.inf:
             on = abs(r - 1.0) <= _BOUNDARY_SNAP
             return (z / r if on else z), on
-    elif np.isfinite(z).all():
-        near = abs(_sq_abs_rows(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
+    elif _ROWS.isfinite(z).all():
+        near = abs(_ROWS.sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
-        r = np.hypot(z.real, z.imag)
+        r = _ROWS.hypot(z.real, z.imag)
         on = abs(r - 1.0) <= _BOUNDARY_SNAP
-        return np.where(on, _unit(z, np.where(on, r, 1.0)), z), on
+        return _ROWS.where(on, _unit(z, _ROWS.where(on, r, 1.0)), z), on
     raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 
@@ -195,18 +200,20 @@ def _points(*values) -> list:
     lies on the circle; a mask for an ndarray, (None, False) at infinity,
     DomainError for a coordinate or a row that is not finite. A Point's
     coordinate is used as it is: _snap is not idempotent (a second snap moves
-    some points near the circle by an ulp)."""
+    some points near the circle by an ulp). numpy is read as _rows.is_rows reads it."""
     out = [_SCALAR]
     for v in values:
         t = type(v)
         if t is Point:
             re, im, kind = v
             out.append((None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY))
-        elif t is complex or t is float or t is int or not isinstance(v, _ndarray):
+        elif t is complex or t is float or t is int:
             out.append(_snap(v if t is complex else complex(v)))
-        else:
+        elif (np := sys.modules.get("numpy")) is not None and isinstance(v, np.ndarray):
             out[0] = _ROWS
             out.append(_snap(np.asarray(v, dtype=complex)))
+        else:
+            out.append(_snap(complex(v)))
     return out
 
 
@@ -447,11 +454,6 @@ def geodesic_through(x, y) -> Geodesic:
     return _new_tuple(Geodesic, (ends,))
 
 
-#: samples per bracket: each round shrinks an interior bracket 8-fold
-_BRACKET_SAMPLES = np.linspace(0.0, 1.0, 17)
-#: the samples next to each sample, or the end sample itself, bounding the next bracket
-_BRACKET_BELOW = np.append(_BRACKET_SAMPLES[:1], _BRACKET_SAMPLES[:-1])
-_BRACKET_ABOVE = np.append(_BRACKET_SAMPLES[1:], _BRACKET_SAMPLES[-1:])
 #: a search stops once its bracket is at most this wide
 _BRACKET_WIDTH = 1e-12
 #: geodesics closer than this count as intersecting: their distance is 0.0
@@ -461,7 +463,7 @@ _INTERSECT_TOL = 1e-10
 _SHARED_END_TOL = 4 * 2.0**-52
 
 
-def _bracket_min(f, rows: int):
+def _bracket_min(f, rows: int, np):
     """Per row, the minimum over [0, 1] of a unimodal f.
 
     f maps a (k, rows) array of parameters, column j for row j, to their
@@ -472,17 +474,20 @@ def _bracket_min(f, rows: int):
     minimum does not depend on the other rows. The samples run down the
     columns so that per-row constants broadcast along the contiguous axis.
     """
+    samples = np.linspace(0.0, 1.0, 17)  # each round shrinks an interior bracket 8-fold
+    # the samples next to each sample, or the end sample itself, bound the next bracket
+    below, above = np.append(samples[:1], samples[:-1]), np.append(samples[1:], samples[-1:])
     lo, hi = np.zeros(rows), np.ones(rows)
     while True:
         width = hi - lo
-        vals = f(lo + width * _BRACKET_SAMPLES[:, None])
+        vals = f(lo + width * samples[:, None])
         open_ = width > _BRACKET_WIDTH
         if not open_.any():
             return vals.min(axis=0)
         i = np.argmin(vals, axis=0)
         lo, hi = (
-            np.where(open_, lo + width * _BRACKET_BELOW[i], lo),
-            np.where(open_, lo + width * _BRACKET_ABOVE[i], hi),
+            np.where(open_, lo + width * below[i], lo),
+            np.where(open_, lo + width * above[i], hi),
         )
 
 
@@ -508,6 +513,8 @@ def _ends_form(gs):
     near the circle. m is (e1 + e2)/(2a), or -i sigma (e2 - e1)/(2b) where
     b > a. The constants are taken one geodesic at a time, so a row does not
     depend on the others."""
+    import numpy as np
+
     form = []
     for g in gs:
         e1, e2 = (p.z / abs(p.z) for p in g.endpoints)
@@ -540,7 +547,7 @@ def _on_geodesics(form, taus):
     return m.real * a - m.imag * b, m.real * b + m.imag * a, c * (4.0 * u * (1.0 - u)) * den
 
 
-def _distance_rows(gs1, gs2) -> np.ndarray:
+def _distance_rows(gs1, gs2):
     """geodesic_distance for each pair (gs1[j], gs2[j]), as one array search.
 
     The outer search runs over the pairs, the inner one over the pairs times
@@ -558,6 +565,10 @@ def _distance_rows(gs1, gs2) -> np.ndarray:
     arithmetic, with no complex division; the factor 1/(4 (1 - |z|^2) c),
     the same along an inner row, is applied to the row's minimum.
     """
+    import numpy as np
+
+    if not gs1:
+        return np.zeros(0)
     form1 = _ends_form(gs1)
     m, x0, sigma, c = _ends_form(gs2)
     mr, mi = m.real, m.imag
@@ -582,10 +593,10 @@ def _distance_rows(gs1, gs2) -> np.ndarray:
             re /= u_u
             return re
 
-        least = _bracket_min(scaled_sinh2_half_rho, t1.size).reshape(t1.shape)
+        least = _bracket_min(scaled_sinh2_half_rho, t1.size, np).reshape(t1.shape)
         return least / (4.0 * z_factor * c)
 
-    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
+    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1), np)))
     ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
     shared = (abs(ends1[:, :, None] - ends2[:, None, :]) <= _SHARED_END_TOL).any(axis=(1, 2))
     return np.where((rho < _INTERSECT_TOL) | shared, 0.0, rho)
@@ -616,8 +627,6 @@ def geodesic_distance(g1, g2):
     gs1, gs2 = list(g1), list(g2)
     if len(gs1) != len(gs2):
         raise DomainError(f"geodesic_distance needs sequences of equal length, not {len(gs1)} and {len(gs2)}")
-    if not gs1:
-        return np.zeros(0)
     return _distance_rows(gs1, gs2)
 
 
@@ -657,13 +666,13 @@ class MoebiusMap(_Record):
         """The image Point: the point at infinity where c z + d is 0 or the
         image overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
-        _, (z, _) = _points(z)
+        ns, (z, _) = _points(z)
         a, b, c, d = self[4:]
-        if type(z) is _ndarray:
+        if ns is _ROWS:
             if not (c * z + d == 0).any():
-                with np.errstate(over="ignore", invalid="ignore"):
+                with ns.errstate(over="ignore", invalid="ignore"):
                     w = _moebius(a, b, c, d, z)
-                if np.isfinite(w).all():
+                if ns.isfinite(w).all():
                     return _snap(w)[0]
             raise DomainError("a row maps to infinity, which has no finite coordinate")
         try:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import _rows
 from .errors import DomainError, InconsistentQuadrilateralError, _new_tuple, _Record
 from .geometry import Point, _point, _points, _ratio
-from .specfun import _C_HIGH, _C_LOW, _arth_cx, _first_bad, _g_range, _ns, _require, rprime
+from .specfun import _C_HIGH, _C_LOW, _arth_cx, _g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,9 +78,9 @@ def side_distances(L, theta):
     [0, pi/2], each through specfun._arth_cx with the other as complement;
     a pair of ndarrays, row by row, if L or theta is one. DomainError naming
     L or theta outside its interval, on rows the first bad row's value."""
-    _require((0.0 < L) & (L <= 1.0), L, "side_distances", "L in (0, 1]")
-    _require((0.0 <= theta) & (theta <= math.pi / 2.0), theta, "side_distances", "theta in [0, pi/2]")
-    return _side_distances(L, theta, _ns(L, theta))
+    _rows.require((0.0 < L) & (L <= 1.0), L, "side_distances", "L in (0, 1]")
+    _rows.require((0.0 <= theta) & (theta <= math.pi / 2.0), theta, "side_distances", "theta in [0, pi/2]")
+    return _side_distances(L, theta, _rows.ns(L, theta))
 
 
 #: the last scalar (L, theta) of _side_distances and its pair: a bound request,
@@ -138,9 +137,9 @@ def beardon_phi(d1, d2):
     """Fourth angle from sh(d1) sh(d2) = cos(phi), in log space: at L = 1,
     d1 reaches ~745, where sh d1 alone overflows. Row by row for ndarrays,
     where the first bad row raises the scalar's error."""
-    if _first_bad((0.0 <= d1) & (0.0 <= d2), d1) is not None:
+    if _rows.first_bad((0.0 <= d1) & (0.0 <= d2), d1) is not None:
         raise DomainError("side distances must be nonnegative")
-    return _beardon_phi(d1, d2, _ns(d1, d2))
+    return _beardon_phi(d1, d2, _rows.ns(d1, d2))
 
 
 def _beardon_phi(d1, d2, ns=math):
@@ -149,14 +148,14 @@ def _beardon_phi(d1, d2, ns=math):
         log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
         acos, least = math.acos, min
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # log sh 0 = -inf, and inf - inf
-            log_prod = np.where(np.minimum(d1, d2) == 0.0, -np.inf, _log_sh(d1, np) + _log_sh(d2, np))
-        acos, least = np.arccos, np.minimum
+        with ns.errstate(divide="ignore", invalid="ignore"):  # log sh 0 = -inf, and inf - inf
+            log_prod = ns.where(ns.minimum(d1, d2) == 0.0, -math.inf, _log_sh(d1, ns) + _log_sh(d2, ns))
+        acos, least = ns.arccos, ns.minimum
     # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
     # per unit is ~10 times the excess over 1 seen at and near L = 1. The slack
     # is infinite where a side is, so an infinite product is refused apart
     ok = (log_prod < math.inf) & (log_prod <= ns.log1p(2.0**-48 * (2.0 + d1 + d2)))
-    if (bad := _first_bad(ok, log_prod)) is not None:
+    if (bad := _rows.first_bad(ok, log_prod)) is not None:
         raise InconsistentQuadrilateralError(f"sh(d1) sh(d2) = exp({bad}) exceeds 1: not a Lambert quadrilateral")
     return acos(least(ns.exp(log_prod), 1.0))
 
@@ -231,8 +230,8 @@ def ideal_quad(alpha):
     """Opposite-side distances (2 arth cos a, 2 arth sin a) of the normalized
     ideal quadrilateral with vertex half-angle alpha; row by row for an
     ndarray alpha, where any row outside (0, pi/2) raises DomainError."""
-    _require((0.0 < alpha) & (alpha < math.pi / 2.0), alpha, "ideal_quad", "alpha in (0, pi/2)")
-    d1, d2 = _side_distances(1.0, alpha, _ns(alpha))
+    _rows.require((0.0 < alpha) & (alpha < math.pi / 2.0), alpha, "ideal_quad", "alpha in (0, pi/2)")
+    d1, d2 = _side_distances(1.0, alpha, _rows.ns(alpha))
     return 2.0 * d1, 2.0 * d2
 
 

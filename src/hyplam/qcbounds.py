@@ -32,9 +32,10 @@ import math
 from enum import Enum
 from functools import partial
 
+from . import _rows
 from .errors import DomainError, NoRootError, _new_tuple, _Record
 from .lambert import IDEAL_PRODUCT_BOUND, _check_L, _product_root
-from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, _ns, _require, lemma_f_c, rprime
+from .specfun import _LOG2, _arth_cx, _check_K, _distortion_A, _f_c_pair, _itp, lemma_f_c, rprime
 
 #: th(1) = (e^2 - 1)/(e^2 + 1), the small-L / large-L branch point
 TH1 = (math.e**2 - 1.0) / (math.e**2 + 1.0)
@@ -87,7 +88,7 @@ class QcBoundResult(_Record):
 
 def r_L_of(L):
     """r_L = th(1)/L, where arth(L r) = 1."""
-    _require((TH1 < L) & (L <= 1.0), L, "r_L_of", "L in (th(1), 1]")
+    _rows.require((TH1 < L) & (L <= 1.0), L, "r_L_of", "L in (th(1), 1]")
     return _r_L(L)
 
 
@@ -99,7 +100,7 @@ def _r_L(L):
 def M_L_of(L):
     """M_L = f_L(r_L') / f_L(r_L) > 1."""
     rl = r_L_of(L)
-    return _M_L(L, rl, rprime(rl), _ns(L))
+    return _M_L(L, rl, rprime(rl), _rows.ns(L))
 
 
 def _M_L(L, rl, rlp, ns=math):
@@ -209,7 +210,7 @@ def solve_r_LK(K: float, L: float) -> float:
 def T_of(x: float, L: float, K: float) -> float:
     """T(x, L) = arth(L x) (arth(L sqrt(1-x^2)))^(1/K); DomainError naming x,
     L or K outside its domain."""
-    _require((0.0 <= x) & (x <= 1.0), x, "T_of", "x in [0, 1]")
+    _rows.require((0.0 <= x) & (x <= 1.0), x, "T_of", "x in [0, 1]")
     _check_L(L)
     K = _check_K(K, "T_of")
     return _T(x, rprime(x), L, K)

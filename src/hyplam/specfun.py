@@ -3,17 +3,16 @@ Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
 
 One numeric core serves scalar and array callers. `arth`, `arth_complement`,
-`rprime`, `agm`, `grotzsch_mu`, the lemma functions, the `aux_*` functions,
-`mu_inverse`, `phi_K`, `distortion_A`, `distortion_bracket` and the private
-kernels `_arth_cx` and `_mu_inverse_pair` also take ndarrays and work row by
-row under the scalar rules: each formula is written once, over a namespace
-that is `math` for a scalar and `numpy` for an ndarray, and a bad row raises
-the scalar's DomainError. A scalar call never goes through numpy and returns
-a Python float. A row agrees with its scalar call to within the rounding of
-numpy's log1p, log, exp, arctanh and power against libm's (a few ulp;
-tests/test_array_core.py); AGM and series rows equal theirs bit for bit.
-`holder_mean` is elementwise too. `g_range` and `big_C_of_p` take scalars
-only.
+`rprime`, `agm`, `grotzsch_mu`, the lemma and `aux_*` functions, `mu_inverse`,
+`phi_K`, `distortion_A`, `distortion_bracket`, the elementwise `holder_mean`
+and the private kernels `_arth_cx` and `_mu_inverse_pair` also take ndarrays,
+row by row under the scalar rules: each formula is written once, over the
+namespace `_rows.ns` picks, and a bad row raises the scalar's DomainError. A
+scalar call neither loads nor touches numpy, and returns a Python float. A
+row agrees with its scalar call to within the rounding of numpy's log1p, log,
+exp, arctanh and power against libm's (a few ulp; tests/test_array_core.py);
+AGM and series rows equal theirs bit for bit. `g_range` and `big_C_of_p`
+take scalars only.
 
 mu is evaluated through the arithmetic-geometric mean. Its inverse is the
 closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
@@ -44,66 +43,27 @@ from enum import Enum
 from functools import partial
 from numbers import Real
 
-import numpy as np
-
+from . import _rows
 from .errors import DomainError, _new_tuple, _Record
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 
-#: numpy's array type, bound once: a scalar call tests for it on every call,
-#: and isinstance(x, np.ndarray) costs ~5 times isinstance(x, _ndarray)
-_ndarray = np.ndarray
-
-
-def _ns(x, y=None):
-    """The namespace the kernels take their functions from: numpy if x or y
-    is an ndarray, else math. The private kernels take it as an argument,
-    math by default, so that scalar callers pay for no test."""
-    return np if isinstance(x, _ndarray) or isinstance(y, _ndarray) else math
-
-
-def _first_bad(ok, value):
-    """None where the domain test ok holds: a bool for a scalar, or a mask for
-    rows. Else value, or for rows the value of the first bad row."""
-    if isinstance(ok, _ndarray):
-        return None if ok.all() else np.broadcast_to(value, ok.shape)[~ok][0]
-    return None if ok else value
-
-
-def _require(ok, value, what: str, needs: str):
-    """DomainError "<what> needs <needs>, got <value>" unless ok holds (see _first_bad)."""
-    if ok is not True and (bad := _first_bad(ok, value)) is not None:
-        raise DomainError(f"{what} needs {needs}, got {bad}")
-
-
-def _split_at(x, split, far, near, *args):
-    """far(x, *args) where x >= split and near(x, *args) below: on an ndarray x, each side
-    in one call, with its rows of any ndarray arg of x's shape. A result may be a pair of rows."""
-    if not isinstance(x, _ndarray):
-        return far(x, *args) if x >= split else near(x, *args)
-    is_far = x >= split
-    side = lambda f, rows: f(x[rows], *(a[rows] if isinstance(a, _ndarray) else a for a in args))
-    hi, lo = side(far, is_far), side(near, ~is_far)
-    out = np.empty(np.shape(hi)[:-1] + x.shape)
-    out[..., is_far], out[..., ~is_far] = hi, lo
-    return out
-
 
 def arth(x):
     """Inverse hyperbolic tangent on [0, 1]; arth(1) is +inf."""
-    _require((0.0 <= x) & (x <= 1.0), x, "arth", "x in [0, 1]")
-    if isinstance(x, _ndarray):
-        with np.errstate(divide="ignore"):  # arctanh 1 = inf
-            return np.arctanh(x)
-    return math.atanh(x) if x != 1.0 else math.inf
+    _rows.require((0.0 <= x) & (x <= 1.0), x, "arth", "x in [0, 1]")
+    if (ns := _rows.ns(x)) is math:
+        return math.atanh(x) if x != 1.0 else math.inf
+    with ns.errstate(divide="ignore"):  # arctanh 1 = inf
+        return ns.arctanh(x)
 
 
 def rprime(r):
     """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN."""
     rp2 = (1.0 - r) * (1.0 + r)
-    if isinstance(rp2, _ndarray):
-        return np.sqrt(np.fmax(0.0, rp2))
-    return math.sqrt(max(0.0, rp2))
+    if (ns := _rows.ns(rp2)) is math:
+        return math.sqrt(max(0.0, rp2))
+    return ns.sqrt(ns.fmax(0.0, rp2))
 
 
 def _arth_cx(c, x, xp, ns=math):
@@ -116,18 +76,19 @@ def _arth_cx(c, x, xp, ns=math):
     each row takes the form its scalar call takes, and only that one.
     """
     den = (1.0 - c) + c * xp * xp / (1.0 + x)
-    if ns is np:
+    if ns is math:
+        if den < 1e-300:
+            return _arth_near_one(math, x, xp) if xp else math.inf  # math.log(0) raises
+    else:
         near = den < 1e-300
         if near.any():
-            c, x, xp = np.broadcast_arrays(c, x, xp, den)[:3]
+            c, x, xp = ns.broadcast_arrays(c, x, xp, den)[:3]
             far = ~near
-            out = np.empty(den.shape)
-            out[far] = _arth_cx(c[far], x[far], xp[far], np)
-            with np.errstate(divide="ignore"):  # log 0 = -inf
-                out[near] = _arth_near_one(np, x[near], xp[near])
+            out = ns.empty(den.shape)
+            out[far] = _arth_cx(c[far], x[far], xp[far], ns)
+            with ns.errstate(divide="ignore"):  # log 0 = -inf
+                out[near] = _arth_near_one(ns, x[near], xp[near])
             return out
-    elif den < 1e-300:
-        return _arth_near_one(math, x, xp) if xp else math.inf  # math.log(0) raises
     return 0.5 * ns.log1p(2.0 * c * x / den)
 
 
@@ -139,21 +100,22 @@ def _arth_near_one(ns, x, xp):
 def arth_complement(r):
     """arth(sqrt(1 - r^2)), stable for tiny r."""
     _check_open01(r, "arth_complement")
-    return _arth_cx(1.0, rprime(r), r, _ns(r))
+    return _arth_cx(1.0, rprime(r), r, _rows.ns(r))
 
 
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
     mean where p = 0. A NaN argument gives NaN."""
-    rows = isinstance(r, _ndarray) or isinstance(s, _ndarray)
-    if (np.minimum(r, s) <= 0.0).any() if rows else (r <= 0.0 or s <= 0.0):
+    ns = _rows.ns(r, s)
+    if (ns.minimum(r, s) <= 0.0).any() if ns is not math else (r <= 0.0 or s <= 0.0):
         raise DomainError("holder_mean needs positive arguments")
-    if isinstance(p, _ndarray):
+    if _rows.is_rows(p):
+        ns = _rows.ns(p)
         geometric = p == 0.0
-        q = np.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
-        return np.where(geometric, np.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
+        q = ns.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
+        return ns.where(geometric, ns.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
     if p == 0.0:
-        return np.sqrt(r * s) if rows else math.sqrt(r * s)
+        return ns.sqrt(r * s)
     return ((r**p + s**p) / 2.0) ** (1.0 / p)
 
 
@@ -162,11 +124,11 @@ def holder_mean(p, r, s):
 
 
 def _check_open01(r, what: str):
-    _require((0.0 < r) & (r < 1.0), r, what, "r in (0, 1)")
+    _rows.require((0.0 < r) & (r < 1.0), r, what, "r in (0, 1)")
 
 
 def _check_c(c, what: str):
-    _require((0.0 < c) & (c <= 1.0), c, what, "c in (0, 1]")
+    _rows.require((0.0 < c) & (c <= 1.0), c, what, "c in (0, 1]")
 
 
 def _f_c_pair(c, x, xp, ns=math):
@@ -180,23 +142,23 @@ def _f_c_pair(c, x, xp, ns=math):
     """
     num = (1.0 - c) * (1.0 + c) / x + c * c * x
     den = _arth_cx(c, x, xp, ns)
-    if ns is np:
-        with np.errstate(over="ignore", divide="ignore"):
-            return num / den
-    return num / den if den else math.inf
+    if ns is math:
+        return num / den if den else math.inf
+    with ns.errstate(over="ignore", divide="ignore"):
+        return num / den
 
 
 def lemma_f_c(c, r):
     """f_c(r) = (1 - (c r')^2) / (r arth(c r)); strictly decreasing in r."""
     _check_c(c, "lemma_f_c")
     _check_open01(r, "lemma_f_c")
-    return _f_c_pair(c, r, rprime(r), _ns(c, r))
+    return _f_c_pair(c, r, rprime(r), _rows.ns(c, r))
 
 def lemma_F_c(c, r):
     """F_c(r) = arth(c r) arth(c r'); max (arth(c sqrt2/2))^2 at r = sqrt2/2."""
     _check_c(c, "lemma_F_c")
     _check_open01(r, "lemma_F_c")
-    ns, rp = _ns(c, r), rprime(r)
+    ns, rp = _rows.ns(c, r), rprime(r)
     return _arth_cx(c, r, rp, ns) * _arth_cx(c, rp, r, ns)
 
 
@@ -204,7 +166,7 @@ def lemma_G_c(c, r):
     """G_c(r) = arth(c r) + arth(c r')."""
     _check_c(c, "lemma_G_c")
     _check_open01(r, "lemma_G_c")
-    return _G_c(c, r, _ns(c, r))
+    return _G_c(c, r, _rows.ns(c, r))
 
 
 def _G_c(c, r, ns=math):
@@ -259,7 +221,7 @@ def _g_range(c: float) -> GRange:
 def aux_h1(r):
     """r'/arth(r'); strictly increasing and concave, range (0, 1)."""
     _check_open01(r, "aux_h1")
-    return _f_c_pair(1.0, rprime(r), r, _ns(r))
+    return _f_c_pair(1.0, rprime(r), r, _rows.ns(r))
 
 
 def aux_h(r):
@@ -273,7 +235,7 @@ def aux_g_le2(p, r):
     in aux_g_pq: r inside the power overflows it for tiny r at p < 0, where the value is finite."""
     _check_open01(r, "aux_g_le2")
     rp = rprime(r)
-    return r**p / rp * ((arth(r) / r) / _arth_cx(1.0, rp, r, _ns(r))) ** (p - 1.0)
+    return r**p / rp * ((arth(r) / r) / _arth_cx(1.0, rp, r, _rows.ns(r))) ** (p - 1.0)
 
 
 def aux_slope_ratio(r):
@@ -287,7 +249,7 @@ def aux_slope_ratio(r):
     tends to -2 - 4t/5. An ndarray is split at r = 0.6 into the two forms.
     """
     _check_open01(r, "aux_slope_ratio")
-    return _split_at(r, 0.6, _slope_ratio_far, _slope_ratio_series)
+    return _rows.split_at(r, 0.6, _slope_ratio_far, _slope_ratio_series)
 
 
 def _slope_ratio_far(r):
@@ -301,7 +263,7 @@ def _slope_ratio_series(r):
     until no row moves. A row that has stopped stays put, as its next terms
     are smaller still, so it equals its scalar call bit for bit."""
     t, rp2 = r * r, (1.0 - r) * (1.0 + r)
-    moves = np.any if isinstance(r, _ndarray) else bool
+    moves = bool if (ns := _rows.ns(r)) is math else ns.any
     b, term, k = 0.0 * t, 1.0, 5
     while moves(b + term / k != b):
         b, term, k = b + term / k, term * t, k + 2
@@ -314,8 +276,8 @@ def aux_h_p(p, r):
     It tends to p as r -> 0, where 1 and the rest cancel for p near 0, so below r = 0.5
     (rows split there) it is p + t sum_{k>=1} t^{k-1} ((p-1)/(2k+1) - (p+1)/(2k-1)), t = r^2."""
     _check_open01(r, "aux_h_p")
-    r, p = np.broadcast_arrays(r, p) if isinstance(p, _ndarray) else (r, p)  # a row of p per row of r
-    return _split_at(r, 0.5, _h_p_far, _h_p_series, p)
+    r, p = (r, p) if (ns := _rows.ns(p)) is math else ns.broadcast_arrays(r, p)  # a row of p per row of r
+    return _rows.split_at(r, 0.5, _h_p_far, _h_p_series, p)
 
 
 def _h_p_far(r, p):
@@ -325,7 +287,7 @@ def _h_p_far(r, p):
 def _h_p_series(r, p):
     """Term k is -t^{k-1} (4k + 2p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
     stops moving the sum. Terms change sign, so a row that has stopped takes no more of them."""
-    t, moves = r * r, np.any if isinstance(r, _ndarray) else bool
+    t, moves = r * r, bool if (ns := _rows.ns(r)) is math else ns.any
     s, tk, k = 0.0 * t, 1.0, 1
     while moves(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
         s, tk, k = s - moving * tk * (4.0 * k + 2.0 * p) / (4.0 * k * k - 1.0), tk * t, k + 1
@@ -466,22 +428,21 @@ def agm(a, b):
     it equals its scalar call bit for bit (sqrt, like + and *, is correctly
     rounded in numpy as in math).
     """
-    _require(0.0 < a, a, "agm", "a > 0")
-    _require(0.0 < b, b, "agm", "b > 0")
+    _rows.require(0.0 < a, a, "agm", "a > 0")
+    _rows.require(0.0 < b, b, "agm", "b > 0")
     return _agm(a, b)
 
 
 def _agm(a, b):
     """agm for a and b already checked, or known positive."""
-    rows = isinstance(a, _ndarray) or isinstance(b, _ndarray)
-    sqrt = np.sqrt if rows else math.sqrt
+    rows = (ns := _rows.ns(a, b)) is not math
     for _ in range(64):
         moving = abs(a - b) > 2.0**-52 * a
         if not (moving.any() if rows else moving):
             break
-        a_next, b_next = 0.5 * (a + b), sqrt(a * b)
+        a_next, b_next = 0.5 * (a + b), ns.sqrt(a * b)
         if rows:
-            a_next, b_next = np.where(moving, a_next, a), np.where(moving, b_next, b)
+            a_next, b_next = ns.where(moving, a_next, a), ns.where(moving, b_next, b)
         a, b = a_next, b_next
     return 0.5 * (a + b)
 
@@ -501,11 +462,14 @@ _MU_TH_HALF = grotzsch_mu(math.tanh(0.5))
 def _check_K(K, what: str):
     """K, or float(K) for a real scalar K that is not a Python float (an int,
     a numpy float), so that every scalar call returns a float and reaches the
-    A(K) memo; DomainError unless K, or each row of it, is finite and >= 1."""
+    A(K) memo; DomainError unless K, or each row of it, is finite and >= 1 (an
+    int beyond the doubles is named +-inf, not by its digits)."""
     if type(K) is not float and isinstance(K, Real):
-        K = float(K)
-    ok = (1.0 <= K) & (K < math.inf)
-    if ok is not True and (bad := _first_bad(ok, K)) is not None:
+        try:
+            K = float(K)
+        except OverflowError:
+            K = math.inf if K > 0 else -math.inf
+    if (bad := _rows.first_bad((1.0 <= K) & (K < math.inf), K)) is not None:
         raise DomainError(f"{what} needs a finite K >= 1, got K = {bad}")
     return K
 
@@ -531,7 +495,7 @@ def _mu_inverse_pair(y, ns=math):
     """(r, log r') with grotzsch_mu(r) = y > 0 and r' = sqrt(1 - r^2); rows of
     an ndarray y each from the nome of their scalar call. r' is returned as its
     log: it underflows (K above ~600 in A(K)) long before A(K) = 2 log((1 + r)/r')."""
-    return _split_at(y, _HALF_PI, _pair_by_nome, _pair_by_conome, ns)
+    return _rows.split_at(y, _HALF_PI, _pair_by_nome, _pair_by_conome, ns)
 
 
 def _pair_by_nome(y, ns):
@@ -548,10 +512,10 @@ def _pair_by_conome(y, ns):
 
 def mu_inverse(y):
     """Inverse of grotzsch_mu, in closed form from the Jacobi nome."""
-    if (bad := _first_bad(y > 0.0, y)) is not None:
+    if (bad := _rows.first_bad(y > 0.0, y)) is not None:
         raise DomainError(f"mu_inverse needs y > 0, got y = {bad}")
-    r = _mu_inverse_pair(y, _ns(y))[0]
-    if (bad := _first_bad(r > 0.0, y)) is not None:
+    r = _mu_inverse_pair(y, _rows.ns(y))[0]
+    if (bad := _rows.first_bad(r > 0.0, y)) is not None:
         raise DomainError(f"mu_inverse(y = {bad}) underflows to 0")
     return r
 
@@ -571,7 +535,7 @@ def distortion_A(K):
     constant _MU_TH_HALF, so a call evaluates no mu, only mu^{-1}.
     """
     K = _check_K(K, "distortion_A")
-    return _distortion_A(K, _ns(K))
+    return _distortion_A(K, _rows.ns(K))
 
 
 #: the last float K of _distortion_A and its A(K): a bound request asks for A
@@ -610,7 +574,7 @@ def distortion_bracket(K):
     """(K, u(K-1)+1, log(cosh(K arccosh e)), A(K), v(K-1)+K), a monotone chain.
     K is checked first, as a K far below 1 overflows e^{-2 K arccosh e}."""
     K = _check_K(K, "distortion_bracket")
-    ns = _ns(K)
+    ns = _rows.ns(K)
     return (
         K,
         _BRACKET_U * (K - 1.0) + 1.0,

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
-from hyplam import cli
-from hyplam.cli import _CSV_BLOCK, _csv_bytes, _sweep_rows, build_parser, main
+from hyplam import _sweep, cli
+from hyplam._sweep import _CSV_BLOCK, _csv_bytes, _sweep_rows
+from hyplam.cli import build_parser, main
 
 PI4 = "0.7853981633974483"
 
@@ -282,7 +283,7 @@ class TestSweep:
     @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-directory", "a-directory"])
     def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, out):
         # exit 1 means a violated bound; the path is checked before the sweep runs
-        monkeypatch.setattr(cli, "_sweep_rows", lambda args: pytest.fail("swept"))
+        monkeypatch.setattr(_sweep, "_sweep_rows", lambda args: pytest.fail("swept"))
         code, _, err = run(capsys, "sweep", "--target", "mu", "--grid", "10", "--out", str(tmp_path / out))
         assert code == 2 and err.startswith("error: ")
 
@@ -305,7 +306,7 @@ class TestSweep:
         def no_memory(args):
             raise MemoryError("Unable to allocate 711. TiB")
 
-        monkeypatch.setattr(cli, "_sweep_rows", no_memory)
+        monkeypatch.setattr(_sweep, "_sweep_rows", no_memory)
         code, _, err = run(capsys, "sweep", "--target", "mu", "--grid", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err == "error: Unable to allocate 711. TiB\n"
 

@@ -71,9 +71,42 @@ def test_one_kernel(name):
 
 
 def test_cli_evaluates_no_formula():
-    # the sweeps call the library's kernels: no arth, log or AGM step of their own
-    used = {node.attr for node in ast.walk(_tree("cli")) if isinstance(node, ast.Attribute)}
+    # the sweeps, whose rows live in _sweep, call the library's kernels: no
+    # arth, log or AGM step of their own
+    trees = [_tree("cli"), _tree("_sweep")]
+    used = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"arctanh", "atanh", "log", "log1p", "sqrt", "cos", "sin", "agm", "_arth_cx"}
+
+
+def _module_level_imports(module: str) -> set[str]:
+    """The top-level packages that `module` imports outside any function."""
+    found = set()
+    for node in _tree(module).body:
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_modules_that_hold_rows_import_numpy_at_load():
+    # the scalar layers and the CLI's reports tell rows through _rows (geometry
+    # in _points) and load numpy only for rows; the sweep, the registry and its
+    # oracles hold rows always
+    assert [p.stem for p in sorted(SRC.glob("*.py")) if "numpy" in _module_level_imports(p.stem)] == [
+        "_sweep", "optimize", "verify"
+    ]
+
+
+def test_no_module_binds_its_own_ndarray():
+    # the row test is _rows.is_rows, and geometry's _points: no module binds numpy's array type
+    bound = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "_ndarray"
+    ]
+    assert not bound
 
 
 #: the Array API aliases numpy added in 2.0; pyproject allows numpy 1.24,
@@ -83,9 +116,12 @@ NUMPY2_ONLY = {"acos", "asin", "atan", "atan2", "atanh", "asinh", "acosh", "pow"
 
 
 def _numpy_namespace(node: ast.expr) -> bool:
-    """np, numpy, a namespace ns that may be numpy, or _ns(...), which picks one."""
+    """np, numpy, a namespace ns that may be numpy, or a call that picks one:
+    _rows.ns(...), ns(...) inside _rows, or _ns(...)."""
     if isinstance(node, ast.Call):
         node = node.func
+        if isinstance(node, ast.Attribute) and node.attr == "ns":  # _rows.ns(...)
+            return True
     return isinstance(node, ast.Name) and node.id in {"np", "numpy", "ns", "_ns"}
 
 

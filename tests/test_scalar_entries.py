@@ -209,3 +209,24 @@ class TestMemos:
         assert specfun._last_A == (2.0, -1.0) and lambert._last_sides == (0.6, 0.5, (-1.0, -1.0))
         specfun._last_A, lambert._last_sides = last_A, last_sides
         assert specfun.distortion_A(2.0) == _fresh_A(2.0)
+
+
+#: every public entry that takes K, as a function of K alone
+K_ENTRIES = {
+    "distortion_A": specfun.distortion_A,
+    "phi_K": lambda K: specfun.phi_K(K, 0.3),
+    "distortion_bracket": specfun.distortion_bracket,
+    "QcBoundInput": lambda K: qcbounds.QcBoundInput(K, 0.9),
+    "solve_r_LK": lambda K: qcbounds.solve_r_LK(K, 0.9),
+    "T_of": lambda K: qcbounds.T_of(0.5, 0.9, K),
+    "qc_ideal_bound": qcbounds.qc_ideal_bound,
+}
+
+
+@pytest.mark.parametrize("K", [10**400, -(10**400)], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("entry", K_ENTRIES)
+def test_an_int_K_beyond_the_doubles_is_a_domain_error(entry, K):
+    # float(K) overflows: a DomainError naming the entry and K as the double
+    # it rounds past, not by its 401 digits
+    with pytest.raises(DomainError, match=rf"^{entry} needs a finite K >= 1, got K = {'-' if K < 0 else ''}inf$"):
+        K_ENTRIES[entry](K)

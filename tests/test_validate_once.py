@@ -140,14 +140,14 @@ class TestBuildersValidateOnce:
                 call()
 
     def test_sweep_rows_call_no_public_checker(self, monkeypatch):
-        from hyplam import cli
+        from hyplam import _sweep, cli
 
         parse = cli.build_parser().parse_args
         args = [parse(["sweep", "--target", t, "--grid", "64", "--L", "0.7", "--out", "-"]) for t in ("product", "sum")]
-        expected = [cli._sweep_rows(a)[1] for a in args]
+        expected = [_sweep._sweep_rows(a)[1] for a in args]
         _poison(monkeypatch, lambert, "side_distances")
         for a, table in zip(args, expected):
-            assert cli._sweep_rows(a)[1].tobytes() == table.tobytes()
+            assert _sweep._sweep_rows(a)[1].tobytes() == table.tobytes()
 
 
 class TestSideDistancesDomain:

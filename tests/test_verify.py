@@ -550,6 +550,40 @@ class TestHalton:
         assert out.stdout.strip() == "[]"
 
 
+#: in a fresh interpreter: whether numpy is loaded after import hyplam, after
+#: import hyplam.cli and after each argument vector of argv[1], then main's
+#: exit codes on argv[2:], with numpy loaded or not after each
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import hyplam
+print("numpy" in sys.modules)
+import hyplam.cli
+print("numpy" in sys.modules)
+for argv in open(sys.argv[1]).read().splitlines():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        hyplam.cli.main(argv.split())
+    print("numpy" in sys.modules, argv)
+for argv in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(hyplam.cli.main(argv.split()), "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_subcommands_with_rows_load_numpy(tmp_path):
+    # the reports each make one scalar evaluation: the package, the CLI and
+    # every pinned report leave numpy unloaded; sweep and verify hold rows
+    env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
+    env.pop("HYPLAM_SEED", None)
+    pinned = Path(__file__).parent / "data" / "cli_argv.txt"
+    rows = [f"sweep --target mu --grid 10 --out {tmp_path / 'mu.csv'}", "verify --profile fast"]
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(pinned), *rows], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    reports = out.stdout.splitlines()
+    assert len(reports) == 2 + len(pinned.read_text().splitlines())
+    assert [line for line in reports if not line.startswith("False")] == []
+    assert out.stderr.splitlines() == ["0 True", "0 True"]
+
+
 def test_cli_report_loads_no_registry():
     # the registry is imported by `hyplam verify` and on first use of its names
     code = (
