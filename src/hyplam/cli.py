@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HyplamError, OSError, MemoryError) as exc:
-        # exit 1 is kept for a violated bound
+    except (HyplamError, OSError, MemoryError, ImportError) as exc:
+        # exit 1 is kept for a violated bound; sweep and verify need numpy
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,8 @@ Points live in the closed unit disk (or the upper half plane after a Cayley
 transform). A geodesic is held as its two ends on the unit circle, and
 nothing else: `_geodesic_ends` finds them, one body over scalars and rows
 in real arithmetic, and `geodesic_through` puts an input on the circle in
-place of its end. A numerical geodesic-to-geodesic distance oracle
-deliberately works by a nested bracket search over sampled points, so it
-stays independent of any closed-form distance it checks. It samples each
-geodesic as the image of a diameter under a disk automorphism built from
-the two ends (`_ends_form`), and runs its inner search in real arithmetic.
+place of its end. `geodesic_distance` is a closed form in the four ends
+(`_ends_distance`); verify holds the bracket search that checks it.
 
 Each function has one body over scalars and rows, and picks its namespace
 once per call. `_points` tests each argument's exact type once (a complex
@@ -18,8 +15,7 @@ two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
 `_SCALAR`. Every kernel takes the table and calls its functions: math's and
 builtin abs on scalars, which stay Python floats, numpy's on rows, each row
 under the scalar rules. Only rows load numpy: `_ROWS` takes its functions
-on first lookup, and the oracle, which holds rows always, imports it where
-it runs. `rho_disk` of two INTERIOR Points, whose kinds show them finite
+on first lookup. `rho_disk` of two INTERIOR Points, whose kinds show them finite
 and off the circle, goes straight to `_rho` with no `_points` and no circle
 mask; every other argument takes the general path, to the same bits. A
 scalar `rho_disk` of two such Points takes ~0.9 us and a Moebius image of a
@@ -63,7 +59,6 @@ _BOUNDARY_SNAP = 64 * 2.0**-52
 #: the line through z1 and z2 counts as through 0 when the nearer point lies off
 #: the diameter through the farther one by less than this times their distance
 _COLLINEAR_TOL = 1e-12
-_PARAM_MARGIN = 1e-9
 #: the six pairs of four points, in the order ab, ac, ad, bc, bd, cd
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 #: a map with |ad - bc| at most this times |ad| + |bc| counts as degenerate
@@ -143,7 +138,8 @@ class _RowsTable(SimpleNamespace):
         self.__dict__.update(
             sqrt=np.sqrt, arcsinh=np.arcsinh, log=np.log, hypot=np.hypot, abs=lambda z: np.hypot(z.real, z.imag),
             any=np.any, where=np.where, sq_abs=np.errstate(over="ignore")(lambda z: z.real * z.real + z.imag * z.imag),
-            isfinite=np.isfinite, errstate=np.errstate,
+            isfinite=np.isfinite, errstate=np.errstate, asarray=np.asarray,
+            math_asinh=np.vectorize(math.asinh, otypes=[float]),
         )
         return getattr(self, name)
 
@@ -153,9 +149,10 @@ class _RowsTable(SimpleNamespace):
 #: (numpy's complex abs rounds otherwise, and rho amplifies that near the
 #: circle); sq_abs is x*x + y*y, within 1.5 ulp of |z|^2 and inf past
 #: |z| ~ 1e154 with no warning; the scalar where has both branches computed
-#: already, so each must be safe on every input. Rows alone take isfinite and errstate
+#: already, so each must be safe on every input. Rows alone take isfinite, errstate
+#: and asarray; math_asinh is math.asinh on rows too, which numpy's arcsinh is not
 _SCALAR = SimpleNamespace(
-    sqrt=math.sqrt, arcsinh=math.asinh, log=math.log, hypot=math.hypot, abs=abs, any=bool,
+    sqrt=math.sqrt, arcsinh=math.asinh, math_asinh=math.asinh, log=math.log, hypot=math.hypot, abs=abs, any=bool,
     where=lambda cond, a, b: a if cond else b, sq_abs=lambda z: z.real * z.real + z.imag * z.imag,
 )
 _ROWS = _RowsTable()
@@ -454,180 +451,48 @@ def geodesic_through(x, y) -> Geodesic:
     return _new_tuple(Geodesic, (ends,))
 
 
-#: a search stops once its bracket is at most this wide
-_BRACKET_WIDTH = 1e-12
-#: geodesics closer than this count as intersecting: their distance is 0.0
-_INTERSECT_TOL = 1e-10
-#: ends this close are one ideal point: _arc rounds an end by an ulp or so
-#: (1.1e-16 seen); ends 2e-14 apart are distinct, at distance 2.0e-7
-_SHARED_END_TOL = 4 * 2.0**-52
+def _ends_of(g: Geodesic) -> tuple[complex, complex]:
+    """A geodesic's ends; DomainError unless two distinct points of the circle."""
+    (re1, im1, k1), (re2, im2, k2) = g[0]
+    if k1 is not _BOUNDARY or k2 is not _BOUNDARY or (re1, im1) == (re2, im2):
+        raise DomainError("a geodesic needs two distinct ends on the unit circle")
+    return complex(re1, im1), complex(re2, im2)
 
 
-def _bracket_min(f, rows: int, np):
-    """Per row, the minimum over [0, 1] of a unimodal f.
-
-    f maps a (k, rows) array of parameters, column j for row j, to their
-    values. Each round samples every bracket at k points and keeps the two
-    neighbours of the best sample, which still enclose the minimum of a
-    unimodal function. A bracket at most 1e-12 wide stays as it is, so its
-    row samples the same points until every bracket is that narrow: a row's
-    minimum does not depend on the other rows. The samples run down the
-    columns so that per-row constants broadcast along the contiguous axis.
-    """
-    samples = np.linspace(0.0, 1.0, 17)  # each round shrinks an interior bracket 8-fold
-    # the samples next to each sample, or the end sample itself, bound the next bracket
-    below, above = np.append(samples[:1], samples[:-1]), np.append(samples[1:], samples[-1:])
-    lo, hi = np.zeros(rows), np.ones(rows)
-    while True:
-        width = hi - lo
-        vals = f(lo + width * samples[:, None])
-        open_ = width > _BRACKET_WIDTH
-        if not open_.any():
-            return vals.min(axis=0)
-        i = np.argmin(vals, axis=0)
-        lo, hi = (
-            np.where(open_, lo + width * below[i], lo),
-            np.where(open_, lo + width * above[i], hi),
-        )
-
-
-def _ends_form(gs):
-    """Each geodesic of gs as the image of a diameter under a disk
-    automorphism (Beardon, The Geometry of Discrete Groups, 1983, section 7),
-    built from its two ends alone: arrays (m, x0, sigma, c), entry j for gs[j].
-
-    With e1 and e2 the ends divided by their modulus, delta = arg(e2 conj(e1))
-    in (-pi, pi], sigma = sign delta, m = e1 e^{i delta/2} the middle of the
-    shorter circle arc between the ends and x0 = tan(pi/4 - |delta|/4), the
-    geodesic is
-
-        w(v) = m (x0 + i sigma v)/(1 + i sigma x0 v)
-             = m (x0 (1 + v^2) + i sigma c v)/(1 + x0^2 v^2),  v in (-1, 1),
-
-    from e1 at v = -1 to e2 at v = 1, with c = 1 - x0^2; a diameter is
-    x0 = 0, with no case of its own. No angle is taken: cos(delta/2) and
-    |sin(delta/2)| are the half-chords a = |e1 + e2|/2 and b = |e2 - e1|/2,
-    whose sum and difference cancel only exactly, so x0 = a/(1 + b) and
-    c = 2b/(1 + b) keep their digits where the ends are nearly antipodal or
-    nearly equal, and 1 - |w|^2 = c (1 - v^2)/(1 + x0^2 v^2) does not cancel
-    near the circle. m is (e1 + e2)/(2a), or -i sigma (e2 - e1)/(2b) where
-    b > a. The constants are taken one geodesic at a time, so a row does not
-    depend on the others."""
-    import numpy as np
-
-    form = []
-    for g in gs:
-        e1, e2 = (p.z / abs(p.z) for p in g.endpoints)
-        a, b = 0.5 * abs(e1 + e2), 0.5 * abs(e2 - e1)
-        sigma = math.copysign(1.0, e1.real * e2.imag - e1.imag * e2.real)
-        m = (e1 + e2) / (2.0 * a) if a >= b else -1j * sigma * (e2 - e1) / (2.0 * b)
-        form.append((m, a / (1.0 + b), sigma, 2.0 * b / (1.0 + b)))
-    m, x0, sigma, c = (np.array(col) for col in zip(*form))
-    return m, x0, sigma, c
-
-
-def _clamped(taus):
-    """u = tau clamped off the ends of [0, 1], as a new array."""
-    u = taus * (1.0 - 2.0 * _PARAM_MARGIN)
-    u += _PARAM_MARGIN
-    return u
-
-
-def _on_geodesics(form, taus):
-    """The points w(v) of the geodesics of form (see _ends_form) at a
-    (k, rows) array of parameters tau in [0, 1], column j on geodesic j:
-    their real and imaginary parts and 1 - |w|^2. v = 2u - 1, so that
-    1 - v^2 = 4u(1 - u)."""
-    m, x0, sigma, c = form
-    u = _clamped(taus)
-    v = 2.0 * u - 1.0
-    v2 = v * v
-    den = 1.0 / (1.0 + x0 * x0 * v2)
-    a, b = x0 * (1.0 + v2) * den, sigma * c * v * den
-    return m.real * a - m.imag * b, m.real * b + m.imag * a, c * (4.0 * u * (1.0 - u)) * den
-
-
-def _distance_rows(gs1, gs2):
-    """geodesic_distance for each pair (gs1[j], gs2[j]), as one array search.
-
-    The outer search runs over the pairs, the inner one over the pairs times
-    the outer samples. Both minimise sinh^2(rho/2) = |z - w|^2 / ((1 -
-    |z|^2)(1 - |w|^2)), which is monotone in rho; rho = 2 arsh(sqrt(.)) is
-    taken once, of the minimum. With w(v) on the second geodesic as in
-    _ends_form and z fixed, z - w = -(P v + Q)/(1 + i sigma x0 v) for
-    P = i sigma (m - x0 z) and Q = m x0 - z, so
-
-        sinh^2(rho/2) = |P v + Q|^2 / ((1 - |z|^2) c (1 - v^2))
-                      = |A u + B|^2 / (4 (1 - |z|^2) c u (1 - u)),
-
-    with v = 2u - 1, A = 2P and B = Q - P. A and B are taken once per outer
-    sample, and the inner search minimises |A u + B|^2 / (u (1 - u)) in real
-    arithmetic, with no complex division; the factor 1/(4 (1 - |z|^2) c),
-    the same along an inner row, is applied to the row's minimum.
-    """
-    import numpy as np
-
-    if not gs1:
-        return np.zeros(0)
-    form1 = _ends_form(gs1)
-    m, x0, sigma, c = _ends_form(gs2)
-    mr, mi = m.real, m.imag
-
-    def to_g2(t1):
-        zr, zi, z_factor = _on_geodesics(form1, t1)
-        # one inner row per outer sample: A and B in real and imaginary parts
-        pr, pi = (sigma * (x0 * zi - mi)).ravel(), (sigma * (mr - x0 * zr)).ravel()
-        br, bi = (mr * x0 - zr).ravel() - pr, (mi * x0 - zi).ravel() - pi
-        ar, ai = 2.0 * pr, 2.0 * pi
-
-        def scaled_sinh2_half_rho(t2):
-            # in place where it can: these are the search's largest arrays
-            u = _clamped(t2)
-            re, im, u_u = ar * u, ai * u, 1.0 - u
-            re += br
-            re *= re
-            im += bi
-            im *= im
-            re += im
-            u_u *= u
-            re /= u_u
-            return re
-
-        least = _bracket_min(scaled_sinh2_half_rho, t1.size, np).reshape(t1.shape)
-        return least / (4.0 * z_factor * c)
-
-    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1), np)))
-    ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
-    shared = (abs(ends1[:, :, None] - ends2[:, None, :]) <= _SHARED_END_TOL).any(axis=(1, 2))
-    return np.where((rho < _INTERSECT_TOL) | shared, 0.0, rho)
+def _ends_distance(e1, e2, f1, f2, ns):
+    """The distance of geodesics with distinct ends (e1, e2) and (f1, f2) on
+    the circle, numbers or rows, in real arithmetic: sinh^2(delta/2) =
+    min(p, q)/r, p = |e1 - f1||e2 - f2|, q = |e1 - f2||e2 - f1|, r = |e1 -
+    e2||f1 - f2| (Beardon, The Geometry of Discrete Groups, 1983, section 7),
+    from chords of coordinate differences, exact for nearby ends; r is
+    Ptolemy's third product, not max(p, q) - min(p, q), which cancels. It is
+    0.0 where the real cross ratio (e1 - f1)(e2 - f2)/((e1 - f2)(e2 - f1)) is
+    negative (crossing) or 0 (a shared end), a sign that needs no tolerance
+    and holds where r and max(p, q) agree to the last bit, down to ~1e-80."""
+    a, b, c, d = e1 - f1, e2 - f2, e1 - f2, e2 - f1
+    ab_re, ab_im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    cd_re, cd_im = c.real * d.real - c.imag * d.imag, c.real * d.imag + c.imag * d.real
+    a, b, c, d = ns.abs(a), ns.abs(b), ns.abs(c), ns.abs(d)
+    near = a * b <= c * d
+    s = ns.sqrt(ns.where(near, a, c) / ns.abs(e1 - e2)) * ns.sqrt(ns.where(near, b, d) / ns.abs(f1 - f2))
+    return ns.where(ab_re * cd_re + ab_im * cd_im > 0.0, 2.0 * ns.math_asinh(s), 0.0)
 
 
 def geodesic_distance(g1, g2):
     """Infimum of rho over point pairs on two geodesics; on two equal-length
-    sequences of geodesics, an ndarray with the distance of each pair.
-
-    A nested bracket search over the geodesics' parametrizations:
-    the outer one over the points of g1, the inner one, for each of those,
-    over the points of g2. Both searches converge because hyperbolic
-    distance is convex along geodesics (Bridson and Haefliger, Metric Spaces
-    of Non-positive Curvature, 1999, II.2.2 and II.2.5), so the distance from
-    a fixed point to the points of g2, and the distance from a point of g1 to
-    g2, are unimodal along each geodesic. Each geodesic is parametrized
-    from its two ends as the image of the segment (-1, 1) under a Moebius
-    map (see _ends_form), which is monotone along it, and a monotone change
-    of parameter keeps a function unimodal; each search needs no more than
-    that. Returns 0.0 for intersecting geodesics and for geodesics that share
-    an ideal endpoint, that is, whose ends lie within 4 ulp. A pair's
-    distance is the same, bit for bit, alone or in a sequence.
-    """
+    sequences of geodesics, an ndarray of each pair's scalar result, bit for
+    bit. The closed form of the chords of the four ends (_ends_distance):
+    0.0 for crossing geodesics and for a shared end. DomainError for a
+    geodesic whose ends are not two distinct points of the circle."""
     if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
-        return float(_distance_rows([g1], [g2])[0])
+        return _ends_distance(*_ends_of(g1), *_ends_of(g2), _SCALAR)
     if isinstance(g1, Geodesic) or isinstance(g2, Geodesic):
         raise DomainError("geodesic_distance takes two geodesics or two sequences of them")
     gs1, gs2 = list(g1), list(g2)
     if len(gs1) != len(gs2):
         raise DomainError(f"geodesic_distance needs sequences of equal length, not {len(gs1)} and {len(gs2)}")
-    return _distance_rows(gs1, gs2)
+    ends = _ROWS.asarray([(*_ends_of(x), *_ends_of(y)) for x, y in zip(gs1, gs2)], dtype=complex)
+    return _ends_distance(*ends.reshape(-1, 4).T, _ROWS)
 
 
 def rho_via_crossratio(x, y):

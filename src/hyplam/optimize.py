@@ -1,4 +1,4 @@
-"""Scalar golden-section extremum search and bisection root finding.
+"""Scalar golden-section extremum search, and its refinement of a grid.
 
 These are deliberately plain implementations: they are used as independent
 numerical oracles against closed-form answers, so they must not share code
@@ -8,8 +8,6 @@ with the formulas they are checking.
 import math
 
 import numpy as np
-
-from .errors import NoRootError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
@@ -50,28 +48,3 @@ def refine_grid_min(f, xs, fs, tol=1e-12):
 def refine_grid_max(f, xs, fs, tol=1e-12):
     """As refine_grid_min, around the first largest entry of fs."""
     return golden_max(f, *_neighbours(xs, int(np.argmax(fs))), tol=tol)
-
-
-def bisect_root(f, a, b, tol=1e-12):
-    """Root of a sign-changing f on [a, b] by plain bisection, until b - a <= tol
-    or the midpoint equals an end, so tol may be 0. Only the signs of f are
-    compared: a product of two values can underflow to zero or overflow.
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise NoRootError(f"no sign change on [{a}, {b}]")
-    m = 0.5 * (a + b)
-    while b - a > tol and a < m < b:
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) != (fa < 0.0):
-            b = m
-        else:
-            a, fa = m, fm
-        m = 0.5 * (a + b)
-    return m

@@ -198,8 +198,8 @@ def solve_r_LK(K: float, L: float) -> float:
     """Unique root r in (r_L, 1) of K f_L(r) = f_L(r'), for K > M_L;
     DomainError naming K or L outside its domain."""
     K = _check_K(K, "solve_r_LK")
-    _check_L(L)
-    rl = r_L_of(L)
+    _rows.require((TH1 < L) & (L <= 1.0), L, "solve_r_LK", "L in (th(1), 1]")
+    rl = _r_L(L)
     rlp = rprime(rl)
     ml = _M_L(L, rl, rlp)
     if K <= ml:

@@ -310,6 +310,17 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--target", "mu", "--grid", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err == "error: Unable to allocate 711. TiB\n"
 
+    @pytest.mark.parametrize("argv", [["sweep", "--target", "mu", "--grid", "10", "--out", "x.csv"], ["verify"]],
+                             ids=["sweep", "verify"])
+    def test_without_numpy_exits_2_with_one_line(self, tmp_path, argv):
+        # exit 1 means a violated bound: a missing numpy is an error, with no traceback
+        code = "import sys; sys.modules['numpy'] = None; from hyplam.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2 and done.stdout == "" and not (tmp_path / "x.csv").exists()
+        assert done.stderr.startswith("error: ") and "numpy" in done.stderr and done.stderr.count("\n") == 1
+
 
 def percent_csv(table) -> bytes:
     """The reference CSV body: one "%.17g" per cell."""

@@ -30,8 +30,8 @@ from hyplam import (
     rho_halfplane,
     rho_via_crossratio,
 )
-from hyplam import geometry
-from hyplam.verify import DEFAULT_SEED, _halton
+from hyplam import geometry, verify
+from hyplam.verify import DEFAULT_SEED, _distance_rows, _halton
 
 EPS = 2.0**-52
 #: a point 16 ulp outside the circle, which snaps onto it
@@ -527,7 +527,7 @@ class TestGeodesics:
 
     def test_points_stay_in_disk(self):
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
-        re, im, one_minus_sq = geometry._on_geodesics(geometry._ends_form([g]), np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
+        re, im, one_minus_sq = verify._on_geodesics(verify._ends_form([g]), np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
         assert np.all(re * re + im * im < 1.0) and np.all(one_minus_sq > 0.0)
 
     def test_sample_points_on_the_carrier(self):
@@ -542,7 +542,7 @@ class TestGeodesics:
         gs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ends]
         gs.append(geodesic_through(-0.3 - 0.4j, 0.6 + 0.8j))
         assert {is_diameter(g) for g in gs} == {False, True}
-        re, im, one_minus_sq = geometry._on_geodesics(geometry._ends_form(gs), np.tile([[0.0], [0.5], [1.0]], (1, len(gs))))
+        re, im, one_minus_sq = verify._on_geodesics(verify._ends_form(gs), np.tile([[0.0], [0.5], [1.0]], (1, len(gs))))
         assert np.all(one_minus_sq > 0.0)
         with mp.workdps(50):
             for g, re_row, im_row in zip(gs, re.T.tolist(), im.T.tolist()):
@@ -556,31 +556,31 @@ class TestGeodesics:
                     assert off <= 4 * EPS
 
     def test_distance_accuracy_table(self):
-        # against arth(L cos theta), arth(L sin theta) and 2 arth(cos alpha).
-        # The bound is this oracle's worst error on the table; the center and
-        # radius form it replaced was off by 2.13e-13 on pair 2 (L = 0.2,
-        # theta = 0.01, d2 = 2e-3, an arc of radius 500 near 0), which it now
-        # finds within a few ulp relative
+        # the search oracle against arth(L cos theta), arth(L sin theta) and
+        # 2 arth(cos alpha). The bound is its worst error on the table; the
+        # center and radius form it replaced was off by 2.13e-13 on pair 2 (L
+        # = 0.2, theta = 0.01, d2 = 2e-3, an arc of radius 500 near 0), which
+        # it now finds within a few ulp relative
         pairs, ref = oracle_table(pytest.importorskip("mpmath"))
-        dist = geodesic_distance(*zip(*pairs))
+        dist = _distance_rows(*zip(*pairs))
         err = abs(dist - ref)
         assert err.max() <= 5.329070518200751e-15
         assert np.median(err) <= 1.2e-16
         assert abs(dist[1] / ref[1] - 1.0) <= 4 * EPS
 
     def test_ends_1e_12_apart_raise_no_warning(self):
-        # x0 -> 1 and c = 1 - x0^2 -> 1e-12 there (the center and radius form
-        # took the square root of a negative number). Each distance agrees
-        # with the cross ratio of the ends, tanh^2(d/2) = |(c - a)(d - b)/((c
-        # - b)(d - a))|: to 1e-9 from a far geodesic, and to 1e-3 between two
-        # within 4e-12 of each other, where the 1e-16 rounding of a sample
-        # point is 1e-4 of the scale
+        # the search oracle: x0 -> 1 and c = 1 - x0^2 -> 1e-12 there (the
+        # center and radius form took the square root of a negative number).
+        # Each distance agrees with the cross ratio of the ends, tanh^2(d/2) =
+        # |(c - a)(d - b)/((c - b)(d - a))|: to 1e-9 from a far geodesic, and to
+        # 1e-3 between two within 4e-12 of each other, where the 1e-16
+        # rounding of a sample point is 1e-4 of the scale
         mp = pytest.importorskip("mpmath")
         close = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * (a + 1e-12))) for a in (1.0, 1.0 + 2e-12, -2.0)]
         others = [geodesic_through(-0.5, 0.5), close[0], geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = geodesic_distance(close, others)
+            batch = _distance_rows(close, others)
         with mp.workdps(50):
             for d, g1, g2, rel in zip(batch.tolist(), close, others, (1e-9, 1e-3, 1e-9)):
                 (a, b), (c, e) = ([mp.mpc(p.z) / abs(mp.mpc(p.z)) for p in g.endpoints] for g in (g1, g2))
@@ -588,16 +588,17 @@ class TestGeodesics:
                 assert d == pytest.approx(float(2 * mp.atanh(mp.sqrt(min(x, 1 / x)))), rel=rel)
 
     def test_interleaved_kinds_equal_scalar_calls_bit_for_bit(self):
-        # diameters and arcs alternate row by row on both sides, so every
-        # parametrization call mixes both kinds
+        # the search oracle: diameters and arcs alternate row by row on both
+        # sides, so every parametrization call mixes both kinds; a pair's
+        # distance is the same alone as in the batch
         diameters = [geodesic_through(0.0, cmath.exp(1j * a)) for a in (0.1, 1.3, 2.2)]
         arcs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ((0.5, 1.5), (2.0, 4.0), (4.5, 4.5 + 1e-3))]
         pairs = [pair for d, a in zip(diameters, arcs) for pair in ((d, a), (a, d))]
         pairs += [(a, b) for a, b in zip(arcs, arcs[1:])] + [(diameters[0], diameters[1])]
         assert [is_diameter(g) for g, _ in pairs[:6]] == [True, False] * 3
-        batch = geodesic_distance(*zip(*pairs))
-        assert batch.tolist() == [geodesic_distance(g1, g2) for g1, g2 in pairs]
-        assert batch[::-1].tolist() == geodesic_distance(*zip(*pairs[::-1])).tolist()
+        batch = _distance_rows(*zip(*pairs))
+        assert batch.tolist() == [_distance_rows([g1], [g2])[0] for g1, g2 in pairs]
+        assert batch[::-1].tolist() == _distance_rows(*zip(*pairs[::-1])).tolist()
         assert batch[-1] == 0.0 and np.all(batch[:-1] > 0.0)
 
     def test_distance_zero_for_crossing(self):
@@ -606,25 +607,28 @@ class TestGeodesics:
         assert geodesic_distance(g1, g2) == 0.0
 
     def test_distance_zero_for_a_shared_ideal_endpoint(self):
-        # the search alone returned 1.39e-8 and 3.79e-8 here; the ends are not
-        # bit-equal (the second geodesic ends at 1 - 1.1e-16i)
+        # the search alone returned 1.39e-8 and 3.79e-8 here, and its ends
+        # within 4 ulp still count as shared; the closed form is 0.0 for a
+        # shared end, and the oracle too
         pairs = [
             (geodesic_through(1, -1), geodesic_through(1, 1j)),
             (geodesic_through(cmath.exp(0.3j), cmath.exp(2j)), geodesic_through(cmath.exp(0.3j), cmath.exp(-2j))),
         ]
         assert [geodesic_distance(g1, g2) for g1, g2 in pairs] == [0.0, 0.0]
         assert geodesic_distance(*zip(*pairs)).tolist() == [0.0, 0.0]
+        assert _distance_rows(*zip(*pairs)).tolist() == [0.0, 0.0]
 
     def test_distance_of_ends_2e_14_apart(self):
         # z -> (z - 1)/(z + 1) sends the first geodesic to the negative real
         # axis, and the ends e^{i theta} of the second to i tan(theta/2).
         # Between the axis and a geodesic with ends i y1 and i y2 the distance
         # is arcosh((y2 + y1)/(y2 - y1)), here with y2 = 1: 2 arth sqrt(y1).
-        # Ends within 2.8e-14 once counted as one ideal point, giving 0.0
+        # Ends within 2.8e-14 once counted as one ideal point, giving 0.0. The
+        # search oracle finds it within 2%, the closed form within 1e-14
         g1, g2 = geodesic_through(1, -1), geodesic_through(cmath.exp(2e-14j), 1j)
         ref = 2.0 * math.atanh(math.sqrt(math.tan(1e-14)))
-        assert geodesic_distance(g1, g2) == pytest.approx(ref, rel=0.02)
-        assert geodesic_distance([g1, g1], [g2, g2]) == pytest.approx([ref, ref], rel=0.02)
+        assert _distance_rows([g1, g1], [g2, g2]) == pytest.approx([ref, ref], rel=0.02)
+        assert geodesic_distance(g1, g2) == pytest.approx(ref, rel=1e-14)
 
     def test_distance_symmetric_ideal_pair(self):
         # the ten pairs of the symmetric-geodesic-distance sweep
@@ -666,9 +670,86 @@ class TestGeodesics:
         with pytest.raises(DomainError):
             geodesic_distance(g, [g])
 
+    def test_closed_form_within_4_ulp_of_mpmath(self):
+        # seeded disjoint pairs: ends anywhere; four ends clustered, spaced
+        # 1e-12 to 1; geodesics that nearly coincide, their ends 1e-12 to 0.1
+        # apart; narrow geodesics at antipodes, 1e-12 to 0.1 wide (delta up
+        # to 57); and the pair 1e-12 apart near e^i that the search got wrong
+        # by 1.3e-4. The ends are floats within an ulp of the circle, so the
+        # reference is the closed form at 50 digits on those floats: moving
+        # ends 1e-12 apart onto the circle changes their chord by up to
+        # (1e-16/1e-12)^2 relative, a change of the input. A sequence gives
+        # each pair's scalar result bit for bit
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(DEFAULT_SEED + 31)
+        angles = [(1.0 + 2e-12, 1.0 + 3e-12, 1.0, 1.0 + 1e-12)]
+        for kind in range(400):
+            t0, gap = rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(-12.0, 0.0, 3)
+            if kind % 4 == 0:
+                angles.append(tuple(np.sort(rng.uniform(-math.pi, math.pi, 4))))
+            elif kind % 4 == 1:
+                angles.append(tuple(t0 + np.cumsum([0.0, *gap])))
+            elif kind % 4 == 2:
+                s = rng.uniform(0.1, 3.0)
+                angles.append((t0, t0 + s, t0 + s + 0.1 * gap[0], t0 + 2.0 * math.pi - 0.1 * gap[1]))
+            else:
+                angles.append((t0, t0 + 0.1 * gap[0], t0 + math.pi, t0 + math.pi + 0.1 * gap[0]))
+        pairs = []
+        for i, t in enumerate(angles):
+            e = [cmath.exp(1j * x) for x in t]
+            # each geodesic's ends in either order
+            pairs.append((geodesic_through(*e[:2][:: 1 - 2 * (i % 2)]), geodesic_through(*e[2:][:: 1 - 2 * (i // 2 % 2)])))
+        dist = [geodesic_distance(g1, g2) for g1, g2 in pairs]
+        assert geodesic_distance(*zip(*pairs)).tolist() == dist
+        with mp.workdps(50):
+            for d, (g1, g2) in zip(dist, pairs):
+                a, b, c, e = map(mp.mpc, ends(g1) + ends(g2))
+                p, q, r = abs(a - c) * abs(b - e), abs(a - e) * abs(b - c), abs(a - b) * abs(c - e)
+                assert r < max(p, q)
+                ref = 2 * mp.asinh(mp.sqrt(min(p, q) / r))
+                assert abs(d - ref) <= 4 * EPS * ref, (g1, g2)
+        assert max(dist) > 50.0 and min(dist) < 1e-10
+
+    def test_closed_form_agrees_with_the_oracle(self):
+        # 64 seeded disjoint pairs whose ends are at least 1e-3 apart
+        rng = np.random.default_rng(DEFAULT_SEED + 32)
+        pairs = []
+        while len(pairs) < 64:
+            t = np.sort(rng.uniform(-math.pi, math.pi, 4))
+            if np.diff(np.append(t, t[0] + 2.0 * math.pi)).min() >= 1e-3:
+                e = cmath.exp(1j * t[0]), cmath.exp(1j * t[1]), cmath.exp(1j * t[2]), cmath.exp(1j * t[3])
+                pairs.append((geodesic_through(e[0], e[1]), geodesic_through(e[3], e[2])))
+        closed = geodesic_distance(*zip(*pairs))
+        assert closed == pytest.approx(_distance_rows(*zip(*pairs)), rel=1e-12)
+
+    def test_crossing_pairs_are_exactly_zero(self):
+        # seeded interleaved ends, anywhere or clustered (spaced 1e-12 to 1),
+        # in either order on the first geodesic
+        rng = np.random.default_rng(DEFAULT_SEED + 33)
+        pairs = []
+        for i in range(200):
+            t = np.sort(rng.uniform(-math.pi, math.pi, 4)) if i % 2 else rng.uniform(-3.0, 3.0) + np.cumsum(
+                10.0 ** rng.uniform(-12.0, 0.0, 4))
+            e = [cmath.exp(1j * x) for x in t]
+            pairs.append((geodesic_through(*[e[0], e[2]][:: 1 - 2 * (i // 2 % 2)]), geodesic_through(e[1], e[3])))
+        assert [geodesic_distance(g1, g2) for g1, g2 in pairs] == [0.0] * len(pairs)
+        assert geodesic_distance(*zip(*pairs)).tolist() == [0.0] * len(pairs)
+
+    @pytest.mark.parametrize("endpoints", [
+        (Point.of(1.0), Point.of(1.0)),
+        (Point.of(1.0), Point.of(0.5j)),
+        (Point.of(0.5), Point.of(1j)),
+    ], ids=["equal-ends", "interior-end", "interior-start"])
+    def test_ends_not_two_points_of_the_circle_are_refused(self, endpoints):
+        bad, good = Geodesic(endpoints), geodesic_through(-1, 1j)
+        for call in (lambda: geodesic_distance(bad, good), lambda: geodesic_distance([good, good], [good, bad])):
+            with pytest.raises(DomainError, match="two distinct ends on the unit circle"):
+                call()
+
     def test_oracle_shares_no_code_with_the_closed_forms(self):
-        # geodesic_distance checks lambert's, specfun's and qcbounds' closed
-        # forms, so geometry imports nothing from the package but its errors
+        # the registry checks lambert's, specfun's and qcbounds' closed forms
+        # against geometry, so geometry imports nothing from the package but
+        # its errors
         tree = ast.parse(Path(geometry.__file__).read_text())
         imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
         assert imported == {"errors"}

@@ -2,7 +2,7 @@
 the oracles that check them.
 
 `optimize` and `verify` hold the registry's oracles (grid-and-golden search,
-bisection). The closed-form modules import neither, and they have one root
+and verify's bracket search for the geodesic distance). The closed-form modules import neither, and they have one root
 solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel
 and one AGM, and the CLI evaluates no formula of its own. Every private
 module-level name is used somewhere in the package.
@@ -46,7 +46,24 @@ def test_closed_forms_import_no_oracle(module):
 
 
 def test_optimize_imports_only_errors():
-    assert _package_imports("optimize") == {"errors"}
+    # since bisect_root left for the tests, not even errors
+    assert _package_imports("optimize") == set()
+
+
+#: verify's geodesic-distance oracle, the search that geodesic_distance's closed form is checked against
+ORACLE = ("_bracket_min", "_ends_form", "_clamped", "_on_geodesics", "_distance_rows")
+
+
+def test_the_distance_oracle_uses_no_closed_form():
+    tree = _tree("verify")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLE) <= set(defs)
+    used = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for name in ORACLE
+        for node in ast.walk(defs[name])
+    }
+    assert not used & {"geodesic_distance", "_ends_distance", "_ends_of"}
 
 
 def _defined_in(name: str) -> list[str]:

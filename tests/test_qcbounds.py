@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hyplam import (
     solve_r_LK,
 )
 from hyplam.lambert import product_root
-from hyplam.optimize import bisect_root
 from hyplam.qcbounds import M1, M_L_of, T_of, _root_s, r_L_of
 from hyplam.specfun import _f_c_pair, rprime
 
@@ -208,8 +208,55 @@ def _root_cases():
             yield float(K), L, s_hi, ideal
 
 
+def bisect_root(f, a, b, tol=1e-12):
+    """Root of a sign-changing f on [a, b] by plain bisection, until b - a <= tol
+    or the midpoint equals an end, so tol may be 0: the reference root, which
+    shares no code with the root solver it checks. Only the signs of f are
+    compared: a product of two values can underflow to zero or overflow.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise NoRootError(f"no sign change on [{a}, {b}]")
+    m = 0.5 * (a + b)
+    while b - a > tol and a < m < b:
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) != (fa < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+        m = 0.5 * (a + b)
+    return m
+
+
+class TestBisectRoot:
+    def test_tiny_values_keep_their_sign(self):
+        # 1e-200 * 1e-200 underflows to 0: a product of values loses the sign
+        assert bisect_root(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+
+    def test_huge_numpy_values_do_not_overflow(self):
+        # np.float64 products overflow with a RuntimeWarning
+        root = bisect_root(lambda x: np.float64(1e200) * (x - 0.3), np.float64(0.0), np.float64(1.0))
+        assert root == pytest.approx(0.3, abs=1e-12)
+
+    def test_no_sign_change(self):
+        with pytest.raises(NoRootError):
+            bisect_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+    def test_zero_tolerance_stops_at_adjacent_doubles(self):
+        s = math.sqrt(0.5)
+        below = s if Fraction(s) ** 2 < Fraction(1, 2) else math.nextafter(s, 0.0)
+        root = bisect_root(lambda x: x * x - 0.5, 0.0, 1.0, tol=0.0)
+        assert root in (below, math.nextafter(below, 1.0))
+
+
 def _bisected_s(K, L, s_hi):
-    """The root in s = log r' by optimize.bisect_root on [log DBL_MIN, s_hi]."""
+    """The root in s = log r' by bisect_root on [log DBL_MIN, s_hi]."""
 
     def g(s):
         rp = math.exp(s)

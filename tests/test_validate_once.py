@@ -10,6 +10,7 @@
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,10 +181,12 @@ NAMED = {"K": r"needs a finite K >= 1, got K = ", "L": r"L must lie in \(0, 1\],
 class TestQcDomain:
     @pytest.mark.parametrize("K,L,named", [
         (math.inf, 0.9, "K"), (math.nan, 0.9, "K"), (0.5, 0.9, "K"), (-3.0, 0.9, "K"),
-        (3.0, 2.0, "L"), (3.0, math.nan, "L"), (3.0, 0.0, "L"),
+        (3.0, 2.0, "L"), (3.0, math.nan, "L"), (3.0, 0.0, "L"), (3.0, 0.5, "L"),
     ])
     def test_solve_r_LK(self, K, L, named):
-        with pytest.raises(DomainError, match=NAMED[named]):
+        # L is checked once, against the domain (th(1), 1] of its r_L
+        needs = r"solve_r_LK needs L in \(th\(1\), 1\], got " if named == "L" else NAMED[named]
+        with pytest.raises(DomainError, match=needs + (re.escape(str(L)) if named == "L" else "")):
             qcbounds.solve_r_LK(K, L)
 
     @pytest.mark.parametrize("x,L,K,named", [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hyplam
-from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, lambert, qcbounds, run_sweep, verify
+from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, geometry, lambert, qcbounds, run_sweep, verify
 from hyplam.cli import main
 from hyplam.verify import _halton, run_all
 
@@ -139,6 +139,7 @@ class TestRegistry:
             "midpoint",
             "chord-midpoint-circle",
             "symmetric-geodesic-distance",
+            "geodesic-distance-invariance",
             "fc-decreasing",
             "fc-product-unimodal",
             "gc-sum-range",
@@ -263,6 +264,11 @@ def _stretch_side_d1(monkeypatch):
     monkeypatch.setattr(lambert, "side_distances", stretched)
 
 
+def _scale_geodesic_distance(monkeypatch):
+    original = geometry._ends_distance
+    monkeypatch.setattr(geometry, "_ends_distance", lambda *args: original(*args) * (1.0 + 1e-9))
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda n, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -292,6 +298,7 @@ class TestCertificatesCanFail:
             (_raise_ideal_product_bound, "ideal-extrema"),
             (_stretch_side_d1, "thsq-identity"),
             (_raise_ideal_cut, "qc-branch-decided"),
+            (_scale_geodesic_distance, "geodesic-distance-invariance"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -472,6 +479,7 @@ SUB_CHECKS = {
     "chord-midpoint-circle": (500, 500),
     "hyperbolic-mean-bound": (1000, 10_000),
     "symmetric-geodesic-distance": (10, 10),
+    "geodesic-distance-invariance": (64, 64),
     "lambert-oracle-agreement": (14, 64),
     "ideal-subdivision": (3, 3),
     "hp-range": (11, 11),
