@@ -461,15 +461,30 @@ def _on_geodesics(form, taus):
     return m.real * a - m.imag * b, m.real * b + m.imag * a, c * (4.0 * u * (1.0 - u)) * den
 
 
-def _distance_rows(gs1, gs2):
-    """geodesic_distance's oracle: each pair's distance by one array search,
-    of functions unimodal as rho is convex along geodesics (Bridson and
-    Haefliger, Metric Spaces of Non-positive Curvature, 1999, II.2.2, II.2.5).
+def _least_over_g2(ar, ai, br, bi):
+    """Per row, the least h(u) = |A u + B|^2 / (u (1 - u)) over the u that
+    _clamped reaches, for A = ar + i ai and B = br + i bi, in real arithmetic.
 
-    The outer search runs over the pairs, the inner one over the pairs times
-    the outer samples. Both minimise sinh^2(rho/2) = |z - w|^2 / ((1 -
-    |z|^2)(1 - |w|^2)), which is monotone in rho; rho = 2 arsh(sqrt(.)) is
-    taken once, of the minimum. With w(v) on the second geodesic as in
+    With C = A + B, h = |C|^2 s + |B|^2 / s + 2 Re(C conj B) in s = u/(1 - u),
+    least at s = |B|/|C|: u* = |B|/(|B| + |C|), clamped to _clamped's ends.
+    A = B = 0, where h is 0 everywhere, takes u* = 0 rather than 0/0."""
+    nb, nc = np.hypot(br, bi), np.hypot(ar + br, ai + bi)
+    den = nb + nc
+    u = np.clip(nb / np.where(den > 0.0, den, 1.0), _clamped(0.0), _clamped(1.0))
+    re, im = ar * u + br, ai * u + bi
+    return (re * re + im * im) / ((1.0 - u) * u)
+
+
+def _distance_rows(gs1, gs2):
+    """geodesic_distance's oracle: each pair's distance as the least, over z
+    on the first geodesic, of the distance from z to the second, each with
+    one minimum as rho is convex along geodesics (Bridson and Haefliger,
+    Metric Spaces of Non-positive Curvature, 1999, II.2.2, II.2.5).
+
+    The outer minimum is searched (_bracket_min over the pairs), the inner
+    one exact at each outer sample. Both minimise sinh^2(rho/2) = |z - w|^2
+    / ((1 - |z|^2)(1 - |w|^2)), which is monotone in rho; rho = 2 arsh(sqrt(.))
+    is taken once, of the minimum. With w(v) on the second geodesic as in
     _ends_form and z fixed, z - w = -(P v + Q)/(1 + i sigma x0 v) for
     P = i sigma (m - x0 z) and Q = m x0 - z, so
 
@@ -477,9 +492,9 @@ def _distance_rows(gs1, gs2):
                       = |A u + B|^2 / (4 (1 - |z|^2) c u (1 - u)),
 
     with v = 2u - 1, A = 2P and B = Q - P. A and B are taken once per outer
-    sample, and the inner search minimises |A u + B|^2 / (u (1 - u)) in real
-    arithmetic, with no complex division; the factor 1/(4 (1 - |z|^2) c),
-    the same along an inner row, is applied to the row's minimum.
+    sample, _least_over_g2 gives the least |A u + B|^2 / (u (1 - u)) in real
+    arithmetic, with no complex division, and the factor 1/(4 (1 - |z|^2)
+    c) is applied to it.
     """
     if not gs1:
         return np.zeros(0)
@@ -489,26 +504,10 @@ def _distance_rows(gs1, gs2):
 
     def to_g2(t1):
         zr, zi, z_factor = _on_geodesics(form1, t1)
-        # one inner row per outer sample: A and B in real and imaginary parts
-        pr, pi = (sigma * (x0 * zi - mi)).ravel(), (sigma * (mr - x0 * zr)).ravel()
-        br, bi = (mr * x0 - zr).ravel() - pr, (mi * x0 - zi).ravel() - pi
-        ar, ai = 2.0 * pr, 2.0 * pi
-
-        def scaled_sinh2_half_rho(t2):
-            # in place where it can: these are the search's largest arrays
-            u = _clamped(t2)
-            re, im, u_u = ar * u, ai * u, 1.0 - u
-            re += br
-            re *= re
-            im += bi
-            im *= im
-            re += im
-            u_u *= u
-            re /= u_u
-            return re
-
-        least = _bracket_min(scaled_sinh2_half_rho, t1.size, np).reshape(t1.shape)
-        return least / (4.0 * z_factor * c)
+        # A and B of each outer sample, in real and imaginary parts
+        pr, pi = sigma * (x0 * zi - mi), sigma * (mr - x0 * zr)
+        br, bi = mr * x0 - zr - pr, mi * x0 - zi - pi
+        return _least_over_g2(2.0 * pr, 2.0 * pi, br, bi) / (4.0 * z_factor * c)
 
     rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1), np)))
     ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))

@@ -51,7 +51,7 @@ def test_optimize_imports_only_errors():
 
 
 #: verify's geodesic-distance oracle, the search that geodesic_distance's closed form is checked against
-ORACLE = ("_bracket_min", "_ends_form", "_clamped", "_on_geodesics", "_distance_rows")
+ORACLE = ("_bracket_min", "_ends_form", "_clamped", "_on_geodesics", "_least_over_g2", "_distance_rows")
 
 
 def test_the_distance_oracle_uses_no_closed_form():

@@ -269,6 +269,11 @@ def _scale_geodesic_distance(monkeypatch):
     monkeypatch.setattr(geometry, "_ends_distance", lambda *args: original(*args) * (1.0 + 1e-9))
 
 
+def _scale_distance_oracle(monkeypatch):
+    original = verify._distance_rows
+    monkeypatch.setattr(verify, "_distance_rows", lambda gs1, gs2: original(gs1, gs2) * (1.0 + 1e-6))
+
+
 def _no_sub_check(monkeypatch):
     stubbed = tuple(
         dataclasses.replace(e, sweep=lambda n, chk: (0.0, ())) if e.name == "distortion-bracket" else e
@@ -299,6 +304,9 @@ class TestCertificatesCanFail:
             (_stretch_side_d1, "thsq-identity"),
             (_raise_ideal_cut, "qc-branch-decided"),
             (_scale_geodesic_distance, "geodesic-distance-invariance"),
+            (_scale_distance_oracle, "lambert-oracle-agreement"),
+            (_scale_distance_oracle, "symmetric-geodesic-distance"),
+            (_scale_distance_oracle, "ideal-subdivision"),
             (_no_sub_check, "distortion-bracket"),
         ],
     )
@@ -327,6 +335,88 @@ class TestCertificatesCanFail:
         monkeypatch.setattr(verify, "REGISTRY", (entry,))
         assert main(["verify", "--json"]) == 0
         assert _strict_json(capsys.readouterr().out)["certificates"][0]["margin"] is None
+
+
+EPS = 2.0**-52
+
+
+def _inner_rows():
+    """Seeded (A, B) rows of the distance oracle's inner problem, by kind:
+    generic, |B| -> 0 and A + B -> 0 (their minimum reaches the clamp),
+    |A| >> |B| and |A| << |B|, and exact edges: B = 0, A + B = 0, A = 0 and
+    A = B = 0."""
+    rng = np.random.default_rng(3207)
+
+    def cplx(k=100):
+        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+    def tiny(k=100):
+        return 10.0 ** -rng.uniform(0.0, 300.0, k)
+
+    a, b = cplx(), cplx()
+    return {
+        "generic": (a, b),
+        "B -> 0": (a, b * tiny()),
+        "A + B -> 0": (-b + cplx() * tiny(), b),
+        "|A| >> |B|": (a * 10.0 ** rng.uniform(3.0, 12.0, 100), b),
+        "|A| << |B|": (a * 10.0 ** -rng.uniform(3.0, 12.0, 100), b),
+        "exact": (np.array([1 + 2j, 3 - 1j, 0j, 0j]), np.array([0j, -3 + 1j, 0.5 - 0.25j, 0j])),
+    }
+
+
+def _h(a, b, u):
+    """|A u + B|^2 / (u (1 - u)), as the oracle's inner search evaluated it."""
+    re, im = a.real * u + b.real, a.imag * u + b.imag
+    return (re * re + im * im) / ((1.0 - u) * u)
+
+
+class TestDistanceOracleInnerMinimum:
+    """verify._least_over_g2 against the functions it minimises. A row whose
+    A u + B nearly cancels at the minimum carries evaluation noise of a few
+    ulp of H = (|A| u + |B|)^2 / (u (1 - u)), the value h would take without
+    cancellation, so the bounds are in ulp of H at the exact minimiser u*
+    (worst seen: 1.05 against the grid, 2.33 against the search)."""
+
+    BOUND = 4 * EPS
+
+    @staticmethod
+    def _least(a, b):
+        with np.errstate(all="raise"):  # no row reaches 0/0, nor any other invalid step
+            least = verify._least_over_g2(a.real, a.imag, b.real, b.imag)
+        nb, nc = abs(b), abs(a + b)
+        u = np.clip(nb / np.where(nb + nc > 0.0, nb + nc, 1.0), verify._clamped(0.0), verify._clamped(1.0))
+        return least, u, (abs(a) * u + nb) ** 2 / (u * (1.0 - u))
+
+    @pytest.mark.parametrize("kind", list(_inner_rows()))
+    def test_at_most_the_least_of_a_dense_grid(self, kind):
+        # 4 097 even parameters and 2 000 geometric ones from each end of [m, 1 - m]
+        a, b = _inner_rows()[kind]
+        least, _, scale = self._least(a, b)
+        near_ends = np.geomspace(verify._PARAM_MARGIN, 0.5, 2000)
+        grid = np.concatenate([verify._clamped(np.linspace(0.0, 1.0, 4097)), near_ends, verify._clamped(1.0) - near_ends])
+        assert np.all(np.isfinite(least)) and np.all(least >= 0.0)
+        assert np.all(least <= _h(a, b, grid[:, None]).min(axis=0) + self.BOUND * scale)
+
+    @pytest.mark.parametrize("kind", list(_inner_rows()))
+    def test_agrees_with_the_bracket_search(self, kind):
+        # never above the search; as low as it where the search's 1e-12
+        # bracket resolves u*, and lower where u* is within 1e-3 of an end
+        # (by up to 6e4 ulp of H at |B| -> 0): h varies there on the scale
+        # of u*, or of 1 - u*
+        a, b = _inner_rows()[kind]
+        least, u, scale = self._least(a, b)
+        searched = verify._bracket_min(lambda t: _h(a, b, verify._clamped(t)), len(a), np)
+        assert np.all(least <= searched + self.BOUND * scale)
+        inside = (u > 1e-3) & (u < 1.0 - 1e-3)
+        assert np.all(abs(least - searched)[inside] <= self.BOUND * scale[inside])
+
+    def test_clamped_and_degenerate_rows(self):
+        # B = 0 is least at the first clamped parameter m, A + B = 0 at the
+        # last, and A = B = 0 is 0 everywhere
+        a, b = _inner_rows()["exact"]
+        least, u, _ = self._least(a, b)
+        assert u.tolist()[:2] == [verify._PARAM_MARGIN, verify._clamped(1.0)]
+        assert least.tolist() == _h(a, b, u).tolist() and least[3] == 0.0
 
 
 class TestChecker:
