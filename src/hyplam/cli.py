@@ -6,7 +6,7 @@ evaluation and never load numpy: only `sweep` (through `_sweep`) and
 `verify` (through the registry) hold rows and import it.
 
 Exit codes: 0 success, 1 a checked bound was violated, 2 usage, domain, I/O
-or memory error.
+or memory error, 3 an unexpected error (a fault of the program).
 """
 
 from __future__ import annotations
@@ -221,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyplam",
         description="sharp distance bounds for Lambert and ideal hyperbolic quadrilaterals",
+        epilog=__doc__[__doc__.index("Exit codes"):],
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
         # exit 1 is kept for a violated bound; sweep and verify need numpy
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, which no input should reach
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,46 +1,24 @@
 """Hyperbolic geometry of the unit disk: metrics, geodesics, Moebius maps.
 
 Points live in the closed unit disk (or the upper half plane after a Cayley
-transform). A geodesic is held as its two ends on the unit circle, and
-nothing else: `_geodesic_ends` finds them, one body over scalars and rows
-in real arithmetic, and `geodesic_through` puts an input on the circle in
-place of its end. `geodesic_distance` is a closed form in the four ends
-(`_ends_distance`); verify holds the bracket search that checks it.
+transform). A geodesic is held as its two ends on the unit circle, which
+`_geodesic_ends` finds; `geodesic_distance` is a closed form in the four
+ends, and verify holds the search that checks it.
 
-Each function has one body over scalars and rows, and picks its namespace
-once per call. `_points` tests each argument's exact type once (a complex
-number, a `Point` or a complex ndarray of finite points), turns it into its
-coordinate and whether it lies on the circle, and returns with them one of
-two tables: `_ROWS` if an argument is an ndarray, 0-d included, else
-`_SCALAR`. Every kernel takes the table and calls its functions: math's and
-builtin abs on scalars, which stay Python floats, numpy's on rows, each row
-under the scalar rules. Only rows load numpy: `_ROWS` takes its functions
-on first lookup. `rho_disk` of two INTERIOR Points, whose kinds show them finite
-and off the circle, goes straight to `_rho` with no `_points` and no circle
-mask; every other argument takes the general path, to the same bits. A
-scalar `rho_disk` of two such Points takes ~0.9 us and a Moebius image of a
-Point ~1.5 us (BENCH_scalar_entries.json). Callers that hold checked values
-(lambert's builders) call `_point` and the kernels.
-A number or a row is snapped onto the circle within 64 ulp (`_snap`); a
-`Point`'s coordinate was snapped when it was made and is used as it is,
-since a second snap moves some points by an ulp. A coordinate or a row that
-is not finite raises DomainError: the point at infinity is `Point.infinity()`.
-`Point`, `Geodesic` and `MoebiusMap` are the typed scalar API: a scalar
-midpoint or Moebius image is a `Point`, and `geodesic_through` takes two
-scalar points. A `Point` is an immutable tuple (re, im, kind), a
-`Geodesic` the pair of its ends, and a `MoebiusMap` its four coefficients
-and then the scaled ones it computes with, records on `errors._Record` made
-by `tuple.__new__` with no per-field setattr; a Point's kind is tested by
-identity against the module's constants.
+Each function has one body over scalars and rows: `_points` reads each
+argument once (a complex number, a `Point` or a complex ndarray of finite
+points) as its snapped coordinate and whether it lies on the circle, and
+picks the table of `_rows` that the kernels compute with. `rho_disk` of two
+INTERIOR Points goes straight to `_rho`, to the same bits (~0.9 us,
+BENCH_scalar_entries.json). A number or a row is snapped onto the circle
+within 64 ulp (`_snap`); a `Point`'s coordinate was snapped when it was
+made. A coordinate that is not finite raises DomainError: the point at
+infinity is `Point.infinity()`. `Point`, `Geodesic` and `MoebiusMap` are the
+typed scalar API, immutable records on `errors._Record`.
 
-A modulus is taken by hypot (the table's `abs`, ~30 ns an element on rows)
-only for a Euclidean distance |z - w| or a unit vector, in `_arc` and
-`_geodesic_ends`, whose scale-free diameter test must neither over- nor
-underflow. Everywhere else a modulus is only squared or compared with 1,
-and `sq_abs` (a multiply-add) takes |z|^2: the snap window on rows,
-1 - |z|^2 in the disk factor, the closed-disk tests of rows. The absolute
-ratio of four finite points takes Euclidean distances, whose chordal norms
-cancel.
+A modulus is taken by hypot (the table's `abs`) only for a Euclidean
+distance or a unit vector, in `_arc` and `_geodesic_ends`; everywhere else
+it is only squared or compared with 1, and `sq_abs` takes |z|^2.
 """
 
 from __future__ import annotations
@@ -48,10 +26,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from enum import Enum
-from types import SimpleNamespace
 
+from . import _rows
 from .errors import DegenerateInputError, DomainError, _new_tuple, _Record
 
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
@@ -127,78 +104,39 @@ def _point(z: complex) -> Point:
 # Kernels: complex scalars or complex ndarrays of finite points
 
 
-class _RowsTable(SimpleNamespace):
-    """numpy's functions, taken on the first lookup, which only a row call makes."""
-
-    def __getattr__(self, name: str):  # only for a name the table does not hold
-        if self.__dict__:
-            raise AttributeError(name)
-        import numpy as np
-
-        self.__dict__.update(
-            sqrt=np.sqrt, arcsinh=np.arcsinh, log=np.log, hypot=np.hypot, abs=lambda z: np.hypot(z.real, z.imag),
-            any=np.any, where=np.where, sq_abs=np.errstate(over="ignore")(lambda z: z.real * z.real + z.imag * z.imag),
-            isfinite=np.isfinite, errstate=np.errstate, asarray=np.asarray,
-            math_asinh=np.vectorize(math.asinh, otypes=[float]),
-        )
-        return getattr(self, name)
-
-
-#: the functions the kernels take, on complex numbers (each result a Python
-#: float) and on complex rows. abs is |z| by hypot, as Python's abs takes it
-#: (numpy's complex abs rounds otherwise, and rho amplifies that near the
-#: circle); sq_abs is x*x + y*y, within 1.5 ulp of |z|^2 and inf past
-#: |z| ~ 1e154 with no warning; the scalar where has both branches computed
-#: already, so each must be safe on every input. Rows alone take isfinite, errstate
-#: and asarray; math_asinh is math.asinh on rows too, which numpy's arcsinh is not
-_SCALAR = SimpleNamespace(
-    sqrt=math.sqrt, arcsinh=math.asinh, math_asinh=math.asinh, log=math.log, hypot=math.hypot, abs=abs, any=bool,
-    where=lambda cond, a, b: a if cond else b, sq_abs=lambda z: z.real * z.real + z.imag * z.imag,
-)
-_ROWS = _RowsTable()
-
-
 def _snap(z):
     """z with every point within 64 ulp of the unit circle moved onto it, and
     where that happened (a bool for a scalar, a mask for an array).
 
     The window is B = 64 ulp on r = hypot(x, y). On rows, hypot is taken
     only when some row lies within 4B of the circle on s = fl(x^2 + y^2): if
-    |r - 1| <= B, then |z| = 1 + d with |d| <= B + ulp, so |z|^2 - 1 = 2d + d^2
-    and |s - 1| <= 2B + B^2 + O(eps) < 4B. A row outside the wider window on
-    s is thus outside the window on r, and snaps to nothing either way: the
-    result is bit for bit what the window on r alone gives. A scalar (a
-    complex) goes straight to abs, which is hypot, one C call that costs
-    less than the test on s. A row is divided by r part by part (_unit), as
-    a scalar is, so it snaps to its scalar call's bits, up to the sign of a
-    zero imaginary part.
-
-    DomainError for a coordinate that is not finite, or a row with one: the
-    point at infinity is Point.infinity(), not a number.
+    |r - 1| <= B, then |z|^2 - 1 = 2d + d^2 with |d| <= B + ulp, and
+    |s - 1| < 4B, so the result is bit for bit what the window on r alone
+    gives. A row is divided by r part by part (_unit), as a scalar is, so it
+    snaps to its scalar call's bits, up to the sign of a zero imaginary part.
+    DomainError for a coordinate that is not finite, or a row with one.
     """
     if type(z) is complex:
         r = abs(z)  # inf or nan for a coordinate that is not finite
         if r < math.inf:
             on = abs(r - 1.0) <= _BOUNDARY_SNAP
             return (z / r if on else z), on
-    elif _ROWS.isfinite(z).all():
-        near = abs(_ROWS.sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
+    elif (ns := _rows.rows()).isfinite(z).all():
+        near = abs(ns.sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
-        r = _ROWS.hypot(z.real, z.imag)
+        r = ns.hypot(z.real, z.imag)
         on = abs(r - 1.0) <= _BOUNDARY_SNAP
-        return _ROWS.where(on, _unit(z, _ROWS.where(on, r, 1.0)), z), on
+        return ns.where(on, _unit(z, ns.where(on, r, 1.0)), z), on
     raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
 
 
 def _points(*values) -> list:
-    """[ns, (z, on), ...]: _ROWS if any value is an ndarray, else _SCALAR, then
-    each value as a pair: its coordinate, snapped as by _snap, and whether it
-    lies on the circle; a mask for an ndarray, (None, False) at infinity,
-    DomainError for a coordinate or a row that is not finite. A Point's
-    coordinate is used as it is: _snap is not idempotent (a second snap moves
-    some points near the circle by an ulp). numpy is read as _rows.is_rows reads it."""
-    out = [_SCALAR]
+    """[ns, (z, on), ...]: the rows table if any value is an ndarray, else
+    SCALAR, then each value's coordinate, snapped as by _snap, and whether it
+    lies on the circle (a mask for an ndarray, (None, False) at infinity). A
+    Point's coordinate is used as it is: _snap is not idempotent."""
+    out = [_rows.SCALAR]
     for v in values:
         t = type(v)
         if t is Point:
@@ -206,33 +144,32 @@ def _points(*values) -> list:
             out.append((None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY))
         elif t is complex or t is float or t is int:
             out.append(_snap(v if t is complex else complex(v)))
-        elif (np := sys.modules.get("numpy")) is not None and isinstance(v, np.ndarray):
-            out[0] = _ROWS
-            out.append(_snap(np.asarray(v, dtype=complex)))
+        elif _rows.is_rows(v):
+            out[0] = _rows.rows()
+            out.append(_snap(out[0].asarray(v, dtype=complex)))
         else:
             out.append(_snap(complex(v)))
     return out
 
 
 def _interior(what: str, *values) -> list:
-    """[ns, z, ...]: the namespace and the values' snapped coordinates;
-    DomainError unless each point, or every row, lies strictly inside the
-    unit disk. A point off the circle lies more than 64 ulp from it, so
-    |z|^2 > 1 tells |z| > 1."""
+    """[ns, z, ...]: the table and the snapped coordinates; DomainError unless
+    each point or row lies strictly inside the disk (|z|^2 > 1 tells |z| > 1
+    off the circle)."""
     ns, *pairs = _points(*values)
     if any(z is None or ns.any(on | (ns.sq_abs(z) > 1.0)) for z, on in pairs):
         raise DomainError(f"{what} needs interior points")
     return [ns, *(z for z, _ in pairs)]
 
 
-def _chordal_norm(z, ns):
+def _chordal_norm(z, ns=_rows.SCALAR):
     """hypot(1, |z|) = sqrt(1 + |z|^2), finite for every finite z: the
     chordal distance of z and w is |z - w| / n(z) / n(w), and that of z and
     infinity 1 / n(z)."""
     return ns.hypot(1.0, ns.abs(z))
 
 
-def _chordal(z, w, nz, nw, ns):
+def _chordal(z, w, nz, nw, ns=_rows.SCALAR):
     """Chordal distance of two points given with their _chordal_norm; None
     stands for the point at infinity. It divides by each norm in turn, so
     points near 1e200 neither overflow a product of norms nor the result."""
@@ -243,7 +180,7 @@ def _chordal(z, w, nz, nw, ns):
     return ns.abs(z - w) / nz / nw
 
 
-def _disk_factor(sz, sw, ns):
+def _disk_factor(sz, sw, ns=_rows.SCALAR):
     """sqrt((1 - |z|^2)(1 - |w|^2)) for interior points z and w, from their
     squared moduli sz = ns.sq_abs(z) and sw. 1 - fl(|z|^2) is exact near the
     circle, so its relative error is that of fl(|z|^2), at most 1.5 ulp of 1,
@@ -253,7 +190,7 @@ def _disk_factor(sz, sw, ns):
     return ns.sqrt((1.0 - sz) * (1.0 - sw))
 
 
-def _rho(z, w, sz, sw, ns):
+def _rho(z, w, sz, sw, ns=_rows.SCALAR):
     """2 arsh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) for interior points,
     given with their squared moduli."""
     return 2.0 * ns.arcsinh(ns.abs(z - w) / _disk_factor(sz, sw, ns))
@@ -271,7 +208,7 @@ def _unit(z, r):
     return z.real / r + 1j * (z.imag / r)
 
 
-def _arc(z1, z2, ns=_ROWS):
+def _arc(z1, z2, ns=_rows.SCALAR):
     """Center, radius and the two circle ends of the geodesic arc through two
     points not collinear with 0: the circle through them orthogonal to the
     unit circle, in real arithmetic, so a row gives what a scalar call does.
@@ -291,7 +228,7 @@ def _arc(z1, z2, ns=_ROWS):
     return cx + 1j * cy, radius, _unit(e1, ns.abs(e1)), _unit(e2, ns.abs(e2))
 
 
-def _geodesic_ends(z1, z2, ns):
+def _geodesic_ends(z1, z2, ns=_rows.SCALAR):
     """The two ends on the unit circle of the geodesic through distinct
     points z1 and z2 of the closed disk: complex numbers, or complex rows.
     One body in real arithmetic, so each row's ends are its scalar call's,
@@ -316,7 +253,7 @@ def _geodesic_ends(z1, z2, ns):
     return ns.where(diameter, u, e1), ns.where(diameter, -u, e2)
 
 
-def _midpoint(z, w, ns):
+def _midpoint(z, w, ns=_rows.SCALAR):
     """The (unsnapped) hyperbolic midpoint of interior points.
 
     The automorphism z -> 0 sends w to u = (w - z) / (1 - conj(z) w); the
@@ -331,7 +268,7 @@ def _midpoint(z, w, ns):
     return _moebius(1.0, z, z.conjugate(), 1.0, u / (1.0 + u_prime))
 
 
-def _ratio(a, b, c, d, ns):
+def _ratio(a, b, c, d, ns=_rows.SCALAR):
     """The absolute ratio (|a - c| / |a - b|) (|b - d| / |c - d|) of four
     snapped coordinates (None at infinity), the ratios first: a product of
     two distances under- or overflows for points near 1e-170 or 1e170.
@@ -379,13 +316,13 @@ def rho_disk(x, y):
     circle (0 between equal points there). On ndarrays, row by row."""
     if type(x) is Point and type(y) is Point and x[2] is _INTERIOR and y[2] is _INTERIOR:
         # the kinds show two finite points off the circle: no _points and no
-        # circle mask; |z|^2 is x*x + y*y, as _SCALAR.sq_abs takes it
+        # circle mask; |z|^2 is x*x + y*y, as _rows.SCALAR.sq_abs takes it
         xr, xi, _ = x
         yr, yi, _ = y
         sz, sw = xr * xr + xi * xi, yr * yr + yi * yi
         if sz > 1.0 or sw > 1.0:
             raise DomainError("rho_disk needs points in the closed unit disk")
-        return _rho(complex(xr, xi), complex(yr, yi), sz, sw, _SCALAR)
+        return _rho(complex(xr, xi), complex(yr, yi), sz, sw)
     ns, (z, z_on), (w, w_on) = _points(x, y)
     if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
@@ -459,7 +396,7 @@ def _ends_of(g: Geodesic) -> tuple[complex, complex]:
     return complex(re1, im1), complex(re2, im2)
 
 
-def _ends_distance(e1, e2, f1, f2, ns):
+def _ends_distance(e1, e2, f1, f2, ns=_rows.SCALAR):
     """The distance of geodesics with distinct ends (e1, e2) and (f1, f2) on
     the circle, numbers or rows, in real arithmetic: sinh^2(delta/2) =
     min(p, q)/r, p = |e1 - f1||e2 - f2|, q = |e1 - f2||e2 - f1|, r = |e1 -
@@ -485,14 +422,15 @@ def geodesic_distance(g1, g2):
     0.0 for crossing geodesics and for a shared end. DomainError for a
     geodesic whose ends are not two distinct points of the circle."""
     if isinstance(g1, Geodesic) and isinstance(g2, Geodesic):
-        return _ends_distance(*_ends_of(g1), *_ends_of(g2), _SCALAR)
+        return _ends_distance(*_ends_of(g1), *_ends_of(g2))
     if isinstance(g1, Geodesic) or isinstance(g2, Geodesic):
         raise DomainError("geodesic_distance takes two geodesics or two sequences of them")
     gs1, gs2 = list(g1), list(g2)
     if len(gs1) != len(gs2):
         raise DomainError(f"geodesic_distance needs sequences of equal length, not {len(gs1)} and {len(gs2)}")
-    ends = _ROWS.asarray([(*_ends_of(x), *_ends_of(y)) for x, y in zip(gs1, gs2)], dtype=complex)
-    return _ends_distance(*ends.reshape(-1, 4).T, _ROWS)
+    ns = _rows.rows()
+    ends = ns.asarray([(*_ends_of(x), *_ends_of(y)) for x, y in zip(gs1, gs2)], dtype=complex)
+    return _ends_distance(*ends.reshape(-1, 4).T, ns)
 
 
 def rho_via_crossratio(x, y):
@@ -520,10 +458,8 @@ class MoebiusMap(_Record):
     __slots__ = ()
 
     def __new__(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
-        """DegenerateInputError for a determinant that is 0 relative to the
-        size of its terms, or not a number, taken of the scaled
-        coefficients, so a map and its multiples by any factor are accepted
-        or refused alike."""
+        """DegenerateInputError for a determinant that is 0 relative to its
+        terms, or NaN, taken of the scaled coefficients (_moebius_map)."""
         big = max(abs(a), abs(b), abs(c), abs(d))
         return _moebius_map(cls, a, b, c, d, 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1]))
 
@@ -533,20 +469,20 @@ class MoebiusMap(_Record):
         and DomainError if a row's image is not finite."""
         ns, (z, _) = _points(z)
         a, b, c, d = self[4:]
-        if ns is _ROWS:
-            if not (c * z + d == 0).any():
-                with ns.errstate(over="ignore", invalid="ignore"):
-                    w = _moebius(a, b, c, d, z)
-                if ns.isfinite(w).all():
-                    return _snap(w)[0]
-            raise DomainError("a row maps to infinity, which has no finite coordinate")
-        try:
-            # c z + d is taken once, in _moebius: Python's division refuses
-            # exactly a zero divisor, so the pole is decided on c z + d == 0
-            w = complex(a / c) if z is None else _moebius(a, b, c, d, z)
-        except ZeroDivisionError:
-            return Point.infinity()
-        return Point.infinity() if cmath.isinf(w) else _point(w)
+        if ns is _rows.SCALAR:  # Python's division raises ZeroDivisionError at the pole, numpy's gives inf
+            try:
+                # c z + d is taken once, in _moebius: Python's division refuses
+                # exactly a zero divisor, so the pole is decided on c z + d == 0
+                w = complex(a / c) if z is None else _moebius(a, b, c, d, z)
+            except ZeroDivisionError:
+                return Point.infinity()
+            return Point.infinity() if cmath.isinf(w) else _point(w)
+        if not (c * z + d == 0).any():
+            with ns.errstate(over="ignore", invalid="ignore"):
+                w = _moebius(a, b, c, d, z)
+            if ns.isfinite(w).all():
+                return _snap(w)[0]
+        raise DomainError("a row maps to infinity, which has no finite coordinate")
 
     @staticmethod
     def cayley() -> "MoebiusMap":
@@ -588,4 +524,5 @@ def hyperbolic_midpoint(x, y):
     ndarrays, the complex midpoint of each row."""
     ns, z, w = _interior("hyperbolic midpoint", x, y)
     m = _midpoint(z, w, ns)
-    return _snap(m)[0] if ns is _ROWS else _point(m)
+    # a scalar midpoint is a Point, and _point would raise ValueError on the circle mask of rows
+    return _point(m) if ns is _rows.SCALAR else _snap(m)[0]

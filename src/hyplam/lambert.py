@@ -89,7 +89,7 @@ def side_distances(L, theta):
 _last_sides = (None, None, None)
 
 
-def _side_distances(L, theta, ns=math):
+def _side_distances(L, theta, ns=_rows.SCALAR):
     """side_distances for L and theta already checked, by the functions of ns.
 
     A call at Python floats L and theta returns the last such call's pair
@@ -128,7 +128,7 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, v_b, v_c, v_d), d1, d2, phi))
 
 
-def _log_sh(d, ns=math):
+def _log_sh(d, ns=_rows.SCALAR):
     # log sh d = d + log((1 - e^{-2d})/2), finite for every d > 0
     return d + ns.log(-0.5 * ns.expm1(-2.0 * d))
 
@@ -142,22 +142,20 @@ def beardon_phi(d1, d2):
     return _beardon_phi(d1, d2, _rows.ns(d1, d2))
 
 
-def _beardon_phi(d1, d2, ns=math):
+def _beardon_phi(d1, d2, ns=_rows.SCALAR):
     """beardon_phi for nonnegative sides, by the functions of ns."""
-    if ns is math:
+    if ns is _rows.SCALAR:  # math.log raises ValueError at sh 0, numpy's log gives -inf
         log_prod = -math.inf if min(d1, d2) == 0.0 else _log_sh(d1) + _log_sh(d2)
-        acos, least = math.acos, min
     else:
         with ns.errstate(divide="ignore", invalid="ignore"):  # log sh 0 = -inf, and inf - inf
             log_prod = ns.where(ns.minimum(d1, d2) == 0.0, -math.inf, _log_sh(d1, ns) + _log_sh(d2, ns))
-        acos, least = ns.arccos, ns.minimum
     # sh d carries the relative error of d times d coth d, about d + 1; 16 ulp
     # per unit is ~10 times the excess over 1 seen at and near L = 1. The slack
     # is infinite where a side is, so an infinite product is refused apart
     ok = (log_prod < math.inf) & (log_prod <= ns.log1p(2.0**-48 * (2.0 + d1 + d2)))
     if (bad := _rows.first_bad(ok, log_prod)) is not None:
         raise InconsistentQuadrilateralError(f"sh(d1) sh(d2) = exp({bad}) exceeds 1: not a Lambert quadrilateral")
-    return acos(least(ns.exp(log_prod), 1.0))
+    return ns.arccos(ns.minimum(ns.exp(log_prod), 1.0))
 
 
 def product_root(L: float) -> float:
@@ -167,7 +165,7 @@ def product_root(L: float) -> float:
 
 
 def _product_root(L: float) -> float:
-    """product_root for an L already checked: L sqrt2/2 < 1, so arth is math.atanh."""
+    """product_root for an L already checked: L sqrt2/2 < 1, so math.atanh gives arth."""
     return math.atanh(SQRT2 / 2.0 * L)
 
 

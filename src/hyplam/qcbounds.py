@@ -103,7 +103,7 @@ def M_L_of(L):
     return _M_L(L, rl, rprime(rl), _rows.ns(L))
 
 
-def _M_L(L, rl, rlp, ns=math):
+def _M_L(L, rl, rlp, ns=_rows.SCALAR):
     """M_L_of from r_L and r_L' for an L already checked, by lemma_f_c's arithmetic."""
     return _f_c_pair(L, rlp, rprime(rlp), ns) / _f_c_pair(L, rl, rlp, ns)
 

@@ -7,12 +7,12 @@ One numeric core serves scalar and array callers. `arth`, `arth_complement`,
 `phi_K`, `distortion_A`, `distortion_bracket`, the elementwise `holder_mean`
 and the private kernels `_arth_cx` and `_mu_inverse_pair` also take ndarrays,
 row by row under the scalar rules: each formula is written once, over the
-namespace `_rows.ns` picks, and a bad row raises the scalar's DomainError. A
-scalar call neither loads nor touches numpy, and returns a Python float. A
-row agrees with its scalar call to within the rounding of numpy's log1p, log,
-exp, arctanh and power against libm's (a few ulp; tests/test_array_core.py);
-AGM and series rows equal theirs bit for bit. `g_range` and `big_C_of_p`
-take scalars only.
+table `_rows.ns` picks, and a bad row raises the scalar's DomainError. A
+scalar call neither loads nor touches numpy, and returns a Python float; a
+row warns only where its scalar call raises, and agrees with it to within
+the rounding of numpy's log1p, log, exp, arctanh and power against libm's (a
+few ulp; tests/test_array_core.py). AGM and series rows equal theirs bit for
+bit. `g_range` and `big_C_of_p` take scalars only.
 
 mu is evaluated through the arithmetic-geometric mean. Its inverse is the
 closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
@@ -52,33 +52,32 @@ SQRT2_2 = math.sqrt(2.0) / 2.0
 def arth(x):
     """Inverse hyperbolic tangent on [0, 1]; arth(1) is +inf."""
     _rows.require((0.0 <= x) & (x <= 1.0), x, "arth", "x in [0, 1]")
-    if (ns := _rows.ns(x)) is math:
+    if (ns := _rows.ns(x)) is _rows.SCALAR:  # math.atanh(1) raises ValueError, numpy's arctanh gives inf
         return math.atanh(x) if x != 1.0 else math.inf
-    with ns.errstate(divide="ignore"):  # arctanh 1 = inf
+    with ns.errstate(divide="ignore"):
         return ns.arctanh(x)
 
 
 def rprime(r):
     """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN."""
     rp2 = (1.0 - r) * (1.0 + r)
-    if (ns := _rows.ns(rp2)) is math:
-        return math.sqrt(max(0.0, rp2))
+    ns = _rows.ns(rp2)
     return ns.sqrt(ns.fmax(0.0, rp2))
 
 
-def _arth_cx(c, x, xp, ns=math):
+def _arth_cx(c, x, xp, ns=_rows.SCALAR):
     """arth(c x) for c in (0, 1] and x in [0, 1], given x' = sqrt(1 - x^2).
 
     1 - c x is written (1 - c) + c x'^2/(1 + x), which cannot cancel, so x
     may even have rounded to 1. Where it is below 1e-300 (c = 1, x' below
     ~1e-150), arth x is log1p(x) - log x', and arth 1 = inf where x' = 0.
-    With ns = numpy the arguments are ndarrays (or floats among them), and
-    each row takes the form its scalar call takes, and only that one.
+    With the rows table the arguments are ndarrays (or floats among them),
+    and each row takes the form its scalar call takes, and only that one.
     """
     den = (1.0 - c) + c * xp * xp / (1.0 + x)
-    if ns is math:
+    if ns is _rows.SCALAR:  # math.log(0) raises ValueError, numpy's log gives -inf
         if den < 1e-300:
-            return _arth_near_one(math, x, xp) if xp else math.inf  # math.log(0) raises
+            return _arth_near_one(ns, x, xp) if xp else math.inf
     else:
         near = den < 1e-300
         if near.any():
@@ -93,7 +92,7 @@ def _arth_cx(c, x, xp, ns=math):
 
 
 def _arth_near_one(ns, x, xp):
-    """arth x = log1p(x) - log x', by the functions of ns: math or numpy."""
+    """arth x = log1p(x) - log x', by the functions of ns."""
     return ns.log1p(x) - ns.log(xp)
 
 
@@ -105,15 +104,16 @@ def arth_complement(r):
 
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
-    mean where p = 0. A NaN argument gives NaN."""
+    mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError."""
     ns = _rows.ns(r, s)
-    if (ns.minimum(r, s) <= 0.0).any() if ns is not math else (r <= 0.0 or s <= 0.0):
+    if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
     if _rows.is_rows(p):
         ns = _rows.ns(p)
         geometric = p == 0.0
         q = ns.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
-        return ns.where(geometric, ns.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
+        with ns.errstate(over="ignore"):  # 1/q is inf for a subnormal q, as Python's division gives it
+            return ns.where(geometric, ns.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
     if p == 0.0:
         return ns.sqrt(r * s)
     return ((r**p + s**p) / 2.0) ** (1.0 / p)
@@ -131,7 +131,7 @@ def _check_c(c, what: str):
     _rows.require((0.0 < c) & (c <= 1.0), c, what, "c in (0, 1]")
 
 
-def _f_c_pair(c, x, xp, ns=math):
+def _f_c_pair(c, x, xp, ns=_rows.SCALAR):
     """f_c(x) from x and x' = sqrt(1 - x^2), neither recomputed from the other.
 
     1 - (c x')^2 is written (1 - c)(1 + c) + (c x)^2, which cannot cancel,
@@ -140,12 +140,16 @@ def _f_c_pair(c, x, xp, ns=math):
     underflows, arth(c x) is 0 and f_c, above 1/(c x), is inf too. An
     ndarray row gives its inf as quietly as its scalar call.
     """
-    num = (1.0 - c) * (1.0 + c) / x + c * c * x
     den = _arth_cx(c, x, xp, ns)
-    if ns is math:
-        return num / den if den else math.inf
+    if ns is _rows.SCALAR:  # Python's division by 0 raises ZeroDivisionError, numpy's gives inf
+        return _f_c_num(c, x) / den if den else math.inf
     with ns.errstate(over="ignore", divide="ignore"):
-        return num / den
+        return _f_c_num(c, x) / den
+
+
+def _f_c_num(c, x):
+    """(1 - (c x')^2)/x, as (1 - c)(1 + c)/x + c^2 x: inf for a tiny x."""
+    return (1.0 - c) * (1.0 + c) / x + c * c * x
 
 
 def lemma_f_c(c, r):
@@ -169,7 +173,7 @@ def lemma_G_c(c, r):
     return _G_c(c, r, _rows.ns(c, r))
 
 
-def _G_c(c, r, ns=math):
+def _G_c(c, r, ns=_rows.SCALAR):
     """lemma_G_c for c and r already checked, by the functions of ns."""
     rp = rprime(r)
     return _arth_cx(c, r, rp, ns) + _arth_cx(c, rp, r, ns)
@@ -200,7 +204,7 @@ def g_range(c: float) -> GRange:
 
 
 def _g_range(c: float) -> GRange:
-    """g_range for a c already checked. arth is math.atanh here: c < 1, and
+    """g_range for a c already checked. math.atanh gives arth here: c < 1, and
     2 sqrt2 c/(2 + c^2) <= 2 sqrt2/3 < 1."""
     if c == 1.0:
         return _new_tuple(GRange, (4, _G1_LOWER, math.inf, None))
@@ -232,10 +236,11 @@ def aux_h(r):
 
 def aux_g_le2(p, r):
     """(r/r') (arth r / arth r')^(p-1), taken as r^p/r' ((arth r / r) / arth r')^(p-1), as
-    in aux_g_pq: r inside the power overflows it for tiny r at p < 0, where the value is finite."""
+    in aux_g_pq: r inside the power overflows it for tiny r at p < 0, where the value is finite.
+    Where r^p itself overflows, so does the value, which is inf."""
     _check_open01(r, "aux_g_le2")
-    rp = rprime(r)
-    return r**p / rp * ((arth(r) / r) / _arth_cx(1.0, rp, r, _rows.ns(r))) ** (p - 1.0)
+    rp, ns = rprime(r), _rows.ns(p, r)
+    return ns.power(r, p) / rp * ((arth(r) / r) / _arth_cx(1.0, rp, r, _rows.ns(r))) ** (p - 1.0)
 
 
 def aux_slope_ratio(r):
@@ -262,10 +267,9 @@ def _slope_ratio_series(r):
     """The ratio through the series B, summed until it stops moving: on rows,
     until no row moves. A row that has stopped stays put, as its next terms
     are smaller still, so it equals its scalar call bit for bit."""
-    t, rp2 = r * r, (1.0 - r) * (1.0 + r)
-    moves = bool if (ns := _rows.ns(r)) is math else ns.any
+    t, rp2, ns = r * r, (1.0 - r) * (1.0 + r), _rows.ns(r)
     b, term, k = 0.0 * t, 1.0, 5
-    while moves(b + term / k != b):
+    while ns.any(b + term / k != b):
         b, term, k = b + term / k, term * t, k + 2
     a = 1.0 / 3.0 + t * b
     return -2.0 + t * (3.0 * b - 5.0 / 3.0 - t / 3.0 - t * b * (2.0 + t)) / (rp2 * (1.0 + a * (1.0 + t)))
@@ -274,9 +278,12 @@ def _slope_ratio_series(r):
 def aux_h_p(p, r):
     """1 + ((p + 1) r'^2 - 2) arth(r)/r; r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1.
     It tends to p as r -> 0, where 1 and the rest cancel for p near 0, so below r = 0.5
-    (rows split there) it is p + t sum_{k>=1} t^{k-1} ((p-1)/(2k+1) - (p+1)/(2k-1)), t = r^2."""
+    (rows split there) it is p + t sum_{k>=1} t^{k-1} ((p-1)/(2k+1) - (p+1)/(2k-1)), t = r^2.
+    DomainError for a p that is not finite, whose series would never stop."""
+    _rows.require((-math.inf < p) & (p < math.inf), p, "aux_h_p", "a finite p")
     _check_open01(r, "aux_h_p")
-    r, p = (r, p) if (ns := _rows.ns(p)) is math else ns.broadcast_arrays(r, p)  # a row of p per row of r
+    if _rows.is_rows(p):  # a row of r per row of p: bool() of a mask raises ValueError in a scalar r's series
+        r, p = _rows.rows().broadcast_arrays(r, p)
     return _rows.split_at(r, 0.5, _h_p_far, _h_p_series, p)
 
 
@@ -287,9 +294,9 @@ def _h_p_far(r, p):
 def _h_p_series(r, p):
     """Term k is -t^{k-1} (4k + 2p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
     stops moving the sum. Terms change sign, so a row that has stopped takes no more of them."""
-    t, moves = r * r, bool if (ns := _rows.ns(r)) is math else ns.any
+    t, ns = r * r, _rows.ns(r)
     s, tk, k = 0.0 * t, 1.0, 1
-    while moves(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
+    while ns.any(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
         s, tk, k = s - moving * tk * (4.0 * k + 2.0 * p) / (4.0 * k * k - 1.0), tk * t, k + 1
     return p + t * s
 
@@ -297,7 +304,9 @@ def _h_p_series(r, p):
 def aux_g_pq(p, q, r):
     """arth(r)^(q-1) / (r^(p-1) r'^2), taken as (arth r / r)^(q-1) r^(q-p) / r'^2:
     r^(p-1) alone overflows for tiny r where the value is finite, and
-    r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1."""
+    r'^2 = (1 - r)(1 + r) keeps its digits as r -> 1. DomainError for a p or q that is not finite."""
+    _rows.require((-math.inf < p) & (p < math.inf), p, "aux_g_pq", "a finite p")
+    _rows.require((-math.inf < q) & (q < math.inf), q, "aux_g_pq", "a finite q")
     _check_open01(r, "aux_g_pq")
     return (arth(r) / r) ** (q - 1.0) * r ** (q - p) / ((1.0 - r) * (1.0 + r))
 
@@ -430,27 +439,26 @@ def agm(a, b):
     """
     _rows.require(0.0 < a, a, "agm", "a > 0")
     _rows.require(0.0 < b, b, "agm", "b > 0")
-    return _agm(a, b)
+    if (ns := _rows.ns(a, b)) is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf - inf is quiet
+        return _agm(a, b)
+    with ns.errstate(invalid="ignore"):  # an infinite row reaches inf - inf, whose NaN stops it
+        return _agm(a, b, ns)
 
 
-def _agm(a, b):
+def _agm(a, b, ns=_rows.SCALAR):
     """agm for a and b already checked, or known positive."""
-    rows = (ns := _rows.ns(a, b)) is not math
     for _ in range(64):
         moving = abs(a - b) > 2.0**-52 * a
-        if not (moving.any() if rows else moving):
+        if not ns.any(moving):
             break
-        a_next, b_next = 0.5 * (a + b), ns.sqrt(a * b)
-        if rows:
-            a_next, b_next = ns.where(moving, a_next, a), ns.where(moving, b_next, b)
-        a, b = a_next, b_next
+        a, b = ns.where(moving, 0.5 * (a + b), a), ns.where(moving, ns.sqrt(a * b), b)
     return 0.5 * (a + b)
 
 
 def grotzsch_mu(r):
     """Conformal modulus of the plane Groetzsch ring; decreasing on (0,1)."""
     _check_open01(r, "grotzsch_mu")
-    return _HALF_PI * _agm(1.0, rprime(r)) / _agm(1.0, r)
+    return _HALF_PI * _agm(1.0, rprime(r), ns := _rows.ns(r)) / _agm(1.0, r, ns)
 
 
 _HALF_PI = math.pi / 2.0
@@ -474,7 +482,7 @@ def _check_K(K, what: str):
     return K
 
 
-def _nome_moduli(t, ns=math):
+def _nome_moduli(t, ns=_rows.SCALAR):
     """(m, c) with k = m e^{-t} and k' = (1 - c)^2, the moduli of the Jacobi
     nome q = e^{-2t}, for t >= pi/2.
 
@@ -491,7 +499,7 @@ def _nome_moduli(t, ns=math):
     return 4.0 * ((1.0 + s2) / theta3) ** 2, 4.0 * odd / theta3
 
 
-def _mu_inverse_pair(y, ns=math):
+def _mu_inverse_pair(y, ns=_rows.SCALAR):
     """(r, log r') with grotzsch_mu(r) = y > 0 and r' = sqrt(1 - r^2); rows of
     an ndarray y each from the nome of their scalar call. r' is returned as its
     log: it underflows (K above ~600 in A(K)) long before A(K) = 2 log((1 + r)/r')."""
@@ -543,7 +551,7 @@ def distortion_A(K):
 _last_A = (None, None)
 
 
-def _distortion_A(K, ns=math):
+def _distortion_A(K, ns=_rows.SCALAR):
     """distortion_A for a K already checked, by the functions of ns.
 
     A call at a Python float K, which every scalar K is once _check_K has

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _rows
 from . import lambert as lam
 from . import qcbounds as qcb
 from .errors import ConfigurationError
@@ -379,7 +380,7 @@ _INTERSECT_TOL = 1e-10
 _SHARED_END_TOL = 4 * 2.0**-52
 
 
-def _bracket_min(f, rows: int, np):
+def _bracket_min(f, rows: int):
     """Per row, the minimum over [0, 1] of a unimodal f.
 
     f maps a (k, rows) array of parameters, column j for row j, to their
@@ -509,7 +510,7 @@ def _distance_rows(gs1, gs2):
         br, bi = mr * x0 - zr - pr, mi * x0 - zi - pi
         return _least_over_g2(2.0 * pr, 2.0 * pi, br, bi) / (4.0 * z_factor * c)
 
-    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1), np)))
+    rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
     ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
     shared = (abs(ends1[:, :, None] - ends2[:, None, :]) <= _SHARED_END_TOL).any(axis=(1, 2))
     return np.where((rho < _INTERSECT_TOL) | shared, 0.0, rho)
@@ -527,7 +528,7 @@ def _t_arc_orthogonality(n: int, chk: _Checker):
         # orthogonality residual is numerically meaningless
         keep = abs(cross) >= 1e-3
         z1, z2 = z1[keep], z2[keep]
-        center, radius, e1, e2 = _arc(z1, z2)
+        center, radius, e1, e2 = _arc(z1, z2, _rows.rows())
         arc = radius != 0.0
         z1, z2, center, radius, e1, e2 = z1[arc], z2[arc], center[arc], radius[arc], e1[arc], e2[arc]
         dev = abs(abs(center) ** 2 - radius**2 - 1.0) / (1.0 + abs(center) ** 2)

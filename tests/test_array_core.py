@@ -16,11 +16,16 @@ test_specfun_accuracy.py.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyplam import geometry, lambert, qcbounds, specfun
+from hyplam import _rows, geometry, lambert, qcbounds, specfun
 from hyplam.errors import DomainError, InconsistentQuadrilateralError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
@@ -336,6 +341,10 @@ def test_scalar_calls_stay_off_numpy(monkeypatch):
     numpy_names = ("exp", "log", "log1p", "expm1", "arccos", "arctanh", "minimum", "where", "errstate", "empty")
     for name in (*numpy_names, "hypot", "sqrt", "arcsinh", "asarray", "broadcast_arrays", "isfinite"):
         monkeypatch.setattr(np, name, _no_numpy)
+    # the rows table holds numpy's functions themselves
+    table = _rows.rows()
+    for name in [n for n in vars(table) if not n.startswith("_")]:
+        monkeypatch.setattr(table, name, _no_numpy)
     # one whole bounds-stream request: the Lambert quadrilateral and its
     # reports, its vertices and an ideal quadruple mapped by an automorphism,
     # rho before and after, and the distortion and QC bounds
@@ -443,3 +452,88 @@ def test_an_inconsistent_row_raises_the_scalar_error():
         assert str(from_rows.value) == str(from_scalar.value)
     with pytest.raises(DomainError, match="nonnegative"):
         lambert.beardon_phi(np.array([0.5, -0.1]), 0.4)
+
+
+@pytest.mark.parametrize("r,s", [(math.nan, -1.0), (-1.0, math.nan), (math.nan, 0.0), (-0.0, math.nan)])
+def test_holder_mean_refuses_a_nonpositive_argument_beside_a_nan(r, s):
+    # the domain test is (r <= 0) | (s <= 0), which no NaN beside it hides
+    for args in ((r, s), (np.array([r]), np.array([s])), (np.array([0.3, r]), np.array([0.5, s]))):
+        with pytest.raises(DomainError, match="positive arguments"):
+            specfun.holder_mean(0.5, *args)
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_aux_h_p_refuses_a_p_that_is_not_finite(p):
+    # at nan and +inf the series never stopped, so the calls run in a child
+    # with a timeout; -inf gave NaN
+    code = f"""if True:
+        import numpy as np
+        from hyplam import DomainError, specfun
+        p = float("{p}")
+        for args in ((p, 0.3), (p, 0.7), (np.array([-3.0, p]), 0.3), (np.array([-3.0, p]), np.array([0.7, 0.3]))):
+            try:
+                specfun.aux_h_p(*args)
+            except DomainError as exc:
+                assert str(exc) == "aux_h_p needs a finite p, got {p}", exc
+            else:
+                raise SystemExit(f"aux_h_p{{args}} returned")
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(specfun.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+#: the edges at which a row and its scalar call must agree
+_EDGE_VALUES = [math.nan, 0.0, -0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0, math.inf, -math.inf]
+#: each exported row function and arguments inside its domain; each argument in turn takes every edge
+_ROW_FUNCTIONS = {
+    "arth": (specfun.arth, (0.3,)),
+    "arth_complement": (specfun.arth_complement, (0.3,)),
+    "rprime": (specfun.rprime, (0.3,)),
+    "agm": (specfun.agm, (0.3, 0.7)),
+    "holder_mean": (specfun.holder_mean, (0.5, 0.3, 0.7)),
+    "grotzsch_mu": (specfun.grotzsch_mu, (0.3,)),
+    "lemma_f_c": (specfun.lemma_f_c, (0.7, 0.3)),
+    "lemma_F_c": (specfun.lemma_F_c, (0.7, 0.3)),
+    "lemma_G_c": (specfun.lemma_G_c, (0.7, 0.3)),
+    "aux_h1": (specfun.aux_h1, (0.3,)),
+    "aux_h": (specfun.aux_h, (0.3,)),
+    "aux_g_le2": (specfun.aux_g_le2, (-1.0, 0.3)),
+    "aux_slope_ratio": (specfun.aux_slope_ratio, (0.3,)),
+    "aux_h_p": (specfun.aux_h_p, (-3.0, 0.3)),
+    "aux_g_pq": (specfun.aux_g_pq, (-3.0, 0.0, 0.3)),
+    "mu_inverse": (specfun.mu_inverse, (0.5,)),
+    "phi_K": (specfun.phi_K, (2.0, 0.3)),
+    "distortion_A": (specfun.distortion_A, (2.0,)),
+    "distortion_bracket": (specfun.distortion_bracket, (2.0,)),
+    "side_distances": (lambert.side_distances, (0.7, 0.3)),
+    "ideal_quad": (lambert.ideal_quad, (0.3,)),
+    "beardon_phi": (lambert.beardon_phi, (0.5, 0.4)),
+    "r_L_of": (qcbounds.r_L_of, (0.9,)),
+    "M_L_of": (qcbounds.M_L_of, (0.9,)),
+}
+
+
+def _outcome(f, args):
+    """f(*args) as a list of floats, or the type of what it raised; a warning is an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f(*args)
+    except Exception as exc:
+        return type(exc)
+    return [float(np.ravel(v)[0]) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("name,at", [(name, i) for name, (_, args) in _ROW_FUNCTIONS.items() for i in range(len(args))])
+def test_a_row_at_an_edge_is_its_scalar_call(name, at, value):
+    # the same value within 4 ulp, or the same error, and no warning where the scalar has none
+    f, args = _ROW_FUNCTIONS[name]
+    args = args[:at] + (value,) + args[at + 1 :]
+    scalar, row = _outcome(f, args), _outcome(f, [np.array([a]) for a in args])
+    if isinstance(scalar, type) or isinstance(row, type):
+        assert row is scalar
+    else:
+        assert len(row) == len(scalar)
+        for a, b in zip(scalar, row):
+            assert a == b or (math.isnan(a) and math.isnan(b)) or abs(b - a) <= ROW_EPS * EPS * abs(a), (a, b)

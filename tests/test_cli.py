@@ -399,6 +399,36 @@ class TestCsvBytes:
         assert _csv_bytes(table) == percent_csv(table)
 
 
+@pytest.mark.parametrize(
+    "argv,owner,name",
+    [
+        (["lambert", "--L", "0.5", "--theta", "0.3"], lambert, "product_report"),
+        (["ideal", "--alpha", "0.5"], lambert, "ideal_quad"),
+        (["qc-bound", "--K", "2", "--ideal"], cli.qcb, "qc_ideal_bound"),
+        (["specfun", "--fn", "A", "--K", "2"], cli, "distortion_A"),
+    ],
+    ids=["lambert", "ideal", "qc-bound", "specfun"],
+)
+def test_an_unexpected_error_exits_3_with_one_line(capsys, monkeypatch, argv, owner, name):
+    # exit 1 means a violated bound and 2 a refused input: a fault of the
+    # program is neither, and prints one line, not a traceback
+    def fault(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(owner, name, fault)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err == "error: unexpected ZeroDivisionError: float division by zero\n"
+
+
+def test_help_lists_the_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert " ".join(capsys.readouterr().out.split()).endswith(
+        "Exit codes: 0 success, 1 a checked bound was violated, 2 usage, domain, I/O or memory error, 3 an "
+        "unexpected error (a fault of the program)."
+    )
+
+
 class TestParser:
     CALLS = [
         ["lambert", "--L", "0.5", "--theta", "0.3", "--json"],

@@ -30,7 +30,7 @@ from hyplam import (
     rho_halfplane,
     rho_via_crossratio,
 )
-from hyplam import geometry, verify
+from hyplam import _rows, geometry, verify
 from hyplam.verify import DEFAULT_SEED, _distance_rows, _halton
 
 EPS = 2.0**-52
@@ -492,8 +492,8 @@ class TestGeodesics:
         z2 = 0.95 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
         z2[::3] = z1[::3] * rng.uniform(-1.0, 1.0, 200)
         z1[1::6] = 0.0
-        e1, e2 = geometry._geodesic_ends(z1, z2, geometry._ROWS)
-        scalar = np.array([geometry._geodesic_ends(a, b, geometry._SCALAR) for a, b in zip(z1.tolist(), z2.tolist())])
+        e1, e2 = geometry._geodesic_ends(z1, z2, _rows.rows())
+        scalar = np.array([geometry._geodesic_ends(a, b) for a, b in zip(z1.tolist(), z2.tolist())])
         assert np.array_equal(np.column_stack([e1, e2]).view(np.uint64), scalar.view(np.uint64))
         diameters = e2 == -e1
         assert diameters[::3].mean() > 0.9 and diameters[1::6].all() and not diameters[2::3].any()
@@ -749,10 +749,11 @@ class TestGeodesics:
     def test_oracle_shares_no_code_with_the_closed_forms(self):
         # the registry checks lambert's, specfun's and qcbounds' closed forms
         # against geometry, so geometry imports nothing from the package but
-        # its errors
+        # its errors and _rows, which holds the function tables and no formula
         tree = ast.parse(Path(geometry.__file__).read_text())
-        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
-        assert imported == {"errors"}
+        relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        imported = {n.module or a.name for n in relative for a in n.names}
+        assert imported == {"errors", "_rows"}
         absolute = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
         absolute |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level}
         assert not any(m.startswith("hyplam") for m in absolute)
@@ -953,7 +954,7 @@ class TestSquaredModulus:
                 r = 1.0 - 10.0**-k
                 angles = rng.uniform(0.0, 2.0 * math.pi, 500)
                 z = r * np.cos(angles) + 1j * (r * np.sin(angles))
-                rows_ns, scalar_ns = geometry._ROWS, geometry._SCALAR
+                rows_ns, scalar_ns = _rows.rows(), _rows.SCALAR
                 sq = rows_ns.sq_abs(z)
                 rows = geometry._disk_factor(sq, sq, rows_ns)
                 scalars = [geometry._disk_factor(*[scalar_ns.sq_abs(complex(v))] * 2, scalar_ns) for v in z]

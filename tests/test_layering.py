@@ -107,8 +107,8 @@ def _module_level_imports(module: str) -> set[str]:
 
 
 def test_only_modules_that_hold_rows_import_numpy_at_load():
-    # the scalar layers and the CLI's reports tell rows through _rows (geometry
-    # in _points) and load numpy only for rows; the sweep, the registry and its
+    # the scalar layers and the CLI's reports tell rows through _rows and
+    # load numpy only for rows; the sweep, the registry and its
     # oracles hold rows always
     assert [p.stem for p in sorted(SRC.glob("*.py")) if "numpy" in _module_level_imports(p.stem)] == [
         "_sweep", "optimize", "verify"
@@ -116,7 +116,7 @@ def test_only_modules_that_hold_rows_import_numpy_at_load():
 
 
 def test_no_module_binds_its_own_ndarray():
-    # the row test is _rows.is_rows, and geometry's _points: no module binds numpy's array type
+    # the row test is _rows.is_rows: no module binds numpy's array type
     bound = [
         f"{path.stem}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -133,11 +133,11 @@ NUMPY2_ONLY = {"acos", "asin", "atan", "atan2", "atanh", "asinh", "acosh", "pow"
 
 
 def _numpy_namespace(node: ast.expr) -> bool:
-    """np, numpy, a namespace ns that may be numpy, or a call that picks one:
-    _rows.ns(...), ns(...) inside _rows, or _ns(...)."""
+    """np, numpy, a table ns that may be the rows table, or a call that picks
+    one: _rows.ns(...), _rows.rows(), ns(...) inside _rows, or _ns(...)."""
     if isinstance(node, ast.Call):
         node = node.func
-        if isinstance(node, ast.Attribute) and node.attr == "ns":  # _rows.ns(...)
+        if isinstance(node, ast.Attribute) and node.attr in ("ns", "rows"):  # _rows.ns(...), _rows.rows()
             return True
     return isinstance(node, ast.Name) and node.id in {"np", "numpy", "ns", "_ns"}
 

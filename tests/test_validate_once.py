@@ -1,7 +1,7 @@
 """Scalar bound requests pay for arithmetic only.
 
-- Each geometry call picks its namespace once: a scalar call reads only
-  `geometry._SCALAR`, a row call only `geometry._ROWS`.
+- Each geometry call picks its table once: a scalar call calls only the
+  functions of `_rows.SCALAR`, a row call only those of `_rows.rows()`.
 - The bound builders check their arguments once and then call the private
   kernels: with the public checkers they used to call made to raise, every
   builder still returns what it returned before.
@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from hyplam import DomainError, geometry, lambert, qcbounds, specfun
+from hyplam import DomainError, _rows, geometry, lambert, qcbounds, specfun
 from hyplam.geometry import MoebiusMap, Point
 
 #: (L, theta) of a Lambert quadrilateral in each regime of the sum bound
@@ -31,9 +31,10 @@ def _poison(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, refused)
 
 
-class _Refused:
-    def __getattr__(self, name):
-        raise AssertionError(f"the other namespace's {name} was read")
+def _refuse_table(monkeypatch, table):
+    """Make every function of a table of _rows raise when called."""
+    for name in [n for n in vars(table) if not n.startswith("_")]:
+        _poison(monkeypatch, table, name)
 
 
 def _request():
@@ -54,7 +55,7 @@ class TestNamespacePick:
     def test_scalar_calls_read_only_the_scalar_table(self, monkeypatch):
         p, q = Point.of(0.3 + 0.1j), Point.of(-0.2 + 0.5j)
         expected = _request()
-        monkeypatch.setattr(geometry, "_ROWS", _Refused())
+        _refuse_table(monkeypatch, _rows.rows())
         assert _request() == expected
         m = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
         for call in (
@@ -75,7 +76,7 @@ class TestNamespacePick:
         w = np.array([-0.2 + 0.5j, 0.1, 1.0])
         rows = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.chordal_distance(z, w)]
         rows += [geometry.rho_via_crossratio(z[:2], w[:2]), geometry.hyperbolic_midpoint(z[:2], w[:2])]
-        monkeypatch.setattr(geometry, "_SCALAR", _Refused())
+        _refuse_table(monkeypatch, _rows.SCALAR)
         again = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.chordal_distance(z, w)]
         again += [geometry.rho_via_crossratio(z[:2], w[:2]), geometry.hyperbolic_midpoint(z[:2], w[:2])]
         for a, b in zip(rows, again):
@@ -96,8 +97,8 @@ class TestNamespacePick:
 
     def test_a_row_among_scalars_picks_the_rows_table(self):
         ns, (z, _), (w, _) = geometry._points(np.array([0.1, 0.2]), 0.5j)
-        assert ns is geometry._ROWS and type(z) is np.ndarray and type(w) is complex
-        assert geometry._points(0.1, Point.of(0.5j))[0] is geometry._SCALAR
+        assert ns is _rows.rows() and type(z) is np.ndarray and type(w) is complex
+        assert geometry._points(0.1, Point.of(0.5j))[0] is _rows.SCALAR
 
 
 class TestBuildersValidateOnce:

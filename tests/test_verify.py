@@ -207,7 +207,7 @@ def _nan_absolute_ratio(monkeypatch):
 
 def _nan_arc(monkeypatch):
     original = verify._arc
-    monkeypatch.setattr(verify, "_arc", lambda z1, z2: tuple(np.full_like(v, math.nan) for v in original(z1, z2)))
+    monkeypatch.setattr(verify, "_arc", lambda z1, z2, ns: tuple(np.full_like(v, math.nan) for v in original(z1, z2, ns)))
 
 
 def _shift_d1(monkeypatch):
@@ -405,7 +405,7 @@ class TestDistanceOracleInnerMinimum:
         # of u*, or of 1 - u*
         a, b = _inner_rows()[kind]
         least, u, scale = self._least(a, b)
-        searched = verify._bracket_min(lambda t: _h(a, b, verify._clamped(t)), len(a), np)
+        searched = verify._bracket_min(lambda t: _h(a, b, verify._clamped(t)), len(a))
         assert np.all(least <= searched + self.BOUND * scale)
         inside = (u > 1e-3) & (u < 1.0 - 1e-3)
         assert np.all(abs(least - searched)[inside] <= self.BOUND * scale[inside])
@@ -738,20 +738,20 @@ def test_a_streamed_sweeps_peak_memory_does_not_grow_with_n(monkeypatch, name):
 
 
 def test_thorough_profile_takes_few_hypot_moduli(monkeypatch):
-    # hypot (the rows namespace's abs, geometry._ROWS.abs) is taken for
+    # hypot (the rows table's abs, _rows.rows().abs) is taken for
     # Euclidean distances and _arc; every modulus that is only squared or
     # compared with 1 is x*x + y*y. The thorough profile took 9.74 M elements
     # of hypot when every modulus was taken by it, and 3.64 M since.
-    from hyplam import geometry
+    from hyplam import _rows
 
     monkeypatch.delenv("HYPLAM_SEED", raising=False)
     elements = []
-    hypot_abs = geometry._ROWS.abs
+    hypot_abs = _rows.rows().abs
 
     def counted(z):
         elements.append(np.size(z))
         return hypot_abs(z)
 
-    monkeypatch.setattr(geometry._ROWS, "abs", counted)
+    monkeypatch.setattr(_rows.rows(), "abs", counted)
     assert all(c.passed for c in run_all("thorough"))
     assert sum(elements) <= 4_000_000
