@@ -2,14 +2,15 @@
 functions, by numpy's names, that the kernels of specfun, geometry, lambert
 and qcbounds compute with: `SCALAR` on Python numbers and `rows()` on
 ndarrays, each row under the scalar rules. Only a loaded numpy can have made
-an ndarray, so `is_rows` reads numpy from sys.modules; the rows table imports
-it on first use. A table is a module, whose reads cost what math's do."""
+an ndarray, so `is_rows` reads numpy from sys.modules; `numpy()` alone imports
+it. A table is a module, whose reads cost what math's do."""
 
+import functools
 import math
 import sys
 from types import ModuleType
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 
 def _table(name: str, functions: dict) -> ModuleType:
@@ -41,26 +42,29 @@ SCALAR = _table("hyplam._rows.SCALAR", dict(
     power=_power, sq_abs=_sq_abs,
 ))
 
-#: the rows table, once rows() has built it
-_ROWS = None
+
+def numpy() -> ModuleType:
+    """numpy, which only calls that hold rows need; ConfigurationError naming it where it cannot be imported."""
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ConfigurationError(f"this call needs numpy, which could not be imported ({exc}): pip install numpy") from exc
+    return np
 
 
+@functools.cache
 def rows() -> ModuleType:
     """numpy's functions under SCALAR's names, and the errstate, asarray,
     broadcast_arrays and empty that only rows call. abs is |z| by hypot, as on
     a scalar (numpy's complex abs rounds otherwise, which rho amplifies near
     the circle); sq_abs and power overflow to inf quietly, as a scalar does."""
-    global _ROWS
-    if _ROWS is None:
-        import numpy as np
-
-        _ROWS = _table("hyplam._rows.ROWS", {n: getattr(np, n, None) for n in vars(SCALAR) if n[0] != "_"} | dict(
-            abs=lambda z: np.hypot(z.real, z.imag), sq_abs=np.errstate(over="ignore")(_sq_abs),
-            power=np.errstate(over="ignore")(np.power),
-            math_asinh=np.vectorize(math.asinh, otypes=[float]), errstate=np.errstate, asarray=np.asarray,
-            broadcast_arrays=np.broadcast_arrays, empty=np.empty,
-        ))
-    return _ROWS
+    np = numpy()
+    return _table("hyplam._rows.ROWS", {n: getattr(np, n, None) for n in vars(SCALAR) if n[0] != "_"} | dict(
+        abs=lambda z: np.hypot(z.real, z.imag), sq_abs=np.errstate(over="ignore")(_sq_abs),
+        power=np.errstate(over="ignore")(np.power),
+        math_asinh=np.vectorize(math.asinh, otypes=[float]), errstate=np.errstate, asarray=np.asarray,
+        broadcast_arrays=np.broadcast_arrays, empty=np.empty,
+    ))
 
 
 def is_rows(x) -> bool:

@@ -1,14 +1,15 @@
 """The rows of `hyplam sweep` and their CSV bytes: the part of the CLI that
-holds rows and imports numpy, loaded by `cli.cmd_sweep` alone."""
+holds rows and needs numpy, loaded by `cli.cmd_sweep` alone."""
 
 import functools
 import math
 
-import numpy as np
-
+from . import _rows
 from . import lambert as lam
 from .errors import HyplamError
 from .specfun import grotzsch_mu, rprime
+
+np = _rows.numpy()
 
 
 def _sweep_rows(args):

@@ -3,7 +3,7 @@ verification sweeps, and plot-ready CSV export.
 
 The reports (lambert, ideal, qc-bound, specfun) each make one scalar
 evaluation and never load numpy: only `sweep` (through `_sweep`) and
-`verify` (through the registry) hold rows and import it.
+`verify` (through the registry) hold rows and need it, and exit 2 without it.
 
 Exit codes: 0 success, 1 a checked bound was violated, 2 usage, domain, I/O
 or memory error, 3 an unexpected error (a fault of the program).
@@ -217,8 +217,15 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error on one line of stderr, as every other exit 2 prints."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyplam",
         description="sharp distance bounds for Lambert and ideal hyperbolic quadrilaterals",
         epilog=__doc__[__doc__.index("Exit codes"):],
@@ -284,8 +291,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HyplamError, OSError, MemoryError, ImportError) as exc:
-        # exit 1 is kept for a violated bound; sweep and verify need numpy
+    except (HyplamError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, which no input should reach

@@ -30,7 +30,8 @@ class NoRootError(HyplamError, ValueError):
 
 
 class ConfigurationError(HyplamError, ValueError):
-    """Unknown sweep target or malformed sweep specification."""
+    """Unknown sweep target or malformed sweep specification, or a call that
+    needs numpy, which is no dependency of the package, where it is missing."""
 
 
 class _Record(tuple):

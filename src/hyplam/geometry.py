@@ -117,7 +117,10 @@ def _snap(z):
     DomainError for a coordinate that is not finite, or a row with one.
     """
     if type(z) is complex:
-        r = abs(z)  # inf or nan for a coordinate that is not finite
+        try:
+            r = abs(z)  # inf or nan for a coordinate that is not finite
+        except OverflowError:  # finite coordinates whose |z| passes the doubles, as on rows: off the circle
+            return z, False
         if r < math.inf:
             on = abs(r - 1.0) <= _BOUNDARY_SNAP
             return (z / r if on else z), on

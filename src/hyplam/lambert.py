@@ -23,8 +23,9 @@ SUM_CASE1_MAX = _C_LOW
 #: lower limit of the third sum-bound regime, sqrt(2(sqrt2 - 1)), where specfun.g_range switches
 SUM_CASE3_MIN = _C_HIGH
 
-#: product_report checks an L below this at L scaled up by a power of 2: the
-#: bound (L sqrt2/2)^2 is subnormal from L ~ 2^-511 on
+#: product_report and sum_bounds check an L below this at L scaled up by a
+#: power of 2 (_check_scale): the product bound (L sqrt2/2)^2 is subnormal from
+#: L ~ 2^-511 on, and d1 + d2 from L ~ 2^-1022 on
 _L_BOUND_SUBNORMAL = 2.0**-500
 
 #: the right-angle vertex v_a of every normalized Lambert quadrilateral
@@ -175,14 +176,18 @@ def product_bound(L: float) -> float:
     return _product_root(L) ** 2
 
 
+def _check_scale(L: float) -> float:
+    """The L at which a report checks its value: L, or below 2^-500 L scaled
+    by a power of 2 into [2^-500, 2^-499). There d1, d2, d1 + d2 and the sum
+    range are linear in L to the last bit and the product bound quadratic, so
+    the verdict is the one at L, with none of the bits lost below it."""
+    return math.ldexp(math.frexp(L)[0], -499) if L < _L_BOUND_SUBNORMAL else L
+
+
 def product_report(L: float, theta: float | None = None) -> BoundReport:
     """The product bound at L, and d1*d2 at theta checked against it with a
-    slack of 1e-12 relative to the bound.
-
-    Below L = 2^-500 the bound, L^2/2 to the last bit, is subnormal or 0, and
-    so is d1*d2. There the check is made at L scaled by a power of 2 into
-    [2^-500, 2^-499): d1 and d2 are linear in L to the last bit and the bound
-    quadratic, so the verdict is the one at L, with no bit lost.
+    slack of 1e-12 relative to the bound, at _check_scale(L): below 2^-500
+    the bound, L^2/2 to the last bit, is subnormal or 0, and so is d1*d2.
     """
     bound = product_bound(L)  # checks L
     observed = None
@@ -191,8 +196,7 @@ def product_report(L: float, theta: float | None = None) -> BoundReport:
         _check_theta(theta)
         d1, d2 = _side_distances(L, theta)
         observed = d1 * d2
-        if L < _L_BOUND_SUBNORMAL:
-            L_check = math.ldexp(math.frexp(L)[0], -499)
+        if (L_check := _check_scale(L)) != L:
             d1, d2 = _side_distances(L_check, theta)
             bound_check = product_bound(L_check)
         else:
@@ -209,7 +213,8 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     to case 3, matching the half-open case intervals. Lower bounds in
     cases 1 and 2 are open (approached as theta -> 0 or pi/2) and carry
     no equality witness. d1 + d2 at theta is checked against the range with
-    a slack of 1e-12 relative to each end.
+    a slack of 1e-12 relative to each end, at _check_scale(L): at a
+    subnormal L, d1 + d2 can round to 0 below arth L.
     """
     _check_L(L)
     case, lower, upper, r0 = _g_range(L)
@@ -219,8 +224,11 @@ def sum_bounds(L: float, theta: float | None = None) -> BoundReport:
     if theta is not None:
         _check_theta(theta)
         d1, d2 = _side_distances(L, theta)
-        observed = d1 + d2
-        satisfied = lower - 1e-12 * lower <= observed <= upper + 1e-12 * upper
+        observed, low, high = d1 + d2, lower, upper
+        if (L_check := _check_scale(L)) != L:
+            d1, d2 = _side_distances(L_check, theta)
+            _, low, high, _ = _g_range(L_check)
+        satisfied = low - 1e-12 * low <= d1 + d2 <= high + 1e-12 * high
     return _new_tuple(BoundReport, ("sum", L, theta, f"case {case}", lower, upper, observed, witness, satisfied))
 
 

@@ -7,8 +7,6 @@ with the formulas they are checking.
 
 import math
 
-import numpy as np
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -41,10 +39,10 @@ def _neighbours(xs, i):
 
 def refine_grid_min(f, xs, fs, tol=1e-12):
     """Golden refinement of f between the neighbours of the first smallest
-    entry of fs, the samples of f on the grid xs; returns (x, f(x))."""
-    return golden_min(f, *_neighbours(xs, int(np.argmin(fs))), tol=tol)
+    entry of the ndarray fs, the samples of f on the grid xs; returns (x, f(x))."""
+    return golden_min(f, *_neighbours(xs, int(fs.argmin())), tol=tol)
 
 
 def refine_grid_max(f, xs, fs, tol=1e-12):
     """As refine_grid_min, around the first largest entry of fs."""
-    return golden_max(f, *_neighbours(xs, int(np.argmax(fs))), tol=tol)
+    return golden_max(f, *_neighbours(xs, int(fs.argmax())), tol=tol)

@@ -108,15 +108,17 @@ def holder_mean(p, r, s):
     ns = _rows.ns(r, s)
     if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
-    if _rows.is_rows(p):
-        ns = _rows.ns(p)
-        geometric = p == 0.0
-        q = ns.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
-        with ns.errstate(over="ignore"):  # 1/q is inf for a subnormal q, as Python's division gives it
-            return ns.where(geometric, ns.sqrt(r * s), ((r**q + s**q) / 2.0) ** (1.0 / q))
-    if p == 0.0:
-        return ns.sqrt(r * s)
-    return ((r**p + s**p) / 2.0) ** (1.0 / p)
+    if not _rows.is_rows(p):
+        return ns.sqrt(r * s) if p == 0.0 else _power_mean(p, r, s, ns)
+    ns, geometric = _rows.rows(), p == 0.0
+    q = ns.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
+    with ns.errstate(over="ignore"):  # 1/q is inf for a subnormal q, as Python's division gives it
+        return ns.where(geometric, ns.sqrt(r * s), _power_mean(q, r, s, ns))
+
+
+def _power_mean(p, r, s, ns=_rows.SCALAR):
+    """((r^p + s^p)/2)^(1/p) for p != 0, by the power of ns, which overflows to inf."""
+    return ns.power((ns.power(r, p) + ns.power(s, p)) / 2.0, 1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +294,13 @@ def _h_p_far(r, p):
 
 
 def _h_p_series(r, p):
-    """Term k is -t^{k-1} (4k + 2p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
-    stops moving the sum. Terms change sign, so a row that has stopped takes no more of them."""
+    """Term k is -2 t^{k-1} (2k + p)/(4k^2 - 1); summed until its bound with |p|, which falls with k,
+    stops moving the sum. Terms change sign, so a row that has stopped takes no more of them. The 2 is
+    taken last, so that no term or bound overflows for a finite p: 4k + 2|p| would from |p| ~ 9e307."""
     t, ns = r * r, _rows.ns(r)
     s, tk, k = 0.0 * t, 1.0, 1
-    while ns.any(moving := s + tk * (4.0 * k + 2.0 * abs(p)) / (4.0 * k * k - 1.0) != s):
-        s, tk, k = s - moving * tk * (4.0 * k + 2.0 * p) / (4.0 * k * k - 1.0), tk * t, k + 1
+    while ns.any(moving := s + 2.0 * (tk * (2.0 * k + abs(p)) / (4.0 * k * k - 1.0)) != s):
+        s, tk, k = s - moving * (2.0 * (tk * (2.0 * k + p) / (4.0 * k * k - 1.0))), tk * t, k + 1
     return p + t * s
 
 
@@ -308,7 +311,18 @@ def aux_g_pq(p, q, r):
     _rows.require((-math.inf < p) & (p < math.inf), p, "aux_g_pq", "a finite p")
     _rows.require((-math.inf < q) & (q < math.inf), q, "aux_g_pq", "a finite q")
     _check_open01(r, "aux_g_pq")
-    return (arth(r) / r) ** (q - 1.0) * r ** (q - p) / ((1.0 - r) * (1.0 + r))
+    if (ns := _rows.ns(r, q - p)) is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf * 0 is quiet
+        return _g_pq(p, q, r)
+    with ns.errstate(over="ignore", invalid="ignore"):  # ns is the rows table if any of p, q and r holds rows
+        return _g_pq(p, q, r, ns)
+
+
+def _g_pq(p, q, r, ns=_rows.SCALAR):
+    x, k, n = arth(r) / r, q - 1.0, q - p
+    g = ns.power(x, k) * ns.power(r, n)
+    # inf * 0 where one power leaves the doubles above and the other below: the
+    # value is then 0 or inf, or ill-conditioned, and its log is the logs' sum
+    return ns.where(g == g, g, ns.power(math.e, k * ns.log(x) + n * ns.log(r))) / ((1.0 - r) * (1.0 + r))
 
 
 def threshold_C() -> float:

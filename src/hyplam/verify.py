@@ -24,8 +24,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _rows
 from . import lambert as lam
 from . import qcbounds as qcb
@@ -70,6 +68,8 @@ from .specfun import (
     rprime,
     threshold_C,
 )
+
+np = _rows.numpy()
 
 DEFAULT_SEED = 0x5EED
 

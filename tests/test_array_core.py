@@ -462,21 +462,28 @@ def test_holder_mean_refuses_a_nonpositive_argument_beside_a_nan(r, s):
             specfun.holder_mean(0.5, *args)
 
 
-@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1e308", "-1e308"])
 def test_aux_h_p_refuses_a_p_that_is_not_finite(p):
     # at nan and +inf the series never stopped, so the calls run in a child
-    # with a timeout; -inf gave NaN
+    # with a timeout; -inf gave NaN. A finite p beyond ~9e307 overflowed the
+    # series' stop bound and never stopped either: it returns within 1e-15 of
+    # the form 1 + ((p + 1) r'^2 - 2) arth(r)/r, where nothing cancels at |p| = 1e308
     code = f"""if True:
+        import math
         import numpy as np
         from hyplam import DomainError, specfun
         p = float("{p}")
         for args in ((p, 0.3), (p, 0.7), (np.array([-3.0, p]), 0.3), (np.array([-3.0, p]), np.array([0.7, 0.3]))):
             try:
-                specfun.aux_h_p(*args)
+                got = np.ravel(specfun.aux_h_p(*args))[-1]
             except DomainError as exc:
-                assert str(exc) == "aux_h_p needs a finite p, got {p}", exc
+                assert not math.isfinite(p) and str(exc) == "aux_h_p needs a finite p, got {p}", exc
             else:
-                raise SystemExit(f"aux_h_p{{args}} returned")
+                if not math.isfinite(p):
+                    raise SystemExit(f"aux_h_p{{args}} returned")
+                r = float(np.ravel(args[1])[-1])
+                want = 1.0 + ((p + 1.0) * (1.0 - r) * (1.0 + r) - 2.0) * (math.atanh(r) / r)
+                assert abs(got - want) <= 1e-15 * abs(want), (args, got)
     """
     env = dict(os.environ, PYTHONPATH=str(Path(specfun.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
@@ -491,6 +498,8 @@ _ROW_FUNCTIONS = {
     "rprime": (specfun.rprime, (0.3,)),
     "agm": (specfun.agm, (0.3, 0.7)),
     "holder_mean": (specfun.holder_mean, (0.5, 0.3, 0.7)),
+    # large finite exponents, where Python's ** raised OverflowError
+    "holder_mean_large": (specfun.holder_mean, (400.0, 1e300, 0.7)),
     "grotzsch_mu": (specfun.grotzsch_mu, (0.3,)),
     "lemma_f_c": (specfun.lemma_f_c, (0.7, 0.3)),
     "lemma_F_c": (specfun.lemma_F_c, (0.7, 0.3)),
@@ -501,6 +510,7 @@ _ROW_FUNCTIONS = {
     "aux_slope_ratio": (specfun.aux_slope_ratio, (0.3,)),
     "aux_h_p": (specfun.aux_h_p, (-3.0, 0.3)),
     "aux_g_pq": (specfun.aux_g_pq, (-3.0, 0.0, 0.3)),
+    "aux_g_pq_large": (specfun.aux_g_pq, (-3.0, 1e300, 0.3)),
     "mu_inverse": (specfun.mu_inverse, (0.5,)),
     "phi_K": (specfun.phi_K, (2.0, 0.3)),
     "distortion_A": (specfun.distortion_A, (2.0,)),

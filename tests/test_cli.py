@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
 from hyplam import _sweep, cli
@@ -399,25 +402,31 @@ class TestCsvBytes:
         assert _csv_bytes(table) == percent_csv(table)
 
 
+_DIVISION = ZeroDivisionError("float division by zero")
+
+
 @pytest.mark.parametrize(
-    "argv,owner,name",
+    "argv,owner,name,exc",
     [
-        (["lambert", "--L", "0.5", "--theta", "0.3"], lambert, "product_report"),
-        (["ideal", "--alpha", "0.5"], lambert, "ideal_quad"),
-        (["qc-bound", "--K", "2", "--ideal"], cli.qcb, "qc_ideal_bound"),
-        (["specfun", "--fn", "A", "--K", "2"], cli, "distortion_A"),
+        (["lambert", "--L", "0.5", "--theta", "0.3"], lambert, "product_report", _DIVISION),
+        (["ideal", "--alpha", "0.5"], lambert, "ideal_quad", _DIVISION),
+        (["qc-bound", "--K", "2", "--ideal"], cli.qcb, "qc_ideal_bound", _DIVISION),
+        (["specfun", "--fn", "A", "--K", "2"], cli, "distortion_A", _DIVISION),
+        (["lambert", "--L", "0.5", "--theta", "0.3"], lambert, "product_report",
+         ImportError("cannot import name 'linspace' from 'numpy'")),
     ],
-    ids=["lambert", "ideal", "qc-bound", "specfun"],
+    ids=["lambert", "ideal", "qc-bound", "specfun", "import"],
 )
-def test_an_unexpected_error_exits_3_with_one_line(capsys, monkeypatch, argv, owner, name):
+def test_an_unexpected_error_exits_3_with_one_line(capsys, monkeypatch, argv, owner, name, exc):
     # exit 1 means a violated bound and 2 a refused input: a fault of the
-    # program is neither, and prints one line, not a traceback
+    # program is neither, and prints one line, not a traceback. A missing
+    # numpy is a ConfigurationError, so any ImportError is such a fault
     def fault(*args):
-        raise ZeroDivisionError("float division by zero")
+        raise exc
 
     monkeypatch.setattr(owner, name, fault)
     code, out, err = run(capsys, *argv)
-    assert code == 3 and out == "" and err == "error: unexpected ZeroDivisionError: float division by zero\n"
+    assert code == 3 and out == "" and err == f"error: unexpected {type(exc).__name__}: {exc}\n"
 
 
 def test_help_lists_the_exit_codes(capsys):
@@ -526,3 +535,67 @@ def test_reports_match_the_pinned_bytes(capsys):
         code = main(argv.split())
         out += [f"$ hyplam {argv}\n", capsys.readouterr().out, f"[exit {code}]\n"]
     assert "".join(out) == (DATA / "cli_reports.txt").read_text()
+
+
+def _near(x: float) -> list[float]:
+    """x and the doubles either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+#: the domains' edges: theta and alpha at 0 and pi/2, L at 0, 1 and the sum
+#: cases' limits, K at 1 and large, r at 0 and 1; then +-0, subnormals, the
+#: double range's ends, infinities and nan, as argparse's float reads them
+_EDGE_NUMBERS = sorted({
+    repr(v) for x in (
+        0.0, 1e-9, 1e-12, math.pi / 4.0, math.pi / 2.0, math.pi / 2.0 - 2.7e-8, math.pi / 2.0 - 9.5e-11,
+        1.0, 1.0 - 1e-9, lambert.SUM_CASE1_MAX, lambert.SUM_CASE3_MIN, cli.qcb.TH1, cli.qcb.M1, cli.qcb.IDEAL_K_CUT,
+        20.0, 1e6, 1e300, 2.0**-1022, 5e-324, 4.05e-320, 1e-310, 2.0**-500, 2.0**-1000, 1.7976931348623157e308,
+    ) for v in _near(x) + [-x]
+} | {"0", "-0", "-0.0", "inf", "-inf", "nan", "-nan", "1e400", "-1e-400", str(10**400), f"-{10**400}"})
+#: what argparse's float or the point parser refuses
+_NON_NUMBERS = ["", "abc", "1,2", "0x10", "1e", "--", "1.0.0", "nanx", "+-1", "1_000e400_0"]
+_NUMBER = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(5e-324, 2.0**-1022).map(repr),
+    st.floats(0.0, math.pi / 2.0).map(repr),
+)
+_VALUE = st.one_of(_NUMBER, st.sampled_from(_NON_NUMBERS))
+#: a point of --quad: on the circle, near it, at an edge, or no point at all
+_POINT = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda a: f"{math.cos(a)!r},{math.sin(a)!r}"),
+    st.tuples(_NUMBER, _NUMBER).map(",".join),
+    st.sampled_from(_NON_NUMBERS),
+)
+_JSON = st.sampled_from([[], ["--json"]])
+_REPORT_ARGV = st.one_of(
+    st.tuples(_VALUE, _VALUE, _JSON).map(lambda v: ["lambert", "--L", v[0], "--theta", v[1], *v[2]]),
+    st.tuples(_VALUE, _JSON).map(lambda v: ["ideal", "--alpha", v[0], *v[1]]),
+    st.tuples(st.lists(_POINT, min_size=4, max_size=4), _JSON).map(lambda v: ["ideal", "--quad", *v[0], *v[1]]),
+    st.tuples(_VALUE, _VALUE, _JSON).map(lambda v: ["qc-bound", "--K", v[0], "--L", v[1], *v[2]]),
+    st.tuples(_VALUE, _JSON).map(lambda v: ["qc-bound", "--K", v[0], "--ideal", *v[1]]),
+    st.tuples(st.sampled_from(sorted(cli._SPECFUN)), _VALUE, _VALUE, _VALUE, _JSON).map(
+        lambda v: ["specfun", "--fn", v[0], "--r", v[1], "--K", v[2], "--p", v[3], *v[4]]
+    ),
+)
+
+
+@given(_REPORT_ARGV)
+@example(["lambert", "--L", "5e-324", "--theta", PI4])
+@example(["lambert", "--L", "3e-323", "--theta", "0.5", "--json"])
+@example(["ideal", "--quad", "1e308,1e308", "0,1", "-1,0", "0,-1"])
+@settings(max_examples=300, deadline=None)
+def test_a_report_exits_0_or_2_with_one_error_line(argv):
+    # exit 1 means a violated bound, which the paper's bounds never are, and
+    # 3 a fault of the program; a refused input exits 2 with one line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and "error: " in err.getvalue(), argv
+    else:
+        assert out.getvalue() and err.getvalue() == "", argv

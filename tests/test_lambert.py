@@ -149,6 +149,18 @@ class TestSumBounds:
                     assert product_report(L, theta).satisfied, (L, theta)
                     assert sum_bounds(L, theta).satisfied, (L, theta)
 
+    def test_tiny_L_verdict_is_that_at_a_scaled_L(self, monkeypatch):
+        # at a subnormal L, d1 + d2 can round to 0, below arth L: the verdict
+        # is taken at L scaled by a power of 2, as product_report's is, so it
+        # holds down to the smallest double, and an upper end 1e-9 too low is
+        # a violation there (case 1's upper end is attained at pi/4)
+        Ls = [2.0**-499, 2.0**-500, math.nextafter(2.0**-500, 0.0), 1e-300, 1e-310, 4.05e-320, 3e-323, 5e-324]
+        thetas = [1e-300, 0.3, 0.5, math.pi / 4.0, 1.5]
+        assert all(sum_bounds(L, theta).satisfied for L in Ls for theta in thetas)
+        original = lambert._g_range
+        monkeypatch.setattr(lambert, "_g_range", lambda L: original(L)._replace(upper=original(L).upper * (1.0 - 1e-9)))
+        assert not any(sum_bounds(L, math.pi / 4.0).satisfied for L in Ls)
+
     def test_observed_recorded(self):
         rep = sum_bounds(0.9, 0.5)
         q = lambert_from(0.9, 0.5)

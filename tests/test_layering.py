@@ -95,24 +95,29 @@ def test_cli_evaluates_no_formula():
     assert not used & {"arctanh", "atanh", "log", "log1p", "sqrt", "cos", "sin", "agm", "_arth_cx"}
 
 
-def _module_level_imports(module: str) -> set[str]:
-    """The top-level packages that `module` imports outside any function."""
-    found = set()
-    for node in _tree(module).body:
+def _imports(module: str) -> list[str]:
+    """The top-level package of each import in `module`, at any level: an
+    import statement, or a call of __import__ or importlib.import_module."""
+    found = []
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
-            found |= {a.name.split(".")[0] for a in node.names}
+            found += [a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.add(node.module.split(".")[0])
+            found.append(node.module.split(".")[0])
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+            "__import__", "import_module"
+        ):
+            found += [a.value.split(".")[0] for a in node.args[:1] if isinstance(a, ast.Constant)]
     return found
 
 
-def test_only_modules_that_hold_rows_import_numpy_at_load():
-    # the scalar layers and the CLI's reports tell rows through _rows and
-    # load numpy only for rows; the sweep, the registry and its
-    # oracles hold rows always
-    assert [p.stem for p in sorted(SRC.glob("*.py")) if "numpy" in _module_level_imports(p.stem)] == [
-        "_sweep", "optimize", "verify"
-    ]
+def test_only_rows_imports_numpy():
+    # _rows.numpy() is the one import of numpy, so that one module decides
+    # how it is loaded and what its absence means: every other module that
+    # holds rows takes it from there
+    assert {p.stem: _imports(p.stem).count("numpy") for p in SRC.glob("*.py") if "numpy" in _imports(p.stem)} == {
+        "_rows": 1
+    }
 
 
 def test_no_module_binds_its_own_ndarray():

@@ -682,6 +682,40 @@ def test_only_subcommands_with_rows_load_numpy(tmp_path):
     assert out.stderr.splitlines() == ["0 True", "0 True"]
 
 
+#: in a fresh interpreter with numpy unimportable: a scalar geodesic_distance,
+#: then each entry that holds rows, and what it raised
+_NO_NUMPY_PROBE = """
+import importlib, sys
+sys.modules["numpy"] = None
+import hyplam
+g, h = hyplam.geodesic_through(0.5, 0.5 + 0.1j), hyplam.geodesic_through(-0.5, -0.5 + 0.1j)
+print(hyplam.geodesic_distance(g, h) > 0.0)
+entries = {"geodesic_distance": lambda: hyplam.geodesic_distance([g], [h])}
+entries |= {name: (lambda name=name: getattr(hyplam, name)) for name in hyplam._VERIFY_NAMES}
+entries |= {m: (lambda m=m: importlib.import_module(m)) for m in ("hyplam.verify", "hyplam._sweep")}
+for name, entry in entries.items():
+    try:
+        entry()
+    except hyplam.ConfigurationError as exc:
+        print(name, exc)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_without_numpy_every_row_entry_names_it():
+    # numpy is no dependency: an entry that holds rows raises the typed
+    # ConfigurationError naming it, which the CLI turns into exit 2
+    env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    first, *lines = out.stdout.splitlines()
+    names = ["geodesic_distance", *hyplam._VERIFY_NAMES, "hyplam.verify", "hyplam._sweep"]
+    assert first == "True" and [line.split()[0] for line in lines] == names
+    for line in lines:
+        assert line.endswith(": pip install numpy") and " needs numpy, which could not be imported (" in line, line
+
+
 def test_cli_report_loads_no_registry():
     # the registry is imported by `hyplam verify` and on first use of its names
     code = (
