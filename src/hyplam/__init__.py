@@ -2,6 +2,7 @@
 and ideal hyperbolic quadrilaterals, with quasiconformal-image bounds and a
 brute-force verification registry."""
 
+from . import _rows
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -14,7 +15,6 @@ from .geometry import (
     Geodesic,
     MoebiusMap,
     Point,
-    PointKind,
     absolute_ratio,
     chordal_distance,
     geodesic_distance,
@@ -77,8 +77,8 @@ __version__ = "0.1.0"
 #: it costs 17-29 ms that the bound reports and the CLI's other subcommands
 #: do not need
 _VERIFY_NAMES = ("Certificate", "REGISTRY", "SweepSpec", "run_all", "run_sweep")
-
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_VERIFY_NAMES)
+#: the names of the reports, the geometry and the special functions, which need no numpy
+_REPORT_NAMES = [name for name in dir() if not name.startswith("_")]
 
 
 def __getattr__(name: str):
@@ -86,4 +86,12 @@ def __getattr__(name: str):
         from . import verify
 
         return getattr(verify, name)
+    if name == "__all__":
+        # the registry needs numpy: a star import binds its names only where
+        # numpy can be imported, and the report's names everywhere
+        try:
+            _rows.numpy()
+        except ConfigurationError:
+            return list(_REPORT_NAMES)
+        return _REPORT_NAMES + list(_VERIFY_NAMES)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

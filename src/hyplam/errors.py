@@ -35,7 +35,7 @@ class ConfigurationError(HyplamError, ValueError):
 
 
 class _Record(tuple):
-    """An immutable record (`Point`, `MoebiusMap`, `Geodesic`, `LambertQuad`,
+    """An immutable record (`MoebiusMap`, `Geodesic`, `LambertQuad`,
     `BoundReport`, `GRange`, `QcBoundInput`, `QcBoundResult`): a tuple whose
     first items are its fields, the parameters of its class's `__new__`, the
     public constructor, which runs the record's checks. A builder holding

@@ -1,20 +1,22 @@
 """Hyperbolic geometry of the unit disk: metrics, geodesics, Moebius maps.
 
 Points live in the closed unit disk (or the upper half plane after a Cayley
-transform). A geodesic is held as its two ends on the unit circle, which
-`_geodesic_ends` finds; `geodesic_distance` is a closed form in the four
-ends, and verify holds the search that checks it.
+transform): complex numbers of the extended plane (Beardon, The Geometry of
+Discrete Groups, 1983). A geodesic is held as its two ends on the unit
+circle, which `_geodesic_ends` finds; `geodesic_distance` is a closed form in
+the four ends, and verify holds the search that checks it.
 
 Each function has one body over scalars and rows: `_points` reads each
-argument once (a complex number, a `Point` or a complex ndarray of finite
-points) as its snapped coordinate and whether it lies on the circle, and
-picks the table of `_rows` that the kernels compute with. `rho_disk` of two
-INTERIOR Points goes straight to `_rho`, to the same bits (~0.9 us,
-BENCH_scalar_entries.json). A number or a row is snapped onto the circle
-within 64 ulp (`_snap`); a `Point`'s coordinate was snapped when it was
-made. A coordinate that is not finite raises DomainError: the point at
-infinity is `Point.infinity()`. `Point`, `Geodesic` and `MoebiusMap` are the
-typed scalar API, immutable records on `errors._Record`.
+argument once (any complex number, or a complex ndarray of finite points)
+as its snapped coordinate and whether it lies on the circle, and picks the
+table of `_rows` that the kernels compute with. A point within 64 ulp of the
+circle is on it, and is snapped onto it (`_snap`), which leaves a snapped
+point's bits alone: passing a returned `Point` back in reads the same point.
+A scalar with an infinite part and no NaN is the point at infinity,
+`Point(math.inf)`; a NaN part, or a row that is not finite, raises
+DomainError. `rho_disk` of two complex numbers that no snap can move goes
+straight to `_rho`, to the same bits. `Point` (a complex number),
+`Geodesic` and `MoebiusMap` are the typed scalar API.
 
 A modulus is taken by hypot (the table's `abs`) only for a Euclidean
 distance or a unit vector, in `_arc` and `_geodesic_ends`; everywhere else
@@ -26,13 +28,16 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from enum import Enum
 
 from . import _rows
 from .errors import DegenerateInputError, DomainError, _new_tuple, _Record
 
 #: 64 ulp: a wider window snaps interior points near the circle, and their rho to inf
 _BOUNDARY_SNAP = 64 * 2.0**-52
+#: a point within 2 ulp of the circle is on it and stays where it is: z / |z| lands there
+_SNAPPED = 2 * 2.0**-52
+#: a squared modulus below this is never snapped (_snap), so rho_disk reads it as it is
+_NEVER_SNAPPED = 1.0 - 4.0 * _BOUNDARY_SNAP
 #: the line through z1 and z2 counts as through 0 when the nearer point lies off
 #: the diameter through the farther one by less than this times their distance
 _COLLINEAR_TOL = 1e-12
@@ -42,62 +47,23 @@ _PAIRS = tuple(itertools.combinations(range(4), 2))
 _DET_TOL = 5e-15
 
 
-class PointKind(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    INFINITY = "infinity"
-
-
-#: the kinds, tested by identity
-_INTERIOR, _BOUNDARY, _AT_INFINITY = PointKind.INTERIOR, PointKind.BOUNDARY, PointKind.INFINITY
-
-
-class Point(_Record):
-    """A point of the extended plane: the immutable triple (re, im, kind).
-
-    kind is BOUNDARY on the unit circle, INTERIOR at any other finite point
-    and INFINITY at the point at infinity, stored as (0, 0). A Point equals
-    only a Point with the same re, im and kind, never a bare tuple or a
-    complex, and hashes as that triple. Its coordinates are finite:
-    Point.infinity() is the one way to the point at infinity.
-    """
+class Point(complex):
+    """A point of the extended plane, as the package returns it: a complex
+    number, and Point(math.inf) at infinity. It lies on the unit circle iff
+    _snap says so; no kind is stored."""
 
     __slots__ = ()
 
-    def __new__(cls, re: float, im: float, kind: PointKind) -> "Point":
-        if kind is not _AT_INFINITY and not (math.isfinite(re) and math.isfinite(im)):
-            raise DomainError(f"a point needs finite coordinates, got ({re}, {im}); use Point.infinity()")
-        return _new_tuple(cls, (re, im, kind))
-
     @property
     def z(self) -> complex:
-        re, im, kind = self
-        if kind is _AT_INFINITY:
-            raise DomainError("point at infinity has no finite coordinate")
-        return complex(re, im)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self[2] is _AT_INFINITY
-
-    @staticmethod
-    def of(value) -> "Point":
-        """Coerce a complex/float/Point; snaps near-unit moduli to the circle
-        and refuses a non-finite coordinate with DomainError."""
-        t = type(value)
-        if t is Point:
-            return value
-        return _point(value if t is complex else complex(value))
-
-    @staticmethod
-    def infinity() -> "Point":
-        return _new_tuple(Point, (0.0, 0.0, _AT_INFINITY))
+        """The point as a plain complex number."""
+        return complex(self)
 
 
-def _point(z: complex) -> Point:
-    """The Point of a complex number, snapped as by _snap."""
-    z, on = _snap(z)
-    return _new_tuple(Point, (z.real, z.imag, _BOUNDARY if on else _INTERIOR))
+#: the point at infinity
+_INFINITY = Point(math.inf)
+#: the scalar types that rho_disk may read without _points
+_COMPLEX = (complex, Point)
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +71,22 @@ def _point(z: complex) -> Point:
 
 
 def _snap(z):
-    """z with every point within 64 ulp of the unit circle moved onto it, and
-    where that happened (a bool for a scalar, a mask for an array).
+    """z with every point within B = 64 ulp of the unit circle on r =
+    hypot(x, y) moved onto it, and where that is (a bool for a scalar, a
+    mask for an array); for a scalar with an infinite part and no NaN, (None,
+    False), the point at infinity.
 
-    The window is B = 64 ulp on r = hypot(x, y). On rows, hypot is taken
-    only when some row lies within 4B of the circle on s = fl(x^2 + y^2): if
-    |r - 1| <= B, then |z|^2 - 1 = 2d + d^2 with |d| <= B + ulp, and
-    |s - 1| < 4B, so the result is bit for bit what the window on r alone
-    gives. A row is divided by r part by part (_unit), as a scalar is, so it
-    snaps to its scalar call's bits, up to the sign of a zero imaginary part.
-    DomainError for a coordinate that is not finite, or a row with one.
+    A point is moved to z / r, each part divided by r, only if r lies more
+    than 2 ulp from 1: z / r has r within 2 ulp of 1 (each part is rounded
+    once, and so is hypot), so a snapped point comes back with its bits and
+    its flag, and _snap is idempotent. On rows, hypot is taken only when
+    some row lies within 4B of the circle on s = fl(x^2 + y^2): if |r - 1|
+    <= B, then |z|^2 - 1 = 2d + d^2 with |d| <= B + ulp, and |s - 1| < 4B, so
+    the result is bit for bit what the window on r alone gives, and a point
+    with s < 1 - 4B is never moved. A row is divided part by part (_unit),
+    as a scalar is, so it snaps to its scalar call's bits, up to the sign of
+    a zero imaginary part. DomainError for a NaN part, or a row that is not
+    finite.
     """
     if type(z) is complex:
         try:
@@ -122,32 +94,29 @@ def _snap(z):
         except OverflowError:  # finite coordinates whose |z| passes the doubles, as on rows: off the circle
             return z, False
         if r < math.inf:
-            on = abs(r - 1.0) <= _BOUNDARY_SNAP
-            return (z / r if on else z), on
-    elif (ns := _rows.rows()).isfinite(z).all():
+            d = abs(r - 1.0)
+            return (z / r if _SNAPPED < d <= _BOUNDARY_SNAP else z), d <= _BOUNDARY_SNAP
+        if not cmath.isnan(z):
+            return None, False
+        raise DomainError(f"a point needs coordinates that are not NaN, got {z}")
+    if (ns := _rows.rows()).isfinite(z).all():
         near = abs(ns.sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
         r = ns.hypot(z.real, z.imag)
-        on = abs(r - 1.0) <= _BOUNDARY_SNAP
-        return ns.where(on, _unit(z, ns.where(on, r, 1.0)), z), on
-    raise DomainError("a point needs finite coordinates: the point at infinity is Point.infinity()")
+        d = abs(r - 1.0)
+        move = (d > _SNAPPED) & (d <= _BOUNDARY_SNAP)
+        return ns.where(move, _unit(z, ns.where(move, r, 1.0)), z), d <= _BOUNDARY_SNAP
+    raise DomainError("a row needs finite coordinates: the point at infinity is a scalar, Point(math.inf)")
 
 
 def _points(*values) -> list:
     """[ns, (z, on), ...]: the rows table if any value is an ndarray, else
     SCALAR, then each value's coordinate, snapped as by _snap, and whether it
-    lies on the circle (a mask for an ndarray, (None, False) at infinity). A
-    Point's coordinate is used as it is: _snap is not idempotent."""
+    lies on the circle (a mask for an ndarray, (None, False) at infinity)."""
     out = [_rows.SCALAR]
     for v in values:
-        t = type(v)
-        if t is Point:
-            re, im, kind = v
-            out.append((None, False) if kind is _AT_INFINITY else (complex(re, im), kind is _BOUNDARY))
-        elif t is complex or t is float or t is int:
-            out.append(_snap(v if t is complex else complex(v)))
-        elif _rows.is_rows(v):
+        if _rows.is_rows(v):
             out[0] = _rows.rows()
             out.append(_snap(out[0].asarray(v, dtype=complex)))
         else:
@@ -317,15 +286,12 @@ def absolute_ratio(a, b, c, d):
 def rho_disk(x, y):
     """Hyperbolic distance in the unit disk; infinite if an endpoint is on the
     circle (0 between equal points there). On ndarrays, row by row."""
-    if type(x) is Point and type(y) is Point and x[2] is _INTERIOR and y[2] is _INTERIOR:
-        # the kinds show two finite points off the circle: no _points and no
-        # circle mask; |z|^2 is x*x + y*y, as _rows.SCALAR.sq_abs takes it
-        xr, xi, _ = x
-        yr, yi, _ = y
-        sz, sw = xr * xr + xi * xi, yr * yr + yi * yi
-        if sz > 1.0 or sw > 1.0:
-            raise DomainError("rho_disk needs points in the closed unit disk")
-        return _rho(complex(xr, xi), complex(yr, yi), sz, sw)
+    if type(x) in _COMPLEX and type(y) in _COMPLEX:
+        # two points that _snap cannot move, as |z|^2 < 1 - 4B shows: no
+        # _points and no circle mask; |z|^2 as _rows.SCALAR.sq_abs takes it
+        sz, sw = x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag
+        if sz < _NEVER_SNAPPED and sw < _NEVER_SNAPPED:
+            return _rho(x, y, sz, sw)
     ns, (z, z_on), (w, w_on) = _points(x, y)
     if z is None or w is None:
         raise DomainError("rho_disk is undefined at infinity")
@@ -357,7 +323,7 @@ def rho_halfplane(x, y):
 
 class Geodesic(_Record):
     """A hyperbolic line of the disk, held as its two ends on the unit
-    circle: Points typed BOUNDARY, as geodesic_through makes them."""
+    circle, the Points that geodesic_through makes."""
 
     __slots__ = ()
 
@@ -368,14 +334,13 @@ class Geodesic(_Record):
 def geodesic_through(x, y) -> Geodesic:
     """The hyperbolic line through two distinct points of the closed disk.
 
-    An input on the circle is an end itself, at its stored coordinate, which
-    is not snapped again: the nearer computed end is replaced by it, or for
-    two such inputs, the nearer to the first input by it and the other by
-    the second, so both are ends even where the computed ends are too rough
-    to tell which is which."""
+    An input on the circle is an end itself, at its snapped coordinate: the
+    nearer computed end is replaced by it, or for two such inputs, the
+    nearer to the first input by it and the other by the second, so both are
+    ends even where the computed ends are too rough to tell which is which."""
     ns, (z1, on1), (z2, on2) = _points(x, y)
     # a snapped circle point may lie an ulp outside, as in rho_disk
-    if z1 is None or z2 is None or (abs(z1) > 1.0 and not on1) or (abs(z2) > 1.0 and not on2):
+    if z1 is None or z2 is None or (ns.sq_abs(z1) > 1.0 and not on1) or (ns.sq_abs(z2) > 1.0 and not on2):
         raise DomainError("geodesics live in the closed unit disk")
     if abs(z1 - z2) == 0.0:
         raise DegenerateInputError("coincident points define no geodesic")
@@ -387,16 +352,15 @@ def geodesic_through(x, y) -> Geodesic:
             e1, e2 = (z, w) if first else (w, z)
         else:
             e1, e2 = (z, e2) if first else (e1, z)
-    ends = _new_tuple(Point, (e1.real, e1.imag, _BOUNDARY)), _new_tuple(Point, (e2.real, e2.imag, _BOUNDARY))
-    return _new_tuple(Geodesic, (ends,))
+    return _new_tuple(Geodesic, ((Point(e1), Point(e2)),))
 
 
 def _ends_of(g: Geodesic) -> tuple[complex, complex]:
-    """A geodesic's ends; DomainError unless two distinct points of the circle."""
-    (re1, im1, k1), (re2, im2, k2) = g[0]
-    if k1 is not _BOUNDARY or k2 is not _BOUNDARY or (re1, im1) == (re2, im2):
+    """A geodesic's ends, snapped; DomainError unless two distinct points of the circle."""
+    (e1, on1), (e2, on2) = (_snap(complex(e)) for e in g[0])
+    if not (on1 and on2) or e1 == e2:
         raise DomainError("a geodesic needs two distinct ends on the unit circle")
-    return complex(re1, im1), complex(re2, im2)
+    return e1, e2
 
 
 def _ends_distance(e1, e2, f1, f2, ns=_rows.SCALAR):
@@ -467,8 +431,8 @@ class MoebiusMap(_Record):
         return _moebius_map(cls, a, b, c, d, 1.0 if 1.0 <= big < 2.0 else math.ldexp(1.0, 1 - math.frexp(big)[1]))
 
     def __call__(self, z):
-        """The image Point: the point at infinity where c z + d is 0 or the
-        image overflows. On a complex ndarray, the snapped image of each row,
+        """The image Point: Point(math.inf) where c z + d is 0 or the image
+        overflows. On a complex ndarray, the snapped image of each row,
         and DomainError if a row's image is not finite."""
         ns, (z, _) = _points(z)
         a, b, c, d = self[4:]
@@ -478,8 +442,8 @@ class MoebiusMap(_Record):
                 # exactly a zero divisor, so the pole is decided on c z + d == 0
                 w = complex(a / c) if z is None else _moebius(a, b, c, d, z)
             except ZeroDivisionError:
-                return Point.infinity()
-            return Point.infinity() if cmath.isinf(w) else _point(w)
+                return _INFINITY
+            return _INFINITY if cmath.isinf(w) else Point(_snap(w)[0])
         if not (c * z + d == 0).any():
             with ns.errstate(over="ignore", invalid="ignore"):
                 w = _moebius(a, b, c, d, z)
@@ -523,9 +487,8 @@ def _moebius_map(cls, a, b, c, d, unit: float) -> MoebiusMap:
 
 
 def hyperbolic_midpoint(x, y):
-    """Point p on the segment from x to y with rho(x,p) = rho(p,y). On
-    ndarrays, the complex midpoint of each row."""
+    """Point p on the segment from x to y with rho(x,p) = rho(p,y), snapped.
+    On ndarrays, the complex midpoint of each row."""
     ns, z, w = _interior("hyperbolic midpoint", x, y)
-    m = _midpoint(z, w, ns)
-    # a scalar midpoint is a Point, and _point would raise ValueError on the circle mask of rows
-    return _point(m) if ns is _rows.SCALAR else _snap(m)[0]
+    m = _snap(_midpoint(z, w, ns))[0]
+    return Point(m) if ns is _rows.SCALAR else m

@@ -13,7 +13,7 @@ import math
 
 from . import _rows
 from .errors import DomainError, InconsistentQuadrilateralError, _new_tuple, _Record
-from .geometry import Point, _point, _points, _ratio
+from .geometry import Point, _points, _ratio, _snap
 from .specfun import _C_HIGH, _C_LOW, _arth_cx, _g_range, rprime
 
 SQRT2 = math.sqrt(2.0)
@@ -29,7 +29,7 @@ SUM_CASE3_MIN = _C_HIGH
 _L_BOUND_SUBNORMAL = 2.0**-500
 
 #: the right-angle vertex v_a of every normalized Lambert quadrilateral
-_ORIGIN = Point.of(0.0)
+_ORIGIN = Point(0.0)
 
 #: sharp product bound for ideal quadrilaterals, (2 log(1+sqrt2))^2
 IDEAL_PRODUCT_BOUND = (2.0 * math.log(SQRT2 + 1.0)) ** 2
@@ -123,10 +123,8 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     t = L / (1.0 + rprime(L))
     d1, d2 = _side_distances(L, theta)
     phi = _beardon_phi(d1, d2)
-    v_b = _point(complex(math.tanh(d1 / 2.0)))
-    v_c = _point(t * complex(math.cos(theta), math.sin(theta)))
-    v_d = _point(1j * math.tanh(d2 / 2.0))
-    return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, v_b, v_c, v_d), d1, d2, phi))
+    vertices = complex(math.tanh(d1 / 2.0)), t * complex(math.cos(theta), math.sin(theta)), 1j * math.tanh(d2 / 2.0)
+    return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, *(Point(_snap(v)[0]) for v in vertices)), d1, d2, phi))
 
 
 def _log_sh(d, ns=_rows.SCALAR):

@@ -59,10 +59,16 @@ def arth(x):
 
 
 def rprime(r):
-    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN."""
-    rp2 = (1.0 - r) * (1.0 + r)
-    ns = _rows.ns(rp2)
-    return ns.sqrt(ns.fmax(0.0, rp2))
+    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN,
+    and on rows as quietly as on a scalar where it overflows (|r| > ~1e154)."""
+    if (ns := _rows.ns(r)) is _rows.SCALAR:
+        return _rprime(r)
+    with ns.errstate(over="ignore"):
+        return _rprime(r, ns)
+
+
+def _rprime(r, ns=_rows.SCALAR):
+    return ns.sqrt(ns.fmax(0.0, (1.0 - r) * (1.0 + r)))
 
 
 def _arth_cx(c, x, xp, ns=_rows.SCALAR):
@@ -104,21 +110,67 @@ def arth_complement(r):
 
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
-    mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError."""
-    ns = _rows.ns(r, s)
+    mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError.
+
+    It is ((r^p + s^p)/2)^(1/p), and sqrt(r s) at p = 0, wherever the mean
+    of the powers (the product) is a normal double and |p| >= 2^-20. Where a
+    power leaves the doubles, or p is so small that the powers round to
+    near 1, it is the same mean in the form _far_power_mean takes, within 4
+    ulp of 50-digit mpmath (tests/test_specfun_accuracy.py)."""
+    ns = _rows.rows() if _rows.is_rows(p) else _rows.ns(r, s)
     if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
-    if not _rows.is_rows(p):
-        return ns.sqrt(r * s) if p == 0.0 else _power_mean(p, r, s, ns)
-    ns, geometric = _rows.rows(), p == 0.0
-    q = ns.where(geometric, 1.0, p)  # keeps 1/q finite; those rows are replaced
-    with ns.errstate(over="ignore"):  # 1/q is inf for a subnormal q, as Python's division gives it
-        return ns.where(geometric, ns.sqrt(r * s), _power_mean(q, r, s, ns))
+    if ns is _rows.SCALAR:
+        return _geometric_mean(r, s) if p == 0.0 else _power_mean(p, r, s)
+    geometric = p == 0.0
+    # a row warns only where its scalar call raises: over- and underflow, and
+    # the branches that ns.where does not select, are quiet
+    with ns.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return ns.where(geometric, _geometric_mean(r, s, ns), _power_mean(ns.where(geometric, 1.0, p), r, s, ns))
+
+
+#: the smallest normal double: a mean of powers below it has lost digits
+_NORMAL = 2.0**-1022
+#: below this |p| the powers of the plain power mean round to near 1, and its
+#: relative error, about 2^-52 / |p|, passes 2^-32
+_P_PLAIN = 2.0**-20
+_LOG2 = math.log(2.0)
+
+
+def _geometric_mean(r, s, ns=_rows.SCALAR):
+    """sqrt(r s), or sqrt(r) sqrt(s) where r s is not a normal double."""
+    rs = r * s
+    return ns.where((_NORMAL <= rs) & (rs < math.inf), ns.sqrt(rs), ns.sqrt(r) * ns.sqrt(s))
 
 
 def _power_mean(p, r, s, ns=_rows.SCALAR):
-    """((r^p + s^p)/2)^(1/p) for p != 0, by the power of ns, which overflows to inf."""
-    return ns.power((ns.power(r, p) + ns.power(s, p)) / 2.0, 1.0 / p)
+    """((r^p + s^p)/2)^(1/p) for p != 0 by the power of ns, which overflows
+    to inf, where (r^p + s^p)/2 is a normal double and |p| >= 2^-20; else
+    _far_power_mean."""
+    x = (ns.power(r, p) + ns.power(s, p)) / 2.0
+    plain = (_NORMAL <= x) & (x < math.inf) & (abs(p) >= _P_PLAIN)
+    if ns is _rows.SCALAR:
+        return ns.power(x, 1.0 / p) if plain else _far_power_mean(p, r, s)
+    return ns.power(x, 1.0 / p) if plain.all() else ns.where(plain, ns.power(x, 1.0 / p), _far_power_mean(p, r, s, ns))
+
+
+def _far_power_mean(p, r, s, ns=_rows.SCALAR):
+    """The power mean of order p != 0 as sqrt(r s) cosh(p d)^(1/p), d =
+    log(max/min)/2, which takes no power of r or s and no 1/p: with y = |p| d,
+    log cosh y is log1p(-expm1(y) expm1(-y)/2) for y <= 1, which keeps the
+    digits of a tiny p, and y + log1p(e^(-2y)) - log 2 above, where sqrt(r s)
+    e^(y/p) is the larger argument for p > 0 and the smaller for p < 0. Each
+    exponent is taken only where its branch is selected, so nothing overflows."""
+    first = r >= s
+    hi, lo = ns.where(first, r, s), ns.where(first, s, r)
+    ratio = hi / lo
+    d = 0.5 * ns.where(ratio < math.inf, ns.log(ratio), ns.log(hi) - ns.log(lo))
+    y = abs(p) * d
+    near = y <= 1.0
+    c = ns.minimum(y, 1.0)
+    e_near = ns.where(near, ns.log1p(-ns.expm1(c) * ns.expm1(-c) / 2.0) / p, 0.0)
+    e_far = ns.where(near, 0.0, (ns.log1p(ns.exp(-2.0 * y)) - _LOG2) / p)
+    return ns.where(near, _geometric_mean(r, s, ns) * ns.exp(e_near), ns.where(p > 0.0, hi, lo) * ns.exp(e_far))
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +507,23 @@ def agm(a, b):
     _rows.require(0.0 < b, b, "agm", "b > 0")
     if (ns := _rows.ns(a, b)) is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf - inf is quiet
         return _agm(a, b)
-    with ns.errstate(invalid="ignore"):  # an infinite row reaches inf - inf, whose NaN stops it
+    # an infinite row reaches inf - inf, whose NaN stops it; a b overflows as on a scalar
+    with ns.errstate(invalid="ignore", over="ignore"):
         return _agm(a, b, ns)
 
 
 def _agm(a, b, ns=_rows.SCALAR):
-    """agm for a and b already checked, or known positive."""
+    """agm for a and b already checked, or known positive. The geometric
+    step is sqrt(a b), or sqrt(a) sqrt(b) where a b overflows (a and b past
+    ~1e154), so a call whose products are finite keeps its bits."""
     for _ in range(64):
         moving = abs(a - b) > 2.0**-52 * a
         if not ns.any(moving):
             break
-        a, b = ns.where(moving, 0.5 * (a + b), a), ns.where(moving, ns.sqrt(a * b), b)
+        g = ns.sqrt(a * b)
+        if ns.any(g == math.inf):
+            g = ns.where(g == math.inf, ns.sqrt(a) * ns.sqrt(b), g)
+        a, b = ns.where(moving, 0.5 * (a + b), a), ns.where(moving, g, b)
     return 0.5 * (a + b)
 
 

@@ -432,7 +432,7 @@ def _ends_form(gs):
     depend on the others."""
     form = []
     for g in gs:
-        e1, e2 = (p.z / abs(p.z) for p in g.endpoints)
+        e1, e2 = (p / abs(p) for p in g.endpoints)
         a, b = 0.5 * abs(e1 + e2), 0.5 * abs(e2 - e1)
         sigma = math.copysign(1.0, e1.real * e2.imag - e1.imag * e2.real)
         m = (e1 + e2) / (2.0 * a) if a >= b else -1j * sigma * (e2 - e1) / (2.0 * b)
@@ -511,7 +511,7 @@ def _distance_rows(gs1, gs2):
         return _least_over_g2(2.0 * pr, 2.0 * pi, br, bi) / (4.0 * z_factor * c)
 
     rho = 2.0 * np.arcsinh(np.sqrt(_bracket_min(to_g2, len(gs1))))
-    ends1, ends2 = (np.array([[p.z for p in g.endpoints] for g in gs]) for gs in (gs1, gs2))
+    ends1, ends2 = (np.array([g.endpoints for g in gs], dtype=complex) for gs in (gs1, gs2))
     shared = (abs(ends1[:, :, None] - ends2[:, None, :]) <= _SHARED_END_TOL).any(axis=(1, 2))
     return np.where((rho < _INTERSECT_TOL) | shared, 0.0, rho)
 
@@ -1013,10 +1013,10 @@ def _vertex_angle(q: lam.LambertQuad) -> float:
     """Angle at the fourth vertex from the carrier tangents i (z - c) of its
     two sides, c the center (e1 + e2)/(1 + Re(e1 conj(e2))) of the circle
     orthogonal to the unit circle through a side's ends e1 and e2."""
-    z = q.vertices[2].z
+    z = q.vertices[2]
     tangents = []
     for v in (q.vertices[1], q.vertices[3]):
-        e1, e2 = (p.z for p in geodesic_through(v.z, z).endpoints)
+        e1, e2 = geodesic_through(v, z).endpoints
         tangents.append(1j * (z - (e1 + e2) / (1.0 + (e1 * e2.conjugate()).real)))
     u1, u2 = tangents
     cosang = abs((u1 * u2.conjugate()).real) / (abs(u1) * abs(u2))
@@ -1050,13 +1050,13 @@ def _t_lambert_oracle(n: int, chk: _Checker):
         L = 0.2 + 0.79 * ua
         theta = 0.15 + (math.pi / 2.0 - 0.3) * ub
         q = lam.lambert_from(L, theta)
-        g_ad = geodesic_through(q.vertices[3].z, -q.vertices[3].z)  # the imaginary axis
-        g_bc = geodesic_through(q.vertices[1].z, q.vertices[2].z)
+        g_ad = geodesic_through(q.vertices[3], -q.vertices[3])  # the imaginary axis
+        g_bc = geodesic_through(q.vertices[1], q.vertices[2])
         pairs.append((g_ad, g_bc))
         expected.append((q.d1, (L, theta)))
         if idx < 4:
-            g_ab = geodesic_through(q.vertices[1].z, -q.vertices[1].z)  # the real axis
-            g_dc = geodesic_through(q.vertices[3].z, q.vertices[2].z)
+            g_ab = geodesic_through(q.vertices[1], -q.vertices[1])  # the real axis
+            g_dc = geodesic_through(q.vertices[3], q.vertices[2])
             pairs.append((g_ab, g_dc))
             expected.append((q.d2, (L, theta)))
     for d, (side, witness) in zip(_distance_rows(*zip(*pairs)), expected):

@@ -8,8 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

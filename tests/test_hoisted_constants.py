@@ -9,8 +9,9 @@ return the bits of the per-call references, which evaluate both sides.
 
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from hyplam import DomainError, specfun
 from hyplam.lambert import IDEAL_PRODUCT_BOUND, lambert_from, product_root
@@ -179,7 +180,7 @@ def test_g_range_at_one_is_the_per_call_value():
 
 def test_lambert_quadrilaterals_share_one_origin_vertex():
     a, b = lambert_from(0.5, 0.3), lambert_from(0.9, 1.2)
-    assert a.vertices[0] is b.vertices[0] and a.vertices[0].z == 0j
+    assert a.vertices[0] is b.vertices[0] and a.vertices[0] == 0j
 
 
 def test_a_bracket_far_below_one_raises_domain_error():

@@ -1,7 +1,8 @@
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from hyplam import lambert
 from hyplam import (
@@ -40,15 +41,15 @@ class TestConstruction:
     def test_diagonal_length(self):
         # L = th rho(v_a, v_c)
         q = lambert_from(0.6, 0.9)
-        assert math.tanh(rho_disk(0.0, q.vertices[2].z)) == pytest.approx(0.6, abs=1e-12)
+        assert math.tanh(rho_disk(0.0, q.vertices[2])) == pytest.approx(0.6, abs=1e-12)
 
     def test_vertex_positions(self):
         q = lambert_from(0.5, 0.7)
         v_a, v_b, v_c, v_d = q.vertices
-        assert v_a.z == 0.0
-        assert v_b.z.imag == 0.0 and v_b.z.real > 0.0
-        assert v_d.z.real == 0.0 and v_d.z.imag > 0.0
-        assert v_b.z.real == pytest.approx(math.tanh(q.d1 / 2.0), abs=1e-14)
+        assert v_a == 0.0
+        assert v_b.imag == 0.0 and v_b.real > 0.0
+        assert v_d.real == 0.0 and v_d.imag > 0.0
+        assert v_b.real == pytest.approx(math.tanh(q.d1 / 2.0), abs=1e-14)
 
     @pytest.mark.parametrize("L,theta", [(0.0, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, math.pi / 2.0)])
     def test_domain_validation(self, L, theta):
@@ -213,7 +214,7 @@ class TestIdeal:
             alpha_from_quadruple(1, -1, 1j, -1j)
 
     @pytest.mark.parametrize(
-        "vertex", [0.0, 0.5j, 2.0, -(1.0 - 1e-12), Point.infinity()], ids=["0", "interior", "outside", "near", "infinity"]
+        "vertex", [0.0, 0.5j, 2.0, -(1.0 - 1e-12), Point(math.inf)], ids=["0", "interior", "outside", "near", "infinity"]
     )
     def test_a_vertex_off_the_circle_is_rejected(self, vertex):
         # a vertex at 0 gave alpha = pi/4

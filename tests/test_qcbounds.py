@@ -3,8 +3,9 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from hyplam import qcbounds
 from hyplam import (

@@ -7,7 +7,6 @@ and makes a changed copy by `_replace` through its checked constructor.
 
 import ast
 import copy
-import math
 import pickle
 from pathlib import Path
 
@@ -15,13 +14,12 @@ import pytest
 
 from hyplam import DegenerateInputError, DomainError, geometry, lambert, qcbounds, specfun
 from hyplam.errors import _Record
-from hyplam.geometry import MoebiusMap, Point, PointKind
+from hyplam.geometry import MoebiusMap, Point
 
 #: (record, its field names, a field to change and the new value)
 RECORDS = [
-    (Point(0.3, 0.1, PointKind.INTERIOR), ("re", "im", "kind"), "im", 0.2),
     (MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7), ("a", "b", "c", "d"), "d", 2.0),
-    (geometry.geodesic_through(0.3, 0.5j), ("endpoints",), "endpoints", (Point.of(1.0), Point.of(-1.0))),
+    (geometry.geodesic_through(0.3, 0.5j), ("endpoints",), "endpoints", (Point(1.0), Point(-1.0))),
     (lambert.lambert_from(0.6, 0.5), ("L", "theta", "t", "vertices", "d1", "d2", "phi"), "d1", 1.0),
     (
         lambert.sum_bounds(0.85, 0.7),
@@ -79,8 +77,6 @@ def test_the_constructors_keep_their_checks():
     with pytest.raises(DegenerateInputError):
         MoebiusMap(1, 2, 2, 4)
     with pytest.raises(DomainError):
-        Point(math.nan, 0.0, PointKind.INTERIOR)
-    with pytest.raises(DomainError):
         qcbounds.QcBoundInput(2.0, 0.9)._replace(L=1.5)
 
 
@@ -91,7 +87,7 @@ def test_a_moebius_map_keeps_only_its_coefficients_as_fields():
     assert len(m) == 8 and m[4:] == (0.0, 1.0, 1.0, 0.0)
     assert m.__getnewargs__() == (0.0, 2.0**300, 2.0**300, 0.0)
     assert pickle.loads(pickle.dumps(m))[4:] == m[4:]
-    assert geometry.MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7) == MoebiusMap(*RECORDS[1][0][:4])
+    assert geometry.MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7) == MoebiusMap(*RECORDS[0][0][:4])
 
 
 def test_a_bound_report_builds_its_params_on_access():

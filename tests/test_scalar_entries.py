@@ -1,7 +1,8 @@
 """Scalar bound requests pay each scalar cost once.
 
-- `rho_disk` reads two `INTERIOR` `Point`s straight into `_rho`. The
-  selection is by argument type, and it gives the bits of the general path
+- `rho_disk` reads two complex numbers (bare or `Point`s) whose squared
+  moduli lie below 1 - 4 * 64 ulp straight into `_rho`. `_snap` never moves
+  such a point, so the result is the bits of the general path
   (`geometry._points` and the circle mask), which rows and every other
   argument still take.
 - `specfun._distortion_A` and `lambert._side_distances` keep their last
@@ -12,11 +13,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
+np = pytest.importorskip("numpy")
+
 from hyplam import DomainError, geometry, lambert, qcbounds, specfun
-from hyplam.geometry import Point, PointKind
+from hyplam.geometry import Point
 
 EPS = 2.0**-52
 
@@ -40,8 +42,8 @@ def _rho_general(x, y):
 
 
 def _outcome(f, *args):
-    """repr of the result, which tells -0.0, nan and a Point's kind apart, or
-    the type and message of the error."""
+    """repr of the result, which tells -0.0 and nan apart, or the type and
+    message of the error."""
     try:
         return repr(f(*args))
     except Exception as exc:  # the outcome is compared, whatever it is
@@ -52,36 +54,31 @@ def _outcome(f, *args):
 # seeded points
 
 
-def _pool(seed: int, n: int = 3000) -> list[Point]:
-    """Points of every kind: interior, on the circle (snapped there or within
-    64 ulp of it), typed INTERIOR within 100 ulp of the circle on either side
-    (made by Point.of outside the snap window, and by the constructor inside
-    it), an INTERIOR point outside the disk, the origin and infinity."""
+def _pool(seed: int, n: int = 3000) -> list:
+    """Points of every sort, bare complex numbers or Points: interior, within
+    100 ulp of the circle on either side (snapped onto it or not), on either
+    side of the typed entry's bound 1 - 4 * 64 ulp on |z|^2, outside the
+    disk, the origin and infinity."""
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * math.pi, n)
     k = rng.integers(1, 101, n) * rng.choice([-1.0, 1.0], n)
     radius = np.select(
         [np.arange(n) % 4 < 2, np.arange(n) % 4 == 2],
         [0.999 * np.sqrt(rng.uniform(0.0, 1.0, n)), 1.0 + k * EPS],
-        1.0 + (k / 2.0) * EPS,
+        1.0 - rng.integers(120, 137, n) * EPS,
     )
     pool = []
-    for i, (r, t) in enumerate(zip(radius, angle)):
+    for i, (r, t) in enumerate(zip(radius.tolist(), angle.tolist())):
         z = complex(r * math.cos(t), r * math.sin(t))
-        pool.append(Point(z.real, z.imag, PointKind.INTERIOR) if i % 8 == 7 else Point.of(z))
-    pool += [Point(1e301, 0.0, PointKind.INTERIOR), Point.of(0.0), Point.infinity()]
-    kinds = {p.kind for p in pool}
-    assert kinds == set(PointKind)
-    return pool
+        pool.append(Point(z) if i % 3 else z)
+    sq = [z.real * z.real + z.imag * z.imag for z in pool]
+    assert min(sq) < geometry._NEVER_SNAPPED <= max(s for s in sq if s < 1.0 - 100 * EPS)
+    return pool + [Point(1e301), complex(1e301), Point(0.0), 0j, Point(math.inf), complex(0.0, -math.inf)]
 
 
 def _pairs(pool, n, seed):
     rng = np.random.default_rng(seed)
     return [(pool[i], pool[j]) for i, j in rng.integers(0, len(pool), (n, 2)).tolist()]
-
-
-def _complex(p: Point):
-    return None if p.is_infinity else complex(p.re, p.im)
 
 
 class TestTypedEntry:
@@ -91,25 +88,26 @@ class TestTypedEntry:
             assert _outcome(geometry.rho_disk, x, y) == _outcome(_rho_general, x, y), (x, y)
 
     def test_two_interior_points_skip_the_general_reader(self, monkeypatch):
-        p, q = Point.of(0.3 + 0.1j), Point.of(-0.2 + 0.5j)
+        p, q = Point(0.3 + 0.1j), -0.2 + 0.5j
         expected = geometry.rho_disk(p, q)
 
         def refused(*values):
             raise AssertionError("the general reader was called")
 
         monkeypatch.setattr(geometry, "_points", refused)
-        assert geometry.rho_disk(p, q) == expected
-        for x, y in ((p, 0.5), (0.3 + 0.1j, -0.2 + 0.5j), (p, Point.of(1.0)), (p, Point.infinity())):
+        assert geometry.rho_disk(p, q) == geometry.rho_disk(complex(p), q) == expected
+        near = complex(1.0 - 100 * EPS)
+        for x, y in ((p, 0.5), (p, near), (p, Point(1.0)), (p, Point(math.inf)), (p, np.array([q]))):
             with pytest.raises(AssertionError, match="general reader"):
                 geometry.rho_disk(x, y)
 
     def test_the_typed_entry_keeps_its_errors(self):
-        inside, far = Point.of(0.5), Point(1e301, 0.0, PointKind.INTERIOR)
+        inside, far = Point(0.5), Point(1e301)
         for x, y in ((inside, far), (far, inside)):
             with pytest.raises(DomainError, match="closed unit disk"):
                 geometry.rho_disk(x, y)
         with pytest.raises(DomainError, match="at infinity"):
-            geometry.rho_disk(inside, Point.infinity())
+            geometry.rho_disk(inside, Point(math.inf))
 
 
 # ---------------------------------------------------------------------------

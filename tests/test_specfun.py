@@ -1,8 +1,9 @@
 import math
 import sys
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,7 @@
 """Relative accuracy of the Hersch-Pfluger layer, of arth(c x), of C(p), of
-the slope ratio, of g_{p<=2} and of h_p against mpmath at 50 digits (C(p) and
-the slope ratio at 60).
+the slope ratio, of g_{p<=2}, of h_p, of the AGM and of the power mean
+where a power leaves the doubles against mpmath at 50 digits (C(p) and the
+slope ratio at 60).
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -14,13 +15,14 @@ so that 50 digits suffice even where 1 - x is 1e-600.
 
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from hyplam import big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
 from hyplam.lambert import ideal_quad, side_distances
 from hyplam.qcbounds import T_of
-from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio
+from hyplam.specfun import _arth_cx, _mu_inverse_pair, agm, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio, holder_mean
 
 mp = pytest.importorskip("mpmath")
 
@@ -290,3 +292,128 @@ def test_aux_slope_ratio(r):
     assert rel(value, ref_slope_ratio(r)) <= 4.0 * EPS
     if r >= 1e-7:
         assert value < -2.0
+
+
+def _scalar_and_row(f, *args):
+    """f at scalars, and the one row of its call on one-row arrays."""
+    return f(*args), float(f(*(np.array([a]) for a in args))[0])
+
+
+@pytest.mark.parametrize("a, b", [(1e300, 0.3), (0.3, 1e300), (1e300, 1e-300), (1.7e308, 1e200), (1e155, 1e154)])
+def test_agm_where_a_product_overflows(a, b):
+    # the geometric step's a b passed the doubles and gave inf (1e300, 0.3)
+    ref = mp.agm(a, b)
+    for got in _scalar_and_row(agm, a, b):
+        assert rel(got, ref) <= 4 * EPS, got
+
+
+def test_agm_keeps_its_bits_where_the_products_are_finite():
+    # the plain sqrt(a b) step, as the certificates' mu was computed with
+    def plain(a, b):
+        for _ in range(64):
+            if not abs(a - b) > 2.0**-52 * a:
+                break
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+        return 0.5 * (a + b)
+
+    rng = np.random.default_rng(41)
+    a, b = 10.0 ** rng.uniform(-150.0, 150.0, (2, 2000))
+    rows = agm(a, b)
+    for x, y, row in zip(a.tolist(), b.tolist(), rows.tolist()):
+        assert agm(x, y) == plain(x, y) == row
+
+
+def ref_holder(p, r, s):
+    """The power mean as sqrt(r s) cosh(p d)^(1/p), d = log(r/s)/2, which is
+    ((r^p + s^p)/2)^(1/p): at 50 digits it keeps the digits of a subnormal
+    p, where the powers are 1 + 1e-321 (test_the_power_mean_reference)."""
+    if p == 0.0:
+        return mp.sqrt(mp.mpf(r) * s)
+    if math.isinf(p):
+        return mp.mpf(max(r, s) if p > 0.0 else min(r, s))
+    p, r, s = mp.mpf(p), mp.mpf(r), mp.mpf(s)
+    return mp.sqrt(r * s) * mp.exp(mp.log1p(2 * mp.sinh(p * mp.log(r / s) / 4) ** 2) / p)
+
+
+#: (p, r, s) where a power or the product of the plain form leaves the doubles
+HOLDER_FAR = [
+    (400.0, 1e300, 0.7),
+    (-400.0, 1e300, 1e300),
+    (400.0, 1e-300, 1e-300),
+    (3.0, 1e300, 1.5e300),
+    (-2.0, 1e-200, 3e-200),
+    (1000.0, 2.0, 1e300),
+    (-1000.0, 1e-300, 0.5),
+    (0.0, 1e300, 1e300),
+    (0.0, 1e-200, 3e-200),
+    (math.inf, 0.3, 0.7),
+    (-math.inf, 0.3, 0.7),
+]
+#: (p, r, s) with p so small that the powers round to 1, or 1/p overflows
+HOLDER_TINY_P = [
+    (5e-324, 1e300, 0.7),
+    (-5e-324, 1e300, 0.7),
+    (1e-310, 0.5, 3.0),
+    (1e-300, 1e300, 0.7),
+    (-1e-300, 1e300, 5e-324),
+    (1e-10, 0.5, 3.0),
+    (-1e-7, 1e-300, 1e300),
+]
+
+
+def test_the_power_mean_reference():
+    # the identity against the plain form at 400 digits, where |p| >= 1e-10
+    cases = [c for c in HOLDER_FAR + HOLDER_TINY_P if c[0] != 0.0 and math.isfinite(c[0]) and abs(c[0]) >= 1e-10]
+    with mp.workdps(400):
+        for p, r, s in cases:
+            p, r, s = mp.mpf(p), mp.mpf(r), mp.mpf(s)
+            assert abs(ref_holder(p, r, s) / ((r**p + s**p) / 2) ** (1 / p) - 1) < mp.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("p, r, s", HOLDER_FAR, ids=repr)
+def test_holder_mean_where_a_power_leaves_the_doubles(p, r, s):
+    # (400, 1e300, 0.7) gave inf, (-400, 1e300, 1e300) raised ZeroDivisionError
+    ref = ref_holder(p, r, s)
+    for got in _scalar_and_row(holder_mean, p, r, s):
+        assert rel(got, ref) <= 4 * EPS, got
+
+
+@pytest.mark.parametrize("p, r, s", HOLDER_TINY_P, ids=repr)
+def test_holder_mean_at_a_tiny_order(p, r, s):
+    # a subnormal p made 1/p inf, and (5e-324, 1e300, 0.7) gave 1^inf = 1.0
+    # where the mean is the geometric one, 8.4e149
+    ref = ref_holder(p, r, s)
+    for got in _scalar_and_row(holder_mean, p, r, s):
+        assert rel(got, ref) <= 4 * EPS, got
+
+
+def test_holder_mean_seeded_where_the_plain_form_fails():
+    # orders up to 1000 and down to the subnormal, arguments from 1e-300 to
+    # 1e300; 1.4 ulp was seen over 5 000 such calls, and rows within 1.7 ulp
+    # of their scalar calls
+    rng = np.random.default_rng(43)
+    n = 600
+    sign = rng.choice([-1.0, 1.0], n)
+    p = sign * np.where(np.arange(n) % 2 == 0, 10.0 ** rng.uniform(-323.0, -7.0, n), 10.0 ** rng.uniform(0.5, 3.0, n))
+    r, s = 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    with np.errstate(over="ignore", under="ignore"):
+        powers = (r**p + s**p) / 2.0
+    far = ~((2.0**-1022 <= powers) & (powers < math.inf) & (abs(p) >= 2.0**-20))
+    assert far.sum() > 400
+    p, r, s = p[far], r[far], s[far]
+    rows = holder_mean(p, r, s)
+    for args, row in zip(zip(p.tolist(), r.tolist(), s.tolist()), rows.tolist()):
+        ref = ref_holder(*args)
+        assert rel(holder_mean(*args), ref) <= 4 * EPS and rel(row, ref) <= 4 * EPS, args
+
+
+def test_holder_mean_keeps_the_plain_form_where_it_holds():
+    # the certificates' bits: ((r^p + s^p)/2)^(1/p) where the mean of the
+    # powers is a normal double and |p| >= 2^-20
+    rng = np.random.default_rng(44)
+    p = rng.uniform(-3.0, 3.0, 3000)
+    r, s = rng.uniform(1e-3, 50.0, (2, 3000))
+    rows = holder_mean(p, r, s)
+    for q, x, y, row in zip(p.tolist(), r.tolist(), s.tolist(), rows.tolist()):
+        assert holder_mean(q, x, y) == ((x**q + y**q) / 2.0) ** (1.0 / q)
+        assert row == np.power((np.power(x, q) + np.power(y, q)) / 2.0, 1.0 / q)

@@ -9,8 +9,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 import hyplam
 from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, geometry, lambert, qcbounds, run_sweep, verify
@@ -712,6 +713,36 @@ def test_without_numpy_every_row_entry_names_it():
     first, *lines = out.stdout.splitlines()
     names = ["geodesic_distance", *hyplam._VERIFY_NAMES, "hyplam.verify", "hyplam._sweep"]
     assert first == "True" and [line.split()[0] for line in lines] == names
+    for line in lines:
+        assert line.endswith(": pip install numpy") and " needs numpy, which could not be imported (" in line, line
+
+
+#: in a fresh interpreter with numpy unimportable: a star import, the names
+#: it bound, and what each registry name raises
+_STAR_IMPORT_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from hyplam import *
+import hyplam
+print(" ".join(sorted(name for name in dir() if not name.startswith("_") and name not in ("sys", "hyplam"))))
+for name in hyplam._VERIFY_NAMES:
+    try:
+        getattr(hyplam, name)
+    except hyplam.ConfigurationError as exc:
+        print(name, exc)
+"""
+
+
+def test_a_star_import_without_numpy_binds_every_report_name():
+    # __all__ lists the registry's names only where numpy can be imported: a
+    # star import without it binds the rest, and each registry name still names numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _STAR_IMPORT_PROBE], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    bound, *lines = out.stdout.splitlines()
+    assert bound.split() == sorted(set(hyplam.__all__) - set(hyplam._VERIFY_NAMES))
+    assert {"rho_disk", "lambert_from", "qc_product_bound", "distortion_A", "Point"} <= set(bound.split())
+    assert [line.split()[0] for line in lines] == list(hyplam._VERIFY_NAMES)
     for line in lines:
         assert line.endswith(": pip install numpy") and " needs numpy, which could not be imported (" in line, line
 
