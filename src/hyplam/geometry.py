@@ -8,15 +8,11 @@ the four ends, and verify holds the search that checks it.
 
 Each function has one body over scalars and rows: `_points` reads each
 argument once (any complex number, or a complex ndarray of finite points)
-as its snapped coordinate and whether it lies on the circle, and picks the
-table of `_rows` that the kernels compute with. A point within 64 ulp of the
-circle is on it, and is snapped onto it (`_snap`), which leaves a snapped
-point's bits alone: passing a returned `Point` back in reads the same point.
-A scalar with an infinite part and no NaN is the point at infinity,
-`Point(math.inf)`; a NaN part, or a row that is not finite, raises
-DomainError. `rho_disk` of two complex numbers that no snap can move goes
-straight to `_rho`, to the same bits. `Point` (a complex number),
-`Geodesic` and `MoebiusMap` are the typed scalar API.
+as its coordinate snapped by `_snap`, which is idempotent, and whether it
+lies on the circle, and picks the table of `_rows` that the kernels compute
+with. A scalar with an infinite part and no NaN is the point at infinity,
+`Point(math.inf)`. `Point` (a complex number), `Geodesic` and `MoebiusMap`
+are the typed scalar API.
 
 A modulus is taken by hypot (the table's `abs`) only for a Euclidean
 distance or a unit vector, in `_arc` and `_geodesic_ends`; everywhere else
@@ -62,7 +58,7 @@ class Point(complex):
 
 #: the point at infinity
 _INFINITY = Point(math.inf)
-#: the scalar types that rho_disk may read without _points
+#: the scalar types that _snap reads as they are
 _COMPLEX = (complex, Point)
 
 
@@ -72,30 +68,29 @@ _COMPLEX = (complex, Point)
 
 def _snap(z):
     """z with every point within B = 64 ulp of the unit circle on r =
-    hypot(x, y) moved onto it, and where that is (a bool for a scalar, a
-    mask for an array); for a scalar with an infinite part and no NaN, (None,
-    False), the point at infinity.
+    hypot(x, y) moved onto it, and where that is (a bool for a scalar, a mask
+    for an array); (None, False) for a scalar with an infinite part and no
+    NaN, the point at infinity. DomainError for a NaN part, or a row that is
+    not finite.
 
-    A point is moved to z / r, each part divided by r, only if r lies more
-    than 2 ulp from 1: z / r has r within 2 ulp of 1 (each part is rounded
-    once, and so is hypot), so a snapped point comes back with its bits and
-    its flag, and _snap is idempotent. On rows, hypot is taken only when
-    some row lies within 4B of the circle on s = fl(x^2 + y^2): if |r - 1|
-    <= B, then |z|^2 - 1 = 2d + d^2 with |d| <= B + ulp, and |s - 1| < 4B, so
-    the result is bit for bit what the window on r alone gives, and a point
-    with s < 1 - 4B is never moved. A row is divided part by part (_unit),
-    as a scalar is, so it snaps to its scalar call's bits, up to the sign of
-    a zero imaginary part. DomainError for a NaN part, or a row that is not
-    finite.
+    A point moves to z / r, each part divided by r, only if r lies more than
+    2 ulp from 1; z / r lands within 2 ulp, so _snap is idempotent bit for
+    bit. Rows take hypot only when some row lies within 4B of the circle on
+    s = fl(x^2 + y^2): |r - 1| <= B gives |s - 1| < 4B (|z|^2 - 1 = 2d + d^2,
+    |d| <= B + ulp), so no point with s < 1 - 4B moves. A row divides part by
+    part (_unit), as a scalar does, to its scalar call's bits, up to the sign
+    of a zero imaginary part.
     """
-    if type(z) is complex:
+    if type(z) in _COMPLEX:
         try:
             r = abs(z)  # inf or nan for a coordinate that is not finite
         except OverflowError:  # finite coordinates whose |z| passes the doubles, as on rows: off the circle
             return z, False
         if r < math.inf:
             d = abs(r - 1.0)
-            return (z / r if _SNAPPED < d <= _BOUNDARY_SNAP else z), d <= _BOUNDARY_SNAP
+            if d > _BOUNDARY_SNAP:
+                return z, False
+            return (z / r if d > _SNAPPED else z), True
         if not cmath.isnan(z):
             return None, False
         raise DomainError(f"a point needs coordinates that are not NaN, got {z}")
@@ -116,7 +111,9 @@ def _points(*values) -> list:
     lies on the circle (a mask for an ndarray, (None, False) at infinity)."""
     out = [_rows.SCALAR]
     for v in values:
-        if _rows.is_rows(v):
+        if type(v) in _COMPLEX:
+            out.append(_snap(v))
+        elif _rows.is_rows(v):
             out[0] = _rows.rows()
             out.append(_snap(out[0].asarray(v, dtype=complex)))
         else:
@@ -357,7 +354,7 @@ def geodesic_through(x, y) -> Geodesic:
 
 def _ends_of(g: Geodesic) -> tuple[complex, complex]:
     """A geodesic's ends, snapped; DomainError unless two distinct points of the circle."""
-    (e1, on1), (e2, on2) = (_snap(complex(e)) for e in g[0])
+    _, (e1, on1), (e2, on2) = _points(*g[0])
     if not (on1 and on2) or e1 == e2:
         raise DomainError("a geodesic needs two distinct ends on the unit circle")
     return e1, e2

@@ -123,8 +123,10 @@ def lambert_from(L: float, theta: float) -> LambertQuad:
     t = L / (1.0 + rprime(L))
     d1, d2 = _side_distances(L, theta)
     phi = _beardon_phi(d1, d2)
-    vertices = complex(math.tanh(d1 / 2.0)), t * complex(math.cos(theta), math.sin(theta)), 1j * math.tanh(d2 / 2.0)
-    return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, *(Point(_snap(v)[0]) for v in vertices)), d1, d2, phi))
+    v_b = Point(_snap(complex(math.tanh(d1 / 2.0)))[0])
+    v_c = Point(_snap(t * complex(math.cos(theta), math.sin(theta)))[0])
+    v_d = Point(_snap(1j * math.tanh(d2 / 2.0))[0])
+    return _new_tuple(LambertQuad, (L, theta, t, (_ORIGIN, v_b, v_c, v_d), d1, d2, phi))
 
 
 def _log_sh(d, ns=_rows.SCALAR):

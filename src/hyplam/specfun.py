@@ -59,16 +59,13 @@ def arth(x):
 
 
 def rprime(r):
-    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN,
-    and on rows as quietly as on a scalar where it overflows (|r| > ~1e154)."""
-    if (ns := _rows.ns(r)) is _rows.SCALAR:
-        return _rprime(r)
-    with ns.errstate(over="ignore"):
-        return _rprime(r, ns)
-
-
-def _rprime(r, ns=_rows.SCALAR):
-    return ns.sqrt(ns.fmax(0.0, (1.0 - r) * (1.0 + r)))
+    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN. |r|
+    is taken at most 2, which leaves every result's bits and keeps a row past
+    |r| ~ 1e154 from overflowing, as a scalar does not."""
+    a = _rows.ns(r).minimum(abs(r), 2.0)
+    rp2 = (1.0 - a) * (1.0 + a)
+    ns = _rows.ns(rp2)
+    return ns.sqrt(ns.fmax(0.0, rp2))
 
 
 def _arth_cx(c, x, xp, ns=_rows.SCALAR):
@@ -111,30 +108,23 @@ def arth_complement(r):
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
     mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError.
-
-    It is ((r^p + s^p)/2)^(1/p), and sqrt(r s) at p = 0, wherever the mean
-    of the powers (the product) is a normal double and |p| >= 2^-20. Where a
-    power leaves the doubles, or p is so small that the powers round to
-    near 1, it is the same mean in the form _far_power_mean takes, within 4
-    ulp of 50-digit mpmath (tests/test_specfun_accuracy.py)."""
+    It is ((r^p + s^p)/2)^(1/p), or sqrt(r s), where the mean of the powers
+    (the product) is a normal double and |p| >= 2^-20, and _far_power_mean
+    elsewhere, within 4 ulp of 50-digit mpmath (test_specfun_accuracy.py)."""
     ns = _rows.rows() if _rows.is_rows(p) else _rows.ns(r, s)
     if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
     if ns is _rows.SCALAR:
         return _geometric_mean(r, s) if p == 0.0 else _power_mean(p, r, s)
     geometric = p == 0.0
-    # a row warns only where its scalar call raises: over- and underflow, and
-    # the branches that ns.where does not select, are quiet
-    with ns.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with ns.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as quiet as a scalar
         return ns.where(geometric, _geometric_mean(r, s, ns), _power_mean(ns.where(geometric, 1.0, p), r, s, ns))
 
 
 #: the smallest normal double: a mean of powers below it has lost digits
 _NORMAL = 2.0**-1022
-#: below this |p| the powers of the plain power mean round to near 1, and its
-#: relative error, about 2^-52 / |p|, passes 2^-32
+#: below this |p| the plain power mean's error, about 2^-52 / |p| relative, passes 2^-32
 _P_PLAIN = 2.0**-20
-_LOG2 = math.log(2.0)
 
 
 def _geometric_mean(r, s, ns=_rows.SCALAR):
@@ -144,9 +134,8 @@ def _geometric_mean(r, s, ns=_rows.SCALAR):
 
 
 def _power_mean(p, r, s, ns=_rows.SCALAR):
-    """((r^p + s^p)/2)^(1/p) for p != 0 by the power of ns, which overflows
-    to inf, where (r^p + s^p)/2 is a normal double and |p| >= 2^-20; else
-    _far_power_mean."""
+    """((r^p + s^p)/2)^(1/p) for p != 0 by the power of ns where that mean of
+    the powers is a normal double and |p| >= 2^-20, else _far_power_mean."""
     x = (ns.power(r, p) + ns.power(s, p)) / 2.0
     plain = (_NORMAL <= x) & (x < math.inf) & (abs(p) >= _P_PLAIN)
     if ns is _rows.SCALAR:
@@ -169,7 +158,7 @@ def _far_power_mean(p, r, s, ns=_rows.SCALAR):
     near = y <= 1.0
     c = ns.minimum(y, 1.0)
     e_near = ns.where(near, ns.log1p(-ns.expm1(c) * ns.expm1(-c) / 2.0) / p, 0.0)
-    e_far = ns.where(near, 0.0, (ns.log1p(ns.exp(-2.0 * y)) - _LOG2) / p)
+    e_far = ns.where(near, 0.0, (ns.log1p(ns.exp(-2.0 * y)) - math.log(2.0)) / p)
     return ns.where(near, _geometric_mean(r, s, ns) * ns.exp(e_near), ns.where(p > 0.0, hi, lo) * ns.exp(e_far))
 
 
