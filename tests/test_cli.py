@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 np = pytest.importorskip("numpy")
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 np = pytest.importorskip("numpy")
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

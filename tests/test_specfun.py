@@ -4,6 +4,7 @@ import sys
 import pytest
 
 np = pytest.importorskip("numpy")
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
