@@ -59,11 +59,12 @@ def arth(x):
 
 
 def rprime(r):
-    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN. |r|
-    is taken at most 2, which leaves every result's bits and keeps a row past
-    |r| ~ 1e154 from overflowing, as a scalar does not."""
-    a = _rows.ns(r).minimum(abs(r), 2.0)
-    rp2 = (1.0 - a) * (1.0 + a)
+    """sqrt(1 - r^2) for r in [0, 1]; 0 where 1 - r^2 is negative or NaN. On
+    rows |r| is taken at most 2, which leaves every result's bits and keeps a
+    row past |r| ~ 1e154 from overflowing, as a scalar does quietly."""
+    if _rows.is_rows(r):
+        r = _rows.rows().minimum(abs(r), 2.0)
+    rp2 = (1.0 - r) * (1.0 + r)
     ns = _rows.ns(rp2)
     return ns.sqrt(ns.fmax(0.0, rp2))
 
@@ -130,7 +131,8 @@ _P_PLAIN = 2.0**-20
 def _geometric_mean(r, s, ns=_rows.SCALAR):
     """sqrt(r s), or sqrt(r) sqrt(s) where r s is not a normal double."""
     rs = r * s
-    return ns.where((_NORMAL <= rs) & (rs < math.inf), ns.sqrt(rs), ns.sqrt(r) * ns.sqrt(s))
+    far = (rs < _NORMAL) | (rs == math.inf)
+    return ns.where(far, ns.sqrt(r) * ns.sqrt(s), ns.sqrt(rs)) if ns.any(far) else ns.sqrt(rs)
 
 
 def _power_mean(p, r, s, ns=_rows.SCALAR):
@@ -494,23 +496,26 @@ def agm(a, b):
     """
     _rows.require(0.0 < a, a, "agm", "a > 0")
     _rows.require(0.0 < b, b, "agm", "b > 0")
-    if (ns := _rows.ns(a, b)) is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf - inf is quiet
-        return _agm(a, b)
+    ns = _rows.ns(a, b)
+    # every step's a and b lie between the first two, so a b overflows only if one passes 2^511
+    wide = ns.any(ns.fmax(a, b) >= 2.0**511)
+    if ns is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf - inf is quiet
+        return _agm(a, b, ns, wide)
     # an infinite row reaches inf - inf, whose NaN stops it; a b overflows as on a scalar
     with ns.errstate(invalid="ignore", over="ignore"):
-        return _agm(a, b, ns)
+        return _agm(a, b, ns, wide)
 
 
-def _agm(a, b, ns=_rows.SCALAR):
+def _agm(a, b, ns=_rows.SCALAR, wide=False):
     """agm for a and b already checked, or known positive. The geometric
-    step is sqrt(a b), or sqrt(a) sqrt(b) where a b overflows (a and b past
-    ~1e154), so a call whose products are finite keeps its bits."""
+    step is sqrt(a b), or, if wide, sqrt(a) sqrt(b) where a b overflows (a and
+    b past ~1e154), so a call whose products are finite keeps its bits."""
     for _ in range(64):
         moving = abs(a - b) > 2.0**-52 * a
         if not ns.any(moving):
             break
         g = ns.sqrt(a * b)
-        if ns.any(g == math.inf):
+        if wide:
             g = ns.where(g == math.inf, ns.sqrt(a) * ns.sqrt(b), g)
         a, b = ns.where(moving, 0.5 * (a + b), a), ns.where(moving, g, b)
     return 0.5 * (a + b)
