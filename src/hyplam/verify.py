@@ -9,8 +9,9 @@ Randomized targets draw from a Halton sequence scrambled with random digit
 permutations (Owen 2017, "A randomized Halton algorithm in R",
 arXiv:1706.02808) under a fixed seed (0x5EED, overridable through the
 HYPLAM_SEED environment variable), so certificates are reproducible. The
-sampler is plain numpy and reproduces the samples of scipy.stats.qmc.Halton
-for the same seed bit for bit.
+digit permutations come from a pure-Python PCG64 that reproduces numpy's
+draws for the seed, so the sampler loads no numpy.random, and its samples
+still equal those of scipy.stats.qmc.Halton for the same seed bit for bit.
 
 Each sweep is declared once, by the @claim decorator that adds it to
 REGISTRY with its claim and the cap on its sample count.
@@ -77,7 +78,8 @@ DEFAULT_SEED = 0x5EED
 def default_seed() -> int:
     """HYPLAM_SEED as an integer literal (24301, 0x5EED), or DEFAULT_SEED
     when it is unset; ConfigurationError unless it is a non-negative integer,
-    the seeds numpy's generator takes."""
+    the seeds numpy's SeedSequence takes, of any size, and hashes as
+    _pcg64_words does."""
     raw = os.environ.get("HYPLAM_SEED")
     if raw is None:
         return DEFAULT_SEED
@@ -265,6 +267,66 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+def _pcg64_words(seed: int):
+    """The 32-bit words that numpy's default Generator, made from the integer
+    seed, draws one by one, in pure Python: numpy's SeedSequence hash of the
+    seed (its 32-bit words into a 4-word pool), PCG64 seeded with
+    ``generate_state(4, uint64)``, and each XSL-RR output handed out low half
+    first, as numpy's next_uint32 buffers it (O'Neill 2014, "PCG: A family of
+    simple fast space-efficient statistically good algorithms for random
+    number generation").
+    """
+    m32, m64, hash_const = 2**32 - 1, 2**64 - 1, 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & m32
+        value = value * hash_const & m32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & m32
+        return value ^ value >> 16
+
+    entropy = [seed & m32]
+    while seed := seed >> 32:
+        entropy.append(seed & m32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    # generate_state's eight 32-bit words, read in pairs as four uint64, low word first
+    state = [hashmix(value, 0x58F38DED) for value in pool * 2]
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    mult, m128, inc = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1, (i0 << 64 | i1) << 1 | 1
+    pcg = (inc + (s0 << 64 | s1)) * mult + inc  # state 0, a step, the seed added, a step
+    while True:
+        pcg = pcg * mult + inc & m128
+        xor, rot = (pcg >> 64 ^ pcg) & m64, pcg >> 122
+        out = (xor >> rot | xor << 64 - rot) & m64
+        yield out & m32
+        yield out >> 32
+
+
+def _permutation(words, base: int) -> list[int]:
+    """0..base-1 shuffled as ``Generator.shuffle`` does with the same draws:
+    for i from base-1 down to 1, swap i with a j drawn from [0, i] as the
+    first word whose low bits, masked to i's bit length, are at most i."""
+    perm = list(range(base))
+    for i in range(base - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while (j := next(words) & mask) > i:
+            pass
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
     """First n points of the scrambled Halton sequence in [0, 1)^dim: the
     one block of ``_halton_blocks(n, dim, seed, n)``.
@@ -283,7 +345,9 @@ def _halton_blocks(n: int, dim: int, seed: int, size: int):
 
     Digit j of the index in the base of dimension k goes through the j-th of
     that base's random permutations (Owen 2017, arXiv:1706.02808), one for
-    each b^-j above 2^-54. The draws and the sum follow the order of
+    each b^-j above 2^-54. The permutations are _permutation's draws from
+    _pcg64_words(seed), the pure-Python PCG64 that reproduces numpy's bit for
+    bit. The draws and the sum follow the order of
     ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``.
 
     A sample is the left-to-right sum, from 0.0, of the terms
@@ -297,12 +361,10 @@ def _halton_blocks(n: int, dim: int, seed: int, size: int):
     same additions of the same operands, in the same order, as digit by
     digit, so the bits are the same, whatever the block.
     """
-    rng = np.random.default_rng(seed)
+    words = _pcg64_words(seed)
     dims = []  # per dimension: b, the table of lo, the terms of hi, the constant terms
     for base in _primes(dim):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = np.array([_permutation(words, base) for _ in range(math.ceil(54 / math.log2(base)) - 1)])
         # terms[j, d] = perm_j[d] * w_j, the product the sum adds for digit d
         terms = np.empty(perms.shape)
         weight = 1.0 / base

@@ -621,9 +621,50 @@ _HALTON_SIZES = [
 ]
 
 
+#: seeds for the generator: small ones, every seed the registry draws by
+#: default, and the sizes where SeedSequence's entropy gains a 32-bit word,
+#: up to more words than its 4-word pool holds
+_GENERATOR_SEEDS = [0, 1, 11, 701, *range(0x5EED, 0x5EED + 15), 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 2**300]
+
+#: every base the sampler uses (the primes up to 37, for 12 dimensions), and
+#: a few larger ones
+_GENERATOR_BASES = [*verify._primes(12), 41, 101, 257]
+
+
 class TestHalton:
+    @pytest.mark.parametrize("base", _GENERATOR_BASES)
+    @pytest.mark.parametrize("seed", _GENERATOR_SEEDS, ids=hex)
+    def test_permutations_are_numpys(self, seed, base):
+        # as many shuffles of one array as the sampler draws for the base,
+        # from numpy's generator and from the pure-Python one
+        rng, words = np.random.default_rng(seed), verify._pcg64_words(seed)
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = np.arange(base)
+            rng.shuffle(perm)
+            assert verify._permutation(words, base) == perm.tolist()
+
+    def test_first_permutations_of_the_default_seed(self):
+        # pinned without numpy's generator or scipy, which NEP 19 lets change
+        # their streams between releases: the certificates depend on the
+        # pure-Python generator alone
+        words = verify._pcg64_words(verify.DEFAULT_SEED)
+        assert [next(words) for _ in range(4)] == [1367064316, 592399874, 2947692083, 4252922383]
+        assert [verify._permutation(words, base) for base in (5, 7, 11, 37)] == [
+            [3, 4, 0, 1, 2],
+            [1, 2, 0, 5, 3, 6, 4],
+            [3, 8, 4, 9, 6, 1, 5, 10, 2, 0, 7],
+            [1, 19, 17, 5, 18, 7, 27, 33, 12, 31, 10, 6, 3, 15, 9, 23, 13, 11, 20, 25, 35, 26, 0, 36, 2, 14, 24, 22,
+             30, 32, 4, 29, 8, 34, 21, 16, 28],
+        ]
+        # index 0 has every digit 0, so its sample sums the first entry of every permutation of every base
+        assert _halton(1, 12, verify.DEFAULT_SEED)[0].tolist() == [
+            0.7721284668423108, 0.6600285366450404, 0.1828831924914311, 0.6786889422379986, 0.9879373116447127,
+            0.9684079844645358, 0.7210899453784956, 0.8690432978770821, 0.03318844684323293, 0.10143403664818768,
+            0.3905484229131237, 0.7291589743891729,
+        ]
+
     @pytest.mark.parametrize("n,dim", _HALTON_SIZES)
-    @pytest.mark.parametrize("seed", [0x5EED, 0x5EED + 2, 701])
+    @pytest.mark.parametrize("seed", [0x5EED, 0x5EED + 2, 701, 2**200])
     def test_reproduces_scipy(self, dim, n, seed):
         qmc = pytest.importorskip("scipy.stats").qmc
         expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
@@ -643,10 +684,27 @@ class TestHalton:
         assert np.concatenate(blocks).tobytes() == _halton(n, dim, 701).tobytes()
 
     def test_cli_import_loads_no_scipy(self):
-        code = "import sys, hyplam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        # nor does `hyplam verify` load scipy or numpy.random: the sampler
+        # draws its permutations in pure Python
         env = dict(os.environ, PYTHONPATH=str(Path(hyplam.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        env.pop("HYPLAM_SEED", None)
+        out = subprocess.run([sys.executable, "-c", _SAMPLER_PROBE], env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        assert out.stdout.splitlines() == ["[]", "0 []"]
+
+
+#: in a fresh interpreter: the modules of scipy and numpy.random loaded after
+#: import hyplam.cli, then `hyplam verify --profile fast`'s exit code and
+#: those modules after it
+_SAMPLER_PROBE = """
+import contextlib, io, sys
+import hyplam.cli
+loaded = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")]
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    status = hyplam.cli.main(["verify", "--profile", "fast"])
+print(status, loaded())
+"""
 
 
 #: in a fresh interpreter: whether numpy is loaded after import hyplam, after
