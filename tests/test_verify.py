@@ -631,6 +631,20 @@ _GENERATOR_SEEDS = [0, 1, 11, 701, *range(0x5EED, 0x5EED + 15), 2**32 - 1, 2**32
 _GENERATOR_BASES = [*verify._primes(12), 41, 101, 257]
 
 
+#: in a fresh interpreter: the modules of scipy and numpy.random loaded after
+#: import hyplam.cli, then `hyplam verify --profile fast`'s exit code and
+#: those modules after it
+_SAMPLER_PROBE = """
+import contextlib, io, sys
+import hyplam.cli
+loaded = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")]
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    status = hyplam.cli.main(["verify", "--profile", "fast"])
+print(status, loaded())
+"""
+
+
 class TestHalton:
     @pytest.mark.parametrize("base", _GENERATOR_BASES)
     @pytest.mark.parametrize("seed", _GENERATOR_SEEDS, ids=hex)
@@ -691,20 +705,6 @@ class TestHalton:
         out = subprocess.run([sys.executable, "-c", _SAMPLER_PROBE], env=env, capture_output=True, text=True,
                              check=True, timeout=300)
         assert out.stdout.splitlines() == ["[]", "0 []"]
-
-
-#: in a fresh interpreter: the modules of scipy and numpy.random loaded after
-#: import hyplam.cli, then `hyplam verify --profile fast`'s exit code and
-#: those modules after it
-_SAMPLER_PROBE = """
-import contextlib, io, sys
-import hyplam.cli
-loaded = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")]
-print(loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    status = hyplam.cli.main(["verify", "--profile", "fast"])
-print(status, loaded())
-"""
 
 
 #: in a fresh interpreter: whether numpy is loaded after import hyplam, after
