@@ -53,7 +53,6 @@ from .qcbounds import (
 from .specfun import (
     ConvexityClass,
     GRange,
-    agm,
     arth,
     big_C_of_p,
     classify_convexity,

@@ -3,25 +3,27 @@ Groetzsch ring modulus mu, the distortion function phi_K, and the
 quasiconformal distance-distortion constant A(K).
 
 One numeric core serves scalar and array callers. `arth`, `arth_complement`,
-`rprime`, `agm`, `grotzsch_mu`, the lemma and `aux_*` functions, `mu_inverse`,
+`rprime`, `grotzsch_mu`, the lemma and `aux_*` functions, `mu_inverse`,
 `phi_K`, `distortion_A`, `distortion_bracket`, the elementwise `holder_mean`
-and the private kernels `_arth_cx` and `_mu_inverse_pair` also take ndarrays,
-row by row under the scalar rules: each formula is written once, over the
-table `_rows.ns` picks, and a bad row raises the scalar's DomainError. A
-scalar call neither loads nor touches numpy, and returns a Python float; a
-row warns only where its scalar call raises, and agrees with it to within
-the rounding of numpy's log1p, log, exp, arctanh and power against libm's (a
-few ulp; tests/test_array_core.py). AGM and series rows equal theirs bit for
-bit. `g_range` and `big_C_of_p` take scalars only.
+and the private kernels `_arth_cx`, `_mu_pair` and `_mu_inverse_pair` also
+take ndarrays, row by row under the scalar rules: each formula is written
+once, over the table `_rows.ns` picks, and a bad row raises the scalar's
+DomainError. A scalar call neither loads nor touches numpy, and returns a
+Python float; a row warns only where its scalar call raises, and agrees with
+it to within the rounding of numpy's log1p, log, exp, arctanh and power
+against libm's (a few ulp; tests/test_array_core.py). `rprime` and series
+rows equal theirs bit for bit. `g_range` and `big_C_of_p` take scalars only.
 
-mu is evaluated through the arithmetic-geometric mean. Its inverse is the
-closed form mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 in the Jacobi nome
-q = e^{-2y}, from the theta-function representation of mu (Anderson,
+mu and its inverse are closed forms in the Jacobi nome (Anderson,
 Vamanamurthy and Vuorinen, Conformal Invariants, Inequalities, and
-Quasiconformal Maps, 1997); below y = pi/2 the complementary nome
-e^{-pi^2/(2y)} is used through mu(r) mu(r') = pi^2/4, so that q <= e^{-pi}
-always. The complement r' is carried along as log r', which keeps phi_K and
-A(K) accurate where r rounds to 1. A(K) = 2 arth phi_K(th 1/2) takes
+Quasiconformal Maps, 1997), each used where its nome is at most e^{-pi},
+with mu(r) mu(r') = pi^2/4 on the other side. mu(r) = -log(q)/2 sums the
+nome series of Abramowitz and Stegun 17.3.21 for the smaller of r and r';
+mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 at q = e^{-2y} for y >= pi/2, and
+from the complementary nome e^{-pi^2/(2y)} below. The arithmetic-geometric
+mean, pi/2 agm(1, r')/agm(1, r), is mu's independent oracle in `verify`,
+and is not used here. The complement r' is carried along as log r', which
+keeps phi_K and A(K) accurate where r rounds to 1. A(K) = 2 arth phi_K(th 1/2) takes
 mu(th 1/2) from a module constant, computed once at import, so a call of
 A(K) evaluates mu^{-1} once and mu never; `_distortion_A` keeps its last
 float K and A(K), so consecutive calls at one K (a bound request's
@@ -109,23 +111,20 @@ def arth_complement(r):
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
     mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError.
-    It is ((r^p + s^p)/2)^(1/p), or sqrt(r s), where the mean of the powers
-    (the product) is a normal double and |p| >= 2^-20, and _far_power_mean
-    elsewhere, within 4 ulp of 50-digit mpmath (test_specfun_accuracy.py)."""
+    It is sqrt(r s) at p = 0 and _far_power_mean elsewhere, within 4 ulp of
+    50-digit mpmath for every p (test_specfun_accuracy.py)."""
     ns = _rows.rows() if _rows.is_rows(p) else _rows.ns(r, s)
     if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
     if ns is _rows.SCALAR:
-        return _geometric_mean(r, s) if p == 0.0 else _power_mean(p, r, s)
+        return _geometric_mean(r, s) if p == 0.0 else _far_power_mean(p, r, s)
     geometric = p == 0.0
     with ns.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as quiet as a scalar
-        return ns.where(geometric, _geometric_mean(r, s, ns), _power_mean(ns.where(geometric, 1.0, p), r, s, ns))
+        return ns.where(geometric, _geometric_mean(r, s, ns), _far_power_mean(ns.where(geometric, 1.0, p), r, s, ns))
 
 
-#: the smallest normal double: a mean of powers below it has lost digits
+#: the smallest normal double: a product r s below it has lost digits
 _NORMAL = 2.0**-1022
-#: below this |p| the plain power mean's error, about 2^-52 / |p| relative, passes 2^-32
-_P_PLAIN = 2.0**-20
 
 
 def _geometric_mean(r, s, ns=_rows.SCALAR):
@@ -133,16 +132,6 @@ def _geometric_mean(r, s, ns=_rows.SCALAR):
     rs = r * s
     far = (rs < _NORMAL) | (rs == math.inf)
     return ns.where(far, ns.sqrt(r) * ns.sqrt(s), ns.sqrt(rs)) if ns.any(far) else ns.sqrt(rs)
-
-
-def _power_mean(p, r, s, ns=_rows.SCALAR):
-    """((r^p + s^p)/2)^(1/p) for p != 0 by the power of ns where that mean of
-    the powers is a normal double and |p| >= 2^-20, else _far_power_mean."""
-    x = (ns.power(r, p) + ns.power(s, p)) / 2.0
-    plain = (_NORMAL <= x) & (x < math.inf) & (abs(p) >= _P_PLAIN)
-    if ns is _rows.SCALAR:
-        return ns.power(x, 1.0 / p) if plain else _far_power_mean(p, r, s)
-    return ns.power(x, 1.0 / p) if plain.all() else ns.where(plain, ns.power(x, 1.0 / p), _far_power_mean(p, r, s, ns))
 
 
 def _far_power_mean(p, r, s, ns=_rows.SCALAR):
@@ -484,47 +473,27 @@ def classify_convexity(p: float, q: float) -> ConvexityClass:
 # Groetzsch modulus and distortion
 
 
-def agm(a, b):
-    """Arithmetic-geometric mean of a, b > 0, and DomainError naming a or b
-    otherwise (on rows, the first bad row's value); 64-step cap.
-
-    It stops once |a - b| <= 2^-52 a, which an ulp of a always passes: a pair
-    that settles an ulp apart would otherwise cycle to the cap. On ndarrays a
-    row that has settled keeps its a and b while the others step on, so that
-    it equals its scalar call bit for bit (sqrt, like + and *, is correctly
-    rounded in numpy as in math).
-    """
-    _rows.require(0.0 < a, a, "agm", "a > 0")
-    _rows.require(0.0 < b, b, "agm", "b > 0")
-    ns = _rows.ns(a, b)
-    # every step's a and b lie between the first two, so a b overflows only if one passes 2^511
-    wide = ns.any(ns.fmax(a, b) >= 2.0**511)
-    if ns is _rows.SCALAR:  # SCALAR.errstate would raise AttributeError: inf - inf is quiet
-        return _agm(a, b, ns, wide)
-    # an infinite row reaches inf - inf, whose NaN stops it; a b overflows as on a scalar
-    with ns.errstate(invalid="ignore", over="ignore"):
-        return _agm(a, b, ns, wide)
-
-
-def _agm(a, b, ns=_rows.SCALAR, wide=False):
-    """agm for a and b already checked, or known positive. The geometric
-    step is sqrt(a b), or, if wide, sqrt(a) sqrt(b) where a b overflows (a and
-    b past ~1e154), so a call whose products are finite keeps its bits."""
-    for _ in range(64):
-        moving = abs(a - b) > 2.0**-52 * a
-        if not ns.any(moving):
-            break
-        g = ns.sqrt(a * b)
-        if wide:
-            g = ns.where(g == math.inf, ns.sqrt(a) * ns.sqrt(b), g)
-        a, b = ns.where(moving, 0.5 * (a + b), a), ns.where(moving, g, b)
-    return 0.5 * (a + b)
-
-
 def grotzsch_mu(r):
     """Conformal modulus of the plane Groetzsch ring; decreasing on (0,1)."""
     _check_open01(r, "grotzsch_mu")
-    return _HALF_PI * _agm(1.0, rprime(r), ns := _rows.ns(r)) / _agm(1.0, r, ns)
+    return _mu_pair(r, rprime(r), _rows.ns(r))
+
+
+def _mu_pair(r, rp, ns=_rows.SCALAR):
+    """mu(r) from r and r' = sqrt(1 - r^2), neither recomputed from the other.
+
+    For r <= r', mu(r) = -log(q)/2 with q the nome of the modulus r:
+    q = l + 2 l^5 + 15 l^9 + 150 l^13 + 1707 l^17 + ..., l = r^2/den and
+    den = 2 (1 + r')(1 + sqrt r')^2 (Abramowitz and Stegun 17.3.21), which
+    cannot cancel as r -> 0. log q is taken as 2 log r - log den + log1p(...),
+    so l never underflows; l <= 0.0432, so the next term is below 1e-22 of
+    the sum. For r > r', mu(r) = pi^2/(4 mu(r')).
+    """
+    a, b = ns.minimum(r, rp), ns.fmax(r, rp)
+    den = 2.0 * (1.0 + b) * (1.0 + ns.sqrt(b)) ** 2
+    t = (a * a / den) ** 4
+    m = -0.5 * (2.0 * ns.log(a) - ns.log(den) + ns.log1p(t * (2.0 + t * (15.0 + t * (150.0 + 1707.0 * t)))))
+    return ns.where(r <= rp, m, _PI2_4 / m)
 
 
 _HALF_PI = math.pi / 2.0

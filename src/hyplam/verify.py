@@ -943,22 +943,42 @@ def _t_hyperbolic_mean_bound(n: int, chk: _Checker):
 
 
 #: relative agreement of mu_inverse with the oracle, per unit of 1 + y: the
-#: oracle inherits mu's rounding, a few ulp of y, as a relative error of
+#: oracle inherits the AGM's rounding, a few ulp of y, as a relative error of
 #: about y ulp in r
 _MU_INVERSE_REL = 8.0 * 2.0**-52
+#: relative agreement of grotzsch_mu with the AGM oracle, each a few ulp off mu
+_MU_AGM_REL = 8.0 * 2.0**-52
+
+
+def _agm(a, b):
+    """The arithmetic-geometric mean of rows a, b in (0, 1], by the plain loop
+    that stops once |a - b| <= 2^-52 a, with a 64-step cap; a row that has
+    settled keeps its a and b while the others step on."""
+    for _ in range(64):
+        moving = np.abs(a - b) > 2.0**-52 * a
+        if not moving.any():
+            break
+        a, b = np.where(moving, 0.5 * (a + b), a), np.where(moving, np.sqrt(a * b), b)
+    return 0.5 * (a + b)
+
+
+def _agm_mu(rs: np.ndarray) -> np.ndarray:
+    """Oracle for mu: pi/2 agm(1, r')/agm(1, r) on rows r in (0, 1), with
+    r' = sqrt((1 - r)(1 + r)) (Anderson, Vamanamurthy and Vuorinen, 1997)."""
+    return math.pi / 2.0 * _agm(1.0, np.sqrt((1.0 - rs) * (1.0 + rs))) / _agm(1.0, rs)
 
 
 def _mu_inverse_bisect(ys: np.ndarray) -> np.ndarray:
-    """Oracle for mu^{-1}: bisection on the strictly decreasing mu, row by row,
-    until each midpoint is an end (adjacent doubles, or 0 and the smallest one).
-    A settled midpoint (maybe 1) stays whatever mu says, so mu is taken at 0.5."""
+    """Oracle for mu^{-1}: bisection on the strictly decreasing AGM mu, row by
+    row, until each midpoint is an end (adjacent doubles, or 0 and the smallest
+    one). A settled midpoint (maybe 1) stays whatever mu says, so mu is taken at 0.5."""
     lo, hi = np.zeros_like(ys), np.ones_like(ys)
     while True:
         mid = 0.5 * (lo + hi)
         settled = (mid == lo) | (mid == hi)
         if settled.all():
             return mid
-        above = grotzsch_mu(np.where(settled, 0.5, mid)) > ys
+        above = _agm_mu(np.where(settled, 0.5, mid)) > ys
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
 
 
@@ -966,8 +986,12 @@ def _mu_inverse_bisect(ys: np.ndarray) -> np.ndarray:
 def _t_mu_identities(n: int, chk: _Checker):
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
     xs = _grid01(n, 1e-3, 1.0 - 1e-3)
-    dev = np.abs(grotzsch_mu(xs) * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
+    mu = grotzsch_mu(xs)
+    dev = np.abs(mu * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
     chk.require_all(dev, 1e-10, xs[:, None])
+    # the closed form against the AGM, which shares no code with it
+    oracle = _agm_mu(xs)
+    chk.require_all(np.abs(mu - oracle) / oracle, _MU_AGM_REL, xs[:, None])
     chk.require_true(grotzsch_mu(0.1) > grotzsch_mu(0.9), ())
     rs = np.array([0.05, 0.4, 0.9])
     chk.require_all(np.abs(mu_inverse(grotzsch_mu(rs)) - rs), 1e-12, rs[:, None])

@@ -8,11 +8,11 @@ on a few percent of arguments, by one or two ulp, and each kernel takes one
 or two of them. Where a kernel amplifies that rounding, the allowance carries
 the factor: the exponent of a power of arth, arth r/(arth r - r) in the slope
 ratio's form from r = 0.6 on, and |h_0 - 1|/|h_0| in h_0's closed form from
-r = 0.5 on. The AGM and the series of the slope ratio and of h_p take only
-+, *, / and sqrt, which are correctly rounded in both, so `agm`,
-`grotzsch_mu`, `rprime`, the slope ratio below r = 0.6 and h_p below 0.5
-equal their scalar calls bit for bit. Accuracy against mpmath is tested in
-test_specfun_accuracy.py.
+r = 0.5 on. `rprime` and the series of the slope ratio and of h_p take only
++, *, / and sqrt, which are correctly rounded in both, so `rprime`, the slope
+ratio below r = 0.6 and h_p below 0.5 equal their scalar calls bit for bit,
+as do the rows of verify's AGM, the oracle of mu, and its one-row calls.
+Accuracy against mpmath is tested in test_specfun_accuracy.py.
 """
 
 import math
@@ -26,7 +26,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hyplam import _rows, geometry, lambert, qcbounds, specfun
+from hyplam import _rows, geometry, lambert, qcbounds, specfun, verify
 from hyplam.errors import DomainError, InconsistentQuadrilateralError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
@@ -198,16 +198,24 @@ def test_qc_threshold_rows(name):
     assert_rows_agree(f(LS), scalar_rows(f, LS))
 
 
-@pytest.mark.parametrize("name", ["rprime", "grotzsch_mu"])
+@pytest.mark.parametrize("name", ["rprime"])
 def test_agm_kernels_equal_their_scalar_calls(name):
     f = getattr(specfun, name)
     assert np.array_equal(f(RS), scalar_rows(f, RS))
 
 
+def test_grotzsch_mu_rows():
+    # the nome form takes numpy's log and log1p on rows
+    rs = np.concatenate([RS, np.geomspace(1e-300, 1e-3, 200), 1.0 - np.geomspace(1e-3, 1e-16, 200)])
+    assert_rows_agree(specfun.grotzsch_mu(rs), scalar_rows(specfun.grotzsch_mu, rs))
+
+
 def test_agm_rows_equal_their_scalar_calls():
+    # verify's AGM takes rows only: each equals its one-row call bit for bit
     b = np.concatenate([RS, np.geomspace(1e-12, 1.0 - 1e-6, 2000)])
-    assert np.array_equal(specfun.agm(1.0, b), np.array([specfun.agm(1.0, float(x)) for x in b]))
-    assert np.array_equal(specfun.agm(b, 1.0), np.array([specfun.agm(float(x), 1.0) for x in b]))
+    one_row = lambda f: np.array([f(np.array([x]))[0] for x in b])
+    assert np.array_equal(verify._agm(1.0, b), one_row(lambda x: verify._agm(1.0, x)))
+    assert np.array_equal(verify._agm(b, 1.0), one_row(lambda x: verify._agm(x, 1.0)))
 
 
 #: y on both sides of pi/2, where mu^{-1} switches to the complementary nome,
@@ -288,7 +296,7 @@ def test_array_kernels_run_without_the_numpy2_aliases(monkeypatch):
     [
         lambda: specfun._arth_cx(0.7, 0.6, 0.8),
         lambda: specfun.rprime(0.3),
-        lambda: specfun.agm(1.0, 0.3),
+        lambda: specfun.grotzsch_mu(0.9),
         lambda: specfun.grotzsch_mu(0.3),
         lambda: specfun.lemma_f_c(0.7, 0.3),
         lambda: specfun.lemma_F_c(0.7, 0.3),
@@ -497,7 +505,6 @@ _ROW_FUNCTIONS = {
     "arth": (specfun.arth, (0.3,)),
     "arth_complement": (specfun.arth_complement, (0.3,)),
     "rprime": (specfun.rprime, (0.3,)),
-    "agm": (specfun.agm, (0.3, 0.7)),
     "holder_mean": (specfun.holder_mean, (0.5, 0.3, 0.7)),
     # large finite exponents, where Python's ** raised OverflowError
     "holder_mean_large": (specfun.holder_mean, (400.0, 1e300, 0.7)),

@@ -2,10 +2,12 @@
 the oracles that check them.
 
 `optimize` and `verify` hold the registry's oracles (grid-and-golden search,
-and verify's bracket search for the geodesic distance). The closed-form modules import neither, and they have one root
-solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel
-and one AGM, and the CLI evaluates no formula of its own. Every private
-module-level name is used somewhere in the package.
+verify's bracket search for the geodesic distance, and verify's AGM, the
+oracle of mu). The closed-form modules import neither, and they have one root
+solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel;
+specfun takes mu from the nome and defines no AGM, and the CLI evaluates no
+formula of its own. Every private module-level name is used somewhere in the
+package.
 """
 
 import ast
@@ -66,6 +68,22 @@ def test_the_distance_oracle_uses_no_closed_form():
     assert not used & {"geodesic_distance", "_ends_distance", "_ends_of"}
 
 
+#: verify's oracles of mu and mu^{-1}: the AGM and the bisection on its mu
+MU_ORACLE = ("_agm", "_agm_mu", "_mu_inverse_bisect")
+
+
+def test_the_mu_oracle_uses_no_closed_form():
+    tree = _tree("verify")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(MU_ORACLE) <= set(defs)
+    used = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for name in MU_ORACLE
+        for node in ast.walk(defs[name])
+    }
+    assert not used & {"grotzsch_mu", "_mu_pair", "mu_inverse", "_mu_inverse_pair", "_nome_moduli", "rprime"}
+
+
 def _defined_in(name: str) -> list[str]:
     """The package modules that define a function `name`."""
     return [
@@ -81,10 +99,14 @@ def test_one_itp():
     assert qcbounds._itp is specfun._itp
 
 
-@pytest.mark.parametrize("name", ["_arth_cx", "agm", "_agm"])
+#: the modules that define each kernel: scalars and ndarrays share one
+#: arth(c x); specfun defines no AGM, and verify's, the oracle of mu, is the one
+KERNEL_HOMES = {"_arth_cx": ["specfun"], "agm": [], "_agm": ["verify"]}
+
+
+@pytest.mark.parametrize("name", KERNEL_HOMES)
 def test_one_kernel(name):
-    # scalars and ndarrays share one arth(c x) and one AGM
-    assert _defined_in(name) == ["specfun"]
+    assert _defined_in(name) == KERNEL_HOMES[name]
 
 
 def test_cli_evaluates_no_formula():

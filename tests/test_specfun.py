@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hyplam import (
     ConvexityClass,
     DomainError,
-    agm,
     arth,
     big_C_of_p,
     classify_convexity,
@@ -28,7 +27,7 @@ from hyplam import (
     rprime,
     threshold_C,
 )
-from hyplam import specfun
+from hyplam import specfun, verify
 from hyplam.specfun import SQRT2_2, arth_complement, aux_g_le2, aux_h, aux_h1, aux_h_p, aux_slope_ratio
 
 unit_open = st.floats(1e-3, 1.0 - 1e-3)
@@ -66,9 +65,10 @@ class TestBasics:
             holder_mean(p, r, np.array([0.7, 0.0, 0.9]))
 
     def test_agm_between_inputs(self):
-        v = agm(1.0, 0.25)
-        assert 0.25 < v < 1.0
-        assert agm(2.0, 2.0) == 2.0
+        # the AGM is mu's oracle, on rows only
+        v = verify._agm(np.array([1.0, 0.5]), np.array([0.25, 0.5]))
+        assert 0.25 < v[0] < 1.0
+        assert v[1] == 0.5
 
 
 class TestLemmaFunctions:
@@ -280,12 +280,13 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("r", [1e-12, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-12])
     def test_agm_settles_in_a_few_steps(self, monkeypatch, r):
-        # one sqrt per AGM step; a stop rule below an ulp let pairs that settle
-        # an ulp apart cycle to the 64-step cap
+        # one sqrt per step of mu's AGM oracle; a stop rule below an ulp let
+        # pairs that settle an ulp apart cycle to the 64-step cap
         steps = []
-        sqrt = math.sqrt
-        monkeypatch.setattr(math, "sqrt", lambda x: steps.append(x) or sqrt(x))
-        value = agm(1.0, r)
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: steps.append(x) or sqrt(x))
+        value = verify._agm(1.0, np.array([r]))[0]
         assert len(steps) <= 8
         monkeypatch.undo()
-        assert value == agm(1.0, np.array([r]))[0]
+        # a row that has settled keeps its bits while a slower one steps on
+        assert value == verify._agm(1.0, np.array([r, 1e-300]))[0]

@@ -1,7 +1,7 @@
-"""Relative accuracy of the Hersch-Pfluger layer, of arth(c x), of C(p), of
-the slope ratio, of g_{p<=2}, of h_p, of the AGM and of the power mean
-where a power leaves the doubles against mpmath at 50 digits (C(p) and the
-slope ratio at 60).
+"""Relative accuracy of the Hersch-Pfluger layer, of mu, of arth(c x), of
+C(p), of the slope ratio, of g_{p<=2}, of h_p and of the power mean against
+mpmath at 50 digits (C(p) and the slope ratio at 60; mu at the digits that
+keep 1 - r^2), and of the AGM, verify's oracle of mu, against the plain loop.
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -19,10 +19,11 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hyplam import big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
+from hyplam import _rows, big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
+from hyplam import specfun, verify
 from hyplam.lambert import ideal_quad, side_distances
 from hyplam.qcbounds import T_of
-from hyplam.specfun import _arth_cx, _mu_inverse_pair, agm, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio, holder_mean
+from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio, holder_mean
 
 mp = pytest.importorskip("mpmath")
 
@@ -176,13 +177,64 @@ def test_lemma_rows(c):
         assert rel(got_F, a * b) <= 4.0 * EPS and rel(got_G, a + b) <= 4.0 * EPS
 
 
+def ref_mu_of(r):
+    """mu(r) for a double r in (0, 1), at the digits that keep 1 - r^2."""
+    with mp.workdps(50 + max(0, round(-2.0 * math.log10(r)))):
+        R = mp.mpf(r)
+        return ref_mu(R, mp.sqrt((1 - R) * (1 + R)))
+
+
 def test_grotzsch_mu_rows():
     rs = [1e-300, 1e-8, 1e-3, 0.3, math.sqrt(0.5), 0.9, 1 - 1e-8, math.nextafter(1.0, 0.0)]
     for r, got in zip(rs, grotzsch_mu(np.array(rs))):
-        with mp.workdps(650):  # 1 - r^2 keeps the digits of r = 1e-300
-            R = mp.mpf(r)
-            ref = ref_mu(R, mp.sqrt(1 - R * R))
-        assert rel(got, ref) <= 8.0 * EPS
+        assert rel(got, ref_mu_of(r)) <= 4.0 * EPS
+
+
+#: r log-spaced from 1e-300 to 1/2 and 1 - r from 1/2 to 1e-16, 1/sqrt2 on
+#: either side, and the edges of the doubles, 5e-324 and 1 - 2^-53
+MU_RS = [
+    *np.geomspace(1e-300, 0.5, 61).tolist(),
+    *(1.0 - np.geomspace(0.5, 1e-16, 40)).tolist(),
+    0.7071067811865475,
+    0.7071067811865476,
+    5e-324,
+    1.0 - 2.0**-53,
+]
+
+
+def test_grotzsch_mu_scalar_and_rows():
+    # the nome form: 2.15 ulp was the worst seen over 1 100 r, the AGM's 3.16
+    for r, row in zip(MU_RS, grotzsch_mu(np.array(MU_RS))):
+        ref = ref_mu_of(r)
+        assert rel(grotzsch_mu(r), ref) <= 4.0 * EPS and rel(row, ref) <= 4.0 * EPS, r
+
+
+def _mu_pair_without_2_lambda4(r, rp, ns=_rows.SCALAR):
+    """specfun._mu_pair with the term 2 l^5 of the nome left out."""
+    a, b = ns.minimum(r, rp), ns.fmax(r, rp)
+    den = 2.0 * (1.0 + b) * (1.0 + ns.sqrt(b)) ** 2
+    t = (a * a / den) ** 4
+    m = -0.5 * (2.0 * ns.log(a) - ns.log(den) + ns.log1p(t * t * (15.0 + t * (150.0 + 1707.0 * t))))
+    return ns.where(r <= rp, m, math.pi**2 / (4.0 * m))
+
+
+def test_dropping_the_2_lambda4_term_fails_the_agm_sub_check(monkeypatch):
+    # mu-identities' sub-check of mu against verify's AGM, whose allowance is
+    # _MU_AGM_REL, passes as mu is and fails without the term
+    slack = []
+    require_all = verify._Checker.require_all
+
+    def recorded(chk, deviations, allowances, witnesses):
+        if allowances is verify._MU_AGM_REL:
+            slack.append(float(np.min(allowances - deviations)))
+        require_all(chk, deviations, allowances, witnesses)
+
+    monkeypatch.setattr(verify._Checker, "require_all", recorded)
+    spec = verify.SweepSpec("mu-identities", 1000)
+    assert verify.run_sweep(spec).passed and slack[-1] > 0.0
+    monkeypatch.setattr(specfun, "_mu_pair", _mu_pair_without_2_lambda4)
+    assert not verify.run_sweep(spec).passed and slack[-1] < -1e9 * EPS
+    assert len(slack) == 2
 
 
 @pytest.mark.parametrize("r", [1e-80, 0.5, 0.999, 1 - 1e-6, 1 - 1e-8])
@@ -299,16 +351,9 @@ def _scalar_and_row(f, *args):
     return f(*args), float(f(*(np.array([a]) for a in args))[0])
 
 
-@pytest.mark.parametrize("a, b", [(1e300, 0.3), (0.3, 1e300), (1e300, 1e-300), (1.7e308, 1e200), (1e155, 1e154)])
-def test_agm_where_a_product_overflows(a, b):
-    # the geometric step's a b passed the doubles and gave inf (1e300, 0.3)
-    ref = mp.agm(a, b)
-    for got in _scalar_and_row(agm, a, b):
-        assert rel(got, ref) <= 4 * EPS, got
-
-
 def test_agm_keeps_its_bits_where_the_products_are_finite():
-    # the plain sqrt(a b) step, as the certificates' mu was computed with
+    # verify's AGM, the oracle of mu, takes rows only; each row is the plain
+    # sqrt(a b) loop on its scalars, bit for bit
     def plain(a, b):
         for _ in range(64):
             if not abs(a - b) > 2.0**-52 * a:
@@ -317,10 +362,10 @@ def test_agm_keeps_its_bits_where_the_products_are_finite():
         return 0.5 * (a + b)
 
     rng = np.random.default_rng(41)
-    a, b = 10.0 ** rng.uniform(-150.0, 150.0, (2, 2000))
-    rows = agm(a, b)
+    a, b = 10.0 ** rng.uniform(-150.0, 0.0, (2, 2000))
+    rows = verify._agm(a, b)
     for x, y, row in zip(a.tolist(), b.tolist(), rows.tolist()):
-        assert agm(x, y) == plain(x, y) == row
+        assert plain(x, y) == row
 
 
 def ref_holder(p, r, s):
@@ -407,13 +452,19 @@ def test_holder_mean_seeded_where_the_plain_form_fails():
         assert rel(holder_mean(*args), ref) <= 4 * EPS and rel(row, ref) <= 4 * EPS, args
 
 
-def test_holder_mean_keeps_the_plain_form_where_it_holds():
-    # the certificates' bits: ((r^p + s^p)/2)^(1/p) where the mean of the
-    # powers is a normal double and |p| >= 2^-20
-    rng = np.random.default_rng(44)
-    p = rng.uniform(-3.0, 3.0, 3000)
-    r, s = rng.uniform(1e-3, 50.0, (2, 3000))
+def test_holder_mean_seeded_over_every_order():
+    # |p| from 2^-1074 to 2^-20 and from there to 1e3, with arguments from
+    # 1e-300 to 1e300 and from 1e-3 to 1e2: the plain form ((r^p + s^p)/2)^(1/p),
+    # which holder_mean took where the mean of the powers was a normal double
+    # and |p| >= 2^-20, was 9.7e4 ulp off at (-2.33e-6, 0.912, 0.0152)
+    rng = np.random.default_rng(45)
+    n = 600
+    even = np.arange(n) % 2 == 0
+    exponent = np.where(even, rng.uniform(-1074.0, -20.0, n), rng.uniform(-20.0, math.log2(1e3), n))
+    p = rng.choice([-1.0, 1.0], n) * 2.0**exponent
+    r, s = 10.0 ** np.where(even, rng.uniform(-300.0, 300.0, (2, n)), rng.uniform(-3.0, 2.0, (2, n)))
+    p, r, s = (np.append(v, x) for v, x in zip((p, r, s), (-2.33e-6, 0.912, 0.0152)))
     rows = holder_mean(p, r, s)
-    for q, x, y, row in zip(p.tolist(), r.tolist(), s.tolist(), rows.tolist()):
-        assert holder_mean(q, x, y) == ((x**q + y**q) / 2.0) ** (1.0 / q)
-        assert row == np.power((np.power(x, q) + np.power(y, q)) / 2.0, 1.0 / q)
+    for args, row in zip(zip(p.tolist(), r.tolist(), s.tolist()), rows.tolist()):
+        ref = ref_holder(*args)
+        assert rel(holder_mean(*args), ref) <= 4 * EPS and rel(row, ref) <= 4 * EPS, args

@@ -106,7 +106,7 @@ class TestBuildersValidateOnce:
     #: the public functions that check or dispatch again, which the builders no longer call
     REFUSED = {
         lambert: ("side_distances", "product_root"),
-        specfun: ("arth", "g_range", "lemma_G_c", "agm"),
+        specfun: ("arth", "g_range", "lemma_G_c"),
         qcbounds: ("r_L_of", "M_L_of", "product_root", "lemma_f_c"),
     }
 
@@ -204,28 +204,6 @@ class TestQcDomain:
         assert qcbounds.r_L_of(0.9) < r < 1.0
         assert qcbounds.T_of(r, 0.9, 5.0) == qcbounds._T(r, specfun.rprime(r), 0.9, 5.0)
         assert qcbounds.T_of(0.0, 0.9, 2.0) == 0.0 and qcbounds.T_of(1.0, 0.9, 2.0) == 0.0
-
-
-class TestAgmDomain:
-    @pytest.mark.parametrize("a,b,named", [
-        (-1.0, 1.0, "a"), (math.nan, 1.0, "a"), (0.0, 1.0, "a"),
-        (1.0, -2.0, "b"), (1.0, math.nan, "b"), (1.0, 0.0, "b"),
-    ])
-    def test_scalars(self, a, b, named):
-        with pytest.raises(DomainError, match=rf"agm needs {named} > 0"):
-            specfun.agm(a, b)
-
-    def test_rows_name_the_first_bad_row(self):
-        with pytest.raises(DomainError, match=r"agm needs a > 0, got -1.0"):
-            specfun.agm(np.array([1.0, -1.0, -2.0]), 1.0)
-        with pytest.raises(DomainError, match=r"agm needs b > 0, got 0.0"):
-            specfun.agm(1.0, np.array([0.5, 0.0, math.nan]))
-
-    def test_grotzsch_mu_skips_the_check(self, monkeypatch):
-        r = np.linspace(0.01, 0.99, 9)
-        expected = specfun.grotzsch_mu(r)
-        _poison(monkeypatch, specfun, "agm")
-        assert specfun.grotzsch_mu(r).tobytes() == expected.tobytes()
 
 
 class TestDiskAutomorphismDomain:

@@ -583,7 +583,7 @@ SUB_CHECKS = {
     "gpq-monotonicity": (9, 9),
     "arth-mean-extremum": (11, 11),
     "arth-convexity-region": (18, 18),
-    "mu-identities": (1214, 1214),
+    "mu-identities": (2214, 2214),
     "distortion-bracket": (35, 35),
     "product-sharpness": (30, 30),
     "sum-cases": (13, 13),
