@@ -144,13 +144,14 @@ def _far_power_mean(p, r, s, ns=_rows.SCALAR):
     first = r >= s
     hi, lo = ns.where(first, r, s), ns.where(first, s, r)
     ratio = hi / lo
-    d = 0.5 * ns.where(ratio < math.inf, ns.log(ratio), ns.log(hi) - ns.log(lo))
+    d = 0.5 * ns.log(ratio)
+    if ns.any(ratio == math.inf):  # lo is subnormal, or hi/lo passes the doubles
+        d = ns.where(ratio < math.inf, d, 0.5 * (ns.log(hi) - ns.log(lo)))
     y = abs(p) * d
     near = y <= 1.0
     c = ns.minimum(y, 1.0)
-    e_near = ns.where(near, ns.log1p(-ns.expm1(c) * ns.expm1(-c) / 2.0) / p, 0.0)
-    e_far = ns.where(near, 0.0, (ns.log1p(ns.exp(-2.0 * y)) - math.log(2.0)) / p)
-    return ns.where(near, _geometric_mean(r, s, ns) * ns.exp(e_near), ns.where(p > 0.0, hi, lo) * ns.exp(e_far))
+    log_cosh = ns.where(near, ns.log1p(-ns.expm1(c) * ns.expm1(-c) / 2.0), ns.log1p(ns.exp(-2.0 * y)) - math.log(2.0))
+    return ns.where(near, _geometric_mean(r, s, ns), ns.where(p > 0.0, hi, lo)) * ns.exp(log_cosh / p)
 
 
 # ---------------------------------------------------------------------------

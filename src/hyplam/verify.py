@@ -990,8 +990,8 @@ def _t_mu_identities(n: int, chk: _Checker):
     dev = np.abs(mu * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
     chk.require_all(dev, 1e-10, xs[:, None])
     # the closed form against the AGM, which shares no code with it
-    oracle = _agm_mu(xs)
-    chk.require_all(np.abs(mu - oracle) / oracle, _MU_AGM_REL, xs[:, None])
+    agm_mu = _agm_mu(xs)
+    chk.require_all(np.abs(mu - agm_mu) / agm_mu, _MU_AGM_REL, xs[:, None])
     chk.require_true(grotzsch_mu(0.1) > grotzsch_mu(0.9), ())
     rs = np.array([0.05, 0.4, 0.9])
     chk.require_all(np.abs(mu_inverse(grotzsch_mu(rs)) - rs), 1e-12, rs[:, None])

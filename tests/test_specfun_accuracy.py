@@ -203,7 +203,7 @@ MU_RS = [
 
 
 def test_grotzsch_mu_scalar_and_rows():
-    # the nome form: 2.15 ulp was the worst seen over 1 100 r, the AGM's 3.16
+    # the nome form: 1.72 units of 2^-52 was the worst seen over 2 704 r, the AGM form's 1.97
     for r, row in zip(MU_RS, grotzsch_mu(np.array(MU_RS))):
         ref = ref_mu_of(r)
         assert rel(grotzsch_mu(r), ref) <= 4.0 * EPS and rel(row, ref) <= 4.0 * EPS, r
