@@ -35,10 +35,9 @@ from hyplam import (
     sum_bounds,
     threshold_C,
 )
-from hyplam.optimize import golden_max, golden_min
+from hyplam.optimize import _distance_rows, golden_max, golden_min
 from hyplam.qcbounds import M1
 from hyplam.specfun import arth_complement, big_C_of_p, holder_mean, rprime
-from hyplam.verify import _distance_rows
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 ARTH_SQRT2_2 = math.atanh(SQRT2_2)
@@ -170,7 +169,7 @@ def test_conformal_limit_recovers_sharp_bounds():
 
 
 def test_distance_oracle_agrees_with_closed_forms():
-    # verify's search oracle: the public geodesic_distance is itself a closed form
+    # optimize's search oracle: the public geodesic_distance is itself a closed form
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     worst = 0.0

@@ -11,7 +11,7 @@ ratio's form from r = 0.6 on, and |h_0 - 1|/|h_0| in h_0's closed form from
 r = 0.5 on. `rprime` and the series of the slope ratio and of h_p take only
 +, *, / and sqrt, which are correctly rounded in both, so `rprime`, the slope
 ratio below r = 0.6 and h_p below 0.5 equal their scalar calls bit for bit,
-as do the rows of verify's AGM, the oracle of mu, and its one-row calls.
+as do the rows of optimize's AGM, the oracle of mu, and its one-row calls.
 Accuracy against mpmath is tested in test_specfun_accuracy.py.
 """
 
@@ -26,7 +26,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hyplam import _rows, geometry, lambert, qcbounds, specfun, verify
+from hyplam import _rows, geometry, lambert, optimize, qcbounds, specfun
 from hyplam.errors import DomainError, InconsistentQuadrilateralError
 from hyplam.lambert import SUM_CASE1_MAX, SUM_CASE3_MIN
 from hyplam.qcbounds import TH1
@@ -211,11 +211,11 @@ def test_grotzsch_mu_rows():
 
 
 def test_agm_rows_equal_their_scalar_calls():
-    # verify's AGM takes rows only: each equals its one-row call bit for bit
+    # optimize's AGM takes rows only: each equals its one-row call bit for bit
     b = np.concatenate([RS, np.geomspace(1e-12, 1.0 - 1e-6, 2000)])
     one_row = lambda f: np.array([f(np.array([x]))[0] for x in b])
-    assert np.array_equal(verify._agm(1.0, b), one_row(lambda x: verify._agm(1.0, x)))
-    assert np.array_equal(verify._agm(b, 1.0), one_row(lambda x: verify._agm(x, 1.0)))
+    assert np.array_equal(optimize._agm(1.0, b), one_row(lambda x: optimize._agm(1.0, x)))
+    assert np.array_equal(optimize._agm(b, 1.0), one_row(lambda x: optimize._agm(x, 1.0)))
 
 
 #: y on both sides of pi/2, where mu^{-1} switches to the complementary nome,

@@ -31,8 +31,9 @@ from hyplam import (
     rho_halfplane,
     rho_via_crossratio,
 )
-from hyplam import _rows, geometry, verify
-from hyplam.verify import DEFAULT_SEED, _distance_rows, _halton
+from hyplam import _rows, geometry, optimize
+from hyplam.optimize import _distance_rows
+from hyplam.verify import DEFAULT_SEED, _halton
 
 EPS = 2.0**-52
 #: a point 16 ulp outside the circle, which snaps onto it
@@ -581,7 +582,7 @@ class TestGeodesics:
 
     def test_points_stay_in_disk(self):
         g = geodesic_through(0.3 + 0.1j, -0.2 + 0.5j)
-        re, im, one_minus_sq = verify._on_geodesics(verify._ends_form([g]), np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
+        re, im, one_minus_sq = optimize._on_geodesics(optimize._ends_form([g]), np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
         assert np.all(re * re + im * im < 1.0) and np.all(one_minus_sq > 0.0)
 
     def test_sample_points_on_the_carrier(self):
@@ -596,7 +597,7 @@ class TestGeodesics:
         gs = [geodesic_through(cmath.exp(1j * a), cmath.exp(1j * b)) for a, b in ends]
         gs.append(geodesic_through(-0.3 - 0.4j, 0.6 + 0.8j))
         assert {is_diameter(g) for g in gs} == {False, True}
-        re, im, one_minus_sq = verify._on_geodesics(verify._ends_form(gs), np.tile([[0.0], [0.5], [1.0]], (1, len(gs))))
+        re, im, one_minus_sq = optimize._on_geodesics(optimize._ends_form(gs), np.tile([[0.0], [0.5], [1.0]], (1, len(gs))))
         assert np.all(one_minus_sq > 0.0)
         with mp.workdps(50):
             for g, re_row, im_row in zip(gs, re.T.tolist(), im.T.tolist()):

@@ -1,13 +1,16 @@
 """The import layering of the package: the closed forms share no code with
 the oracles that check them.
 
-`optimize` and `verify` hold the registry's oracles (grid-and-golden search,
-verify's bracket search for the geodesic distance, and verify's AGM, the
-oracle of mu). The closed-form modules import neither, and they have one root
-solver, `specfun._itp`. Scalar and array callers share one arth(c x) kernel;
-specfun takes mu from the nome and defines no AGM, and the CLI evaluates no
-formula of its own. Every private module-level name is used somewhere in the
-package.
+`optimize` holds every oracle of the registry (grid-and-golden search, the
+bracket search for the geodesic distance, the AGM that checks mu, the
+bisection that checks mu^{-1}, and the side distances of the Lambert sweeps).
+One import rule keeps them apart, so that a new oracle is guarded as soon as
+it is written there: `optimize` imports no package module but `_rows`, and
+no closed-form module imports `optimize` or `verify`. The closed forms have
+one root solver, `specfun._itp`. Scalar and array callers share one arth(c x)
+kernel; specfun takes mu from the nome and defines no AGM, and the CLI
+evaluates no formula of its own. Every private module-level name is used
+somewhere in the package.
 """
 
 import ast
@@ -42,46 +45,17 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["specfun", "geometry", "lambert", "qcbounds"])
+def test_optimize_imports_only_rows():
+    # an oracle that called a closed form would have to import its module:
+    # relatively, or by the package's name, which optimize never spells
+    assert _package_imports("optimize") == {"_rows"} and "hyplam" not in _imports("optimize")
+
+
+@pytest.mark.parametrize("module", ["specfun", "geometry", "lambert", "qcbounds", "_sweep", "cli"])
 def test_closed_forms_import_no_oracle(module):
-    assert not _package_imports(module) & {"optimize", "verify"}
-
-
-def test_optimize_imports_only_errors():
-    # since bisect_root left for the tests, not even errors
-    assert _package_imports("optimize") == set()
-
-
-#: verify's geodesic-distance oracle, the search that geodesic_distance's closed form is checked against
-ORACLE = ("_bracket_min", "_ends_form", "_clamped", "_on_geodesics", "_least_over_g2", "_distance_rows")
-
-
-def test_the_distance_oracle_uses_no_closed_form():
-    tree = _tree("verify")
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert set(ORACLE) <= set(defs)
-    used = {
-        getattr(node, "id", getattr(node, "attr", None))
-        for name in ORACLE
-        for node in ast.walk(defs[name])
-    }
-    assert not used & {"geodesic_distance", "_ends_distance", "_ends_of"}
-
-
-#: verify's oracles of mu and mu^{-1}: the AGM and the bisection on its mu
-MU_ORACLE = ("_agm", "_agm_mu", "_mu_inverse_bisect")
-
-
-def test_the_mu_oracle_uses_no_closed_form():
-    tree = _tree("verify")
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert set(MU_ORACLE) <= set(defs)
-    used = {
-        getattr(node, "id", getattr(node, "attr", None))
-        for name in MU_ORACLE
-        for node in ast.walk(defs[name])
-    }
-    assert not used & {"grotzsch_mu", "_mu_pair", "mu_inverse", "_mu_inverse_pair", "_nome_moduli", "rprime"}
+    # the CLI's verify subcommand runs the registry, so the CLI alone may load
+    # verify (and through it the oracles), never optimize itself
+    assert _package_imports(module) & {"optimize", "verify"} <= ({"verify"} if module == "cli" else set())
 
 
 def _defined_in(name: str) -> list[str]:
@@ -100,8 +74,8 @@ def test_one_itp():
 
 
 #: the modules that define each kernel: scalars and ndarrays share one
-#: arth(c x); specfun defines no AGM, and verify's, the oracle of mu, is the one
-KERNEL_HOMES = {"_arth_cx": ["specfun"], "agm": [], "_agm": ["verify"]}
+#: arth(c x); specfun defines no AGM, and optimize's, the oracle of mu, is the one
+KERNEL_HOMES = {"_arth_cx": ["specfun"], "agm": [], "_agm": ["optimize"]}
 
 
 @pytest.mark.parametrize("name", KERNEL_HOMES)

@@ -1,5 +1,7 @@
 import pytest
 
+pytest.importorskip("numpy")  # optimize holds the registry's row oracles, and loads it
+
 from hyplam.optimize import golden_max, golden_min
 
 

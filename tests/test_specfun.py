@@ -27,7 +27,7 @@ from hyplam import (
     rprime,
     threshold_C,
 )
-from hyplam import specfun, verify
+from hyplam import optimize, specfun
 from hyplam.specfun import SQRT2_2, arth_complement, aux_g_le2, aux_h, aux_h1, aux_h_p, aux_slope_ratio
 
 unit_open = st.floats(1e-3, 1.0 - 1e-3)
@@ -66,7 +66,7 @@ class TestBasics:
 
     def test_agm_between_inputs(self):
         # the AGM is mu's oracle, on rows only
-        v = verify._agm(np.array([1.0, 0.5]), np.array([0.25, 0.5]))
+        v = optimize._agm(np.array([1.0, 0.5]), np.array([0.25, 0.5]))
         assert 0.25 < v[0] < 1.0
         assert v[1] == 0.5
 
@@ -285,8 +285,8 @@ class TestCallCounts:
         steps = []
         sqrt = np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda x: steps.append(x) or sqrt(x))
-        value = verify._agm(1.0, np.array([r]))[0]
+        value = optimize._agm(1.0, np.array([r]))[0]
         assert len(steps) <= 8
         monkeypatch.undo()
         # a row that has settled keeps its bits while a slower one steps on
-        assert value == verify._agm(1.0, np.array([r, 1e-300]))[0]
+        assert value == optimize._agm(1.0, np.array([r, 1e-300]))[0]

@@ -1,7 +1,7 @@
 """Relative accuracy of the Hersch-Pfluger layer, of mu, of arth(c x), of
 C(p), of the slope ratio, of g_{p<=2}, of h_p and of the power mean against
 mpmath at 50 digits (C(p) and the slope ratio at 60; mu at the digits that
-keep 1 - r^2), and of the AGM, verify's oracle of mu, against the plain loop.
+keep 1 - r^2), and of the AGM, optimize's oracle of mu, against the plain loop.
 
 The reference mu^{-1}(y) is mpmath's modulus of a nome (``mpmath.kfrom``), of
 e^{-2y} for y >= pi/2 and of the complementary nome e^{-pi^2/(2y)} below, the
@@ -20,7 +20,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from hyplam import _rows, big_C_of_p, distortion_A, g_range, grotzsch_mu, lemma_F_c, lemma_G_c, mu_inverse, phi_K
-from hyplam import specfun, verify
+from hyplam import optimize, specfun, verify
 from hyplam.lambert import ideal_quad, side_distances
 from hyplam.qcbounds import T_of
 from hyplam.specfun import _arth_cx, _mu_inverse_pair, aux_g_le2, aux_g_pq, aux_h_p, aux_slope_ratio, holder_mean
@@ -219,7 +219,7 @@ def _mu_pair_without_2_lambda4(r, rp, ns=_rows.SCALAR):
 
 
 def test_dropping_the_2_lambda4_term_fails_the_agm_sub_check(monkeypatch):
-    # mu-identities' sub-check of mu against verify's AGM, whose allowance is
+    # mu-identities' sub-check of mu against optimize's AGM, whose allowance is
     # _MU_AGM_REL, passes as mu is and fails without the term
     slack = []
     require_all = verify._Checker.require_all
@@ -352,7 +352,7 @@ def _scalar_and_row(f, *args):
 
 
 def test_agm_keeps_its_bits_where_the_products_are_finite():
-    # verify's AGM, the oracle of mu, takes rows only; each row is the plain
+    # optimize's AGM, the oracle of mu, takes rows only; each row is the plain
     # sqrt(a b) loop on its scalars, bit for bit
     def plain(a, b):
         for _ in range(64):
@@ -363,7 +363,7 @@ def test_agm_keeps_its_bits_where_the_products_are_finite():
 
     rng = np.random.default_rng(41)
     a, b = 10.0 ** rng.uniform(-150.0, 0.0, (2, 2000))
-    rows = verify._agm(a, b)
+    rows = optimize._agm(a, b)
     for x, y, row in zip(a.tolist(), b.tolist(), rows.tolist()):
         assert plain(x, y) == row
 

@@ -14,7 +14,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 import hyplam
-from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, geometry, lambert, qcbounds, run_sweep, verify
+from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, geometry, lambert, optimize, qcbounds, run_sweep, verify
 from hyplam.cli import main
 from hyplam.verify import _halton, run_all
 
@@ -372,7 +372,7 @@ def _h(a, b, u):
 
 
 class TestDistanceOracleInnerMinimum:
-    """verify._least_over_g2 against the functions it minimises. A row whose
+    """optimize._least_over_g2 against the functions it minimises. A row whose
     A u + B nearly cancels at the minimum carries evaluation noise of a few
     ulp of H = (|A| u + |B|)^2 / (u (1 - u)), the value h would take without
     cancellation, so the bounds are in ulp of H at the exact minimiser u*
@@ -383,9 +383,9 @@ class TestDistanceOracleInnerMinimum:
     @staticmethod
     def _least(a, b):
         with np.errstate(all="raise"):  # no row reaches 0/0, nor any other invalid step
-            least = verify._least_over_g2(a.real, a.imag, b.real, b.imag)
+            least = optimize._least_over_g2(a.real, a.imag, b.real, b.imag)
         nb, nc = abs(b), abs(a + b)
-        u = np.clip(nb / np.where(nb + nc > 0.0, nb + nc, 1.0), verify._clamped(0.0), verify._clamped(1.0))
+        u = np.clip(nb / np.where(nb + nc > 0.0, nb + nc, 1.0), optimize._clamped(0.0), optimize._clamped(1.0))
         return least, u, (abs(a) * u + nb) ** 2 / (u * (1.0 - u))
 
     @pytest.mark.parametrize("kind", list(_inner_rows()))
@@ -393,8 +393,8 @@ class TestDistanceOracleInnerMinimum:
         # 4 097 even parameters and 2 000 geometric ones from each end of [m, 1 - m]
         a, b = _inner_rows()[kind]
         least, _, scale = self._least(a, b)
-        near_ends = np.geomspace(verify._PARAM_MARGIN, 0.5, 2000)
-        grid = np.concatenate([verify._clamped(np.linspace(0.0, 1.0, 4097)), near_ends, verify._clamped(1.0) - near_ends])
+        near_ends = np.geomspace(optimize._PARAM_MARGIN, 0.5, 2000)
+        grid = np.concatenate([optimize._clamped(np.linspace(0.0, 1.0, 4097)), near_ends, optimize._clamped(1.0) - near_ends])
         assert np.all(np.isfinite(least)) and np.all(least >= 0.0)
         assert np.all(least <= _h(a, b, grid[:, None]).min(axis=0) + self.BOUND * scale)
 
@@ -406,7 +406,7 @@ class TestDistanceOracleInnerMinimum:
         # of u*, or of 1 - u*
         a, b = _inner_rows()[kind]
         least, u, scale = self._least(a, b)
-        searched = verify._bracket_min(lambda t: _h(a, b, verify._clamped(t)), len(a))
+        searched = optimize._bracket_min(lambda t: _h(a, b, optimize._clamped(t)), len(a))
         assert np.all(least <= searched + self.BOUND * scale)
         inside = (u > 1e-3) & (u < 1.0 - 1e-3)
         assert np.all(abs(least - searched)[inside] <= self.BOUND * scale[inside])
@@ -416,7 +416,7 @@ class TestDistanceOracleInnerMinimum:
         # last, and A = B = 0 is 0 everywhere
         a, b = _inner_rows()["exact"]
         least, u, _ = self._least(a, b)
-        assert u.tolist()[:2] == [verify._PARAM_MARGIN, verify._clamped(1.0)]
+        assert u.tolist()[:2] == [optimize._PARAM_MARGIN, optimize._clamped(1.0)]
         assert least.tolist() == _h(a, b, u).tolist() and least[3] == 0.0
 
 
