@@ -1,12 +1,11 @@
-"""The registry's oracles, which verify checks the closed forms against:
-golden-section search and its refinement of a grid; geodesic_distance's
-oracle, _distance_rows; mu's, the AGM (_agm_mu), and mu^{-1}'s, a bisection
-on it; and the Lambert side distances, _sides.
+"""The registry's oracles: golden-section search and its refinement of a
+grid; geodesic_distance's, _distance_rows; mu's, the AGM (_agm_mu), and
+mu^{-1}'s, a bisection on it; and the Lambert side distances, _sides.
 
-They are plain implementations that share no code with the formulas they
-check. tests/test_layering.py pins this as one import rule: this module
-imports no package module but _rows, and no closed-form module imports it.
-A closed form that an oracle needs comes in as an argument, as golden_min's f.
+They are plain implementations that share no code with the closed forms they
+check. One import rule keeps it so (tests/test_layering.py): this module
+imports no package module but _rows, and no closed-form module imports it. A
+closed form that an oracle needs comes in as an argument, as golden_min's f.
 """
 
 import math

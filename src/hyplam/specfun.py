@@ -21,7 +21,7 @@ with mu(r) mu(r') = pi^2/4 on the other side. mu(r) = -log(q)/2 sums the
 nome series of Abramowitz and Stegun 17.3.21 for the smaller of r and r';
 mu^{-1}(y) = theta_2(q)^2/theta_3(q)^2 at q = e^{-2y} for y >= pi/2, and
 from the complementary nome e^{-pi^2/(2y)} below. The arithmetic-geometric
-mean, pi/2 agm(1, r')/agm(1, r), is mu's independent oracle in `verify`,
+mean, pi/2 agm(1, r')/agm(1, r), is mu's independent oracle in `optimize`,
 and is not used here. The complement r' is carried along as log r', which
 keeps phi_K and A(K) accurate where r rounds to 1. A(K) = 2 arth phi_K(th 1/2) takes
 mu(th 1/2) from a module constant, computed once at import, so a call of
@@ -35,7 +35,7 @@ phi_2(r) = 2 sqrt(r)/(1+r) is used only in tests, never here.
 
 C(p) = sup h_p is h_p at the root of h_p', found by `_itp`, the closed forms' one
 root solver, in u = -log(1 - r), so that it stays accurate however near 1 the
-root lies; nothing here imports `optimize`, which serves the oracles only.
+root lies; nothing here imports `optimize`, which holds the oracles.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def arth_complement(r):
 
 def holder_mean(p, r, s):
     """Power mean of order p, elementwise for arrays p, r and s; geometric
-    mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError.
-    It is sqrt(r s) at p = 0 and _far_power_mean elsewhere, within 4 ulp of
-    50-digit mpmath for every p (test_specfun_accuracy.py)."""
+    mean where p = 0. A NaN argument gives NaN, a non-positive one DomainError,
+    an infinite one the limit. It is sqrt(r s) at p = 0 and _far_power_mean
+    elsewhere, within 4 ulp of 50-digit mpmath for every p (test_specfun_accuracy.py)."""
     ns = _rows.rows() if _rows.is_rows(p) else _rows.ns(r, s)
     if ns.any((r <= 0.0) | (s <= 0.0)):
         raise DomainError("holder_mean needs positive arguments")
@@ -143,6 +143,9 @@ def _far_power_mean(p, r, s, ns=_rows.SCALAR):
     exponent is taken only where its branch is selected, so nothing overflows."""
     first = r >= s
     hi, lo = ns.where(first, r, s), ns.where(first, s, r)
+    if ns.any(at_inf := (hi == math.inf) & (lo == lo)):  # the limit at hi = inf; a NaN lo stays NaN
+        finite = _far_power_mean(p, ns.where(at_inf, 1.0, r), ns.where(at_inf, 1.0, s), ns)
+        return ns.where(at_inf, ns.where(p > 0.0, math.inf, lo * ns.power(2.0, -1.0 / p)), finite)
     ratio = hi / lo
     d = 0.5 * ns.log(ratio)
     if ns.any(ratio == math.inf):  # lo is subnormal, or hi/lo passes the doubles

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -63,6 +64,18 @@ class TestBasics:
         assert math.isnan(holder_mean(p, math.nan, 0.5))
         with pytest.raises(DomainError):
             holder_mean(p, r, np.array([0.7, 0.0, 0.9]))
+
+    def test_holder_mean_at_inf_is_its_limit(self):
+        # inf for p >= 0, the other argument times 2^(-1/p) for p < 0, and inf
+        # where both are inf; with no NaN and no overflow on the way
+        inf = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert holder_mean(5e-324, 0.3, inf) == inf and holder_mean(1.0, inf, inf) == inf
+            assert holder_mean(-2.0, inf, 0.5) == 0.5 * math.sqrt(2.0) and holder_mean(-1e-4, 0.3, inf) == inf
+            assert holder_mean(np.array([1.0, 5e-324]), np.array([0.3, 0.3]), np.array([inf, inf])).tolist() == [inf, inf]
+            p, r = np.array([-1.0, -1.0, 0.0, -2.0]), np.array([0.3, inf, 0.3, 0.5])
+            assert holder_mean(p, r, np.full(4, inf)).tolist() == [0.6, inf, inf, 0.5 * math.sqrt(2.0)]
 
     def test_agm_between_inputs(self):
         # the AGM is mu's oracle, on rows only

@@ -319,6 +319,15 @@ class TestCertificatesCanFail:
         assert cert["spec"]["target"] == target
         assert cert["passed"] is False
 
+    @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    def test_product_sharpness_fails_a_bound_off_by_1e_12(self, monkeypatch, grid, factor):
+        # the refined maximum of d1 d2 must be the bound within 8 ulp, on either profile's grid
+        original = lambert.product_bound
+        monkeypatch.setattr(lambert, "product_bound", lambda L: original(L) * factor)
+        cert = run_sweep(SweepSpec("product-sharpness", grid))
+        assert not cert.passed and cert.margin < 0.0
+
     def test_an_ideal_cut_above_K_star_fails_with_a_witness_past_K_star(self, monkeypatch):
         cert = run_sweep(SweepSpec("qc-branch-decided", 1000))
         assert cert.passed and 0.0 < cert.margin < 1e-4  # the headroom at the cut
@@ -585,7 +594,7 @@ SUB_CHECKS = {
     "arth-convexity-region": (18, 18),
     "mu-identities": (2214, 2214),
     "distortion-bracket": (35, 35),
-    "product-sharpness": (30, 30),
+    "product-sharpness": (40, 40),
     "sum-cases": (13, 13),
     "thsq-identity": (1000, 100_000),
     "beardon-identity": (1106, 2106),
