@@ -329,9 +329,13 @@ def _permutation(words, base: int) -> list[int]:
 
 
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
-    """First n points of the scrambled Halton sequence in [0, 1)^dim, the one
-    block of ``_halton_blocks(n, dim, seed, n)``: scipy's samples bit for bit,
-    memory layout included."""
+    """First n points of the scrambled Halton sequence in [0, 1)^dim: the
+    one block of ``_halton_blocks(n, dim, seed, n)``.
+
+    This reproduces the samples of
+    ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(n)`` bit
+    for bit, memory layout included.
+    """
     return next(_halton_blocks(n, dim, seed, n))
 
 
