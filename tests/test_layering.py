@@ -6,7 +6,8 @@ bracket search for the geodesic distance, the AGM that checks mu, the
 bisection that checks mu^{-1}, and the side distances of the Lambert sweeps).
 One import rule keeps them apart, so that a new oracle is guarded as soon as
 it is written there: `optimize` imports no package module but `_rows`, and
-no closed-form module imports `optimize` or `verify`. The closed forms have
+no closed-form module imports `optimize` or `verify`; and no name in all of
+`optimize` is a closed form of the geodesic distance or of mu. The closed forms have
 one root solver, `specfun._itp`. Scalar and array callers share one arth(c x)
 kernel; specfun takes mu from the nome and defines no AGM, and the CLI
 evaluates no formula of its own. Every private module-level name is used
@@ -45,10 +46,33 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
-def test_optimize_imports_only_rows():
-    # an oracle that called a closed form would have to import its module:
-    # relatively, or by the package's name, which optimize never spells
+def test_optimize_imports_only_errors():
+    # the name dates from when errors was all that optimize might import; with
+    # the oracles it imports the numpy loader _rows and nothing else. An oracle
+    # that called a closed form would have to import its module: relatively,
+    # or by the package's name, which optimize never spells
     assert _package_imports("optimize") == {"_rows"} and "hyplam" not in _imports("optimize")
+
+
+def _names_in(module: str) -> set[str]:
+    """Every name and attribute that `module`'s code reads or binds."""
+    return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(_tree(module))}
+
+
+def _functions_of(module: str) -> set[str]:
+    return {node.name for node in _tree(module).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_distance_oracle_uses_no_closed_form():
+    # the whole of optimize is searched, so an oracle added there is covered
+    assert "_distance_rows" in _functions_of("optimize")
+    assert not _names_in("optimize") & {"geodesic_distance", "_ends_distance", "_ends_of"}
+
+
+def test_the_mu_oracle_uses_no_closed_form():
+    assert {"_agm_mu", "_mu_inverse_bisect"} <= _functions_of("optimize")
+    closed = {"grotzsch_mu", "_mu_pair", "mu_inverse", "_mu_inverse_pair", "_nome_moduli", "rprime"}
+    assert not _names_in("optimize") & closed
 
 
 @pytest.mark.parametrize("module", ["specfun", "geometry", "lambert", "qcbounds", "_sweep", "cli"])
