@@ -22,7 +22,6 @@ it is only squared or compared with 1, and `sq_abs` takes |z|^2.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 from . import _rows
@@ -37,8 +36,6 @@ _NEVER_SNAPPED = 1.0 - 4.0 * _BOUNDARY_SNAP
 #: the line through z1 and z2 counts as through 0 when the nearer point lies off
 #: the diameter through the farther one by less than this times their distance
 _COLLINEAR_TOL = 1e-12
-#: the six pairs of four points, in the order ab, ac, ad, bc, bd, cd
-_PAIRS = tuple(itertools.combinations(range(4), 2))
 #: a map with |ad - bc| at most this times |ad| + |bc| counts as degenerate
 _DET_TOL = 5e-15
 
@@ -129,24 +126,6 @@ def _interior(what: str, *values) -> list:
     if any(z is None or ns.any(on | (ns.sq_abs(z) > 1.0)) for z, on in pairs):
         raise DomainError(f"{what} needs interior points")
     return [ns, *(z for z, _ in pairs)]
-
-
-def _chordal_norm(z, ns=_rows.SCALAR):
-    """hypot(1, |z|) = sqrt(1 + |z|^2), finite for every finite z: the
-    chordal distance of z and w is |z - w| / n(z) / n(w), and that of z and
-    infinity 1 / n(z)."""
-    return ns.hypot(1.0, ns.abs(z))
-
-
-def _chordal(z, w, nz, nw, ns=_rows.SCALAR):
-    """Chordal distance of two points given with their _chordal_norm; None
-    stands for the point at infinity. It divides by each norm in turn, so
-    points near 1e200 neither overflow a product of norms nor the result."""
-    if z is None:
-        return 0.0 if w is None else 1.0 / nw
-    if w is None:
-        return 1.0 / nz
-    return ns.abs(z - w) / nz / nw
 
 
 def _disk_factor(sz, sw, ns=_rows.SCALAR):
@@ -242,20 +221,15 @@ def _ratio(a, b, c, d, ns=_rows.SCALAR):
     snapped coordinates (None at infinity), the ratios first: a product of
     two distances under- or overflows for points near 1e-170 or 1e170.
 
-    The chordal norms cancel in it, so four finite points take Euclidean
-    distances and are distinct when their coordinates differ; with a point
-    at infinity, the distances are chordal, and a zero one means equal
-    points."""
-    if a is None or b is None or c is None or d is None:
-        zs = (a, b, c, d)
-        norms = [None if z is None else _chordal_norm(z, ns) for z in zs]
-        ab, ac, ad, bc, bd, cd = (_chordal(zs[i], zs[j], norms[i], norms[j], ns) for i, j in _PAIRS)
-        equal = 0.0 in (ab, ac, ad, bc, bd, cd)
-    else:
-        equal = ns.any((a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d))
-        ab, ac, bd, cd = ns.abs(a - b), ns.abs(a - c), ns.abs(b - d), ns.abs(c - d)
-    if equal:
+    Each point stands once above and once below, so a point at infinity's
+    two distances cancel and each is taken as 1; DegenerateInputError where
+    two coordinates are equal, two points at infinity included."""
+    if ns.any((a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d)):
         raise DegenerateInputError("absolute ratio needs four distinct points")
+    ab = 1.0 if a is None or b is None else ns.abs(a - b)
+    ac = 1.0 if a is None or c is None else ns.abs(a - c)
+    bd = 1.0 if b is None or d is None else ns.abs(b - d)
+    cd = 1.0 if c is None or d is None else ns.abs(c - d)
     return (ac / ab) * (bd / cd)
 
 
@@ -264,18 +238,21 @@ def _ratio(a, b, c, d, ns=_rows.SCALAR):
 
 
 def chordal_distance(x, y):
-    """Metric of the Riemann sphere pulled back to the plane. On ndarrays of
+    """Metric of the Riemann sphere pulled back to the plane: |z - w| / n(z)
+    / n(w) with n(z) = hypot(1, |z|), 1 / n(z) from z to infinity and 0
+    between two infinities. Each norm is divided in turn, so points near
+    1e200 overflow neither a product of norms nor the result. On ndarrays of
     finite points, row by row."""
     ns, (z, _), (w, _) = _points(x, y)
-    return _chordal(z, w, *(None if v is None else _chordal_norm(v, ns) for v in (z, w)), ns)
+    if z is None or w is None:
+        return 0.0 if z is w else 1.0 / ns.hypot(1.0, ns.abs(w if z is None else z))
+    return ns.abs(z - w) / ns.hypot(1.0, ns.abs(z)) / ns.hypot(1.0, ns.abs(w))
 
 
 def absolute_ratio(a, b, c, d):
-    """Moebius-invariant cross ratio (|a - c| |b - d|) / (|a - b| |c - d|),
-    in the chordal metric, in which a point at infinity needs no case of its
-    own; between finite points the chordal norms cancel, and it takes
-    Euclidean distances. On complex ndarrays of finite points, row by row.
-    """
+    """Moebius-invariant cross ratio (|a - c| |b - d|) / (|a - b| |c - d|):
+    the chordal norms cancel in it, and so do a point at infinity's two
+    distances. On complex ndarrays of finite points, row by row."""
     ns, (za, _), (zb, _), (zc, _), (zd, _) = _points(a, b, c, d)
     return _ratio(za, zb, zc, zd, ns)
 
