@@ -23,11 +23,11 @@ def _sweep_rows(args):
         # product_bound and sum_bounds check L, and the thetas lie in (0, pi/2)
         if args.target == "product":
             bound = lam.product_bound(args.L)
-            d1, d2 = lam._side_distances(args.L, thetas, np)
+            d1, d2 = lam._side_distances(args.L, thetas, _rows.rows())
             value = d1 * d2
             return ["theta", "value", "bound", "margin"], _table(thetas, value, bound, value - bound)
         rep = lam.sum_bounds(args.L)
-        d1, d2 = lam._side_distances(args.L, thetas, np)
+        d1, d2 = lam._side_distances(args.L, thetas, _rows.rows())
         value = d1 + d2
         header = ["theta", "value", "lower", "upper", "margin"]
         return header, _table(thetas, value, rep.lower, rep.upper, value - rep.lower)
