@@ -4,7 +4,7 @@ Points live in the closed unit disk (or the upper half plane after a Cayley
 transform): complex numbers of the extended plane (Beardon, The Geometry of
 Discrete Groups, 1983). A geodesic is held as its two ends on the unit
 circle, which `_geodesic_ends` finds; `geodesic_distance` is a closed form in
-the four ends, and verify holds the search that checks it.
+the four ends, and optimize holds the search that checks it.
 
 Each function has one body over scalars and rows: `_points` reads each
 argument once (any complex number, or a complex ndarray of finite points)
@@ -14,9 +14,9 @@ with. A scalar with an infinite part and no NaN is the point at infinity,
 `Point(math.inf)`. `Point` (a complex number), `Geodesic` and `MoebiusMap`
 are the typed scalar API.
 
-A modulus is taken by hypot (the table's `abs`) only for a Euclidean
-distance or a unit vector, in `_arc` and `_geodesic_ends`; everywhere else
-it is only squared or compared with 1, and `sq_abs` takes |z|^2.
+A modulus is taken by hypot (the table's `abs`) only for a Euclidean or
+chordal distance, a chordal norm or a unit vector; a modulus that is only
+squared or compared with 1 is x*x + y*y, `sq_abs`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ _NEVER_SNAPPED = 1.0 - 4.0 * _BOUNDARY_SNAP
 _COLLINEAR_TOL = 1e-12
 #: a map with |ad - bc| at most this times |ad| + |bc| counts as degenerate
 _DET_TOL = 5e-15
+#: a part this large or larger takes its call's points at scale 1/4 (_scaled)
+_HUGE_PART = 2.0**1021
 
 
 class Point(complex):
@@ -144,6 +146,21 @@ def _rho(z, w, sz, sw, ns=_rows.SCALAR):
     return 2.0 * ns.arcsinh(ns.abs(z - w) / _disk_factor(sz, sw, ns))
 
 
+def _scaled(ns, *zs) -> list:
+    """[s, s z, ...]: s = 1/4 where a part of some point reaches 2^1021, row
+    by row, and 1.0 elsewhere; then no modulus or difference of the scaled
+    points passes the doubles. The multiply is exact but for subnormal parts,
+    and a call with no such part skips it. None (infinity) stays None."""
+    big = False
+    for z in zs:
+        if z is not None:
+            big = big | (abs(z.real) >= _HUGE_PART) | (abs(z.imag) >= _HUGE_PART)
+    if not ns.any(big):
+        return [1.0, *zs]
+    s = ns.where(big, 0.25, 1.0)
+    return [s, *(None if z is None else z * s for z in zs)]
+
+
 def _moebius(a, b, c, d, z):
     """(a z + b) / (c z + d); the coefficients may be per-row arrays."""
     return (a * z + b) / (c * z + d)
@@ -162,13 +179,16 @@ def _arc(z1, z2, ns=_rows.SCALAR):
     unit circle, in real arithmetic, so a row gives what a scalar call does.
     The ends (1 +- i r)/conj(c) are the directions of (1 +- i r) c; they
     inherit the center's cancellation, which puts them off the circle (2e-13
-    for ends 1e-4 apart), so each is taken as its unit vector. verify's
-    oracle calls it on rows."""
+    for ends 1e-4 apart), so each is taken as its unit vector. The cross
+    product and the center come from the chord (dx, dy) = z2 - z1, exact for
+    near points, and |z2|^2 - |z1|^2 = dx (x1 + x2) + dy (y1 + y2). verify's
+    arc-orthogonality claim calls it on rows."""
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    dx, dy = x2 - x1, y2 - y1
     r1, r2 = ns.abs(z1), ns.abs(z2)
-    s1, s2 = 1.0 + r1 * r1, 1.0 + r2 * r2
-    cross = x1 * y2 - y1 * x2
-    cx, cy = (s1 * y2 - s2 * y1) / (2.0 * cross), (s2 * x1 - s1 * x2) / (2.0 * cross)
+    s1, ds = 1.0 + r1 * r1, dx * (x1 + x2) + dy * (y1 + y2)
+    cross = x1 * dy - y1 * dx
+    cx, cy = (s1 * dy - ds * y1) / (2.0 * cross), (ds * x1 - s1 * dx) / (2.0 * cross)
     # the ratios first: a product of |z2| and cross underflows for points near 0
     radius = (ns.abs(z1 - z2) / abs(cross)) * (ns.abs(z1 * (r2 * r2) - z2) / (2.0 * r2))
     e1 = (cx - radius * cy) + 1j * (cy + radius * cx)
@@ -241,19 +261,22 @@ def chordal_distance(x, y):
     """Metric of the Riemann sphere pulled back to the plane: |z - w| / n(z)
     / n(w) with n(z) = hypot(1, |z|), 1 / n(z) from z to infinity and 0
     between two infinities. Each norm is divided in turn, so points near
-    1e200 overflow neither a product of norms nor the result. On ndarrays of
-    finite points, row by row."""
+    1e200 overflow neither a product of norms nor the result; at _scaled's s,
+    s |z - w| / hypot(s, |z|) / hypot(s, |w|). On ndarrays, row by row."""
     ns, (z, _), (w, _) = _points(x, y)
+    s, z, w = _scaled(ns, z, w)
     if z is None or w is None:
-        return 0.0 if z is w else 1.0 / ns.hypot(1.0, ns.abs(w if z is None else z))
-    return ns.abs(z - w) / ns.hypot(1.0, ns.abs(z)) / ns.hypot(1.0, ns.abs(w))
+        return 0.0 if z is w else s / ns.hypot(s, ns.abs(w if z is None else z))
+    return s * ns.abs(z - w) / ns.hypot(s, ns.abs(z)) / ns.hypot(s, ns.abs(w))
 
 
 def absolute_ratio(a, b, c, d):
     """Moebius-invariant cross ratio (|a - c| |b - d|) / (|a - b| |c - d|):
     the chordal norms cancel in it, and so do a point at infinity's two
-    distances. On complex ndarrays of finite points, row by row."""
+    distances. It takes the points at _scaled's scale. On complex ndarrays
+    of finite points, row by row."""
     ns, (za, _), (zb, _), (zc, _), (zd, _) = _points(a, b, c, d)
+    _, za, zb, zc, zd = _scaled(ns, za, zb, zc, zd)
     return _ratio(za, zb, zc, zd, ns)
 
 
@@ -284,11 +307,14 @@ def rho_halfplane(x, y):
     """Hyperbolic distance in the upper half plane: sinh(rho/2) =
     |x - y| / (2 sqrt(Im x Im y)), which neither cancels between near
     points, as 1 + |x - y|^2 / (2 Im x Im y) in arcosh does, nor underflows
-    for tiny imaginary parts. On ndarrays, row by row."""
+    for tiny imaginary parts. At _scaled's s it is |s x - s y| / (2 s sqrt(Im
+    x Im y)) of the unscaled Im x and Im y, which s could round to 0. On
+    ndarrays, row by row."""
     ns, (z, _), (w, _) = _points(x, y)
     if z is None or w is None or ns.any((z.imag <= 0.0) | (w.imag <= 0.0)):
         raise DomainError("rho_halfplane needs points with positive imaginary part")
-    return 2.0 * ns.arcsinh(ns.abs(z - w) / (2.0 * ns.sqrt(z.imag) * ns.sqrt(w.imag)))
+    s, sz, sw = _scaled(ns, z, w)
+    return 2.0 * ns.arcsinh(ns.abs(sz - sw) / (2.0 * s * ns.sqrt(z.imag) * ns.sqrt(w.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +433,9 @@ class MoebiusMap(_Record):
     def __call__(self, z):
         """The image Point: Point(math.inf) where c z + d is 0 or the image
         overflows. On a complex ndarray, the snapped image of each row,
-        and DomainError if a row's image is not finite."""
+        and DomainError if a row's image is not finite. An image that is not
+        finite at |z| > 1, where a z or c z may overflow and the quotient not,
+        is taken in the chart u = 1/z as (a + b u)/(c + d u)."""
         ns, (z, _) = _points(z)
         a, b, c, d = self[4:]
         if ns is _rows.SCALAR:  # Python's division raises ZeroDivisionError at the pole, numpy's gives inf
@@ -415,13 +443,20 @@ class MoebiusMap(_Record):
                 # c z + d is taken once, in _moebius: Python's division refuses
                 # exactly a zero divisor, so the pole is decided on c z + d == 0
                 w = complex(a / c) if z is None else _moebius(a, b, c, d, z)
+                if cmath.isfinite(w):
+                    return Point(_snap(w)[0])
+                if z is not None and ns.sq_abs(z) > 1.0:
+                    w = _moebius(b, a, d, c, 1.0 / z)
             except ZeroDivisionError:
                 return _INFINITY
             return _INFINITY if cmath.isinf(w) else Point(_snap(w)[0])
         if not (c * z + d == 0).any():
-            with ns.errstate(over="ignore", invalid="ignore"):
+            with ns.errstate(all="ignore"):
                 w = _moebius(a, b, c, d, z)
-            if ns.isfinite(w).all():
+                if not (finite := ns.isfinite(w).all()):
+                    w = ns.where(ns.isfinite(w) | (ns.sq_abs(z) <= 1.0), w, _moebius(b, a, d, c, 1.0 / z))
+                    finite = ns.isfinite(w).all()
+            if finite:
                 return _snap(w)[0]
         raise DomainError("a row maps to infinity, which has no finite coordinate")
 

@@ -291,6 +291,33 @@ class TestModulusBeyondTheDoubles:
         with pytest.raises(DomainError, match="a row maps to infinity"):
             double(np.array([self.Z]))
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
+    def test_a_finite_image_is_taken_in_the_chart_at_infinity(self, rows):
+        # e^{0.7i} z and -0.3 z + 1 overflow, or their quotient does, where the
+        # image is about -e^{0.7i} / 0.3; z / (z + 1) gave NaN, where it is 1
+        z = np.array([self.Z]) if rows else self.Z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            image = MoebiusMap.disk_automorphism(0.3, 0.7)(z)
+            near_one = MoebiusMap(1, 0, 1, 1)(z)
+        assert complex(image[0] if rows else image) == -2.549473957614962 - 2.1473922907923035j
+        assert complex(near_one[0] if rows else near_one) == 1.0
+        assert type(image) is (np.ndarray if rows else Point)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
+    def test_the_sphere_and_the_half_plane_beyond_the_doubles(self, rows):
+        # |z - w| and hypot(1, |z|) pass the doubles; at scale 1/4 they do not
+        expected = (
+            (chordal_distance, (self.Z, 0.5), 0.8944271909999159),
+            (absolute_ratio, (self.Z, 0.5, 0.1j, -0.3), 2.5298221281347035),
+            (rho_halfplane, (self.Z, 1j), 710.2948209308341),
+        )
+        for f, args, value in expected:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = f(*(np.array([a]) for a in args)).tolist() if rows else [f(*args)]
+            assert got == [value], f.__name__
+
     def test_the_sphere_and_the_half_plane_at_the_largest_moduli(self):
         # |z| = 1.4e308 is a double: a chordal distance, an absolute ratio and
         # a half-plane distance are finite, and a one-row call gives the same
@@ -485,6 +512,28 @@ class TestGeodesics:
         assert abs(rho_via_crossratio(z, w) / ref - 1.0) <= allowance
         rows = rho_via_crossratio(np.array([z]), np.array([w]))
         assert abs(rows[0] / ref - 1.0) <= allowance
+
+    def test_close_pairs_within_16_ulp_over_rho(self):
+        # _arc takes its center from the chord of the two points: from their
+        # coordinates, 1 + |z|^2 and the cross product cancel, and rho of
+        # near-radial pairs 1e-13 to 1e-11 apart at |z| 0.9 to 0.95 was off by
+        # up to 282 EPS/rho (1.8 now); of pairs 1e-13 to 1e-3 apart, by 16
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(DEFAULT_SEED + 2)
+        z = 0.95 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
+        w = z + 10.0 ** rng.uniform(-13.0, -3.0, 600) * np.exp(2j * np.pi * rng.random(600))
+        radial = rng.uniform(0.9, 0.95, 200) * np.exp(2j * np.pi * rng.random(200))
+        gaps = 10.0 ** rng.uniform(-13.0, -11.0, 200) * np.exp(1j * rng.uniform(-0.3, 0.3, 200))
+        z, w = np.concatenate([z, radial]), np.concatenate([w, radial * (1.0 + gaps)])
+        z, w = z[abs(w) <= 0.95], w[abs(w) <= 0.95]
+        rows = rho_via_crossratio(z, w)
+        with mp.workdps(50):
+            for a, b, row in zip(z.tolist(), w.tolist(), rows.tolist()):
+                x, y = mp.mpc(a), mp.mpc(b)
+                ref = 2 * mp.asinh(abs(x - y) / mp.sqrt((1 - abs(x) ** 2) * (1 - abs(y) ** 2)))
+                # relative error within 16 EPS/rho
+                for value in (rho_via_crossratio(a, b), row):
+                    assert float(abs(value - ref)) <= 16.0 * EPS, (a, b)
 
     def test_close_points_across_a_radius_take_their_arc(self):
         # their angle at 0 is 3e-13, but the line through them misses 0 by 0.3
