@@ -294,7 +294,7 @@ class TestModulusBeyondTheDoubles:
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
     def test_a_finite_image_is_taken_in_the_chart_at_infinity(self, rows):
         # e^{0.7i} z and -0.3 z + 1 overflow, or their quotient does, where the
-        # image is about -e^{0.7i} / 0.3; z / (z + 1) gave NaN, where it is 1
+        # image is about -e^{0.7i} / 0.3; z / (z + 1) is 1, not the NaN of inf / inf
         z = np.array([self.Z]) if rows else self.Z
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -514,10 +514,9 @@ class TestGeodesics:
         assert abs(rows[0] / ref - 1.0) <= allowance
 
     def test_close_pairs_within_16_ulp_over_rho(self):
-        # _arc takes its center from the chord of the two points: from their
-        # coordinates, 1 + |z|^2 and the cross product cancel, and rho of
-        # near-radial pairs 1e-13 to 1e-11 apart at |z| 0.9 to 0.95 was off by
-        # up to 282 EPS/rho (1.8 now); of pairs 1e-13 to 1e-3 apart, by 16
+        # pairs 1e-13 to 1e-3 apart, and near-radial pairs 1e-13 to 1e-11
+        # apart at |z| 0.9 to 0.95, where the cross product and the center's
+        # numerators cancel unless _arc forms them from the chord z2 - z1
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(DEFAULT_SEED + 2)
         z = 0.95 * np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
