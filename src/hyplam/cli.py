@@ -27,9 +27,18 @@ SCHEMA = "hyplam-report-v1"
 _EQ_TOL = 1e-9
 
 
+def _json_ready(x):
+    """x with each float that is not finite as None, at any depth, and each tuple as a list."""
+    if isinstance(x, dict):
+        return {k: _json_ready(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_ready(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit_json(payload: dict):
-    payload = {"schema": SCHEMA} | payload
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """The package's one JSON writer: strict JSON, keys sorted, null for a value absent or not finite."""
+    print(json.dumps(_json_ready({"schema": SCHEMA} | payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _gap_line(label: str, gap: float, rel_gap: float) -> str:
@@ -186,7 +195,7 @@ def cmd_verify(args) -> int:
 
     certs = ver.run_all(args.profile)
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "certificates": [c.to_dict() for c in certs]}, indent=2))
+        _emit_json({"certificates": [c.to_dict() for c in certs]})
     else:
         for entry, cert in zip(ver.REGISTRY, certs):
             status = "PASS" if cert.passed else "FAIL"

@@ -125,19 +125,9 @@ class Certificate:
     runtime_ms: int
 
     def to_dict(self) -> dict:
-        """Plain JSON types; a NaN or infinite number becomes None."""
-        return {
-            "spec": self.spec.to_dict(),
-            "passed": self.passed,
-            "observed_extremum": _finite_or_none(self.observed_extremum),
-            "witness": [_finite_or_none(x) for x in self.witness],
-            "margin": _finite_or_none(self.margin),
-            "runtime_ms": self.runtime_ms,
-        }
-
-
-def _finite_or_none(x: float) -> float | None:
-    return float(x) if math.isfinite(x) else None
+        """The fields as they are, the spec as its dict; the CLI's JSON
+        writer writes a NaN or infinite number as null."""
+        return vars(self) | {"spec": self.spec.to_dict()}
 
 
 @dataclass(frozen=True)
