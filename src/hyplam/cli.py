@@ -147,7 +147,7 @@ def cmd_qc_bound(args) -> int:
     else:
         print(f"Lambert image bound, K={args.K:.17g}  L={args.L:.17g}")
         print(f"regime = {res.regime.value}")
-        if not math.isnan(res.r_L):
+        if res.r_L is not None:
             print(f"r_L = {res.r_L:.17g}")
             print(f"M_L = {res.M_L:.17g}")
         if res.r_LK is not None:

@@ -77,9 +77,14 @@ class QcBoundInput(_Record):
 
 
 class QcBoundResult(_Record):
+    """A bound and its branch; None for a value that does not apply: r_L and
+    M_L where L <= th(1), r_LK where K <= M_L."""
+
     __slots__ = ()
 
-    def __new__(cls, r_L: float, M_L: float, regime: QcRegime, r_LK: float | None, bound: float) -> "QcBoundResult":
+    def __new__(
+        cls, r_L: float | None, M_L: float | None, regime: QcRegime, r_LK: float | None, bound: float
+    ) -> "QcBoundResult":
         return _new_tuple(cls, (r_L, M_L, regime, r_LK, bound))
 
     def to_dict(self) -> dict:
@@ -239,7 +244,7 @@ def qc_product_bound(inp: QcBoundInput) -> QcBoundResult:
     K, L = inp
     small_branch = _product_root(L) ** (2.0 / K)
     if L <= TH1:
-        return _new_tuple(QcBoundResult, (math.nan, math.nan, QcRegime.SMALL_L, None, _times_A2(K, small_branch)))
+        return _new_tuple(QcBoundResult, (None, None, QcRegime.SMALL_L, None, _times_A2(K, small_branch)))
     rl = _r_L(L)
     rlp = rprime(rl)
     ml = _M_L(L, rl, rlp)

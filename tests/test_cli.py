@@ -19,6 +19,7 @@ from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
 from hyplam import _sweep, cli
 from hyplam._sweep import _CSV_BLOCK, _csv_bytes, _sweep_rows
 from hyplam.cli import build_parser, main
+from test_verify import _strict_json
 
 PI4 = "0.7853981633974483"
 
@@ -537,6 +538,27 @@ def test_reports_match_the_pinned_bytes(capsys):
         code = main(argv.split())
         out += [f"$ hyplam {argv}\n", capsys.readouterr().out, f"[exit {code}]\n"]
     assert "".join(out) == (DATA / "cli_reports.txt").read_text()
+
+
+#: every --json vector of cli_argv.txt, and the registry's report
+JSON_ARGV = [a for a in (DATA / "cli_argv.txt").read_text().splitlines() if "--json" in a.split()]
+
+
+@pytest.mark.parametrize("argv", [*JSON_ARGV, "verify --profile fast --json"])
+def test_every_json_report_is_strict_json(capsys, monkeypatch, argv):
+    # an unbounded sum range (L = 1) and the r_L and M_L that do not exist
+    # below th(1) are null: Infinity and NaN are tokens no JSON parser takes
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    main(argv.split())
+    assert _strict_json(capsys.readouterr().out)["schema"] == "hyplam-report-v1"
+
+
+def test_a_value_the_writer_does_not_map_is_a_fault(capsys, monkeypatch):
+    # without the mapping to null, the writer refuses the unbounded upper end
+    # of the case-4 sum range: exit 3, and no report on stdout
+    monkeypatch.setattr(cli, "_json_ready", lambda payload: payload)
+    code, out, err = run(capsys, "lambert", "--L", "1", "--theta", "0.5", "--json")
+    assert (code, out) == (3, "") and "ValueError" in err
 
 
 def _near(x: float) -> list[float]:

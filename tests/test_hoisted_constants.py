@@ -61,7 +61,7 @@ def _per_call_times_A2(K, value):
 def _per_call_product(K, L):
     small_branch = product_root(L) ** (2.0 / K)
     if L <= TH1:
-        return math.nan, math.nan, QcRegime.SMALL_L, None, _per_call_times_A2(K, small_branch)
+        return None, None, QcRegime.SMALL_L, None, _per_call_times_A2(K, small_branch)
     rl = r_L_of(L)
     rlp = rprime(rl)
     ml = _f_c_pair(L, rlp, rprime(rlp)) / _f_c_pair(L, rl, rlp)

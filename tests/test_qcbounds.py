@@ -66,7 +66,7 @@ class TestBranches:
     def test_small_L(self):
         res = qc_product_bound(QcBoundInput(2.0, 0.5))
         assert res.regime is QcRegime.SMALL_L
-        assert math.isnan(res.r_L) and res.r_LK is None
+        assert res.r_L is None and res.M_L is None and res.r_LK is None
 
     def test_large_L_small_K(self):
         L = 0.9
