@@ -8,6 +8,7 @@ it. A table is a module, whose reads cost what math's do."""
 import functools
 import math
 import sys
+from operator import truediv
 from types import ModuleType
 
 from .errors import ConfigurationError, DomainError
@@ -32,12 +33,13 @@ def _sq_abs(z):
 
 
 #: math's functions and builtins under numpy's names: abs is |z| by hypot;
+#: divide is x / y, inf where that overflows, as numpy's divide gives it;
 #: where picks from branches its caller has computed, so each must be safe on
 #: every input; fmax is max(0.0, x), 0.0 for a NaN x; math_asinh, math.asinh itself,
 #: which the rows table applies row by row, as numpy's arcsinh rounds otherwise
 SCALAR = _table("hyplam._rows.SCALAR", dict(
     sqrt=math.sqrt, exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, cos=math.cos, sin=math.sin,
-    arccos=math.acos, arctanh=math.atanh, arcsinh=math.asinh, math_asinh=math.asinh, hypot=math.hypot,
+    arccos=math.acos, arctanh=math.atanh, arcsinh=math.asinh, math_asinh=math.asinh, hypot=math.hypot, divide=truediv,
     isfinite=math.isfinite, abs=abs, any=bool, minimum=min, fmax=max, where=lambda cond, a, b: a if cond else b,
     power=_power, sq_abs=_sq_abs,
 ))
@@ -57,11 +59,11 @@ def rows() -> ModuleType:
     """numpy's functions under SCALAR's names, and the errstate, asarray,
     broadcast_arrays and empty that only rows call. abs is |z| by hypot, as on
     a scalar (numpy's complex abs rounds otherwise, which rho amplifies near
-    the circle); sq_abs and power overflow to inf quietly, as a scalar does."""
+    the circle); sq_abs, power and divide overflow to inf quietly, as a scalar does."""
     np = numpy()
     return _table("hyplam._rows.ROWS", {n: getattr(np, n, None) for n in vars(SCALAR) if n[0] != "_"} | dict(
         abs=lambda z: np.hypot(z.real, z.imag), sq_abs=np.errstate(over="ignore")(_sq_abs),
-        power=np.errstate(over="ignore")(np.power),
+        power=np.errstate(over="ignore")(np.power), divide=np.errstate(over="ignore")(np.divide),
         math_asinh=np.vectorize(math.asinh, otypes=[float]), errstate=np.errstate, asarray=np.asarray,
         broadcast_arrays=np.broadcast_arrays, empty=np.empty,
     ))

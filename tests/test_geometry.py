@@ -294,15 +294,25 @@ class TestModulusBeyondTheDoubles:
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
     def test_a_finite_image_is_taken_in_the_chart_at_infinity(self, rows):
         # e^{0.7i} z and -0.3 z + 1 overflow, or their quotient does, where the
-        # image is about -e^{0.7i} / 0.3; z / (z + 1) is 1, not the NaN of inf / inf
+        # image is about -e^{0.7i} / 0.3; z / (z + 1) is not the NaN of inf /
+        # inf, and 1 / (z + 1) not the 0 of Smith's division by an overflowing
+        # divisor. Each image is correctly rounded (mpmath at 700 digits: 50
+        # cancel the imaginary part of z / (z + 1) to 0), and z -> z keeps z,
+        # which the subnormal u = 1/z alone would not
         z = np.array([self.Z]) if rows else self.Z
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            image = MoebiusMap.disk_automorphism(0.3, 0.7)(z)
-            near_one = MoebiusMap(1, 0, 1, 1)(z)
-        assert complex(image[0] if rows else image) == -2.549473957614962 - 2.1473922907923035j
-        assert complex(near_one[0] if rows else near_one) == 1.0
-        assert type(image) is (np.ndarray if rows else Point)
+        t = 3.33333333333333e-309
+        expected = (
+            (MoebiusMap.disk_automorphism(0.3, 0.7), -2.549473957614962 - 2.1473922907923035j),
+            (MoebiusMap(1, 0, 1, 1), 1.0 + 1j * t),
+            (MoebiusMap(0, 1, 1, 1), t - 1j * t),
+            (MoebiusMap(1, 0, 0, 1), self.Z),
+        )
+        for m, value in expected:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                image = m(z)
+            assert complex(image[0] if rows else image) == value, m
+            assert type(image) is (np.ndarray if rows else Point)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
     def test_the_sphere_and_the_half_plane_beyond_the_doubles(self, rows):
@@ -317,6 +327,21 @@ class TestModulusBeyondTheDoubles:
                 warnings.simplefilter("error", RuntimeWarning)
                 got = f(*(np.array([a]) for a in args)).tolist() if rows else [f(*args)]
             assert got == [value], f.__name__
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
+    @pytest.mark.parametrize(
+        "x, y, rho",
+        [(1e300 + 1j, 5e-324j, 2125.9911277178085), (1.5e308 + 1e-300j, -1.5e308 + 1e-300j, 2802.1406976580956)],
+    )
+    def test_a_half_plane_distance_whose_sinh_passes_the_doubles(self, rows, x, y, rho):
+        # sinh(rho/2) = |x - y| / (2 sqrt(Im x Im y)) passes the doubles and
+        # rho does not: 2125.99112771780867... and 2802.14069765809577... at
+        # 50 digits (mpmath), each within 1 ulp; the row beside it, of equal
+        # points, takes no logarithm of its zero chord
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rho_halfplane(np.array([x, 1j]), np.array([y, 1j])).tolist() if rows else [rho_halfplane(x, y), 0.0]
+        assert got == [rho, 0.0]
 
     def test_the_sphere_and_the_half_plane_at_the_largest_moduli(self):
         # |z| = 1.4e308 is a double: a chordal distance, an absolute ratio and
