@@ -833,6 +833,11 @@ def _t_distortion_bracket(n: int, chk: _Checker):
     v = math.log(2.0 * (1.0 + math.sqrt(1.0 - 1.0 / math.e**2)))
     chk.require_true(1.5412 < u < 1.5413, (u,))
     chk.require_true(1.3506 < v < 1.3507, (v,))
+    # the library's linear ends are these u and v by the same operations: the
+    # difference measured is 0, so is any multiple of it, and a row passes
+    # only if equal (a yes/no check, which leaves the margin as it is)
+    for end, ref in ((chain[1], u * (Ks - 1.0) + 1.0), (chain[4], v * (Ks - 1.0) + Ks)):
+        chk.require_all(np.where(end == ref, -math.inf, math.inf), 0.0, Ks[:, None])
     chk.locate(float(chain[3][-1]), (1000.0,))
 
 

@@ -15,6 +15,7 @@ np = pytest.importorskip("numpy")
 
 import hyplam
 from hyplam import REGISTRY, Certificate, ConfigurationError, SweepSpec, geometry, lambert, optimize, qcbounds, run_sweep, verify
+from hyplam import specfun
 from hyplam.cli import main
 from hyplam.verify import _halton, run_all
 
@@ -319,6 +320,15 @@ class TestCertificatesCanFail:
         assert cert["spec"]["target"] == target
         assert cert["passed"] is False
 
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("name", ["_BRACKET_U", "_BRACKET_V"])
+    def test_distortion_bracket_fails_a_linear_end_off_by_1e_9(self, monkeypatch, name, factor):
+        # A(K) sits far inside the bracket, so only the check of the library's
+        # ends against verify's u(K - 1) + 1 and v(K - 1) + K sees this
+        monkeypatch.setattr(specfun, name, getattr(specfun, name) * factor)
+        cert = run_sweep(SweepSpec("distortion-bracket", 1000))
+        assert not cert.passed and cert.margin == -math.inf
+
     @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
     @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
     def test_product_sharpness_fails_a_bound_off_by_1e_12(self, monkeypatch, grid, factor):
@@ -593,7 +603,7 @@ SUB_CHECKS = {
     "arth-mean-extremum": (11, 11),
     "arth-convexity-region": (18, 18),
     "mu-identities": (2214, 2214),
-    "distortion-bracket": (35, 35),
+    "distortion-bracket": (51, 51),
     "product-sharpness": (40, 40),
     "sum-cases": (13, 13),
     "thsq-identity": (1000, 100_000),
