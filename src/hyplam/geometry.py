@@ -175,7 +175,7 @@ def _chart(a, b, c, d, z):
     Smith's division cannot overflow on z / 16, and numpy's, which
     multiplies by the reciprocal of its divisor, finds that normal (not so
     at z / 4). The images of z -> z and z -> z / 2 were within 2 ulp on 200
-    seeded points (mpmath), where u itself, subnormal, lost up to 1 400."""
+    seeded points (mpmath), where u itself, subnormal, lost up to 1 419."""
     return _moebius(b, _CHART_T * a, d, _CHART_T * c, 0.0625 * _CHART_T / (0.0625 * z))
 
 
