@@ -330,7 +330,10 @@ def rho_halfplane(x, y):
         raise DomainError("rho_halfplane needs points with positive imaginary part")
     s, sz, sw = _scaled(ns, z, w)
     chord = ns.abs(sz - sw)
-    q = ns.divide(chord, 2.0 * s * ns.sqrt(z.imag) * ns.sqrt(w.imag))
+    # at s = 1/4 the divisor underflows to 0 for parts near 5e-324: the
+    # smallest double in its place leaves q = 0 between equal points, and
+    # lets it pass the doubles between the others
+    q = ns.divide(chord, ns.fmax(2.0 * s * ns.sqrt(z.imag) * ns.sqrt(w.imag), 5e-324))
     far = q == math.inf
     if not ns.any(far):
         return 2.0 * ns.arcsinh(q)

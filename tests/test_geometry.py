@@ -331,13 +331,20 @@ class TestModulusBeyondTheDoubles:
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
     @pytest.mark.parametrize(
         "x, y, rho",
-        [(1e300 + 1j, 5e-324j, 2125.9911277178085), (1.5e308 + 1e-300j, -1.5e308 + 1e-300j, 2802.1406976580956)],
+        [
+            (1e300 + 1j, 5e-324j, 2125.9911277178085),
+            (1.5e308 + 1e-300j, -1.5e308 + 1e-300j, 2802.1406976580956),
+            (1.5e308 + 5e-324j, 5e-324j, 2908.083491343311),
+            (1.5e308 + 5e-324j, 1.5e308 + 5e-324j, 0.0),
+        ],
     )
     def test_a_half_plane_distance_whose_sinh_passes_the_doubles(self, rows, x, y, rho):
         # sinh(rho/2) = |x - y| / (2 sqrt(Im x Im y)) passes the doubles and
-        # rho does not: 2125.99112771780867... and 2802.14069765809577... at
-        # 50 digits (mpmath), each within 1 ulp; the row beside it, of equal
-        # points, takes no logarithm of its zero chord
+        # rho does not: 2125.99112771780867..., 2802.14069765809577... and
+        # 2908.08349134331099... at 50 digits (mpmath), each within 1 ulp. In
+        # the last two the divisor, at scale 1/4, underflows to 0, and equal
+        # points are still 0 apart. The row beside each, of equal points,
+        # takes no logarithm of its zero chord
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = rho_halfplane(np.array([x, 1j]), np.array([y, 1j])).tolist() if rows else [rho_halfplane(x, y), 0.0]
