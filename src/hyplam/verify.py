@@ -389,10 +389,50 @@ def _halton_blocks(n: int, dim: int, seed: int, size: int):
         yield out.T
 
 
-#: rows per block in the sweeps that draw pairs of points or Halton samples
-#: block by block: bounds their samples and temporaries, and so the peak
-#: memory of the thorough profile, whatever n
-_BLOCK = 8192
+#: rows per block in the sweeps that draw pairs of points, Halton samples or
+#: grid points block by block. No sweep holds n rows, so the pair sweeps'
+#: per-block temporaries set the thorough profile's peak memory, whatever n
+_BLOCK = 4096
+
+
+class _Linspace:
+    """np.linspace(start, stop, num, endpoint=endpoint)[first:], for a nonzero
+    step, bit for bit, _BLOCK points at a time: point i is i * step + start,
+    and the last is stop where endpoint holds."""
+
+    def __init__(self, start, stop, num: int, endpoint: bool = True, first: int = 0):
+        self.start, self.stop, self.num, self.endpoint, self.first = start, stop, num, endpoint, first
+        self.step = (stop - start) / max(num - 1 if endpoint else num, 1)
+
+    def points(self, lo: int, hi: int) -> np.ndarray:  # points lo, ..., hi - 1
+        x = np.arange(lo, hi) * self.step + self.start
+        if self.endpoint and hi == self.num > 1:
+            x[-1] = self.stop
+        return x
+
+    def blocks(self):
+        """(i, points i, ..., i + _BLOCK - 1 or the last), block by block."""
+        for lo in range(self.first, self.num, _BLOCK):
+            yield lo, self.points(lo, min(lo + _BLOCK, self.num))
+
+    def neighbours(self, i: int):
+        """Where refine_grid_max refines a maximum at point i: between its neighbours, or i at an end."""
+        return tuple(self.points(max(i - 1, self.first), min(i + 2, self.num))[[0, -1]])
+
+
+class _Extrema:
+    """The largest and smallest value, and the index of the first largest, of
+    values handed over block by block: those of np.max, np.min and argmax on
+    all of them, so NaN once a value is NaN, and the first NaN the argmax."""
+
+    def __init__(self):
+        self.max, self.min, self.argmax = -math.inf, math.inf, -1
+
+    def add(self, first: int, vals: np.ndarray):  # the values at points first, first + 1, ...
+        i = int(vals.argmax())
+        if self.argmax < 0 or not (self.max >= vals[i] or math.isnan(self.max)):
+            self.max, self.argmax = float(vals[i]), first + i
+        self.min = float(np.minimum(self.min, vals.min()))
 
 
 def _coords(*zs) -> np.ndarray:
@@ -845,37 +885,39 @@ def _t_distortion_bracket(n: int, chk: _Checker):
 # Lambert / ideal targets
 
 
+def _side_extrema(n: int, ls, combine):
+    """The n-point theta grid on [1e-7, pi/2 - 1e-7] of product-sharpness and sum-cases,
+    and per L of ls the _Extrema of combine(d1, d2) on it; cos and sin are taken once a block."""
+    grid = _Linspace(1e-7, math.pi / 2.0 - 1e-7, n)
+    extrema = {L: _Extrema() for L in ls}
+    for first, thetas in grid.blocks():
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        for L, ext in extrema.items():
+            with np.errstate(divide="ignore"):  # arth 1 = inf, where L cos theta rounds to 1
+                ext.add(first, combine(*_sides_cs(L, cos, sin)))
+    return grid, extrema
+
+
 @claim("product-sharpness", "d1*d2 bound is attained at theta = pi/4 for every L")
 def _t_product_sharpness(n: int, chk: _Checker):
-    thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    for L in [round(0.1 * k, 1) for k in range(1, 11)]:
-        vals, d2 = _sides_cs(L, cos, sin)
-        vals *= d2  # d1 d2, in place
+    grid, extrema = _side_extrema(n, [round(0.1 * k, 1) for k in range(1, 11)], np.multiply)
+    for L, ext in extrema.items():
         bound = lam.product_bound(L)
-        gmax = float(np.max(vals))
-        chk.require(gmax - bound, 1e-12, (L,))
-        chk.require(bound - gmax, 1e-4, (L,))
-        th_star, ref = refine_grid_max(lambda t: math.prod(_sides(L, t)), thetas, vals, tol=1e-13)
+        chk.require(ext.max - bound, 1e-12, (L,))
+        chk.require(bound - ext.max, 1e-4, (L,))
+        th_star, ref = golden_max(lambda t: math.prod(_sides(L, t)), *grid.neighbours(ext.argmax), tol=1e-13)
         chk.require(abs(th_star - math.pi / 4.0), 1e-3, (L, th_star))
         chk.require(abs(ref - bound), 8.0 * 2.0**-52 * bound, (L,))  # the refined maximum: 3.65 ulp seen
-        # freed before the next L's sides are made, so that the sweep holds
-        # at most six arrays of n at once
-        del vals, d2
     chk.locate(ref, (L, th_star))
 
 
 @claim("sum-cases", "d1+d2 range matches the four-case formulas with the stated witnesses", cap=200_001)
 def _t_sum_cases(n: int, chk: _Checker):
-    thetas = np.linspace(1e-7, math.pi / 2.0 - 1e-7, n)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    for L in (0.5, 0.85, 0.95, 1.0):
+    grid, extrema = _side_extrema(n, (0.5, 0.85, 0.95, 1.0), np.add)
+    for L, ext in extrema.items():
         rep = lam.sum_bounds(L)
-        with np.errstate(divide="ignore"):
-            vals, d2 = _sides_cs(L, cos, sin)
-        vals += d2  # d1 + d2, in place
         if L < 1.0:
-            th_star, gmax = refine_grid_max(lambda t: sum(_sides(L, t)), thetas, vals, tol=1e-13)
+            th_star, gmax = golden_max(lambda t: sum(_sides(L, t)), *grid.neighbours(ext.argmax), tol=1e-13)
             chk.require(abs(gmax - rep.upper), 1e-8, (L, th_star))
             if rep.case_label in ("case 2", "case 3"):
                 w1 = rep.equality_witness
@@ -885,12 +927,11 @@ def _t_sum_cases(n: int, chk: _Checker):
         if rep.case_label in ("case 3", "case 4"):
             at_pi4 = sum(_sides(L, math.pi / 4.0))
             chk.require(abs(at_pi4 - rep.lower), 1e-8, (L, math.pi / 4.0))
-            chk.require_true(bool(np.min(vals) >= rep.lower - 1e-10), (L,))
+            chk.require_true(bool(ext.min >= rep.lower - 1e-10), (L,))
         else:
             # open infimum arth(L), approached as theta -> 0 or pi/2
-            chk.require_true(bool(np.min(vals) > rep.lower), (L,))
+            chk.require_true(bool(ext.min > rep.lower), (L,))
             chk.require(abs(sum(_sides(L, 1e-7)) - rep.lower), 1e-3, (L,))
-        del vals, d2  # as in product-sharpness
 
 
 @claim("thsq-identity", "th^2 d1 + th^2 d2 = L^2", cap=100_000)
@@ -1055,17 +1096,20 @@ def _t_qc_branch_decided(n: int, chk: _Checker):
     # K <= M_L: T(r_L, L) <= arth(L/sqrt2)^(2/K) is, for every K,
     # arth(sqrt(L^2 - th^2 1)) <= arth(L/sqrt2)^2; the slack is its relative headroom
     th1 = np.tanh(1.0)
-    L = np.linspace(th1, 1.0, n + 1)[1:]
-    headroom = 1.0 - np.arctanh(np.sqrt(L * L - th1 * th1)) / np.arctanh(L / np.sqrt(2.0)) ** 2
-    chk.require_all(-headroom, 0.0, L[:, None])
+    for _, L in _Linspace(th1, 1.0, n + 1, first=1).blocks():
+        headroom = 1.0 - np.arctanh(np.sqrt(L * L - th1 * th1)) / np.arctanh(L / np.sqrt(2.0)) ** 2
+        chk.require_all(-headroom, 0.0, L[:, None])
     # the ideal bound: 2^(1+1/K) T is the sup of 2 arth x (2 arth x')^(1/K) over
     # [r_1, 1), nondecreasing in K, so below the cut it suffices at the cut
     ideal = (2.0 * np.arcsinh(1.0)) ** 2
-    xs = np.linspace(np.sqrt(1.0 - np.tanh(0.5) ** 2), 1.0, n, endpoint=False)
+    xs = _Linspace(np.sqrt(1.0 - np.tanh(0.5) ** 2), 1.0, n, endpoint=False)
 
     def sup(K):
         f = lambda x: 2.0 * np.arctanh(x) * (2.0 * np.arctanh(np.sqrt(1.0 - x * x))) ** (1.0 / K)
-        x, value = refine_grid_max(f, xs, f(xs), tol=1e-13)
+        ext = _Extrema()
+        for first, x in xs.blocks():
+            ext.add(first, f(x))
+        x, value = golden_max(f, *xs.neighbours(ext.argmax), tol=1e-13)
         return float(x), float(value)
 
     K = qcb.IDEAL_K_CUT

@@ -856,8 +856,68 @@ def test_the_certificates_do_not_depend_on_the_block_size(monkeypatch):
     assert certificates() == one_block
 
 
-#: the sweeps that draw, map and check their samples one block at a time
-STREAMED = ("arc-orthogonality", "crossratio-distance", "midpoint", "crossratio-invariance", "thsq-identity")
+@pytest.mark.parametrize("block", [97, 1000, 4096])
+@pytest.mark.parametrize("endpoint", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 4096, 4097, 100_001])
+def test_the_block_grid_is_linspace_bit_for_bit(monkeypatch, n, endpoint, block):
+    # the theta grid of product-sharpness and sum-cases, qc-branch-decided's x
+    # grid, and its L grid without its first point
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    for start, stop, first in (
+        (1e-7, math.pi / 2.0 - 1e-7, 0),
+        (np.sqrt(1.0 - np.tanh(0.5) ** 2), 1.0, 0),
+        (np.tanh(1.0), 1.0, 1),
+    ):
+        grid = verify._Linspace(start, stop, n, endpoint, first)
+        whole = np.linspace(start, stop, n, endpoint=endpoint)[first:]
+        blocks = list(grid.blocks())
+        assert [i for i, _ in blocks] == list(range(first, n, block))
+        assert np.concatenate([np.empty(0)] + [x for _, x in blocks]).tobytes() == whole.tobytes()
+        # where refine_grid_max would refine a maximum at the ends, next to them and in the middle
+        for i in {first, first + 1, n // 2, n - 2, n - 1} & set(range(first, n)):
+            expected = optimize._neighbours(whole, i - first)
+            assert np.array(grid.neighbours(i)).tobytes() == np.array(expected).tobytes()
+
+
+#: the last point of a 97-row block and the first of the next
+@pytest.mark.parametrize("j", [290, 291])
+def test_a_nan_in_one_block_fails_the_theta_sweeps_as_on_the_whole_grid(monkeypatch, j):
+    # NaN in d1 at one theta of 1 000: np.max and np.min of the whole grid's
+    # values are NaN there, and argmax is at j. At the default block the grid
+    # is one block; at 97 rows the NaN is in one block of eleven
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    at_j = np.cos(np.linspace(1e-7, math.pi / 2.0 - 1e-7, 1000)[j])
+    original = verify._sides_cs
+
+    def nan_at_j(L, cos, sin):
+        d1, d2 = original(L, cos, sin)
+        return np.where(cos == at_j, math.nan, d1), d2
+
+    monkeypatch.setattr(verify, "_sides_cs", nan_at_j)
+
+    def certificates():
+        return [dict(run_sweep(SweepSpec(name, 1000)).to_dict(), runtime_ms=None) for name in ("product-sharpness", "sum-cases")]
+
+    one_block = certificates()
+    product, total = one_block
+    # the NaN maximum gives a NaN slack; the NaN minimum fails a yes/no sub-check
+    assert not product["passed"] and math.isnan(product["margin"])
+    assert not total["passed"] and total["margin"] == -math.inf
+    monkeypatch.setattr(verify, "_BLOCK", 97)
+    assert json.dumps(certificates()) == json.dumps(one_block)
+
+
+#: the sweeps that draw, map and check their samples or grid points one block at a time
+STREAMED = (
+    "arc-orthogonality",
+    "crossratio-distance",
+    "midpoint",
+    "crossratio-invariance",
+    "thsq-identity",
+    "product-sharpness",
+    "sum-cases",
+    "qc-branch-decided",
+)
 
 
 @pytest.mark.parametrize("name", STREAMED)
