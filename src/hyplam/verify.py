@@ -885,6 +885,10 @@ def _t_distortion_bracket(n: int, chk: _Checker):
 # Lambert / ideal targets
 
 
+#: a refined extremum's allowed offset from its known place: 4.3 x the worst seen, 2.33e-8
+_PLACE_ALLOWANCE = 1e-7
+
+
 def _side_extrema(n: int, ls, combine):
     """The n-point theta grid on [1e-7, pi/2 - 1e-7] of product-sharpness and sum-cases,
     and per L of ls the _Extrema of combine(d1, d2) on it; cos and sin are taken once a block."""
@@ -906,7 +910,7 @@ def _t_product_sharpness(n: int, chk: _Checker):
         chk.require(ext.max - bound, 1e-12, (L,))
         chk.require(bound - ext.max, 1e-4, (L,))
         th_star, ref = golden_max(lambda t: math.prod(_sides(L, t)), *grid.neighbours(ext.argmax), tol=1e-13)
-        chk.require(abs(th_star - math.pi / 4.0), 1e-3, (L, th_star))
+        chk.require(abs(th_star - math.pi / 4.0), _PLACE_ALLOWANCE, (L, th_star))
         chk.require(abs(ref - bound), 8.0 * 2.0**-52 * bound, (L,))  # the refined maximum: 3.65 ulp seen
     chk.locate(ref, (L, th_star))
 
@@ -918,11 +922,11 @@ def _t_sum_cases(n: int, chk: _Checker):
         rep = lam.sum_bounds(L)
         if L < 1.0:
             th_star, gmax = golden_max(lambda t: sum(_sides(L, t)), *grid.neighbours(ext.argmax), tol=1e-13)
-            chk.require(abs(gmax - rep.upper), 1e-8, (L, th_star))
+            chk.require(abs(gmax - rep.upper), 8.0 * 2.0**-52 * rep.upper, (L, th_star))  # 2.03 ulp seen
             if rep.case_label in ("case 2", "case 3"):
                 w1 = rep.equality_witness
                 w2 = math.pi / 2.0 - w1  # arccos r0' by symmetry
-                chk.require(min(abs(th_star - w1), abs(th_star - w2)), 1e-4, (L, th_star))
+                chk.require(min(abs(th_star - w1), abs(th_star - w2)), _PLACE_ALLOWANCE, (L, th_star))
             chk.locate(gmax, (L, th_star))
         if rep.case_label in ("case 3", "case 4"):
             at_pi4 = sum(_sides(L, math.pi / 4.0))
@@ -1005,11 +1009,11 @@ def _t_ideal_extrema(n: int, chk: _Checker):
         return [2.0 * d for d in _sides(1.0, a)]
 
     a_star, pmax = refine_grid_max(lambda a: math.prod(sides(a)), alphas, math.prod(sides(alphas)), tol=1e-13)
-    chk.require(abs(pmax - lam.IDEAL_PRODUCT_BOUND), 1e-6, (a_star,))
-    chk.require(abs(a_star - math.pi / 4.0), 1e-3, (a_star,))
+    chk.require(abs(pmax - lam.IDEAL_PRODUCT_BOUND), 8.0 * 2.0**-52 * lam.IDEAL_PRODUCT_BOUND, (a_star,))  # 1.29 ulp
+    chk.require(abs(a_star - math.pi / 4.0), _PLACE_ALLOWANCE, (a_star,))
     a_min, smin = refine_grid_min(lambda a: sum(sides(a)), alphas, sum(sides(alphas)), tol=1e-13)
-    chk.require(abs(smin - lam.IDEAL_SUM_BOUND), 1e-6, (a_min,))
-    chk.require(abs(a_min - math.pi / 4.0), 1e-3, (a_min,))
+    chk.require(abs(smin - lam.IDEAL_SUM_BOUND), 8.0 * 2.0**-52 * lam.IDEAL_SUM_BOUND, (a_min,))  # 1.14 ulp
+    chk.require(abs(a_min - math.pi / 4.0), _PLACE_ALLOWANCE, (a_min,))
     chk.require(abs(lam.alpha_from_quadruple(1, 1j, -1, -1j) - math.pi / 4.0), 1e-12, ())
     alpha = math.pi / 6.0
     e_a = complex(math.cos(alpha), math.sin(alpha))

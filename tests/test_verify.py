@@ -338,6 +338,30 @@ class TestCertificatesCanFail:
         cert = run_sweep(SweepSpec("product-sharpness", grid))
         assert not cert.passed and cert.margin < 0.0
 
+    @pytest.mark.parametrize("name,factor", [("IDEAL_PRODUCT_BOUND", 1.0 + 1e-12), ("IDEAL_SUM_BOUND", 1.0 - 1e-12)])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    def test_ideal_extrema_fails_a_constant_off_by_1e_12(self, monkeypatch, grid, name, factor):
+        # the refined maximum of the product and minimum of the sum must be
+        # their sharp constants within 8 ulp, on either profile's grid
+        monkeypatch.setattr(lambert, name, getattr(lambert, name) * factor)
+        cert = run_sweep(SweepSpec("ideal-extrema", grid))
+        assert not cert.passed and cert.margin < 0.0
+
+    @pytest.mark.parametrize("field,factor", [("upper", 1.0 + 1e-12), ("equality_witness", 1.0 + 1e-6)])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    def test_sum_cases_fails_an_upper_end_or_a_witness_a_little_off(self, monkeypatch, grid, field, factor):
+        # the refined maximum must be the upper end within 8 ulp, and lie
+        # within 1e-7 of the witness: 4.4e-7 off at L = 0.85
+        original = lambert.sum_bounds
+
+        def moved(L, theta=None):
+            rep = original(L, theta)
+            return rep._replace(**{field: getattr(rep, field) * factor})
+
+        monkeypatch.setattr(lambert, "sum_bounds", moved)
+        cert = run_sweep(SweepSpec("sum-cases", grid))
+        assert not cert.passed and cert.margin < 0.0
+
     def test_an_ideal_cut_above_K_star_fails_with_a_witness_past_K_star(self, monkeypatch):
         cert = run_sweep(SweepSpec("qc-branch-decided", 1000))
         assert cert.passed and 0.0 < cert.margin < 1e-4  # the headroom at the cut
