@@ -343,14 +343,14 @@ def _halton_blocks(n: int, dim: int, seed: int, size: int):
 
     A sample is the left-to-right sum, from 0.0, of the terms
     perm_j[digit_j] * w_j, with w_j = b^-(j+1) by repeated division. With
-    ndig the digits that cover the indices 0..n-1 and k = ceil(ndig / 2), an
-    index is q = hi * b^k + lo. The sum of the first k terms depends on lo
-    alone, so it is tabled once for every lo < b^k. Each of the next ndig - k
-    terms depends on hi alone, and is added as a column to the rows of that
-    table that a block spans; each term after those is that of digit 0, a
-    constant added to the block's samples. Every sample goes through the
-    same additions of the same operands, in the same order, as digit by
-    digit, so the bits are the same, whatever the block.
+    ndig the digits that cover the indices 0..n-1 and k the most of them with
+    b^k <= _BLOCK, an index is q = hi * b^k + lo. The sum of the first k terms
+    depends on lo alone, so it is tabled once for every lo < b^k, whatever n.
+    Each of the next ndig - k terms depends on hi alone, and is added as a
+    column to the rows of that table that a block spans; each term after
+    those is that of digit 0, a constant added to the block's samples. Every
+    sample goes through the same additions of the same operands, in the same
+    order, as digit by digit, so the bits are the same, whatever the block or k.
     """
     words = _pcg64_words(seed)
     dims = []  # per dimension: b, the table of lo, the terms of hi, the constant terms
@@ -362,10 +362,11 @@ def _halton_blocks(n: int, dim: int, seed: int, size: int):
         for term, perm in zip(terms, perms):
             term[:] = perm * weight
             weight /= base
-        ndig = 0
+        ndig = k = 0
         while base**ndig < n:
             ndig += 1
-        k = (ndig + 1) // 2
+        while k < ndig and base ** (k + 1) <= _BLOCK:
+            k += 1
         low = np.zeros(1)  # the sums of the first j terms, at every lo < b^j
         for term in terms[:k]:
             low = (low[None, :] + term[:, None]).ravel()
@@ -894,10 +895,10 @@ def _side_extrema(n: int, ls, combine):
     and per L of ls the _Extrema of combine(d1, d2) on it; cos and sin are taken once a block."""
     grid = _Linspace(1e-7, math.pi / 2.0 - 1e-7, n)
     extrema = {L: _Extrema() for L in ls}
-    for first, thetas in grid.blocks():
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        for L, ext in extrema.items():
-            with np.errstate(divide="ignore"):  # arth 1 = inf, where L cos theta rounds to 1
+    with np.errstate(divide="ignore"):  # arth 1 = inf, where L cos theta rounds to 1
+        for first, thetas in grid.blocks():
+            cos, sin = np.cos(thetas), np.sin(thetas)
+            for L, ext in extrema.items():
                 ext.add(first, combine(*_sides_cs(L, cos, sin)))
     return grid, extrema
 
