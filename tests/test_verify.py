@@ -953,7 +953,7 @@ def test_a_streamed_sweeps_peak_memory_does_not_grow_with_n(monkeypatch, name):
     peaks = []
     tracemalloc.start()
     try:
-        for n in (50_000, 200_000):
+        for n in (100_000, 400_000):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             sweep(n, verify._Checker())
