@@ -1,6 +1,6 @@
-"""The registry's oracles: golden-section search and its refinement of a
-grid; geodesic_distance's, _distance_rows; mu's, the AGM (_agm_mu), and
-mu^{-1}'s, a bisection on it; and the Lambert side distances, _sides.
+"""The registry's oracles: golden-section search; geodesic_distance's,
+_distance_rows; mu's, the AGM (_agm_mu), and mu^{-1}'s, a bisection on it;
+and the Lambert side distances, _sides.
 
 They are plain implementations that share no code with the closed forms they
 check. One import rule keeps it so (tests/test_layering.py): this module
@@ -38,21 +38,6 @@ def golden_min(f, a, b, tol=1e-12):
 def golden_max(f, a, b, tol=1e-12):
     x, fx = golden_min(lambda t: -f(t), a, b, tol=tol)
     return x, -fx
-
-
-def _neighbours(xs, i):
-    return xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-
-
-def refine_grid_min(f, xs, fs, tol=1e-12):
-    """Golden refinement of f between the neighbours of the first smallest
-    entry of the ndarray fs, the samples of f on the grid xs; returns (x, f(x))."""
-    return golden_min(f, *_neighbours(xs, int(fs.argmin())), tol=tol)
-
-
-def refine_grid_max(f, xs, fs, tol=1e-12):
-    """As refine_grid_min, around the first largest entry of fs."""
-    return golden_max(f, *_neighbours(xs, int(fs.argmax())), tol=tol)
 
 
 _PARAM_MARGIN = 1e-9

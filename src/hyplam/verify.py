@@ -43,7 +43,7 @@ from .geometry import (
     rho_via_crossratio,
 )
 from .optimize import _agm_mu, _distance_rows, _mu_inverse_bisect, _sides, _sides_cs
-from .optimize import golden_max, refine_grid_max, refine_grid_min
+from .optimize import golden_max, golden_min
 from .specfun import (
     SQRT2_2,
     arth,
@@ -417,23 +417,36 @@ class _Linspace:
             yield lo, self.points(lo, min(lo + _BLOCK, self.num))
 
     def neighbours(self, i: int):
-        """Where refine_grid_max refines a maximum at point i: between its neighbours, or i at an end."""
+        """Where a golden search refines an extremum at point i: between its neighbours, or i at an end."""
         return tuple(self.points(max(i - 1, self.first), min(i + 2, self.num))[[0, -1]])
 
 
 class _Extrema:
-    """The largest and smallest value, and the index of the first largest, of
-    values handed over block by block: those of np.max, np.min and argmax on
-    all of them, so NaN once a value is NaN, and the first NaN the argmax."""
+    """The largest and smallest value, and the indices of the first largest
+    and first smallest, of values handed over block by block: those of
+    np.max, np.min, argmax and argmin on all of them, so NaN once a value is
+    NaN, and the first NaN both the argmax and the argmin."""
 
     def __init__(self):
-        self.max, self.min, self.argmax = -math.inf, math.inf, -1
+        self.max, self.min, self.argmax, self.argmin = -math.inf, math.inf, -1, -1
 
     def add(self, first: int, vals: np.ndarray):  # the values at points first, first + 1, ...
-        i = int(vals.argmax())
+        i, j = int(vals.argmax()), int(vals.argmin())
         if self.argmax < 0 or not (self.max >= vals[i] or math.isnan(self.max)):
             self.max, self.argmax = float(vals[i]), first + i
-        self.min = float(np.minimum(self.min, vals.min()))
+        if self.argmin < 0 or not (self.min <= vals[j] or math.isnan(self.min)):
+            self.min, self.argmin = float(vals[j]), first + j
+
+
+def _grid_extrema(grid: _Linspace, keys, f, prep=None) -> dict:
+    """Per key, the _Extrema of f(key, prep(x)) over the grid's points x,
+    block by block; prep (none if None) is taken once a block for all keys."""
+    extrema = {key: _Extrema() for key in keys}
+    for first, x in grid.blocks():
+        x = x if prep is None else prep(x)
+        for key, ext in extrema.items():
+            ext.add(first, f(key, x))
+    return extrema
 
 
 def _coords(*zs) -> np.ndarray:
@@ -675,19 +688,18 @@ def _t_fc_product_unimodal(n: int, chk: _Checker):
 
 @claim("gc-sum-range", "the range of arth(cr)+arth(cr') matches the four-regime closed form", cap=20_001)
 def _t_gc_sum_range(n: int, chk: _Checker):
-    for c in (0.5, lam.SUM_CASE1_MAX, 0.85, lam.SUM_CASE3_MIN, 0.95, 1.0):
+    grid = _Linspace(1e-6, 1.0 - 1e-6, n)
+    for c, ext in _grid_extrema(grid, (0.5, lam.SUM_CASE1_MAX, 0.85, lam.SUM_CASE3_MIN, 0.95, 1.0), lemma_G_c).items():
         rng = g_range(c)
-        xs = _grid01(n, 1e-6, 1.0 - 1e-6)
-        vals = lemma_G_c(c, xs)
-        _, peak = refine_grid_max(lambda r: lemma_G_c(c, r), xs, vals, tol=1e-13)
+        _, peak = golden_max(lambda r: lemma_G_c(c, r), *grid.neighbours(ext.argmax), tol=1e-13)
         if math.isfinite(rng.upper):
             chk.require(abs(peak - rng.upper), 1e-8, (c, 1.0))
         if rng.case in (3, 4):
             chk.require(abs(lemma_G_c(c, SQRT2_2) - rng.lower), 1e-10, (c, 0.0))
-            chk.require_true(float(np.min(vals)) >= rng.lower - 1e-10, (c, 0.0))
+            chk.require_true(ext.min >= rng.lower - 1e-10, (c, 0.0))
         else:
             # open infimum arth(c), approached at the endpoints
-            chk.require_true(float(np.min(vals)) > rng.lower, (c, 0.0))
+            chk.require_true(ext.min > rng.lower, (c, 0.0))
             chk.require(abs(lemma_G_c(c, 1e-9) - rng.lower), 1e-3, (c, 0.0))
     chk.locate(peak, (1.0,))
 
@@ -743,10 +755,11 @@ def _t_hp_range(n: int, chk: _Checker):
     chk.require_true(-3.0 < c3 < -1.0, (-3.0,))
     chk.require(abs(big_C_of_p(-2.0 - 1e-6) + 2.0), 1e-3, (-2.0 - 1e-6,))
     chk.require_true(big_C_of_p(-10.0) < c3, (-10.0,))
-    vals = aux_h_p(-3.0, xs)
-    chk.require(float(np.max(vals)) - c3, 1e-10, (-3.0,))
+    grid = _Linspace(1e-4, 1.0 - 1e-4, n)
+    ext = _grid_extrema(grid, (-3.0,), aux_h_p)[-3.0]
+    chk.require(ext.max - c3, 1e-10, (-3.0,))
     # the root of h_p' against the grid-and-golden oracle, both ways
-    r_star, oracle = refine_grid_max(lambda r: aux_h_p(-3.0, r), xs, vals)
+    r_star, oracle = golden_max(lambda r: aux_h_p(-3.0, r), *grid.neighbours(ext.argmax))
     chk.require(abs(oracle - c3), 1e-12 * abs(c3), (-3.0, r_star))
     chk.locate(c3, (-3.0,))
 
@@ -766,26 +779,24 @@ def _t_gpq(n: int, chk: _Checker):
 @claim("arth-mean-extremum", "power means of arth r, arth r' peak/bottom at sqrt2/2 per the order p", cap=20_001)
 def _t_arth_mean_extremum(n: int, chk: _Checker):
     target = arth(SQRT2_2)
-    xs = _grid01(n, 1e-6, 1.0 - 1e-6)
+    grid = _Linspace(1e-6, 1.0 - 1e-6, n)
 
-    def f(p, r):
-        return holder_mean(p, arth(r), arth(rprime(r)))
+    def sides(r):  # arth r and arth r', taken once a block for every p
+        return arth(r), arth(rprime(r))
 
-    # arth r and arth r' on the grid, once for every p
-    a_r, a_rp = arth(xs), arth(rprime(xs))
-    for p in (-1.0, -0.5, 0.0):
-        r_star, peak = refine_grid_max(lambda r: f(p, r), xs, holder_mean(p, a_r, a_rp), tol=1e-13)
-        chk.require(abs(peak - target), 1e-9, (p, r_star))
-        chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
-    for p in (threshold_C(), 1.0):
-        r_star, low = refine_grid_min(lambda r: f(p, r), xs, holder_mean(p, a_r, a_rp), tol=1e-13)
-        chk.require(abs(low - target), 1e-9, (p, r_star))
+    # a peak for p <= 0, a bottom from threshold_C() on
+    extrema = _grid_extrema(grid, (-1.0, -0.5, 0.0, threshold_C(), 1.0), lambda p, a: holder_mean(p, *a), sides)
+    for p, ext in extrema.items():
+        search, i = (golden_max, ext.argmax) if p <= 0.0 else (golden_min, ext.argmin)
+        r_star, top = search(lambda r: holder_mean(p, *sides(r)), *grid.neighbours(i), tol=1e-13)
+        chk.require(abs(top - target), 1e-9, (p, r_star))
         chk.require(abs(r_star - SQRT2_2), 1e-3, (p, r_star))
     # intermediate p: the bound fails on both sides. Values above the
     # target only appear where arth r' is huge, i.e. at extremely small r,
     # so sample log-spaced radii with the cancellation-free complement.
     p_mid = 0.2
-    vals = holder_mean(p_mid, a_r, a_rp)
+    xs = _grid01(n, 1e-6, 1.0 - 1e-6)
+    vals = holder_mean(p_mid, *sides(xs))
     below = xs[vals < target - 1e-6]
     tiny = np.logspace(-30.0, -2.0, 300)
     above = tiny[holder_mean(p_mid, arth(tiny), arth_complement(tiny)) > target + 1e-6]
@@ -894,12 +905,8 @@ def _side_extrema(n: int, ls, combine):
     """The n-point theta grid on [1e-7, pi/2 - 1e-7] of product-sharpness and sum-cases,
     and per L of ls the _Extrema of combine(d1, d2) on it; cos and sin are taken once a block."""
     grid = _Linspace(1e-7, math.pi / 2.0 - 1e-7, n)
-    extrema = {L: _Extrema() for L in ls}
     with np.errstate(divide="ignore"):  # arth 1 = inf, where L cos theta rounds to 1
-        for first, thetas in grid.blocks():
-            cos, sin = np.cos(thetas), np.sin(thetas)
-            for L, ext in extrema.items():
-                ext.add(first, combine(*_sides_cs(L, cos, sin)))
+        extrema = _grid_extrema(grid, ls, lambda L, cs: combine(*_sides_cs(L, *cs)), lambda t: (np.cos(t), np.sin(t)))
     return grid, extrema
 
 
@@ -1004,15 +1011,16 @@ def _t_lambert_oracle(n: int, chk: _Checker):
 
 @claim("ideal-extrema", "ideal product max / sum min hit their sharp constants at alpha = pi/4", cap=20_001)
 def _t_ideal_extrema(n: int, chk: _Checker):
-    alphas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, n)
+    grid = _Linspace(1e-6, math.pi / 2.0 - 1e-6, n)
 
     def sides(a):  # of the ideal quadrilateral at alpha: the Lambert sides at L = 1, doubled
         return [2.0 * d for d in _sides(1.0, a)]
 
-    a_star, pmax = refine_grid_max(lambda a: math.prod(sides(a)), alphas, math.prod(sides(alphas)), tol=1e-13)
+    extrema = _grid_extrema(grid, (math.prod, sum), lambda combine, s: combine(s), sides)
+    a_star, pmax = golden_max(lambda a: math.prod(sides(a)), *grid.neighbours(extrema[math.prod].argmax), tol=1e-13)
     chk.require(abs(pmax - lam.IDEAL_PRODUCT_BOUND), 8.0 * 2.0**-52 * lam.IDEAL_PRODUCT_BOUND, (a_star,))  # 1.29 ulp
     chk.require(abs(a_star - math.pi / 4.0), _PLACE_ALLOWANCE, (a_star,))
-    a_min, smin = refine_grid_min(lambda a: sum(sides(a)), alphas, sum(sides(alphas)), tol=1e-13)
+    a_min, smin = golden_min(lambda a: sum(sides(a)), *grid.neighbours(extrema[sum].argmin), tol=1e-13)
     chk.require(abs(smin - lam.IDEAL_SUM_BOUND), 8.0 * 2.0**-52 * lam.IDEAL_SUM_BOUND, (a_min,))  # 1.14 ulp
     chk.require(abs(a_min - math.pi / 4.0), _PLACE_ALLOWANCE, (a_min,))
     chk.require(abs(lam.alpha_from_quadruple(1, 1j, -1, -1j) - math.pi / 4.0), 1e-12, ())
@@ -1109,19 +1117,16 @@ def _t_qc_branch_decided(n: int, chk: _Checker):
     ideal = (2.0 * np.arcsinh(1.0)) ** 2
     xs = _Linspace(np.sqrt(1.0 - np.tanh(0.5) ** 2), 1.0, n, endpoint=False)
 
-    def sup(K):
-        f = lambda x: 2.0 * np.arctanh(x) * (2.0 * np.arctanh(np.sqrt(1.0 - x * x))) ** (1.0 / K)
-        ext = _Extrema()
-        for first, x in xs.blocks():
-            ext.add(first, f(x))
-        x, value = golden_max(f, *xs.neighbours(ext.argmax), tol=1e-13)
-        return float(x), float(value)
+    def f(K, x):
+        return 2.0 * np.arctanh(x) * (2.0 * np.arctanh(np.sqrt(1.0 - x * x))) ** (1.0 / K)
 
     K = qcb.IDEAL_K_CUT
-    x_star, top = sup(K)
+    (x_star, top), (x3, t3) = (
+        map(float, golden_max(lambda x: f(k, x), *xs.neighbours(ext.argmax), tol=1e-13))
+        for k, ext in _grid_extrema(xs, (K, 3.0), f).items()
+    )
     chk.require(top / ideal - 1.0, 0.0, (K, x_star))
     # above the cut, where the bound computes T, the sup is its T term
-    x3, t3 = sup(3.0)
     chk.require_true(abs(qcb.qc_ideal_bound(3.0) / distortion_A(3.0) ** 2 / t3 - 1.0) < 1e-12, (3.0, x3))
     chk.locate(top, (K, x_star))
 

@@ -897,10 +897,30 @@ def test_the_block_grid_is_linspace_bit_for_bit(monkeypatch, n, endpoint, block)
         blocks = list(grid.blocks())
         assert [i for i, _ in blocks] == list(range(first, n, block))
         assert np.concatenate([np.empty(0)] + [x for _, x in blocks]).tobytes() == whole.tobytes()
-        # where refine_grid_max would refine a maximum at the ends, next to them and in the middle
+        # where a golden search refines an extremum at the ends, next to them and in the middle
         for i in {first, first + 1, n // 2, n - 2, n - 1} & set(range(first, n)):
-            expected = optimize._neighbours(whole, i - first)
+            j = i - first
+            expected = whole[max(j - 1, 0)], whole[min(j + 1, len(whole) - 1)]
             assert np.array(grid.neighbours(i)).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("levels", [(-1.0, 0.0, 2.5), (-math.inf, -1.0, 0.0, 2.5, math.inf)], ids=["finite", "inf"])
+@pytest.mark.parametrize("nan_in", [None, "first", "middle", "last"])
+@pytest.mark.parametrize("block", [1, 97, 4096])
+def test_extrema_handed_over_by_block_are_those_of_the_whole(block, nan_in, levels):
+    # a few levels, so that the largest and smallest values tie within and
+    # across blocks; three whole blocks and a partial one
+    rng = np.random.default_rng(45)
+    n = 3 * block + (block + 1) // 2
+    for _ in range(5):
+        vals = rng.choice(levels, size=n)
+        if nan_in is not None:
+            vals[{"first": rng.integers(block), "middle": block + rng.integers(block), "last": n - 1}[nan_in]] = math.nan
+        ext = verify._Extrema()
+        for lo in range(0, n, block):
+            ext.add(lo, vals[lo : lo + block])
+        whole = float(np.max(vals)), float(np.min(vals)), int(np.argmax(vals)), int(np.argmin(vals))
+        assert repr((ext.max, ext.min, ext.argmax, ext.argmin)) == repr(whole)
 
 
 #: the last point of a 97-row block and the first of the next
