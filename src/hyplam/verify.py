@@ -639,11 +639,12 @@ def _grid01(n: int, lo: float = 1e-3, hi: float = 1.0 - 1e-3) -> np.ndarray:
 
 
 def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
-    """f, which takes the whole grid xs, is monotone on it up to allowance."""
+    """f, which takes the whole grid xs, is monotone on it up to allowance;
+    the witness is where its worst step starts."""
     vals = f(xs)
-    diffs = np.diff(vals)
-    worst = float(np.min(diffs if increasing else -diffs))
-    chk.require(-worst, allowance, (tag, float(xs[int(np.argmin(diffs))])))
+    steps = np.diff(vals) if increasing else -np.diff(vals)
+    k = int(np.argmin(steps))
+    chk.require(-float(steps[k]), allowance, (tag, float(xs[k])))
     return vals
 
 

@@ -509,6 +509,15 @@ class TestChecker:
         assert not cert.passed and math.isnan(cert.margin)
         assert (cert.observed_extremum, cert.witness) == (0.5, (2.0,))
 
+    def test_a_decreasing_checks_witness_is_its_worst_step(self):
+        # a fall, steepest at the right end, that rises in one step, from xs[3] to xs[4]
+        xs = np.linspace(0.0, 1.0, 11)
+        vals = -(xs**3)
+        vals[4] = vals[3] + 0.01
+        chk = verify._Checker()
+        verify._check_monotone(chk, lambda x: vals, xs, increasing=False, allowance=1e-13, tag=0.3)
+        assert chk.margin < 0.0 and chk.observed()[1] == (0.3, float(xs[3]))
+
 
 def _checker_state(chk):
     # repr makes a NaN margin equal to itself
