@@ -347,11 +347,15 @@ class TestCertificatesCanFail:
         cert = run_sweep(SweepSpec("ideal-extrema", grid))
         assert not cert.passed and cert.margin < 0.0
 
-    @pytest.mark.parametrize("field,factor", [("upper", 1.0 + 1e-12), ("equality_witness", 1.0 + 1e-6)])
+    @pytest.mark.parametrize(
+        "field,factor",
+        [("upper", 1.0 + 1e-12), ("lower", 1.0 + 1e-12), ("lower", 1.0 - 1e-12), ("equality_witness", 1.0 + 1e-6)],
+    )
     @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
-    def test_sum_cases_fails_an_upper_end_or_a_witness_a_little_off(self, monkeypatch, grid, field, factor):
+    def test_sum_cases_fails_an_end_or_a_witness_a_little_off(self, monkeypatch, grid, field, factor):
         # the refined maximum must be the upper end within 8 ulp, and lie
-        # within 1e-7 of the witness: 4.4e-7 off at L = 0.85
+        # within 1e-7 of the witness: 4.4e-7 off at L = 0.85; the value at
+        # pi/4 must be the lower end within 8 ulp where it is attained
         original = lambert.sum_bounds
 
         def moved(L, theta=None):
@@ -360,6 +364,31 @@ class TestCertificatesCanFail:
 
         monkeypatch.setattr(lambert, "sum_bounds", moved)
         cert = run_sweep(SweepSpec("sum-cases", grid))
+        assert not cert.passed and cert.margin < 0.0
+
+    @pytest.mark.parametrize("field", ["upper", "lower"])
+    @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    def test_gc_sum_range_fails_an_end_off_by_1e_12(self, monkeypatch, grid, factor, field):
+        # the refined peak must be the upper end, and G_c(sqrt2/2) the lower
+        # end where it is attained, within 8 ulp
+        original = verify.g_range
+
+        def moved(c):
+            rng = original(c)
+            return rng._replace(**{field: getattr(rng, field) * factor})
+
+        monkeypatch.setattr(verify, "g_range", moved)
+        cert = run_sweep(SweepSpec("gc-sum-range", grid))
+        assert not cert.passed and cert.margin < 0.0
+
+    @pytest.mark.parametrize("name,target", [("holder_mean", "arth-mean-extremum"), ("lemma_F_c", "fc-product-unimodal")])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    def test_a_lemma_function_off_by_1e_12_fails_its_claim(self, monkeypatch, grid, name, target):
+        # the refined extrema must be arth(sqrt2/2) and arth(c sqrt2/2)^2 within 8 ulp
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: original(*args) * (1.0 + 1e-12))
+        cert = run_sweep(SweepSpec(target, grid))
         assert not cert.passed and cert.margin < 0.0
 
     def test_an_ideal_cut_above_K_star_fails_with_a_witness_past_K_star(self, monkeypatch):
