@@ -999,6 +999,8 @@ STREAMED = (
     "product-sharpness",
     "sum-cases",
     "qc-branch-decided",
+    "gc-sum-range",
+    "ideal-extrema",
 )
 
 
