@@ -439,8 +439,8 @@ class _Extrema:
 
 
 def _grid_extrema(grid: _Linspace, keys, f, prep=None) -> dict:
-    """Per key, the _Extrema of f(key, prep(x)) over the grid's points x,
-    block by block; prep (none if None) is taken once a block for all keys."""
+    """Per key, the _Extrema of f(key, prep(x)), f(key, x) if prep is None, over
+    the grid's points x, block by block; prep is taken once a block for all keys."""
     extrema = {key: _Extrema() for key in keys}
     for first, x in grid.blocks():
         x = x if prep is None else prep(x)
@@ -635,6 +635,7 @@ def _t_geodesic_distance_invariance(n: int, chk: _Checker):
 
 #: a refined extremum's allowed offset from its known place: 4.3 x the worst seen, 2.33e-8
 _PLACE_ALLOWANCE = 1e-7
+
 
 def _grid01(n: int, lo: float = 1e-3, hi: float = 1.0 - 1e-3) -> np.ndarray:
     return np.linspace(lo, hi, n)
@@ -1123,12 +1124,15 @@ def _t_qc_branch_decided(n: int, chk: _Checker):
         return 2.0 * np.arctanh(x) * (2.0 * np.arctanh(np.sqrt(1.0 - x * x))) ** (1.0 / K)
 
     K = qcb.IDEAL_K_CUT
-    (x_star, top), (x3, t3) = (
-        map(float, golden_max(lambda x: f(k, x), *xs.neighbours(ext.argmax), tol=1e-13))
-        for k, ext in _grid_extrema(xs, (K, 3.0), f).items()
-    )
+    extrema = _grid_extrema(xs, (K, 3.0), f)
+
+    def sup(K):  # the refined sup over x at K, and its place
+        return tuple(map(float, golden_max(lambda x: f(K, x), *xs.neighbours(extrema[K].argmax), tol=1e-13)))
+
+    x_star, top = sup(K)
     chk.require(top / ideal - 1.0, 0.0, (K, x_star))
     # above the cut, where the bound computes T, the sup is its T term
+    x3, t3 = sup(3.0)
     chk.require_true(abs(qcb.qc_ideal_bound(3.0) / distortion_A(3.0) ** 2 / t3 - 1.0) < 1e-12, (3.0, x3))
     chk.locate(top, (K, x_star))
 
