@@ -422,15 +422,19 @@ class _Linspace:
 
 
 class _Extrema:
-    """The largest and smallest value, and the indices of the first largest
-    and first smallest, of values handed over block by block: those of
-    np.max, np.min, argmax and argmin on all of them, so NaN once a value is
-    NaN, and the first NaN both the argmax and the argmin."""
+    """The largest and smallest value, and the indices of the first largest and first smallest, of
+    values handed over block by block: those of np.max, np.min, argmax and argmin on all of them,
+    so NaN once a value is NaN, and the first NaN both the argmax and the argmin. With steps, its
+    ``steps`` are the _Extrema of np.diff of all the values, step i from point i."""
 
-    def __init__(self):
+    def __init__(self, steps: bool = False):
         self.max, self.min, self.argmax, self.argmin = -math.inf, math.inf, -1, -1
+        self.steps, self._last = _Extrema() if steps else None, np.empty(0)
 
     def add(self, first: int, vals: np.ndarray):  # the values at points first, first + 1, ...
+        if self.steps is not None and len(steps := np.diff(vals, prepend=self._last)):  # from the last value before
+            self.steps.add(first - len(self._last), steps)
+        self._last = vals[-1:].copy()
         i, j = int(vals.argmax()), int(vals.argmin())
         if self.argmax < 0 or not (self.max >= vals[i] or math.isnan(self.max)):
             self.max, self.argmax = float(vals[i]), first + i
@@ -438,15 +442,25 @@ class _Extrema:
             self.min, self.argmin = float(vals[j]), first + j
 
 
-def _grid_extrema(grid: _Linspace, keys, f, prep=None) -> dict:
-    """Per key, the _Extrema of f(key, prep(x)), f(key, x) if prep is None, over
-    the grid's points x, block by block; prep is taken once a block for all keys."""
-    extrema = {key: _Extrema() for key in keys}
+def _grid_extrema(grid: _Linspace, keys, f, prep=None, steps: bool = False) -> dict:
+    """Per key, the _Extrema, with its steps if steps holds, of f(key, prep(x)), f(key, x) if prep
+    is None, over the grid's points x, block by block; prep is taken once a block for all keys."""
+    extrema = {key: _Extrema(steps) for key in keys}
     for first, x in grid.blocks():
         x = x if prep is None else prep(x)
         for key, ext in extrema.items():
             ext.add(first, f(key, x))
     return extrema
+
+
+def _require_monotone(chk, grid: _Linspace, ext: _Extrema, increasing: bool, allowance: float, tag: float):
+    """ext's values on grid rise, or fall, up to allowance a step; the witness is where the worst step starts."""
+    dev, k = (-ext.steps.min, ext.steps.argmin) if increasing else (ext.steps.max, ext.steps.argmax)
+    chk.require(dev, allowance, (tag, float(grid.points(k, k + 1)[0])))
+
+
+def _rises_and_falls(ext: _Extrema) -> bool:  # ext's values rise by over 1e-12 in a step and fall so in another
+    return ext.steps.max > 1e-12 and ext.steps.min < -1e-12
 
 
 def _coords(*zs) -> np.ndarray:
@@ -637,38 +651,25 @@ def _t_geodesic_distance_invariance(n: int, chk: _Checker):
 _PLACE_ALLOWANCE = 1e-7
 
 
-def _grid01(n: int, lo: float = 1e-3, hi: float = 1.0 - 1e-3) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
-def _check_monotone(chk, f, xs, increasing: bool, allowance: float, tag: float):
-    """f, which takes the whole grid xs, is monotone on it up to allowance;
-    the witness is where its worst step starts."""
-    vals = f(xs)
-    steps = np.diff(vals) if increasing else -np.diff(vals)
-    k = int(np.argmin(steps))
-    chk.require(-float(steps[k]), allowance, (tag, float(xs[k])))
-    return vals
-
-
 def _check_concave(chk, f, tag: float):
-    """Discrete second differences of f, which takes the whole grid, on a
-    1000-point grid stay nonpositive."""
-    vals = f(_grid01(1000))
+    """Discrete second differences of f, which takes the whole grid, on a 1000-point grid stay nonpositive."""
+    vals = f(np.linspace(1e-3, 1.0 - 1e-3, 1000))
     chk.require(float(np.max(vals[2:] - 2.0 * vals[1:-1] + vals[:-2])), 1e-12, (tag,))
 
 
-def _find_sign_change(f, xs) -> bool:
-    """f, which takes the whole grid xs, both rises and falls on it."""
-    diffs = np.diff(f(xs))
-    return bool(np.any(diffs > 1e-12) and np.any(diffs < -1e-12))
+def _check_peak(chk, n: int, keys, f):
+    """Per key, f(key, r) rises on n points from 1e-3 to sqrt2/2 and falls on n from there to 1 - 1e-3, up to 1e-13."""
+    for lo, hi, increasing in ((1e-3, SQRT2_2, True), (SQRT2_2, 1.0 - 1e-3, False)):
+        grid = _Linspace(lo, hi, n)
+        for key, ext in _grid_extrema(grid, keys, f, steps=True).items():
+            _require_monotone(chk, grid, ext, increasing, 1e-13, key)
 
 
 @claim("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges", cap=10_000)
 def _t_fc_decreasing(n: int, chk: _Checker):
-    xs = _grid01(n)
-    for c in (0.3, 0.8, 1.0):
-        _check_monotone(chk, lambda r: lemma_f_c(c, r), xs, increasing=False, allowance=1e-13, tag=c)
+    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
+    for c, ext in _grid_extrema(grid, (0.3, 0.8, 1.0), lemma_f_c, steps=True).items():
+        _require_monotone(chk, grid, ext, False, 1e-13, c)
     _check_concave(chk, lambda r: lemma_f_c(1.0, r), 1.0)
     # range checks at c = 1: limit 1 at 0, decay toward 0 at 1
     chk.require(abs(lemma_f_c(1.0, 1e-9) - 1.0), 1e-6, (1.0, 0.0))
@@ -678,9 +679,8 @@ def _t_fc_decreasing(n: int, chk: _Checker):
 
 @claim("fc-product-unimodal", "arth(cr) arth(cr') peaks exactly at r = sqrt2/2", cap=10_000)
 def _t_fc_product_unimodal(n: int, chk: _Checker):
+    _check_peak(chk, n, (0.8, 1.0), lemma_F_c)
     for c in (0.8, 1.0):
-        _check_monotone(chk, lambda r: lemma_F_c(c, r), _grid01(n, 1e-3, SQRT2_2), True, 1e-13, c)
-        _check_monotone(chk, lambda r: lemma_F_c(c, r), _grid01(n, SQRT2_2, 1.0 - 1e-3), False, 1e-13, c)
         _, peak = golden_max(lambda r: lemma_F_c(c, r), 0.5, 0.9, tol=1e-13)
         closed = arth(SQRT2_2 * c) ** 2
         chk.require(abs(peak - closed), 8.0 * 2.0**-52 * closed, (c,))  # 2.43 ulp seen
@@ -710,27 +710,26 @@ def _t_gc_sum_range(n: int, chk: _Checker):
 
 @claim("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2", cap=10_000)
 def _t_h1_h(n: int, chk: _Checker):
-    xs = _grid01(n)
-    _check_monotone(chk, aux_h1, xs, increasing=True, allowance=1e-13, tag=1.0)
-    _check_monotone(chk, aux_h, _grid01(n, 1e-3, SQRT2_2), True, 1e-13, 2.0)
-    _check_monotone(chk, aux_h, _grid01(n, SQRT2_2, 1.0 - 1e-3), False, 1e-13, 2.0)
+    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
+    extrema = _grid_extrema(grid, (aux_h1, aux_h), lambda f, r: f(r), steps=True)
+    _require_monotone(chk, grid, extrema[aux_h1], True, 1e-13, 1.0)
+    _check_peak(chk, n, (2.0,), lambda _, r: aux_h(r))
     peak = aux_h(SQRT2_2)
     chk.require(abs(peak - math.sqrt(2.0) / math.log(math.sqrt(2.0) + 1.0)), 1e-12, (2.0,))
     _check_concave(chk, aux_h1, 1.0)
     _check_concave(chk, aux_h, 2.0)
-    chk.require_true(bool(np.all(aux_h(xs) > 1.0)), (2.0,))
+    chk.require_true(extrema[aux_h].min > 1.0, (2.0,))
     chk.locate(peak, (SQRT2_2,))
 
 
 @claim("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between", cap=10_000)
 def _t_gle2(n: int, chk: _Checker):
-    xs = _grid01(n)
+    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
     c_thr = threshold_C()
-    for p in (-1.0, 0.0):
-        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, False, 1e-13, p)
-    for p in (c_thr, 1.0):
-        _check_monotone(chk, lambda r: aux_g_le2(p, r), xs, True, 1e-13, p)
-    chk.require_true(_find_sign_change(lambda r: aux_g_le2(0.2, r), xs), (0.2,))
+    extrema = _grid_extrema(grid, (-1.0, 0.0, c_thr, 1.0, 0.2), aux_g_le2, steps=True)
+    for p in (-1.0, 0.0, c_thr, 1.0):
+        _require_monotone(chk, grid, extrema[p], p >= c_thr, 1e-13, p)
+    chk.require_true(_rises_and_falls(extrema[0.2]), (0.2,))
     chk.require(abs(c_thr - 0.376775), 1e-6, (c_thr,))
     # the threshold equals the peak of 1 - 1/h
     chk.require(abs(c_thr - (1.0 - 1.0 / aux_h(SQRT2_2))), 1e-12, (c_thr,))
@@ -739,44 +738,46 @@ def _t_gle2(n: int, chk: _Checker):
 
 @claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2", cap=10_000)
 def _t_slope_ratio(n: int, chk: _Checker):
-    xs = _grid01(n)
-    vals = _check_monotone(chk, aux_slope_ratio, xs, increasing=False, allowance=1e-13, tag=0.0)
-    chk.require_true(bool(np.all(vals < -2.0)), (0.0,))
+    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
+    ext = _grid_extrema(grid, (0.0,), lambda _, r: aux_slope_ratio(r), steps=True)[0.0]
+    _require_monotone(chk, grid, ext, False, 1e-13, 0.0)
+    chk.require_true(ext.max < -2.0, (0.0,))
     chk.require(abs(aux_slope_ratio(1e-5) + 2.0), 1e-6, (0.0,))
-    chk.locate(float(vals[0]), (float(xs[0]),))
+    chk.locate(aux_slope_ratio(1e-3), (1e-3,))  # the first point, whose row is its scalar call
 
 
 @claim("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2", cap=10_000)
 def _t_hp_range(n: int, chk: _Checker):
-    xs = _grid01(n, 1e-4, 1.0 - 1e-4)
+    grid = _Linspace(1e-4, 1.0 - 1e-4, n)
+    extrema = _grid_extrema(grid, (-2.0, -1.0, 0.0, -3.0), aux_h_p, steps=True)
     # p >= -2: strictly decreasing, everything below p (at p = -2 the gap
     # near 0 is quartic in r, so give float-noise headroom)
     for p in (-2.0, -1.0, 0.0):
-        vals = _check_monotone(chk, lambda r: aux_h_p(p, r), xs, False, 1e-12, p)
-        chk.require(float(np.max(vals)) - p, 1e-12, (p,))
+        _require_monotone(chk, grid, extrema[p], False, 1e-12, p)
+        chk.require(extrema[p].max - p, 1e-12, (p,))
     # p < -2: attained supremum in (p, -1), limits -2 and -inf
     c3 = big_C_of_p(-3.0)
     chk.require_true(-3.0 < c3 < -1.0, (-3.0,))
     chk.require(abs(big_C_of_p(-2.0 - 1e-6) + 2.0), 1e-3, (-2.0 - 1e-6,))
     chk.require_true(big_C_of_p(-10.0) < c3, (-10.0,))
-    grid = _Linspace(1e-4, 1.0 - 1e-4, n)
-    ext = _grid_extrema(grid, (-3.0,), aux_h_p)[-3.0]
-    chk.require(ext.max - c3, 1e-10, (-3.0,))
+    chk.require(extrema[-3.0].max - c3, 1e-10, (-3.0,))
     # the root of h_p' against the grid-and-golden oracle, both ways
-    r_star, oracle = golden_max(lambda r: aux_h_p(-3.0, r), *grid.neighbours(ext.argmax))
+    r_star, oracle = golden_max(lambda r: aux_h_p(-3.0, r), *grid.neighbours(extrema[-3.0].argmax))
     chk.require(abs(oracle - c3), 1e-12 * abs(c3), (-3.0, r_star))
     chk.locate(c3, (-3.0,))
 
 
 @claim("gpq-monotonicity", "g_pq increasing iff q clears p (or C(p)); sign change below", cap=10_000)
 def _t_gpq(n: int, chk: _Checker):
-    xs = _grid01(n)
-    for p, q in ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0)):
-        _check_monotone(chk, lambda r: aux_g_pq(p, q, r), xs, True, 1e-12, p)
+    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
     c3 = big_C_of_p(-3.0)
-    _check_monotone(chk, lambda r: aux_g_pq(-3.0, c3, r), xs, True, 1e-12, -3.0)
-    for p, q in ((1.0, 0.0), (2.0, 1.0), (-3.0, c3 - 0.05)):
-        chk.require_true(_find_sign_change(lambda r: aux_g_pq(p, q, r), xs), (p, q))
+    rising = ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0), (-3.0, c3))
+    changing = ((1.0, 0.0), (2.0, 1.0), (-3.0, c3 - 0.05))
+    extrema = _grid_extrema(grid, rising + changing, lambda pq, r: aux_g_pq(*pq, r), steps=True)
+    for p, q in rising:
+        _require_monotone(chk, grid, extrema[p, q], True, 1e-12, p)
+    for pq in changing:
+        chk.require_true(_rises_and_falls(extrema[pq]), pq)
     chk.locate(c3, (-3.0, c3))
 
 
@@ -788,9 +789,12 @@ def _t_arth_mean_extremum(n: int, chk: _Checker):
     def sides(r):  # arth r and arth r', taken once a block for every p
         return arth(r), arth(rprime(r))
 
-    # a peak for p <= 0, a bottom from c_thr on
-    c_thr = threshold_C()
-    extrema = _grid_extrema(grid, (-1.0, -0.5, 0.0, c_thr, 1.0), lambda p, a: holder_mean(p, *a), sides)
+    # a peak for p <= 0, a bottom from c_thr on; at p_mid the bound fails on both
+    # sides, and the first argmax of "below the target" is the first point below it
+    c_thr, p_mid = threshold_C(), 0.2
+    mean = lambda p, a: holder_mean(p, *a) < target - 1e-6 if p == p_mid else holder_mean(p, *a)  # noqa: E731
+    extrema = _grid_extrema(grid, (-1.0, -0.5, 0.0, c_thr, 1.0, p_mid), mean, sides)
+    below = extrema.pop(p_mid)
     for p, ext in extrema.items():
         search, i = (golden_max, ext.argmax) if p <= 0.0 else (golden_min, ext.argmin)
         r_star, top = search(lambda r: holder_mean(p, *sides(r)), *grid.neighbours(i), tol=1e-13)
@@ -798,17 +802,13 @@ def _t_arth_mean_extremum(n: int, chk: _Checker):
         # at c_thr the second derivative vanishes at sqrt2/2, so the bottom is quartic
         # and its place known to about eps^(1/4) only: 1.69e-4 seen at n = 20 001
         chk.require(abs(r_star - SQRT2_2), 1e-3 if p == c_thr else _PLACE_ALLOWANCE, (p, r_star))
-    # intermediate p: the bound fails on both sides. Values above the
-    # target only appear where arth r' is huge, i.e. at extremely small r,
-    # so sample log-spaced radii with the cancellation-free complement.
-    p_mid = 0.2
-    xs = _grid01(n, 1e-6, 1.0 - 1e-6)
-    vals = holder_mean(p_mid, *sides(xs))
-    below = xs[vals < target - 1e-6]
+    # values above the target only appear where arth r' is huge, i.e. at
+    # extremely small r, so sample log-spaced radii with the cancellation-free complement
     tiny = np.logspace(-30.0, -2.0, 300)
     above = tiny[holder_mean(p_mid, arth(tiny), arth_complement(tiny)) > target + 1e-6]
-    chk.require_true(below.size > 0 and above.size > 0, (p_mid,))
-    chk.locate(target, (float(below[0]) if below.size else 0.0, float(above[0]) if above.size else 0.0))
+    chk.require_true(below.max == 1.0 and above.size > 0, (p_mid,))
+    first = float(grid.points(below.argmax, below.argmax + 1)[0]) if below.max else 0.0
+    chk.locate(target, (first, float(above[0]) if above.size else 0.0))
 
 
 @claim("arth-convexity-region", "arth is H_{p,q}-convex exactly on the two-piece region", cap=10_000)
@@ -857,7 +857,7 @@ _MU_AGM_REL = 8.0 * 2.0**-52
 @claim("mu-identities", "mu functional identity, round-trip inverse, distortion closed forms", cap=1000)
 def _t_mu_identities(n: int, chk: _Checker):
     chk.require(abs(grotzsch_mu(1.0 / math.sqrt(2.0)) - math.pi / 2.0), 1e-12, (SQRT2_2,))
-    xs = _grid01(n, 1e-3, 1.0 - 1e-3)
+    xs = np.linspace(1e-3, 1.0 - 1e-3, n)
     mu = grotzsch_mu(xs)
     dev = np.abs(mu * grotzsch_mu(rprime(xs)) - math.pi**2 / 4.0)
     chk.require_all(dev, 1e-10, xs[:, None])

@@ -538,13 +538,18 @@ class TestChecker:
         assert not cert.passed and math.isnan(cert.margin)
         assert (cert.observed_extremum, cert.witness) == (0.5, (2.0,))
 
-    def test_a_decreasing_checks_witness_is_its_worst_step(self):
-        # a fall, steepest at the right end, that rises in one step, from xs[3] to xs[4]
+    @pytest.mark.parametrize("block", [4, 4096])
+    def test_a_decreasing_checks_witness_is_its_worst_step(self, monkeypatch, block):
+        # a fall, steepest at the right end, that rises in one step, from xs[3]
+        # to xs[4]: across two blocks at 4 points a block
+        monkeypatch.setattr(verify, "_BLOCK", block)
         xs = np.linspace(0.0, 1.0, 11)
         vals = -(xs**3)
         vals[4] = vals[3] + 0.01
+        grid = verify._Linspace(0.0, 1.0, 11)
+        (ext,) = verify._grid_extrema(grid, (0.3,), lambda _, x: vals[np.searchsorted(xs, x)], steps=True).values()
         chk = verify._Checker()
-        verify._check_monotone(chk, lambda x: vals, xs, increasing=False, allowance=1e-13, tag=0.3)
+        verify._require_monotone(chk, grid, ext, increasing=False, allowance=1e-13, tag=0.3)
         assert chk.margin < 0.0 and chk.observed()[1] == (0.3, float(xs[3]))
 
 
@@ -946,19 +951,51 @@ def test_the_block_grid_is_linspace_bit_for_bit(monkeypatch, n, endpoint, block)
 @pytest.mark.parametrize("nan_in", [None, "first", "middle", "last"])
 @pytest.mark.parametrize("block", [1, 97, 4096])
 def test_extrema_handed_over_by_block_are_those_of_the_whole(block, nan_in, levels):
-    # a few levels, so that the largest and smallest values tie within and
-    # across blocks; three whole blocks and a partial one
+    # a few levels, so that the largest and smallest values, and steps, tie
+    # within and across blocks; three whole blocks and a partial one. The
+    # steps are those of np.diff of the whole, those across blocks included
     rng = np.random.default_rng(45)
     n = 3 * block + (block + 1) // 2
+
+    def extrema(vals):
+        return float(np.max(vals)), float(np.min(vals)), int(np.argmax(vals)), int(np.argmin(vals))
+
     for _ in range(5):
         vals = rng.choice(levels, size=n)
         if nan_in is not None:
             vals[{"first": rng.integers(block), "middle": block + rng.integers(block), "last": n - 1}[nan_in]] = math.nan
-        ext = verify._Extrema()
-        for lo in range(0, n, block):
-            ext.add(lo, vals[lo : lo + block])
-        whole = float(np.max(vals)), float(np.min(vals)), int(np.argmax(vals)), int(np.argmin(vals))
-        assert repr((ext.max, ext.min, ext.argmax, ext.argmin)) == repr(whole)
+        ext = verify._Extrema(steps=True)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for lo in range(0, n, block):
+                ext.add(lo, vals[lo : lo + block])
+            steps = np.diff(vals)
+        assert repr((ext.max, ext.min, ext.argmax, ext.argmin)) == repr(extrema(vals))
+        got = ext.steps.max, ext.steps.min, ext.steps.argmax, ext.steps.argmin
+        assert repr(got) == repr(extrema(steps))
+
+
+@pytest.mark.parametrize("block", [97, 4096])
+@pytest.mark.parametrize("n", [1000, 20_001])
+def test_arth_mean_extremum_takes_arth_once_a_grid_point(monkeypatch, n, block):
+    # arth r and arth r' once a point of its grid, in its one block pass, and
+    # arth once on the 300 log-spaced tiny radii; a second whole-grid pass for
+    # p = 0.2's first point below the target took them twice
+    monkeypatch.delenv("HYPLAM_SEED", raising=False)
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    elements = {"arth": 0, "rprime": 0}
+
+    def counting(name, original):
+        def counted(x):
+            if isinstance(x, np.ndarray):
+                elements[name] += x.size
+            return original(x)
+
+        return counted
+
+    for name in elements:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    assert run_sweep(SweepSpec("arth-mean-extremum", n)).passed
+    assert elements == {"arth": 2 * n + 300, "rprime": n}
 
 
 #: the last point of a 97-row block and the first of the next
@@ -1001,6 +1038,14 @@ STREAMED = (
     "qc-branch-decided",
     "gc-sum-range",
     "ideal-extrema",
+    "fc-decreasing",
+    "fc-product-unimodal",
+    "h1-h-shape",
+    "gle2-monotonicity",
+    "slope-ratio-decreasing",
+    "hp-range",
+    "gpq-monotonicity",
+    "arth-mean-extremum",
 )
 
 
