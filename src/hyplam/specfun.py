@@ -135,12 +135,12 @@ def _geometric_mean(r, s, ns=_rows.SCALAR):
 
 
 def _far_power_mean(p, r, s, ns=_rows.SCALAR):
-    """The power mean of order p != 0 as sqrt(r s) cosh(p d)^(1/p), d =
-    log(max/min)/2, which takes no power of r or s and no 1/p: with y = |p| d,
-    log cosh y is log1p(-expm1(y) expm1(-y)/2) for y <= 1, which keeps the
-    digits of a tiny p, and y + log1p(e^(-2y)) - log 2 above, where sqrt(r s)
-    e^(y/p) is the larger argument for p > 0 and the smaller for p < 0. Each
-    exponent is taken only where its branch is selected, so nothing overflows."""
+    """The power mean of order p != 0 as sqrt(r s) cosh(p d)^(1/p), d = log(max/min)/2,
+    which takes no power of r or s and no 1/p: with y = |p| d, log cosh y is
+    log1p(-expm1(y) expm1(-y)/2) for y <= 1, which keeps the digits of a tiny p, and
+    y + log1p(e^(-2y)) - log 2 above, where sqrt(r s) e^(y/p) is the larger argument for
+    p > 0 and the smaller for p < 0. Each exponent is taken only where its branch is
+    selected, so nothing overflows. Equal arguments are their mean, whatever p but NaN."""
     first = r >= s
     hi, lo = ns.where(first, r, s), ns.where(first, s, r)
     if ns.any(at_inf := (hi == math.inf) & (lo == lo)):  # the limit at hi = inf; a NaN lo stays NaN
@@ -154,7 +154,8 @@ def _far_power_mean(p, r, s, ns=_rows.SCALAR):
     near = y <= 1.0
     c = ns.minimum(y, 1.0)
     log_cosh = ns.where(near, ns.log1p(-ns.expm1(c) * ns.expm1(-c) / 2.0), ns.log1p(ns.exp(-2.0 * y)) - math.log(2.0))
-    return ns.where(near, _geometric_mean(r, s, ns), ns.where(p > 0.0, hi, lo)) * ns.exp(log_cosh / p)
+    mean = ns.where(near, _geometric_mean(r, s, ns), ns.where(p > 0.0, hi, lo)) * ns.exp(log_cosh / p)
+    return ns.where((hi == lo) & (p == p), lo, mean)  # where y = |p| 0 is NaN at p = +-inf, and r r may round
 
 
 # ---------------------------------------------------------------------------

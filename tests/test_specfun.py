@@ -77,6 +77,21 @@ class TestBasics:
             p, r = np.array([-1.0, -1.0, 0.0, -2.0]), np.array([0.3, inf, 0.3, 0.5])
             assert holder_mean(p, r, np.full(4, inf)).tolist() == [0.6, inf, inf, 0.5 * math.sqrt(2.0)]
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, 1e308, -1e308])
+    def test_holder_mean_of_equal_arguments_is_that_argument(self, p):
+        # at p = +-inf, y = |p| d was inf * 0 = NaN; where r r leaves the
+        # normal doubles, sqrt(r) sqrt(r) was an ulp off r (the last two)
+        xs = [0.3, 1.0, 5e-324, 1.7976931348623157e308, 2.4375185287186936e-289, 1.912967914713951e157]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert [holder_mean(p, x, x) for x in xs] == xs
+            assert holder_mean(p, np.array(xs), np.array(xs)).tolist() == xs
+            assert holder_mean(np.array([p, 2.0, -p]), np.full(3, 0.3), np.full(3, 0.3)).tolist() == [0.3] * 3
+            assert holder_mean(np.array([math.inf, 2.0, -math.inf]), np.full(3, 0.3), np.full(3, 0.3)).tolist() == [0.3] * 3
+            # a NaN order still gives NaN
+            assert math.isnan(holder_mean(math.nan, 0.3, 0.3))
+            assert math.isnan(holder_mean(np.array([math.nan]), np.array([0.3]), np.array([0.3]))[0])
+
     def test_agm_between_inputs(self):
         # the AGM is mu's oracle, on rows only
         v = optimize._agm(np.array([1.0, 0.5]), np.array([0.25, 0.5]))
