@@ -391,6 +391,40 @@ class TestCertificatesCanFail:
         cert = run_sweep(SweepSpec(target, grid))
         assert not cert.passed and cert.margin < 0.0
 
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    @pytest.mark.parametrize(
+        "name,target,point",
+        [("lemma_f_c", "fc-decreasing", 1e-9), ("aux_slope_ratio", "slope-ratio-decreasing", 1e-5), ("big_C_of_p", "hp-range", -2.000001)],
+    )
+    def test_a_limit_off_by_1e_9_at_its_point_fails_its_claim(self, monkeypatch, grid, name, target, point, factor):
+        # only the value at the point check's own point moves, which no other
+        # sub-check sees: f_1(1e-9) within 8 ulp of 1, the slope ratio at 1e-5
+        # within twice 4r^2/5 of -2, C(-2 - 1e-6) within twice 5(p + 2)^2/12 of p
+        original = getattr(verify, name)
+
+        def moved(*args):
+            return original(*args) * (factor if type(args[-1]) is float and args[-1] == point else 1.0)
+
+        monkeypatch.setattr(verify, name, moved)
+        cert = run_sweep(SweepSpec(target, grid))
+        assert not cert.passed and cert.margin < 0.0
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
+    @pytest.mark.parametrize("grid", [1000, 100_000], ids=["fast", "thorough"])
+    @pytest.mark.parametrize("name", ["qc_product_bound", "qc_ideal_bound"])
+    def test_qc_k1_reduction_fails_a_bound_off_by_1e_12(self, monkeypatch, grid, name, factor):
+        # at K = 1 each bound must be the unmapped one within 2 ulp
+        original = getattr(qcbounds, name)
+
+        def moved(arg):
+            res = original(arg)
+            return res._replace(bound=res.bound * factor) if name == "qc_product_bound" else res * factor
+
+        monkeypatch.setattr(qcbounds, name, moved)
+        cert = run_sweep(SweepSpec("qc-k1-reduction", grid))
+        assert not cert.passed and cert.margin < 0.0
+
     def test_an_ideal_cut_above_K_star_fails_with_a_witness_past_K_star(self, monkeypatch):
         cert = run_sweep(SweepSpec("qc-branch-decided", 1000))
         assert cert.passed and 0.0 < cert.margin < 1e-4  # the headroom at the cut
