@@ -442,10 +442,10 @@ class _Extrema:
             self.min, self.argmin = float(vals[j]), first + j
 
 
-def _grid_extrema(grid: _Linspace, keys, f, prep=None, steps: bool = False) -> dict:
-    """Per key, the _Extrema, with its steps if steps holds, of f(key, prep(x)), f(key, x) if prep
-    is None, over the grid's points x, block by block; prep is taken once a block for all keys."""
-    extrema = {key: _Extrema(steps) for key in keys}
+def _grid_extrema(grid: _Linspace, keys, f, prep=None, steps=()) -> dict:
+    """Per key, the _Extrema, with its steps for the keys in steps, of f(key, prep(x)), f(key, x) if
+    prep is None, over the grid's points x, block by block; prep is taken once a block for all keys."""
+    extrema = {key: _Extrema(key in steps) for key in keys}
     for first, x in grid.blocks():
         x = x if prep is None else prep(x)
         for key, ext in extrema.items():
@@ -661,14 +661,14 @@ def _check_peak(chk, n: int, keys, f):
     """Per key, f(key, r) rises on n points from 1e-3 to sqrt2/2 and falls on n from there to 1 - 1e-3, up to 1e-13."""
     for lo, hi, increasing in ((1e-3, SQRT2_2, True), (SQRT2_2, 1.0 - 1e-3, False)):
         grid = _Linspace(lo, hi, n)
-        for key, ext in _grid_extrema(grid, keys, f, steps=True).items():
+        for key, ext in _grid_extrema(grid, keys, f, steps=keys).items():
             _require_monotone(chk, grid, ext, increasing, 1e-13, key)
 
 
 @claim("fc-decreasing", "f_c is strictly decreasing (concave at c=1) with the stated ranges", cap=10_000)
 def _t_fc_decreasing(n: int, chk: _Checker):
-    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
-    for c, ext in _grid_extrema(grid, (0.3, 0.8, 1.0), lemma_f_c, steps=True).items():
+    grid, cs = _Linspace(1e-3, 1.0 - 1e-3, n), (0.3, 0.8, 1.0)
+    for c, ext in _grid_extrema(grid, cs, lemma_f_c, steps=cs).items():
         _require_monotone(chk, grid, ext, False, 1e-13, c)
     _check_concave(chk, lambda r: lemma_f_c(1.0, r), 1.0)
     # range checks at c = 1: limit 1 at 0, decay toward 0 at 1
@@ -711,7 +711,7 @@ def _t_gc_sum_range(n: int, chk: _Checker):
 @claim("h1-h-shape", "r'/arth r' increasing/concave; the two-term sum peaks at sqrt2/2", cap=10_000)
 def _t_h1_h(n: int, chk: _Checker):
     grid = _Linspace(1e-3, 1.0 - 1e-3, n)
-    extrema = _grid_extrema(grid, (aux_h1, aux_h), lambda f, r: f(r), steps=True)
+    extrema = _grid_extrema(grid, (aux_h1, aux_h), lambda f, r: f(r), steps=(aux_h1,))
     _require_monotone(chk, grid, extrema[aux_h1], True, 1e-13, 1.0)
     _check_peak(chk, n, (2.0,), lambda _, r: aux_h(r))
     peak = aux_h(SQRT2_2)
@@ -724,9 +724,9 @@ def _t_h1_h(n: int, chk: _Checker):
 
 @claim("gle2-monotonicity", "g is decreasing for p<=0, increasing for p>=C, non-monotone between", cap=10_000)
 def _t_gle2(n: int, chk: _Checker):
-    grid = _Linspace(1e-3, 1.0 - 1e-3, n)
-    c_thr = threshold_C()
-    extrema = _grid_extrema(grid, (-1.0, 0.0, c_thr, 1.0, 0.2), aux_g_le2, steps=True)
+    grid, c_thr = _Linspace(1e-3, 1.0 - 1e-3, n), threshold_C()
+    ps = (-1.0, 0.0, c_thr, 1.0, 0.2)
+    extrema = _grid_extrema(grid, ps, aux_g_le2, steps=ps)
     for p in (-1.0, 0.0, c_thr, 1.0):
         _require_monotone(chk, grid, extrema[p], p >= c_thr, 1e-13, p)
     chk.require_true(_rises_and_falls(extrema[0.2]), (0.2,))
@@ -739,7 +739,7 @@ def _t_gle2(n: int, chk: _Checker):
 @claim("slope-ratio-decreasing", "the auxiliary ratio is strictly decreasing with values below -2", cap=10_000)
 def _t_slope_ratio(n: int, chk: _Checker):
     grid = _Linspace(1e-3, 1.0 - 1e-3, n)
-    ext = _grid_extrema(grid, (0.0,), lambda _, r: aux_slope_ratio(r), steps=True)[0.0]
+    ext = _grid_extrema(grid, (0.0,), lambda _, r: aux_slope_ratio(r), steps=(0.0,))[0.0]
     _require_monotone(chk, grid, ext, False, 1e-13, 0.0)
     chk.require_true(ext.max < -2.0, (0.0,))
     chk.require(abs(aux_slope_ratio(1e-5) + 2.0), 2.0 * 0.8e-10, (0.0,))  # twice 4r^2/5 of -2 - 4r^2/5 + ...
@@ -749,7 +749,7 @@ def _t_slope_ratio(n: int, chk: _Checker):
 @claim("hp-range", "h_p decreasing below p for p>=-2; attained sup C(p) in (p,-1) for p<-2", cap=10_000)
 def _t_hp_range(n: int, chk: _Checker):
     grid = _Linspace(1e-4, 1.0 - 1e-4, n)
-    extrema = _grid_extrema(grid, (-2.0, -1.0, 0.0, -3.0), aux_h_p, steps=True)
+    extrema = _grid_extrema(grid, (-2.0, -1.0, 0.0, -3.0), aux_h_p, steps=(-2.0, -1.0, 0.0))
     # p >= -2: strictly decreasing, everything below p (at p = -2 the gap
     # near 0 is quartic in r, so give float-noise headroom)
     for p in (-2.0, -1.0, 0.0):
@@ -773,7 +773,7 @@ def _t_gpq(n: int, chk: _Checker):
     c3 = big_C_of_p(-3.0)
     rising = ((-2.0, -2.0), (1.0, 1.0), (-2.0, 0.0), (2.0, 3.0), (-3.0, 0.0), (-3.0, c3))
     changing = ((1.0, 0.0), (2.0, 1.0), (-3.0, c3 - 0.05))
-    extrema = _grid_extrema(grid, rising + changing, lambda pq, r: aux_g_pq(*pq, r), steps=True)
+    extrema = _grid_extrema(grid, rising + changing, lambda pq, r: aux_g_pq(*pq, r), steps=rising + changing)
     for p, q in rising:
         _require_monotone(chk, grid, extrema[p, q], True, 1e-12, p)
     for pq in changing:

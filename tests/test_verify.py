@@ -581,7 +581,7 @@ class TestChecker:
         vals = -(xs**3)
         vals[4] = vals[3] + 0.01
         grid = verify._Linspace(0.0, 1.0, 11)
-        (ext,) = verify._grid_extrema(grid, (0.3,), lambda _, x: vals[np.searchsorted(xs, x)], steps=True).values()
+        (ext,) = verify._grid_extrema(grid, (0.3,), lambda _, x: vals[np.searchsorted(xs, x)], steps=(0.3,)).values()
         chk = verify._Checker()
         verify._require_monotone(chk, grid, ext, increasing=False, allowance=1e-13, tag=0.3)
         assert chk.margin < 0.0 and chk.observed()[1] == (0.3, float(xs[3]))
