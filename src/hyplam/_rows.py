@@ -33,15 +33,17 @@ def _sq_abs(z):
 
 
 #: math's functions and builtins under numpy's names: abs is |z| by hypot;
+#: hypot is libm's, as abs(complex) and numpy's hypot take it (math.hypot is
+#: CPython's own, an ulp apart on some arguments);
 #: divide is x / y, inf where that overflows, as numpy's divide gives it;
 #: where picks from branches its caller has computed, so each must be safe on
 #: every input; fmax is max(0.0, x), 0.0 for a NaN x; math_asinh, math.asinh itself,
 #: which the rows table applies row by row, as numpy's arcsinh rounds otherwise
 SCALAR = _table("hyplam._rows.SCALAR", dict(
     sqrt=math.sqrt, exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, cos=math.cos, sin=math.sin,
-    arccos=math.acos, arctanh=math.atanh, arcsinh=math.asinh, math_asinh=math.asinh, hypot=math.hypot, divide=truediv,
-    isfinite=math.isfinite, abs=abs, any=bool, minimum=min, fmax=max, where=lambda cond, a, b: a if cond else b,
-    power=_power, sq_abs=_sq_abs,
+    arccos=math.acos, arctanh=math.atanh, arcsinh=math.asinh, math_asinh=math.asinh,
+    hypot=lambda x, y: abs(complex(x, y)), divide=truediv, isfinite=math.isfinite, abs=abs, any=bool, minimum=min,
+    fmax=max, where=lambda cond, a, b: a if cond else b, power=_power, sq_abs=_sq_abs,
 ))
 
 

@@ -51,12 +51,29 @@ def _table(first, *columns) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV cells: the bytes "%.17g" writes, without a call per cell
 
-#: rows per _csv_bytes call: 512 to 2048 ran alike on a 2-CPU host, 256 slower;
-#: a block's temporaries stay near 200 kB
-_CSV_BLOCK = 1024
+#: cells per _csv_bytes call, whatever the column count. From ~2 300 cells on,
+#: glibc's malloc hands the top of the heap back to the system as a call frees
+#: its temporaries, and the next call faults those pages in again: in a fresh
+#: process, a 5 000-row sweep after the first took no minor page fault at up
+#: to 2 048 cells a call, 19-600 at 2 304-2 560 and 500-1 300 at 2 816-5 120
+#: (at most 5 below 3 072 with MALLOC_TRIM_THRESHOLD_ raised). Milliseconds for
+#: each target's 5 000-row table, on a 2-CPU Xeon host, medians of 30 shuffled
+#: rounds in one process:
+#:
+#:     cells   product  sum   ideal  mu
+#:     1 024   3.86     4.98  4.83   2.96
+#:     2 048   2.97     3.83  3.76   2.33
+#:     2 560   2.92     3.59  3.59   2.11
+#:     3 072   3.71     4.58  4.46   2.74
+#:     5 120   4.28     5.22  5.25   3.11
+#:
+#: 2 048 is the largest size measured without a fault, below the cliff.
+_CSV_CELLS = 2048
 #: the powers 10**k that _scaled takes: k = 16 - E for the decimal exponents
 #: E = -324 ... 308 of the finite doubles, and for log10's guess one off
 _K_MIN, _K_MAX = -293, 341
+#: 10**(16 - E) is column _K_COLUMN - E of the powers table
+_K_COLUMN = 16 - _K_MIN
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 #: how far from a rounding boundary an inexact S must lie to be trusted: its
 #: error is below 2**-45
@@ -77,8 +94,9 @@ def _words(texts) -> np.ndarray:
 def _csv_tables() -> tuple:
     """The tables of _csv_bytes, built on the first sweep.
 
-    - For each k, 10**k / 2**g as a double-double and the exact scale 2**g;
-      g = 0 but at the ends of the range, where 10**k leaves the doubles.
+    - For each k, 10**k / 2**g as a double-double, its high part split by
+      Dekker, and the exact scale 2**g; g = 0 but at the ends of the range,
+      where 10**k leaves the doubles.
     - The first record word of a cell by its leading digit d: "-0.000d.".
     - For each 4-digit group 0000-9999, its digits each followed by a point,
       as one record word, and its count of trailing zeros (4 for 0000).
@@ -89,14 +107,15 @@ def _csv_tables() -> tuple:
     """
     ks = range(_K_MIN, _K_MAX + 1)
     shift = [200 if k > 280 else -200 if k < -280 else 0 for k in ks]
-    hi, lo = [], []
+    columns = []
     for k, g in zip(ks, shift):
         num, den = (10**k, 1 << g) if k >= 0 else (1 << -g, 10**-k)
         h = num / den  # correctly rounded, as is the remainder below
         p, q = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * q - p * den) / (den * q))
-    powers = np.array(hi), np.array(lo), np.ldexp(1.0, shift)
+        c = _SPLIT * h
+        h_hi = c - (c - h)
+        columns.append((h, h_hi, h - h_hi, (num * q - p * den) / (den * q), 2.0**g))
+    powers = np.array(columns).T.copy()
 
     group = np.arange(10000)
     slots = np.full((10000, 4, 2), ord("."), np.uint8)
@@ -127,17 +146,15 @@ def _csv_tables() -> tuple:
     return powers, leads, slots.reshape(-1, 8).view("<u8").ravel(), zeros.astype(np.uint8), last, keep
 
 
-def _scaled(a, k):
-    """(hi, lo): hi + lo is a * 10**k as a double-double, exactly when
-    0 <= k <= 22, for positive doubles a with a * 10**k in [1e15, 1e18)."""
-    power, tail, scale = (np.take(t, k - _K_MIN) for t in _csv_tables()[0])
+def _scaled(a, e):
+    """(hi, lo): hi + lo is a * 10**k with k = 16 - e as a double-double,
+    exactly when 0 <= k <= 22, for positive doubles a with a * 10**k in
+    [1e15, 1e18)."""
+    power, b_hi, b_lo, tail, scale = np.take(_csv_tables()[0], _K_COLUMN - e, axis=1)
     a = a * scale
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    c = _SPLIT * power
-    b_hi = c - (c - power)
-    b_lo = power - b_hi
     t = a * power
     s = (((a_hi * b_hi - t) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + a * tail
     hi = t + s
@@ -180,17 +197,20 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     a = np.where(number, np.abs(x), 1.0)  # no arithmetic on 0, inf or nan
 
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _scaled(a, 16 - e)
-    step = (hi - 1e17 + lo >= 0).astype(np.intp) - (hi - 1e16 + lo < 0)
+    hi, lo = _scaled(a, e)
+    below, above = hi - 1e16 + lo, hi - 1e17 + lo  # of the exact sign when S is exact
+    step = (above >= 0).astype(np.intp) - (below < 0)
     again = np.flatnonzero(step)
     if again.size:
         e[again] += step[again]
-        hi[again], lo[again] = _scaled(a[again], 16 - e[again])
-    below, above = hi - 1e16 + lo, hi - 1e17 + lo  # of the exact sign when S is exact
+        hi[again], lo[again] = _scaled(a[again], e[again])
+        below, above = hi - 1e16 + lo, hi - 1e17 + lo
     nearest = np.rint(lo)
-    trusted = (np.abs(below) > _TRUST) & (np.abs(above) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
+    unproved = number & ((below < 0) | (above >= 0))
     exact = (e >= -6) & (e <= 16)
-    unproved = number & ((below < 0) | (above >= 0) | ~(exact | trusted))
+    if not exact.all():  # only an inexact S is tested for trust
+        trusted = (np.abs(below) > _TRUST) & (np.abs(above) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
+        unproved |= number & ~(exact | trusted)
     ok = number & ~unproved
     n = np.where(ok, hi, 0.0).astype(np.int64) + np.where(ok, nearest, 0.0).astype(np.int64)
     carry = n == 10**17
@@ -203,8 +223,11 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     mid, low = top - lead * 10**8, n - top * 10**8
     g1, g3 = mid // 10**4, low // 10**4
     g = [g1, mid - g1 * 10**4, g3, low - g3 * 10**4]
-    z1, z2, z3, z4 = (np.take(zeros, gi) for gi in g)
-    nd = 17 - (z4 + (g[3] == 0) * (z3 + (g[2] == 0) * (z2 + (g[1] == 0) * z1)))
+    nd = 17 - np.take(zeros, g[3])
+    short = np.flatnonzero(g[3] == 0)  # trailing zeros past the last group
+    if short.size:
+        z1, z2, z3 = (np.take(zeros, gi[short]) for gi in g[:3])
+        nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
 
     sci = (e < -4) | (e > 16)
     layout = np.where(finite, (np.where(sci, 0, e) + 4) * 17 + nd - 1, _NO_DIGITS)
@@ -218,7 +241,7 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     rec = np.empty((rows * cols, 6), "<u8")  # a cell's record per row
     mask = layout * 2 + (np.signbit(x) & ~np.isnan(x))
     for w, (words, index) in enumerate(zip([leads] + [groups] * 4, [lead] + g)):
-        rec[:, w] = np.take(words, index) & np.take(keep[w], mask)
+        np.bitwise_and(np.take(words, index), np.take(keep[w], mask), out=rec[:, w])
     rec[:, 5] = np.take(last, end).ravel()
     for i in np.flatnonzero(unproved):
         rec[i, :5] = np.frombuffer((b"%.17g" % x[i]).ljust(40, b"\0"), "<u8")

@@ -213,11 +213,12 @@ def cmd_sweep(args) -> int:
     # sweep is computed, and emptied only once it is (a pipe is not emptied)
     with open(args.out, "ab") as fh:
         header, table = _sweep._sweep_rows(args)
-        if fh.seekable():
+        if fh.seekable() and fh.tell():  # in append mode tell() is the file's size
             fh.truncate(0)
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(table), _sweep._CSV_BLOCK):
-            fh.write(_sweep._csv_bytes(table[start : start + _sweep._CSV_BLOCK]))
+        block = max(1, _sweep._CSV_CELLS // table.shape[1])
+        for start in range(0, len(table), block):
+            fh.write(_sweep._csv_bytes(table[start : start + block]))
     print(f"wrote {len(table)} rows to {args.out}")
     return 0
 

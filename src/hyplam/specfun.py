@@ -270,7 +270,8 @@ def aux_h1(r):
 def aux_h(r):
     """r/arth r + r'/arth r'; peaks at r = sqrt2/2 with value sqrt2/log(1+sqrt2)."""
     _check_open01(r, "aux_h")
-    return lemma_f_c(1.0, r) + aux_h1(r)
+    ns, rp = _rows.ns(r), rprime(r)
+    return _f_c_pair(1.0, r, rp, ns) + _f_c_pair(1.0, rp, r, ns)
 
 
 def aux_g_le2(p, r):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hyplam import SweepSpec, grotzsch_mu, lambert, rprime, run_sweep, verify
 from hyplam import _sweep, cli
-from hyplam._sweep import _CSV_BLOCK, _csv_bytes, _sweep_rows
+from hyplam._sweep import _CSV_CELLS, _csv_bytes, _sweep_rows
 from hyplam.cli import build_parser, main
 from test_verify import _strict_json
 
@@ -278,12 +278,15 @@ class TestSweep:
         header, table = _sweep_rows(build_parser().parse_args(argv))
         assert (tmp_path / "x.csv").read_bytes() == (",".join(header) + "\r\n").encode() + percent_csv(table)
 
-    def test_rows_past_whole_blocks(self, capsys, tmp_path):
-        n = _CSV_BLOCK * 3 + 7
-        argv = ["sweep", "--target", "sum", "--grid", str(n), "--out", str(tmp_path / "x.csv"), "--L", "0.5"]
+    @pytest.mark.parametrize("target,cols", [("product", 4), ("sum", 5), ("ideal", 5), ("mu", 3)])
+    def test_rows_past_whole_blocks(self, capsys, tmp_path, target, cols):
+        # three whole blocks of this target's rows and a partial one
+        n = _CSV_CELLS // cols * 3 + 7
+        argv = ["sweep", "--target", target, "--grid", str(n), "--out", str(tmp_path / "x.csv"), "--L", "0.5"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.startswith(f"wrote {n} rows")
         _, table = _sweep_rows(build_parser().parse_args(argv))
+        assert table.shape == (n, cols)
         assert (tmp_path / "x.csv").read_bytes().split(b"\r\n", 1)[1] == percent_csv(table)
 
     @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-directory", "a-directory"])
@@ -300,6 +303,15 @@ class TestSweep:
         assert code == 2 and out.read_bytes() == b"old"
         assert run(capsys, "sweep", "--target", "sum", "--grid", "10", "--L", "0.5", "--out", str(out))[0] == 0
         assert out.read_bytes().startswith(b"theta,value,lower,upper,margin\r\n")
+
+    def test_sweep_over_a_longer_file_leaves_only_its_bytes(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--target", "mu", "--grid", "10", "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        fresh = out.read_bytes()
+        out.write_bytes(b"x" * (10 * len(fresh)))
+        assert run(capsys, *argv)[0] == 0
+        assert out.read_bytes() == fresh
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     def test_out_may_be_a_pipe(self):
@@ -398,7 +410,7 @@ class TestCsvBytes:
         assert _csv_bytes(table) == percent_csv(table)
         assert _csv_bytes(np.array([[-0.0, math.nan, -math.inf]])) == b"-0,nan,-inf\r\n"
 
-    @pytest.mark.parametrize("rows", [1, 7, _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, 7, _CSV_CELLS // 3 + 1])
     def test_row_counts(self, rows):
         rng = np.random.default_rng(rows)
         table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 20, (rows, 3))

@@ -404,6 +404,19 @@ class TestChordal:
     def test_finite(self):
         assert chordal_distance(0.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0))
 
+    def test_rows_are_their_scalar_calls_bit_for_bit(self):
+        # both take libm's hypot: math.hypot, CPython's own, differed by an
+        # ulp in 222 of these 20 000 pairs
+        rng = np.random.default_rng(3)
+        z, w = (rng.uniform(-2.0, 2.0, 20_000) + 1j * rng.uniform(-2.0, 2.0, 20_000) for _ in range(2))
+        # parts of 2^1021 and more, which _scaled takes down by a power of two
+        big = 2.0**1021 * np.array([1.0, 1.5, -1.75, 1.999])
+        z = np.concatenate([z, big + 1j * big[::-1], 1j * big, big + 0.5j])
+        w = np.concatenate([w, np.full(4, 0.3 + 0.1j), big[::-1] - 1j * big, 3j - big])
+        rows = chordal_distance(z, w)
+        scalars = [chordal_distance(complex(a), complex(b)) for a, b in zip(z.tolist(), w.tolist())]
+        assert rows.view(np.uint64).tolist() == np.array(scalars).view(np.uint64).tolist()
+
     def test_absolute_ratio_needs_distinct_points(self):
         with pytest.raises(DegenerateInputError):
             absolute_ratio(0.1, 0.1, 0.5, 0.7)
