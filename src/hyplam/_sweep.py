@@ -61,11 +61,11 @@ def _table(first, *columns) -> np.ndarray:
 #: rounds in one process:
 #:
 #:     cells   product  sum   ideal  mu
-#:     1 024   3.86     4.98  4.83   2.96
-#:     2 048   2.97     3.83  3.76   2.33
-#:     2 560   2.92     3.59  3.59   2.11
-#:     3 072   3.71     4.58  4.46   2.74
-#:     5 120   4.28     5.22  5.25   3.11
+#:     1 024   4.98     6.23  6.55   3.76
+#:     2 048   3.73     5.23  5.31   3.09
+#:     2 560   3.92     4.62  4.75   2.76
+#:     3 072   5.12     6.55  6.15   3.72
+#:     5 120   6.05     7.07  6.96   4.24
 #:
 #: 2 048 is the largest size measured without a fault, below the cliff.
 _CSV_CELLS = 2048
@@ -223,10 +223,10 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     mid, low = top - lead * 10**8, n - top * 10**8
     g1, g3 = mid // 10**4, low // 10**4
     g = [g1, mid - g1 * 10**4, g3, low - g3 * 10**4]
-    nd = 17 - np.take(zeros, g[3])
+    nd = 17 - zeros[g[3]]
     short = np.flatnonzero(g[3] == 0)  # trailing zeros past the last group
     if short.size:
-        z1, z2, z3 = (np.take(zeros, gi[short]) for gi in g[:3])
+        z1, z2, z3 = (zeros[gi[short]] for gi in g[:3])
         nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
 
     sci = (e < -4) | (e > 16)
@@ -241,8 +241,8 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     rec = np.empty((rows * cols, 6), "<u8")  # a cell's record per row
     mask = layout * 2 + (np.signbit(x) & ~np.isnan(x))
     for w, (words, index) in enumerate(zip([leads] + [groups] * 4, [lead] + g)):
-        np.bitwise_and(np.take(words, index), np.take(keep[w], mask), out=rec[:, w])
-    rec[:, 5] = np.take(last, end).ravel()
+        np.bitwise_and(words[index], keep[w][mask], out=rec[:, w])
+    rec[:, 5] = last[end].ravel()
     for i in np.flatnonzero(unproved):
         rec[i, :5] = np.frombuffer((b"%.17g" % x[i]).ljust(40, b"\0"), "<u8")
     return rec.tobytes().translate(None, b"\0")
