@@ -225,7 +225,7 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     g = [g1, mid - g1 * 10**4, g3, low - g3 * 10**4]
     nd = 17 - zeros[g[3]]
     short = np.flatnonzero(g[3] == 0)  # trailing zeros past the last group
-    if short.size:
+    if short.size:  # 13: the last group's 4 zeros counted
         z1, z2, z3 = (zeros[gi[short]] for gi in g[:3])
         nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
 
