@@ -51,23 +51,24 @@ def _table(first, *columns) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV cells: the bytes "%.17g" writes, without a call per cell
 
-#: cells per _csv_bytes call, whatever the column count. From ~2 300 cells on,
-#: glibc's malloc hands the top of the heap back to the system as a call frees
-#: its temporaries, and the next call faults those pages in again: in a fresh
-#: process, a 5 000-row sweep after the first took no minor page fault at up
-#: to 2 048 cells a call, 19-600 at 2 304-2 560 and 500-1 300 at 2 816-5 120
-#: (at most 5 below 3 072 with MALLOC_TRIM_THRESHOLD_ raised). Milliseconds for
+#: cells per _csv_bytes call, whatever the column count. Milliseconds for
 #: each target's 5 000-row table, on a 2-CPU Xeon host, medians of 30 shuffled
-#: rounds in one process:
+#: rounds in one process, and the minor page faults (ru_minflt) of each
+#: target's second 5 000-row pass in a fresh process:
 #:
-#:     cells   product  sum   ideal  mu
-#:     1 024   4.98     6.23  6.55   3.76
-#:     2 048   3.73     5.23  5.31   3.09
-#:     2 560   3.92     4.62  4.75   2.76
-#:     3 072   5.12     6.55  6.15   3.72
-#:     5 120   6.05     7.07  6.96   4.24
+#:     cells   product  sum   ideal  mu     faults
+#:     1 024   4.12     5.05  5.03   2.79   0
+#:     2 048   3.25     3.97  4.00   2.28   0-5
+#:     2 560   3.04     3.62  3.69   2.00   0
+#:     3 072   2.87     3.59  3.70   1.90   0
+#:     5 120   2.62     3.30  3.40   2.03   0
 #:
-#: 2 048 is the largest size measured without a fault, below the cliff.
+#: 48-byte records faulted from 2 560 cells on (840-1 570 a pass), as glibc's
+#: malloc handed back the heap top that a call's temporaries had freed; the
+#: 32-byte ones fault at no size. Larger calls still run faster but raise a
+#: sweep's peak memory: the sweep-export benchmark's peak RSS read 41.6-41.7
+#: MB at 2 048 cells (41.9-42.2 with 48-byte records), 41.9-42.1 at 3 072 and
+#: 42.3-42.5 at 4 096 and 5 120.
 _CSV_CELLS = 2048
 #: the powers 10**k that _scaled takes: k = 16 - E for the decimal exponents
 #: E = -324 ... 308 of the finite doubles, and for log10's guess one off
@@ -78,11 +79,11 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 #: how far from a rounding boundary an inexact S must lie to be trusted: its
 #: error is below 2**-45
 _TRUST = 2.0**-40
-#: a cell's last record word after its exponent words e-324 ... e+308: none,
-#: "inf" or "nan"; each word ends with the separator
-_NO_EXPONENT, _INF, _NAN = 633, 634, 635
-#: a layout with no digits, for "inf" and "nan"
-_NO_DIGITS = 21 * 17
+#: a cell's code: 0 for 0 and for a cell "%.17g" formats, E + _E_CODE for a
+#: finite nonzero x, then inf and nan
+_E_CODE = 325
+_INF, _NAN = 634, 635
+_BYTE, _TOP = np.uint64(8), np.uint64(56)  # uint64, so that no shift widens to float64 under numpy 1.x
 
 
 def _words(texts) -> np.ndarray:
@@ -98,12 +99,19 @@ def _csv_tables() -> tuple:
       Dekker, and the exact scale 2**g; g = 0 but at the ends of the range,
       where 10**k leaves the doubles.
     - The first record word of a cell by its leading digit d: "-0.000d.".
-    - For each 4-digit group 0000-9999, its digits each followed by a point,
-      as one record word, and its count of trailing zeros (4 for 0000).
-    - The last record word: the exponent or none, "inf" or "nan", then ","
-      (first half) or "\r\n" (second half).
-    - For each layout and sign, the mask of the first five record words:
-      the bytes of the sign, "0.", zeros, digits and point the text keeps.
+    - For each 4-digit group 0000-9999, its digits as half a record word, and
+      twice its count of trailing zeros (4 for 0000).
+    - By code, the last record word: the exponent or none, "inf" or "nan",
+      then "," (first half) or "\r\n" (second half).
+    - By code, where its cells' layouts start: the layout of nd significant
+      digits with the point after the digit p places right of the leading one
+      (p = 0 in scientific notation) and sign s is 2 (17 (p + 4) + nd - 1) + s,
+      and the code's start plus 2 nd + s; then inf, and nan, which has no sign.
+    - By layout and sign, the mask of the first three record words (the bytes
+      of the sign, "0.", zeros, digits and point the text keeps) and the
+      point's place p where it falls inside the 16 digits, else 0.
+    - By p, the masks that shift the digits from the one p places right of the
+      leading one on by a byte and put the point before them, as two words.
     """
     ks = range(_K_MIN, _K_MAX + 1)
     shift = [200 if k > 280 else -200 if k < -280 else 0 for k in ks]
@@ -118,32 +126,39 @@ def _csv_tables() -> tuple:
     powers = np.array(columns).T.copy()
 
     group = np.arange(10000)
-    slots = np.full((10000, 4, 2), ord("."), np.uint8)
-    slots[..., 0] = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1) + ord("0")
-    zeros = np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
+    quads = np.frombuffer(b"".join(b"%04d" % g for g in group), "<u4")
+    zeros = 2 * np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
     leads = _words(b"-0.000%d." % d for d in range(10))
 
-    ends = [b"e%+03d" % e for e in range(-324, 309)] + [b"", b"inf", b"nan"]
+    exps = range(-324, 309)
+    ends = [b""] + [b"e%+03d" % e if e < -4 or e > 16 else b"" for e in exps] + [b"inf", b"nan"]
     last = np.concatenate([_words(t + b"," for t in ends), _words(t + b"\r\n" for t in ends)])
+    places = [0] + [0 if e < -4 or e > 16 else e for e in exps]
+    base = np.array([2 * (17 * (p + 4) - 1) for p in places] + [2 * 17 * 21 - 2, 2 * 17 * 21], np.intp)
 
-    # layout (p, nd): nd significant digits, the point after the digit p
-    # places right of the leading one (p = 0 in scientific notation); slot i
-    # of the groups holds the digit i + 1 places right of the leading one
     p = np.arange(-4, 17)[:, None, None]
     nd = np.arange(1, 18)[None, :, None]
     i = np.arange(16)
-    keep = np.zeros((21, 17, 2, 40), bool)
+    keep = np.zeros((21, 17, 2, 24), bool)
     keep[..., 1, 0] = True  # the sign
     keep[..., 1:3] = (p < 0)[..., None]  # "0."
     keep[..., 3:6] = np.arange(3) < -1 - p[..., None]  # the zeros after it
     keep[..., 6] = True  # the leading digit
     keep[..., 7] = (p == 0) & (nd > 1)
-    keep[..., 8::2] = i <= np.maximum(nd - 2, p - 1)[..., None]
-    keep[..., 9::2] = (i == p[..., None] - 1) & (nd - 1 > p)[..., None]
-    keep = np.concatenate([keep.reshape(-1, 2, 40), [[[False] * 40, [True] + [False] * 39]]])  # no digits
-    keep = (keep * np.uint8(255)).view("<u8").reshape(-1, 5).T.copy()
+    keep[..., 8:] = i <= np.maximum(nd - 2, p - 1)[..., None]
+    signs = [[[False] * 24, [True] + [False] * 23], [[False] * 24] * 2]  # inf, nan: no digits
+    keep = np.concatenate([keep.reshape(-1, 2, 24), signs])
+    keep = (keep * np.uint8(255)).view("<u8").reshape(-1, 3).T.copy()
+    inner = np.where((p >= 1) & (nd - 1 > p), p, 0).repeat(2, axis=2)
+    point = np.concatenate([inner.ravel(), [0] * 4]).astype(np.uint8)
 
-    return powers, leads, slots.reshape(-1, 8).view("<u8").ravel(), zeros.astype(np.uint8), last, keep
+    # the 16 digits as one 128-bit word: the bytes below p stay, the others
+    # move up a byte, and p takes the point
+    full = (1 << 128) - 1
+    masks = [((1 << 8 * p) - 1, full ^ ((1 << 8 * p + 8) - 1), 0x2E << 8 * p) for p in range(16)]
+    moves = np.array([[m >> w & (1 << 64) - 1 for w in (0, 64) for m in row] for row in masks], np.uint64)
+
+    return powers, leads, quads, zeros.astype(np.uint8), last, base, keep, point, moves.T.copy()
 
 
 def _scaled(a, e):
@@ -184,12 +199,16 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     The text follows %g: fixed notation for exponents -4 to 16, scientific
     otherwise, trailing zeros stripped, no point when no digit follows it,
     "-" for a negative value and -0.0, "inf", "-inf" and "nan". Each cell is
-    a record of six 8-byte words: "-0.000", the leading digit and a point;
-    the other 16 digits, each followed by a point; the exponent and the
-    separator. A mask by the cell's layout zeroes what its text leaves out,
-    and the zero bytes are deleted.
+    a record of four 8-byte words: "-0.000", the leading digit and a point;
+    the other 16 digits, 8 a word; the exponent and the separator. A mask by
+    the cell's layout zeroes what its text leaves out. Where the point falls
+    inside the 16 digits (fixed notation, E = 1 to 15, with digits after the
+    point), the digits from there on move up a byte behind the point, and
+    the last of them into the front of the separator word, which holds at
+    most 7 bytes. A text "%.17g" writes fills at most the first three words,
+    24 bytes. The zero bytes are deleted.
     """
-    powers, leads, groups, zeros, last, keep = _csv_tables()
+    powers, leads, quads, zeros, last, base, keep, point, moves = _csv_tables()
     rows, cols = table.shape
     x = table.ravel()
     finite = np.isfinite(x)
@@ -199,23 +218,28 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(a, e)
     below, above = hi - 1e16 + lo, hi - 1e17 + lo  # of the exact sign when S is exact
-    step = (above >= 0).astype(np.intp) - (below < 0)
-    again = np.flatnonzero(step)
+    unproved = (below < 0) | (above >= 0)
+    again = np.flatnonzero(unproved)
     if again.size:
-        e[again] += step[again]
+        e[again] += (above[again] >= 0).astype(np.intp) - (below[again] < 0)
         hi[again], lo[again] = _scaled(a[again], e[again])
-        below, above = hi - 1e16 + lo, hi - 1e17 + lo
+        below[again], above[again] = hi[again] - 1e16 + lo[again], hi[again] - 1e17 + lo[again]
+        unproved[again] = (below[again] < 0) | (above[again] >= 0)
     nearest = np.rint(lo)
-    unproved = number & ((below < 0) | (above >= 0))
-    exact = (e >= -6) & (e <= 16)
-    if not exact.all():  # only an inexact S is tested for trust
-        trusted = (np.abs(below) > _TRUST) & (np.abs(above) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
-        unproved |= number & ~(exact | trusted)
+    inexact = np.flatnonzero((e < -6) | (e > 16))  # only an inexact S is tested for trust
+    if inexact.size:
+        b, c, r = below[inexact], above[inexact], lo[inexact] - nearest[inexact]
+        unproved[inexact] |= (np.abs(b) <= _TRUST) | (np.abs(c) <= _TRUST) | (np.abs(np.abs(r) - 0.5) <= _TRUST)
     ok = number & ~unproved
-    n = np.where(ok, hi, 0.0).astype(np.int64) + np.where(ok, nearest, 0.0).astype(np.int64)
-    carry = n == 10**17
+    n = hi.astype(np.int64) + nearest.astype(np.int64)
+    n *= ok
+    code = (e + _E_CODE) * ok
+    carry = np.flatnonzero(n == 10**17)
     n[carry] = 10**16
-    e = np.where(ok, e + carry, 0)
+    code[carry] += 1
+    if not finite.all():
+        code[np.isinf(x)] = _INF
+        code[np.isnan(x)] = _NAN
 
     # N as its leading digit and four 4-digit groups
     top = n // 10**8
@@ -223,26 +247,30 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     mid, low = top - lead * 10**8, n - top * 10**8
     g1, g3 = mid // 10**4, low // 10**4
     g = [g1, mid - g1 * 10**4, g3, low - g3 * 10**4]
-    nd = 17 - zeros[g[3]]
+    nd2 = 34 - zeros[g[3]]  # twice the count of significant digits
     short = np.flatnonzero(g[3] == 0)  # trailing zeros past the last group
-    if short.size:  # 13: the last group's 4 zeros counted
+    if short.size:  # 26 = 2 (17 - 4): the last group's 4 zeros counted
         z1, z2, z3 = (zeros[gi[short]] for gi in g[:3])
-        nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
+        nd2[short] = 26 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
+    mask = base[code] + nd2 + np.signbit(x)
 
-    sci = (e < -4) | (e > 16)
-    layout = np.where(finite, (np.where(sci, 0, e) + 4) * 17 + nd - 1, _NO_DIGITS)
-    end = np.where(sci, e + 324, _NO_EXPONENT)
-    if not finite.all():
-        end[np.isinf(x)] = _INF
-        end[np.isnan(x)] = _NAN
-    end = end.reshape(rows, cols)
-    end[:, -1] += len(last) // 2
-
-    rec = np.empty((rows * cols, 6), "<u8")  # a cell's record per row
-    mask = layout * 2 + (np.signbit(x) & ~np.isnan(x))
-    for w, (words, index) in enumerate(zip([leads] + [groups] * 4, [lead] + g)):
-        np.bitwise_and(words[index], keep[w][mask], out=rec[:, w])
-    rec[:, 5] = last[end].ravel()
+    rec = np.empty((rows * cols, 4), "<u8")  # a cell's record per row
+    np.bitwise_and(leads[lead], keep[0][mask], out=rec[:, 0])
+    digits = rec.view("<u4")[:, 2:6]  # 4 digits a half-word
+    for j in range(4):
+        digits[:, j] = quads[g[j]]
+    for w in (1, 2):
+        rec[:, w] &= keep[w][mask]
+    code.reshape(rows, cols)[:, -1] += len(last) // 2
+    rec[:, 3] = last[code]
+    at = point[mask]
+    inner = np.flatnonzero(at)
+    if inner.size:
+        k1, s1, p1, k2, s2, p2 = moves[:, at[inner]]
+        d1, d2 = rec[inner, 1], rec[inner, 2]
+        rec[inner, 1] = (d1 & k1) | ((d1 << _BYTE) & s1) | p1
+        rec[inner, 2] = (d2 & k2) | (((d2 << _BYTE) | (d1 >> _TOP)) & s2) | p2
+        rec[inner, 3] = (rec[inner, 3] << _BYTE) | (d2 >> _TOP)
     for i in np.flatnonzero(unproved):
-        rec[i, :5] = np.frombuffer((b"%.17g" % x[i]).ljust(40, b"\0"), "<u8")
+        rec[i, :3] = np.frombuffer((b"%.17g" % x[i]).ljust(24, b"\0"), "<u8")
     return rec.tobytes().translate(None, b"\0")

@@ -410,6 +410,23 @@ class TestCsvBytes:
         assert _csv_bytes(table) == percent_csv(table)
         assert _csv_bytes(np.array([[-0.0, math.nan, -math.inf]])) == b"-0,nan,-inf\r\n"
 
+    def test_point_inside_the_digits(self):
+        # fixed notation, E = 1 ... 15, with each count f = 1 ... 16 - E of
+        # digits after the point: the point moves the digits after it up a
+        # byte, and the last of them in front of the separator. An integer of
+        # E + 1 digits plus an odd multiple of 2**-f has exactly f of them
+        x = [int(b"12345678901234567"[: e + 1]) + ((2**f // 3) | 1) / 2**f for e in range(1, 16) for f in range(1, 17 - e)]
+        texts = [b"%.17g" % v for v in x]
+        places = [(len(t.split(b".")[0]) - 1, len(t.split(b".")[1])) for t in texts]
+        assert places == [(e, f) for e in range(1, 16) for f in range(1, 17 - e)]
+        v = np.array(x + [-y for y in x])
+        table = np.column_stack([v, v[::-1]])  # each value in the middle and in the last column
+        assert _csv_bytes(table) == percent_csv(table)
+        # the two longest texts, 24 and 23 bytes, before "\r\n"
+        longest = np.array([[1.5, -1.2345678901234567e-308], [-21.25, -0.00012345678901234567]])
+        assert [len(b"%.17g" % y) for y in longest[:, 1]] == [24, 23]
+        assert _csv_bytes(longest) == percent_csv(longest)
+
     @pytest.mark.parametrize("rows", [1, 7, _CSV_CELLS // 3 + 1])
     def test_row_counts(self, rows):
         rng = np.random.default_rng(rows)
