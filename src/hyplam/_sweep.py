@@ -63,12 +63,9 @@ def _table(first, *columns) -> np.ndarray:
 #:     3 072   2.87     3.59  3.70   1.90   0
 #:     5 120   2.62     3.30  3.40   2.03   0
 #:
-#: 48-byte records faulted from 2 560 cells on (840-1 570 a pass), as glibc's
-#: malloc handed back the heap top that a call's temporaries had freed; the
-#: 32-byte ones fault at no size. Larger calls still run faster but raise a
-#: sweep's peak memory: the sweep-export benchmark's peak RSS read 41.6-41.7
-#: MB at 2 048 cells (41.9-42.2 with 48-byte records), 41.9-42.1 at 3 072 and
-#: 42.3-42.5 at 4 096 and 5 120.
+#: No size faults more than 5 times a pass, but larger calls, faster still,
+#: raise a sweep's peak memory: the sweep-export benchmark's peak RSS read
+#: 41.6-41.7 MB at 2 048 cells, 41.9-42.1 at 3 072, 42.3-42.5 at 4 096-5 120.
 _CSV_CELLS = 2048
 #: the powers 10**k that _scaled takes: k = 16 - E for the decimal exponents
 #: E = -324 ... 308 of the finite doubles, and for log10's guess one off
@@ -100,18 +97,20 @@ def _csv_tables() -> tuple:
       where 10**k leaves the doubles.
     - The first record word of a cell by its leading digit d: "-0.000d.".
     - For each 4-digit group 0000-9999, its digits as half a record word, and
-      twice its count of trailing zeros (4 for 0000).
+      its count of trailing zeros (4 for 0000).
     - By code, the last record word: the exponent or none, "inf" or "nan",
       then "," (first half) or "\r\n" (second half).
-    - By code, where its cells' layouts start: the layout of nd significant
-      digits with the point after the digit p places right of the leading one
-      (p = 0 in scientific notation) and sign s is 2 (17 (p + 4) + nd - 1) + s,
-      and the code's start plus 2 nd + s; then inf, and nan, which has no sign.
-    - By layout and sign, the mask of the first three record words (the bytes
-      of the sign, "0.", zeros, digits and point the text keeps) and the
-      point's place p where it falls inside the 16 digits, else 0.
-    - By p, the masks that shift the digits from the one p places right of the
-      leading one on by a byte and put the point before them, as two words.
+    - By code, where its cells' layouts start: a cell with nd significant
+      digits, the point after the digit p places right of the leading one
+      (p = 0 in scientific notation) and sign s has the layout
+      2 (17 (p + 4) + nd - 1) + s, its code's start plus 2 nd + s; inf and
+      nan start at the layout with no digits.
+    - By layout, the mask of the first three record words (the bytes of the
+      sign, "0.", zeros, digits and point the text keeps) and the point's
+      place p where it falls among the 16 digits, else 0.
+    - By p, the masks that move the digits after the p-th one right of the
+      leading one up a byte and put the point in the byte freed, each as two
+      words.
     """
     ks = range(_K_MIN, _K_MAX + 1)
     shift = [200 if k > 280 else -200 if k < -280 else 0 for k in ks]
@@ -127,14 +126,14 @@ def _csv_tables() -> tuple:
 
     group = np.arange(10000)
     quads = np.frombuffer(b"".join(b"%04d" % g for g in group), "<u4")
-    zeros = 2 * np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
+    zeros = np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
     leads = _words(b"-0.000%d." % d for d in range(10))
 
     exps = range(-324, 309)
     ends = [b""] + [b"e%+03d" % e if e < -4 or e > 16 else b"" for e in exps] + [b"inf", b"nan"]
     last = np.concatenate([_words(t + b"," for t in ends), _words(t + b"\r\n" for t in ends)])
     places = [0] + [0 if e < -4 or e > 16 else e for e in exps]
-    base = np.array([2 * (17 * (p + 4) - 1) for p in places] + [2 * 17 * 21 - 2, 2 * 17 * 21], np.intp)
+    base = np.array([2 * (17 * (p + 4) - 1) for p in places] + [2 * 17 * 21 - 2] * 2, np.intp)
 
     p = np.arange(-4, 17)[:, None, None]
     nd = np.arange(1, 18)[None, :, None]
@@ -146,11 +145,10 @@ def _csv_tables() -> tuple:
     keep[..., 6] = True  # the leading digit
     keep[..., 7] = (p == 0) & (nd > 1)
     keep[..., 8:] = i <= np.maximum(nd - 2, p - 1)[..., None]
-    signs = [[[False] * 24, [True] + [False] * 23], [[False] * 24] * 2]  # inf, nan: no digits
-    keep = np.concatenate([keep.reshape(-1, 2, 24), signs])
+    keep = np.concatenate([keep.reshape(-1, 2, 24), [[[False] * 24, [True] + [False] * 23]]])  # no digits
     keep = (keep * np.uint8(255)).view("<u8").reshape(-1, 3).T.copy()
     inner = np.where((p >= 1) & (nd - 1 > p), p, 0).repeat(2, axis=2)
-    point = np.concatenate([inner.ravel(), [0] * 4]).astype(np.uint8)
+    point = np.concatenate([inner.ravel(), [0, 0]]).astype(np.uint8)
 
     # the 16 digits as one 128-bit word: the bytes below p stay, the others
     # move up a byte, and p takes the point
@@ -226,10 +224,10 @@ def _csv_bytes(table: np.ndarray) -> bytes:
         below[again], above[again] = hi[again] - 1e16 + lo[again], hi[again] - 1e17 + lo[again]
         unproved[again] = (below[again] < 0) | (above[again] >= 0)
     nearest = np.rint(lo)
-    inexact = np.flatnonzero((e < -6) | (e > 16))  # only an inexact S is tested for trust
-    if inexact.size:
-        b, c, r = below[inexact], above[inexact], lo[inexact] - nearest[inexact]
-        unproved[inexact] |= (np.abs(b) <= _TRUST) | (np.abs(c) <= _TRUST) | (np.abs(np.abs(r) - 0.5) <= _TRUST)
+    exact = (e >= -6) & (e <= 16)
+    if not exact.all():  # only an inexact S is tested for trust
+        trusted = (np.abs(below) > _TRUST) & (np.abs(above) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
+        unproved |= number & ~(exact | trusted)
     ok = number & ~unproved
     n = hi.astype(np.int64) + nearest.astype(np.int64)
     n *= ok
@@ -247,12 +245,12 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     mid, low = top - lead * 10**8, n - top * 10**8
     g1, g3 = mid // 10**4, low // 10**4
     g = [g1, mid - g1 * 10**4, g3, low - g3 * 10**4]
-    nd2 = 34 - zeros[g[3]]  # twice the count of significant digits
+    nd = 17 - zeros[g[3]]
     short = np.flatnonzero(g[3] == 0)  # trailing zeros past the last group
-    if short.size:  # 26 = 2 (17 - 4): the last group's 4 zeros counted
+    if short.size:  # 13: the last group's 4 zeros counted
         z1, z2, z3 = (zeros[gi[short]] for gi in g[:3])
-        nd2[short] = 26 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
-    mask = base[code] + nd2 + np.signbit(x)
+        nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
+    mask = base[code] + 2 * nd + (np.signbit(x) & ~np.isnan(x))
 
     rec = np.empty((rows * cols, 4), "<u8")  # a cell's record per row
     np.bitwise_and(leads[lead], keep[0][mask], out=rec[:, 0])
