@@ -125,7 +125,8 @@ def _csv_tables() -> tuple:
     powers = np.array(columns).T.copy()
 
     group = np.arange(10000)
-    quads = np.frombuffer(b"".join(b"%04d" % g for g in group), "<u4")
+    digits = np.stack([group // 10**j % 10 for j in (3, 2, 1, 0)], axis=1) + ord("0")
+    quads = digits.astype(np.uint8).view("<u4").ravel()
     zeros = np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
     leads = _words(b"-0.000%d." % d for d in range(10))
 
