@@ -145,7 +145,7 @@ def _csv_tables() -> tuple:
     keep[..., 3:6] = np.arange(3) < -1 - p[..., None]  # the zeros after it
     keep[..., 6] = True  # the leading digit
     keep[..., 7] = (p == 0) & (nd > 1)
-    keep[..., 8:] = i <= np.maximum(nd - 2, p - 1)[..., None]
+    keep[..., 8:] = i <= np.maximum(nd - 2, p - 1)[..., None]  # byte 8 + i: the digit i + 1 right of the leading one
     keep = np.concatenate([keep.reshape(-1, 2, 24), [[[False] * 24, [True] + [False] * 23]]])  # no digits
     keep = (keep * np.uint8(255)).view("<u8").reshape(-1, 3).T.copy()
     inner = np.where((p >= 1) & (nd - 1 > p), p, 0).repeat(2, axis=2)
