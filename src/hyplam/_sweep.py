@@ -1,4 +1,4 @@
-"""The rows of `hyplam sweep` and their CSV bytes: the part of the CLI that
+"""The rows of `hyplam sweep` and its CSV file: the part of the CLI that
 holds rows and needs numpy, loaded by `cli.cmd_sweep` alone."""
 
 import functools
@@ -68,18 +68,16 @@ def _table(first, *columns) -> np.ndarray:
 #: 41.6-41.7 MB at 2 048 cells, 41.9-42.1 at 3 072, 42.3-42.5 at 4 096-5 120.
 _CSV_CELLS = 2048
 #: the powers 10**k that _scaled takes: k = 16 - E for the decimal exponents
-#: E = -324 ... 308 of the finite doubles, and for log10's guess one off
-_K_MIN, _K_MAX = -293, 341
+#: E = -324 ... 308 of the finite doubles
+_K_MIN, _K_MAX = -292, 340
 #: 10**(16 - E) is column _K_COLUMN - E of the powers table
 _K_COLUMN = 16 - _K_MIN
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 #: how far from a rounding boundary an inexact S must lie to be trusted: its
 #: error is below 2**-45
 _TRUST = 2.0**-40
-#: a cell's code: 0 for 0 and for a cell "%.17g" formats, E + _E_CODE for a
-#: finite nonzero x, then inf and nan
+#: a cell's code: 0 for 0 and for a cell "%.17g" formats, else E + _E_CODE
 _E_CODE = 325
-_INF, _NAN = 634, 635
 _BYTE, _TOP = np.uint64(8), np.uint64(56)  # uint64, so that no shift widens to float64 under numpy 1.x
 
 
@@ -98,13 +96,12 @@ def _csv_tables() -> tuple:
     - The first record word of a cell by its leading digit d: "-0.000d.".
     - For each 4-digit group 0000-9999, its digits as half a record word, and
       its count of trailing zeros (4 for 0000).
-    - By code, the last record word: the exponent or none, "inf" or "nan",
-      then "," (first half) or "\r\n" (second half).
+    - By code, the last record word: the exponent or none, then ","
+      (first half) or "\r\n" (second half).
     - By code, where its cells' layouts start: a cell with nd significant
       digits, the point after the digit p places right of the leading one
       (p = 0 in scientific notation) and sign s has the layout
-      2 (17 (p + 4) + nd - 1) + s, its code's start plus 2 nd + s; inf and
-      nan start at the layout with no digits.
+      2 (17 (p + 4) + nd - 1) + s, its code's start plus 2 nd + s.
     - By layout, the mask of the first three record words (the bytes of the
       sign, "0.", zeros, digits and point the text keeps) and the point's
       place p where it falls among the 16 digits, else 0.
@@ -131,10 +128,10 @@ def _csv_tables() -> tuple:
     leads = _words(b"-0.000%d." % d for d in range(10))
 
     exps = range(-324, 309)
-    ends = [b""] + [b"e%+03d" % e if e < -4 or e > 16 else b"" for e in exps] + [b"inf", b"nan"]
+    ends = [b""] + [b"e%+03d" % e if e < -4 or e > 16 else b"" for e in exps]
     last = np.concatenate([_words(t + b"," for t in ends), _words(t + b"\r\n" for t in ends)])
     places = [0] + [0 if e < -4 or e > 16 else e for e in exps]
-    base = np.array([2 * (17 * (p + 4) - 1) for p in places] + [2 * 17 * 21 - 2] * 2, np.intp)
+    base = np.array([2 * (17 * (p + 4) - 1) for p in places], np.intp)
 
     p = np.arange(-4, 17)[:, None, None]
     nd = np.arange(1, 18)[None, :, None]
@@ -146,10 +143,8 @@ def _csv_tables() -> tuple:
     keep[..., 6] = True  # the leading digit
     keep[..., 7] = (p == 0) & (nd > 1)
     keep[..., 8:] = i <= np.maximum(nd - 2, p - 1)[..., None]  # byte 8 + i: the digit i + 1 right of the leading one
-    keep = np.concatenate([keep.reshape(-1, 2, 24), [[[False] * 24, [True] + [False] * 23]]])  # no digits
     keep = (keep * np.uint8(255)).view("<u8").reshape(-1, 3).T.copy()
-    inner = np.where((p >= 1) & (nd - 1 > p), p, 0).repeat(2, axis=2)
-    point = np.concatenate([inner.ravel(), [0, 0]]).astype(np.uint8)
+    point = np.where((p >= 1) & (nd - 1 > p), p, 0).repeat(2, axis=2).ravel().astype(np.uint8)
 
     # the 16 digits as one 128-bit word: the bytes below p stay, the others
     # move up a byte, and p takes the point
@@ -181,31 +176,33 @@ def _csv_bytes(table: np.ndarray) -> bytes:
 
     A finite nonzero x has the decimal exponent E = floor(log10 |x|), and its
     17 significant digits are the integer N nearest S = |x| 10**k, ties to
-    even, where k = 16 - E puts S in [1e16, 1e17). A carry to N = 1e17 makes
-    N = 1e16 and the exponent E + 1. log10 can miss E by one near a power of
-    ten, so S is compared with 1e16 and 1e17 and, if outside, taken again.
+    even, where k = 16 - E. The one layout path writes the cells proved to
+    have S in [1e16, 1e17 - 1/2), where N has 17 digits and E is its exponent.
 
     - For 0 <= k <= 22, 10**k is a double, and Dekker's two-product gives
       S = hi + lo exactly. Then hi >= 1e16 > 2**53 is an even integer, so
       N = hi + rint(lo) rounds a tie to even, as Python's dtoa does.
     - For other k (|x| < 1e-6 or |x| >= 1e17, all in scientific notation),
       10**k is a double-double correct to 2**-106, and S carries an error
-      below 2**-45. A cell whose S lies within _TRUST of 1e16, 1e17 or a
-      half-integer is not proved, and "%.17g" formats it: the powers of ten
-      1e17 to 1e22, the ties m 2**-24 and m 2**-25 (m odd), and a share of
-      about 2e-12 of other values. 0, inf and nan never reach this test.
+      below 2**-45. An S within _TRUST of 1e16 or of a half-integer, such as
+      1e17 - 1/2, is not proved.
+
+    "%.17g" formats every other cell: inf and nan; an S outside that range,
+    where log10 missed E by one or N carries to 1e17; and an inexact S not
+    proved: the powers of ten 1e17 to 1e22, the ties m 2**-24 and m 2**-25
+    (m odd), and a share of about 2e-12 of other values. 0 takes N = 0.
 
     The text follows %g: fixed notation for exponents -4 to 16, scientific
     otherwise, trailing zeros stripped, no point when no digit follows it,
-    "-" for a negative value and -0.0, "inf", "-inf" and "nan". Each cell is
-    a record of four 8-byte words: "-0.000", the leading digit and a point;
-    the other 16 digits, 8 a word; the exponent and the separator. A mask by
-    the cell's layout zeroes what its text leaves out. Where the point falls
-    inside the 16 digits (fixed notation, E = 1 to 15, with digits after the
-    point), the digits from there on move up a byte behind the point, and
-    the last of them into the front of the separator word, which holds at
-    most 7 bytes. A text "%.17g" writes fills at most the first three words,
-    24 bytes. The zero bytes are deleted.
+    "-" for a negative value and -0.0. Each cell is a record of four 8-byte
+    words: "-0.000", the leading digit and a point; the other 16 digits, 8 a
+    word; the exponent and the separator. A mask by the cell's layout zeroes
+    what its text leaves out. Where the point falls inside the 16 digits
+    (fixed notation, E = 1 to 15, with digits after the point), the digits
+    from there on move up a byte behind the point, and the last of them into
+    the front of the separator word, which holds at most 7 bytes. A text
+    "%.17g" writes fills at most the first three words, 24 bytes. The zero
+    bytes are deleted.
     """
     powers, leads, quads, zeros, last, base, keep, point, moves = _csv_tables()
     rows, cols = table.shape
@@ -216,29 +213,17 @@ def _csv_bytes(table: np.ndarray) -> bytes:
 
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(a, e)
-    below, above = hi - 1e16 + lo, hi - 1e17 + lo  # of the exact sign when S is exact
-    unproved = (below < 0) | (above >= 0)
-    again = np.flatnonzero(unproved)
-    if again.size:
-        e[again] += (above[again] >= 0).astype(np.intp) - (below[again] < 0)
-        hi[again], lo[again] = _scaled(a[again], e[again])
-        below[again], above[again] = hi[again] - 1e16 + lo[again], hi[again] - 1e17 + lo[again]
-        unproved[again] = (below[again] < 0) | (above[again] >= 0)
+    below = hi - 1e16 + lo  # of the exact sign when S is exact, as is the test on 1e17 - 1/2
+    unproved = ~finite | (below < 0) | (hi - 1e17 + lo >= -0.5)
     nearest = np.rint(lo)
     exact = (e >= -6) & (e <= 16)
     if not exact.all():  # only an inexact S is tested for trust
-        trusted = (np.abs(below) > _TRUST) & (np.abs(above) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
+        trusted = (np.abs(below) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
         unproved |= number & ~(exact | trusted)
     ok = number & ~unproved
     n = hi.astype(np.int64) + nearest.astype(np.int64)
     n *= ok
     code = (e + _E_CODE) * ok
-    carry = np.flatnonzero(n == 10**17)
-    n[carry] = 10**16
-    code[carry] += 1
-    if not finite.all():
-        code[np.isinf(x)] = _INF
-        code[np.isnan(x)] = _NAN
 
     # N as its leading digit and four 4-digit groups
     top = n // 10**8
@@ -251,7 +236,7 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     if short.size:  # 13: the last group's 4 zeros counted
         z1, z2, z3 = (zeros[gi[short]] for gi in g[:3])
         nd[short] = 13 - (z3 + (g[2][short] == 0) * (z2 + (g[1][short] == 0) * z1))
-    mask = base[code] + 2 * nd + (np.signbit(x) & ~np.isnan(x))
+    mask = base[code] + 2 * nd + np.signbit(x)
 
     rec = np.empty((rows * cols, 4), "<u8")  # a cell's record per row
     np.bitwise_and(leads[lead], keep[0][mask], out=rec[:, 0])
@@ -270,6 +255,18 @@ def _csv_bytes(table: np.ndarray) -> bytes:
         rec[inner, 1] = (d1 & k1) | ((d1 << _BYTE) & s1) | p1
         rec[inner, 2] = (d2 & k2) | (((d2 << _BYTE) | (d1 >> _TOP)) & s2) | p2
         rec[inner, 3] = (rec[inner, 3] << _BYTE) | (d2 >> _TOP)
-    for i in np.flatnonzero(unproved):
-        rec[i, :3] = np.frombuffer((b"%.17g" % x[i]).ljust(24, b"\0"), "<u8")
+    fall = np.flatnonzero(unproved)
+    if fall.size:  # each value once: sum's upper bound at L = 1 is a column of inf
+        values, which = np.unique(x[fall], return_inverse=True)
+        texts = b"".join((b"%.17g" % v).ljust(24, b"\0") for v in values.tolist())
+        rec[fall, :3] = np.frombuffer(texts, "<u8").reshape(-1, 3)[which]
     return rec.tobytes().translate(None, b"\0")
+
+
+def write_csv(fh, header, table: np.ndarray) -> None:
+    """Write a sweep's CSV file to the binary file fh: the header line, then
+    the table's rows, _CSV_CELLS cells or one row to a _csv_bytes call."""
+    fh.write((",".join(header) + "\r\n").encode())
+    block = max(1, _CSV_CELLS // table.shape[1])
+    for start in range(0, len(table), block):
+        fh.write(_csv_bytes(table[start : start + block]))

@@ -215,10 +215,7 @@ def cmd_sweep(args) -> int:
         header, table = _sweep._sweep_rows(args)
         if fh.seekable() and fh.tell():  # in append mode tell() is the file's size
             fh.truncate(0)
-        fh.write((",".join(header) + "\r\n").encode())
-        block = max(1, _sweep._CSV_CELLS // table.shape[1])
-        for start in range(0, len(table), block):
-            fh.write(_sweep._csv_bytes(table[start : start + block]))
+        _sweep.write_csv(fh, header, table)
     print(f"wrote {len(table)} rows to {args.out}")
     return 0
 

@@ -278,10 +278,11 @@ class TestSweep:
         header, table = _sweep_rows(build_parser().parse_args(argv))
         assert (tmp_path / "x.csv").read_bytes() == (",".join(header) + "\r\n").encode() + percent_csv(table)
 
+    @pytest.mark.parametrize("partial", [7, 0])
     @pytest.mark.parametrize("target,cols", [("product", 4), ("sum", 5), ("ideal", 5), ("mu", 3)])
-    def test_rows_past_whole_blocks(self, capsys, tmp_path, target, cols):
-        # three whole blocks of this target's rows and a partial one
-        n = _CSV_CELLS // cols * 3 + 7
+    def test_rows_past_whole_blocks(self, capsys, tmp_path, target, cols, partial):
+        # three whole blocks of this target's rows, and a partial one or none
+        n = _CSV_CELLS // cols * 3 + partial
         argv = ["sweep", "--target", target, "--grid", str(n), "--out", str(tmp_path / "x.csv"), "--L", "0.5"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.startswith(f"wrote {n} rows")
