@@ -16,7 +16,6 @@ from .geometry import (
     MoebiusMap,
     Point,
     absolute_ratio,
-    chordal_distance,
     geodesic_distance,
     geodesic_through,
     hyperbolic_midpoint,

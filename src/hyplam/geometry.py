@@ -14,9 +14,9 @@ with. A scalar with an infinite part and no NaN is the point at infinity,
 `Point(math.inf)`. `Point` (a complex number), `Geodesic` and `MoebiusMap`
 are the typed scalar API.
 
-A modulus is taken by hypot (the table's `abs`) only for a Euclidean or
-chordal distance, a chordal norm or a unit vector; a modulus that is only
-squared or compared with 1 is x*x + y*y, `sq_abs`.
+A modulus is taken by hypot (the table's `abs`) only for a Euclidean
+distance or a unit vector; a modulus that is only squared or compared with 1
+is x*x + y*y, `sq_abs`.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _snap(z):
         near = abs(ns.sq_abs(z) - 1.0) <= 4.0 * _BOUNDARY_SNAP
         if not near.any():
             return z, near
-        r = ns.hypot(z.real, z.imag)
+        r = ns.abs(z)
         d = abs(r - 1.0)
         move = (d > _SNAPPED) & (d <= _BOUNDARY_SNAP)
         return ns.where(move, _unit(z, ns.where(move, r, 1.0)), z), d <= _BOUNDARY_SNAP
@@ -268,19 +268,6 @@ def _ratio(a, b, c, d, ns=_rows.SCALAR):
 
 # ---------------------------------------------------------------------------
 # Metrics
-
-
-def chordal_distance(x, y):
-    """Metric of the Riemann sphere pulled back to the plane: |z - w| / n(z)
-    / n(w) with n(z) = hypot(1, |z|), 1 / n(z) from z to infinity and 0
-    between two infinities. Each norm is divided in turn, so points near
-    1e200 overflow neither a product of norms nor the result; at _scaled's s,
-    s |z - w| / hypot(s, |z|) / hypot(s, |w|). On ndarrays, row by row."""
-    ns, (z, _), (w, _) = _points(x, y)
-    s, z, w = _scaled(ns, z, w)
-    if z is None or w is None:
-        return 0.0 if z is w else s / ns.hypot(s, ns.abs(w if z is None else z))
-    return s * ns.abs(z - w) / ns.hypot(s, ns.abs(z)) / ns.hypot(s, ns.abs(w))
 
 
 def absolute_ratio(a, b, c, d):

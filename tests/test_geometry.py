@@ -22,7 +22,6 @@ from hyplam import (
     MoebiusMap,
     Point,
     absolute_ratio,
-    chordal_distance,
     geodesic_distance,
     geodesic_through,
     hyperbolic_midpoint,
@@ -220,7 +219,6 @@ class TestNonFinite:
         return [
             lambda: absolute_ratio(bad, 1, 2, 3),
             lambda: absolute_ratio(1, 2, 3, bad),
-            lambda: chordal_distance(bad, 1.0),
             lambda: MoebiusMap.cayley()(bad),
             lambda: MoebiusMap.disk_automorphism(0.3, 0.7)(bad),
         ]
@@ -252,7 +250,6 @@ class TestNonFinite:
         # real coefficients give a real a/c
         assert MoebiusMap(2, 0, 1, 1)(Point(math.inf)) == 2.0
         assert at_infinity(MoebiusMap(1, 0, 0, 1)(Point(math.inf)))
-        assert chordal_distance(Point(math.inf), 0.0) == 1.0
 
 
 
@@ -316,9 +313,8 @@ class TestModulusBeyondTheDoubles:
 
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "row"])
     def test_the_sphere_and_the_half_plane_beyond_the_doubles(self, rows):
-        # |z - w| and hypot(1, |z|) pass the doubles; at scale 1/4 they do not
+        # |z - w| passes the doubles; at scale 1/4 it does not
         expected = (
-            (chordal_distance, (self.Z, 0.5), 0.8944271909999159),
             (absolute_ratio, (self.Z, 0.5, 0.1j, -0.3), 2.5298221281347035),
             (rho_halfplane, (self.Z, 1j), 710.2948209308341),
         )
@@ -351,10 +347,10 @@ class TestModulusBeyondTheDoubles:
         assert got == [rho, 0.0]
 
     def test_the_sphere_and_the_half_plane_at_the_largest_moduli(self):
-        # |z| = 1.4e308 is a double: a chordal distance, an absolute ratio and
-        # a half-plane distance are finite, and a one-row call gives the same
+        # |z| = 1.4e308 is a double: an absolute ratio and a half-plane
+        # distance are finite, and a one-row call gives the same
         z = 1e308 + 1e308j
-        for f, args in ((chordal_distance, (z, 0.5)), (absolute_ratio, (z, 0.5, 0.1j, -0.3)), (rho_halfplane, (z, 1j))):
+        for f, args in ((absolute_ratio, (z, 0.5, 0.1j, -0.3)), (rho_halfplane, (z, 1j))):
             scalar = f(*args)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -374,7 +370,6 @@ def _outcome(f, args) -> str:
 @pytest.mark.parametrize(
     "f, arity",
     [
-        (chordal_distance, 2),
         (absolute_ratio, 4),
         (rho_disk, 2),
         (rho_halfplane, 2),
@@ -395,28 +390,7 @@ def test_a_point_and_its_value_agree_bit_for_bit(f, arity):
         assert _outcome(f, [snapped(args[0]), *args[1:]]) == raw
 
 
-class TestChordal:
-    def test_symmetric_at_infinity(self):
-        # q(x, inf) = 1/sqrt(1+|x|^2)
-        assert chordal_distance(Point(math.inf), 1.0) == pytest.approx(1.0 / math.sqrt(2.0))
-        assert chordal_distance(0.0, Point(math.inf)) == pytest.approx(1.0)
-
-    def test_finite(self):
-        assert chordal_distance(0.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0))
-
-    def test_rows_are_their_scalar_calls_bit_for_bit(self):
-        # both take libm's hypot: math.hypot, CPython's own, differed by an
-        # ulp in 222 of these 20 000 pairs
-        rng = np.random.default_rng(3)
-        z, w = (rng.uniform(-2.0, 2.0, 20_000) + 1j * rng.uniform(-2.0, 2.0, 20_000) for _ in range(2))
-        # parts of 2^1021 and more, which _scaled takes down by a power of two
-        big = 2.0**1021 * np.array([1.0, 1.5, -1.75, 1.999])
-        z = np.concatenate([z, big + 1j * big[::-1], 1j * big, big + 0.5j])
-        w = np.concatenate([w, np.full(4, 0.3 + 0.1j), big[::-1] - 1j * big, 3j - big])
-        rows = chordal_distance(z, w)
-        scalars = [chordal_distance(complex(a), complex(b)) for a, b in zip(z.tolist(), w.tolist())]
-        assert rows.view(np.uint64).tolist() == np.array(scalars).view(np.uint64).tolist()
-
+class TestAbsoluteRatio:
     def test_absolute_ratio_needs_distinct_points(self):
         with pytest.raises(DegenerateInputError):
             absolute_ratio(0.1, 0.1, 0.5, 0.7)
@@ -427,19 +401,14 @@ class TestChordal:
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_absolute_ratio_at_extreme_magnitudes(self, scale):
         # (|a - c| / |a - b|) (|b - d| / |c - d|) = 2 * 1.5: neither a product
-        # of two distances nor the chordal norms under- or overflow
+        # of two distances under- or overflows
         quad = [k * scale for k in (1, 2, 3, 5)]
         assert absolute_ratio(*quad) == pytest.approx(3.0, rel=4 * EPS)
         rows = absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad))
         assert np.all(abs(rows - 3.0) <= 4 * EPS * 3.0)
 
-    def test_chordal_path_at_1e200(self):
-        assert chordal_distance(1e200, 2e200) == pytest.approx(5e-201, rel=4 * EPS)
-        assert chordal_distance(1e200, Point(math.inf)) == pytest.approx(1e-200, rel=4 * EPS)
-        assert chordal_distance(Point(math.inf), -1e200j) == pytest.approx(1e-200, rel=4 * EPS)
+    def test_absolute_ratio_at_infinity_and_1e200(self):
         assert absolute_ratio(Point(math.inf), 1e200, 0, 1) == pytest.approx(1e200, rel=4 * EPS)
-        rows = chordal_distance(np.array([1e200, 1e300j, 0.5]), np.array([2e200, 2e300j, -0.5]))
-        assert np.all(abs(rows - [5e-201, 5e-301, 0.8]) <= 4 * EPS * np.array([5e-201, 5e-301, 0.8]))
 
 
 class TestRho:

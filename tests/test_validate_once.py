@@ -64,7 +64,6 @@ class TestNamespacePick:
             lambda: geometry.rho_disk(p, q),
             lambda: geometry.rho_halfplane(1j, 0.5 + 2j),
             lambda: geometry.absolute_ratio(Point(math.inf), 0.5, 0.2j, -0.3),
-            lambda: geometry.chordal_distance(p, Point(math.inf)),
             lambda: geometry.rho_via_crossratio(p, q),
             lambda: geometry.hyperbolic_midpoint(p, q),
             lambda: geometry.geodesic_through(p, q),
@@ -75,10 +74,10 @@ class TestNamespacePick:
     def test_row_calls_read_only_the_rows_table(self, monkeypatch):
         z = np.array([0.3 + 0.1j, -0.5j, 0.2])
         w = np.array([-0.2 + 0.5j, 0.1, 1.0])
-        rows = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.chordal_distance(z, w)]
+        rows = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.absolute_ratio(z, w, z + 2, w - 2)]
         rows += [geometry.rho_via_crossratio(z[:2], w[:2]), geometry.hyperbolic_midpoint(z[:2], w[:2])]
         _refuse_table(monkeypatch, _rows.SCALAR)
-        again = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.chordal_distance(z, w)]
+        again = [geometry.rho_disk(z, w), geometry.rho_halfplane(z + 1j, w + 2j), geometry.absolute_ratio(z, w, z + 2, w - 2)]
         again += [geometry.rho_via_crossratio(z[:2], w[:2]), geometry.hyperbolic_midpoint(z[:2], w[:2])]
         for a, b in zip(rows, again):
             assert a.tobytes() == b.tobytes()
