@@ -53,31 +53,27 @@ def _table(first, *columns) -> np.ndarray:
 
 #: cells per _csv_bytes call, whatever the column count. Milliseconds for
 #: each target's 5 000-row table, on a 2-CPU Xeon host, medians of 30 shuffled
-#: rounds in one process, and the minor page faults (ru_minflt) of each
-#: target's second 5 000-row pass in a fresh process:
+#: rounds in one process:
 #:
-#:     cells   product  sum   ideal  mu     faults
-#:     1 024   4.12     5.05  5.03   2.79   0
-#:     2 048   3.25     3.97  4.00   2.28   0-5
-#:     2 560   3.04     3.62  3.69   2.00   0
-#:     3 072   2.87     3.59  3.70   1.90   0
-#:     5 120   2.62     3.30  3.40   2.03   0
+#:     cells   product  sum   ideal  mu
+#:     1 024   4.12     5.05  5.03   2.79
+#:     2 048   3.25     3.97  4.00   2.28
+#:     2 560   3.04     3.62  3.69   2.00
+#:     3 072   2.87     3.59  3.70   1.90
+#:     5 120   2.62     3.30  3.40   2.03
 #:
-#: No size faults more than 5 times a pass, but larger calls, faster still,
-#: raise a sweep's peak memory: the sweep-export benchmark's peak RSS read
-#: 41.6-41.7 MB at 2 048 cells, 41.9-42.1 at 3 072, 42.3-42.5 at 4 096-5 120.
+#: Larger calls win there but lose in a process that also reads what it
+#: wrote back: over 60 rounds of the four 5 000-row sweeps, each read back by
+#: np.loadtxt, 2 048 cells took 0 minor page faults (ru_minflt) a round in
+#: the median and 4 096 took ~1 400, as glibc trimmed the heap after each
+#: call and the next one faulted it back in, and six alternating pairs of the
+#: sweep-export benchmark read x0.82 the rows/s at 4 096 cells (slower in
+#: 6/6), with the same peak RSS (42.1-42.6 MB against 42.2-42.5).
 _CSV_CELLS = 2048
-#: the powers 10**k that _scaled takes: k = 16 - E for the decimal exponents
-#: E = -324 ... 308 of the finite doubles
-_K_MIN, _K_MAX = -292, 340
-#: 10**(16 - E) is column _K_COLUMN - E of the powers table
-_K_COLUMN = 16 - _K_MIN
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
-#: how far from a rounding boundary an inexact S must lie to be trusted: its
-#: error is below 2**-45
-_TRUST = 2.0**-40
 #: a cell's code: 0 for 0 and for a cell "%.17g" formats, else E + _E_CODE
-_E_CODE = 325
+#: for its decimal exponent E = -6 ... 16
+_E_CODE = 7
 _BYTE, _TOP = np.uint64(8), np.uint64(56)  # uint64, so that no shift widens to float64 under numpy 1.x
 
 
@@ -90,9 +86,7 @@ def _words(texts) -> np.ndarray:
 def _csv_tables() -> tuple:
     """The tables of _csv_bytes, built on the first sweep.
 
-    - For each k, 10**k / 2**g as a double-double, its high part split by
-      Dekker, and the exact scale 2**g; g = 0 but at the ends of the range,
-      where 10**k leaves the doubles.
+    - For k = 0 ... 22, the double 10**k and its two halves split by Dekker.
     - The first record word of a cell by its leading digit d: "-0.000d.".
     - For each 4-digit group 0000-9999, its digits as half a record word, and
       its count of trailing zeros (4 for 0000).
@@ -109,17 +103,10 @@ def _csv_tables() -> tuple:
       leading one up a byte and put the point in the byte freed, each as two
       words.
     """
-    ks = range(_K_MIN, _K_MAX + 1)
-    shift = [200 if k > 280 else -200 if k < -280 else 0 for k in ks]
-    columns = []
-    for k, g in zip(ks, shift):
-        num, den = (10**k, 1 << g) if k >= 0 else (1 << -g, 10**-k)
-        h = num / den  # correctly rounded, as is the remainder below
-        p, q = h.as_integer_ratio()
-        c = _SPLIT * h
-        h_hi = c - (c - h)
-        columns.append((h, h_hi, h - h_hi, (num * q - p * den) / (den * q), 2.0**g))
-    powers = np.array(columns).T.copy()
+    powers = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
+    c = _SPLIT * powers
+    high = c - (c - powers)
+    powers = np.stack([powers, high, powers - high])
 
     group = np.arange(10000)
     digits = np.stack([group // 10**j % 10 for j in (3, 2, 1, 0)], axis=1) + ord("0")
@@ -127,10 +114,10 @@ def _csv_tables() -> tuple:
     zeros = np.where(group == 0, 4, np.sum([group % 10**j == 0 for j in (1, 2, 3)], axis=0))
     leads = _words(b"-0.000%d." % d for d in range(10))
 
-    exps = range(-324, 309)
-    ends = [b""] + [b"e%+03d" % e if e < -4 or e > 16 else b"" for e in exps]
+    exps = range(-6, 17)
+    ends = [b""] + [b"e%+03d" % e if e < -4 else b"" for e in exps]
     last = np.concatenate([_words(t + b"," for t in ends), _words(t + b"\r\n" for t in ends)])
-    places = [0] + [0 if e < -4 or e > 16 else e for e in exps]
+    places = [0] + [0 if e < -4 else e for e in exps]
     base = np.array([2 * (17 * (p + 4) - 1) for p in places], np.intp)
 
     p = np.arange(-4, 17)[:, None, None]
@@ -156,18 +143,15 @@ def _csv_tables() -> tuple:
 
 
 def _scaled(a, e):
-    """(hi, lo): hi + lo is a * 10**k with k = 16 - e as a double-double,
-    exactly when 0 <= k <= 22, for positive doubles a with a * 10**k in
-    [1e15, 1e18)."""
-    power, b_hi, b_lo, tail, scale = np.take(_csv_tables()[0], _K_COLUMN - e, axis=1)
-    a = a * scale
+    """(hi, lo): hi + lo = a * 10**(16 - e) exactly, by Dekker's two-product,
+    and hi is that product rounded, for positive doubles a and -6 <= e <= 16
+    with a * 10**(16 - e) in [1, 1e18)."""
+    power, b_hi, b_lo = np.take(_csv_tables()[0], 16 - e, axis=1)
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    t = a * power
-    s = (((a_hi * b_hi - t) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + a * tail
-    hi = t + s
-    return hi, s - (hi - t)
+    hi = a * power
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _csv_bytes(table: np.ndarray) -> bytes:
@@ -176,21 +160,15 @@ def _csv_bytes(table: np.ndarray) -> bytes:
 
     A finite nonzero x has the decimal exponent E = floor(log10 |x|), and its
     17 significant digits are the integer N nearest S = |x| 10**k, ties to
-    even, where k = 16 - E. The one layout path writes the cells proved to
-    have S in [1e16, 1e17 - 1/2), where N has 17 digits and E is its exponent.
+    even, where k = 16 - E. The one layout path writes the cells with E in
+    [-6, 16] (|x| in [1e-6, 1e17)) and S in [1e16, 1e17 - 1/2), where N has
+    17 digits and E is its exponent. There 10**k is a double, Dekker's
+    two-product gives S = hi + lo exactly, and hi >= 1e16 > 2**53 is an even
+    integer, so N = hi + rint(lo) rounds a tie to even, as Python's dtoa does.
 
-    - For 0 <= k <= 22, 10**k is a double, and Dekker's two-product gives
-      S = hi + lo exactly. Then hi >= 1e16 > 2**53 is an even integer, so
-      N = hi + rint(lo) rounds a tie to even, as Python's dtoa does.
-    - For other k (|x| < 1e-6 or |x| >= 1e17, all in scientific notation),
-      10**k is a double-double correct to 2**-106, and S carries an error
-      below 2**-45. An S within _TRUST of 1e16 or of a half-integer, such as
-      1e17 - 1/2, is not proved.
-
-    "%.17g" formats every other cell: inf and nan; an S outside that range,
-    where log10 missed E by one or N carries to 1e17; and an inexact S not
-    proved: the powers of ten 1e17 to 1e22, the ties m 2**-24 and m 2**-25
-    (m odd), and a share of about 2e-12 of other values. 0 takes N = 0.
+    "%.17g" formats every other cell: inf and nan; a cell outside [1e-6,
+    1e17); and an S outside that range, where log10 missed E by one or N
+    carries to 1e17. 0 takes N = 0.
 
     The text follows %g: fixed notation for exponents -4 to 16, scientific
     otherwise, trailing zeros stripped, no point when no digit follows it,
@@ -212,16 +190,11 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     a = np.where(number, np.abs(x), 1.0)  # no arithmetic on 0, inf or nan
 
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _scaled(a, e)
-    below = hi - 1e16 + lo  # of the exact sign when S is exact, as is the test on 1e17 - 1/2
-    unproved = ~finite | (below < 0) | (hi - 1e17 + lo >= -0.5)
-    nearest = np.rint(lo)
-    exact = (e >= -6) & (e <= 16)
-    if not exact.all():  # only an inexact S is tested for trust
-        trusted = (np.abs(below) > _TRUST) & (np.abs(np.abs(lo - nearest) - 0.5) > _TRUST)
-        unproved |= number & ~(exact | trusted)
+    inside = (e >= -6) & (e <= 16)
+    hi, lo = _scaled(np.where(inside, a, 1.0), np.where(inside, e, 16))  # S = 1 outside [1e-6, 1e17)
+    unproved = ~finite | (hi - 1e16 + lo < 0) | (hi - 1e17 + lo >= -0.5)  # exact signs, S being exact
     ok = number & ~unproved
-    n = hi.astype(np.int64) + nearest.astype(np.int64)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     n *= ok
     code = (e + _E_CODE) * ok
 

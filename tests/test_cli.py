@@ -270,7 +270,7 @@ class TestSweep:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "L must lie in (0, 1]" in err
 
-    @pytest.mark.parametrize("L", [2.0**-60, lambert.SUM_CASE1_MAX, 1.0])
+    @pytest.mark.parametrize("L", [2.0**-60, 1e-4, lambert.SUM_CASE1_MAX, 1.0])
     @pytest.mark.parametrize("target", ["product", "sum", "ideal", "mu"])
     def test_bytes_match_percent_format(self, capsys, tmp_path, target, L):
         argv = ["sweep", "--target", target, "--grid", "300", "--out", str(tmp_path / "x.csv"), "--L", repr(L)]
