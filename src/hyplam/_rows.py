@@ -27,13 +27,21 @@ def _power(x, y):
         return math.inf
 
 
+def _ldexp(x, i):
+    """x * 2**i for x > 0, inf where that overflows, as numpy's ldexp gives it."""
+    try:
+        return math.ldexp(x, i)
+    except OverflowError:
+        return math.inf
+
+
 def _sq_abs(z):
     """|z|^2 as x*x + y*y: within 1.5 ulp of |z|^2, and inf past |z| ~ 1e154."""
     return z.real * z.real + z.imag * z.imag
 
 
 #: math's functions and builtins under numpy's names: abs is |z| by hypot;
-#: divide is x / y, inf where that overflows, as numpy's divide gives it;
+#: divide is x / y and ldexp x 2**i, inf where that overflows, as numpy's gives it;
 #: where picks from branches its caller has computed, so each must be safe on
 #: every input; fmax is max(0.0, x), 0.0 for a NaN x; math_asinh, math.asinh itself,
 #: which the rows table applies row by row, as numpy's arcsinh rounds otherwise
@@ -42,6 +50,7 @@ SCALAR = _table("hyplam._rows.SCALAR", dict(
     arccos=math.acos, arctanh=math.atanh, arcsinh=math.asinh, math_asinh=math.asinh,
     divide=truediv, isfinite=math.isfinite, abs=abs, any=bool, minimum=min,
     fmax=max, where=lambda cond, a, b: a if cond else b, power=_power, sq_abs=_sq_abs,
+    frexp=math.frexp, ldexp=_ldexp,
 ))
 
 
@@ -59,11 +68,12 @@ def rows() -> ModuleType:
     """numpy's functions under SCALAR's names, and the errstate, asarray,
     broadcast_arrays and empty that only rows call. abs is |z| by hypot, as on
     a scalar (numpy's complex abs rounds otherwise, which rho amplifies near
-    the circle); sq_abs, power and divide overflow to inf quietly, as a scalar does."""
+    the circle); sq_abs, power, divide and ldexp overflow to inf quietly, as a scalar does."""
     np = numpy()
     return _table("hyplam._rows.ROWS", {n: getattr(np, n, None) for n in vars(SCALAR) if n[0] != "_"} | dict(
         abs=lambda z: np.hypot(z.real, z.imag), sq_abs=np.errstate(over="ignore")(_sq_abs),
         power=np.errstate(over="ignore")(np.power), divide=np.errstate(over="ignore")(np.divide),
+        ldexp=np.errstate(over="ignore")(np.ldexp),
         math_asinh=np.vectorize(math.asinh, otypes=[float]), errstate=np.errstate, asarray=np.asarray,
         broadcast_arrays=np.broadcast_arrays, empty=np.empty,
     ))
