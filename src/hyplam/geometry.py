@@ -252,12 +252,13 @@ def _midpoint(z, w, ns=_rows.SCALAR):
 def _ratio(a, b, c, d, ns=_rows.SCALAR):
     """The absolute ratio (|a - c| / |a - b|) (|b - d| / |c - d|) of four
     snapped coordinates (None at infinity), with the exponents apart: each
-    distance is m 2**k with m in [1/2, 1), the two quotients of the m lie in
-    (1/2, 2), and their product is scaled by 2 to the sum of the k. So no
-    product of two distances under- or overflows for points near 1e-170 or
-    1e170, nor one quotient for points that span the doubles, as 1e-300 and
-    1e300 do; where the quotients and their product are normal, these are
-    the bits of the ratios taken first, as a power of two commutes with rounding.
+    distance is m 2**k with m in [1/2, 1), the product of the two quotients
+    of the m lies in (1/4, 4), and ldexp scales it by the k above less the k
+    below. So no product or quotient of two distances under- or overflows,
+    as one does for points near 1e-170 or 1e170, or for points that span the
+    doubles, such as 1e-300 and 1e300. Where the two quotients and their
+    product are normal, these are the bits of the ratios taken first: a
+    power of two commutes with rounding.
 
     Each point stands once above and once below, so a point at infinity's
     two distances cancel and each is taken as 1; DegenerateInputError where
@@ -268,7 +269,7 @@ def _ratio(a, b, c, d, ns=_rows.SCALAR):
     ac = 1.0 if a is None or c is None else ns.abs(a - c)
     bd = 1.0 if b is None or d is None else ns.abs(b - d)
     cd = 1.0 if c is None or d is None else ns.abs(c - d)
-    (mab, kab), (mac, kac), (mbd, kbd), (mcd, kcd) = map(ns.frexp, (ab, ac, bd, cd))
+    (mab, kab), (mac, kac), (mbd, kbd), (mcd, kcd) = ns.frexp(ab), ns.frexp(ac), ns.frexp(bd), ns.frexp(cd)
     return ns.ldexp((mac / mab) * (mbd / mcd), kac - kab + kbd - kcd)
 
 
