@@ -142,11 +142,11 @@ def _csv_tables() -> tuple:
     return powers, leads, quads, zeros.astype(np.uint8), last, base, keep, point, moves.T.copy()
 
 
-def _scaled(a, e):
+def _scaled(powers, a, e):
     """(hi, lo): hi + lo = a * 10**(16 - e) exactly, by Dekker's two-product,
     and hi is that product rounded, for positive doubles a and -6 <= e <= 16
-    with a * 10**(16 - e) in [1, 1e18)."""
-    power, b_hi, b_lo = np.take(_csv_tables()[0], 16 - e, axis=1)
+    with a * 10**(16 - e) in [1, 1e18); powers is _csv_tables()'s first table."""
+    power, b_hi, b_lo = np.take(powers, 16 - e, axis=1)
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
@@ -191,7 +191,7 @@ def _csv_bytes(table: np.ndarray) -> bytes:
 
     e = np.floor(np.log10(a)).astype(np.intp)
     inside = (e >= -6) & (e <= 16)
-    hi, lo = _scaled(np.where(inside, a, 1.0), np.where(inside, e, 16))  # S = 1 outside [1e-6, 1e17)
+    hi, lo = _scaled(powers, np.where(inside, a, 1.0), np.where(inside, e, 16))  # S = 1 outside [1e-6, 1e17)
     unproved = ~finite | (hi - 1e16 + lo < 0) | (hi - 1e17 + lo >= -0.5)  # exact signs, S being exact
     ok = number & ~unproved
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)

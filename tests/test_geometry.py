@@ -415,6 +415,12 @@ class TestAbsoluteRatio:
                 assert absolute_ratio(*quad) == pytest.approx(want, rel=4 * EPS)
                 rows = absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad))
             assert np.all(abs(rows - want) <= 4 * EPS * want)
+        # a ratio past the doubles (2e300 / 5e-324) is inf, quietly
+        quad = (0.0, t, 1e300, 2e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert absolute_ratio(*quad) == math.inf
+            assert np.all(absolute_ratio(*(np.array([q, 1j * q]) for q in quad)) == math.inf)
 
     def test_absolute_ratio_at_infinity_and_1e200(self):
         assert absolute_ratio(Point(math.inf), 1e200, 0, 1) == pytest.approx(1e200, rel=4 * EPS)
