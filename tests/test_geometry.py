@@ -407,20 +407,19 @@ class TestAbsoluteRatio:
         rows = absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad))
         assert np.all(abs(rows - 3.0) <= 4 * EPS * 3.0)
         # points that span the doubles: (|a - c| / |a - b|) underflows and
-        # (|b - d| / |c - d|) overflows, so the exponents are taken apart
+        # (|b - d| / |c - d|) overflows, so the exponents are taken apart; a
+        # ratio past the doubles (2e300 / 5e-324) is inf, quietly
         t = 5e-324
-        for quad, want in [((1e-300, 1e300, 2e-300, 3e-300), 1.0), ((4 * t, 2.0**1020, 8 * t, 13 * t), 0.8)]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert absolute_ratio(*quad) == pytest.approx(want, rel=4 * EPS)
-                rows = absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad))
-            assert np.all(abs(rows - want) <= 4 * EPS * want)
-        # a ratio past the doubles (2e300 / 5e-324) is inf, quietly
-        quad = (0.0, t, 1e300, 2e300)
+        cases = [
+            ((1e-300, 1e300, 2e-300, 3e-300), 1.0),
+            ((4 * t, 2.0**1020, 8 * t, 13 * t), 0.8),
+            ((0.0, t, 1e300, 2e300), math.inf),
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert absolute_ratio(*quad) == math.inf
-            assert np.all(absolute_ratio(*(np.array([q, 1j * q]) for q in quad)) == math.inf)
+            for quad, want in cases:
+                assert absolute_ratio(*quad) == pytest.approx(want, rel=4 * EPS)
+                assert absolute_ratio(*(np.array([q, 1j * q, -q]) for q in quad)) == pytest.approx(want, rel=4 * EPS)
 
     def test_absolute_ratio_at_infinity_and_1e200(self):
         assert absolute_ratio(Point(math.inf), 1e200, 0, 1) == pytest.approx(1e200, rel=4 * EPS)
